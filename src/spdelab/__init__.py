@@ -20,6 +20,7 @@ from .integrator import (
 from .operators import (
     MatrixPath,
     OperatorFamily,
+    OperatorSegments,
     TildeOperator,
     assemble_tilde_A,
     galerkin_compress,
@@ -38,6 +39,7 @@ __all__ = [
     "GridError",
     "MatrixPath",
     "OperatorFamily",
+    "OperatorSegments",
     "SCHEMES",
     "SchemeError",
     "SpectralBasis",

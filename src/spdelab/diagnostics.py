@@ -4,39 +4,44 @@ Everything here is computed on the trajectory grid with left-point (Ito)
 evaluation of stochastic integrals, consistent with the schemes.  Quadratic
 forms use the symmetric part of the corrected generator; the raw matrix is
 applied where an operator (not a form) acts on a vector.
+
+The series functions take one Trajectory or a batch of paths (an
+EnsembleResult); their outputs carry the same leading path axes.  They take
+the family either as an OperatorFamily or as its OperatorSegments on the
+trajectory grid, so a caller running several series builds Ã(t) and B_k(t)
+once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .basis import SpectralBasis
-from .integrator import Trajectory
+from .integrator import EnsembleResult, Trajectory
 from .operators import (
-    MatrixPath,
     OperatorFamily,
+    OperatorSegments,
     TildeOperator,
     assemble_tilde_A,
-    galerkin_compress,
     sym,
 )
 
 #: below this H-norm an eps=0 quotient step is excluded and counted, not patched
 NORM_FLOOR = 1e-150
 
+#: an operator family, or its segments on the trajectory grid
+Family = Union[OperatorFamily, OperatorSegments]
+
+#: one path, states (J+1, N), or a batch of paths, states (P, J+1, N)
+Paths = Union[Trajectory, EnsembleResult]
+
 
 def _sym_matrix(tilde: Union[TildeOperator, np.ndarray]) -> np.ndarray:
     if isinstance(tilde, TildeOperator):
         return tilde.sym_part
     return sym(np.asarray(tilde, dtype=float))
-
-
-def _raw_matrix(tilde: Union[TildeOperator, np.ndarray]) -> np.ndarray:
-    if isinstance(tilde, TildeOperator):
-        return tilde.matrix
-    return np.asarray(tilde, dtype=float)
 
 
 # -- pointwise functionals --------------------------------------------
@@ -63,16 +68,6 @@ def quotient_full(u: np.ndarray, ops: OperatorFamily, t: float, eps: float) -> f
     return base + extra / den**2
 
 
-def quotient_F(u: np.ndarray, ops: OperatorFamily, t: float, eps: float) -> float:
-    """Full quotient plus the nonlinearity's projection term."""
-    u = np.asarray(u, dtype=float)
-    out = quotient_full(u, ops, t, eps)
-    if ops.F is not None:
-        den = float(u @ u) + eps
-        out += float(np.dot(ops.F(t, u), u)) / den
-    return out
-
-
 def eigen_residual(u: np.ndarray, tilde: Union[TildeOperator, np.ndarray], lam: float) -> float:
     """|(sym(T) - lam) u| / |u|; zero exactly on an eigenpair."""
     u = np.asarray(u, dtype=float)
@@ -86,85 +81,49 @@ def eigen_residual(u: np.ndarray, tilde: Union[TildeOperator, np.ndarray], lam: 
 # -- series along a trajectory ----------------------------------------
 
 
-def _apply(mp_or_mat, states: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Apply a (possibly time-dependent) matrix to every state, shape-preserving."""
-    if isinstance(mp_or_mat, np.ndarray):
-        return states @ mp_or_mat.T
-    if mp_or_mat.is_constant:
-        return states @ mp_or_mat.values.T
-    out = np.empty_like(states)
-    for j, t in enumerate(times):
-        out[..., j, :] = states[..., j, :] @ mp_or_mat.at(float(t)).T
+def _on_grid(ops: Family, times: np.ndarray) -> OperatorSegments:
+    """The family's segments on `times`, reusing prebuilt ones."""
+    if isinstance(ops, OperatorSegments):
+        if not np.array_equal(ops.times, times):
+            raise ValueError("operator segments were built on another time grid")
+        return ops
+    return OperatorSegments(ops, times)
+
+
+def _cumulative(steps: np.ndarray) -> np.ndarray:
+    """Running sums along the last axis, starting from 0: (..., J) -> (..., J+1)."""
+    out = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
+    np.cumsum(steps, axis=-1, out=out[..., 1:])
     return out
 
 
-def _tilde_applied(ops: OperatorFamily, states: np.ndarray, times: np.ndarray,
-                   symmetric: bool) -> np.ndarray:
-    if ops.is_constant:
-        tilde = assemble_tilde_A(ops, float(times[0]))
-        m = tilde.sym_part if symmetric else tilde.matrix
-        return states @ m.T
-    out = np.empty_like(states)
-    for j, t in enumerate(times):
-        tilde = assemble_tilde_A(ops, float(t))
-        m = tilde.sym_part if symmetric else tilde.matrix
-        out[..., j, :] = states[..., j, :] @ m.T
-    return out
-
-
-def rho_series(traj: Trajectory, ops: OperatorFamily, delta: float) -> np.ndarray:
-    """Per-noise ratio <u, B_k u>/(|u|^2 + delta), shape (J+1, n)."""
-    states, times = traj.states, traj.times
+def rho_series(traj: Paths, ops: Family, delta: float) -> np.ndarray:
+    """Per-noise ratio <u, B_k u>/(|u|^2 + delta), shape (..., J+1, n)."""
+    states = traj.states
+    segs = _on_grid(ops, traj.times)
     den = np.sum(states**2, axis=-1) + delta
     if delta == 0.0 and np.any(den <= NORM_FLOOR**2):
         raise ZeroDivisionError("rho with delta=0 on a vanishing path")
-    out = np.empty(states.shape[:-1] + (ops.n_noise,))
-    for k, bp in enumerate(ops.Bs):
-        bu = _apply(bp, states, times)
+    out = np.empty(states.shape[:-1] + (segs.n_noise,))
+    for k, bu in enumerate(segs.noise_applied(states)):
         out[..., k] = np.sum(states * bu, axis=-1) / den
     return out
 
 
-def exp_martingale(traj: Trajectory, ops: OperatorFamily, delta: float) -> np.ndarray:
+def exp_martingale(traj: Paths, ops: Family, delta: float) -> np.ndarray:
     """Exponential martingale of the weak-noise ratios, mean one at all times.
 
     Accumulated in log space with left-point increments:
     log M picks up -2 sum_k rho_k dw_k - 2 sum_k rho_k^2 dt per step.
+    Returns shape (..., J+1), one row per path of a batch.
     """
-    rho = rho_series(traj, ops, delta)  # (J+1, n)
-    dw = traj.path.increments  # (J, n)
-    dt = traj.dt
-    incr = -2.0 * np.sum(rho[:-1] * dw, axis=-1) - 2.0 * np.sum(rho[:-1] ** 2, axis=-1) * dt
-    logm = np.concatenate([[0.0], np.cumsum(incr)])
-    return np.exp(logm)
+    rho = rho_series(traj, ops, delta)[..., :-1, :]  # (..., J, n)
+    dw = traj.increments  # (..., J, n)
+    incr = -2.0 * np.sum(rho * dw, axis=-1) - 2.0 * np.sum(rho**2, axis=-1) * traj.dt
+    return np.exp(_cumulative(incr))
 
 
-def exp_martingale_batch(
-    states: np.ndarray, increments: np.ndarray, times: np.ndarray,
-    ops: OperatorFamily, delta: float,
-) -> np.ndarray:
-    """Ensemble version of exp_martingale on stacked paths.
-
-    states has shape (P, J+1, N) and increments (P, J, n); returns (P, J+1).
-    """
-    states = np.asarray(states, dtype=float)
-    dt = float(times[1] - times[0])
-    den = np.sum(states**2, axis=-1) + delta  # (P, J+1)
-    incr = np.zeros(increments.shape[:-1])  # (P, J)
-    sq = np.zeros_like(den)
-    for k, bp in enumerate(ops.Bs):
-        bu = _apply(bp, states, times)
-        rho = np.sum(states * bu, axis=-1) / den
-        incr += rho[:, :-1] * increments[..., k]
-        sq += rho**2
-    log_steps = -2.0 * incr - 2.0 * sq[:, :-1] * dt
-    logm = np.concatenate(
-        [np.zeros((states.shape[0], 1)), np.cumsum(log_steps, axis=1)], axis=1
-    )
-    return np.exp(logm)
-
-
-def psi_series(traj: Trajectory, ops: OperatorFamily, eps: float,
+def psi_series(traj: Paths, ops: Family, eps: float,
                martingale: Optional[np.ndarray] = None) -> np.ndarray:
     """-(1/2) M_eps(t) log(|u(t)|^2 + eps)."""
     if eps <= 0.0:
@@ -174,10 +133,10 @@ def psi_series(traj: Trajectory, ops: OperatorFamily, eps: float,
     return -0.5 * m * np.log(sq + eps)
 
 
-def quotient_series(traj: Trajectory, ops: OperatorFamily, eps: float) -> np.ndarray:
+def quotient_series(traj: Paths, ops: Family, eps: float) -> np.ndarray:
     """The plain quotient at every grid time."""
-    states, times = traj.states, traj.times
-    tu = _tilde_applied(ops, states, times, symmetric=True)
+    states = traj.states
+    tu = _on_grid(ops, traj.times).tilde_applied(states, symmetric=True)
     den = np.sum(states**2, axis=-1) + eps
     return np.sum(states * tu, axis=-1) / den
 
@@ -221,9 +180,15 @@ def _as_table(value, times: np.ndarray) -> np.ndarray:
     return value
 
 
+def _damping(times: np.ndarray, dt: float, K2, K6, n_table) -> np.ndarray:
+    """Trapezoidal integral of g = n^2 + K2 + K6 from 0 to each grid time."""
+    g = _as_table(n_table, times) ** 2 + _as_table(K2, times) + _as_table(K6, times)
+    return _cumulative(0.5 * (g[1:] + g[:-1]) * dt)
+
+
 def bound_process_X(
-    traj: Trajectory,
-    ops: OperatorFamily,
+    traj: Paths,
+    ops: Family,
     eps: float,
     K1=None,
     K2=None,
@@ -237,38 +202,37 @@ def bound_process_X(
     Returns (X, verdict): X dominates M_eps * quotient up to a discretization
     tolerance tol_coeff * sqrt(dt).
     """
-    times, states, dw = traj.times, traj.states, traj.path.increments
+    times, states, dw = traj.times, traj.states, traj.increments
     dt = traj.dt
-    m = exp_martingale(traj, ops, eps) if martingale is None else martingale
-    lam = quotient_series(traj, ops, eps)
-    g = _as_table(n_table, times) ** 2 + _as_table(K2, times) + _as_table(K6, times)
+    segs = _on_grid(ops, times)
+    m = exp_martingale(traj, segs, eps) if martingale is None else martingale
+    lam = quotient_series(traj, segs, eps)
+    big_g = _damping(times, dt, K2, K6, n_table)
     k1 = _as_table(K1, times)
-    big_g = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dt)])
 
     # left-point integrands of the driving terms
     den = np.sum(states**2, axis=-1) + eps
-    tu = _tilde_applied(ops, states, times, symmetric=True)
-    drive = np.zeros(len(times) - 1)
-    for k, bp in enumerate(ops.Bs):
-        bu = _apply(bp, states, times)
+    tu = segs.tilde_applied(states, symmetric=True)
+    drive = np.zeros(dw.shape[:-1])
+    for k, bu in enumerate(segs.noise_applied(states)):
         ratio = 2.0 * np.sum(tu * bu, axis=-1) / den
-        drive += (m * ratio)[:-1] * dw[:, k]
-    k1_term = np.concatenate([[0.0], np.cumsum(np.exp(-big_g[:-1]) * k1[:-1] * m[:-1] * dt)])
-    stoch = np.concatenate([[0.0], np.cumsum(np.exp(-big_g[:-1]) * drive)])
-    x = np.exp(big_g) * (m[0] * lam[0] + k1_term - stoch)
+        drive += (m * ratio)[..., :-1] * dw[..., k]
+    k1_term = _cumulative(np.exp(-big_g[:-1]) * k1[:-1] * m[..., :-1] * dt)
+    stoch = _cumulative(np.exp(-big_g[:-1]) * drive)
+    x = np.exp(big_g) * (m[..., :1] * lam[..., :1] + k1_term - stoch)
 
     tol = tol_coeff * np.sqrt(dt)
     lhs = m * lam
     viol = int(np.sum(lhs > x + tol))
     verdict = InequalityVerdict(
-        n_checked=len(times), n_violations=viol, n_excluded=0, tol=tol
+        n_checked=lhs.size, n_violations=viol, n_excluded=0, tol=tol
     )
     return x, verdict
 
 
 def envelope_series(
-    traj: Trajectory,
-    ops: OperatorFamily,
+    traj: Paths,
+    ops: Family,
     eps: float,
     K2=None,
     K6=None,
@@ -276,18 +240,16 @@ def envelope_series(
     martingale: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Damped quotient S_eps(t) = exp(-int g) M_eps(t) * quotient(t)."""
-    times = traj.times
-    dt = traj.dt
-    m = exp_martingale(traj, ops, eps) if martingale is None else martingale
-    lam = quotient_series(traj, ops, eps)
-    g = _as_table(n_table, times) ** 2 + _as_table(K2, times) + _as_table(K6, times)
-    big_g = np.concatenate([[0.0], np.cumsum(0.5 * (g[1:] + g[:-1]) * dt)])
+    segs = _on_grid(ops, traj.times)
+    m = exp_martingale(traj, segs, eps) if martingale is None else martingale
+    lam = quotient_series(traj, segs, eps)
+    big_g = _damping(traj.times, traj.dt, K2, K6, n_table)
     return np.exp(-big_g) * m * lam
 
 
 def comparison_envelope(
-    traj: Trajectory,
-    ops: OperatorFamily,
+    traj: Paths,
+    ops: Family,
     tau_index: int,
     eps: float,
     K2=None,
@@ -301,41 +263,37 @@ def comparison_envelope(
 
     Valid when the commutator certificate holds with a vanishing constant
     term.  Steps with |<tilde_A u, u>| below form_floor are excluded from
-    the verdict and counted.
+    the verdict and counted; they, and the steps before tau, add nothing to
+    the envelope's exponent.
     """
-    times, states, dw = traj.times, traj.states, traj.path.increments
+    times, states, dw = traj.times, traj.states, traj.increments
     dt = traj.dt
-    s = envelope_series(traj, ops, eps, K2=K2, K6=K6, n_table=n_table,
+    segs = _on_grid(ops, times)
+    s = envelope_series(traj, segs, eps, K2=K2, K6=K6, n_table=n_table,
                         martingale=martingale)
-    tu = _tilde_applied(ops, states, times, symmetric=True)
+    tu = segs.tilde_applied(states, symmetric=True)
     form = np.sum(states * tu, axis=-1)  # <tilde_A u, u>
     excluded = np.abs(form) < form_floor
     safe_form = np.where(excluded, 1.0, np.abs(form))
 
-    log_env = np.zeros(len(times))
-    acc = 0.0
-    for j in range(tau_index, len(times) - 1):
-        if excluded[j]:
-            log_env[j + 1] = acc
-            continue
-        step = 0.0
-        for k, bp in enumerate(ops.Bs):
-            bu = states[j] @ bp.at(float(times[j])).T
-            r = float(tu[j] @ bu) / safe_form[j]
-            step += -2.0 * r * dw[j, k] - 2.0 * r * r * dt
-        acc += step
-        log_env[j + 1] = acc
+    steps = np.zeros(dw.shape[:-1])
+    for k, bu in enumerate(segs.noise_applied(states)):
+        r = (np.sum(tu * bu, axis=-1) / safe_form)[..., :-1]
+        steps += -2.0 * r * dw[..., k] - 2.0 * r * r * dt
+    steps[..., :tau_index] = 0.0
+    steps[excluded[..., :-1]] = 0.0
+    log_env = _cumulative(steps)
 
-    env = np.full(len(times), np.nan)
-    env[tau_index:] = s[tau_index] * np.exp(log_env[tau_index:])
+    env = np.full(s.shape, np.nan)
+    env[..., tau_index:] = s[..., tau_index:tau_index + 1] * np.exp(log_env[..., tau_index:])
 
     tol = tol_coeff * np.sqrt(dt)
-    idx = np.arange(tau_index, len(times))
-    usable = idx[~excluded[idx]]
-    viol = int(np.sum(s[usable] > env[usable] + tol))
+    window = excluded[..., tau_index:]
+    usable = ~window
+    viol = int(np.sum(s[..., tau_index:][usable] > env[..., tau_index:][usable] + tol))
     verdict = InequalityVerdict(
-        n_checked=len(usable), n_violations=viol,
-        n_excluded=int(np.sum(excluded[idx])), tol=tol,
+        n_checked=int(np.sum(usable)), n_violations=viol,
+        n_excluded=int(np.sum(window)), tol=tol,
     )
     return env, verdict
 
@@ -344,8 +302,8 @@ def comparison_envelope(
 
 
 def galerkin_gaps(
-    traj: Trajectory,
-    ops: OperatorFamily,
+    traj: Paths,
+    ops: Family,
     basis: SpectralBasis,
     eps: float,
     N_list: Sequence[int],
@@ -354,34 +312,33 @@ def galerkin_gaps(
     """Damped-path integrals measuring the finite-section error.
 
     Returns (K3, K4, K5): K3 and K4 are dicts over N; K5 is independent of N.
+    Each value is one number per path, with the trajectory's leading axes.
     """
     times, states = traj.times, traj.states
-    m = exp_martingale(traj, ops, eps) if martingale is None else martingale
+    segs = _on_grid(ops, times)
+    m = exp_martingale(traj, segs, eps) if martingale is None else martingale
     den = np.sum(states**2, axis=-1) + eps
-    tu = _tilde_applied(ops, states, times, symmetric=False)
-    k5 = float(np.trapezoid(m * np.sum(tu**2, axis=-1) / den, times))
+    tu = segs.tilde_applied(states)
+    k5 = np.trapezoid(m * np.sum(tu**2, axis=-1) / den, times, axis=-1)
+    bus = segs.noise_applied(states)
 
     lam = basis.hat_eigenvalues
     k3, k4 = {}, {}
     for n in N_list:
         if not (0 < n <= basis.dim):
             raise ValueError(f"section size {n} outside (0, {basis.dim}]")
-        if ops.is_constant:
-            tilde = assemble_tilde_A(ops, float(times[0])).matrix
-            gap_m = galerkin_compress(tilde, n) - tilde
-            gap_u = states @ gap_m.T
-        else:
-            gap_u = np.empty_like(states)
-            for j, t in enumerate(times):
-                tilde = assemble_tilde_A(ops, float(t)).matrix
-                gap_u[j] = states[j] @ (galerkin_compress(tilde, n) - tilde).T
-        k3[n] = float(np.trapezoid(m * np.sum(gap_u**2, axis=-1) / den, times))
+        # (galerkin_compress(T, n) - T) u is -T u outside the leading n rows
+        # and -T[:n, n:] u[n:] inside them
+        tail_u = states.copy()
+        tail_u[..., :n] = 0.0
+        head = segs.tilde_applied(tail_u)[..., :n]
+        gap_sq = np.sum(head**2, axis=-1) + np.sum(tu[..., n:] ** 2, axis=-1)
+        k3[n] = np.trapezoid(m * gap_sq / den, times, axis=-1)
 
-        tail = np.zeros(len(times))
-        for bp in ops.Bs:
-            bu = _apply(bp, states, times)
+        tail = np.zeros(den.shape)
+        for bu in bus:
             tail += np.sum(lam[n:] * bu[..., n:] ** 2, axis=-1)
-        k4[n] = float(np.trapezoid(m * tail / den, times))
+        k4[n] = np.trapezoid(m * tail / den, times, axis=-1)
     return k3, k4, k5
 
 

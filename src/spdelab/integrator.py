@@ -7,7 +7,7 @@ registration (see strat_to_ito), never inside a stepper.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -146,6 +146,11 @@ class Trajectory:
     system: str
     dt: float
 
+    @property
+    def increments(self) -> np.ndarray:
+        """Brownian increments of the driving path, shape (J, n)."""
+        return self.path.increments
+
 
 @dataclass(frozen=True)
 class EnsembleResult:
@@ -163,6 +168,17 @@ class EnsembleResult:
     def n_paths(self) -> int:
         return self.states.shape[0]
 
+    @property
+    def dt(self) -> float:
+        return float(self.times[1] - self.times[0])
+
+    def paths(self, lo: int, hi: int) -> "EnsembleResult":
+        """Paths lo..hi-1 as an ensemble of their own, sharing this one's arrays."""
+        return replace(
+            self, states=self.states[lo:hi], increments=self.increments[lo:hi],
+            blowups={p - lo: t for p, t in self.blowups.items() if lo <= p < hi},
+        )
+
     def trajectory(self, p: int) -> Trajectory:
         bp = BrownianPath(
             times=self.times, increments=self.increments[p],
@@ -170,8 +186,7 @@ class EnsembleResult:
         )
         return Trajectory(
             times=self.times, states=self.states[p], path=bp,
-            scheme=self.scheme, system=self.system,
-            dt=float(self.times[1] - self.times[0]),
+            scheme=self.scheme, system=self.system, dt=self.dt,
         )
 
 

@@ -71,29 +71,34 @@ class MatrixPath:
     def is_constant(self) -> bool:
         return self.time_grid is None
 
+    def interval_index(self, t) -> np.ndarray:
+        """Index of the grid node at or left of each time in t (scalar or array).
+
+        Times within 1e-12 of the grid ends are clamped onto it; times
+        farther out raise TimeRangeError.  Only for time-dependent paths.
+        """
+        grid = self.time_grid
+        t = np.asarray(t, dtype=float)
+        outside = (t < grid[0] - 1e-12) | (t > grid[-1] + 1e-12)
+        if outside.any():
+            bad = float(t[outside][0]) if t.ndim else float(t)
+            raise TimeRangeError(
+                f"t={bad} outside declared grid [{grid[0]}, {grid[-1]}]"
+            )
+        idx = grid.searchsorted(t.clip(grid[0], grid[-1]), side="right") - 1
+        return np.minimum(idx, len(grid) - 1)
+
     def at(self, t: float) -> np.ndarray:
         """Matrix value at time t."""
         if self.time_grid is None:
             return self.values
         grid = self.time_grid
-        if t < grid[0] - 1e-12 or t > grid[-1] + 1e-12:
-            raise TimeRangeError(
-                f"t={t} outside declared grid [{grid[0]}, {grid[-1]}]"
-            )
-        t = min(max(t, grid[0]), grid[-1])
-        if self.interpolation == "constant":
-            idx = int(np.searchsorted(grid, t, side="right") - 1)
-            idx = min(idx, len(grid) - 1)
+        idx = int(self.interval_index(t))
+        if self.interpolation == "constant" or idx == len(grid) - 1:
             return self.values[idx]
-        idx = int(np.searchsorted(grid, t, side="right") - 1)
-        if idx >= len(grid) - 1:
-            return self.values[-1]
+        t = min(max(t, grid[0]), grid[-1])
         w = (t - grid[idx]) / (grid[idx + 1] - grid[idx])
         return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
-
-    def __matmul_shape_check__(self, other: "MatrixPath") -> None:
-        if self.dim != other.dim:
-            raise DimensionMismatchError("matrix dimensions differ")
 
     @staticmethod
     def zero(dim: int) -> "MatrixPath":
@@ -182,6 +187,97 @@ def assemble_tilde_A(ops: OperatorFamily, t: float) -> TildeOperator:
         corr += b.T @ b
     m = a - 0.5 * corr
     return TildeOperator(matrix=m, sym_part=sym(m), t=t)
+
+
+#: grid times per segment when a linear path gives every time its own matrix
+LINEAR_BLOCK = 128
+
+
+@dataclass(frozen=True)
+class OperatorSegment:
+    """Corrected generator and noise matrices on the grid indices [start, stop).
+
+    A matrix is (N, N) when it holds on the whole segment, or a stack
+    (stop - start, N, N) with one matrix per grid time.
+    """
+
+    start: int
+    stop: int
+    tilde: np.ndarray
+    tilde_sym: np.ndarray
+    Bs: tuple
+
+
+class OperatorSegments:
+    """A family on one time grid, with Ã and each B_k built once per segment.
+
+    A segment is a run of grid times on which every matrix of the family is
+    fixed: one for a constant family, and one per distinct tuple of grid
+    intervals when the time-dependent paths are piecewise constant.  A
+    linear path changes at every time, so its family is cut into blocks of
+    at most LINEAR_BLOCK times holding one matrix per time.
+    """
+
+    def __init__(self, ops: OperatorFamily, times: np.ndarray) -> None:
+        self.times = np.asarray(times, dtype=float)
+        self.n_noise = ops.n_noise
+        n = len(self.times)
+        moving = [p for p in (ops.A,) + ops.Bs if not p.is_constant]
+        if any(p.interpolation == "linear" for p in moving):
+            self.segments = tuple(
+                self._stacked(ops, lo, min(lo + LINEAR_BLOCK, n))
+                for lo in range(0, n, LINEAR_BLOCK)
+            )
+            return
+        nodes = np.array([p.interval_index(self.times) for p in moving]).reshape(-1, n)
+        cuts = np.flatnonzero(np.any(np.diff(nodes, axis=1) != 0, axis=0)) + 1
+        edges = [0, *cuts.tolist(), n]
+        self.segments = tuple(
+            self._fixed(ops, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])
+        )
+
+    def _fixed(self, ops: OperatorFamily, lo: int, hi: int) -> OperatorSegment:
+        t = float(self.times[lo])
+        tilde = assemble_tilde_A(ops, t)
+        return OperatorSegment(lo, hi, tilde.matrix, tilde.sym_part,
+                               tuple(bp.at(t) for bp in ops.Bs))
+
+    def _stacked(self, ops: OperatorFamily, lo: int, hi: int) -> OperatorSegment:
+        ts = [float(t) for t in self.times[lo:hi]]
+        tildes = [assemble_tilde_A(ops, t) for t in ts]
+        return OperatorSegment(
+            lo, hi,
+            np.stack([x.matrix for x in tildes]),
+            np.stack([x.sym_part for x in tildes]),
+            tuple(np.stack([bp.at(t) for t in ts]) for bp in ops.Bs),
+        )
+
+    def _apply(self, states: np.ndarray, pick) -> np.ndarray:
+        states = np.asarray(states, dtype=float)
+        if states.ndim < 2 or states.shape[-2] != len(self.times):
+            raise ValueError(
+                f"states {states.shape} do not lie on a grid of {len(self.times)} times"
+            )
+        out = np.empty_like(states)
+        for seg in self.segments:
+            u = states[..., seg.start:seg.stop, :]
+            m = pick(seg)
+            if m.ndim == 2:
+                out[..., seg.start:seg.stop, :] = u @ m.T
+            else:
+                out[..., seg.start:seg.stop, :] = np.einsum("tij,...tj->...ti", m, u)
+        return out
+
+    def tilde_applied(self, states: np.ndarray, symmetric: bool = False) -> np.ndarray:
+        """Ã(t)u, or sym(Ã(t))u, at every grid time; states are (..., J+1, N)."""
+        if symmetric:
+            return self._apply(states, lambda seg: seg.tilde_sym)
+        return self._apply(states, lambda seg: seg.tilde)
+
+    def noise_applied(self, states: np.ndarray) -> list:
+        """[B_k(t)u for each k] at every grid time; states are (..., J+1, N)."""
+        return [self._apply(states, lambda seg, k=k: seg.Bs[k])
+                for k in range(self.n_noise)]
 
 
 def galerkin_compress(matrix: np.ndarray, m: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from . import diagnostics as diag
 from .assumptions import check_all, check_commutator_bound, k6_table
 from .brownian import uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
-from .operators import assemble_tilde_A, spectrum
+from .operators import OperatorSegments, assemble_tilde_A, spectrum
 from .systems import SystemSpec, make_system
 
 SCHEMA_VERSION = "1"
@@ -77,6 +77,11 @@ class ExperimentConfig:
             raise ConfigError("config key 'paths' must be >= 1")
         if any(e < 0 for e in self.eps_list):
             raise ConfigError("config key 'eps_list' must be nonnegative")
+        if len(self.eps_list) > 1:
+            raise ConfigError(
+                "config key 'eps_list' takes at most one entry; a run computes "
+                f"its diagnostics at a single eps, got {list(self.eps_list)}"
+            )
 
     def canonical(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
@@ -175,37 +180,48 @@ def _constants_for(system: SystemSpec, t_grid: np.ndarray):
     return k1, k2, k6, n_tab
 
 
-def _diagnostic_rows(system: SystemSpec, traj, eps: float, delta: float,
-                     k1, k2, k6, n_tab) -> np.ndarray:
-    basis, ops = system.basis, system.ops
-    times, states = traj.times, traj.states
-    m = diag.exp_martingale(traj, ops, eps if eps > 0 else delta)
-    lam = diag.quotient_series(traj, ops, eps)
-    x, _ = diag.bound_process_X(traj, ops, eps, K1=k1, K2=k2, K6=k6,
-                                n_table=n_tab, martingale=m)
-    s = diag.envelope_series(traj, ops, eps, K2=k2, K6=k6, n_table=n_tab,
-                             martingale=m)
-    psi = diag.psi_series(traj, ops, max(eps, 1e-300), martingale=m)
-    norm_h = basis.norm_h(states)
-    rows = np.empty((len(times), len(DIAG_COLUMNS)))
-    rows[:, 0] = times
-    rows[:, 1] = norm_h
-    rows[:, 2] = basis.norm_v(states)
-    rows[:, 3] = basis.norm_d(states)
-    rows[:, 4] = lam
-    rows[:, 6] = m
-    rows[:, 7] = psi
-    rows[:, 9] = s
-    rows[:, 10] = x
-    for j, t in enumerate(times):
-        rows[j, 5] = diag.quotient_full(states[j], ops, float(t), eps)
-        if norm_h[j] > diag.NORM_FLOOR:
-            rows[j, 8] = diag.eigen_residual(
-                states[j], assemble_tilde_A(ops, float(t)), lam[j]
-            )
-        else:
-            rows[j, 8] = np.nan
-    return rows
+#: float64 scratch one diagnostics block may hold; a block takes as many
+#: paths as fit, so memory stays bounded however large the ensemble
+DIAG_BLOCK_BYTES = 2 * 2**20
+
+
+def _paths_per_block(n_times: int, dim: int, n_noise: int) -> int:
+    # per path and grid time: the state, Ã u, each B_k u and a few more
+    # state-sized temporaries, plus the table row and its column temporaries
+    floats = n_times * (dim * (n_noise + 4) + 3 * len(DIAG_COLUMNS))
+    return max(1, DIAG_BLOCK_BYTES // (8 * floats))
+
+
+def _diagnostic_blocks(system: SystemSpec, ens, segs: OperatorSegments,
+                       eps: float, delta: float, k1, k2, k6, n_tab,
+                       paths_per_block: int):
+    """Yield (first path, table) per block; table is (paths, J+1, DIAG_COLUMNS)."""
+    basis = system.basis
+    for lo in range(0, ens.n_paths, paths_per_block):
+        block = ens.paths(lo, lo + paths_per_block)
+        states = block.states
+        m = diag.exp_martingale(block, segs, eps if eps > 0 else delta)
+        lam = diag.quotient_series(block, segs, eps)
+        table = np.empty(states.shape[:-1] + (len(DIAG_COLUMNS),))
+        table[..., 0] = block.times
+        table[..., 1] = norm_h = basis.norm_h(states)
+        table[..., 2] = basis.norm_v(states)
+        table[..., 3] = basis.norm_d(states)
+        table[..., 4] = lam
+        # quotient_full: the quotient plus the squared weak-noise ratios at eps
+        table[..., 5] = lam + np.sum(diag.rho_series(block, segs, eps) ** 2, axis=-1)
+        table[..., 6] = m
+        table[..., 7] = diag.psi_series(block, segs, max(eps, 1e-300), martingale=m)
+        # eigen_residual of the quotient, undefined on vanishing states
+        tu = segs.tilde_applied(states, symmetric=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            res = np.linalg.norm(tu - lam[..., None] * states, axis=-1) / norm_h
+        table[..., 8] = np.where(norm_h > diag.NORM_FLOOR, res, np.nan)
+        table[..., 9] = diag.envelope_series(block, segs, eps, K2=k2, K6=k6,
+                                             n_table=n_tab, martingale=m)
+        table[..., 10], _ = diag.bound_process_X(block, segs, eps, K1=k1, K2=k2, K6=k6,
+                                                 n_table=n_tab, martingale=m)
+        yield lo, table
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
@@ -227,23 +243,27 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     )
 
     eps = cfg.eps_list[0] if cfg.eps_list else 1e-8
-    k1, k2, k6, n_tab = _constants_for(system, grid)
-    for p in range(cfg.paths):
-        traj = ens.trajectory(p)
-        rows = _diagnostic_rows(system, traj, eps, cfg.delta, k1, k2, k6, n_tab)
-        rel = os.path.join("diagnostics", f"{p}.csv")
-        _write_csv(os.path.join(run_dir, rel), DIAG_COLUMNS, rows)
-        outputs.append(rel)
-        if cfg.write_paths:
-            rel = os.path.join("paths", f"{p}.csv")
-            header = ("t",) + tuple(f"u{i}" for i in range(system.basis.dim))
-            _write_csv(
-                os.path.join(run_dir, rel), header,
-                np.column_stack([traj.times, traj.states]),
-            )
+    segs = OperatorSegments(system.ops, grid)
+    consts = _constants_for(system, grid)
+    per_block = _paths_per_block(len(grid), system.basis.dim, system.ops.n_noise)
+    quots = np.empty((cfg.paths, len(grid)))
+    for lo, table in _diagnostic_blocks(system, ens, segs, eps, cfg.delta, *consts,
+                                        per_block):
+        quots[lo:lo + len(table)] = table[..., 4]
+        for p, rows in enumerate(table, start=lo):
+            rel = os.path.join("diagnostics", f"{p}.csv")
+            _write_csv(os.path.join(run_dir, rel), DIAG_COLUMNS, rows)
             outputs.append(rel)
+            if cfg.write_paths:
+                rel = os.path.join("paths", f"{p}.csv")
+                header = ("t",) + tuple(f"u{i}" for i in range(system.basis.dim))
+                _write_csv(
+                    os.path.join(run_dir, rel), header,
+                    np.column_stack([grid, ens.states[p]]),
+                )
+                outputs.append(rel)
 
-    report = _build_report(cfg, system, ens, eps)
+    report = _build_report(cfg, system, ens, segs, eps, quots)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -265,7 +285,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens, eps: float) -> dict:
+def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
+                  segs: OperatorSegments, eps: float, quots: np.ndarray) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,
@@ -278,9 +299,6 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens, eps: float) ->
     eigs, _ = spectrum(tilde.sym_part, symmetric=True)
 
     if cfg.kind in ("simulate", "spectral-limit"):
-        quots = np.empty((cfg.paths, len(ens.times)))
-        for p in range(cfg.paths):
-            quots[p] = diag.quotient_series(ens.trajectory(p), system.ops, eps)
         slr = diag.spectral_limit_report(
             quots, ens.states[:, -1, :], tilde.sym_part, eigs.real
         )
@@ -308,9 +326,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens, eps: float) ->
         report["assumptions"] = rep.to_dict()
 
     # ensemble martingale statistics are cheap and always useful
-    m_final = np.empty(cfg.paths)
-    for p in range(cfg.paths):
-        m_final[p] = diag.exp_martingale(ens.trajectory(p), system.ops, cfg.delta)[-1]
+    m_final = diag.exp_martingale(ens, segs, cfg.delta)[:, -1]
     report["martingale"] = {
         "mean_final": float(np.mean(m_final)),
         "stderr_final": float(np.std(m_final) / np.sqrt(cfg.paths)),
@@ -318,18 +334,12 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens, eps: float) ->
     }
 
     if cfg.N_list:
-        k3_acc: dict = {}
-        k4_acc: dict = {}
-        for p in range(min(cfg.paths, 8)):
-            k3, k4, _ = diag.galerkin_gaps(
-                ens.trajectory(p), system.ops, system.basis, eps, cfg.N_list
-            )
-            for n in cfg.N_list:
-                k3_acc.setdefault(n, []).append(k3[n])
-                k4_acc.setdefault(n, []).append(k4[n])
+        k3, k4, _ = diag.galerkin_gaps(
+            ens.paths(0, 8), segs, system.basis, eps, cfg.N_list
+        )
         report["galerkin_gaps"] = {
-            "K3": {str(n): float(np.mean(v)) for n, v in k3_acc.items()},
-            "K4": {str(n): float(np.mean(v)) for n, v in k4_acc.items()},
+            "K3": {str(n): float(np.mean(k3[n])) for n in cfg.N_list},
+            "K4": {str(n): float(np.mean(k4[n])) for n in cfg.N_list},
         }
     return report
 

@@ -27,11 +27,7 @@ from .operators import MatrixPath, OperatorFamily, assemble_tilde_A
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One named system: basis, Ito-form operators, and metadata.
-
-    ac_notes documents which structural certificates the family earns
-    (certified / empirical / failed) as observed on the shipped defaults.
-    """
+    """One named system: basis, Ito-form operators, and metadata."""
 
     name: str
     basis: SpectralBasis
@@ -40,7 +36,6 @@ class SystemSpec:
     commuting_noise: bool
     u0: np.ndarray
     oracle: Optional[object] = None
-    ac_notes: str = ""
 
     def __post_init__(self) -> None:
         if self.noise_form not in ("ito", "stratonovich"):
@@ -132,7 +127,6 @@ def make_diagonal(
         name="diagonal", basis=basis, ops=ops, noise_form="stratonovich",
         commuting_noise=_commuting(ops), u0=start,
         oracle=DiagonalOracle(tilde_eigs=eigs, noise_coeffs=b),
-        ac_notes="ac0-ac4,ac6 certified; ac5 empirical; ac7 certified iff eigs>0",
     )
 
 
@@ -259,7 +253,6 @@ def make_torus_heat_scalar_noise(
         name="torus-heat-scalar", basis=basis, ops=ops,
         noise_form="stratonovich", commuting_noise=_commuting(ops),
         u0=start,
-        ac_notes="ac0-ac4,ac6 certified (K1=K2=0 for constant fields); ac5,ac7 empirical",
     )
 
 
@@ -296,7 +289,6 @@ def make_torus_heat_gradient_noise(
         name="torus-heat-gradient", basis=basis, ops=ops,
         noise_form="stratonovich", commuting_noise=_commuting(ops),
         u0=start,
-        ac_notes="ac3 phi=0 and ac4 K1=K2=0 for constant sigma; ac0-ac2,ac6 certified",
     )
 
 
@@ -393,7 +385,6 @@ def make_coupled_torus(
         name="coupled-torus", basis=basis, ops=ops,
         noise_form="stratonovich", commuting_noise=_commuting(ops),
         u0=start,
-        ac_notes="ac0-ac4,ac6 certified; ac5,ac7 empirical",
     )
 
 
@@ -532,7 +523,6 @@ def make_nse_2d(
         name="nse-2d", basis=basis, ops=ops,
         noise_form="stratonovich", commuting_noise=_commuting(ops),
         u0=start,
-        ac_notes="ac0-ac4,ac6 certified (scalar noise commutes); ac5,ac7 empirical",
     )
     object.__setattr__(spec, "geometry", geom)
     return spec

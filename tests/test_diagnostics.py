@@ -1,13 +1,21 @@
 """Pathwise functionals: quotients, martingale, bounds, gaps, kernels."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spdelab import diagnostics as diag
+from spdelab import runner
+from spdelab.basis import SpectralBasis
 from spdelab.brownian import uniform_grid
 from spdelab.integrator import integrate, integrate_ensemble
-from spdelab.operators import MatrixPath, OperatorFamily, assemble_tilde_A, sym
-from spdelab.systems import make_diagonal, make_system
+from spdelab.operators import (
+    MatrixPath,
+    OperatorFamily,
+    OperatorSegments,
+    assemble_tilde_A,
+    sym,
+)
+from spdelab.systems import SystemSpec, make_diagonal, make_system
 
 
 def diag_system(eigs=(1.0, 4.0, 9.0), noise=((0.3, 0.2, 0.1),)):
@@ -73,8 +81,7 @@ def test_martingale_mean_near_one_small_ensemble():
     sys = diag_system(eigs=(1.0,), noise=((0.4,),))
     grid = uniform_grid(1.0, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=3, n_paths=400)
-    m = diag.exp_martingale_batch(ens.states, ens.increments, ens.times,
-                                  sys.ops, 1e-6)
+    m = diag.exp_martingale(ens, sys.ops, 1e-6)
     mean = m[:, -1].mean()
     se = m[:, -1].std() / np.sqrt(400)
     assert abs(mean - 1.0) <= 4 * se
@@ -84,8 +91,7 @@ def test_martingale_batch_matches_per_path():
     sys = diag_system()
     grid = uniform_grid(0.5, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=5, n_paths=3)
-    batch = diag.exp_martingale_batch(ens.states, ens.increments, ens.times,
-                                      sys.ops, 1e-6)
+    batch = diag.exp_martingale(ens, sys.ops, 1e-6)
     for p in range(3):
         single = diag.exp_martingale(ens.trajectory(p), sys.ops, 1e-6)
         assert np.allclose(batch[p], single, rtol=1e-12)
@@ -243,3 +249,178 @@ def test_kernel_second_derivative_symmetric_in_directions():
 def test_kernel_rejects_nonpositive_eps():
     with pytest.raises(ValueError):
         diag.quotient_fn(np.eye(2), 0.0, np.ones(2))
+
+
+# -- batched diagnostics pass against the per-step loop ---------------
+
+
+def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
+    """Reference for the runner's DIAG_COLUMNS table of one path.
+
+    One state at a time, with Ã(t) and every B_k(t) assembled at its own
+    grid time, and every running integral accumulated step by step.
+    """
+    ops, basis = system.ops, system.basis
+    times, states, dw, dt = traj.times, traj.states, traj.increments, traj.dt
+    reg = eps if eps > 0 else delta
+    n_t = len(times)
+    lam, qfull, res = np.empty(n_t), np.empty(n_t), np.empty(n_t)
+    rho = np.empty((n_t, ops.n_noise))
+    ratio = np.empty((n_t, ops.n_noise))
+    for j, t in enumerate(times):
+        u = states[j]
+        tilde = assemble_tilde_A(ops, float(t))
+        bus = [bp.at(float(t)) @ u for bp in ops.Bs]
+        lam[j] = diag.quotient(u, tilde, eps)
+        qfull[j] = diag.quotient_full(u, ops, float(t), eps)
+        rho[j] = [float(u @ bu) / (float(u @ u) + reg) for bu in bus]
+        tu = tilde.sym_part @ u
+        ratio[j] = [2.0 * float(tu @ bu) / (float(u @ u) + eps) for bu in bus]
+        res[j] = (diag.eigen_residual(u, tilde, lam[j])
+                  if basis.norm_h(u) > diag.NORM_FLOOR else np.nan)
+
+    g = n_tab**2 + k2 + k6
+    logm, big_g, k1_term, stoch = (np.zeros(n_t) for _ in range(4))
+    for j in range(n_t - 1):
+        logm[j + 1] = logm[j] - 2.0 * float(rho[j] @ dw[j]) - 2.0 * float(rho[j] @ rho[j]) * dt
+    m = np.exp(logm)
+    for j in range(n_t - 1):
+        big_g[j + 1] = big_g[j] + 0.5 * (g[j + 1] + g[j]) * dt
+        k1_term[j + 1] = k1_term[j] + np.exp(-big_g[j]) * k1[j] * m[j] * dt
+        stoch[j + 1] = stoch[j] + np.exp(-big_g[j]) * m[j] * float(ratio[j] @ dw[j])
+    x = np.exp(big_g) * (m[0] * lam[0] + k1_term - stoch)
+    s = np.exp(-big_g) * m * lam
+    psi = -0.5 * m * np.log(np.sum(states**2, axis=1) + max(eps, 1e-300))
+    return np.column_stack([
+        times, basis.norm_h(states), basis.norm_v(states), basis.norm_d(states),
+        lam, qfull, m, psi, res, s, x,
+    ])
+
+
+def _loop_envelope(traj, ops, tau_index, s, form_floor=1e-12, tol_coeff=1.0):
+    """Reference comparison envelope of one path, given its damped quotient s."""
+    times, states, dw, dt = traj.times, traj.states, traj.increments, traj.dt
+    log_env = np.zeros(len(times))
+    excluded = np.zeros(len(times), dtype=bool)
+    acc = 0.0
+    for j in range(len(times)):
+        u = states[j]
+        tu = assemble_tilde_A(ops, float(times[j])).sym_part @ u
+        form = float(u @ tu)
+        excluded[j] = abs(form) < form_floor
+        if j < tau_index or j == len(times) - 1:
+            continue
+        if not excluded[j]:
+            for k, bp in enumerate(ops.Bs):
+                r = float(tu @ (bp.at(float(times[j])) @ u)) / abs(form)
+                acc += -2.0 * r * dw[j, k] - 2.0 * r * r * dt
+        log_env[j + 1] = acc
+    env = np.full(len(times), np.nan)
+    env[tau_index:] = s[tau_index] * np.exp(log_env[tau_index:])
+    usable = ~excluded[tau_index:]
+    tol = tol_coeff * np.sqrt(dt)
+    viol = int(np.sum(s[tau_index:][usable] > env[tau_index:][usable] + tol))
+    return env, (int(usable.sum()), viol, int((~usable).sum()))
+
+
+def _piecewise_coupled(T):
+    """coupled-torus, N=8, two noises whose tables jump at 6 nodes over [0, T]."""
+    nodes = np.linspace(0.0, T, 6)
+    tables = np.zeros((len(nodes), 2, 2, 2))
+    for j, t in enumerate(nodes / T):
+        for m in range(2):
+            tables[j, m] = 0.3 * (1.0 + 0.5 * t) * np.eye(2)
+            tables[j, m, m, (m + 1) % 2] += 0.2 * t
+    return make_system("coupled-torus", n_components=2, modes=4,
+                       h_tables=tables, h_time_grid=nodes)
+
+
+def _linear_family(T):
+    """A and one B interpolated linearly between 4 nodes over [0, T], N=4."""
+    rng = np.random.default_rng(4)
+    nodes = np.linspace(0.0, T, 4)
+    a = np.stack([np.diag([1.0, 2.0, 4.0, 8.0]) * (1.0 + 0.5 * i)
+                  + 0.1 * rng.standard_normal((4, 4)) for i in range(4)])
+    b = np.stack([0.3 * np.eye(4) + 0.1 * rng.standard_normal((4, 4)) for _ in range(4)])
+    ops = OperatorFamily(A=MatrixPath(a, nodes, "linear"),
+                         Bs=(MatrixPath(b, nodes, "linear"),))
+    basis = SpectralBasis(dim=4, hat_eigenvalues=np.array([1.0, 2.0, 4.0, 8.0]))
+    return SystemSpec(name="linear", basis=basis, ops=ops, noise_form="ito",
+                      commuting_noise=False, u0=np.ones(4))
+
+
+def _assert_columns_match(actual, desired):
+    """rtol 1e-10 per entry, with NaNs in the same places.
+
+    A quadratic form that cancels to near zero keeps rounding on the scale
+    of the terms it cancelled, so each column also allows an absolute
+    1e-13 of its largest magnitude.
+    """
+    for c, name in enumerate(runner.DIAG_COLUMNS):
+        col = desired[:, c]
+        scale = np.max(np.abs(col[np.isfinite(col)]), initial=0.0)
+        np.testing.assert_allclose(actual[:, c], col, rtol=1e-10, atol=1e-13 * scale,
+                                   err_msg=name)
+
+
+# T=0.3 at dt=2e-3 gives 151 grid times: two linear blocks of LINEAR_BLOCK
+_FAMILIES = {
+    "diagonal": lambda T: make_system("diagonal"),
+    "coupled-piecewise": _piecewise_coupled,
+    "linear": _linear_family,
+}
+
+
+@settings(max_examples=15, deadline=None)
+@given(
+    family=st.sampled_from(sorted(_FAMILIES)),
+    per_block=st.integers(2, 3),
+    full_blocks=st.integers(1, 2),
+    data=st.data(),
+    seed=st.integers(0, 2**16),
+    eps=st.sampled_from([1e-8, 1e-3]),
+    zero_start=st.booleans(),
+    form_floor=st.sampled_from([1e-12, 0.5]),
+)
+def test_batched_diagnostics_match_per_step_loop(family, per_block, full_blocks, data,
+                                                 seed, eps, zero_start, form_floor):
+    """Runner's batched table and comparison_envelope agree with the loop."""
+    T = 0.3
+    system = _FAMILIES[family](T)
+    n_paths = full_blocks * per_block + data.draw(st.integers(1, per_block - 1))
+    assert n_paths % per_block != 0
+    grid = uniform_grid(T, 2e-3)
+    u0 = np.zeros(system.basis.dim) if zero_start else None
+    ens = integrate_ensemble(system, "euler-maruyama", grid, seed, n_paths, u0=u0)
+    consts = runner._constants_for(system, grid)
+    segs = OperatorSegments(system.ops, grid)
+    if family == "linear":
+        assert len(segs.segments) == 2
+    elif family == "coupled-piecewise":
+        assert len(segs.segments) == 6  # one per node; the last holds t=T alone
+
+    starts, tables = zip(*runner._diagnostic_blocks(
+        system, ens, segs, eps, 1e-6, *consts, per_block
+    ))
+    assert list(starts) == list(range(0, n_paths, per_block))
+    batched = np.concatenate(tables)
+    tau = len(grid) // 3
+    env, verdict = diag.comparison_envelope(
+        ens, segs, tau, eps, K2=consts[1], K6=consts[2], n_table=consts[3],
+        form_floor=form_floor,
+    )
+
+    counts = np.zeros(3, dtype=int)
+    for p in range(n_paths):
+        traj = ens.trajectory(p)
+        ref = _loop_table(system, traj, eps, 1e-6, *consts)
+        _assert_columns_match(batched[p], ref)
+        ref_env, ref_counts = _loop_envelope(traj, system.ops, tau, ref[:, 9], form_floor)
+        np.testing.assert_allclose(env[p, tau], ref_env[tau], rtol=1e-10)
+        # the envelope's exponent sums r_k = <Ãu,B_k u>/|<Ãu,u>|, whose rounding
+        # grows as the form nears zero, so compare it relative to its own size
+        with np.errstate(divide="ignore", invalid="ignore"):
+            np.testing.assert_allclose(np.log(env[p] / env[p, tau]),
+                                       np.log(ref_env / ref_env[tau]), rtol=1e-10)
+        counts += ref_counts
+    assert (verdict.n_checked, verdict.n_violations, verdict.n_excluded) == tuple(counts)

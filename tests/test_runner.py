@@ -60,6 +60,8 @@ def test_load_rejects_bad_values(tmp_path):
         load_config(minimal_config(tmp_path, paths=0))
     with pytest.raises(ConfigError):
         load_config(minimal_config(tmp_path, eps_list=[-1.0]))
+    with pytest.raises(ConfigError, match="eps_list"):
+        load_config(minimal_config(tmp_path, eps_list=[1e-8, 1e-4]))
     with pytest.raises(ConfigError):
         load_config(minimal_config(tmp_path, scheme="runge-kutta"))
 
