@@ -11,8 +11,8 @@ from .assumptions import check_all
 from .brownian import uniform_grid
 from .diagnostics import quotient_fn, quotient_fn_d1, quotient_fn_d2
 from .integrator import integrate
-from .runner import load_config, report_summary, run
-from .systems import list_systems, make_system
+from .runner import build_system, load_config, report_summary, run
+from .systems import list_systems
 
 
 def _cmd_list_systems(args) -> int:
@@ -23,8 +23,7 @@ def _cmd_list_systems(args) -> int:
 
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
-    params = {k: v for k, v in cfg.system.items() if k != "name"}
-    system = make_system(cfg.system["name"], **params)
+    system = build_system(cfg)
     report = check_all(system.ops, system.basis, np.linspace(0.0, cfg.T, 5))
     print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
@@ -43,21 +42,21 @@ def _cmd_run(args) -> int:
 def _cmd_convergence(args) -> int:
     """Strong-error slope of a scheme against a shared-noise fine reference."""
     cfg = load_config(args.config)
-    params = {k: v for k, v in cfg.system.items() if k != "name"}
-    system = make_system(cfg.system["name"], **params)
+    system = build_system(cfg)
+    start = system.u0 if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
     levels = args.levels
     fine = uniform_grid(cfg.T, cfg.dt / 2**levels)
     errors = []
     dts = []
     for p in range(min(cfg.paths, 50)):
-        ref = integrate(system, args.scheme, fine, cfg.master_seed, p)
+        ref = integrate(system, args.scheme, fine, cfg.master_seed, p, u0=start)
         for lev in range(levels):
             factor = 2 ** (levels - lev)
             coarse_path = ref.path.coarsen(factor)
             from .integrator import _run_steps  # shared stepping core
 
             states = _run_steps(
-                system.ops, system.u0, coarse_path.times,
+                system.ops, start, coarse_path.times,
                 coarse_path.increments, args.scheme,
             )
             err = np.linalg.norm(states[-1] - ref.states[-1])

@@ -9,7 +9,9 @@ stream p of the master seed.
 from __future__ import annotations
 
 import hashlib
+import inspect
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, field
@@ -22,7 +24,7 @@ from .assumptions import check_all, check_commutator_bound, k6_table
 from .brownian import uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
 from .operators import OperatorSegments, assemble_tilde_A, spectrum
-from .systems import SystemSpec, make_system
+from .systems import REGISTRY, SystemSpec, make_system
 
 SCHEMA_VERSION = "1"
 
@@ -34,6 +36,72 @@ DIAG_COLUMNS = (
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the bad key."""
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_real(x) -> bool:
+    return (_is_int(x) or isinstance(x, float)) and math.isfinite(x)
+
+
+def _seq_of(ok):
+    return lambda x: isinstance(x, (list, tuple)) and all(ok(v) for v in x)
+
+
+#: (key, check, description) of every config key but 'system'
+_KEY_TYPES = (
+    ("T", _is_real, "a finite number"),
+    ("dt", _is_real, "a finite number"),
+    ("kind", lambda x: isinstance(x, str), "a string"),
+    ("scheme", lambda x: isinstance(x, str), "a string"),
+    ("paths", _is_int, "an integer"),
+    ("master_seed", _is_int, "an integer"),
+    ("eps_list", _seq_of(_is_real), "a list of finite numbers"),
+    ("delta", _is_real, "a finite number"),
+    ("r_list", _seq_of(_is_real), "a list of finite numbers"),
+    ("N_list", _seq_of(_is_int), "a list of integers"),
+    ("output_dir", lambda x: x is None or isinstance(x, str), "a string"),
+    ("write_paths", lambda x: isinstance(x, bool), "true or false"),
+    ("u0", lambda x: x is None or _seq_of(_is_real)(x), "a list of finite numbers"),
+)
+
+
+def _check_system_params(system: dict) -> None:
+    """The system table names a registered factory and only its parameters."""
+    name = system["name"]
+    if name not in REGISTRY:
+        raise ConfigError(
+            f"config key 'system': unknown system {name!r}; "
+            f"available: {', '.join(sorted(REGISTRY))}"
+        )
+    params = {k: v for k, v in system.items() if k != "name"}
+    try:
+        inspect.signature(REGISTRY[name]).bind(**params)
+    except TypeError as exc:
+        raise ConfigError(f"config key 'system': {name}: {exc}") from None
+
+
+def build_system(cfg: "ExperimentConfig") -> SystemSpec:
+    """The config's system, with its parameters and u0 checked against it."""
+    params = {k: v for k, v in cfg.system.items() if k != "name"}
+    try:
+        system = make_system(cfg.system["name"], **params)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config key 'system': {cfg.system['name']}: {exc}") from exc
+    dim = system.basis.dim
+    if cfg.u0 is not None and len(cfg.u0) != dim:
+        raise ConfigError(
+            f"config key 'u0' has {len(cfg.u0)} entries; system "
+            f"{system.name!r} has dimension {dim}"
+        )
+    if any(not 0 < n <= dim for n in cfg.N_list):
+        raise ConfigError(
+            f"config key 'N_list': section sizes must lie in [1, {dim}], "
+            f"got {list(cfg.N_list)}"
+        )
+    return system
 
 
 _KINDS = ("simulate", "spectral-limit", "backward-probe", "check",
@@ -60,8 +128,13 @@ class ExperimentConfig:
     u0: Optional[tuple] = None
 
     def validate(self) -> None:
-        if not isinstance(self.system, dict) or "name" not in self.system:
+        if not isinstance(self.system, dict) or not isinstance(self.system.get("name"), str):
             raise ConfigError("config key 'system' must be a table with a 'name'")
+        _check_system_params(self.system)
+        for key, ok, what in _KEY_TYPES:
+            value = getattr(self, key)
+            if not ok(value):
+                raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
         if self.kind not in _KINDS:
             raise ConfigError(f"config key 'kind': unknown kind {self.kind!r}")
         if self.scheme not in SCHEMES:
@@ -75,6 +148,10 @@ class ExperimentConfig:
             )
         if self.paths < 1:
             raise ConfigError("config key 'paths' must be >= 1")
+        if self.master_seed < 0:
+            raise ConfigError("config key 'master_seed' must be >= 0")
+        if any(r < 0 for r in self.r_list):
+            raise ConfigError("config key 'r_list' must be nonnegative")
         if any(e < 0 for e in self.eps_list):
             raise ConfigError("config key 'eps_list' must be nonnegative")
         if len(self.eps_list) > 1:
@@ -99,6 +176,8 @@ def load_config(path: str) -> ExperimentConfig:
             raw = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     known = set(ExperimentConfig.__dataclass_fields__)
     unknown = set(raw) - known
     if unknown:
@@ -107,7 +186,7 @@ def load_config(path: str) -> ExperimentConfig:
         if req not in raw:
             raise ConfigError(f"missing required config key {req!r}")
     for key in ("eps_list", "r_list", "N_list", "u0"):
-        if key in raw and raw[key] is not None:
+        if isinstance(raw.get(key), list):
             raw[key] = tuple(raw[key])
     cfg = ExperimentConfig(**raw)
     cfg.validate()
@@ -227,8 +306,7 @@ def _diagnostic_blocks(system: SystemSpec, ens, segs: OperatorSegments,
 def run(cfg: ExperimentConfig) -> RunManifest:
     """Execute one experiment and persist all requested outputs."""
     cfg.validate()
-    params = {k: v for k, v in cfg.system.items() if k != "name"}
-    system = make_system(cfg.system["name"], **params)
+    system = build_system(cfg)
     run_dir = _resolve_dir(cfg)
     os.makedirs(run_dir, exist_ok=True)
     os.makedirs(os.path.join(run_dir, "diagnostics"), exist_ok=True)

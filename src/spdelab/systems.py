@@ -44,15 +44,37 @@ class SystemSpec:
             raise ValueError("initial state does not match basis dimension")
 
 
-def _commuting(ops: OperatorFamily, t_grid=(0.0,), tol: float = 1e-12) -> bool:
-    """Pairwise commutator norms of the noise family below tol on the grid."""
-    for t in t_grid:
-        mats = [bp.at(float(t)) for bp in ops.Bs]
-        scale = max([1.0] + [np.linalg.norm(m) for m in mats])
-        for i in range(len(mats)):
-            for j in range(i + 1, len(mats)):
-                comm = mats[i] @ mats[j] - mats[j] @ mats[i]
-                if np.linalg.norm(comm) > tol * scale**2:
+def _commuting(ops: OperatorFamily, tol: float = 1e-12) -> bool:
+    """Whether the noise operators commute pairwise over the whole horizon.
+
+    Between adjacent nodes of the union of the B time grids each path is
+    B_k = (1-s) L_k + s R_k for s in [0, 1), with R_k = L_k unless it is
+    linearly interpolated, so each commutator is the quadratic
+        [B_i, B_l] = (1-s)^2 [L_i, L_l] + s^2 [R_i, R_l]
+                     + s(1-s) ([L_i, R_l] + [R_i, L_l]),
+    which vanishes on the interval iff its three coefficients do.  Milstein
+    needs this commutativity at every time (Kloeden & Platen, section 10.3).
+    """
+    bs = ops.Bs
+    grids = [bp.time_grid for bp in bs if bp.time_grid is not None]
+    nodes = np.unique(np.concatenate(grids)) if grids else np.zeros(1)
+
+    def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return x @ y - y @ x
+
+    for t0, t1 in zip(nodes, np.append(nodes[1:], nodes[-1])):
+        left = [bp.at(float(t0)) for bp in bs]
+        right = [bp.at(float(t1)) if bp.interpolation == "linear" else m
+                 for bp, m in zip(bs, left)]
+        scale = max([1.0] + [np.linalg.norm(m) for m in left + right])
+        for i in range(len(bs)):
+            for j in range(i + 1, len(bs)):
+                coeffs = (
+                    comm(left[i], left[j]),
+                    comm(right[i], right[j]),
+                    comm(left[i], right[j]) + comm(right[i], left[j]),
+                )
+                if any(np.linalg.norm(c) > tol * scale**2 for c in coeffs):
                     return False
     return True
 
@@ -93,8 +115,8 @@ class DiagonalOracle:
 
 
 def make_diagonal(
-    tilde_eigs: Sequence[float],
-    noise_coeffs: Sequence[Sequence[float]],
+    tilde_eigs: Sequence[float] = (1.0, 4.0, 9.0),
+    noise_coeffs: Sequence[Sequence[float]] = ((0.3, 0.2, 0.1),),
     u0: Optional[Sequence[float]] = None,
 ) -> SystemSpec:
     """Decoupled modes with prescribed corrected spectrum and diagonal noise.
@@ -404,7 +426,8 @@ class NSEGeometry:
     One cosine and one sine amplitude per wavevector in the closed upper
     half-plane (excluding zero), each carrying the unit vector orthogonal
     to the wavevector; modes are sorted by |m|^2 so the basis eigenvalues
-    are nondecreasing.
+    are nondecreasing.  Every transform takes a batch of states: leading
+    axes are carried through, the last axis is the basis index.
     """
 
     def __init__(self, modes_per_dim: int):
@@ -423,49 +446,68 @@ class NSEGeometry:
         self.k2 = np.sum(self.wavevectors**2, axis=1).astype(float)
         self.n_wave = len(ms)
         self.dim = 2 * self.n_wave  # cos and sin amplitude per wavevector
-        self.grid = max(8, 4 * modes_per_dim)
+        self.grid = g = max(8, 4 * modes_per_dim)
+        # flat positions of m and -m on the G x G transform grid; they are
+        # all distinct, so scattering into them is plain assignment
+        m1, m2 = self.wavevectors.T
+        self._pos = (m1 % g) * g + m2 % g
+        self._neg = (-m1 % g) * g + -m2 % g
+        flat = np.concatenate([self._pos, self._neg])
+        assert len(np.unique(flat)) == len(flat), "wavevectors alias on the grid"
+        self._perp = np.stack([-m2, m1]) / np.sqrt(self.k2)  # (2, K)
+        freqs = np.fft.fftfreq(g, d=1.0 / g)  # integer wavenumbers
+        self._ik1 = 1j * freqs[:, None]
+        self._ik2 = 1j * freqs[None, :]
 
     def eigenvalues(self) -> np.ndarray:
         return np.repeat(self.k2, 2)
 
     def to_fourier(self, u: np.ndarray) -> np.ndarray:
-        """Amplitudes -> complex velocity coefficients on the FFT grid (2, G, G)."""
+        """Amplitudes (..., N) -> complex velocity coefficients (..., 2, G, G)."""
         g = self.grid
-        out = np.zeros((2, g, g), dtype=complex)
-        norm = 1.0 / np.sqrt(2.0 * np.pi**2)
-        for i, (m1, m2) in enumerate(self.wavevectors):
-            a, b = u[2 * i], u[2 * i + 1]
-            perp = np.array([-m2, m1]) / np.sqrt(self.k2[i])
-            coef = norm * (a - 1j * b) / 2.0
-            out[:, m1 % g, m2 % g] += perp * coef
-            out[:, (-m1) % g, (-m2) % g] += perp * np.conj(coef)
-        return out
+        u = np.asarray(u, dtype=float)
+        coef = (u[..., 0::2] - 1j * u[..., 1::2]) * (0.5 / np.sqrt(2.0 * np.pi**2))
+        coef = coef[..., None, :] * self._perp  # (..., 2, K)
+        out = np.zeros(u.shape[:-1] + (2, g * g), dtype=complex)
+        out[..., self._pos] = coef
+        out[..., self._neg] = np.conj(coef)
+        return out.reshape(u.shape[:-1] + (2, g, g))
 
     def from_fourier(self, w_hat: np.ndarray) -> np.ndarray:
-        """Project complex coefficients back to divergence-free amplitudes."""
-        g = self.grid
-        out = np.empty(self.dim)
-        norm = np.sqrt(2.0 * np.pi**2)
-        for i, (m1, m2) in enumerate(self.wavevectors):
-            perp = np.array([-m2, m1]) / np.sqrt(self.k2[i])
-            s = perp @ w_hat[:, m1 % g, m2 % g]
-            out[2 * i] = 2.0 * s.real * norm
-            out[2 * i + 1] = -2.0 * s.imag * norm
+        """Project coefficients (..., 2, G, G) back to divergence-free amplitudes (..., N)."""
+        lead = w_hat.shape[:-3]
+        at_m = w_hat.reshape(lead + (2, -1))[..., self._pos]  # (..., 2, K)
+        s = self._perp[0] * at_m[..., 0, :] + self._perp[1] * at_m[..., 1, :]
+        norm = 2.0 * np.sqrt(2.0 * np.pi**2)
+        out = np.empty(lead + (self.dim,))
+        out[..., 0::2] = s.real * norm
+        out[..., 1::2] = -s.imag * norm
         return out
 
+    def bilinear(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Projected (x . grad) v, exact Galerkin via padded transforms.
+
+        x and v are batches (..., N) of the same shape; the product of the
+        physical fields is formed on the G x G grid, which is fine enough
+        that no product of two resolved modes aliases onto a resolved mode.
+        """
+        gg = self.grid**2
+        x_hat = self.to_fourier(x)
+        v_hat = x_hat if v is x else self.to_fourier(v)
+        axes = (-2, -1)
+        fields = np.stack([x_hat, v_hat * self._ik1, v_hat * self._ik2])
+        x_phys, dvx, dvy = np.fft.ifft2(fields, axes=axes).real * gg
+        adv = x_phys[..., 0:1, :, :] * dvx + x_phys[..., 1:2, :, :] * dvy
+        return self.from_fourier(np.fft.fft2(adv, axes=axes) / gg)
+
     def advection(self, u: np.ndarray) -> np.ndarray:
-        """Leray-projected (u . grad) u, exact Galerkin via padded transforms."""
-        g = self.grid
-        u_hat = self.to_fourier(u)
-        freqs = np.fft.fftfreq(g, d=1.0 / g)  # integer wavenumbers
-        ik1 = 1j * freqs[:, None]
-        ik2 = 1j * freqs[None, :]
-        phys = np.fft.ifft2(u_hat, axes=(1, 2)).real * g * g
-        dx = np.fft.ifft2(u_hat * ik1, axes=(1, 2)).real * g * g
-        dy = np.fft.ifft2(u_hat * ik2, axes=(1, 2)).real * g * g
-        adv = phys[0] * dx + phys[1] * dy  # (2, G, G): u.grad of each component
-        w_hat = np.fft.fft2(adv, axes=(1, 2)) / (g * g)
-        return self.from_fourier(w_hat)
+        """Leray-projected (u . grad) u of a batch (..., N) of states."""
+        return self.bilinear(u, u)
+
+
+#: transform scratch one block of witness samples may take: each sample
+#: holds about a dozen complex arrays of shape (2, 2, G, G) at once
+WITNESS_BLOCK_BYTES = 2 * 2**20
 
 
 def make_nse_2d(
@@ -493,21 +535,21 @@ def make_nse_2d(
     bs = tuple(MatrixPath(float(b) * np.eye(geom.dim)) for b in b_coeffs)
 
     def f_hook(t, u, _g=geom):
-        if u.ndim == 1:
-            return _g.advection(u)
-        flat = u.reshape(-1, u.shape[-1])
-        return np.stack([_g.advection(row) for row in flat]).reshape(u.shape)
+        return _g.advection(u)
 
-    # sample the quadratic-growth constant of the advection form
+    # sample the quadratic-growth constant of the advection form; sample s
+    # is the pair (x, v) = xv[s], evaluated both ways round, in blocks
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x25E]))
-    k_est = 0.0
-    for _ in range(witness_samples):
-        x = rng.standard_normal(geom.dim)
-        v = rng.standard_normal(geom.dim)
-        num = np.linalg.norm(_bilinear(geom, x, v)) + np.linalg.norm(_bilinear(geom, v, x))
-        den = np.sqrt(np.sum(lam * x * x)) * np.linalg.norm(viscosity * lam * v)
-        if den > 0:
-            k_est = max(k_est, num / den)
+    xv = rng.standard_normal((witness_samples, 2, geom.dim))
+    x, v = xv[:, 0], xv[:, 1]
+    per_block = max(1, WITNESS_BLOCK_BYTES // (12 * 4 * 16 * geom.grid**2))
+    num = np.empty(witness_samples)
+    for lo in range(0, witness_samples, per_block):
+        pairs = xv[lo:lo + per_block]
+        num[lo:lo + per_block] = np.sum(
+            np.linalg.norm(geom.bilinear(pairs, pairs[:, ::-1]), axis=-1), axis=-1)
+    den = np.sqrt(np.sum(lam * x * x, axis=-1)) * np.linalg.norm(viscosity * lam * v, axis=-1)
+    k_est = float(np.max(num[den > 0] / den[den > 0], initial=0.0))
 
     strat = OperatorFamily(
         A=a_strat, Bs=bs, F=f_hook, n_witness=lambda t, _k=k_est: _k
@@ -528,22 +570,6 @@ def make_nse_2d(
     return spec
 
 
-def _bilinear(geom: NSEGeometry, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Projected (x . grad) v computed directly on the transform grid."""
-    g = geom.grid
-    x_hat = geom.to_fourier(x)
-    v_hat = geom.to_fourier(v)
-    freqs = np.fft.fftfreq(g, d=1.0 / g)
-    ik1 = 1j * freqs[:, None]
-    ik2 = 1j * freqs[None, :]
-    x_phys = np.fft.ifft2(x_hat, axes=(1, 2)).real * g * g
-    dvx = np.fft.ifft2(v_hat * ik1, axes=(1, 2)).real * g * g
-    dvy = np.fft.ifft2(v_hat * ik2, axes=(1, 2)).real * g * g
-    adv = x_phys[0] * dvx + x_phys[1] * dvy
-    w_hat = np.fft.fft2(adv, axes=(1, 2)) / (g * g)
-    return geom.from_fourier(w_hat)
-
-
 # -- registry ---------------------------------------------------------
 
 REGISTRY = {
@@ -561,9 +587,6 @@ def make_system(name: str, **params) -> SystemSpec:
         raise KeyError(
             f"unknown system {name!r}; available: {', '.join(sorted(REGISTRY))}"
         )
-    if name == "diagonal" and "tilde_eigs" not in params:
-        params.setdefault("tilde_eigs", (1.0, 4.0, 9.0))
-        params.setdefault("noise_coeffs", ((0.3, 0.2, 0.1),))
     return REGISTRY[name](**params)
 
 

@@ -12,7 +12,7 @@ from spdelab.integrator import (
     strat_to_ito,
 )
 from spdelab.operators import MatrixPath, OperatorFamily
-from spdelab.systems import make_diagonal, make_system, torus_basis
+from spdelab.systems import _commuting, make_diagonal, make_system, torus_basis
 
 
 def test_strat_to_ito_uses_operator_square():
@@ -56,6 +56,45 @@ def test_milstein_rejected_for_noncommuting_noise():
     grid = uniform_grid(0.1, 0.01)
     with pytest.raises(SchemeError):
         integrate(sys, "milstein", grid, seed=0)
+
+
+def test_milstein_rejected_when_noise_stops_commuting_after_t0():
+    """Noise tables h(t) = 0.3(1 + t/2) I + 0.2 t e_m e_{m+1}^T commute at t=0 only."""
+    nodes = np.linspace(0.0, 1.0, 11)
+    tables = np.zeros((len(nodes), 2, 2, 2))
+    for j, t in enumerate(nodes):
+        for m in range(2):
+            tables[j, m] = 0.3 * (1.0 + 0.5 * t) * np.eye(2)
+            tables[j, m, m, (m + 1) % 2] = 0.2 * t
+    sys = make_system("coupled-torus", n_components=2, modes=16,
+                      h_tables=tables, h_time_grid=nodes)
+    b0, b1 = (bp.at(1.0) for bp in sys.ops.Bs)
+    assert np.linalg.norm(b0 @ b1 - b1 @ b0) > 0.1
+    assert not sys.commuting_noise
+    with pytest.raises(SchemeError):
+        integrate(sys, "milstein", uniform_grid(0.1, 0.01), seed=0)
+    with pytest.raises(SchemeError):
+        integrate_ensemble(sys, "milstein", uniform_grid(0.1, 0.01), 0, 2)
+
+
+def test_commuting_checks_linear_paths_between_nodes():
+    """Linear paths that commute at both nodes but not at the midpoint."""
+    e00, e11 = np.diag([1.0, 0.0]), np.diag([0.0, 1.0])
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
+    nodes = np.array([0.0, 1.0])
+    b0 = MatrixPath(np.stack([e00, swap]), nodes, "linear")
+    b1 = MatrixPath(np.stack([e11, np.eye(2) + swap]), nodes, "linear")
+    for t in nodes:
+        m0, m1 = b0.at(t), b1.at(t)
+        assert np.allclose(m0 @ m1, m1 @ m0)
+    mid0, mid1 = b0.at(0.5), b1.at(0.5)
+    assert not np.allclose(mid0 @ mid1, mid1 @ mid0)
+    ops = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(b0, b1))
+    assert not _commuting(ops)
+    # the same nodes held piecewise constant do commute everywhere
+    held = OperatorFamily(A=MatrixPath(np.eye(2)),
+                          Bs=(MatrixPath(b0.values, nodes), MatrixPath(b1.values, nodes)))
+    assert _commuting(held)
 
 
 def test_unknown_scheme_rejected():

@@ -64,6 +64,37 @@ def test_load_rejects_bad_values(tmp_path):
         load_config(minimal_config(tmp_path, eps_list=[1e-8, 1e-4]))
     with pytest.raises(ConfigError):
         load_config(minimal_config(tmp_path, scheme="runge-kutta"))
+    with pytest.raises(ConfigError, match="'paths' must be an integer"):
+        load_config(minimal_config(tmp_path, paths="4"))
+    with pytest.raises(ConfigError, match="'T' must be a finite number"):
+        load_config(minimal_config(tmp_path, T=float("nan")))
+    with pytest.raises(ConfigError, match="'r_list'"):
+        load_config(minimal_config(tmp_path, r_list=0.5))
+    with pytest.raises(ConfigError, match="'write_paths'"):
+        load_config(minimal_config(tmp_path, write_paths=1))
+    with pytest.raises(ConfigError, match="'master_seed'"):
+        load_config(minimal_config(tmp_path, master_seed=-1))
+    with pytest.raises(ConfigError, match="bogus"):
+        load_config(minimal_config(tmp_path, system={"name": "diagonal", "bogus": 1}))
+    with pytest.raises(ConfigError, match="unknown system"):
+        load_config(minimal_config(tmp_path, system={"name": "not-a-system"}))
+    path = tmp_path / "list.json"
+    path.write_text(json.dumps([{"system": {"name": "diagonal"}, "T": 1.0, "dt": 0.1}]))
+    with pytest.raises(ConfigError, match="JSON object"):
+        load_config(str(path))
+
+
+def test_run_rejects_values_that_do_not_fit_the_system(tmp_path):
+    cfg = load_config(minimal_config(tmp_path, u0=[1.0, 1.0, 1.0]))
+    with pytest.raises(ConfigError, match="'u0' has 3 entries.*dimension 2"):
+        run(cfg)
+    assert not os.path.exists(tmp_path / "out")
+    cfg = load_config(minimal_config(tmp_path, N_list=[1, 3]))
+    with pytest.raises(ConfigError, match="'N_list'.*\\[1, 2\\]"):
+        run(cfg)
+    assert not os.path.exists(tmp_path / "out")
+    with pytest.raises(ConfigError, match="'r_list'"):
+        load_config(minimal_config(tmp_path, r_list=[-0.5]))
 
 
 def test_config_roundtrip(tmp_path):
@@ -183,6 +214,39 @@ def test_cli_convergence(tmp_path, capsys):
     assert 0.2 < payload["slope"] < 1.6
 
 
+def test_cli_convergence_starts_from_config_u0(tmp_path, capsys):
+    """The diagonal system is linear, so doubling u0 doubles every error."""
+    errors = []
+    for u0 in ([1.0, 1.0], [2.0, 2.0]):
+        path = minimal_config(tmp_path, paths=4, dt=0.05, scheme="euler-maruyama", u0=u0)
+        assert main(["convergence", "--scheme", "euler-maruyama",
+                     "--config", path, "--levels", "2"]) == 0
+        errors.append(json.loads(capsys.readouterr().out)["mean_errors"])
+    np.testing.assert_allclose(errors[1], 2.0 * np.array(errors[0]), rtol=1e-12)
+
+
 def test_cli_bad_config_returns_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, body", [
+    ("top-level list", [{"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01}]),
+    ("string paths", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01, "paths": "4"}),
+    ("unknown system param",
+     {"system": {"name": "diagonal", "bogus": 1}, "T": 0.5, "dt": 0.01}),
+    ("wrongly typed system param",
+     {"system": {"name": "nse-2d", "modes_per_dim": "4"}, "T": 0.5, "dt": 0.01}),
+    ("u0 of wrong length",
+     {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01, "u0": [1.0, 2.0]}),
+])
+@pytest.mark.parametrize("command", ["simulate", "check", "convergence"])
+def test_cli_malformed_config_exits_2(tmp_path, capsys, name, body, command):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(body))
+    argv = [command, "--config", str(path)]
+    if command == "convergence":
+        argv += ["--scheme", "euler-maruyama"]
+    assert main(argv) == 2, name
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and "Traceback" not in err

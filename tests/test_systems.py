@@ -203,6 +203,128 @@ def test_nse_energy_identity():
         assert abs(geom.advection(u) @ u) < 1e-10 * max(1.0, u @ u) ** 1.5
 
 
+# the per-wavevector transforms the batched NSEGeometry replaced, kept as
+# the reference for its kernels
+
+
+def _loop_to_fourier(geom, u):
+    g = geom.grid
+    out = np.zeros((2, g, g), dtype=complex)
+    norm = 1.0 / np.sqrt(2.0 * np.pi**2)
+    for i, (m1, m2) in enumerate(geom.wavevectors):
+        a, b = u[2 * i], u[2 * i + 1]
+        perp = np.array([-m2, m1]) / np.sqrt(geom.k2[i])
+        coef = norm * (a - 1j * b) / 2.0
+        out[:, m1 % g, m2 % g] += perp * coef
+        out[:, (-m1) % g, (-m2) % g] += perp * np.conj(coef)
+    return out
+
+
+def _loop_from_fourier(geom, w_hat):
+    g = geom.grid
+    out = np.empty(geom.dim)
+    norm = np.sqrt(2.0 * np.pi**2)
+    for i, (m1, m2) in enumerate(geom.wavevectors):
+        perp = np.array([-m2, m1]) / np.sqrt(geom.k2[i])
+        s = perp @ w_hat[:, m1 % g, m2 % g]
+        out[2 * i] = 2.0 * s.real * norm
+        out[2 * i + 1] = -2.0 * s.imag * norm
+    return out
+
+
+def _loop_bilinear(geom, x, v):
+    g = geom.grid
+    x_hat = _loop_to_fourier(geom, x)
+    v_hat = _loop_to_fourier(geom, v)
+    freqs = np.fft.fftfreq(g, d=1.0 / g)
+    ik1 = 1j * freqs[:, None]
+    ik2 = 1j * freqs[None, :]
+    x_phys = np.fft.ifft2(x_hat, axes=(1, 2)).real * g * g
+    dvx = np.fft.ifft2(v_hat * ik1, axes=(1, 2)).real * g * g
+    dvy = np.fft.ifft2(v_hat * ik2, axes=(1, 2)).real * g * g
+    adv = x_phys[0] * dvx + x_phys[1] * dvy
+    w_hat = np.fft.fft2(adv, axes=(1, 2)) / (g * g)
+    return _loop_from_fourier(geom, w_hat)
+
+
+def _assert_rows_close(actual, desired):
+    """rtol 1e-12 per row, relative to the row's largest entry."""
+    assert actual.shape == desired.shape
+    flat_a = actual.reshape(-1, actual.shape[-1])
+    flat_d = desired.reshape(-1, desired.shape[-1])
+    for a, d in zip(flat_a, flat_d):
+        np.testing.assert_allclose(a, d, rtol=1e-12, atol=1e-12 * np.max(np.abs(d)))
+
+
+@pytest.mark.parametrize("mpd", [1, 2, 3, 4, 5])
+def test_nse_transforms_match_per_wavevector_loop(mpd):
+    geom = NSEGeometry(mpd)
+    rng = np.random.default_rng(mpd)
+    u = rng.standard_normal((3, 2, geom.dim))
+    hat = geom.to_fourier(u)
+    assert hat.shape == (3, 2, 2, geom.grid, geom.grid)
+    for idx in np.ndindex(u.shape[:-1]):
+        np.testing.assert_array_equal(hat[idx], _loop_to_fourier(geom, u[idx]))
+    w_hat = np.fft.fft2(rng.standard_normal(hat.shape), axes=(-2, -1))
+    back = geom.from_fourier(w_hat)
+    assert back.shape == u.shape
+    ref = np.array([_loop_from_fourier(geom, w_hat[i]) for i in np.ndindex(u.shape[:-1])])
+    _assert_rows_close(back, ref.reshape(u.shape))
+    # amplitudes survive the round trip
+    np.testing.assert_allclose(geom.from_fourier(hat), u, rtol=1e-12, atol=1e-14)
+
+
+@pytest.mark.parametrize("mpd", [1, 2, 3, 4, 5])
+def test_nse_bilinear_matches_per_wavevector_loop(mpd):
+    """bilinear and advection on (P, N) and (P, Q, N) batches, row by row."""
+    geom = NSEGeometry(mpd)
+    rng = np.random.default_rng(10 + mpd)
+    for shape in ((4,), (3, 2)):
+        x = rng.standard_normal(shape + (geom.dim,))
+        v = rng.standard_normal(shape + (geom.dim,))
+        idx = list(np.ndindex(shape))
+        ref_b = np.array([_loop_bilinear(geom, x[i], v[i]) for i in idx])
+        ref_a = np.array([_loop_bilinear(geom, x[i], x[i]) for i in idx])
+        _assert_rows_close(geom.bilinear(x, v), ref_b.reshape(x.shape))
+        _assert_rows_close(geom.advection(x), ref_a.reshape(x.shape))
+    # a single state is a batch with no leading axes
+    _assert_rows_close(geom.advection(x[0, 0]), ref_a[0])
+
+
+def test_nse_energy_identity_on_batch():
+    geom = NSEGeometry(4)
+    u = np.random.default_rng(3).standard_normal((6, 5, geom.dim))
+    energy = np.sum(geom.advection(u) * u, axis=-1)
+    sq = np.sum(u * u, axis=-1)
+    assert np.all(np.abs(energy) < 1e-10 * np.maximum(1.0, sq) ** 1.5)
+
+
+def test_nse_f_hook_is_batched_advection():
+    sys = make_system("nse-2d", modes_per_dim=2)
+    u = np.random.default_rng(5).standard_normal((3, sys.basis.dim))
+    np.testing.assert_array_equal(sys.ops.F(0.0, u), sys.geometry.advection(u))
+
+
+@pytest.mark.parametrize("mpd, viscosity", [(2, 1.0), (4, 0.5)])
+def test_nse_witness_constant_matches_loop(mpd, viscosity):
+    """k_est from one batched draw equals the per-sample loop's value."""
+    sys = make_system("nse-2d", modes_per_dim=mpd, viscosity=viscosity, seed=7)
+    geom = sys.geometry
+    lam = geom.eigenvalues()
+    rng = np.random.Generator(np.random.Philox(key=[7, 0x25E]))
+    k_loop = 0.0
+    for _ in range(200):
+        x = rng.standard_normal(geom.dim)
+        v = rng.standard_normal(geom.dim)
+        num = (np.linalg.norm(_loop_bilinear(geom, x, v))
+               + np.linalg.norm(_loop_bilinear(geom, v, x)))
+        den = np.sqrt(np.sum(lam * x * x)) * np.linalg.norm(viscosity * lam * v)
+        if den > 0:
+            k_loop = max(k_loop, num / den)
+    assert k_loop > 0
+    assert sys.ops.n_witness(0.0) == pytest.approx(k_loop, rel=1e-12)
+
+
 def test_nse_corrected_generator_shifts_by_noise_square():
     nu, b = 1.0, 0.3
     sys = make_system("nse-2d", modes_per_dim=2, viscosity=nu, b_coeffs=(b,))
