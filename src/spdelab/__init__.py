@@ -16,6 +16,7 @@ from .integrator import (
     integrate,
     integrate_ensemble,
     strat_to_ito,
+    strong_convergence,
 )
 from .operators import (
     MatrixPath,
@@ -57,6 +58,7 @@ __all__ = [
     "sample_brownian",
     "spectrum",
     "strat_to_ito",
+    "strong_convergence",
     "sym",
     "uniform_grid",
 ]

@@ -62,14 +62,19 @@ class BrownianPath:
 
     def coarsen(self, factor: int) -> "BrownianPath":
         """Sum consecutive increments; the same path on a coarser grid."""
-        j = self.increments.shape[0]
-        if j % factor != 0:
-            raise GridError(f"cannot coarsen {j} steps by factor {factor}")
-        inc = self.increments.reshape(j // factor, factor, self.n).sum(axis=1)
         return BrownianPath(
-            times=self.times[::factor], increments=inc,
+            times=self.times[::factor],
+            increments=coarsen_increments(self.increments, factor),
             seed=self.seed, stream_id=self.stream_id,
         )
+
+
+def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
+    """Sum runs of `factor` consecutive steps of (..., J, n) increments."""
+    *lead, j, n = increments.shape
+    if j % factor != 0:
+        raise GridError(f"cannot coarsen {j} steps by factor {factor}")
+    return increments.reshape(*lead, j // factor, factor, n).sum(axis=-2)
 
 
 def _stream(seed: int, stream_id: int) -> np.random.Generator:

@@ -8,11 +8,13 @@ import sys
 import numpy as np
 
 from .assumptions import check_all
-from .brownian import uniform_grid
 from .diagnostics import quotient_fn, quotient_fn_d1, quotient_fn_d2
-from .integrator import integrate
+from .integrator import strong_convergence
 from .runner import build_system, load_config, report_summary, run
 from .systems import list_systems
+
+#: the convergence study uses at most this many of the config's paths
+CONVERGENCE_MAX_PATHS = 50
 
 
 def _cmd_list_systems(args) -> int:
@@ -30,10 +32,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    cfg = load_config(args.config)
-    if getattr(args, "kind", None):
-        cfg.kind = args.kind
-        cfg.validate()
+    cfg = load_config(args.config, kind=args.kind)
     manifest = run(cfg)
     print(json.dumps(report_summary(manifest.run_dir), indent=2, sort_keys=True))
     return 0
@@ -41,36 +40,15 @@ def _cmd_run(args) -> int:
 
 def _cmd_convergence(args) -> int:
     """Strong-error slope of a scheme against a shared-noise fine reference."""
+    if args.levels < 2:
+        raise ValueError(f"--levels must be at least 2, got {args.levels}")
     cfg = load_config(args.config)
     system = build_system(cfg)
-    start = system.u0 if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
-    levels = args.levels
-    fine = uniform_grid(cfg.T, cfg.dt / 2**levels)
-    errors = []
-    dts = []
-    for p in range(min(cfg.paths, 50)):
-        ref = integrate(system, args.scheme, fine, cfg.master_seed, p, u0=start)
-        for lev in range(levels):
-            factor = 2 ** (levels - lev)
-            coarse_path = ref.path.coarsen(factor)
-            from .integrator import _run_steps  # shared stepping core
-
-            states = _run_steps(
-                system.ops, start, coarse_path.times,
-                coarse_path.increments, args.scheme,
-            )
-            err = np.linalg.norm(states[-1] - ref.states[-1])
-            if p == 0:
-                errors.append([err])
-                dts.append(coarse_path.dt)
-            else:
-                errors[lev].append(err)
-    mean_err = [float(np.mean(e)) for e in errors]
-    slope = float(np.polyfit(np.log(dts), np.log(mean_err), 1)[0])
-    print(json.dumps({
-        "scheme": args.scheme, "dts": dts, "mean_errors": mean_err,
-        "slope": slope,
-    }, indent=2))
+    result = strong_convergence(
+        system, args.scheme, cfg.T, cfg.dt, cfg.master_seed,
+        min(cfg.paths, CONVERGENCE_MAX_PATHS), args.levels, u0=cfg.u0,
+    )
+    print(json.dumps(result, indent=2))
     return 0
 
 

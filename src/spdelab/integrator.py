@@ -11,10 +11,15 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-import scipy.linalg
 
 from .basis import SpectralBasis
-from .brownian import BrownianPath, sample_brownian, sample_brownian_ensemble
+from .brownian import (
+    BrownianPath,
+    coarsen_increments,
+    sample_brownian,
+    sample_brownian_ensemble,
+    uniform_grid,
+)
 from .operators import MatrixPath, OperatorFamily
 
 
@@ -198,36 +203,57 @@ def _check_scheme(system, scheme: str) -> None:
 
 
 def _run_steps(ops, u0, times, increments, scheme):
-    """Core loop shared by single-path and ensemble integration.
+    """The one loop over time steps, for a batch of paths.
 
-    increments has shape (..., J, n) and u0 shape (..., N); blow-ups raise.
+    u0 has shape (P, N) and increments (P, J, n).  A path whose state turns
+    non-finite is frozen at its last finite state and its blow-up time is
+    recorded; the other paths continue.  Returns the states (P, J+1, N) and
+    the blow-ups {path index: time}.
     """
     stepper = _STEPPERS[scheme]
     dt = float(times[1] - times[0])
-    states = np.empty(u0.shape[:-1] + (len(times), u0.shape[-1]))
-    states[..., 0, :] = u0
-    u = np.asarray(u0, dtype=float)
+    u = np.array(u0, dtype=float)
+    states = np.empty((u.shape[0], len(times), u.shape[1]))
+    states[:, 0, :] = u
+    alive = np.ones(u.shape[0], dtype=bool)
+    blowups: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(len(times) - 1):
-            u = stepper(ops, u, float(times[j]), dt, increments[..., j, :])
-            if not np.all(np.isfinite(u)):
-                raise BlowUpError(float(times[j + 1]))
-            states[..., j + 1, :] = u
-    return states
+            new = stepper(ops, u, float(times[j]), dt, increments[:, j, :])
+            frozen = ~alive | ~np.all(np.isfinite(new), axis=-1)
+            if np.any(frozen):
+                for p in np.flatnonzero(frozen & alive):
+                    blowups[int(p)] = float(times[j + 1])
+                alive &= ~frozen
+                new[frozen] = u[frozen]
+            states[:, j + 1, :] = new
+            u = new
+    return states, blowups
+
+
+def _raise_on_blowup(blowups: dict) -> None:
+    if blowups:
+        raise BlowUpError(min(blowups.values()))
+
+
+def _start(system, u0: Optional[np.ndarray]) -> np.ndarray:
+    return system.u0 if u0 is None else np.asarray(u0, dtype=float)
 
 
 def integrate(
     system, scheme: str, grid: np.ndarray, seed: int, stream_id: int = 0,
     u0: Optional[np.ndarray] = None,
 ) -> Trajectory:
-    """Integrate one sample path; pure function of its arguments."""
+    """Integrate one sample path, an ensemble of one; raises BlowUpError."""
     _check_scheme(system, scheme)
     grid = np.asarray(grid, dtype=float)
     path = sample_brownian(system.ops.n_noise, grid, seed, stream_id)
-    start = system.u0 if u0 is None else np.asarray(u0, dtype=float)
-    states = _run_steps(system.ops, start, grid, path.increments, scheme)
+    states, blowups = _run_steps(
+        system.ops, _start(system, u0)[None], grid, path.increments[None], scheme
+    )
+    _raise_on_blowup(blowups)
     return Trajectory(
-        times=grid, states=states, path=path, scheme=scheme,
+        times=grid, states=states[0], path=path, scheme=scheme,
         system=system.name, dt=float(grid[1] - grid[0]),
     )
 
@@ -244,31 +270,48 @@ def integrate_ensemble(
     _check_scheme(system, scheme)
     grid = np.asarray(grid, dtype=float)
     inc = sample_brownian_ensemble(system.ops.n_noise, grid, seed, n_paths)
-    start = system.u0 if u0 is None else np.asarray(u0, dtype=float)
-    u0b = np.broadcast_to(start, (n_paths, system.ops.dim)).copy()
-    stepper = _STEPPERS[scheme]
-    dt = float(grid[1] - grid[0])
-    states = np.empty((n_paths, len(grid), system.ops.dim))
-    states[:, 0, :] = u0b
-    u = u0b
-    alive = np.ones(n_paths, dtype=bool)
-    blowups: dict = {}
-    for j in range(len(grid) - 1):
-        with np.errstate(over="ignore", invalid="ignore"):
-            new = stepper(system.ops, u, float(grid[j]), dt, inc[:, j, :])
-        bad = ~np.all(np.isfinite(new), axis=-1)
-        fresh = bad & alive
-        if np.any(fresh):
-            for p in np.flatnonzero(fresh):
-                blowups[int(p)] = float(grid[j + 1])
-            alive &= ~bad
-        new[bad] = u[bad]  # freeze dead paths at last finite state
-        states[:, j + 1, :] = new
-        u = new
+    u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
+    states, blowups = _run_steps(system.ops, u0b, grid, inc, scheme)
     return EnsembleResult(
         times=grid, states=states, increments=inc, seed=seed,
         scheme=scheme, system=system.name, blowups=blowups,
     )
+
+
+def strong_convergence(
+    system, scheme: str, T: float, dt: float, seed: int, n_paths: int,
+    levels: int, u0: Optional[np.ndarray] = None,
+) -> dict:
+    """Strong-error slope of a scheme against a shared-noise fine reference.
+
+    Paths p = 0..n_paths-1 (stream (seed, p)) are integrated on the grid of
+    step dt / 2**levels and, with the same Brownian increments summed, on
+    the grids of step dt * 2**-lev for lev = 0..levels-1.  Returns the
+    scheme, those coarse steps, the mean over paths of |u_coarse(T) -
+    u_fine(T)| per step, and the least-squares slope of log error against
+    log step.  Raises BlowUpError if any path blows up.
+    """
+    if levels < 2:
+        raise ValueError(f"levels must be at least 2 to fit a slope, got {levels}")
+    _check_scheme(system, scheme)
+    fine = uniform_grid(T, dt / 2**levels)
+    inc = sample_brownian_ensemble(system.ops.n_noise, fine, seed, n_paths)
+    u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
+    ref, blowups = _run_steps(system.ops, u0b, fine, inc, scheme)
+    _raise_on_blowup(blowups)
+    dts, mean_errors = [], []
+    for lev in range(levels):
+        factor = 2 ** (levels - lev)
+        times = fine[::factor]
+        states, blowups = _run_steps(
+            system.ops, u0b, times, coarsen_increments(inc, factor), scheme
+        )
+        _raise_on_blowup(blowups)
+        err = np.linalg.norm(states[:, -1] - ref[:, -1], axis=-1)
+        dts.append(float(times[1] - times[0]))
+        mean_errors.append(float(np.mean(err)))
+    slope = float(np.polyfit(np.log(dts), np.log(mean_errors), 1)[0])
+    return {"scheme": scheme, "dts": dts, "mean_errors": mean_errors, "slope": slope}
 
 
 def measure_nonlinearity_witness(

@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .basis import DimensionMismatchError, SpectralBasis
 

@@ -13,7 +13,6 @@ import inspect
 import json
 import math
 import os
-import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -104,8 +103,7 @@ def build_system(cfg: "ExperimentConfig") -> SystemSpec:
     return system
 
 
-_KINDS = ("simulate", "spectral-limit", "backward-probe", "check",
-          "convergence", "gradcheck")
+_KINDS = ("simulate", "spectral-limit", "backward-probe", "check")
 
 
 @dataclass
@@ -136,7 +134,9 @@ class ExperimentConfig:
             if not ok(value):
                 raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
         if self.kind not in _KINDS:
-            raise ConfigError(f"config key 'kind': unknown kind {self.kind!r}")
+            raise ConfigError(
+                f"config key 'kind': unknown kind {self.kind!r}; choose from {_KINDS}"
+            )
         if self.scheme not in SCHEMES:
             raise ConfigError(f"config key 'scheme': unknown scheme {self.scheme!r}")
         if self.T <= 0 or self.dt <= 0:
@@ -167,8 +167,12 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
-def load_config(path: str) -> ExperimentConfig:
-    """Read and validate a JSON experiment config."""
+def load_config(path: str, kind: Optional[str] = None) -> ExperimentConfig:
+    """Read and validate a JSON experiment config.
+
+    With `kind`, the experiment a command runs: a config that names no kind
+    takes it, and one that names another kind is rejected.
+    """
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
     with open(path) as fh:
@@ -185,6 +189,10 @@ def load_config(path: str) -> ExperimentConfig:
     for req in ("system", "T", "dt"):
         if req not in raw:
             raise ConfigError(f"missing required config key {req!r}")
+    if kind is not None and raw.setdefault("kind", kind) != kind:
+        raise ConfigError(
+            f"config key 'kind' is {raw['kind']!r}, but this command runs {kind!r}"
+        )
     for key in ("eps_list", "r_list", "N_list", "u0"):
         if isinstance(raw.get(key), list):
             raw[key] = tuple(raw[key])
@@ -209,7 +217,6 @@ class RunManifest:
     streams: list  # per-path (seed, stream_id)
     blowups: dict
     outputs: list
-    created: str
     run_dir: str
 
     def to_dict(self) -> dict:
@@ -220,7 +227,6 @@ class RunManifest:
             "streams": self.streams,
             "blowups": {str(k): v for k, v in self.blowups.items()},
             "outputs": sorted(self.outputs),
-            "created": self.created,
         }
 
 
@@ -354,7 +360,6 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         streams=[[cfg.master_seed, p] for p in range(cfg.paths)],
         blowups=ens.blowups,
         outputs=outputs + ["manifest.json"],
-        created=time.strftime("%Y-%m-%dT%H:%M:%S"),
         run_dir=run_dir,
     )
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:

@@ -5,6 +5,7 @@ import pytest
 from spdelab.brownian import (
     BrownianPath,
     GridError,
+    coarsen_increments,
     sample_brownian,
     sample_brownian_ensemble,
     uniform_grid,
@@ -71,6 +72,19 @@ def test_ensemble_matches_single_streams():
     for p in range(4):
         single = sample_brownian(2, g, seed=9, stream_id=p)
         assert np.array_equal(ens[p], single.increments)
+
+
+def test_coarsened_ensemble_matches_coarsened_paths():
+    """One reshape-sum over a (P, J, n) batch gives each path's coarsening."""
+    g = uniform_grid(0.5, 0.01)
+    ens = sample_brownian_ensemble(2, g, seed=9, n_paths=3)
+    batch = coarsen_increments(ens, 5)
+    assert batch.shape == (3, 10, 2)
+    for p in range(3):
+        single = sample_brownian(2, g, seed=9, stream_id=p).coarsen(5)
+        assert np.array_equal(batch[p], single.increments)
+    with pytest.raises(GridError):
+        coarsen_increments(ens, 3)
 
 
 def test_nonuniform_grid_rejected():

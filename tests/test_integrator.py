@@ -1,15 +1,19 @@
 """Time-stepping schemes, conversion, and ensemble mechanics."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from spdelab.brownian import uniform_grid
+from spdelab.brownian import coarsen_increments, sample_brownian_ensemble, uniform_grid
 from spdelab.integrator import (
+    _STEPPERS,
     BlowUpError,
     SchemeError,
+    _run_steps,
     integrate,
     integrate_ensemble,
     measure_nonlinearity_witness,
     strat_to_ito,
+    strong_convergence,
 )
 from spdelab.operators import MatrixPath, OperatorFamily
 from spdelab.systems import _commuting, make_diagonal, make_system, torus_basis
@@ -181,3 +185,144 @@ def test_nonlinearity_witness_quadratic_system():
     table, integral = measure_nonlinearity_witness(traj, sys.ops, sys.basis)
     assert np.all(np.isfinite(table))
     assert integral >= 0.0
+
+
+# -- the batched stepping core against per-path loops ------------------
+
+
+def _loop_steps(ops, u0, times, increments, scheme):
+    """One path, one step at a time: states (J+1, N) of a 1-D state."""
+    stepper = _STEPPERS[scheme]
+    dt = float(times[1] - times[0])
+    states = [np.asarray(u0, dtype=float)]
+    for j in range(len(times) - 1):
+        states.append(stepper(ops, states[-1], float(times[j]), dt, increments[j]))
+    return np.array(states)
+
+
+def _coupled_piecewise():
+    """coupled-torus, N=8, two noises whose tables jump at 6 nodes over [0, 0.2]."""
+    nodes = np.linspace(0.0, 0.2, 6)
+    tables = np.zeros((len(nodes), 2, 2, 2))
+    for j, t in enumerate(nodes / 0.2):
+        for m in range(2):
+            tables[j, m] = 0.3 * (1.0 + 0.5 * t) * np.eye(2)
+            tables[j, m, m, (m + 1) % 2] += 0.2 * t
+    return make_system("coupled-torus", n_components=2, modes=4,
+                       h_tables=tables, h_time_grid=nodes)
+
+
+_STEP_CASES = [("diagonal", s) for s in ("euler-maruyama", "milstein", "drift-implicit")]
+_STEP_CASES += [("coupled-piecewise", s) for s in ("euler-maruyama", "drift-implicit")]
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=st.sampled_from(_STEP_CASES), n_paths=st.integers(1, 7),
+       seed=st.integers(0, 2**16), random_start=st.booleans())
+def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
+    """_run_steps on a (P, N) batch equals P single-path loops."""
+    family, scheme = case
+    system = make_system("diagonal") if family == "diagonal" else _coupled_piecewise()
+    grid = uniform_grid(0.2, 5e-3)
+    inc = sample_brownian_ensemble(system.ops.n_noise, grid, seed, n_paths)
+    rng = np.random.default_rng(seed)
+    u0 = (rng.standard_normal((n_paths, system.ops.dim)) if random_start
+          else np.broadcast_to(system.u0, (n_paths, system.ops.dim)))
+    states, blowups = _run_steps(system.ops, u0, grid, inc, scheme)
+    assert states.shape == (n_paths, len(grid), system.ops.dim)
+    assert blowups == {}
+    for p in range(n_paths):
+        ref = _loop_steps(system.ops, u0[p], grid, inc[p], scheme)
+        np.testing.assert_allclose(states[p], ref, rtol=1e-12, atol=0)
+
+
+def _loop_convergence(system, scheme, T, dt, seed, n_paths, levels):
+    """The strong-error study path by path, as the CLI ran it before batching."""
+    fine = uniform_grid(T, dt / 2**levels)
+    errors = [[] for _ in range(levels)]
+    dts = []
+    for p in range(n_paths):
+        ref = integrate(system, scheme, fine, seed, p)
+        for lev in range(levels):
+            coarse = ref.path.coarsen(2 ** (levels - lev))
+            states = _loop_steps(system.ops, system.u0, coarse.times,
+                                 coarse.increments, scheme)
+            errors[lev].append(np.linalg.norm(states[-1] - ref.states[-1]))
+            if p == 0:
+                dts.append(coarse.dt)
+    mean_errors = [float(np.mean(e)) for e in errors]
+    slope = float(np.polyfit(np.log(dts), np.log(mean_errors), 1)[0])
+    return {"scheme": scheme, "dts": dts, "mean_errors": mean_errors, "slope": slope}
+
+
+@pytest.mark.parametrize("scheme", ["milstein", "euler-maruyama"])
+def test_strong_convergence_matches_per_path_loop(scheme):
+    system = make_system("diagonal")
+    got = strong_convergence(system, scheme, 0.5, 0.05, seed=17, n_paths=5, levels=3)
+    want = _loop_convergence(system, scheme, 0.5, 0.05, seed=17, n_paths=5, levels=3)
+    assert list(got) == ["scheme", "dts", "mean_errors", "slope"]
+    assert got["scheme"] == scheme
+    assert got["dts"] == want["dts"]
+    np.testing.assert_allclose(got["mean_errors"], want["mean_errors"], rtol=1e-12)
+    np.testing.assert_allclose(got["slope"], want["slope"], rtol=1e-12)
+
+
+def test_strong_convergence_rejects_fewer_than_two_levels():
+    for levels in (-1, 0, 1):
+        with pytest.raises(ValueError, match="levels"):
+            strong_convergence(make_system("diagonal"), "milstein", 1.0, 0.1, 0, 2, levels)
+
+
+class _Spiking:
+    """du = -(1/2) u dw, with an infinite drift on states above 1.2 for t in (0.45, 0.55).
+
+    Paths whose state is above 1.2 inside that window blow up; after it,
+    stepping from their last finite state would be finite again.
+    """
+
+    name = "spiking"
+    u0 = np.array([1.0])
+    commuting_noise = True
+
+    @staticmethod
+    def _spike(t, u):
+        if 0.45 < t < 0.55:
+            return np.where(u > 1.2, np.inf, 0.0)
+        return np.zeros_like(u)
+
+    ops = OperatorFamily(A=MatrixPath(np.zeros((1, 1))),
+                         Bs=(MatrixPath(np.array([[0.5]])),), F=_spike)
+
+
+def test_blown_up_path_stays_frozen():
+    grid = uniform_grid(1.0, 0.025)
+    ens = integrate_ensemble(_Spiking(), "euler-maruyama", grid, seed=3, n_paths=6)
+    assert ens.blowups == {1: 0.5}
+    k = int(np.searchsorted(grid, 0.5))
+    assert np.all(ens.states[1, k:] == ens.states[1, k - 1])
+    assert not np.array_equal(ens.states[0, k:], ens.states[0, k - 1:-1])
+    with pytest.raises(BlowUpError) as err:
+        integrate(_Spiking(), "euler-maruyama", grid, seed=3, stream_id=1)
+    assert err.value.t == 0.5
+
+
+@pytest.mark.parametrize("seed, path, blowup_by_factor", [
+    (1, 5, {1: 0.5, 2: 0.55, 4: 0.6000000000000001}),  # on the fine grid first
+    (1786, 3, {2: 0.55}),  # only on the level dt = 0.05
+])
+def test_strong_convergence_raises_when_one_path_blows_up(seed, path, blowup_by_factor):
+    """Of 6 paths only `path` blows up, on the grids of these coarsening factors."""
+    fine = uniform_grid(1.0, 0.025)
+    inc = sample_brownian_ensemble(1, fine, seed, n_paths=6)
+    for factor in (1, 2, 4):
+        _, blowups = _run_steps(_Spiking.ops, np.ones((6, 1)), fine[::factor],
+                                coarsen_increments(inc, factor), "euler-maruyama")
+        t = blowup_by_factor.get(factor)
+        assert blowups == ({} if t is None else {path: t}), factor
+    with pytest.raises(BlowUpError) as err:
+        strong_convergence(_Spiking(), "euler-maruyama", 1.0, 0.1, seed, n_paths=6,
+                           levels=2)
+    assert err.value.t == min(blowup_by_factor.values())
+    # the paths before it run through
+    strong_convergence(_Spiking(), "euler-maruyama", 1.0, 0.1, seed, n_paths=path,
+                       levels=2)

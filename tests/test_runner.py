@@ -78,6 +78,9 @@ def test_load_rejects_bad_values(tmp_path):
         load_config(minimal_config(tmp_path, system={"name": "diagonal", "bogus": 1}))
     with pytest.raises(ConfigError, match="unknown system"):
         load_config(minimal_config(tmp_path, system={"name": "not-a-system"}))
+    for kind in ("convergence", "gradcheck"):  # commands, not run kinds
+        with pytest.raises(ConfigError, match="'kind'"):
+            load_config(minimal_config(tmp_path, kind=kind))
     path = tmp_path / "list.json"
     path.write_text(json.dumps([{"system": {"name": "diagonal"}, "T": 1.0, "dt": 0.1}]))
     with pytest.raises(ConfigError, match="JSON object"):
@@ -120,6 +123,25 @@ def test_run_writes_expected_layout(tmp_path):
     assert "martingale" in report
     header = open(os.path.join(root, "diagnostics/0.csv")).readline().strip()
     assert header == "t,norm_h,norm_v,norm_d2,quotient,quotient_full,M,psi,residual,S,X"
+
+
+def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch):
+    """Every file of a run, the manifest included, repeats byte for byte."""
+    path = minimal_config(tmp_path, output_dir=None, write_paths=True, r_list=[0.5],
+                          N_list=[1, 2])
+    dirs = []
+    for root in ("first", "second"):
+        monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / root))
+        dirs.append(run(load_config(path)).run_dir)
+    assert dirs[0] != dirs[1]
+    files = [sorted(os.path.relpath(os.path.join(d, f), run_dir)
+                    for d, _, names in os.walk(run_dir) for f in names)
+             for run_dir in dirs]
+    assert files[0] == files[1]
+    assert len(files[0]) == 2 * 2 + 2  # per path: diagnostics and raw states
+    for rel in files[0]:
+        a, b = (open(os.path.join(d, rel), "rb").read() for d in dirs)
+        assert a == b, rel
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -223,6 +245,31 @@ def test_cli_convergence_starts_from_config_u0(tmp_path, capsys):
                      "--config", path, "--levels", "2"]) == 0
         errors.append(json.loads(capsys.readouterr().out)["mean_errors"])
     np.testing.assert_allclose(errors[1], 2.0 * np.array(errors[0]), rtol=1e-12)
+
+
+@pytest.mark.parametrize("levels", ["-1", "0", "1"])
+def test_cli_convergence_needs_two_levels(tmp_path, capsys, levels):
+    path = minimal_config(tmp_path)
+    assert main(["convergence", "--scheme", "euler-maruyama", "--config", path,
+                 "--levels", levels]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --levels") and "Traceback" not in err
+
+
+def test_cli_run_rejects_a_config_of_another_kind(tmp_path, capsys):
+    path = minimal_config(tmp_path, kind="check")
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: config key 'kind'")
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_cli_run_gives_its_kind_to_a_config_without_one(tmp_path, capsys):
+    path = minimal_config(tmp_path, r_list=[1e-6])
+    assert main(["backward-probe", "--config", path]) == 0
+    assert json.loads(capsys.readouterr().out)["kind"] == "backward-probe"
+    with open(tmp_path / "out" / "report.json") as fh:
+        report = json.load(fh)
+    assert report["kind"] == "backward-probe" and "spectral_limit" not in report
 
 
 def test_cli_bad_config_returns_error(tmp_path, capsys):
