@@ -34,12 +34,19 @@ EMPIRICAL = "empirical"
 FAILED = "failed"
 
 
-def _min_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(sym(m)).min())
+def _min_eig(m: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of sym(m), one per matrix of a stack."""
+    return np.linalg.eigvalsh(sym(m))[..., 0]
 
 
-def _top_eig(m: np.ndarray) -> float:
-    return float(np.linalg.eigvalsh(sym(m)).max())
+def _top_eig(m: np.ndarray) -> np.ndarray:
+    """Largest eigenvalue of sym(m), one per matrix of a stack."""
+    return np.linalg.eigvalsh(sym(m))[..., -1]
+
+
+def _spectral_norms(m: np.ndarray) -> np.ndarray:
+    """Largest singular value of each matrix of a stack."""
+    return np.linalg.norm(m, ord=2, axis=(-2, -1))
 
 
 @dataclass
@@ -69,15 +76,10 @@ def check_boundedness(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> Cert
     """Sup over the grid of |A(t)|_{L(V,V')} and of each |B_k(t)|_{L(V,H)}."""
     t_grid = np.asarray(t_grid, dtype=float)
     w = 1.0 / np.sqrt(basis.hat_eigenvalues)
-    bound_a = 0.0
-    bound_b = [0.0] * ops.n_noise
-    for t in t_grid:
-        bound_a = max(bound_a, operator_norm_v_vprime(ops.A.at(float(t)), basis))
-        for k, bp in enumerate(ops.Bs):
-            # L(V, H) norm: largest singular value of B D^{-1/2}
-            bound_b[k] = max(
-                bound_b[k], float(np.linalg.norm(bp.at(float(t)) * w[None, :], ord=2))
-            )
+    bound_a = float(operator_norm_v_vprime(ops.A.at(t_grid), basis).max(initial=0.0))
+    # L(V, H) norm: largest singular value of B D^{-1/2}
+    bound_b = [float(_spectral_norms(bp.at(t_grid) * w[None, :]).max(initial=0.0))
+               for bp in ops.Bs]
     finite = np.isfinite(bound_a) and all(np.isfinite(b) for b in bound_b)
     return CertRecord(
         name="ac0",
@@ -117,24 +119,14 @@ def check_coercivity(ops: OperatorFamily, basis: SpectralBasis, alpha: float, t_
         raise ValueError("alpha must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     d = np.diag(basis.hat_eigenvalues)
-    lam = -np.inf
-    for t in t_grid:
-        a = ops.A.at(float(t))
-        btb = np.zeros_like(a)
-        for bp in ops.Bs:
-            b = bp.at(float(t))
-            btb += b.T @ b
-        lam = max(lam, _top_eig(alpha * d + btb - 2.0 * sym(a)))
-    lam = float(lam)
-
-    worst = np.inf
-    for t in t_grid:
-        a = ops.A.at(float(t))
-        btb = np.zeros_like(a)
-        for bp in ops.Bs:
-            b = bp.at(float(t))
-            btb += b.T @ b
-        worst = min(worst, _min_eig(2.0 * sym(a) + lam * np.eye(len(a)) - alpha * d - btb))
+    a = ops.A.at(t_grid)
+    btb = np.zeros_like(a)
+    for bp in ops.Bs:
+        b = bp.at(t_grid)
+        btb += b.mT @ b
+    lam = float(_top_eig(alpha * d + btb - 2.0 * sym(a)).max(initial=-np.inf))
+    worst = float(_min_eig(2.0 * sym(a) + lam * np.eye(ops.dim) - alpha * d - btb)
+                  .min(initial=np.inf))
     status = CERTIFIED if worst >= CERT_EIG_TOL else FAILED
     record = CertRecord(
         name="ac2", status=status,
@@ -151,9 +143,8 @@ def check_weak_noise_bound(ops: OperatorFamily, t_grid):
     """phi(t) = sum_k spectral norm of sym(B_k(t)); bounds sum|<u, B_k u>|/|u|^2."""
     t_grid = np.asarray(t_grid, dtype=float)
     phi = np.zeros(len(t_grid))
-    for j, t in enumerate(t_grid):
-        for bp in ops.Bs:
-            phi[j] += float(np.linalg.norm(sym(bp.at(float(t))), ord=2))
+    for bp in ops.Bs:
+        phi += _spectral_norms(sym(bp.at(t_grid)))
     record = CertRecord(
         name="ac3", status=CERTIFIED, constants={"phi": phi},
         slack=float(phi.max(initial=0.0)),
@@ -179,25 +170,19 @@ def check_commutator_bound(ops: OperatorFamily, basis: SpectralBasis, K2_grid, t
     if np.any(K2_grid < 0):
         raise ValueError("K2 candidates must be nonnegative")
     half = max(1, ops.dim // 2)
+    ta = assemble_tilde_A(ops, t_grid).sym_part
+    c = sym(commutator_C(ops, t_grid))
 
     # rounding floor: commutator entries carry errors of order eps * |tA| |B|^2
-    scale = 0.0
-    for t in t_grid:
-        ta_norm = np.linalg.norm(assemble_tilde_A(ops, float(t)).sym_part, ord=2)
-        b_norm = sum(np.linalg.norm(bp.at(float(t)), ord=2) ** 2 for bp in ops.Bs)
-        scale = max(scale, ta_norm * b_norm)
+    b_norm = sum(_spectral_norms(bp.at(t_grid)) ** 2 for bp in ops.Bs)
+    scale = float(np.max(_spectral_norms(ta) * b_norm, initial=0.0))
     tol = max(1e-9, 1e-12 * scale)
 
     best = None
     for k2 in K2_grid:
-        k1 = np.empty(len(t_grid))
-        k1_half = np.empty(len(t_grid))
-        for j, t in enumerate(t_grid):
-            c = sym(commutator_C(ops, float(t)))
-            ta = assemble_tilde_A(ops, float(t)).sym_part
-            m = c - k2 * ta
-            k1[j] = _top_eig(m)
-            k1_half[j] = _top_eig(m[:half, :half])
+        m = c - k2 * ta
+        k1 = _top_eig(m)
+        k1_half = _top_eig(m[..., :half, :half])
         cost = (
             float(np.trapezoid(np.maximum(k1, 0.0), t_grid))
             if len(t_grid) > 1
@@ -245,17 +230,13 @@ def check_strong_noise_bound(
     xs = np.vstack([xs, np.eye(n)])
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
 
-    num = np.zeros(len(xs))
-    ax = np.zeros(len(xs))
     hx = np.linalg.norm(xs, axis=1)
-    for t in t_grid:
-        a = ops.A.at(float(t))
-        axt = np.linalg.norm(xs @ a.T, axis=1)
-        numt = np.zeros(len(xs))
-        for bp in ops.Bs:
-            numt += np.linalg.norm(xs @ bp.at(float(t)).T, axis=1)
-        num = np.maximum(num, numt)
-        ax = np.maximum(ax, axt)
+    # (times, samples) tables, maximised over the times
+    ax = np.linalg.norm(xs @ ops.A.at(t_grid).mT, axis=-1).max(axis=0, initial=0.0)
+    num = np.zeros((len(t_grid), len(xs)))
+    for bp in ops.Bs:
+        num += np.linalg.norm(xs @ bp.at(t_grid).mT, axis=-1)
+    num = num.max(axis=0, initial=0.0)
 
     l2_grid = np.linspace(0.0, float(num.max(initial=0.0)), 41)
     best = None
@@ -300,20 +281,16 @@ def check_weak_A_bound(ops: OperatorFamily, basis: SpectralBasis, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     d = np.diag(basis.hat_eigenvalues)
     lam1 = float(basis.hat_eigenvalues[0])
-    scale = max(
-        operator_norm_v_vprime(sym(ops.A.at(float(t))), basis) for t in t_grid
-    )
+    s = sym(ops.A.at(t_grid))
+    scale = float(operator_norm_v_vprime(s, basis).max())
     beta_grid = np.unique(np.concatenate([
         np.linspace(0.0, max(scale, 1.0) * 1.5, 61), [1.0]
     ]))
 
     best = None
     for beta in beta_grid:
-        gamma = 0.0
-        for t in t_grid:
-            s = sym(ops.A.at(float(t)))
-            gamma = max(gamma, _top_eig(s - beta * d), _top_eig(-s - beta * d))
-        gamma = max(0.0, float(gamma))
+        gamma = max(0.0, float(_top_eig(s - beta * d).max()),
+                    float(_top_eig(-s - beta * d).max()))
         score = gamma + lam1 * beta
         if best is None or score < best[0] - 1e-12 or (
             abs(score - best[0]) <= 1e-12 and beta < best[1]
@@ -321,12 +298,8 @@ def check_weak_A_bound(ops: OperatorFamily, basis: SpectralBasis, t_grid):
             best = (score, float(beta), gamma)
     _, beta, gamma = best
 
-    worst = np.inf
-    for t in t_grid:
-        s = sym(ops.A.at(float(t)))
-        eye = np.eye(ops.dim)
-        worst = min(worst, _min_eig(beta * d + gamma * eye - s),
-                    _min_eig(beta * d + gamma * eye + s))
+    shifted = beta * d + gamma * np.eye(ops.dim)
+    worst = float(min(_min_eig(shifted - s).min(), _min_eig(shifted + s).min()))
     status = CERTIFIED if worst >= CERT_EIG_TOL else FAILED
     record = CertRecord(
         name="ac6", status=status,
@@ -353,14 +326,16 @@ def check_first_order_bound(
     tables = np.zeros((ops.n_noise, len(t_grid)))
     certified = True
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xAC7]))
-    for j, t in enumerate(t_grid):
-        s = assemble_tilde_A(ops, float(t)).sym_part
-        vals = np.linalg.eigvalsh(s)
-        if vals.min() > 1e-12:
+    sym_tilde = assemble_tilde_A(ops, t_grid).sym_part
+    definite = np.linalg.eigvalsh(sym_tilde)[:, 0] > 1e-12
+    bs = [bp.at(t_grid) for bp in ops.Bs]
+    # scipy's sqrtm takes one matrix at a time
+    for j, s in enumerate(sym_tilde):
+        if definite[j]:
             root = scipy.linalg.sqrtm(s).real
             root_inv = np.linalg.inv(root)
-            for k, bp in enumerate(ops.Bs):
-                m = root @ bp.at(float(t)) @ root_inv
+            for k, b in enumerate(bs):
+                m = root @ b[j] @ root_inv
                 tables[k, j] = float(np.linalg.norm(sym(m), ord=2))
         else:
             certified = False
@@ -368,8 +343,8 @@ def check_first_order_bound(
             form = np.einsum("si,ij,sj->s", xs, s, xs)
             ok = np.abs(form) > 1e-12
             sx = xs @ s.T
-            for k, bp in enumerate(ops.Bs):
-                bx = xs @ bp.at(float(t)).T
+            for k, b in enumerate(bs):
+                bx = xs @ b[j].T
                 mixed = np.sum(sx * bx, axis=1)
                 tables[k, j] = float(np.max(np.abs(mixed[ok]) / np.abs(form[ok])))
     record = CertRecord(
@@ -386,10 +361,7 @@ def check_first_order_bound(
 def k6_table(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> np.ndarray:
     """|tilde_A'(t)|_{L(V,V')} per grid time (zero for constant families)."""
     t_grid = np.asarray(t_grid, dtype=float)
-    out = np.empty(len(t_grid))
-    for j, t in enumerate(t_grid):
-        out[j] = operator_norm_v_vprime(ops.tilde_prime_at(float(t)), basis)
-    return out
+    return operator_norm_v_vprime(ops.tilde_prime_at(t_grid), basis)
 
 
 # -- full report ------------------------------------------------------

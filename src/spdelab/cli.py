@@ -9,7 +9,7 @@ import numpy as np
 
 from .assumptions import check_all
 from .diagnostics import quotient_fn, quotient_fn_d1, quotient_fn_d2
-from .integrator import strong_convergence
+from .integrator import BlowUpError, strong_convergence
 from .runner import build_system, load_config, report_summary, run
 from .systems import list_systems
 
@@ -127,6 +127,9 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BlowUpError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

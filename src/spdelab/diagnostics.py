@@ -141,15 +141,16 @@ def quotient_series(traj: Paths, ops: Family, eps: float) -> np.ndarray:
     return np.sum(states * tu, axis=-1) / den
 
 
-def hitting_time(traj: Trajectory, r: float) -> Optional[float]:
-    """First grid time with |u(t)| <= r, or None if the level is never hit."""
+def hitting_time(traj: Paths, r: float):
+    """First grid time with |u(t)| <= r, or None if the level is never hit.
+
+    A float or None for one path; for a batch, a list with one per path.
+    """
     if r < 0:
         raise ValueError("hitting level must be nonnegative")
-    norms = np.sqrt(np.sum(traj.states**2, axis=-1))
-    hits = np.flatnonzero(norms <= r)
-    if hits.size == 0:
-        return None
-    return float(traj.times[hits[0]])
+    hit = np.sqrt(np.sum(traj.states**2, axis=-1)) <= r
+    first = np.where(hit.any(axis=-1), traj.times[np.argmax(hit, axis=-1)], None)
+    return first.tolist()
 
 
 # -- Gronwall bound process and comparison envelope -------------------
@@ -366,10 +367,6 @@ class SpectralLimitReport:
     @property
     def n_settled(self) -> int:
         return sum(p.settled for p in self.paths)
-
-    @property
-    def n_matched(self) -> int:
-        return sum(p.settled and p.matched_eigenvalue is not None for p in self.paths)
 
     def histogram(self) -> dict:
         counts: dict = {}

@@ -43,37 +43,20 @@ def strat_to_ito(ops: OperatorFamily) -> OperatorFamily:
 
     Replaces A by A - (1/2) sum_k B_k^2 and leaves the B_k unchanged.  Note
     the square B_k @ B_k here, as opposed to B_k^T @ B_k in the corrected
-    generator; the two coincide only for symmetric noise operators.
+    generator; the two coincide only for symmetric noise operators.  The new
+    drift is exact at the family's nodes and follows the family's
+    interpolation rule between them.
     """
-
-    def correction_at(values: np.ndarray, bs, idx: Optional[int]) -> np.ndarray:
-        corr = np.zeros_like(values)
-        for bp in bs:
-            b = bp.values if bp.time_grid is None else bp.values[idx]
-            corr += b @ b
-        return values - 0.5 * corr
-
-    a = ops.A
-    if a.time_grid is None and all(b.time_grid is None for b in ops.Bs):
-        new_a = MatrixPath(correction_at(a.values, ops.Bs, None))
-    else:
-        # Align everything on the drift grid (constant B is broadcast).
-        grid = a.time_grid
-        if grid is None:
-            grid = next(b.time_grid for b in ops.Bs if b.time_grid is not None)
-            stack = np.repeat(a.values[None, :, :], len(grid), axis=0)
-            interp = "constant"
-        else:
-            stack = a.values
-            interp = a.interpolation
-        new_stack = np.empty_like(stack)
-        for i, t in enumerate(grid):
-            corr = np.zeros((a.dim, a.dim))
-            for bp in ops.Bs:
-                b = bp.at(t)
-                corr += b @ b
-            new_stack[i] = stack[i] - 0.5 * corr
-        new_a = MatrixPath(new_stack, grid, interp)
+    nodes = ops.nodes
+    times = np.zeros(1) if nodes is None else nodes
+    a = ops.A.at(times)
+    corr = np.zeros_like(a)
+    for bp in ops.Bs:
+        b = bp.at(times)
+        corr += b @ b
+    ito = a - 0.5 * corr
+    new_a = (MatrixPath(ito[0]) if nodes is None
+             else MatrixPath(ito, nodes, ops.interpolation))
     return OperatorFamily(
         A=new_a, Bs=ops.Bs, A_tilde_prime=ops.A_tilde_prime,
         F=ops.F, n_witness=ops.n_witness,

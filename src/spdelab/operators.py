@@ -16,12 +16,32 @@ from .basis import DimensionMismatchError, SpectralBasis
 
 
 def sym(m: np.ndarray) -> np.ndarray:
-    """Symmetric part (M + M^T)/2.  Single convention, used everywhere."""
-    return 0.5 * (m + m.T)
+    """Symmetric part (M + M^T)/2 of a matrix or of each matrix of a stack.
+
+    Single convention, used everywhere.
+    """
+    return 0.5 * (m + m.mT)
 
 
 class TimeRangeError(ValueError):
     """Requested time lies outside the declared grid."""
+
+
+def interval_index(grid: np.ndarray, t) -> np.ndarray:
+    """Index of the grid node at or left of each time in t (scalar or array).
+
+    Times within 1e-12 of the grid ends are clamped onto it; times farther
+    out raise TimeRangeError.
+    """
+    t = np.asarray(t, dtype=float)
+    outside = (t < grid[0] - 1e-12) | (t > grid[-1] + 1e-12)
+    if outside.any():
+        bad = float(t[outside][0]) if t.ndim else float(t)
+        raise TimeRangeError(
+            f"t={bad} outside declared grid [{grid[0]}, {grid[-1]}]"
+        )
+    idx = grid.searchsorted(t.clip(grid[0], grid[-1]), side="right") - 1
+    return np.minimum(idx, len(grid) - 1)
 
 
 class MatrixPath:
@@ -70,34 +90,38 @@ class MatrixPath:
     def is_constant(self) -> bool:
         return self.time_grid is None
 
-    def interval_index(self, t) -> np.ndarray:
-        """Index of the grid node at or left of each time in t (scalar or array).
+    def at(self, t) -> np.ndarray:
+        """Matrix value at time t, or the stack (len(t), N, N) at an array of times.
 
-        Times within 1e-12 of the grid ends are clamped onto it; times
-        farther out raise TimeRangeError.  Only for time-dependent paths.
+        A time array takes the same arithmetic per time as a scalar time,
+        so each matrix of the stack equals the scalar call bit for bit.
         """
-        grid = self.time_grid
-        t = np.asarray(t, dtype=float)
-        outside = (t < grid[0] - 1e-12) | (t > grid[-1] + 1e-12)
-        if outside.any():
-            bad = float(t[outside][0]) if t.ndim else float(t)
-            raise TimeRangeError(
-                f"t={bad} outside declared grid [{grid[0]}, {grid[-1]}]"
-            )
-        idx = grid.searchsorted(t.clip(grid[0], grid[-1]), side="right") - 1
-        return np.minimum(idx, len(grid) - 1)
-
-    def at(self, t: float) -> np.ndarray:
-        """Matrix value at time t."""
+        if isinstance(t, np.ndarray):
+            return self._stack(t)
         if self.time_grid is None:
             return self.values
         grid = self.time_grid
-        idx = int(self.interval_index(t))
+        idx = int(interval_index(grid, t))
         if self.interpolation == "constant" or idx == len(grid) - 1:
             return self.values[idx]
         t = min(max(t, grid[0]), grid[-1])
         w = (t - grid[idx]) / (grid[idx + 1] - grid[idx])
         return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
+
+    def _stack(self, t: np.ndarray) -> np.ndarray:
+        # kept apart from the scalar path, which the steppers call once per step
+        if self.time_grid is None:
+            return np.broadcast_to(self.values, t.shape + self.values.shape).copy()
+        grid = self.time_grid
+        idx = interval_index(grid, t)
+        if self.interpolation == "constant":
+            return self.values[idx]
+        # the last node has no right neighbour: weight 0 keeps its value exactly
+        nxt = np.minimum(idx + 1, len(grid) - 1)
+        span = grid[nxt] - grid[idx]
+        w = np.divide(t.clip(grid[0], grid[-1]) - grid[idx], span,
+                      out=np.zeros_like(span), where=span > 0)[..., None, None]
+        return (1.0 - w) * self.values[idx] + w * self.values[nxt]
 
     @staticmethod
     def zero(dim: int) -> "MatrixPath":
@@ -147,25 +171,51 @@ class OperatorFamily:
     def is_constant(self) -> bool:
         return self.A.is_constant and all(b.is_constant for b in self.Bs)
 
-    def tilde_prime_at(self, t: float, dt: float = 1e-6) -> np.ndarray:
-        """Derivative of the corrected generator; centered difference fallback.
+    def _moving(self) -> list:
+        return [p for p in (self.A,) + self.Bs if not p.is_constant]
 
-        For declared piecewise-constant families the derivative is zero by
-        convention (jumps excluded).
+    @property
+    def nodes(self) -> Optional[np.ndarray]:
+        """Union of the grids of the time-dependent paths, None if the family is constant.
+
+        Only nodes on the span where every path is defined are kept, so the
+        whole family can be evaluated at each of them.
+        """
+        grids = [p.time_grid for p in self._moving()]
+        if not grids:
+            return None
+        nodes = np.unique(np.concatenate(grids))
+        lo, hi = max(g[0] for g in grids), min(g[-1] for g in grids)
+        return nodes[(nodes >= lo) & (nodes <= hi)]
+
+    @property
+    def interpolation(self) -> str:
+        """Rule between nodes: "linear" if any time-dependent path is linear.
+
+        Otherwise "constant": the family is fixed between adjacent nodes.
+        """
+        if any(p.interpolation == "linear" for p in self._moving()):
+            return "linear"
+        return "constant"
+
+    def tilde_prime_at(self, t, dt: float = 1e-6) -> np.ndarray:
+        """Derivative of the corrected generator at t, or stacked over an array of times.
+
+        Zero by convention (jumps excluded) when every time-dependent path is
+        piecewise constant; otherwise a centred difference clamped to the
+        span of the nodes.
         """
         if self.A_tilde_prime is not None:
             return self.A_tilde_prime.at(t)
-        if self.is_constant:
-            return np.zeros((self.dim, self.dim))
-        if self.A.interpolation == "constant":
-            return np.zeros((self.dim, self.dim))
-        grid = self.A.time_grid if self.A.time_grid is not None else self.Bs[0].time_grid
-        lo, hi = grid[0], grid[-1]
-        t0 = min(max(t - dt, lo), hi)
-        t1 = min(max(t + dt, lo), hi)
-        if t1 <= t0:
-            return np.zeros((self.dim, self.dim))
-        return (assemble_tilde_A(self, t1).matrix - assemble_tilde_A(self, t0).matrix) / (t1 - t0)
+        zero = np.zeros(np.shape(t) + (self.dim, self.dim))
+        if self.interpolation == "constant":
+            return zero
+        nodes = self.nodes
+        t0 = np.clip(t - dt, nodes[0], nodes[-1])
+        t1 = np.clip(t + dt, nodes[0], nodes[-1])
+        step = (t1 - t0)[..., None, None]
+        diff = assemble_tilde_A(self, t1).matrix - assemble_tilde_A(self, t0).matrix
+        return np.divide(diff, step, out=zero, where=step > 0)
 
 
 @dataclass(frozen=True)
@@ -174,16 +224,19 @@ class TildeOperator:
 
     matrix: np.ndarray
     sym_part: np.ndarray
-    t: float
+    t: object  # a float, or the array of times of a stack
 
 
-def assemble_tilde_A(ops: OperatorFamily, t: float) -> TildeOperator:
-    """Corrected generator at time t (H-adjoint realized as transpose)."""
+def assemble_tilde_A(ops: OperatorFamily, t) -> TildeOperator:
+    """Corrected generator at time t (H-adjoint realized as transpose).
+
+    At an array of times every field is a stack with one matrix per time.
+    """
     a = ops.A.at(t)
     corr = np.zeros_like(a)
     for bp in ops.Bs:
         b = bp.at(t)
-        corr += b.T @ b
+        corr += b.mT @ b
     m = a - 0.5 * corr
     return TildeOperator(matrix=m, sym_part=sym(m), t=t)
 
@@ -211,44 +264,33 @@ class OperatorSegments:
     """A family on one time grid, with Ã and each B_k built once per segment.
 
     A segment is a run of grid times on which every matrix of the family is
-    fixed: one for a constant family, and one per distinct tuple of grid
-    intervals when the time-dependent paths are piecewise constant.  A
-    linear path changes at every time, so its family is cut into blocks of
-    at most LINEAR_BLOCK times holding one matrix per time.
+    fixed: one for a constant family, and one per interval between the
+    family's nodes when its paths are piecewise constant.  A linear path
+    changes at every time, so its family is cut into blocks of at most
+    LINEAR_BLOCK times holding one matrix per time.  All matrices come from
+    one stacked evaluation of the family.
     """
 
     def __init__(self, ops: OperatorFamily, times: np.ndarray) -> None:
         self.times = np.asarray(times, dtype=float)
         self.n_noise = ops.n_noise
         n = len(self.times)
-        moving = [p for p in (ops.A,) + ops.Bs if not p.is_constant]
-        if any(p.interpolation == "linear" for p in moving):
-            self.segments = tuple(
-                self._stacked(ops, lo, min(lo + LINEAR_BLOCK, n))
-                for lo in range(0, n, LINEAR_BLOCK)
-            )
-            return
-        nodes = np.array([p.interval_index(self.times) for p in moving]).reshape(-1, n)
-        cuts = np.flatnonzero(np.any(np.diff(nodes, axis=1) != 0, axis=0)) + 1
-        edges = [0, *cuts.tolist(), n]
+        if ops.interpolation == "linear":
+            edges = np.append(np.arange(0, n, LINEAR_BLOCK), n)
+            at = self.times
+            parts = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+        else:
+            nodes = ops.nodes
+            idx = np.zeros(n) if nodes is None else interval_index(nodes, self.times)
+            edges = np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [n]])
+            at = self.times[edges[:-1]]
+            parts = range(len(at))
+        tilde = assemble_tilde_A(ops, at)
+        bs = [bp.at(at) for bp in ops.Bs]
         self.segments = tuple(
-            self._fixed(ops, lo, hi) for lo, hi in zip(edges[:-1], edges[1:])
-        )
-
-    def _fixed(self, ops: OperatorFamily, lo: int, hi: int) -> OperatorSegment:
-        t = float(self.times[lo])
-        tilde = assemble_tilde_A(ops, t)
-        return OperatorSegment(lo, hi, tilde.matrix, tilde.sym_part,
-                               tuple(bp.at(t) for bp in ops.Bs))
-
-    def _stacked(self, ops: OperatorFamily, lo: int, hi: int) -> OperatorSegment:
-        ts = [float(t) for t in self.times[lo:hi]]
-        tildes = [assemble_tilde_A(ops, t) for t in ts]
-        return OperatorSegment(
-            lo, hi,
-            np.stack([x.matrix for x in tildes]),
-            np.stack([x.sym_part for x in tildes]),
-            tuple(np.stack([bp.at(t) for t in ts]) for bp in ops.Bs),
+            OperatorSegment(int(lo), int(hi), tilde.matrix[p], tilde.sym_part[p],
+                            tuple(b[p] for b in bs))
+            for lo, hi, p in zip(edges[:-1], edges[1:], parts)
         )
 
     def _apply(self, states: np.ndarray, pick) -> np.ndarray:
@@ -296,26 +338,27 @@ def galerkin_compress(matrix: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def commutator_C(ops: OperatorFamily, t: float) -> np.ndarray:
-    """sum_k B_k^T (tilde_A B_k - B_k tilde_A) at time t."""
+def commutator_C(ops: OperatorFamily, t) -> np.ndarray:
+    """sum_k B_k^T (tilde_A B_k - B_k tilde_A) at time t, or stacked over an array of times."""
     ta = assemble_tilde_A(ops, t).matrix
     out = np.zeros_like(ta)
     for bp in ops.Bs:
         b = bp.at(t)
-        out += b.T @ (ta @ b - b @ ta)
+        out += b.mT @ (ta @ b - b @ ta)
     return out
 
 
-def operator_norm_v_vprime(matrix: np.ndarray, basis: SpectralBasis) -> float:
+def operator_norm_v_vprime(matrix: np.ndarray, basis: SpectralBasis):
     """Operator norm from V to V', via the eigenvalue weights.
 
     Equals the largest singular value of D^{-1/2} M D^{-1/2} with
-    D = diag(lam_i).
+    D = diag(lam_i).  A float for one matrix, one norm per matrix of a stack.
     """
     matrix = np.asarray(matrix, dtype=float)
     w = 1.0 / np.sqrt(basis.hat_eigenvalues)
     scaled = w[:, None] * matrix * w[None, :]
-    return float(np.linalg.norm(scaled, ord=2))
+    norms = np.linalg.norm(scaled, ord=2, axis=(-2, -1))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 class EigenSolverError(RuntimeError):

@@ -396,13 +396,9 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
             "min_norm_per_path": probe["min_norm_per_path"].tolist(),
         }
         if cfg.r_list:
-            hits = {}
-            for r in cfg.r_list:
-                per_path = [
-                    diag.hitting_time(ens.trajectory(p), r) for p in range(cfg.paths)
-                ]
-                hits[str(r)] = per_path
-            report["hitting_times"] = hits
+            report["hitting_times"] = {
+                str(r): diag.hitting_time(ens, r) for r in cfg.r_list
+            }
 
     if cfg.kind == "check":
         rep = check_all(system.ops, system.basis, np.linspace(0.0, cfg.T, 5))

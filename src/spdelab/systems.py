@@ -47,7 +47,7 @@ class SystemSpec:
 def _commuting(ops: OperatorFamily, tol: float = 1e-12) -> bool:
     """Whether the noise operators commute pairwise over the whole horizon.
 
-    Between adjacent nodes of the union of the B time grids each path is
+    Between adjacent nodes of the family each path is
     B_k = (1-s) L_k + s R_k for s in [0, 1), with R_k = L_k unless it is
     linearly interpolated, so each commutator is the quadratic
         [B_i, B_l] = (1-s)^2 [L_i, L_l] + s^2 [R_i, R_l]
@@ -56,26 +56,28 @@ def _commuting(ops: OperatorFamily, tol: float = 1e-12) -> bool:
     needs this commutativity at every time (Kloeden & Platen, section 10.3).
     """
     bs = ops.Bs
-    grids = [bp.time_grid for bp in bs if bp.time_grid is not None]
-    nodes = np.unique(np.concatenate(grids)) if grids else np.zeros(1)
+    nodes = np.zeros(1) if ops.nodes is None else ops.nodes
+    left = [bp.at(nodes) for bp in bs]
+    ends = np.append(nodes[1:], nodes[-1])
+    right = [bp.at(ends) if bp.interpolation == "linear" else m
+             for bp, m in zip(bs, left)]
+    # per interval: the largest Frobenius norm of its end matrices, at least 1
+    scale = np.max([np.ones(len(nodes))]
+                   + [np.linalg.norm(m, axis=(-2, -1)) for m in left + right], axis=0)
 
     def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         return x @ y - y @ x
 
-    for t0, t1 in zip(nodes, np.append(nodes[1:], nodes[-1])):
-        left = [bp.at(float(t0)) for bp in bs]
-        right = [bp.at(float(t1)) if bp.interpolation == "linear" else m
-                 for bp, m in zip(bs, left)]
-        scale = max([1.0] + [np.linalg.norm(m) for m in left + right])
-        for i in range(len(bs)):
-            for j in range(i + 1, len(bs)):
-                coeffs = (
-                    comm(left[i], left[j]),
-                    comm(right[i], right[j]),
-                    comm(left[i], right[j]) + comm(right[i], left[j]),
-                )
-                if any(np.linalg.norm(c) > tol * scale**2 for c in coeffs):
-                    return False
+    for i in range(len(bs)):
+        for j in range(i + 1, len(bs)):
+            coeffs = (
+                comm(left[i], left[j]),
+                comm(right[i], right[j]),
+                comm(left[i], right[j]) + comm(right[i], left[j]),
+            )
+            if any(np.any(np.linalg.norm(c, axis=(-2, -1)) > tol * scale**2)
+                   for c in coeffs):
+                return False
     return True
 
 

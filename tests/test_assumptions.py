@@ -9,6 +9,7 @@ from spdelab.assumptions import (
     check_all,
     check_coercivity,
     check_commutator_bound,
+    check_differentiability,
     check_first_order_bound,
     check_ladder,
     check_strong_noise_bound,
@@ -260,6 +261,17 @@ def test_k6_piecewise_constant_is_zero():
     ops = OperatorFamily(A=MatrixPath(stack, grid, "constant"), Bs=())
     k6 = k6_table(ops, hat_basis([1.0, 2.0]), np.array([0.25, 0.75]))
     assert np.allclose(k6, 0.0)
+
+
+def test_k6_and_ac1_see_a_linear_noise_under_a_constant_drift():
+    """B(t) = b(t) I, b from 0.1 to 0.9 on [0, 1]: |Ã'(t)| = 0.8 b(t), integral 0.4."""
+    b = MatrixPath(np.stack([0.1 * np.eye(2), 0.9 * np.eye(2)]), np.array([0.0, 1.0]), "linear")
+    ops = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(b,))
+    basis = hat_basis([1.0, 1.0])
+    times = np.array([0.25, 0.5, 0.75])
+    assert np.allclose(k6_table(ops, basis, times), 0.8 * (0.1 + 0.8 * times), atol=1e-8)
+    record = check_differentiability(ops, basis, np.linspace(0.0, 1.0, 5))
+    assert record.constants["k6_integral"] == pytest.approx(0.4, abs=1e-5)
 
 
 # -- full report and ladder -------------------------------------------

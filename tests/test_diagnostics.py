@@ -155,6 +155,18 @@ def test_hitting_time():
     assert diag.hitting_time(traj, 0.0) is None  # never reaches zero
 
 
+def test_hitting_time_of_a_batch_matches_per_path_calls():
+    sys = diag_system(eigs=(1.0, 4.0), noise=((0.8, 0.5),))
+    ens = integrate_ensemble(sys, "euler-maruyama", uniform_grid(2.0, 1e-2), 3, 6)
+    norms = np.linalg.norm(ens.states, axis=-1)
+    # levels hit by every path, by some paths only, and by none
+    for r in (float(np.max(norms[:, -1])), float(np.median(norms[:, -1])), 0.0):
+        per_path = [diag.hitting_time(ens.trajectory(p), r) for p in range(6)]
+        assert diag.hitting_time(ens, r) == per_path
+    assert None in [diag.hitting_time(ens.trajectory(p), float(np.median(norms[:, -1])))
+                    for p in range(6)]
+
+
 # -- Galerkin gaps ----------------------------------------------------
 
 

@@ -36,6 +36,21 @@ def test_strat_to_ito_diagonal():
     assert np.allclose(np.diag(ito.A.at(0.0)), [1.0 - 0.08, 2.0 - 0.18])
 
 
+def test_strat_to_ito_keeps_the_jumps_of_every_noise():
+    """B_0 jumps at t=0.5 and B_1 at t=0.25; the drift must follow both."""
+    b0 = MatrixPath(np.stack([0.1 * np.eye(2), 0.5 * np.eye(2)]), np.array([0.0, 0.5]))
+    b1 = MatrixPath(np.stack([0.2 * np.eye(2), 0.8 * np.eye(2), 0.8 * np.eye(2)]),
+                    np.array([0.0, 0.25, 0.5]))
+    a = np.diag([1.0, 2.0])
+    ito = strat_to_ito(OperatorFamily(A=MatrixPath(a), Bs=(b0, b1)))
+    assert np.array_equal(ito.A.time_grid, [0.0, 0.25, 0.5])
+    assert ito.A.interpolation == "constant"
+    for t in (0.0, 0.1, 0.25, 0.3, 0.49, 0.5):
+        want = a - 0.5 * (b0.at(t) @ b0.at(t) + b1.at(t) @ b1.at(t))
+        np.testing.assert_allclose(ito.A.at(t), want, rtol=1e-15)
+    np.testing.assert_allclose(np.diag(ito.A.at(0.3)), [0.675, 1.675], rtol=1e-15)
+
+
 def test_deterministic_decay_matches_exponential():
     """Noise-free linear drift integrates to exp(-a t) within O(dt)."""
     sys = make_diagonal([1.0, 2.0], np.zeros((1, 2)))

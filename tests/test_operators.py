@@ -1,7 +1,7 @@
 """Operator families, the corrected generator, and matrix utilities."""
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from spdelab.basis import SpectralBasis
 from spdelab.operators import (
@@ -74,6 +74,89 @@ def test_tilde_prime_linear_family():
     stack = np.stack([(1.0 + t) * np.eye(2) for t in grid])
     ops = OperatorFamily(A=MatrixPath(stack, grid, "linear"), Bs=())
     assert np.allclose(ops.tilde_prime_at(0.5), np.eye(2), atol=1e-6)
+
+
+@pytest.mark.parametrize("constant_first", [False, True])
+def test_tilde_prime_of_a_linear_noise_under_a_constant_drift(constant_first):
+    """B(t) = b(t) I with b from 0.1 to 0.9 on [0, 1]: Ã' = -b b' I = -0.8 b(t) I.
+
+    Neither the constant drift nor a constant noise listed first may hide it.
+    """
+    linear = MatrixPath(np.stack([0.1 * np.eye(2), 0.9 * np.eye(2)]),
+                        np.array([0.0, 1.0]), "linear")
+    bs = (MatrixPath(0.2 * np.eye(2)), linear) if constant_first else (linear,)
+    ops = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=bs)
+    assert ops.interpolation == "linear"
+    assert np.allclose(ops.tilde_prime_at(0.5), -0.4 * np.eye(2), atol=1e-8)
+    # at the ends the difference is one-sided, inside the span of the nodes
+    times = np.array([0.0, 0.25, 1.0])
+    stack = ops.tilde_prime_at(times)
+    assert stack.shape == (3, 2, 2)
+    expected = -0.8 * (0.1 + 0.8 * times)
+    assert np.allclose(stack, expected[:, None, None] * np.eye(2), atol=1e-5)
+
+
+def test_tilde_prime_clamps_to_the_span_every_path_covers():
+    """A linear drift on [0, 2] beside a linear noise on [0, 1]."""
+    a = MatrixPath(np.stack([np.eye(2), 3.0 * np.eye(2)]), np.array([0.0, 2.0]), "linear")
+    b = MatrixPath(np.stack([np.zeros((2, 2)), np.eye(2)]), np.array([0.0, 1.0]), "linear")
+    ops = OperatorFamily(A=a, Bs=(b,))
+    assert np.array_equal(ops.nodes, [0.0, 1.0])
+    # d/dt (1 + t - t^2 / 2) = 1 - t, one-sided at t = 1
+    assert np.allclose(ops.tilde_prime_at(1.0), 0.0, atol=1e-5)
+    assert np.allclose(ops.tilde_prime_at(0.5), 0.5 * np.eye(2), atol=1e-8)
+
+
+def test_piecewise_constant_family_has_zero_tilde_prime():
+    grid = np.array([0.0, 0.5, 1.0])
+    b = MatrixPath(np.stack([k * np.eye(2) for k in range(3)]), grid)
+    ops = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(b,))
+    assert ops.interpolation == "constant"
+    assert np.array_equal(ops.tilde_prime_at(np.array([0.25, 0.75])), np.zeros((2, 2, 2)))
+
+
+_PATH_KINDS = ("constant", "piecewise", "linear")
+
+
+def _random_path(kind, n, rng):
+    if kind == "constant":
+        return MatrixPath(rng.standard_normal((n, n)))
+    # each path on its own grid: its own ends and interior nodes
+    ends = [rng.uniform(0.0, 0.3), rng.uniform(0.7, 1.0)]
+    grid = np.unique(np.concatenate([ends, rng.uniform(*ends, size=rng.integers(0, 5))]))
+    values = rng.standard_normal((len(grid), n, n))
+    return MatrixPath(values, grid, "constant" if kind == "piecewise" else kind)
+
+
+def _same_bits(stack, per_time):
+    want = np.stack(per_time)
+    assert stack.shape == want.shape
+    assert np.array_equal(stack.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.lists(st.sampled_from(_PATH_KINDS), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1))
+def test_stacked_evaluation_matches_scalar_calls_bit_for_bit(n, kinds, seed):
+    """at, assemble_tilde_A, commutator_C and Ã' on a time array equal the per-time calls."""
+    rng = np.random.default_rng(seed)
+    paths = [_random_path(kind, n, rng) for kind in kinds]
+    ops = OperatorFamily(A=paths[0], Bs=tuple(paths[1:]))
+    nodes = ops.nodes
+    lo, hi = (0.0, 1.0) if nodes is None else (nodes[0], nodes[-1])
+    times = np.concatenate([[lo, hi], rng.uniform(lo, hi, size=6),
+                            [] if nodes is None else nodes])
+    for path in paths:
+        _same_bits(path.at(times), [path.at(float(t)) for t in times])
+    tilde = assemble_tilde_A(ops, times)
+    per_time = [assemble_tilde_A(ops, float(t)) for t in times]
+    _same_bits(tilde.matrix, [x.matrix for x in per_time])
+    _same_bits(tilde.sym_part, [x.sym_part for x in per_time])
+    _same_bits(commutator_C(ops, times), [commutator_C(ops, float(t)) for t in times])
+    _same_bits(ops.tilde_prime_at(times), [ops.tilde_prime_at(float(t)) for t in times])
+    basis = SpectralBasis(dim=n, hat_eigenvalues=np.arange(1.0, n + 1.0))
+    norms = operator_norm_v_vprime(tilde.matrix, basis)
+    _same_bits(norms, [operator_norm_v_vprime(m, basis) for m in tilde.matrix])
 
 
 @given(st.integers(1, 6), st.integers(1, 6))

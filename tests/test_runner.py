@@ -256,6 +256,17 @@ def test_cli_convergence_needs_two_levels(tmp_path, capsys, levels):
     assert err.startswith("error: --levels") and "Traceback" not in err
 
 
+def test_cli_convergence_blow_up_exits_1(tmp_path, capsys):
+    """Euler-Maruyama at dt=1 on the diagonal system blows up near t=342."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"system": {"name": "diagonal"}, "T": 400, "dt": 1}))
+    assert main(["convergence", "--scheme", "euler-maruyama", "--config", str(path),
+                 "--levels", "2"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: trajectory blew up at t=")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_cli_run_rejects_a_config_of_another_kind(tmp_path, capsys):
     path = minimal_config(tmp_path, kind="check")
     assert main(["simulate", "--config", path]) == 2
