@@ -15,7 +15,6 @@ from .integrator import (
     Trajectory,
     integrate,
     integrate_ensemble,
-    strat_to_ito,
     strong_convergence,
 )
 from .operators import (
@@ -57,7 +56,6 @@ __all__ = [
     "make_system",
     "sample_brownian",
     "spectrum",
-    "strat_to_ito",
     "strong_convergence",
     "sym",
     "uniform_grid",

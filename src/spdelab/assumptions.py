@@ -76,7 +76,7 @@ def check_boundedness(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> Cert
     """Sup over the grid of |A(t)|_{L(V,V')} and of each |B_k(t)|_{L(V,H)}."""
     t_grid = np.asarray(t_grid, dtype=float)
     w = 1.0 / np.sqrt(basis.hat_eigenvalues)
-    bound_a = float(operator_norm_v_vprime(ops.A.at(t_grid), basis).max(initial=0.0))
+    bound_a = float(operator_norm_v_vprime(ops.drift_at(t_grid), basis).max(initial=0.0))
     # L(V, H) norm: largest singular value of B D^{-1/2}
     bound_b = [float(_spectral_norms(bp.at(t_grid) * w[None, :]).max(initial=0.0))
                for bp in ops.Bs]
@@ -119,7 +119,7 @@ def check_coercivity(ops: OperatorFamily, basis: SpectralBasis, alpha: float, t_
         raise ValueError("alpha must be positive")
     t_grid = np.asarray(t_grid, dtype=float)
     d = np.diag(basis.hat_eigenvalues)
-    a = ops.A.at(t_grid)
+    a = ops.drift_at(t_grid)
     btb = np.zeros_like(a)
     for bp in ops.Bs:
         b = bp.at(t_grid)
@@ -232,7 +232,7 @@ def check_strong_noise_bound(
 
     hx = np.linalg.norm(xs, axis=1)
     # (times, samples) tables, maximised over the times
-    ax = np.linalg.norm(xs @ ops.A.at(t_grid).mT, axis=-1).max(axis=0, initial=0.0)
+    ax = np.linalg.norm(xs @ ops.drift_at(t_grid).mT, axis=-1).max(axis=0, initial=0.0)
     num = np.zeros((len(t_grid), len(xs)))
     for bp in ops.Bs:
         num += np.linalg.norm(xs @ bp.at(t_grid).mT, axis=-1)
@@ -281,7 +281,7 @@ def check_weak_A_bound(ops: OperatorFamily, basis: SpectralBasis, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     d = np.diag(basis.hat_eigenvalues)
     lam1 = float(basis.hat_eigenvalues[0])
-    s = sym(ops.A.at(t_grid))
+    s = sym(ops.drift_at(t_grid))
     scale = float(operator_norm_v_vprime(s, basis).max())
     beta_grid = np.unique(np.concatenate([
         np.linspace(0.0, max(scale, 1.0) * 1.5, 61), [1.0]

@@ -68,14 +68,25 @@ def quotient_full(u: np.ndarray, ops: OperatorFamily, t: float, eps: float) -> f
     return base + extra / den**2
 
 
-def eigen_residual(u: np.ndarray, tilde: Union[TildeOperator, np.ndarray], lam: float) -> float:
-    """|(sym(T) - lam) u| / |u|; zero exactly on an eigenpair."""
+def eigen_residual(u: np.ndarray, tilde: Union[TildeOperator, np.ndarray, OperatorSegments],
+                   lam) -> Union[float, np.ndarray]:
+    """|(sym(T) - lam) u| / |u| of one state (N,) or a batch (..., N).
+
+    Zero exactly on an eigenpair.  tilde is one matrix for every state, or
+    the family's OperatorSegments when the states lie on its grid
+    (..., J+1, N); lam broadcasts over the leading axes of u.  The residual
+    is undefined, and NaN, where |u| <= NORM_FLOOR.
+    """
     u = np.asarray(u, dtype=float)
-    nu = np.linalg.norm(u)
-    if nu <= NORM_FLOOR:
-        raise ZeroDivisionError("eigen residual undefined at u=0")
-    m = _sym_matrix(tilde)
-    return float(np.linalg.norm(m @ u - lam * u)) / nu
+    if isinstance(tilde, OperatorSegments):
+        tu = tilde.tilde_applied(u, symmetric=True)
+    else:
+        tu = u @ _sym_matrix(tilde).T
+    nu = np.sqrt(np.sum(u * u, axis=-1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        res = np.linalg.norm(tu - np.asarray(lam)[..., None] * u, axis=-1) / nu
+    res = np.where(nu > NORM_FLOOR, res, np.nan)
+    return float(res) if res.ndim == 0 else res
 
 
 # -- series along a trajectory ----------------------------------------
@@ -421,22 +432,19 @@ def spectral_limit_report(
 
     j1 = quotients.shape[1]
     w0 = max(0, int(np.floor((1.0 - window_frac) * j1)))
+    window = quotients[:, w0:]
+    ests = np.mean(window, axis=-1)
+    nearest = eigenvalues[np.argmin(np.abs(eigenvalues - ests[:, None]), axis=-1)]
+    residuals = eigen_residual(final_states, tilde_sym, nearest)
     paths = []
     for p in range(quotients.shape[0]):
-        window = quotients[p, w0:]
-        est = float(np.mean(window))
-        std = float(np.std(window))
+        est = float(ests[p])
+        std = float(np.std(window[p]))
         settled = std < settle_tol
         if settled:
-            idx = int(np.argmin(np.abs(eigenvalues - est)))
-            matched = float(eigenvalues[idx])
+            matched = float(nearest[p])
             gap = abs(est - matched)
-            u = final_states[p]
-            res = (
-                eigen_residual(u, tilde_sym, matched)
-                if np.linalg.norm(u) > NORM_FLOOR
-                else None
-            )
+            res = None if np.isnan(residuals[p]) else float(residuals[p])
         else:
             matched, gap, res = None, None, None
         paths.append(

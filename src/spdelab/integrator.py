@@ -2,8 +2,10 @@
 
 The drift convention is fixed once: the evolution carries +A and +B on the
 left-hand side, so every scheme applies -A(t)u as drift and -B_k(t)u dw^k
-as diffusion.  Stratonovich-specified systems are converted to Ito form at
-registration (see strat_to_ito), never inside a stepper.
+as diffusion.  The schemes step the Ito form: a Stratonovich family's
+drift carries its Ito correction (OperatorFamily.drift_at).  The stepping
+loop reads every matrix from the family's OperatorSegments on its grid,
+built once; no stepper evaluates a matrix path.
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from .brownian import (
     sample_brownian_ensemble,
     uniform_grid,
 )
-from .operators import MatrixPath, OperatorFamily
+from .operators import OperatorFamily, OperatorSegments
 
 
 class BlowUpError(RuntimeError):
@@ -35,49 +37,66 @@ class SchemeError(ValueError):
     """Scheme is unknown or incompatible with the system's noise."""
 
 
-SCHEMES = ("euler-maruyama", "milstein", "drift-implicit")
-
-
-def strat_to_ito(ops: OperatorFamily) -> OperatorFamily:
-    """Convert a Stratonovich-specified family to the equivalent Ito family.
-
-    Replaces A by A - (1/2) sum_k B_k^2 and leaves the B_k unchanged.  Note
-    the square B_k @ B_k here, as opposed to B_k^T @ B_k in the corrected
-    generator; the two coincide only for symmetric noise operators.  The new
-    drift is exact at the family's nodes and follows the family's
-    interpolation rule between them.
-    """
-    nodes = ops.nodes
-    times = np.zeros(1) if nodes is None else nodes
-    a = ops.A.at(times)
-    corr = np.zeros_like(a)
-    for bp in ops.Bs:
-        b = bp.at(times)
-        corr += b @ b
-    ito = a - 0.5 * corr
-    new_a = (MatrixPath(ito[0]) if nodes is None
-             else MatrixPath(ito, nodes, ops.interpolation))
-    return OperatorFamily(
-        A=new_a, Bs=ops.Bs, A_tilde_prime=ops.A_tilde_prime,
-        F=ops.F, n_witness=ops.n_witness,
-    )
-
-
-def _drift(ops: OperatorFamily, u: np.ndarray, t: float) -> np.ndarray:
-    out = u @ ops.A.at(t).T
-    if ops.F is not None:
-        out = out + ops.F(t, u)
+def _euler_maruyama(F, u, t, dt, dw, drift, noise):
+    out = u @ drift.T
+    if F is not None:
+        out = out + F(t, u)
+    out = u - dt * out
+    for k, b in enumerate(noise):
+        out = out - (u @ b.T) * dw[..., k : k + 1]
     return out
+
+
+def _milstein(F, u, t, dt, dw, drift, noise):
+    out = _euler_maruyama(F, u, t, dt, dw, drift, noise)
+    for k, bk in enumerate(noise):
+        for l, bl in enumerate(noise):
+            area = dw[..., k : k + 1] * dw[..., l : l + 1]
+            if k == l:
+                area = area - dt
+            out = out + 0.5 * (u @ (bk @ bl).T) * area
+    return out
+
+
+def _drift_implicit(F, u, t, dt, dw, drift, noise):
+    rhs = u.copy()
+    if F is not None:
+        rhs = rhs - dt * F(t, u)
+    for k, b in enumerate(noise):
+        rhs = rhs - (u @ b.T) * dw[..., k : k + 1]
+    mat = np.eye(len(drift)) + dt * drift
+    try:
+        sol = np.linalg.solve(mat, rhs[..., None] if rhs.ndim == 1 else rhs.T)
+    except np.linalg.LinAlgError as exc:
+        raise SchemeError(f"singular implicit solve at t={t}: {exc}") from exc
+    return sol[..., 0] if rhs.ndim == 1 else sol.T
+
+
+#: per scheme, the step kernel (F, u, t, dt, dw, drift, noise) and the lag
+#: of its drift: a step from t reads the noise matrices at t and the Ito
+#: drift at t + lag * dt
+_KERNELS = {
+    "euler-maruyama": (_euler_maruyama, 0),
+    "milstein": (_milstein, 0),
+    "drift-implicit": (_drift_implicit, 1),
+}
+
+SCHEMES = tuple(_KERNELS)
+
+
+def _one_step(scheme: str, ops: OperatorFamily, u, t: float, dt: float, dw):
+    """One step of a scheme on the family evaluated directly at t (and t + dt)."""
+    kernel, lag = _KERNELS[scheme]
+    noise = ops.noise_at(t)
+    drift = ops.drift_at(t, noise) if lag == 0 else ops.drift_at(t + dt)
+    return kernel(ops.F, u, t, dt, dw, drift, noise)
 
 
 def step_euler_maruyama(
     ops: OperatorFamily, u: np.ndarray, t: float, dt: float, dw: np.ndarray
 ) -> np.ndarray:
-    """u - dt (A(t)u + F(t,u)) - sum_k B_k(t) u dw_k."""
-    out = u - dt * _drift(ops, u, t)
-    for k, bp in enumerate(ops.Bs):
-        out = out - (u @ bp.at(t).T) * dw[..., k : k + 1]
-    return out
+    """u - dt (A(t)u + F(t,u)) - sum_k B_k(t) u dw_k, with A the Ito drift."""
+    return _one_step("euler-maruyama", ops, u, t, dt, dw)
 
 
 def step_milstein_commutative(
@@ -88,34 +107,17 @@ def step_milstein_commutative(
     Adds (1/2) sum_{k,l} B_k B_l u (dw_k dw_l - delta_kl dt), which is the
     exact Milstein term when the noise family commutes.
     """
-    out = step_euler_maruyama(ops, u, t, dt, dw)
-    mats = [bp.at(t) for bp in ops.Bs]
-    for k, bk in enumerate(mats):
-        for l, bl in enumerate(mats):
-            area = dw[..., k : k + 1] * dw[..., l : l + 1]
-            if k == l:
-                area = area - dt
-            out = out + 0.5 * (u @ (bk @ bl).T) * area
-    return out
+    return _one_step("milstein", ops, u, t, dt, dw)
 
 
 def step_drift_implicit(
     ops: OperatorFamily, u: np.ndarray, t: float, dt: float, dw: np.ndarray
 ) -> np.ndarray:
     """Solve (I + dt A(t+dt)) u' = u - dt F(t,u) - sum_k B_k(t) u dw_k."""
-    rhs = u.copy()
-    if ops.F is not None:
-        rhs = rhs - dt * ops.F(t, u)
-    for k, bp in enumerate(ops.Bs):
-        rhs = rhs - (u @ bp.at(t).T) * dw[..., k : k + 1]
-    mat = np.eye(ops.dim) + dt * ops.A.at(t + dt)
-    try:
-        sol = np.linalg.solve(mat, rhs[..., None] if rhs.ndim == 1 else rhs.T)
-    except np.linalg.LinAlgError as exc:
-        raise SchemeError(f"singular implicit solve at t={t}: {exc}") from exc
-    return sol[..., 0] if rhs.ndim == 1 else sol.T
+    return _one_step("drift-implicit", ops, u, t, dt, dw)
 
 
+#: one step of each scheme on a family evaluated at t and t + dt
 _STEPPERS = {
     "euler-maruyama": step_euler_maruyama,
     "milstein": step_milstein_commutative,
@@ -179,7 +181,7 @@ class EnsembleResult:
 
 
 def _check_scheme(system, scheme: str) -> None:
-    if scheme not in _STEPPERS:
+    if scheme not in _KERNELS:
         raise SchemeError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if scheme == "milstein" and not getattr(system, "commuting_noise", True):
         raise SchemeError("milstein requires a pairwise commuting noise family")
@@ -190,10 +192,13 @@ def _run_steps(ops, u0, times, increments, scheme):
 
     u0 has shape (P, N) and increments (P, J, n).  A path whose state turns
     non-finite is frozen at its last finite state and its blow-up time is
-    recorded; the other paths continue.  Returns the states (P, J+1, N) and
-    the blow-ups {path index: time}.
+    recorded; the other paths continue.  Every step reads its matrices from
+    the family's segments on `times`, built once: step j the noise at grid
+    index j and the drift at index j + lag.  Returns the states (P, J+1, N)
+    and the blow-ups {path index: time}.
     """
-    stepper = _STEPPERS[scheme]
+    kernel, lag = _KERNELS[scheme]
+    segs = OperatorSegments(ops, times)
     dt = float(times[1] - times[0])
     u = np.array(u0, dtype=float)
     states = np.empty((u.shape[0], len(times), u.shape[1]))
@@ -202,7 +207,8 @@ def _run_steps(ops, u0, times, increments, scheme):
     blowups: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(len(times) - 1):
-            new = stepper(ops, u, float(times[j]), dt, increments[:, j, :])
+            new = kernel(ops.F, u, float(times[j]), dt, increments[:, j, :],
+                         segs.at(j + lag).drift, segs.at(j).Bs)
             frozen = ~alive | ~np.all(np.isfinite(new), axis=-1)
             if np.any(frozen):
                 for p in np.flatnonzero(frozen & alive):

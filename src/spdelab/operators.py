@@ -6,9 +6,9 @@ statements reduce to eigenvalue statements about symmetrized matrices.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,25 +93,14 @@ class MatrixPath:
     def at(self, t) -> np.ndarray:
         """Matrix value at time t, or the stack (len(t), N, N) at an array of times.
 
-        A time array takes the same arithmetic per time as a scalar time,
-        so each matrix of the stack equals the scalar call bit for bit.
+        A scalar and an array time take one code path, so each matrix of a
+        stack equals the scalar call bit for bit.
         """
-        if isinstance(t, np.ndarray):
-            return self._stack(t)
+        t = np.asarray(t, dtype=float)
         if self.time_grid is None:
-            return self.values
-        grid = self.time_grid
-        idx = int(interval_index(grid, t))
-        if self.interpolation == "constant" or idx == len(grid) - 1:
-            return self.values[idx]
-        t = min(max(t, grid[0]), grid[-1])
-        w = (t - grid[idx]) / (grid[idx + 1] - grid[idx])
-        return (1.0 - w) * self.values[idx] + w * self.values[idx + 1]
-
-    def _stack(self, t: np.ndarray) -> np.ndarray:
-        # kept apart from the scalar path, which the steppers call once per step
-        if self.time_grid is None:
-            return np.broadcast_to(self.values, t.shape + self.values.shape).copy()
+            out = np.empty(t.shape + self.values.shape)
+            out[...] = self.values
+            return out
         grid = self.time_grid
         idx = interval_index(grid, t)
         if self.interpolation == "constant":
@@ -123,10 +112,6 @@ class MatrixPath:
                       out=np.zeros_like(span), where=span > 0)[..., None, None]
         return (1.0 - w) * self.values[idx] + w * self.values[nxt]
 
-    @staticmethod
-    def zero(dim: int) -> "MatrixPath":
-        return MatrixPath(np.zeros((dim, dim)))
-
 
 @dataclass(frozen=True)
 class OperatorFamily:
@@ -137,27 +122,28 @@ class OperatorFamily:
     applies -A(t)u as drift and -B_k(t)u as diffusion.
 
     Attributes:
-        A: drift operator path (entries in the eigenbasis).
+        A: drift operator path (entries in the eigenbasis), in the form the
+            equation is written in.
         Bs: noise operator paths, one per Wiener component.
-        A_tilde_prime: optional time derivative of the corrected generator;
-            defaults to a finite difference when absent.
         F: optional nonlinearity hook (t, u) -> vector.
-        n_witness: optional t -> bound on |F(t,u)| / ||u||.
+        n_witness: optional bound on |F(t,u)| / ||u||, the same at all times.
+        noise_form: "ito", or "stratonovich" when A is the drift of the
+            Stratonovich equation; drift_at then adds the Ito correction.
     """
 
     A: MatrixPath
     Bs: tuple
-    A_tilde_prime: Optional[MatrixPath] = None
     F: Optional[Callable[[float, np.ndarray], np.ndarray]] = None
-    n_witness: Optional[Callable[[float], float]] = None
+    n_witness: Optional[float] = None
+    noise_form: str = "ito"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "Bs", tuple(self.Bs))
         for b in self.Bs:
             if b.dim != self.A.dim:
                 raise DimensionMismatchError("noise operator dimension differs from drift")
-        if self.A_tilde_prime is not None and self.A_tilde_prime.dim != self.A.dim:
-            raise DimensionMismatchError("derivative operator dimension differs from drift")
+        if self.noise_form not in ("ito", "stratonovich"):
+            raise ValueError(f"unknown noise form {self.noise_form!r}")
 
     @property
     def dim(self) -> int:
@@ -198,6 +184,28 @@ class OperatorFamily:
             return "linear"
         return "constant"
 
+    def noise_at(self, t) -> list:
+        """[B_k(t) for each k], at one time or stacked over an array of times."""
+        return [bp.at(t) for bp in self.Bs]
+
+    def drift_at(self, t, noise: Optional[list] = None) -> np.ndarray:
+        """Ito drift at t, or stacked over an array of times.
+
+        A(t) for an Ito family, and A(t) - (1/2) sum_k B_k(t)^2 for a
+        Stratonovich one (Kloeden & Platen, section 4.9).  Note the square
+        B_k @ B_k here, as opposed to B_k^T @ B_k in the corrected generator;
+        the two coincide only for symmetric noise operators.  Every path is
+        evaluated at t itself, so the drift is exact at every time.  `noise`
+        passes the B_k(t) of a caller that already has them.
+        """
+        a = self.A.at(t)
+        if self.noise_form == "ito":
+            return a
+        corr = np.zeros(a.shape)
+        for b in self.noise_at(t) if noise is None else noise:
+            corr += b @ b
+        return a - 0.5 * corr
+
     def tilde_prime_at(self, t, dt: float = 1e-6) -> np.ndarray:
         """Derivative of the corrected generator at t, or stacked over an array of times.
 
@@ -205,8 +213,6 @@ class OperatorFamily:
         piecewise constant; otherwise a centred difference clamped to the
         span of the nodes.
         """
-        if self.A_tilde_prime is not None:
-            return self.A_tilde_prime.at(t)
         zero = np.zeros(np.shape(t) + (self.dim, self.dim))
         if self.interpolation == "constant":
             return zero
@@ -220,11 +226,22 @@ class OperatorFamily:
 
 @dataclass(frozen=True)
 class TildeOperator:
-    """Corrected generator A(t) - (1/2) sum_k B_k(t)^T B_k(t) at a fixed time."""
+    """Corrected generator A(t) - (1/2) sum_k B_k(t)^T B_k(t) at a fixed time.
+
+    A(t) is the family's Ito drift (OperatorFamily.drift_at).
+    """
 
     matrix: np.ndarray
     sym_part: np.ndarray
     t: object  # a float, or the array of times of a stack
+
+
+def _corrected(drift: np.ndarray, noise: list) -> np.ndarray:
+    """Ito drift minus (1/2) sum_k B_k^T B_k, for one time or a stack."""
+    corr = np.zeros(drift.shape)
+    for b in noise:
+        corr += b.mT @ b
+    return drift - 0.5 * corr
 
 
 def assemble_tilde_A(ops: OperatorFamily, t) -> TildeOperator:
@@ -232,12 +249,8 @@ def assemble_tilde_A(ops: OperatorFamily, t) -> TildeOperator:
 
     At an array of times every field is a stack with one matrix per time.
     """
-    a = ops.A.at(t)
-    corr = np.zeros_like(a)
-    for bp in ops.Bs:
-        b = bp.at(t)
-        corr += b.mT @ b
-    m = a - 0.5 * corr
+    noise = ops.noise_at(t)
+    m = _corrected(ops.drift_at(t, noise), noise)
     return TildeOperator(matrix=m, sym_part=sym(m), t=t)
 
 
@@ -247,51 +260,76 @@ LINEAR_BLOCK = 128
 
 @dataclass(frozen=True)
 class OperatorSegment:
-    """Corrected generator and noise matrices on the grid indices [start, stop).
+    """Ito drift, noise matrices and corrected generator on the grid indices [start, stop).
 
     A matrix is (N, N) when it holds on the whole segment, or a stack
-    (stop - start, N, N) with one matrix per grid time.
+    (stop - start, N, N) with one matrix per grid time.  Ã and its
+    symmetric part are built from the drift and the noise on first use, so
+    stepping, which reads only those two, never builds them.
     """
 
     start: int
     stop: int
-    tilde: np.ndarray
-    tilde_sym: np.ndarray
+    drift: np.ndarray
     Bs: tuple
+
+    @cached_property
+    def tilde(self) -> np.ndarray:
+        return _corrected(self.drift, self.Bs)
+
+    @cached_property
+    def tilde_sym(self) -> np.ndarray:
+        return sym(self.tilde)
 
 
 class OperatorSegments:
-    """A family on one time grid, with Ã and each B_k built once per segment.
+    """A family on one time grid, with the Ito drift, each B_k and Ã built once per segment.
 
     A segment is a run of grid times on which every matrix of the family is
     fixed: one for a constant family, and one per interval between the
     family's nodes when its paths are piecewise constant.  A linear path
     changes at every time, so its family is cut into blocks of at most
-    LINEAR_BLOCK times holding one matrix per time.  All matrices come from
-    one stacked evaluation of the family.
+    LINEAR_BLOCK times holding one matrix per time.  The matrices come from
+    stacked evaluations of the family, one for all segments or one per
+    linear block; the steppers and the diagnostics read them from here.
     """
 
     def __init__(self, ops: OperatorFamily, times: np.ndarray) -> None:
         self.times = np.asarray(times, dtype=float)
         self.n_noise = ops.n_noise
         n = len(self.times)
+
+        def evaluate(at: np.ndarray):
+            noise = ops.noise_at(at)
+            return ops.drift_at(at, noise), noise
+
         if ops.interpolation == "linear":
+            # block by block, so no temporary outgrows one block
             edges = np.append(np.arange(0, n, LINEAR_BLOCK), n)
-            at = self.times
-            parts = [slice(lo, hi) for lo, hi in zip(edges[:-1], edges[1:])]
+            mats = [evaluate(self.times[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
         else:
             nodes = ops.nodes
             idx = np.zeros(n) if nodes is None else interval_index(nodes, self.times)
             edges = np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [n]])
-            at = self.times[edges[:-1]]
-            parts = range(len(at))
-        tilde = assemble_tilde_A(ops, at)
-        bs = [bp.at(at) for bp in ops.Bs]
+            drift, noise = evaluate(self.times[edges[:-1]])
+            mats = [(drift[p], [b[p] for b in noise]) for p in range(len(drift))]
         self.segments = tuple(
-            OperatorSegment(int(lo), int(hi), tilde.matrix[p], tilde.sym_part[p],
-                            tuple(b[p] for b in bs))
-            for lo, hi, p in zip(edges[:-1], edges[1:], parts)
+            OperatorSegment(int(lo), int(hi), drift, tuple(noise))
+            for lo, hi, (drift, noise) in zip(edges[:-1], edges[1:], mats)
         )
+        # the number of the segment holding each grid index
+        self._owner = np.repeat(np.arange(len(self.segments)), np.diff(edges)).tolist()
+
+    def at(self, j: int) -> OperatorSegment:
+        """The matrices at grid index j, as a segment holding that index alone.
+
+        A segment whose matrices hold on all its indices is returned as it is.
+        """
+        seg = self.segments[self._owner[j]]
+        if seg.drift.ndim == 2:
+            return seg
+        i = j - seg.start
+        return OperatorSegment(j, j + 1, seg.drift[i], tuple(b[i] for b in seg.Bs))
 
     def _apply(self, states: np.ndarray, pick) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -383,47 +421,3 @@ def spectrum(matrix: np.ndarray, symmetric: bool = False):
         raise EigenSolverError(f"eigen solver did not converge: {exc}") from exc
     order = np.argsort(vals.real, kind="stable")
     return vals[order], vecs[:, order]
-
-
-# -- matrix import / export -------------------------------------------
-
-
-def export_family(ops: OperatorFamily, path_prefix: str) -> None:
-    """Write a family as CSV matrices plus a small JSON header."""
-    header = {
-        "dim": ops.dim,
-        "n": ops.n_noise,
-        "time_grid": None if ops.A.time_grid is None else ops.A.time_grid.tolist(),
-        "interpolation": ops.A.interpolation,
-    }
-    with open(path_prefix + ".json", "w") as fh:
-        json.dump(header, fh, indent=2)
-
-    def dump(name: str, mp: MatrixPath) -> None:
-        stack = mp.values if mp.time_grid is not None else mp.values[None, :, :]
-        flat = stack.reshape(stack.shape[0] * stack.shape[1], stack.shape[2])
-        np.savetxt(path_prefix + f".{name}.csv", flat, delimiter=",")
-
-    dump("A", ops.A)
-    for k, b in enumerate(ops.Bs):
-        dump(f"B{k}", b)
-
-
-def import_family(path_prefix: str) -> OperatorFamily:
-    """Read a family written by export_family."""
-    with open(path_prefix + ".json") as fh:
-        header = json.load(fh)
-    dim = header["dim"]
-    grid = header["time_grid"]
-    interp = header.get("interpolation", "constant")
-
-    def load(name: str) -> MatrixPath:
-        flat = np.loadtxt(path_prefix + f".{name}.csv", delimiter=",", ndmin=2)
-        if grid is None:
-            return MatrixPath(flat.reshape(dim, dim))
-        stack = flat.reshape(len(grid), dim, dim)
-        return MatrixPath(stack, np.asarray(grid), interp)
-
-    a = load("A")
-    bs = tuple(load(f"B{k}") for k in range(header["n"]))
-    return OperatorFamily(A=a, Bs=bs)

@@ -258,10 +258,7 @@ def _constants_for(system: SystemSpec, t_grid: np.ndarray):
     else:
         k6_coarse = k6_table(system.ops, system.basis, coarse)
         k6 = np.interp(t_grid, coarse, k6_coarse)
-    if system.ops.n_witness is not None:
-        n_tab = np.array([system.ops.n_witness(float(t)) for t in t_grid])
-    else:
-        n_tab = np.zeros(len(t_grid))
+    n_tab = np.full(len(t_grid), system.ops.n_witness or 0.0)
     return k1, k2, k6, n_tab
 
 
@@ -289,7 +286,7 @@ def _diagnostic_blocks(system: SystemSpec, ens, segs: OperatorSegments,
         lam = diag.quotient_series(block, segs, eps)
         table = np.empty(states.shape[:-1] + (len(DIAG_COLUMNS),))
         table[..., 0] = block.times
-        table[..., 1] = norm_h = basis.norm_h(states)
+        table[..., 1] = basis.norm_h(states)
         table[..., 2] = basis.norm_v(states)
         table[..., 3] = basis.norm_d(states)
         table[..., 4] = lam
@@ -297,11 +294,7 @@ def _diagnostic_blocks(system: SystemSpec, ens, segs: OperatorSegments,
         table[..., 5] = lam + np.sum(diag.rho_series(block, segs, eps) ** 2, axis=-1)
         table[..., 6] = m
         table[..., 7] = diag.psi_series(block, segs, max(eps, 1e-300), martingale=m)
-        # eigen_residual of the quotient, undefined on vanishing states
-        tu = segs.tilde_applied(states, symmetric=True)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            res = np.linalg.norm(tu - lam[..., None] * states, axis=-1) / norm_h
-        table[..., 8] = np.where(norm_h > diag.NORM_FLOOR, res, np.nan)
+        table[..., 8] = diag.eigen_residual(states, segs, lam)
         table[..., 9] = diag.envelope_series(block, segs, eps, K2=k2, K6=k6,
                                              n_table=n_tab, martingale=m)
         table[..., 10], _ = diag.bound_process_X(block, segs, eps, K1=k1, K2=k2, K6=k6,

@@ -1,10 +1,10 @@
 """Ready-made operator families with documented continuum reductions.
 
 Every factory returns a SystemSpec whose operators act in the orthonormal
-eigenbasis of the norm-defining operator of its Gelfand triple.  Families
-specified in Stratonovich form are converted to Ito form at registration;
-the stored ops are always the Ito-form drift plus the unchanged noise
-operators.
+eigenbasis of the norm-defining operator of its Gelfand triple.  Every
+shipped family is written in Stratonovich form: ops.A is the Stratonovich
+drift, ops.noise_form says so, and ops.drift_at(t) evaluates the Ito drift
+A(t) - (1/2) sum_k B_k(t)^2 at any time.
 
 Shipped systems:
     diagonal            closed-form oracle backbone (decoupled geometric modes)
@@ -15,31 +15,27 @@ Shipped systems:
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from .basis import SpectralBasis
-from .integrator import strat_to_ito
-from .operators import MatrixPath, OperatorFamily, assemble_tilde_A
+from .operators import MatrixPath, OperatorFamily
 
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One named system: basis, Ito-form operators, and metadata."""
+    """One named system: basis, operators, and metadata."""
 
     name: str
     basis: SpectralBasis
     ops: OperatorFamily
-    noise_form: str  # form of the original specification
     commuting_noise: bool
     u0: np.ndarray
     oracle: Optional[object] = None
 
     def __post_init__(self) -> None:
-        if self.noise_form not in ("ito", "stratonovich"):
-            raise ValueError(f"unknown noise form {self.noise_form!r}")
         if self.u0.shape != (self.basis.dim,):
             raise ValueError("initial state does not match basis dimension")
 
@@ -125,8 +121,8 @@ def make_diagonal(
 
     The drift is chosen so that the corrected generator is exactly
     diag(tilde_eigs): with B_k = diag(b_k) the registered Stratonovich drift
-    is diag(tilde_eigs + sum_k b_k^2), which the conversion and the noise
-    correction reduce back to diag(tilde_eigs).
+    is diag(tilde_eigs + sum_k b_k^2), which the Ito and the noise
+    corrections reduce back to diag(tilde_eigs).
 
     Certificates on the defaults: ac0-ac4, ac6 certified; ac5, ac7 depend on
     sign-definiteness of tilde_eigs (empirical fallback when indefinite).
@@ -139,8 +135,7 @@ def make_diagonal(
         raise ValueError("noise coefficient rows must match the mode count")
     a_strat = np.diag(eigs + np.sum(b**2, axis=0))
     bs = tuple(MatrixPath(np.diag(row)) for row in b)
-    strat = OperatorFamily(A=MatrixPath(a_strat), Bs=bs)
-    ops = strat_to_ito(strat)
+    ops = OperatorFamily(A=MatrixPath(a_strat), Bs=bs, noise_form="stratonovich")
     basis = SpectralBasis(
         dim=len(eigs),
         hat_eigenvalues=np.maximum.accumulate(np.maximum(np.abs(eigs), 1.0)),
@@ -148,7 +143,7 @@ def make_diagonal(
     )
     start = np.ones(len(eigs)) if u0 is None else np.asarray(u0, dtype=float)
     return SystemSpec(
-        name="diagonal", basis=basis, ops=ops, noise_form="stratonovich",
+        name="diagonal", basis=basis, ops=ops,
         commuting_noise=_commuting(ops), u0=start,
         oracle=DiagonalOracle(tilde_eigs=eigs, noise_coeffs=b),
     )
@@ -257,16 +252,13 @@ def make_torus_heat_scalar_noise(
             lower += multiplication_matrix(fn, dim)
         basis0 = torus_basis(dim)
         w = 1.0 / np.sqrt(basis0.hat_eigenvalues)
-        bound = float(np.linalg.norm(lower * w[None, :], ord=2))
+        n_witness = float(np.linalg.norm(lower * w[None, :], ord=2))
 
         def f_hook(t, u, _m=lower):
             return -(u @ _m.T)
 
-        def n_witness(t, _b=bound):
-            return _b
-
-    strat = OperatorFamily(A=a_strat, Bs=tuple(bs), F=f_hook, n_witness=n_witness)
-    ops = strat_to_ito(strat)
+    ops = OperatorFamily(A=a_strat, Bs=tuple(bs), F=f_hook, n_witness=n_witness,
+                         noise_form="stratonovich")
     basis = torus_basis(dim)
     if u0 is None:
         start = np.zeros(dim)
@@ -275,8 +267,7 @@ def make_torus_heat_scalar_noise(
         start = np.asarray(u0, dtype=float)
     return SystemSpec(
         name="torus-heat-scalar", basis=basis, ops=ops,
-        noise_form="stratonovich", commuting_noise=_commuting(ops),
-        u0=start,
+        commuting_noise=_commuting(ops), u0=start,
     )
 
 
@@ -301,8 +292,7 @@ def make_torus_heat_gradient_noise(
     for s in sigma_fields:
         fn = _const(s) if np.isscalar(s) else s
         bs.append(MatrixPath(multiplication_matrix(fn, dim) @ d))
-    strat = OperatorFamily(A=a_strat, Bs=tuple(bs))
-    ops = strat_to_ito(strat)
+    ops = OperatorFamily(A=a_strat, Bs=tuple(bs), noise_form="stratonovich")
     basis = torus_basis(dim)
     if u0 is None:
         start = np.zeros(dim)
@@ -311,8 +301,7 @@ def make_torus_heat_gradient_noise(
         start = np.asarray(u0, dtype=float)
     return SystemSpec(
         name="torus-heat-gradient", basis=basis, ops=ops,
-        noise_form="stratonovich", commuting_noise=_commuting(ops),
-        u0=start,
+        commuting_noise=_commuting(ops), u0=start,
     )
 
 
@@ -343,6 +332,10 @@ def make_coupled_torus(
     dim = n * modes
     lap = laplacian_matrix(modes)
     a_strat = MatrixPath(np.kron(np.eye(n), lap))
+    lam = np.kron(np.ones(n), torus_frequencies(modes) ** 2 + 1.0)
+    order = np.argsort(lam, kind="stable")
+    # the whole family is permuted so the basis eigenvalues are nondecreasing
+    perm = np.eye(dim)[order]
 
     if h_tables is None:
         base = np.zeros((1, n, n, n))
@@ -379,25 +372,15 @@ def make_coupled_torus(
         if c_matrix.shape != (n, n):
             raise ValueError("coupling matrix must be n x n")
         coupling = np.kron(c_matrix, np.eye(modes))
-        bound = float(np.linalg.norm(coupling, ord=2))
+        n_witness = float(np.linalg.norm(coupling, ord=2))
 
-        def f_hook(t, u, _m=coupling):
+        def f_hook(t, u, _m=perm @ coupling @ perm.T):
             return -(u @ _m.T)
 
-        def n_witness(t, _b=bound):
-            return _b
-
-    strat = OperatorFamily(A=a_strat, Bs=tuple(bs), F=f_hook, n_witness=n_witness)
-    ops = strat_to_ito(strat)
-    lam = np.kron(np.ones(n), torus_frequencies(modes) ** 2 + 1.0)
-    order = np.argsort(lam, kind="stable")
-    # reorder the whole family so the basis eigenvalues are nondecreasing
-    perm = np.eye(dim)[order]
     ops = OperatorFamily(
-        A=_permute_path(ops.A, perm),
-        Bs=tuple(_permute_path(b, perm) for b in ops.Bs),
-        F=None if f_hook is None else (lambda t, u, _m=perm @ coupling @ perm.T: -(u @ _m.T)),
-        n_witness=n_witness,
+        A=_permute_path(a_strat, perm),
+        Bs=tuple(_permute_path(b, perm) for b in bs),
+        F=f_hook, n_witness=n_witness, noise_form="stratonovich",
     )
     basis = SpectralBasis(dim=dim, hat_eigenvalues=lam[order], label="coupled-torus")
     if u0 is None:
@@ -407,8 +390,7 @@ def make_coupled_torus(
         start = np.asarray(u0, dtype=float)
     return SystemSpec(
         name="coupled-torus", basis=basis, ops=ops,
-        noise_form="stratonovich", commuting_noise=_commuting(ops),
-        u0=start,
+        commuting_noise=_commuting(ops), u0=start,
     )
 
 
@@ -553,10 +535,8 @@ def make_nse_2d(
     den = np.sqrt(np.sum(lam * x * x, axis=-1)) * np.linalg.norm(viscosity * lam * v, axis=-1)
     k_est = float(np.max(num[den > 0] / den[den > 0], initial=0.0))
 
-    strat = OperatorFamily(
-        A=a_strat, Bs=bs, F=f_hook, n_witness=lambda t, _k=k_est: _k
-    )
-    ops = strat_to_ito(strat)
+    ops = OperatorFamily(A=a_strat, Bs=bs, F=f_hook, n_witness=k_est,
+                         noise_form="stratonovich")
     basis = SpectralBasis(dim=geom.dim, hat_eigenvalues=lam, label="nse-2d")
     if u0 is None:
         start = np.zeros(geom.dim)
@@ -565,8 +545,7 @@ def make_nse_2d(
         start = np.asarray(u0, dtype=float)
     spec = SystemSpec(
         name="nse-2d", basis=basis, ops=ops,
-        noise_form="stratonovich", commuting_noise=_commuting(ops),
-        u0=start,
+        commuting_noise=_commuting(ops), u0=start,
     )
     object.__setattr__(spec, "geometry", geom)
     return spec

@@ -357,8 +357,8 @@ def _linear_family(T):
     ops = OperatorFamily(A=MatrixPath(a, nodes, "linear"),
                          Bs=(MatrixPath(b, nodes, "linear"),))
     basis = SpectralBasis(dim=4, hat_eigenvalues=np.array([1.0, 2.0, 4.0, 8.0]))
-    return SystemSpec(name="linear", basis=basis, ops=ops, noise_form="ito",
-                      commuting_noise=False, u0=np.ones(4))
+    return SystemSpec(name="linear", basis=basis, ops=ops, commuting_noise=False,
+                      u0=np.ones(4))
 
 
 def _assert_columns_match(actual, desired):

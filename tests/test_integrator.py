@@ -12,43 +12,98 @@ from spdelab.integrator import (
     integrate,
     integrate_ensemble,
     measure_nonlinearity_witness,
-    strat_to_ito,
     strong_convergence,
 )
 from spdelab.operators import MatrixPath, OperatorFamily
-from spdelab.systems import _commuting, make_diagonal, make_system, torus_basis
+from spdelab.systems import SystemSpec, _commuting, make_diagonal, make_system, torus_basis
 
 
-def test_strat_to_ito_uses_operator_square():
+def test_stratonovich_drift_uses_operator_square():
     """Drift correction is B @ B, not B^T @ B."""
     a = np.zeros((2, 2))
     b = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent: b @ b = 0
-    ops = OperatorFamily(A=MatrixPath(a), Bs=(MatrixPath(b),))
-    ito = strat_to_ito(ops)
-    assert np.allclose(ito.A.at(0.0), 0.0)  # b^T b would give diag(0, 1)
+    ops = OperatorFamily(A=MatrixPath(a), Bs=(MatrixPath(b),), noise_form="stratonovich")
+    assert np.allclose(ops.drift_at(0.0), 0.0)  # b^T b would give diag(0, 1)
 
 
-def test_strat_to_ito_diagonal():
+def test_stratonovich_drift_diagonal():
     ops = OperatorFamily(
-        A=MatrixPath(np.diag([1.0, 2.0])), Bs=(MatrixPath(np.diag([0.4, 0.6])),)
+        A=MatrixPath(np.diag([1.0, 2.0])), Bs=(MatrixPath(np.diag([0.4, 0.6])),),
+        noise_form="stratonovich",
     )
-    ito = strat_to_ito(ops)
-    assert np.allclose(np.diag(ito.A.at(0.0)), [1.0 - 0.08, 2.0 - 0.18])
+    assert np.allclose(np.diag(ops.drift_at(0.0)), [1.0 - 0.08, 2.0 - 0.18])
+    ito = OperatorFamily(A=ops.A, Bs=ops.Bs)
+    assert np.array_equal(ito.drift_at(0.0), np.diag([1.0, 2.0]))
 
 
-def test_strat_to_ito_keeps_the_jumps_of_every_noise():
+def test_stratonovich_drift_keeps_the_jumps_of_every_noise():
     """B_0 jumps at t=0.5 and B_1 at t=0.25; the drift must follow both."""
     b0 = MatrixPath(np.stack([0.1 * np.eye(2), 0.5 * np.eye(2)]), np.array([0.0, 0.5]))
     b1 = MatrixPath(np.stack([0.2 * np.eye(2), 0.8 * np.eye(2), 0.8 * np.eye(2)]),
                     np.array([0.0, 0.25, 0.5]))
     a = np.diag([1.0, 2.0])
-    ito = strat_to_ito(OperatorFamily(A=MatrixPath(a), Bs=(b0, b1)))
-    assert np.array_equal(ito.A.time_grid, [0.0, 0.25, 0.5])
-    assert ito.A.interpolation == "constant"
-    for t in (0.0, 0.1, 0.25, 0.3, 0.49, 0.5):
+    ops = OperatorFamily(A=MatrixPath(a), Bs=(b0, b1), noise_form="stratonovich")
+    assert np.array_equal(ops.nodes, [0.0, 0.25, 0.5])
+    assert ops.interpolation == "constant"
+    times = np.array([0.0, 0.1, 0.25, 0.3, 0.49, 0.5])
+    for t, stacked in zip(times, ops.drift_at(times)):
         want = a - 0.5 * (b0.at(t) @ b0.at(t) + b1.at(t) @ b1.at(t))
-        np.testing.assert_allclose(ito.A.at(t), want, rtol=1e-15)
-    np.testing.assert_allclose(np.diag(ito.A.at(0.3)), [0.675, 1.675], rtol=1e-15)
+        np.testing.assert_allclose(ops.drift_at(t), want, rtol=1e-15)
+        assert np.array_equal(stacked, ops.drift_at(t))
+    np.testing.assert_allclose(np.diag(ops.drift_at(0.3)), [0.675, 1.675], rtol=1e-15)
+
+
+def _linear_drift_jumping_noise():
+    """A linear from I to 2I on [0, 1]; B = 0, then I from t=0.5 (grid [0, 0.5])."""
+    a = MatrixPath(np.stack([np.eye(2), 2.0 * np.eye(2)]), np.array([0.0, 1.0]), "linear")
+    b = MatrixPath(np.stack([np.zeros((2, 2)), np.eye(2)]), np.array([0.0, 0.5]))
+    return OperatorFamily(A=a, Bs=(b,), noise_form="stratonovich")
+
+
+def test_stratonovich_drift_exact_between_nodes():
+    """The Ito drift of a linear A under a jumping B is exact at every time,
+    not interpolated between the family's nodes."""
+    ops = _linear_drift_jumping_noise()
+    np.testing.assert_allclose(ops.drift_at(0.25), 1.25 * np.eye(2), rtol=1e-15)
+    times = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
+    want = [(1.0 + t - 0.5 * (t >= 0.5)) * np.eye(2) for t in times]
+    np.testing.assert_allclose(ops.drift_at(times), want, rtol=1e-15)
+
+
+@pytest.mark.parametrize("scheme", ["euler-maruyama", "drift-implicit"])
+def test_run_steps_uses_the_exact_drift(scheme):
+    """Zero increments: the steps follow A(t) - B(t)^2 / 2 evaluated directly."""
+    ops = _linear_drift_jumping_noise()
+    grid = uniform_grid(0.5, 0.01)
+    u0 = np.random.default_rng(1).standard_normal((3, 2))
+    states, _ = _run_steps(ops, u0, grid, np.zeros((3, len(grid) - 1, 1)), scheme)
+    a, b = ops.A, ops.Bs[0]
+    dt = float(grid[1] - grid[0])
+    u = u0
+    for j in range(len(grid) - 1):
+        if scheme == "euler-maruyama":
+            t = grid[j]
+            u = u - dt * u @ (a.at(t) - 0.5 * b.at(t) @ b.at(t)).T
+        else:
+            t = grid[j + 1]
+            u = np.linalg.solve(np.eye(2) + dt * (a.at(t) - 0.5 * b.at(t) @ b.at(t)), u.T).T
+        np.testing.assert_allclose(states[:, j + 1], u, rtol=1e-12)
+
+
+def test_run_steps_evaluates_no_matrix_path_per_step(monkeypatch):
+    calls = []
+    at = MatrixPath.at
+    monkeypatch.setattr(MatrixPath, "at", lambda self, t: calls.append(t) or at(self, t))
+    system = _coupled_piecewise()
+    counts = []
+    for scheme in ("euler-maruyama", "drift-implicit"):
+        for T in (0.05, 0.2):
+            grid = uniform_grid(T, 5e-3)
+            calls.clear()
+            inc = np.zeros((2, len(grid) - 1, system.ops.n_noise))
+            _run_steps(system.ops, np.ones((2, system.ops.dim)), grid, inc, scheme)
+            counts.append(len(calls))
+    assert counts[0] == counts[1] == counts[2] == counts[3] > 0
 
 
 def test_deterministic_decay_matches_exponential():
@@ -227,8 +282,28 @@ def _coupled_piecewise():
                        h_tables=tables, h_time_grid=nodes)
 
 
+def _linear_jump_system():
+    """A linear from diag(1, 2) to diag(2, 4) on [0, 1]; diagonal B_0 jumps at
+    t=0.1025, off the test grid, and B_1 is linear and off-diagonal."""
+    nodes = np.array([0.0, 1.0])
+    a = MatrixPath(np.stack([np.diag([1.0, 2.0]), np.diag([2.0, 4.0])]), nodes, "linear")
+    b0 = MatrixPath(np.stack([np.diag([0.3, 0.2]), np.diag([0.5, 0.1]), np.diag([0.5, 0.1])]),
+                    np.array([0.0, 0.1025, 1.0]))
+    b1 = MatrixPath(np.stack([[[0.1, 0.2], [0.0, 0.1]], [[0.3, 0.0], [0.4, 0.2]]]), nodes,
+                    "linear")
+    ops = OperatorFamily(A=a, Bs=(b0, b1), noise_form="stratonovich")
+    return SystemSpec(name="linear-jump", basis=torus_basis(2), ops=ops,
+                      commuting_noise=_commuting(ops), u0=np.ones(2))
+
+
+_STEP_SYSTEMS = {
+    "diagonal": lambda: make_system("diagonal"),
+    "coupled-piecewise": lambda: _coupled_piecewise(),
+    "linear-jump": _linear_jump_system,
+}
 _STEP_CASES = [("diagonal", s) for s in ("euler-maruyama", "milstein", "drift-implicit")]
-_STEP_CASES += [("coupled-piecewise", s) for s in ("euler-maruyama", "drift-implicit")]
+_STEP_CASES += [(f, s) for f in ("coupled-piecewise", "linear-jump")
+                for s in ("euler-maruyama", "drift-implicit")]
 
 
 @settings(max_examples=20, deadline=None)
@@ -237,7 +312,7 @@ _STEP_CASES += [("coupled-piecewise", s) for s in ("euler-maruyama", "drift-impl
 def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
     """_run_steps on a (P, N) batch equals P single-path loops."""
     family, scheme = case
-    system = make_system("diagonal") if family == "diagonal" else _coupled_piecewise()
+    system = _STEP_SYSTEMS[family]()
     grid = uniform_grid(0.2, 5e-3)
     inc = sample_brownian_ensemble(system.ops.n_noise, grid, seed, n_paths)
     rng = np.random.default_rng(seed)

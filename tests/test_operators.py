@@ -10,9 +10,7 @@ from spdelab.operators import (
     TimeRangeError,
     assemble_tilde_A,
     commutator_C,
-    export_family,
     galerkin_compress,
-    import_family,
     operator_norm_v_vprime,
     spectrum,
     sym,
@@ -205,20 +203,6 @@ def test_spectrum_sorted_and_orthonormal():
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.allclose(vecs.T @ vecs, np.eye(6), atol=1e-10)
     assert np.allclose(m @ vecs, vecs @ np.diag(vals), atol=1e-10)
-
-
-def test_export_import_roundtrip(tmp_path):
-    rng = np.random.default_rng(5)
-    grid = np.linspace(0.0, 1.0, 4)
-    a = MatrixPath(rng.standard_normal((4, 3, 3)), grid, "linear")
-    b = MatrixPath(rng.standard_normal((4, 3, 3)), grid, "linear")
-    ops = OperatorFamily(A=a, Bs=(b,))
-    prefix = str(tmp_path / "family")
-    export_family(ops, prefix)
-    back = import_family(prefix)
-    assert np.allclose(back.A.values, a.values)
-    assert np.allclose(back.Bs[0].values, b.values)
-    assert np.allclose(back.A.time_grid, grid)
 
 
 @given(st.floats(0.1, 3.0))

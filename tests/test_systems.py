@@ -52,7 +52,7 @@ def test_diagonal_quotient_limit():
 
 def test_diagonal_pure_heat_modes():
     sys = make_diagonal([1.0, 4.0, 9.0], np.zeros((1, 3)))
-    assert np.allclose(sys.ops.A.at(0.0), np.diag([1.0, 4.0, 9.0]))
+    assert np.allclose(sys.ops.drift_at(0.0), np.diag([1.0, 4.0, 9.0]))
 
 
 # -- torus machinery --------------------------------------------------
@@ -111,7 +111,7 @@ def test_scalar_noise_first_order_terms_enter_hook():
     u[0] = 1.0  # constant in space: b du/dx = 0, c u = 0.1 u
     f = sys.ops.F(0.0, u)
     assert np.allclose(f, -0.1 * u, atol=1e-12)
-    assert sys.ops.n_witness(0.0) > 0
+    assert sys.ops.n_witness > 0
 
 
 # -- torus heat with gradient noise -----------------------------------
@@ -134,7 +134,7 @@ def test_gradient_noise_ito_drift_amplified():
     """Ito conversion adds sigma^2/2 times the Laplacian to the drift."""
     s = 0.6
     sys = make_torus_heat_gradient_noise(dim=8, sigma_fields=(s,))
-    a = sys.ops.A.at(0.0)
+    a = sys.ops.drift_at(0.0)
     # the highest cos mode loses its sin partner under truncation, so the
     # amplification is exact on interior frequencies only
     interior = slice(0, 7)
@@ -165,7 +165,7 @@ def test_coupled_torus_single_component_reduces_to_scalar_noise():
     b = sys.ops.Bs[0].at(0.0)
     assert np.allclose(b, 0.5 * np.eye(6), atol=1e-12)
     scalar = make_torus_heat_scalar_noise(dim=6, c_coeffs=(0.5,))
-    assert np.allclose(sys.ops.A.at(0.0), scalar.ops.A.at(0.0), atol=1e-12)
+    assert np.allclose(sys.ops.drift_at(0.0), scalar.ops.drift_at(0.0), atol=1e-12)
 
 
 def test_coupled_torus_rejects_bad_tables():
@@ -322,7 +322,7 @@ def test_nse_witness_constant_matches_loop(mpd, viscosity):
         if den > 0:
             k_loop = max(k_loop, num / den)
     assert k_loop > 0
-    assert sys.ops.n_witness(0.0) == pytest.approx(k_loop, rel=1e-12)
+    assert sys.ops.n_witness == pytest.approx(k_loop, rel=1e-12)
 
 
 def test_nse_corrected_generator_shifts_by_noise_square():
@@ -359,6 +359,6 @@ def test_stratonovich_conversion_matches_hand_converted_ito():
     Ito system with the same increments."""
     c = 0.5
     sys = make_torus_heat_scalar_noise(dim=6, c_coeffs=(c,))
-    a_ito = sys.ops.A.at(0.0)
+    a_ito = sys.ops.drift_at(0.0)
     expect = laplacian_matrix(6) - 0.5 * c**2 * np.eye(6)
     assert np.allclose(a_ito, expect, atol=1e-12)
