@@ -33,7 +33,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_run(args) -> int:
     cfg = load_config(args.config, kind=args.kind)
-    manifest = run(cfg)
+    try:
+        manifest = run(cfg)
+    except OSError as exc:  # a failed write of the run's outputs
+        print(f"error: cannot write the run's outputs: {exc}", file=sys.stderr)
+        return 1
     print(json.dumps(report_summary(manifest.run_dir), indent=2, sort_keys=True))
     return 0
 

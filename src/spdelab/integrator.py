@@ -187,22 +187,25 @@ def _check_scheme(system, scheme: str) -> None:
         raise SchemeError("milstein requires a pairwise commuting noise family")
 
 
-def _run_steps(ops, u0, times, increments, scheme):
+def _run_steps(ops, u0, times, increments, scheme, final_only=False):
     """The one loop over time steps, for a batch of paths.
 
     u0 has shape (P, N) and increments (P, J, n).  A path whose state turns
     non-finite is frozen at its last finite state and its blow-up time is
     recorded; the other paths continue.  Every step reads its matrices from
     the family's segments on `times`, built once: step j the noise at grid
-    index j and the drift at index j + lag.  Returns the states (P, J+1, N)
-    and the blow-ups {path index: time}.
+    index j and the drift at index j + lag.  Returns the states (P, J+1, N),
+    or with final_only just the final states (P, N), and the blow-ups
+    {path index: time}.
     """
     kernel, lag = _KERNELS[scheme]
     segs = OperatorSegments(ops, times)
     dt = float(times[1] - times[0])
     u = np.array(u0, dtype=float)
-    states = np.empty((u.shape[0], len(times), u.shape[1]))
-    states[:, 0, :] = u
+    states = None
+    if not final_only:
+        states = np.empty((u.shape[0], len(times), u.shape[1]))
+        states[:, 0, :] = u
     alive = np.ones(u.shape[0], dtype=bool)
     blowups: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
@@ -215,9 +218,10 @@ def _run_steps(ops, u0, times, increments, scheme):
                     blowups[int(p)] = float(times[j + 1])
                 alive &= ~frozen
                 new[frozen] = u[frozen]
-            states[:, j + 1, :] = new
+            if states is not None:
+                states[:, j + 1, :] = new
             u = new
-    return states, blowups
+    return (u if final_only else states), blowups
 
 
 def _raise_on_blowup(blowups: dict) -> None:
@@ -286,17 +290,18 @@ def strong_convergence(
     fine = uniform_grid(T, dt / 2**levels)
     inc = sample_brownian_ensemble(system.ops.n_noise, fine, seed, n_paths)
     u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
-    ref, blowups = _run_steps(system.ops, u0b, fine, inc, scheme)
+    ref, blowups = _run_steps(system.ops, u0b, fine, inc, scheme, final_only=True)
     _raise_on_blowup(blowups)
     dts, mean_errors = [], []
     for lev in range(levels):
         factor = 2 ** (levels - lev)
         times = fine[::factor]
-        states, blowups = _run_steps(
-            system.ops, u0b, times, coarsen_increments(inc, factor), scheme
+        final, blowups = _run_steps(
+            system.ops, u0b, times, coarsen_increments(inc, factor), scheme,
+            final_only=True,
         )
         _raise_on_blowup(blowups)
-        err = np.linalg.norm(states[:, -1] - ref[:, -1], axis=-1)
+        err = np.linalg.norm(final - ref, axis=-1)
         dts.append(float(times[1] - times[0]))
         mean_errors.append(float(np.mean(err)))
     slope = float(np.polyfit(np.log(dts), np.log(mean_errors), 1)[0])

@@ -240,8 +240,82 @@ def _resolve_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(_output_root(), f"{cfg.kind}-{cfg.digest()[:12]}")
 
 
-def _write_csv(path: str, header: tuple, rows: np.ndarray) -> None:
-    np.savetxt(path, rows, delimiter=",", header=",".join(header), comments="")
+def _csv_text(header: tuple, rows: np.ndarray) -> str:
+    """The text np.savetxt(fmt="%.18e", delimiter=",", comments="") writes
+    for a 2-D table, built in one `%` operation instead of one per row."""
+    n_rows, n_cols = rows.shape
+    line = ",".join(("%.18e",) * n_cols) + "\n"
+    return ",".join(header) + "\n" + (line * n_rows) % tuple(rows.ravel().tolist())
+
+
+def _write_table(path: str, header: tuple, rows: np.ndarray) -> None:
+    """Write one CSV table; the unit of work of a persistence worker."""
+    with open(path, "w", encoding="latin1") as fh:
+        fh.write(_csv_text(header, rows))
+
+
+#: values a run must format before its CSVs go to worker processes.  Forking
+#: and shutting down a pool costs ~20 ms, and a worker gains only while a
+#: second CPU is free.  On a shared 2-vCPU host, runs of 176k values were 3%
+#: slower with a worker and runs of 528k values 44% faster.
+PARALLEL_MIN_FLOATS = 2**18
+
+
+def _persist_workers(n_floats: int) -> int:
+    """Worker processes that help the parent format n_floats values.
+
+    One per usable CPU beyond the parent's own, and none for a small run,
+    on one CPU or where processes cannot be forked.
+    """
+    if n_floats < PARALLEL_MIN_FLOATS:
+        return 0
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    if cpus < 2:
+        return 0
+    import multiprocessing
+
+    if "fork" not in multiprocessing.get_all_start_methods():
+        return 0
+    return cpus - 1
+
+
+def _write_csv(jobs, n_floats: int) -> None:
+    """Write every (path, header, rows) job; return once all files are written.
+
+    With workers, at most two tables per worker wait in the pool, and the
+    parent writes a table itself whenever the pool is full instead of
+    waiting.  The first failed write is re-raised here, and the pool is shut
+    down, its processes and threads joined, before this returns or raises.
+    Workers are forked, not spawned: a spawned worker would import numpy
+    again, and the run holds no thread of its own when it forks.
+    """
+    workers = _persist_workers(n_floats)
+    if not workers:
+        for job in jobs:
+            _write_table(*job)
+        return
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, wait
+
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
+    pending: set = set()
+    try:
+        for job in jobs:
+            if len(pending) < 2 * workers:
+                pending.add(pool.submit(_write_table, *job))
+            else:
+                _write_table(*job)
+            done = {f for f in pending if f.done()}
+            pending -= done
+            for f in done:
+                f.result()
+        for f in wait(pending).done:
+            f.result()
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
 
 
 def _constants_for(system: SystemSpec, t_grid: np.ndarray):
@@ -307,7 +381,12 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     cfg.validate()
     system = build_system(cfg)
     run_dir = _resolve_dir(cfg)
-    os.makedirs(run_dir, exist_ok=True)
+    try:
+        os.makedirs(run_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"config key 'output_dir': cannot create the run directory: {exc}"
+        ) from exc
     os.makedirs(os.path.join(run_dir, "diagnostics"), exist_ok=True)
     if cfg.write_paths:
         os.makedirs(os.path.join(run_dir, "paths"), exist_ok=True)
@@ -324,21 +403,24 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     consts = _constants_for(system, grid)
     per_block = _paths_per_block(len(grid), system.basis.dim, system.ops.n_noise)
     quots = np.empty((cfg.paths, len(grid)))
-    for lo, table in _diagnostic_blocks(system, ens, segs, eps, cfg.delta, *consts,
-                                        per_block):
-        quots[lo:lo + len(table)] = table[..., 4]
-        for p, rows in enumerate(table, start=lo):
-            rel = os.path.join("diagnostics", f"{p}.csv")
-            _write_csv(os.path.join(run_dir, rel), DIAG_COLUMNS, rows)
-            outputs.append(rel)
-            if cfg.write_paths:
-                rel = os.path.join("paths", f"{p}.csv")
-                header = ("t",) + tuple(f"u{i}" for i in range(system.basis.dim))
-                _write_csv(
-                    os.path.join(run_dir, rel), header,
-                    np.column_stack([grid, ens.states[p]]),
-                )
+    path_header = ("t",) + tuple(f"u{i}" for i in range(system.basis.dim))
+
+    def jobs():
+        for lo, table in _diagnostic_blocks(system, ens, segs, eps, cfg.delta,
+                                            *consts, per_block):
+            quots[lo:lo + len(table)] = table[..., 4]
+            for p, rows in enumerate(table, start=lo):
+                rel = os.path.join("diagnostics", f"{p}.csv")
                 outputs.append(rel)
+                yield os.path.join(run_dir, rel), DIAG_COLUMNS, rows
+                if cfg.write_paths:
+                    rel = os.path.join("paths", f"{p}.csv")
+                    outputs.append(rel)
+                    yield (os.path.join(run_dir, rel), path_header,
+                           np.column_stack([grid, ens.states[p]]))
+
+    row_floats = len(DIAG_COLUMNS) + cfg.write_paths * len(path_header)
+    _write_csv(jobs(), cfg.paths * len(grid) * row_floats)
 
     report = _build_report(cfg, system, ens, segs, eps, quots)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:

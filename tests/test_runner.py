@@ -1,10 +1,15 @@
 """Config handling, run orchestration, persistence, and the CLI."""
+import io
 import json
+import multiprocessing
 import os
+import pathlib
+import threading
 
 import numpy as np
 import pytest
 
+from spdelab import runner
 from spdelab.cli import main
 from spdelab.runner import (
     ConfigError,
@@ -125,12 +130,47 @@ def test_run_writes_expected_layout(tmp_path):
     assert header == "t,norm_h,norm_v,norm_d2,quotient,quotient_full,M,psi,residual,S,X"
 
 
-def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch):
-    """Every file of a run, the manifest included, repeats byte for byte."""
+def use_writer(monkeypatch, writer):
+    """Write a run's CSVs inline, or in worker processes whatever its size."""
+    if writer == "inline":
+        monkeypatch.setattr(runner, "PARALLEL_MIN_FLOATS", 2**62)
+    else:
+        monkeypatch.setattr(runner, "PARALLEL_MIN_FLOATS", 0)
+        if not runner._persist_workers(0):
+            pytest.skip("worker processes need two usable CPUs and fork")
+
+
+def _savetxt_text(header, rows):
+    out = io.StringIO()
+    np.savetxt(out, rows, fmt="%.18e", delimiter=",", header=",".join(header),
+               comments="")
+    return out.getvalue()
+
+
+_EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
+                -2.5e-300, 1e100, 1.0 / 3.0, -7.0]
+
+
+@pytest.mark.parametrize("rows", [
+    np.array(_EDGE_VALUES * 3).reshape(3, -1),
+    np.array([_EDGE_VALUES]),
+    np.array(_EDGE_VALUES)[:, None],
+    np.random.default_rng(5).standard_normal((1001, 11)) * 1e-200,
+], ids=["edge-values", "one-row", "one-column", "tiny-exponents"])
+def test_csv_text_is_savetxt_byte_for_byte(rows):
+    header = tuple(f"c{i}" for i in range(rows.shape[1]))
+    assert runner._csv_text(header, rows) == _savetxt_text(header, rows)
+
+
+@pytest.mark.parametrize("writer", ["inline", "fanned-out"])
+def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch, writer):
+    """Every file of a run, the manifest included, repeats byte for byte, and
+    a rerun that writes its CSVs in worker processes writes the same bytes."""
     path = minimal_config(tmp_path, output_dir=None, write_paths=True, r_list=[0.5],
                           N_list=[1, 2])
     dirs = []
-    for root in ("first", "second"):
+    for root, rerun_writer in (("first", "inline"), ("second", writer)):
+        use_writer(monkeypatch, rerun_writer)
         monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / root))
         dirs.append(run(load_config(path)).run_dir)
     assert dirs[0] != dirs[1]
@@ -140,7 +180,7 @@ def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch):
     assert files[0] == files[1]
     assert len(files[0]) == 2 * 2 + 2  # per path: diagnostics and raw states
     for rel in files[0]:
-        a, b = (open(os.path.join(d, rel), "rb").read() for d in dirs)
+        a, b = (pathlib.Path(d, rel).read_bytes() for d in dirs)
         assert a == b, rel
 
 
@@ -281,6 +321,30 @@ def test_cli_run_gives_its_kind_to_a_config_without_one(tmp_path, capsys):
     with open(tmp_path / "out" / "report.json") as fh:
         report = json.load(fh)
     assert report["kind"] == "backward-probe" and "spectral_limit" not in report
+
+
+@pytest.mark.parametrize("blocker, code, named", [
+    ("out", 2, "'output_dir'"),
+    (os.path.join("out", "diagnostics", "0.csv"), 1, "0.csv"),
+])
+def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch,
+                                                   blocker, code, named):
+    """A run directory that is a file is a config error; a CSV path that is a
+    directory fails the write in a worker process.  Neither leaves a worker
+    process or a pool thread behind."""
+    use_writer(monkeypatch, "fanned-out")
+    path = minimal_config(tmp_path)
+    if blocker == "out":
+        (tmp_path / blocker).write_text("")
+    else:
+        os.makedirs(tmp_path / blocker)
+    threads = threading.active_count()
+    assert main(["simulate", "--config", path]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
 
 
 def test_cli_bad_config_returns_error(tmp_path, capsys):
