@@ -254,35 +254,49 @@ def _write_table(path: str, header: tuple, rows: np.ndarray) -> None:
         fh.write(_csv_text(header, rows))
 
 
-#: values a run must format before its CSVs go to worker processes.  Forking
-#: and shutting down a pool costs ~20 ms, and a worker gains only while a
-#: second CPU is free.  On a shared 2-vCPU host, runs of 176k values were 3%
-#: slower with a worker and runs of 528k values 44% faster.
+#: values a run must format per worker process it forks.  Forking and
+#: shutting down a pool costs ~20 ms, and a worker gains only while a second
+#: CPU is free.  On a shared 2-vCPU host, runs of 176k values were 3% slower
+#: with a worker and runs of 528k values 44% faster.
 PARALLEL_MIN_FLOATS = 2**18
 
 
-def _persist_workers(n_floats: int) -> int:
-    """Worker processes that help the parent format n_floats values.
+def _os_threads() -> int:
+    """OS threads of this process, or 0 where they cannot be counted."""
+    try:
+        return len(os.listdir("/proc/self/task"))
+    except OSError:
+        return 0
 
-    One per usable CPU beyond the parent's own, and none for a small run,
-    on one CPU or where processes cannot be forked.
+
+def _persist_workers(n_floats: int, n_tables: int) -> int:
+    """Worker processes to help the parent format n_floats values in n_tables.
+
+    One per PARALLEL_MIN_FLOATS values, capped by the tables and by the
+    usable CPUs beyond the parent's own.  None where processes cannot be
+    forked, or unless this process runs one OS thread, as counted in
+    /proc/self/task: forking a multi-threaded process may deadlock the
+    child.  numpy's OpenBLAS starts a thread per CPU unless
+    OPENBLAS_NUM_THREADS=1, so by default a run writes its CSVs itself.
     """
-    if n_floats < PARALLEL_MIN_FLOATS:
+    workers = min(n_floats // max(PARALLEL_MIN_FLOATS, 1), n_tables)
+    if workers < 1:
         return 0
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:
         cpus = os.cpu_count() or 1
-    if cpus < 2:
+    workers = min(workers, cpus - 1)
+    if workers < 1 or _os_threads() != 1:
         return 0
     import multiprocessing
 
     if "fork" not in multiprocessing.get_all_start_methods():
         return 0
-    return cpus - 1
+    return workers
 
 
-def _write_csv(jobs, n_floats: int) -> None:
+def _write_csv(jobs, n_floats: int, n_tables: int) -> None:
     """Write every (path, header, rows) job; return once all files are written.
 
     With workers, at most two tables per worker wait in the pool, and the
@@ -290,9 +304,9 @@ def _write_csv(jobs, n_floats: int) -> None:
     waiting.  The first failed write is re-raised here, and the pool is shut
     down, its processes and threads joined, before this returns or raises.
     Workers are forked, not spawned: a spawned worker would import numpy
-    again, and the run holds no thread of its own when it forks.
+    again, and they are forked only from a single-threaded process.
     """
-    workers = _persist_workers(n_floats)
+    workers = _persist_workers(n_floats, n_tables)
     if not workers:
         for job in jobs:
             _write_table(*job)
@@ -384,9 +398,9 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     try:
         os.makedirs(run_dir, exist_ok=True)
     except OSError as exc:
-        raise ConfigError(
-            f"config key 'output_dir': cannot create the run directory: {exc}"
-        ) from exc
+        source = ("config key 'output_dir'" if cfg.output_dir
+                  else "environment variable SPDELAB_OUTPUT_ROOT")
+        raise ConfigError(f"{source}: cannot create the run directory: {exc}") from exc
     os.makedirs(os.path.join(run_dir, "diagnostics"), exist_ok=True)
     if cfg.write_paths:
         os.makedirs(os.path.join(run_dir, "paths"), exist_ok=True)
@@ -420,7 +434,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
                            np.column_stack([grid, ens.states[p]]))
 
     row_floats = len(DIAG_COLUMNS) + cfg.write_paths * len(path_header)
-    _write_csv(jobs(), cfg.paths * len(grid) * row_floats)
+    _write_csv(jobs(), cfg.paths * len(grid) * row_floats,
+               cfg.paths * (1 + cfg.write_paths))
 
     report = _build_report(cfg, system, ens, segs, eps, quots)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:

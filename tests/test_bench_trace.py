@@ -35,7 +35,7 @@ TRACED_RUN = textwrap.dedent("""
     start = time.perf_counter()
     tracer.span("runner.run", runner.run)(cfg)
     root_s = time.perf_counter() - start
-    print(json.dumps({"root_s": root_s, "workers": runner._persist_workers(0),
+    print(json.dumps({"root_s": root_s, "workers": runner._persist_workers(1, 1),
                       **spans.layer_metrics(tracer, "runner.run")}))
 """)
 

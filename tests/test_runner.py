@@ -136,8 +136,8 @@ def use_writer(monkeypatch, writer):
         monkeypatch.setattr(runner, "PARALLEL_MIN_FLOATS", 2**62)
     else:
         monkeypatch.setattr(runner, "PARALLEL_MIN_FLOATS", 0)
-        if not runner._persist_workers(0):
-            pytest.skip("worker processes need two usable CPUs and fork")
+        if not runner._persist_workers(1, 1):
+            pytest.skip("worker processes need two usable CPUs, fork and one thread")
 
 
 def _savetxt_text(header, rows):
@@ -326,17 +326,22 @@ def test_cli_run_gives_its_kind_to_a_config_without_one(tmp_path, capsys):
 @pytest.mark.parametrize("blocker, code, named", [
     ("out", 2, "'output_dir'"),
     (os.path.join("out", "diagnostics", "0.csv"), 1, "0.csv"),
+    ("root", 2, "SPDELAB_OUTPUT_ROOT"),
 ])
 def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                                    blocker, code, named):
-    """A run directory that is a file is a config error; a CSV path that is a
-    directory fails the write in a worker process.  Neither leaves a worker
-    process or a pool thread behind."""
-    use_writer(monkeypatch, "fanned-out")
-    path = minimal_config(tmp_path)
-    if blocker == "out":
+    """A run directory that is a file is a config error naming where the
+    directory came from; a CSV path that is a directory fails the write in a
+    worker process.  Neither leaves a worker process or a pool thread behind."""
+    if blocker == "root":
+        path = minimal_config(tmp_path, output_dir=None)
+        monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / blocker))
+    else:
+        path = minimal_config(tmp_path)
+    if code == 2:
         (tmp_path / blocker).write_text("")
     else:
+        use_writer(monkeypatch, "fanned-out")
         os.makedirs(tmp_path / blocker)
     threads = threading.active_count()
     assert main(["simulate", "--config", path]) == code
@@ -345,6 +350,27 @@ def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch
     assert err.count("\n") == 1 and "Traceback" not in err
     assert multiprocessing.active_children() == []
     assert threading.active_count() == threads
+
+
+def test_a_multithreaded_run_writes_its_csvs_itself(tmp_path, monkeypatch):
+    """While another OS thread runs, even a run forced to fan out writes
+    every table in its own process: it never forks."""
+    use_writer(monkeypatch, "fanned-out")
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        assert runner._persist_workers(2**40, 100) == 0
+
+        def no_fork():
+            raise AssertionError("a multi-threaded run forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        manifest = run(load_config(minimal_config(tmp_path)))
+    finally:
+        release.set()
+        other.join()
+    assert len(os.listdir(os.path.join(manifest.run_dir, "diagnostics"))) == 2
 
 
 def test_cli_bad_config_returns_error(tmp_path, capsys):
