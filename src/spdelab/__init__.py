@@ -5,6 +5,13 @@ eigenbasis, checks that nonzero solutions never reach zero, tracks the
 Rayleigh-type quotient of the corrected generator to its spectral limit,
 and certifies the structural operator conditions numerically.
 """
+# numpy >= 2 imports these on first use.  Runs sample with numpy.random,
+# np.unique imports numpy.ma, and nse-2d transforms with numpy.fft; loading
+# them with the package keeps a run's first call free of library imports.
+import numpy.fft  # noqa: F401
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .basis import DimensionMismatchError, SpectralBasis, inner_h, inner_v
 from .brownian import BrownianPath, GridError, sample_brownian, uniform_grid
 from .integrator import (

@@ -14,7 +14,6 @@ from typing import Optional
 
 import numpy as np
 
-from .basis import SpectralBasis
 from .brownian import (
     BrownianPath,
     coarsen_increments,
@@ -307,26 +306,3 @@ def strong_convergence(
     slope = float(np.polyfit(np.log(dts), np.log(mean_errors), 1)[0])
     return {"scheme": scheme, "dts": dts, "mean_errors": mean_errors, "slope": slope}
 
-
-def measure_nonlinearity_witness(
-    traj: Trajectory, ops: OperatorFamily, basis: SpectralBasis
-):
-    """Per-step ratio |F(t,u)| / ||u|| and the trapezoidal value of its square.
-
-    Returns (table, integral) where table has shape (J+1,).  The integral of
-    the squared witness being finite is the standing hypothesis on the
-    nonlinearity's growth.
-    """
-    if ops.F is None:
-        table = np.zeros(len(traj.times))
-        return table, 0.0
-    table = np.empty(len(traj.times))
-    for j, t in enumerate(traj.times):
-        u = traj.states[j]
-        nv = basis.norm_v(u)
-        if nv == 0.0:
-            table[j] = 0.0
-        else:
-            table[j] = np.linalg.norm(ops.F(float(t), u)) / nv
-    integral = float(np.trapezoid(table**2, traj.times))
-    return table, integral

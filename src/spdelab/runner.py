@@ -95,6 +95,13 @@ def build_system(cfg: "ExperimentConfig") -> SystemSpec:
             f"config key 'u0' has {len(cfg.u0)} entries; system "
             f"{system.name!r} has dimension {dim}"
         )
+    start = system.u0 if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
+    for key, values in (("delta", (cfg.delta,)), ("eps_list", cfg.eps_list)):
+        if 0 in values and not np.any(start):
+            raise ConfigError(
+                f"config key {key!r} is zero and so is the start u0: every path "
+                f"stays at zero, where |u|^2 + {key} vanishes"
+            )
     if any(not 0 < n <= dim for n in cfg.N_list):
         raise ConfigError(
             f"config key 'N_list': section sizes must lie in [1, {dim}], "
@@ -154,6 +161,8 @@ class ExperimentConfig:
             raise ConfigError("config key 'r_list' must be nonnegative")
         if any(e < 0 for e in self.eps_list):
             raise ConfigError("config key 'eps_list' must be nonnegative")
+        if self.delta < 0:
+            raise ConfigError(f"config key 'delta' must be nonnegative, got {self.delta!r}")
         if len(self.eps_list) > 1:
             raise ConfigError(
                 "config key 'eps_list' takes at most one entry; a run computes "

@@ -18,7 +18,7 @@ from spdelab.assumptions import (
     k6_table,
 )
 from spdelab.basis import SpectralBasis
-from spdelab.operators import MatrixPath, OperatorFamily, sym
+from spdelab.operators import MatrixPath, OperatorFamily, assemble_tilde_A, sym
 from spdelab.systems import derivative_matrix, make_torus_heat_gradient_noise
 
 T_GRID = np.array([0.0])
@@ -237,6 +237,45 @@ def test_first_order_indefinite_falls_back_to_empirical():
     assert record.status == EMPIRICAL
 
 
+def _sqrt_and_inverse(s, iterations=60):
+    """Denman-Beavers iteration: (S^{1/2}, S^{-1/2}) of a definite S."""
+    y, z = s, np.eye(len(s))
+    for _ in range(iterations):
+        y, z = 0.5 * (y + np.linalg.inv(z)), 0.5 * (z + np.linalg.inv(y))
+    return y, z
+
+
+def test_first_order_mixed_times_match_per_time_roots():
+    """sym(Ã(t)) turns definite partway through the grid: every definite time
+    gets the exact constant, and the sampled ones flag the record."""
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+    grid = np.linspace(0.0, 1.0, 5)
+    skew = rng.standard_normal((3, 3))
+    a = np.stack([q @ np.diag([4.0 * t - 1.5, 2.0, 5.0]) @ q.T + 0.3 * (skew - skew.T)
+                  for t in grid])
+    b = rng.standard_normal((2, 3, 3))
+    ops = OperatorFamily(
+        A=MatrixPath(a, grid, "linear"),
+        Bs=(MatrixPath(np.stack([0.2 * b[0], 0.4 * b[0]]), grid[[0, -1]], "linear"),
+            MatrixPath(0.1 * b[1])),
+    )
+    times = np.linspace(0.0, 1.0, 9)
+    tables, record = check_first_order_bound(ops, hat_basis([1.0, 2.0, 3.0]), times)
+    assert record.status == EMPIRICAL and not record.constants["certified"]
+    s_all = assemble_tilde_A(ops, times).sym_part
+    definite = np.linalg.eigvalsh(s_all)[:, 0] > 1e-12
+    assert 0 < definite.sum() < len(times)
+    for j in np.flatnonzero(definite):
+        s = s_all[j]
+        root, root_inv = _sqrt_and_inverse(s)
+        np.testing.assert_allclose(root @ root, s, rtol=1e-12, atol=1e-12)
+        for k, bp in enumerate(ops.Bs):
+            want = np.linalg.norm(sym(root @ bp.at(times[j]) @ root_inv), ord=2)
+            assert tables[k, j] == pytest.approx(want, rel=1e-12)
+    assert np.all(tables[:, ~definite] > 0.0)
+
+
 # -- K6 ---------------------------------------------------------------
 
 
@@ -270,7 +309,7 @@ def test_k6_and_ac1_see_a_linear_noise_under_a_constant_drift():
     basis = hat_basis([1.0, 1.0])
     times = np.array([0.25, 0.5, 0.75])
     assert np.allclose(k6_table(ops, basis, times), 0.8 * (0.1 + 0.8 * times), atol=1e-8)
-    record = check_differentiability(ops, basis, np.linspace(0.0, 1.0, 5))
+    _, record = check_differentiability(ops, basis, np.linspace(0.0, 1.0, 5))
     assert record.constants["k6_integral"] == pytest.approx(0.4, abs=1e-5)
 
 

@@ -11,7 +11,6 @@ from spdelab.integrator import (
     _run_steps,
     integrate,
     integrate_ensemble,
-    measure_nonlinearity_witness,
     strong_convergence,
 )
 from spdelab.operators import MatrixPath, OperatorFamily
@@ -239,22 +238,6 @@ def test_milstein_exact_for_pure_noise_single_step():
     u0 = 1.0
     expect = u0 * (1 - b**2 / 2 * dt - b * dw + 0.5 * b**2 * (dw**2 - dt))
     assert traj.states[-1, 0] == pytest.approx(expect, rel=1e-12)
-
-
-def test_nonlinearity_witness_zero_without_F():
-    sys = make_diagonal([1.0], [[0.1]])
-    traj = integrate(sys, "euler-maruyama", uniform_grid(0.1, 0.01), seed=0)
-    table, integral = measure_nonlinearity_witness(traj, sys.ops, sys.basis)
-    assert np.all(table == 0.0)
-    assert integral == 0.0
-
-
-def test_nonlinearity_witness_quadratic_system():
-    sys = make_system("nse-2d", modes_per_dim=2)
-    traj = integrate(sys, "drift-implicit", uniform_grid(0.1, 0.01), seed=0)
-    table, integral = measure_nonlinearity_witness(traj, sys.ops, sys.basis)
-    assert np.all(np.isfinite(table))
-    assert integral >= 0.0
 
 
 # -- the batched stepping core against per-path loops ------------------

@@ -4,6 +4,9 @@ import json
 import multiprocessing
 import os
 import pathlib
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -79,6 +82,8 @@ def test_load_rejects_bad_values(tmp_path):
         load_config(minimal_config(tmp_path, write_paths=1))
     with pytest.raises(ConfigError, match="'master_seed'"):
         load_config(minimal_config(tmp_path, master_seed=-1))
+    with pytest.raises(ConfigError, match="'delta' must be nonnegative"):
+        load_config(minimal_config(tmp_path, delta=-0.5))
     with pytest.raises(ConfigError, match="bogus"):
         load_config(minimal_config(tmp_path, system={"name": "diagonal", "bogus": 1}))
     with pytest.raises(ConfigError, match="unknown system"):
@@ -101,6 +106,11 @@ def test_run_rejects_values_that_do_not_fit_the_system(tmp_path):
     with pytest.raises(ConfigError, match="'N_list'.*\\[1, 2\\]"):
         run(cfg)
     assert not os.path.exists(tmp_path / "out")
+    for key, value in (("delta", 0.0), ("eps_list", [0.0])):  # a path that stays at zero
+        cfg = load_config(minimal_config(tmp_path, u0=[0.0, 0.0], **{key: value}))
+        with pytest.raises(ConfigError, match=f"'{key}' is zero and so is the start u0"):
+            run(cfg)
+        assert not os.path.exists(tmp_path / "out")
     with pytest.raises(ConfigError, match="'r_list'"):
         load_config(minimal_config(tmp_path, r_list=[-0.5]))
 
@@ -373,6 +383,33 @@ def test_a_multithreaded_run_writes_its_csvs_itself(tmp_path, monkeypatch):
     assert len(os.listdir(os.path.join(manifest.run_dir, "diagnostics"))) == 2
 
 
+NUMPY_ONLY = textwrap.dedent("""
+    import sys
+    sys.modules["scipy"] = None  # any scipy import now raises ImportError
+    import numpy as np
+    import spdelab, spdelab.cli, spdelab.runner as runner
+    from spdelab.assumptions import check_all
+
+    system = runner.make_system("diagonal")
+    report = check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5), samples=200)
+    assert report.status("ac7") == "certified"
+    cfg = runner.ExperimentConfig(system={"name": "diagonal"}, T=0.05, dt=1e-2,
+                                  paths=2, output_dir=sys.argv[1])
+    runner.run(cfg)
+""")
+
+
+def test_spdelab_runs_without_scipy(tmp_path):
+    """The package, its CLI, the certificates and a run need numpy alone."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, str(tmp_path / "out")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert len(os.listdir(tmp_path / "out" / "diagnostics")) == 2
+
+
 def test_cli_bad_config_returns_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
@@ -387,6 +424,11 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
      {"system": {"name": "nse-2d", "modes_per_dim": "4"}, "T": 0.5, "dt": 0.01}),
     ("u0 of wrong length",
      {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01, "u0": [1.0, 2.0]}),
+    ("negative delta", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01, "delta": -0.5}),
+    ("zero delta, zero start", {"system": {"name": "diagonal", "u0": [0.0, 0.0, 0.0]},
+                                "T": 0.5, "dt": 0.01, "delta": 0.0}),
+    ("zero eps, zero start", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01,
+                              "eps_list": [0.0], "u0": [0.0, 0.0, 0.0]}),
 ])
 @pytest.mark.parametrize("command", ["simulate", "check", "convergence"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, name, body, command):
@@ -398,3 +440,4 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, name, body, command):
     assert main(argv) == 2, name
     err = capsys.readouterr().err
     assert err.startswith("error: config") and "Traceback" not in err
+    assert err.count("\n") == 1
