@@ -28,7 +28,6 @@ from .operators import (
     MatrixPath,
     OperatorFamily,
     OperatorSegments,
-    TildeOperator,
     assemble_tilde_A,
     galerkin_compress,
     spectrum,
@@ -51,7 +50,6 @@ __all__ = [
     "SchemeError",
     "SpectralBasis",
     "SystemSpec",
-    "TildeOperator",
     "Trajectory",
     "assemble_tilde_A",
     "galerkin_compress",

@@ -171,7 +171,7 @@ def check_commutator_bound(ops: OperatorFamily, basis: SpectralBasis, K2_grid, t
     if np.any(K2_grid < 0):
         raise ValueError("K2 candidates must be nonnegative")
     half = max(1, ops.dim // 2)
-    ta = assemble_tilde_A(ops, t_grid).sym_part
+    ta = sym(assemble_tilde_A(ops, t_grid))
     c = sym(commutator_C(ops, t_grid))
 
     # rounding floor: commutator entries carry errors of order eps * |tA| |B|^2
@@ -326,7 +326,7 @@ def check_first_order_bound(
     t_grid = np.asarray(t_grid, dtype=float)
     tables = np.zeros((ops.n_noise, len(t_grid)))
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xAC7]))
-    sym_tilde = assemble_tilde_A(ops, t_grid).sym_part
+    sym_tilde = sym(assemble_tilde_A(ops, t_grid))
     w, v = np.linalg.eigh(sym_tilde)
     definite = w[:, 0] > 1e-12
     bs = [bp.at(t_grid) for bp in ops.Bs]

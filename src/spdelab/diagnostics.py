@@ -20,13 +20,7 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .integrator import EnsembleResult, Trajectory
-from .operators import (
-    OperatorFamily,
-    OperatorSegments,
-    TildeOperator,
-    assemble_tilde_A,
-    sym,
-)
+from .operators import OperatorFamily, OperatorSegments, sym
 
 #: below this H-norm an eps=0 quotient step is excluded and counted, not patched
 NORM_FLOOR = 1e-150
@@ -38,37 +32,20 @@ Family = Union[OperatorFamily, OperatorSegments]
 Paths = Union[Trajectory, EnsembleResult]
 
 
-def _sym_matrix(tilde: Union[TildeOperator, np.ndarray]) -> np.ndarray:
-    if isinstance(tilde, TildeOperator):
-        return tilde.sym_part
-    return sym(np.asarray(tilde, dtype=float))
-
-
 # -- pointwise functionals --------------------------------------------
 
 
-def quotient(u: np.ndarray, tilde: Union[TildeOperator, np.ndarray], eps: float) -> float:
+def quotient(u: np.ndarray, tilde: np.ndarray, eps: float) -> float:
     """Rayleigh-type quotient <sym(T)u, u> / (|u|^2 + eps)."""
     u = np.asarray(u, dtype=float)
-    m = _sym_matrix(tilde)
+    m = sym(np.asarray(tilde, dtype=float))
     den = float(u @ u) + eps
     if eps == 0.0 and den <= NORM_FLOOR**2:
         raise ZeroDivisionError("quotient with eps=0 requires |u| > 0")
     return float(u @ m @ u) / den
 
 
-def quotient_full(u: np.ndarray, ops: OperatorFamily, t: float, eps: float) -> float:
-    """Quotient plus the squared weak-noise term."""
-    u = np.asarray(u, dtype=float)
-    base = quotient(u, assemble_tilde_A(ops, t), eps)
-    den = float(u @ u) + eps
-    extra = 0.0
-    for bp in ops.Bs:
-        extra += float(u @ bp.at(t) @ u) ** 2
-    return base + extra / den**2
-
-
-def eigen_residual(u: np.ndarray, tilde: Union[TildeOperator, np.ndarray, OperatorSegments],
+def eigen_residual(u: np.ndarray, tilde: Union[np.ndarray, OperatorSegments],
                    lam) -> Union[float, np.ndarray]:
     """|(sym(T) - lam) u| / |u| of one state (N,) or a batch (..., N).
 
@@ -81,7 +58,7 @@ def eigen_residual(u: np.ndarray, tilde: Union[TildeOperator, np.ndarray, Operat
     if isinstance(tilde, OperatorSegments):
         tu = tilde.tilde_applied(u, symmetric=True)
     else:
-        tu = u @ _sym_matrix(tilde).T
+        tu = u @ sym(np.asarray(tilde, dtype=float)).T
     nu = np.sqrt(np.sum(u * u, axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         res = np.linalg.norm(tu - np.asarray(lam)[..., None] * u, axis=-1) / nu
@@ -150,6 +127,12 @@ def quotient_series(traj: Paths, ops: Family, eps: float) -> np.ndarray:
     tu = _on_grid(ops, traj.times).tilde_applied(states, symmetric=True)
     den = np.sum(states**2, axis=-1) + eps
     return np.sum(states * tu, axis=-1) / den
+
+
+def quotient_full(traj: Paths, ops: Family, eps: float) -> np.ndarray:
+    """The quotient plus the squared weak-noise ratios sum_k rho_k(eps)^2 at every grid time."""
+    segs = _on_grid(ops, traj.times)
+    return quotient_series(traj, segs, eps) + np.sum(rho_series(traj, segs, eps) ** 2, axis=-1)
 
 
 def hitting_time(traj: Paths, r: float):

@@ -182,7 +182,7 @@ class EnsembleResult:
 def _check_scheme(system, scheme: str) -> None:
     if scheme not in _KERNELS:
         raise SchemeError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
-    if scheme == "milstein" and not getattr(system, "commuting_noise", True):
+    if scheme == "milstein" and not system.ops.noise_commutes:
         raise SchemeError("milstein requires a pairwise commuting noise family")
 
 

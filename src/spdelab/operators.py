@@ -23,6 +23,10 @@ def sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.mT)
 
 
+#: a noise commutator counts as zero below this times the squared norm of its operators
+COMMUTATOR_TOL = 1e-12
+
+
 class TimeRangeError(ValueError):
     """Requested time lies outside the declared grid."""
 
@@ -184,6 +188,45 @@ class OperatorFamily:
             return "linear"
         return "constant"
 
+    @property
+    def noise_commutes(self) -> bool:
+        """Whether the noise operators commute pairwise over the whole horizon.
+
+        Between adjacent nodes of the family each path is
+        B_k = (1-s) L_k + s R_k for s in [0, 1), with R_k = L_k unless it is
+        linearly interpolated, so each commutator is the quadratic
+            [B_i, B_l] = (1-s)^2 [L_i, L_l] + s^2 [R_i, R_l]
+                         + s(1-s) ([L_i, R_l] + [R_i, L_l]),
+        which vanishes on the interval iff its three coefficients do.  Milstein
+        needs this commutativity at every time (Kloeden & Platen, section 10.3).
+        """
+        bs = self.Bs
+        nodes = self.nodes
+        if nodes is None:
+            nodes = np.zeros(1)
+        left = [bp.at(nodes) for bp in bs]
+        ends = np.append(nodes[1:], nodes[-1])
+        right = [bp.at(ends) if bp.interpolation == "linear" else m
+                 for bp, m in zip(bs, left)]
+        # per interval: the largest Frobenius norm of its end matrices, at least 1
+        scale = np.max([np.ones(len(nodes))]
+                       + [np.linalg.norm(m, axis=(-2, -1)) for m in left + right], axis=0)
+
+        def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            return x @ y - y @ x
+
+        for i in range(len(bs)):
+            for j in range(i + 1, len(bs)):
+                coeffs = (
+                    comm(left[i], left[j]),
+                    comm(right[i], right[j]),
+                    comm(left[i], right[j]) + comm(right[i], left[j]),
+                )
+                if any(np.any(np.linalg.norm(c, axis=(-2, -1)) > COMMUTATOR_TOL * scale**2)
+                       for c in coeffs):
+                    return False
+        return True
+
     def noise_at(self, t) -> list:
         """[B_k(t) for each k], at one time or stacked over an array of times."""
         return [bp.at(t) for bp in self.Bs]
@@ -220,20 +263,8 @@ class OperatorFamily:
         t0 = np.clip(t - dt, nodes[0], nodes[-1])
         t1 = np.clip(t + dt, nodes[0], nodes[-1])
         step = (t1 - t0)[..., None, None]
-        diff = assemble_tilde_A(self, t1).matrix - assemble_tilde_A(self, t0).matrix
+        diff = assemble_tilde_A(self, t1) - assemble_tilde_A(self, t0)
         return np.divide(diff, step, out=zero, where=step > 0)
-
-
-@dataclass(frozen=True)
-class TildeOperator:
-    """Corrected generator A(t) - (1/2) sum_k B_k(t)^T B_k(t) at a fixed time.
-
-    A(t) is the family's Ito drift (OperatorFamily.drift_at).
-    """
-
-    matrix: np.ndarray
-    sym_part: np.ndarray
-    t: object  # a float, or the array of times of a stack
 
 
 def _corrected(drift: np.ndarray, noise: list) -> np.ndarray:
@@ -244,14 +275,14 @@ def _corrected(drift: np.ndarray, noise: list) -> np.ndarray:
     return drift - 0.5 * corr
 
 
-def assemble_tilde_A(ops: OperatorFamily, t) -> TildeOperator:
-    """Corrected generator at time t (H-adjoint realized as transpose).
+def assemble_tilde_A(ops: OperatorFamily, t) -> np.ndarray:
+    """Corrected generator A(t) - (1/2) sum_k B_k(t)^T B_k(t) (H-adjoint realized as transpose).
 
-    At an array of times every field is a stack with one matrix per time.
+    A(t) is the family's Ito drift (OperatorFamily.drift_at).  One matrix at
+    a time t, or a stack with one matrix per time at an array of times.
     """
     noise = ops.noise_at(t)
-    m = _corrected(ops.drift_at(t, noise), noise)
-    return TildeOperator(matrix=m, sym_part=sym(m), t=t)
+    return _corrected(ops.drift_at(t, noise), noise)
 
 
 #: grid times per segment when a linear path gives every time its own matrix
@@ -378,7 +409,7 @@ def galerkin_compress(matrix: np.ndarray, m: int) -> np.ndarray:
 
 def commutator_C(ops: OperatorFamily, t) -> np.ndarray:
     """sum_k B_k^T (tilde_A B_k - B_k tilde_A) at time t, or stacked over an array of times."""
-    ta = assemble_tilde_A(ops, t).matrix
+    ta = assemble_tilde_A(ops, t)
     out = np.zeros_like(ta)
     for bp in ops.Bs:
         b = bp.at(t)

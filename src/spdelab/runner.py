@@ -13,6 +13,7 @@ import inspect
 import json
 import math
 import os
+import time
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -22,7 +23,7 @@ from . import diagnostics as diag
 from .assumptions import check_all, check_commutator_bound, k6_table
 from .brownian import uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
-from .operators import OperatorSegments, assemble_tilde_A, spectrum
+from .operators import OperatorSegments, assemble_tilde_A, spectrum, sym
 from .systems import REGISTRY, SystemSpec, make_system
 
 SCHEMA_VERSION = "1"
@@ -249,18 +250,24 @@ def _resolve_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(_output_root(), f"{cfg.kind}-{cfg.digest()[:12]}")
 
 
-def _csv_text(header: tuple, rows: np.ndarray) -> str:
-    """The text np.savetxt(fmt="%.18e", delimiter=",", comments="") writes
-    for a 2-D table, built in one `%` operation instead of one per row."""
-    n_rows, n_cols = rows.shape
-    line = ",".join(("%.18e",) * n_cols) + "\n"
-    return ",".join(header) + "\n" + (line * n_rows) % tuple(rows.ravel().tolist())
+#: table rows formatted per `%` operation, so no table's text is held whole
+CSV_CHUNK_ROWS = 128
+
+
+def _csv_text(rows: np.ndarray) -> str:
+    """The lines np.savetxt(fmt="%.18e", delimiter=",") writes for the rows
+    of a 2-D table, built in one `%` operation instead of one per row."""
+    line = ",".join(("%.18e",) * rows.shape[1]) + "\n"
+    return (line * len(rows)) % tuple(rows.ravel().tolist())
 
 
 def _write_table(path: str, header: tuple, rows: np.ndarray) -> None:
-    """Write one CSV table; the unit of work of a persistence worker."""
+    """Write one CSV table, CSV_CHUNK_ROWS rows at a time after its header;
+    the unit of work of a persistence worker."""
     with open(path, "w", encoding="latin1") as fh:
-        fh.write(_csv_text(header, rows))
+        fh.write(",".join(header) + "\n")
+        for lo in range(0, len(rows), CSV_CHUNK_ROWS):
+            fh.write(_csv_text(rows[lo:lo + CSV_CHUNK_ROWS]))
 
 
 #: values a run must format per worker process it forks.  Forking and
@@ -339,6 +346,11 @@ def _write_csv(jobs, n_floats: int, n_tables: int) -> None:
             f.result()
     finally:
         pool.shutdown(wait=True, cancel_futures=True)
+        # a joined thread's OS thread can outlive the join by a moment; until
+        # it is gone this process counts as multi-threaded and cannot fork
+        deadline = time.monotonic() + 0.5
+        while _os_threads() > 1 and time.monotonic() < deadline:
+            time.sleep(1e-3)
 
 
 def _constants_for(system: SystemSpec, t_grid: np.ndarray):
@@ -387,8 +399,7 @@ def _diagnostic_blocks(system: SystemSpec, ens, segs: OperatorSegments,
         table[..., 2] = basis.norm_v(states)
         table[..., 3] = basis.norm_d(states)
         table[..., 4] = lam
-        # quotient_full: the quotient plus the squared weak-noise ratios at eps
-        table[..., 5] = lam + np.sum(diag.rho_series(block, segs, eps) ** 2, axis=-1)
+        table[..., 5] = diag.quotient_full(block, segs, eps)
         table[..., 6] = m
         table[..., 7] = diag.psi_series(block, segs, max(eps, 1e-300), martingale=m)
         table[..., 8] = diag.eigen_residual(states, segs, lam)
@@ -477,12 +488,12 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         "paths": cfg.paths,
         "blowups": {str(k): v for k, v in ens.blowups.items()},
     }
-    tilde = assemble_tilde_A(system.ops, 0.0)
-    eigs, _ = spectrum(tilde.sym_part, symmetric=True)
+    tilde_sym = sym(assemble_tilde_A(system.ops, 0.0))
+    eigs, _ = spectrum(tilde_sym, symmetric=True)
 
     if cfg.kind in ("simulate", "spectral-limit"):
         slr = diag.spectral_limit_report(
-            quots, ens.states[:, -1, :], tilde.sym_part, eigs.real
+            quots, ens.states[:, -1, :], tilde_sym, eigs.real
         )
         report["spectral_limit"] = slr.to_dict()
 

@@ -31,50 +31,12 @@ class SystemSpec:
     name: str
     basis: SpectralBasis
     ops: OperatorFamily
-    commuting_noise: bool
     u0: np.ndarray
     oracle: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.u0.shape != (self.basis.dim,):
             raise ValueError("initial state does not match basis dimension")
-
-
-def _commuting(ops: OperatorFamily, tol: float = 1e-12) -> bool:
-    """Whether the noise operators commute pairwise over the whole horizon.
-
-    Between adjacent nodes of the family each path is
-    B_k = (1-s) L_k + s R_k for s in [0, 1), with R_k = L_k unless it is
-    linearly interpolated, so each commutator is the quadratic
-        [B_i, B_l] = (1-s)^2 [L_i, L_l] + s^2 [R_i, R_l]
-                     + s(1-s) ([L_i, R_l] + [R_i, L_l]),
-    which vanishes on the interval iff its three coefficients do.  Milstein
-    needs this commutativity at every time (Kloeden & Platen, section 10.3).
-    """
-    bs = ops.Bs
-    nodes = np.zeros(1) if ops.nodes is None else ops.nodes
-    left = [bp.at(nodes) for bp in bs]
-    ends = np.append(nodes[1:], nodes[-1])
-    right = [bp.at(ends) if bp.interpolation == "linear" else m
-             for bp, m in zip(bs, left)]
-    # per interval: the largest Frobenius norm of its end matrices, at least 1
-    scale = np.max([np.ones(len(nodes))]
-                   + [np.linalg.norm(m, axis=(-2, -1)) for m in left + right], axis=0)
-
-    def comm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x @ y - y @ x
-
-    for i in range(len(bs)):
-        for j in range(i + 1, len(bs)):
-            coeffs = (
-                comm(left[i], left[j]),
-                comm(right[i], right[j]),
-                comm(left[i], right[j]) + comm(right[i], left[j]),
-            )
-            if any(np.any(np.linalg.norm(c, axis=(-2, -1)) > tol * scale**2)
-                   for c in coeffs):
-                return False
-    return True
 
 
 # -- diagonal oracle system -------------------------------------------
@@ -143,8 +105,7 @@ def make_diagonal(
     )
     start = np.ones(len(eigs)) if u0 is None else np.asarray(u0, dtype=float)
     return SystemSpec(
-        name="diagonal", basis=basis, ops=ops,
-        commuting_noise=_commuting(ops), u0=start,
+        name="diagonal", basis=basis, ops=ops, u0=start,
         oracle=DiagonalOracle(tilde_eigs=eigs, noise_coeffs=b),
     )
 
@@ -235,6 +196,7 @@ def make_torus_heat_scalar_noise(
     certified with phi = sum |c_l| and a commuting noise family; ac5, ac7
     empirical (the drift is only semidefinite through the constant mode).
     """
+    basis = torus_basis(dim)  # first, so a non-positive dim raises here
     a_strat = MatrixPath(laplacian_matrix(dim))
     bs = []
     for c in c_coeffs:
@@ -250,8 +212,7 @@ def make_torus_heat_scalar_noise(
         if c_field is not None:
             fn = _const(c_field) if np.isscalar(c_field) else c_field
             lower += multiplication_matrix(fn, dim)
-        basis0 = torus_basis(dim)
-        w = 1.0 / np.sqrt(basis0.hat_eigenvalues)
+        w = 1.0 / np.sqrt(basis.hat_eigenvalues)
         n_witness = float(np.linalg.norm(lower * w[None, :], ord=2))
 
         def f_hook(t, u, _m=lower):
@@ -259,16 +220,12 @@ def make_torus_heat_scalar_noise(
 
     ops = OperatorFamily(A=a_strat, Bs=tuple(bs), F=f_hook, n_witness=n_witness,
                          noise_form="stratonovich")
-    basis = torus_basis(dim)
     if u0 is None:
         start = np.zeros(dim)
         start[: min(3, dim)] = 1.0
     else:
         start = np.asarray(u0, dtype=float)
-    return SystemSpec(
-        name="torus-heat-scalar", basis=basis, ops=ops,
-        commuting_noise=_commuting(ops), u0=start,
-    )
+    return SystemSpec(name="torus-heat-scalar", basis=basis, ops=ops, u0=start)
 
 
 def make_torus_heat_gradient_noise(
@@ -286,6 +243,7 @@ def make_torus_heat_gradient_noise(
     Certificates on the defaults (constant sigma): ac3 with phi = 0, ac4
     with K1 = K2 = 0, ac0-ac2, ac6 certified; ac5, ac7 empirical.
     """
+    basis = torus_basis(dim)  # first, so a non-positive dim raises here
     a_strat = MatrixPath(laplacian_matrix(dim))
     d = derivative_matrix(dim)
     bs = []
@@ -293,16 +251,12 @@ def make_torus_heat_gradient_noise(
         fn = _const(s) if np.isscalar(s) else s
         bs.append(MatrixPath(multiplication_matrix(fn, dim) @ d))
     ops = OperatorFamily(A=a_strat, Bs=tuple(bs), noise_form="stratonovich")
-    basis = torus_basis(dim)
     if u0 is None:
         start = np.zeros(dim)
         start[: min(3, dim)] = 1.0
     else:
         start = np.asarray(u0, dtype=float)
-    return SystemSpec(
-        name="torus-heat-gradient", basis=basis, ops=ops,
-        commuting_noise=_commuting(ops), u0=start,
-    )
+    return SystemSpec(name="torus-heat-gradient", basis=basis, ops=ops, u0=start)
 
 
 # -- vector-valued torus system with matrix noise ---------------------
@@ -348,6 +302,10 @@ def make_coupled_torus(
     h_tables = np.asarray(h_tables, dtype=float)
     if h_tables.ndim != 4 or h_tables.shape[2] != n or h_tables.shape[3] != n:
         raise ValueError("h tables must have shape (n_times, n_noise, n, n)")
+    if h_time_grid is None and h_tables.shape[0] > 1:
+        raise ValueError(
+            f"h tables have {h_tables.shape[0]} rows, one per time, but no h_time_grid is given"
+        )
     if not np.all(np.isfinite(h_tables)):
         raise ValueError("h tables fail the square-integrability check")
     if h_time_grid is not None:
@@ -388,10 +346,7 @@ def make_coupled_torus(
         start[: min(2 * n, dim)] = 1.0
     else:
         start = np.asarray(u0, dtype=float)
-    return SystemSpec(
-        name="coupled-torus", basis=basis, ops=ops,
-        commuting_noise=_commuting(ops), u0=start,
-    )
+    return SystemSpec(name="coupled-torus", basis=basis, ops=ops, u0=start)
 
 
 def _permute_path(mp: MatrixPath, perm: np.ndarray) -> MatrixPath:
@@ -513,6 +468,8 @@ def make_nse_2d(
 
     Certificates: ac0-ac4, ac6 certified; ac5, ac7 empirical (sampled).
     """
+    if witness_samples < 1:
+        raise ValueError(f"witness_samples must be at least 1, got {witness_samples}")
     geom = NSEGeometry(modes_per_dim)
     lam = geom.eigenvalues()
     a_strat = MatrixPath(np.diag(float(viscosity) * lam))
@@ -543,12 +500,7 @@ def make_nse_2d(
         start[: min(4, geom.dim)] = 1.0
     else:
         start = np.asarray(u0, dtype=float)
-    spec = SystemSpec(
-        name="nse-2d", basis=basis, ops=ops,
-        commuting_noise=_commuting(ops), u0=start,
-    )
-    object.__setattr__(spec, "geometry", geom)
-    return spec
+    return SystemSpec(name="nse-2d", basis=basis, ops=ops, u0=start)
 
 
 # -- registry ---------------------------------------------------------

@@ -22,7 +22,7 @@ from spdelab.integrator import (
     step_euler_maruyama,
     step_milstein_commutative,
 )
-from spdelab.operators import assemble_tilde_A, spectrum
+from spdelab.operators import assemble_tilde_A, spectrum, sym
 from spdelab.systems import (
     make_diagonal,
     make_torus_heat_gradient_noise,
@@ -37,7 +37,7 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 def _ensemble_quotients(sys, scheme, grid, seed, n_paths, u0, chunk=25):
     """Quotient series (P, J+1) and final states, integrating in chunks."""
-    tilde_sym = assemble_tilde_A(sys.ops, 0.0).sym_part
+    tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
     quots = []
     finals = []
     for start in range(0, n_paths, chunk):
@@ -72,7 +72,7 @@ def test_acceptance_1_spectral_limit_oracle(u0, target):
     quots, finals = _ensemble_quotients(
         sys, "milstein", grid, seed=101, n_paths=200, u0=np.asarray(u0), chunk=200
     )
-    tilde_sym = assemble_tilde_A(sys.ops, 0.0).sym_part
+    tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
     rep = diag.spectral_limit_report(
         quots, finals, tilde_sym, np.array([1.0, 4.0, 9.0])
     )
@@ -99,7 +99,7 @@ def test_acceptance_2_eigenvalue_membership():
     quots, finals = _ensemble_quotients(
         sys, "drift-implicit", grid, seed=202, n_paths=100, u0=sys.u0, chunk=25
     )
-    tilde_sym = assemble_tilde_A(sys.ops, 0.0).sym_part
+    tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
     eigs, _ = spectrum(tilde_sym, symmetric=True)
     rep = diag.spectral_limit_report(quots, finals, tilde_sym, eigs.real)
     settled = [p for p in rep.paths if p.settled]
@@ -368,7 +368,7 @@ def test_acceptance_11_deterministic_heat_quotient():
     grid = uniform_grid(10.0, 1e-3)
     traj = integrate(sys, "drift-implicit", grid, seed=0)
     q = diag.quotient_series(traj, sys.ops, 0.0)
-    tilde_sym = assemble_tilde_A(sys.ops, 0.0).sym_part
+    tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
     eigs, _ = spectrum(tilde_sym, symmetric=True)
     target = float(eigs.real.min())
     monotone = bool(np.all(np.diff(q) <= 1e-12))

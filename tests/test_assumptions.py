@@ -263,7 +263,7 @@ def test_first_order_mixed_times_match_per_time_roots():
     times = np.linspace(0.0, 1.0, 9)
     tables, record = check_first_order_bound(ops, hat_basis([1.0, 2.0, 3.0]), times)
     assert record.status == EMPIRICAL and not record.constants["certified"]
-    s_all = assemble_tilde_A(ops, times).sym_part
+    s_all = sym(assemble_tilde_A(ops, times))
     definite = np.linalg.eigvalsh(s_all)[:, 0] > 1e-12
     assert 0 < definite.sum() < len(times)
     for j in np.flatnonzero(definite):

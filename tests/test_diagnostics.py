@@ -53,11 +53,14 @@ def test_quotient_eps_shrinks_magnitude():
 
 
 def test_quotient_full_adds_squared_noise_term():
-    sys = diag_system()
-    u = np.array([1.0, 0.0, 0.0])
-    base = diag.quotient(u, assemble_tilde_A(sys.ops, 0.0), 0.0)
-    full = diag.quotient_full(u, sys.ops, 0.0, 0.0)
-    assert full == pytest.approx(base + 0.3**2)
+    """Along the first mode the quotient is 1 and the noise ratio 0.3 at every time."""
+    sys = make_diagonal((1.0, 4.0, 9.0), ((0.3, 0.2, 0.1),), u0=(1.0, 0.0, 0.0))
+    grid = uniform_grid(0.5, 0.01)
+    ens = integrate_ensemble(sys, "drift-implicit", grid, seed=3, n_paths=2)
+    for paths in (ens, ens.trajectory(1)):
+        full = diag.quotient_full(paths, sys.ops, 0.0)
+        assert full.shape == paths.states.shape[:-1]
+        np.testing.assert_allclose(full, 1.0 + 0.3**2, rtol=1e-12)
 
 
 def test_eigen_residual_zero_on_eigenpair():
@@ -284,9 +287,9 @@ def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
         tilde = assemble_tilde_A(ops, float(t))
         bus = [bp.at(float(t)) @ u for bp in ops.Bs]
         lam[j] = diag.quotient(u, tilde, eps)
-        qfull[j] = diag.quotient_full(u, ops, float(t), eps)
+        qfull[j] = lam[j] + sum((float(u @ bu) / (float(u @ u) + eps)) ** 2 for bu in bus)
         rho[j] = [float(u @ bu) / (float(u @ u) + reg) for bu in bus]
-        tu = tilde.sym_part @ u
+        tu = sym(tilde) @ u
         ratio[j] = [2.0 * float(tu @ bu) / (float(u @ u) + eps) for bu in bus]
         res[j] = (diag.eigen_residual(u, tilde, lam[j])
                   if basis.norm_h(u) > diag.NORM_FLOOR else np.nan)
@@ -317,7 +320,7 @@ def _loop_envelope(traj, ops, tau_index, s, form_floor=1e-12, tol_coeff=1.0):
     acc = 0.0
     for j in range(len(times)):
         u = states[j]
-        tu = assemble_tilde_A(ops, float(times[j])).sym_part @ u
+        tu = sym(assemble_tilde_A(ops, float(times[j]))) @ u
         form = float(u @ tu)
         excluded[j] = abs(form) < form_floor
         if j < tau_index or j == len(times) - 1:
@@ -357,8 +360,7 @@ def _linear_family(T):
     ops = OperatorFamily(A=MatrixPath(a, nodes, "linear"),
                          Bs=(MatrixPath(b, nodes, "linear"),))
     basis = SpectralBasis(dim=4, hat_eigenvalues=np.array([1.0, 2.0, 4.0, 8.0]))
-    return SystemSpec(name="linear", basis=basis, ops=ops, commuting_noise=False,
-                      u0=np.ones(4))
+    return SystemSpec(name="linear", basis=basis, ops=ops, u0=np.ones(4))
 
 
 def _assert_columns_match(actual, desired):

@@ -14,7 +14,7 @@ from spdelab.integrator import (
     strong_convergence,
 )
 from spdelab.operators import MatrixPath, OperatorFamily
-from spdelab.systems import SystemSpec, _commuting, make_diagonal, make_system, torus_basis
+from spdelab.systems import SystemSpec, make_diagonal, make_system, torus_basis
 
 
 def test_stratonovich_drift_uses_operator_square():
@@ -125,7 +125,7 @@ def test_drift_implicit_stable_for_stiff_drift():
 
 def test_milstein_rejected_for_noncommuting_noise():
     sys = make_system("coupled-torus", modes=3)
-    assert not sys.commuting_noise
+    assert not sys.ops.noise_commutes
     grid = uniform_grid(0.1, 0.01)
     with pytest.raises(SchemeError):
         integrate(sys, "milstein", grid, seed=0)
@@ -143,7 +143,7 @@ def test_milstein_rejected_when_noise_stops_commuting_after_t0():
                       h_tables=tables, h_time_grid=nodes)
     b0, b1 = (bp.at(1.0) for bp in sys.ops.Bs)
     assert np.linalg.norm(b0 @ b1 - b1 @ b0) > 0.1
-    assert not sys.commuting_noise
+    assert not sys.ops.noise_commutes
     with pytest.raises(SchemeError):
         integrate(sys, "milstein", uniform_grid(0.1, 0.01), seed=0)
     with pytest.raises(SchemeError):
@@ -163,11 +163,29 @@ def test_commuting_checks_linear_paths_between_nodes():
     mid0, mid1 = b0.at(0.5), b1.at(0.5)
     assert not np.allclose(mid0 @ mid1, mid1 @ mid0)
     ops = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(b0, b1))
-    assert not _commuting(ops)
+    assert not ops.noise_commutes
     # the same nodes held piecewise constant do commute everywhere
     held = OperatorFamily(A=MatrixPath(np.eye(2)),
                           Bs=(MatrixPath(b0.values, nodes), MatrixPath(b1.values, nodes)))
-    assert _commuting(held)
+    assert held.noise_commutes
+
+
+def test_milstein_rejected_for_noncommuting_noise_whatever_the_system_type():
+    """B_0 = E_12 and B_1 = E_21 do not commute; the guard reads that off the family."""
+    e12 = np.array([[0.0, 1.0], [0.0, 0.0]])
+    family = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(MatrixPath(e12), MatrixPath(e12.T)))
+    assert not np.allclose(e12 @ e12.T, e12.T @ e12)
+
+    class DuckTyped:
+        name = "duck"
+        ops = family
+        u0 = np.ones(2)
+
+    spec = SystemSpec(name="spec", basis=torus_basis(2), ops=family, u0=np.ones(2))
+    grid = uniform_grid(0.1, 0.01)
+    for system in (spec, DuckTyped()):
+        with pytest.raises(SchemeError):
+            integrate_ensemble(system, "milstein", grid, 0, 2)
 
 
 def test_unknown_scheme_rejected():
@@ -203,7 +221,6 @@ def test_blowup_isolation():
         name = "exploding"
         ops = OperatorFamily(A=a, Bs=(MatrixPath(np.array([[0.0]])),))
         u0 = np.array([1.0])
-        commuting_noise = True
 
     grid = uniform_grid(20.0, 0.1)
     ens = integrate_ensemble(Exploding(), "euler-maruyama", grid, seed=0, n_paths=2)
@@ -219,7 +236,6 @@ def test_blowup_raises_on_single_path():
         name = "exploding"
         ops = OperatorFamily(A=a, Bs=())
         u0 = np.array([1.0])
-        commuting_noise = True
 
     with pytest.raises(BlowUpError):
         integrate(Exploding(), "euler-maruyama", uniform_grid(20.0, 0.1), seed=0)
@@ -275,8 +291,7 @@ def _linear_jump_system():
     b1 = MatrixPath(np.stack([[[0.1, 0.2], [0.0, 0.1]], [[0.3, 0.0], [0.4, 0.2]]]), nodes,
                     "linear")
     ops = OperatorFamily(A=a, Bs=(b0, b1), noise_form="stratonovich")
-    return SystemSpec(name="linear-jump", basis=torus_basis(2), ops=ops,
-                      commuting_noise=_commuting(ops), u0=np.ones(2))
+    return SystemSpec(name="linear-jump", basis=torus_basis(2), ops=ops, u0=np.ones(2))
 
 
 _STEP_SYSTEMS = {
@@ -355,7 +370,6 @@ class _Spiking:
 
     name = "spiking"
     u0 = np.array([1.0])
-    commuting_noise = True
 
     @staticmethod
     def _spike(t, u):

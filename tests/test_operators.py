@@ -57,8 +57,8 @@ def test_assemble_tilde_A_hand_computed():
     ops = OperatorFamily(A=MatrixPath(a), Bs=(MatrixPath(b),))
     tilde = assemble_tilde_A(ops, 0.0)
     expected = a - 0.5 * b.T @ b  # b^T b = diag(0, 1)
-    assert np.allclose(tilde.matrix, expected)
-    assert np.allclose(tilde.sym_part, sym(expected))
+    assert np.allclose(tilde, expected)
+    assert np.allclose(sym(tilde), sym(expected))
 
 
 def test_tilde_prime_constant_family_is_zero():
@@ -148,13 +148,13 @@ def test_stacked_evaluation_matches_scalar_calls_bit_for_bit(n, kinds, seed):
         _same_bits(path.at(times), [path.at(float(t)) for t in times])
     tilde = assemble_tilde_A(ops, times)
     per_time = [assemble_tilde_A(ops, float(t)) for t in times]
-    _same_bits(tilde.matrix, [x.matrix for x in per_time])
-    _same_bits(tilde.sym_part, [x.sym_part for x in per_time])
+    _same_bits(tilde, per_time)
+    _same_bits(sym(tilde), [sym(x) for x in per_time])
     _same_bits(commutator_C(ops, times), [commutator_C(ops, float(t)) for t in times])
     _same_bits(ops.tilde_prime_at(times), [ops.tilde_prime_at(float(t)) for t in times])
     basis = SpectralBasis(dim=n, hat_eigenvalues=np.arange(1.0, n + 1.0))
-    norms = operator_norm_v_vprime(tilde.matrix, basis)
-    _same_bits(norms, [operator_norm_v_vprime(m, basis) for m in tilde.matrix])
+    norms = operator_norm_v_vprime(tilde, basis)
+    _same_bits(norms, [operator_norm_v_vprime(m, basis) for m in tilde])
 
 
 @given(st.integers(1, 6), st.integers(1, 6))
@@ -184,7 +184,7 @@ def test_commutator_hand_computed():
     a = np.diag([1.0, 3.0])
     b = np.array([[0.0, 1.0], [1.0, 0.0]])
     ops = OperatorFamily(A=MatrixPath(a), Bs=(MatrixPath(b),))
-    ta = assemble_tilde_A(ops, 0.0).matrix
+    ta = assemble_tilde_A(ops, 0.0)
     expected = b.T @ (ta @ b - b @ ta)
     assert np.allclose(commutator_C(ops, 0.0), expected)
 
@@ -212,6 +212,6 @@ def test_tilde_quadratic_in_noise_scale(scale):
     b = np.array([[0.3, 0.1], [0.0, 0.2]])
     base = OperatorFamily(A=MatrixPath(a), Bs=(MatrixPath(b),))
     scaled = OperatorFamily(A=MatrixPath(a), Bs=(MatrixPath(scale * b),))
-    t0 = assemble_tilde_A(base, 0.0).matrix
-    t1 = assemble_tilde_A(scaled, 0.0).matrix
+    t0 = assemble_tilde_A(base, 0.0)
+    t1 = assemble_tilde_A(scaled, 0.0)
     assert np.allclose(t1 - a, scale**2 * (t0 - a), rtol=1e-10, atol=1e-12)

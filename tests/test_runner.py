@@ -1,5 +1,4 @@
 """Config handling, run orchestration, persistence, and the CLI."""
-import io
 import json
 import multiprocessing
 import os
@@ -150,11 +149,11 @@ def use_writer(monkeypatch, writer):
             pytest.skip("worker processes need two usable CPUs, fork and one thread")
 
 
-def _savetxt_text(header, rows):
-    out = io.StringIO()
-    np.savetxt(out, rows, fmt="%.18e", delimiter=",", header=",".join(header),
+def _savetxt_bytes(path, header, rows):
+    np.savetxt(path, rows, fmt="%.18e", delimiter=",", header=",".join(header),
                comments="")
-    return out.getvalue()
+    with open(path, "rb") as fh:
+        return fh.read()
 
 
 _EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
@@ -166,10 +165,14 @@ _EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e3
     np.array([_EDGE_VALUES]),
     np.array(_EDGE_VALUES)[:, None],
     np.random.default_rng(5).standard_normal((1001, 11)) * 1e-200,
-], ids=["edge-values", "one-row", "one-column", "tiny-exponents"])
-def test_csv_text_is_savetxt_byte_for_byte(rows):
+    np.random.default_rng(6).standard_normal((300, 3)),
+], ids=["edge-values", "one-row", "one-column", "tiny-exponents", "300-rows"])
+def test_csv_text_is_savetxt_byte_for_byte(tmp_path, rows):
+    """A written table has np.savetxt's bytes, across the edges of its row chunks."""
     header = tuple(f"c{i}" for i in range(rows.shape[1]))
-    assert runner._csv_text(header, rows) == _savetxt_text(header, rows)
+    runner._write_table(str(tmp_path / "table.csv"), header, rows)
+    with open(tmp_path / "table.csv", "rb") as fh:
+        assert fh.read() == _savetxt_bytes(str(tmp_path / "savetxt.csv"), header, rows)
 
 
 @pytest.mark.parametrize("writer", ["inline", "fanned-out"])
@@ -192,6 +195,15 @@ def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch, w
     for rel in files[0]:
         a, b = (pathlib.Path(d, rel).read_bytes() for d in dirs)
         assert a == b, rel
+
+
+def test_a_fanned_out_run_returns_single_threaded(tmp_path, monkeypatch):
+    """Once a run's writer pool is shut down, its threads are gone from the
+    process, so the next run may fork its writers again."""
+    use_writer(monkeypatch, "fanned-out")
+    for i in range(3):
+        run(load_config(minimal_config(tmp_path, output_dir=str(tmp_path / f"out{i}"))))
+        assert runner._os_threads() == 1
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -429,6 +441,12 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
                                 "T": 0.5, "dt": 0.01, "delta": 0.0}),
     ("zero eps, zero start", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01,
                               "eps_list": [0.0], "u0": [0.0, 0.0, 0.0]}),
+    ("zero scalar-noise dim", {"system": {"name": "torus-heat-scalar", "dim": 0},
+                               "T": 0.5, "dt": 0.01}),
+    ("zero gradient-noise dim", {"system": {"name": "torus-heat-gradient", "dim": 0},
+                                 "T": 0.5, "dt": 0.01}),
+    ("zero witness samples", {"system": {"name": "nse-2d", "witness_samples": 0},
+                              "T": 0.5, "dt": 0.01}),
 ])
 @pytest.mark.parametrize("command", ["simulate", "check", "convergence"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, name, body, command):

@@ -25,7 +25,7 @@ from spdelab.systems import (
 
 def test_diagonal_corrected_generator_is_exact():
     sys = make_diagonal([1.0, 4.0, 9.0], [[0.3, 0.2, 0.1]])
-    tilde = assemble_tilde_A(sys.ops, 0.0).matrix
+    tilde = assemble_tilde_A(sys.ops, 0.0)
     assert np.allclose(tilde, np.diag([1.0, 4.0, 9.0]), atol=1e-14)
 
 
@@ -97,10 +97,10 @@ def test_scalar_noise_corrected_generator():
     """Constant multiplication noise shifts the whole spectrum by -c^2."""
     c = 0.5
     sys = make_torus_heat_scalar_noise(dim=8, c_coeffs=(c,))
-    tilde = assemble_tilde_A(sys.ops, 0.0).matrix
+    tilde = assemble_tilde_A(sys.ops, 0.0)
     expect = laplacian_matrix(8) - c**2 * np.eye(8)
     assert np.allclose(tilde, expect, atol=1e-12)
-    assert sys.commuting_noise
+    assert sys.ops.noise_commutes
 
 
 def test_scalar_noise_first_order_terms_enter_hook():
@@ -126,7 +126,7 @@ def test_gradient_noise_constant_sigma_skew():
 def test_gradient_noise_corrected_generator_is_laplacian():
     """The two half-corrections cancel for skew noise."""
     sys = make_torus_heat_gradient_noise(dim=10, sigma_fields=(0.7,))
-    tilde = assemble_tilde_A(sys.ops, 0.0).matrix
+    tilde = assemble_tilde_A(sys.ops, 0.0)
     assert np.allclose(tilde, laplacian_matrix(10), atol=1e-12)
 
 
@@ -172,6 +172,9 @@ def test_coupled_torus_rejects_bad_tables():
     with pytest.raises(ValueError):
         make_coupled_torus(n_components=2, modes=3,
                            h_tables=np.full((1, 2, 2, 2), np.nan))
+    # two rows of tables need the times they hold at
+    with pytest.raises(ValueError, match="h_time_grid"):
+        make_coupled_torus(n_components=2, modes=3, h_tables=np.ones((2, 2, 2, 2)))
 
 
 # -- 2-D incompressible flow ------------------------------------------
@@ -188,7 +191,7 @@ def test_nse_basis_sorted_and_divergence_free():
 
 def test_nse_single_shear_mode_has_zero_advection():
     sys = make_system("nse-2d", modes_per_dim=3)
-    geom = sys.geometry
+    geom = NSEGeometry(3)
     u = np.zeros(sys.basis.dim)
     u[4] = 1.3  # one amplitude: parallel flow, (u . grad) u = 0
     assert np.allclose(geom.advection(u), 0.0, atol=1e-12)
@@ -196,7 +199,7 @@ def test_nse_single_shear_mode_has_zero_advection():
 
 def test_nse_energy_identity():
     sys = make_system("nse-2d", modes_per_dim=3)
-    geom = sys.geometry
+    geom = NSEGeometry(3)
     rng = np.random.default_rng(0)
     for _ in range(5):
         u = rng.standard_normal(sys.basis.dim)
@@ -302,14 +305,14 @@ def test_nse_energy_identity_on_batch():
 def test_nse_f_hook_is_batched_advection():
     sys = make_system("nse-2d", modes_per_dim=2)
     u = np.random.default_rng(5).standard_normal((3, sys.basis.dim))
-    np.testing.assert_array_equal(sys.ops.F(0.0, u), sys.geometry.advection(u))
+    np.testing.assert_array_equal(sys.ops.F(0.0, u), NSEGeometry(2).advection(u))
 
 
 @pytest.mark.parametrize("mpd, viscosity", [(2, 1.0), (4, 0.5)])
 def test_nse_witness_constant_matches_loop(mpd, viscosity):
     """k_est from one batched draw equals the per-sample loop's value."""
     sys = make_system("nse-2d", modes_per_dim=mpd, viscosity=viscosity, seed=7)
-    geom = sys.geometry
+    geom = NSEGeometry(mpd)
     lam = geom.eigenvalues()
     rng = np.random.Generator(np.random.Philox(key=[7, 0x25E]))
     k_loop = 0.0
@@ -328,7 +331,7 @@ def test_nse_witness_constant_matches_loop(mpd, viscosity):
 def test_nse_corrected_generator_shifts_by_noise_square():
     nu, b = 1.0, 0.3
     sys = make_system("nse-2d", modes_per_dim=2, viscosity=nu, b_coeffs=(b,))
-    tilde = assemble_tilde_A(sys.ops, 0.0).matrix
+    tilde = assemble_tilde_A(sys.ops, 0.0)
     expect = np.diag(nu * sys.basis.hat_eigenvalues - b**2)
     assert np.allclose(tilde, expect, atol=1e-12)
 
