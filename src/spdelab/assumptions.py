@@ -5,6 +5,11 @@ eigenvalue statement (certified), or into a sampled estimate when the
 inequality is not a quadratic form (empirical).  All quadratic-form
 inequalities use the single symmetrization convention sym(M) = (M + M^T)/2.
 
+The checkers read the family evaluated on their time grid
+(OperatorFamily.at), so check_all evaluates each matrix path once.  Only
+ac1 and the K6 table take the family itself: Ã' is a difference taken at
+times off the grid.
+
 In finite dimensions most constants exist trivially; the meaningful verdict
 is their stability across a ladder of truncations, which the report
 tabulates.
@@ -19,7 +24,7 @@ import numpy as np
 from .basis import SpectralBasis
 from .operators import (
     OperatorFamily,
-    assemble_tilde_A,
+    OperatorSegment,
     commutator_C,
     operator_norm_v_vprime,
     sym,
@@ -71,14 +76,12 @@ class CertRecord:
 # -- AC0 / AC1: boundedness and differentiability ---------------------
 
 
-def check_boundedness(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> CertRecord:
+def check_boundedness(ev: OperatorSegment, basis: SpectralBasis) -> CertRecord:
     """Sup over the grid of |A(t)|_{L(V,V')} and of each |B_k(t)|_{L(V,H)}."""
-    t_grid = np.asarray(t_grid, dtype=float)
     w = 1.0 / np.sqrt(basis.hat_eigenvalues)
-    bound_a = float(operator_norm_v_vprime(ops.drift_at(t_grid), basis).max(initial=0.0))
+    bound_a = float(operator_norm_v_vprime(ev.drift, basis).max(initial=0.0))
     # L(V, H) norm: largest singular value of B D^{-1/2}
-    bound_b = [float(_spectral_norms(bp.at(t_grid) * w[None, :]).max(initial=0.0))
-               for bp in ops.Bs]
+    bound_b = [float(_spectral_norms(b * w[None, :]).max(initial=0.0)) for b in ev.Bs]
     finite = np.isfinite(bound_a) and all(np.isfinite(b) for b in bound_b)
     return CertRecord(
         name="ac0",
@@ -108,7 +111,7 @@ def check_differentiability(ops: OperatorFamily, basis: SpectralBasis, t_grid):
 # -- AC2: coercivity --------------------------------------------------
 
 
-def check_coercivity(ops: OperatorFamily, basis: SpectralBasis, alpha: float, t_grid):
+def check_coercivity(ev: OperatorSegment, basis: SpectralBasis, alpha: float):
     """Smallest lambda with 2<A u,u> + lambda|u|^2 >= alpha||u||^2 + sum|B_k u|^2.
 
     lambda is the max over grid times of the top eigenvalue of
@@ -118,15 +121,13 @@ def check_coercivity(ops: OperatorFamily, basis: SpectralBasis, alpha: float, t_
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    t_grid = np.asarray(t_grid, dtype=float)
     d = np.diag(basis.hat_eigenvalues)
-    a = ops.drift_at(t_grid)
+    a = ev.drift
     btb = np.zeros_like(a)
-    for bp in ops.Bs:
-        b = bp.at(t_grid)
+    for b in ev.Bs:
         btb += b.mT @ b
     lam = float(_top_eig(alpha * d + btb - 2.0 * sym(a)).max(initial=-np.inf))
-    worst = float(_min_eig(2.0 * sym(a) + lam * np.eye(ops.dim) - alpha * d - btb)
+    worst = float(_min_eig(2.0 * sym(a) + lam * np.eye(basis.dim) - alpha * d - btb)
                   .min(initial=np.inf))
     status = CERTIFIED if worst >= CERT_EIG_TOL else FAILED
     record = CertRecord(
@@ -140,12 +141,11 @@ def check_coercivity(ops: OperatorFamily, basis: SpectralBasis, alpha: float, t_
 # -- AC3: weak noise bound --------------------------------------------
 
 
-def check_weak_noise_bound(ops: OperatorFamily, t_grid):
+def check_weak_noise_bound(ev: OperatorSegment):
     """phi(t) = sum_k spectral norm of sym(B_k(t)); bounds sum|<u, B_k u>|/|u|^2."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    phi = np.zeros(len(t_grid))
-    for bp in ops.Bs:
-        phi += _spectral_norms(sym(bp.at(t_grid)))
+    phi = np.zeros(len(ev.drift))
+    for b in ev.Bs:
+        phi += _spectral_norms(sym(b))
     record = CertRecord(
         name="ac3", status=CERTIFIED, constants={"phi": phi},
         slack=float(phi.max(initial=0.0)),
@@ -156,7 +156,7 @@ def check_weak_noise_bound(ops: OperatorFamily, t_grid):
 # -- AC4: commutator bound --------------------------------------------
 
 
-def check_commutator_bound(ops: OperatorFamily, basis: SpectralBasis, K2_grid, t_grid):
+def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, K2_grid, t_grid):
     """Commutator form bounded by K1(t) id + K2 sym(tilde_A(t)).
 
     For each nonnegative candidate K2 the pointwise-optimal K1(t) is the top
@@ -164,18 +164,19 @@ def check_commutator_bound(ops: OperatorFamily, basis: SpectralBasis, K2_grid, t
     commutator.  Returns the candidate minimizing the integral of max(K1, 0)
     and reports whether K1 = 0 is achievable.  Both the full-space and the
     leading-half-section restriction of K1 are tabulated, since the two
-    finite-dimensional readings of the continuum inequality differ.
+    finite-dimensional readings of the continuum inequality differ.  t_grid
+    holds the times ev was evaluated at, for the trapezoidal cost.
     """
     t_grid = np.asarray(t_grid, dtype=float)
     K2_grid = np.asarray(K2_grid, dtype=float)
     if np.any(K2_grid < 0):
         raise ValueError("K2 candidates must be nonnegative")
-    half = max(1, ops.dim // 2)
-    ta = sym(assemble_tilde_A(ops, t_grid))
-    c = sym(commutator_C(ops, t_grid))
+    half = max(1, basis.dim // 2)
+    ta = ev.tilde_sym
+    c = sym(commutator_C(ev))
 
     # rounding floor: commutator entries carry errors of order eps * |tA| |B|^2
-    b_norm = sum(_spectral_norms(bp.at(t_grid)) ** 2 for bp in ops.Bs)
+    b_norm = sum(_spectral_norms(b) ** 2 for b in ev.Bs)
     scale = float(np.max(_spectral_norms(ta) * b_norm, initial=0.0))
     tol = max(1e-9, 1e-12 * scale)
 
@@ -212,8 +213,7 @@ def check_commutator_bound(ops: OperatorFamily, basis: SpectralBasis, K2_grid, t
 
 
 def check_strong_noise_bound(
-    ops: OperatorFamily, basis: SpectralBasis, samples: int = 2000,
-    t_grid=None, seed: int = 0,
+    ev: OperatorSegment, basis: SpectralBasis, samples: int = 2000, seed: int = 0,
 ):
     """Empirical minimal (L1, L2) with sum_k |B_k x| <= L1 |A x| + L2 |x|.
 
@@ -224,19 +224,18 @@ def check_strong_noise_bound(
     """
     if samples < 1:
         raise ValueError("need at least one sample")
-    t_grid = np.asarray([0.0] if t_grid is None else t_grid, dtype=float)
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x5CE]))
-    n = ops.dim
+    n = basis.dim
     xs = rng.standard_normal((samples, n)) / basis.hat_eigenvalues[None, :]
     xs = np.vstack([xs, np.eye(n)])
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
 
     hx = np.linalg.norm(xs, axis=1)
     # (times, samples) tables, maximised over the times
-    ax = np.linalg.norm(xs @ ops.drift_at(t_grid).mT, axis=-1).max(axis=0, initial=0.0)
-    num = np.zeros((len(t_grid), len(xs)))
-    for bp in ops.Bs:
-        num += np.linalg.norm(xs @ bp.at(t_grid).mT, axis=-1)
+    ax = np.linalg.norm(xs @ ev.drift.mT, axis=-1).max(axis=0, initial=0.0)
+    num = np.zeros((len(ev.drift), len(xs)))
+    for b in ev.Bs:
+        num += np.linalg.norm(xs @ b.mT, axis=-1)
     num = num.max(axis=0, initial=0.0)
 
     l2_grid = np.linspace(0.0, float(num.max(initial=0.0)), 41)
@@ -271,7 +270,7 @@ def check_strong_noise_bound(
 # -- AC6: weak drift bound --------------------------------------------
 
 
-def check_weak_A_bound(ops: OperatorFamily, basis: SpectralBasis, t_grid):
+def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
     """Minimal (beta, gamma) with |<A x, x>| <= beta ||x||^2 + gamma |x|^2.
 
     Grid search over beta; for each beta, gamma is the smallest shift making
@@ -279,10 +278,9 @@ def check_weak_A_bound(ops: OperatorFamily, basis: SpectralBasis, t_grid):
     semidefinite over the time grid.  The pair minimizing
     gamma + lam_1 * beta is returned, smallest beta breaking ties.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
     d = np.diag(basis.hat_eigenvalues)
     lam1 = float(basis.hat_eigenvalues[0])
-    s = sym(ops.drift_at(t_grid))
+    s = sym(ev.drift)
     scale = float(operator_norm_v_vprime(s, basis).max())
     beta_grid = np.unique(np.concatenate([
         np.linspace(0.0, max(scale, 1.0) * 1.5, 61), [1.0]
@@ -299,7 +297,7 @@ def check_weak_A_bound(ops: OperatorFamily, basis: SpectralBasis, t_grid):
             best = (score, float(beta), gamma)
     _, beta, gamma = best
 
-    shifted = beta * d + gamma * np.eye(ops.dim)
+    shifted = beta * d + gamma * np.eye(basis.dim)
     worst = float(min(_min_eig(shifted - s).min(), _min_eig(shifted + s).min()))
     status = CERTIFIED if worst >= CERT_EIG_TOL else FAILED
     record = CertRecord(
@@ -313,8 +311,7 @@ def check_weak_A_bound(ops: OperatorFamily, basis: SpectralBasis, t_grid):
 
 
 def check_first_order_bound(
-    ops: OperatorFamily, basis: SpectralBasis, t_grid,
-    samples: int = 10_000, seed: int = 0,
+    ev: OperatorSegment, basis: SpectralBasis, samples: int = 10_000, seed: int = 0,
 ):
     """Per-noise C1(t) with |<tilde_A x, B_k x>| <= C1_k(t) |<tilde_A x, x>|.
 
@@ -323,13 +320,12 @@ def check_first_order_bound(
     Otherwise the constant is estimated from sampled ratios and the record
     is flagged empirical.
     """
-    t_grid = np.asarray(t_grid, dtype=float)
-    tables = np.zeros((ops.n_noise, len(t_grid)))
+    bs = ev.Bs
+    tables = np.zeros((len(bs), len(ev.drift)))
     rng = np.random.Generator(np.random.Philox(key=[seed, 0xAC7]))
-    sym_tilde = sym(assemble_tilde_A(ops, t_grid))
+    sym_tilde = ev.tilde_sym
     w, v = np.linalg.eigh(sym_tilde)
     definite = w[:, 0] > 1e-12
-    bs = [bp.at(t_grid) for bp in ops.Bs]
     # S^{1/2} = V diag(sqrt w) V^T and its inverse at every definite time at once
     vd = v[definite]
     root_w = np.sqrt(w[definite])[:, None, :]
@@ -340,10 +336,11 @@ def check_first_order_bound(
     # sampled in time order, so each time keeps its draws from the stream
     for j in np.flatnonzero(~definite):
         s = sym_tilde[j]
-        xs = rng.standard_normal((samples, ops.dim))
-        form = np.einsum("si,ij,sj->s", xs, s, xs)
-        ok = np.abs(form) > 1e-12
+        xs = rng.standard_normal((samples, basis.dim))
+        # s is exactly symmetric, so <s x, x> is the row sum of (x s^T) * x
         sx = xs @ s.T
+        form = np.sum(sx * xs, axis=1)
+        ok = np.abs(form) > 1e-12
         for k, b in enumerate(bs):
             bx = xs @ b[j].T
             mixed = np.sum(sx * bx, axis=1)
@@ -423,19 +420,22 @@ def check_all(
     samples: int = 2000,
     seed: int = 0,
 ) -> AssumptionReport:
-    """Run every checker on one family and collect the records."""
+    """Run every checker on one family and collect the records.
+
+    The family is evaluated on t_grid once, and every checker but ac1 reads
+    that one evaluation.
+    """
     t_grid = np.asarray(t_grid, dtype=float)
+    ev = ops.at(t_grid)
     records = {}
-    records["ac0"] = check_boundedness(ops, basis, t_grid)
+    records["ac0"] = check_boundedness(ev, basis)
     k6, records["ac1"] = check_differentiability(ops, basis, t_grid)
-    _, records["ac2"] = check_coercivity(ops, basis, alpha, t_grid)
-    _, records["ac3"] = check_weak_noise_bound(ops, t_grid)
-    _, _, records["ac4"] = check_commutator_bound(ops, basis, K2_grid, t_grid)
-    _, _, records["ac5"] = check_strong_noise_bound(
-        ops, basis, samples=samples, t_grid=t_grid, seed=seed
-    )
-    _, _, records["ac6"] = check_weak_A_bound(ops, basis, t_grid)
-    _, records["ac7"] = check_first_order_bound(ops, basis, t_grid, seed=seed)
+    _, records["ac2"] = check_coercivity(ev, basis, alpha)
+    _, records["ac3"] = check_weak_noise_bound(ev)
+    _, _, records["ac4"] = check_commutator_bound(ev, basis, K2_grid, t_grid)
+    _, _, records["ac5"] = check_strong_noise_bound(ev, basis, samples=samples, seed=seed)
+    _, _, records["ac6"] = check_weak_A_bound(ev, basis)
+    _, records["ac7"] = check_first_order_bound(ev, basis, seed=seed)
     records["k6"] = CertRecord(name="k6", status=CERTIFIED, constants={"table": k6})
     return AssumptionReport(records=records, t_grid=t_grid)
 

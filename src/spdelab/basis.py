@@ -28,12 +28,10 @@ class SpectralBasis:
     Attributes:
         dim: truncation size N.
         hat_eigenvalues: eigenvalues lam_1 <= ... <= lam_N, all positive.
-        label: tag identifying the continuum model the basis discretizes.
     """
 
     dim: int
     hat_eigenvalues: np.ndarray
-    label: str = ""
 
     def __post_init__(self) -> None:
         lam = np.asarray(self.hat_eigenvalues, dtype=float)

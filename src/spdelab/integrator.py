@@ -3,7 +3,7 @@
 The drift convention is fixed once: the evolution carries +A and +B on the
 left-hand side, so every scheme applies -A(t)u as drift and -B_k(t)u dw^k
 as diffusion.  The schemes step the Ito form: a Stratonovich family's
-drift carries its Ito correction (OperatorFamily.drift_at).  The stepping
+drift carries its Ito correction (OperatorFamily.at).  The stepping
 loop reads every matrix from the family's OperatorSegments on its grid,
 built once; no stepper evaluates a matrix path.
 """
@@ -86,9 +86,9 @@ SCHEMES = tuple(_KERNELS)
 def _one_step(scheme: str, ops: OperatorFamily, u, t: float, dt: float, dw):
     """One step of a scheme on the family evaluated directly at t (and t + dt)."""
     kernel, lag = _KERNELS[scheme]
-    noise = ops.noise_at(t)
-    drift = ops.drift_at(t, noise) if lag == 0 else ops.drift_at(t + dt)
-    return kernel(ops.F, u, t, dt, dw, drift, noise)
+    ev = ops.at(t)
+    drift = ev.drift if lag == 0 else ops.at(t + dt).drift
+    return kernel(ops.F, u, t, dt, dw, drift, ev.Bs)
 
 
 def step_euler_maruyama(

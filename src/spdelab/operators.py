@@ -118,6 +118,32 @@ class MatrixPath:
 
 
 @dataclass(frozen=True)
+class OperatorSegment:
+    """Ito drift and noise matrices of a family, at one time or stacked over times.
+
+    A matrix is (N, N) when it holds at one time or on a whole run of grid
+    times, or a stack (n_times, N, N) with one matrix per time.  Ã and its
+    symmetric part are built from the drift and the noise on first use, so
+    stepping, which reads only those two, never builds them.
+    """
+
+    drift: np.ndarray
+    Bs: tuple
+
+    @cached_property
+    def tilde(self) -> np.ndarray:
+        """Ito drift minus (1/2) sum_k B_k^T B_k (H-adjoint realized as transpose)."""
+        corr = np.zeros(self.drift.shape)
+        for b in self.Bs:
+            corr += b.mT @ b
+        return self.drift - 0.5 * corr
+
+    @cached_property
+    def tilde_sym(self) -> np.ndarray:
+        return sym(self.tilde)
+
+
+@dataclass(frozen=True)
 class OperatorFamily:
     """Drift and noise operators of one system, with optional nonlinearity.
 
@@ -132,7 +158,7 @@ class OperatorFamily:
         F: optional nonlinearity hook (t, u) -> vector.
         n_witness: optional bound on |F(t,u)| / ||u||, the same at all times.
         noise_form: "ito", or "stratonovich" when A is the drift of the
-            Stratonovich equation; drift_at then adds the Ito correction.
+            Stratonovich equation; at() then adds the Ito correction.
     """
 
     A: MatrixPath
@@ -227,27 +253,24 @@ class OperatorFamily:
                     return False
         return True
 
-    def noise_at(self, t) -> list:
-        """[B_k(t) for each k], at one time or stacked over an array of times."""
-        return [bp.at(t) for bp in self.Bs]
+    def at(self, t) -> OperatorSegment:
+        """Ito drift and B_k at t, or stacked over an array of times.
 
-    def drift_at(self, t, noise: Optional[list] = None) -> np.ndarray:
-        """Ito drift at t, or stacked over an array of times.
-
-        A(t) for an Ito family, and A(t) - (1/2) sum_k B_k(t)^2 for a
-        Stratonovich one (Kloeden & Platen, section 4.9).  Note the square
-        B_k @ B_k here, as opposed to B_k^T @ B_k in the corrected generator;
-        the two coincide only for symmetric noise operators.  Every path is
-        evaluated at t itself, so the drift is exact at every time.  `noise`
-        passes the B_k(t) of a caller that already has them.
+        The drift is A(t) for an Ito family, and A(t) - (1/2) sum_k B_k(t)^2
+        for a Stratonovich one (Kloeden & Platen, section 4.9).  Note the
+        square B_k @ B_k here, as opposed to B_k^T @ B_k in the corrected
+        generator; the two coincide only for symmetric noise operators.
+        Every path is evaluated once, at t itself, so the drift is exact at
+        every time.
         """
-        a = self.A.at(t)
-        if self.noise_form == "ito":
-            return a
-        corr = np.zeros(a.shape)
-        for b in self.noise_at(t) if noise is None else noise:
-            corr += b @ b
-        return a - 0.5 * corr
+        noise = tuple(bp.at(t) for bp in self.Bs)
+        drift = self.A.at(t)
+        if self.noise_form == "stratonovich":
+            corr = np.zeros(drift.shape)
+            for b in noise:
+                corr += b @ b
+            drift = drift - 0.5 * corr
+        return OperatorSegment(drift, noise)
 
     def tilde_prime_at(self, t, dt: float = 1e-6) -> np.ndarray:
         """Derivative of the corrected generator at t, or stacked over an array of times.
@@ -267,50 +290,17 @@ class OperatorFamily:
         return np.divide(diff, step, out=zero, where=step > 0)
 
 
-def _corrected(drift: np.ndarray, noise: list) -> np.ndarray:
-    """Ito drift minus (1/2) sum_k B_k^T B_k, for one time or a stack."""
-    corr = np.zeros(drift.shape)
-    for b in noise:
-        corr += b.mT @ b
-    return drift - 0.5 * corr
-
-
 def assemble_tilde_A(ops: OperatorFamily, t) -> np.ndarray:
     """Corrected generator A(t) - (1/2) sum_k B_k(t)^T B_k(t) (H-adjoint realized as transpose).
 
-    A(t) is the family's Ito drift (OperatorFamily.drift_at).  One matrix at
-    a time t, or a stack with one matrix per time at an array of times.
+    A(t) is the family's Ito drift (OperatorFamily.at).  One matrix at a
+    time t, or a stack with one matrix per time at an array of times.
     """
-    noise = ops.noise_at(t)
-    return _corrected(ops.drift_at(t, noise), noise)
+    return ops.at(t).tilde
 
 
 #: grid times per segment when a linear path gives every time its own matrix
 LINEAR_BLOCK = 128
-
-
-@dataclass(frozen=True)
-class OperatorSegment:
-    """Ito drift, noise matrices and corrected generator on the grid indices [start, stop).
-
-    A matrix is (N, N) when it holds on the whole segment, or a stack
-    (stop - start, N, N) with one matrix per grid time.  Ã and its
-    symmetric part are built from the drift and the noise on first use, so
-    stepping, which reads only those two, never builds them.
-    """
-
-    start: int
-    stop: int
-    drift: np.ndarray
-    Bs: tuple
-
-    @cached_property
-    def tilde(self) -> np.ndarray:
-        return _corrected(self.drift, self.Bs)
-
-    @cached_property
-    def tilde_sym(self) -> np.ndarray:
-        return sym(self.tilde)
 
 
 class OperatorSegments:
@@ -329,25 +319,20 @@ class OperatorSegments:
         self.times = np.asarray(times, dtype=float)
         self.n_noise = ops.n_noise
         n = len(self.times)
-
-        def evaluate(at: np.ndarray):
-            noise = ops.noise_at(at)
-            return ops.drift_at(at, noise), noise
-
         if ops.interpolation == "linear":
             # block by block, so no temporary outgrows one block
             edges = np.append(np.arange(0, n, LINEAR_BLOCK), n)
-            mats = [evaluate(self.times[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+            self.segments = tuple(ops.at(self.times[lo:hi])
+                                  for lo, hi in zip(edges[:-1], edges[1:]))
         else:
             nodes = ops.nodes
             idx = np.zeros(n) if nodes is None else interval_index(nodes, self.times)
             edges = np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [n]])
-            drift, noise = evaluate(self.times[edges[:-1]])
-            mats = [(drift[p], [b[p] for b in noise]) for p in range(len(drift))]
-        self.segments = tuple(
-            OperatorSegment(int(lo), int(hi), drift, tuple(noise))
-            for lo, hi, (drift, noise) in zip(edges[:-1], edges[1:], mats)
-        )
+            ev = ops.at(self.times[edges[:-1]])
+            self.segments = tuple(OperatorSegment(ev.drift[p], tuple(b[p] for b in ev.Bs))
+                                  for p in range(len(edges) - 1))
+        # segment p holds the grid indices [edges[p], edges[p + 1])
+        self._edges = edges.tolist()
         # the number of the segment holding each grid index
         self._owner = np.repeat(np.arange(len(self.segments)), np.diff(edges)).tolist()
 
@@ -356,11 +341,12 @@ class OperatorSegments:
 
         A segment whose matrices hold on all its indices is returned as it is.
         """
-        seg = self.segments[self._owner[j]]
+        p = self._owner[j]
+        seg = self.segments[p]
         if seg.drift.ndim == 2:
             return seg
-        i = j - seg.start
-        return OperatorSegment(j, j + 1, seg.drift[i], tuple(b[i] for b in seg.Bs))
+        i = j - self._edges[p]
+        return OperatorSegment(seg.drift[i], tuple(b[i] for b in seg.Bs))
 
     def _apply(self, states: np.ndarray, pick) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -369,13 +355,13 @@ class OperatorSegments:
                 f"states {states.shape} do not lie on a grid of {len(self.times)} times"
             )
         out = np.empty_like(states)
-        for seg in self.segments:
-            u = states[..., seg.start:seg.stop, :]
+        for seg, lo, hi in zip(self.segments, self._edges, self._edges[1:]):
+            u = states[..., lo:hi, :]
             m = pick(seg)
             if m.ndim == 2:
-                out[..., seg.start:seg.stop, :] = u @ m.T
+                out[..., lo:hi, :] = u @ m.T
             else:
-                out[..., seg.start:seg.stop, :] = np.einsum("tij,...tj->...ti", m, u)
+                out[..., lo:hi, :] = np.einsum("tij,...tj->...ti", m, u)
         return out
 
     def tilde_applied(self, states: np.ndarray, symmetric: bool = False) -> np.ndarray:
@@ -407,12 +393,11 @@ def galerkin_compress(matrix: np.ndarray, m: int) -> np.ndarray:
     return out
 
 
-def commutator_C(ops: OperatorFamily, t) -> np.ndarray:
-    """sum_k B_k^T (tilde_A B_k - B_k tilde_A) at time t, or stacked over an array of times."""
-    ta = assemble_tilde_A(ops, t)
+def commutator_C(ev: OperatorSegment) -> np.ndarray:
+    """sum_k B_k^T (tilde_A B_k - B_k tilde_A) of an evaluation, one matrix or a stack."""
+    ta = ev.tilde
     out = np.zeros_like(ta)
-    for bp in ops.Bs:
-        b = bp.at(t)
+    for b in ev.Bs:
         out += b.mT @ (ta @ b - b @ ta)
     return out
 

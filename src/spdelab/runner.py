@@ -23,7 +23,7 @@ from . import diagnostics as diag
 from .assumptions import check_all, check_commutator_bound, k6_table
 from .brownian import uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
-from .operators import OperatorSegments, assemble_tilde_A, spectrum, sym
+from .operators import OperatorSegments, spectrum
 from .systems import REGISTRY, SystemSpec, make_system
 
 SCHEMA_VERSION = "1"
@@ -359,7 +359,7 @@ def _constants_for(system: SystemSpec, t_grid: np.ndarray):
     if coarse[-1] != t_grid[-1]:
         coarse = np.concatenate([coarse, [t_grid[-1]]])
     k2, k1_coarse, _ = check_commutator_bound(
-        system.ops, system.basis, (0.0, 0.5, 1.0), coarse
+        system.ops.at(coarse), system.basis, (0.0, 0.5, 1.0), coarse
     )
     k1 = np.interp(t_grid, coarse, k1_coarse)
     if system.ops.is_constant:
@@ -415,6 +415,13 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     cfg.validate()
     system = build_system(cfg)
     run_dir = _resolve_dir(cfg)
+    grid = uniform_grid(cfg.T, cfg.dt)
+    u0 = None if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
+    ens = integrate_ensemble(
+        system, cfg.scheme, grid, cfg.master_seed, cfg.paths, u0=u0
+    )
+
+    # only now, so a run that fails to integrate leaves no directory behind
     try:
         os.makedirs(run_dir, exist_ok=True)
     except OSError as exc:
@@ -425,12 +432,6 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     if cfg.write_paths:
         os.makedirs(os.path.join(run_dir, "paths"), exist_ok=True)
     outputs = []
-
-    grid = uniform_grid(cfg.T, cfg.dt)
-    u0 = None if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
-    ens = integrate_ensemble(
-        system, cfg.scheme, grid, cfg.master_seed, cfg.paths, u0=u0
-    )
 
     eps = cfg.eps_list[0] if cfg.eps_list else 1e-8
     segs = OperatorSegments(system.ops, grid)
@@ -488,7 +489,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         "paths": cfg.paths,
         "blowups": {str(k): v for k, v in ens.blowups.items()},
     }
-    tilde_sym = sym(assemble_tilde_A(system.ops, 0.0))
+    tilde_sym = system.ops.at(0.0).tilde_sym
     eigs, _ = spectrum(tilde_sym, symmetric=True)
 
     if cfg.kind in ("simulate", "spectral-limit"):

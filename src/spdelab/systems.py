@@ -3,7 +3,7 @@
 Every factory returns a SystemSpec whose operators act in the orthonormal
 eigenbasis of the norm-defining operator of its Gelfand triple.  Every
 shipped family is written in Stratonovich form: ops.A is the Stratonovich
-drift, ops.noise_form says so, and ops.drift_at(t) evaluates the Ito drift
+drift, ops.noise_form says so, and ops.at(t).drift is the Ito drift
 A(t) - (1/2) sum_k B_k(t)^2 at any time.
 
 Shipped systems:
@@ -101,7 +101,6 @@ def make_diagonal(
     basis = SpectralBasis(
         dim=len(eigs),
         hat_eigenvalues=np.maximum.accumulate(np.maximum(np.abs(eigs), 1.0)),
-        label="diagonal",
     )
     start = np.ones(len(eigs)) if u0 is None else np.asarray(u0, dtype=float)
     return SystemSpec(
@@ -122,7 +121,7 @@ def torus_basis(dim: int) -> SpectralBasis:
     mode.
     """
     freqs = torus_frequencies(dim)
-    return SpectralBasis(dim=dim, hat_eigenvalues=freqs**2 + 1.0, label="torus-1d")
+    return SpectralBasis(dim=dim, hat_eigenvalues=freqs**2 + 1.0)
 
 
 def torus_frequencies(dim: int) -> np.ndarray:
@@ -292,13 +291,14 @@ def make_coupled_torus(
     perm = np.eye(dim)[order]
 
     if h_tables is None:
+        if h_time_grid is not None:
+            raise ValueError("h_time_grid is given without the h_tables it would time")
         base = np.zeros((1, n, n, n))
         for m in range(n):
             base[0, m] = 0.3 * np.eye(n)
             if n > 1:
                 base[0, m, m, (m + 1) % n] = 0.2
         h_tables = base
-        h_time_grid = None
     h_tables = np.asarray(h_tables, dtype=float)
     if h_tables.ndim != 4 or h_tables.shape[2] != n or h_tables.shape[3] != n:
         raise ValueError("h tables must have shape (n_times, n_noise, n, n)")
@@ -340,7 +340,7 @@ def make_coupled_torus(
         Bs=tuple(_permute_path(b, perm) for b in bs),
         F=f_hook, n_witness=n_witness, noise_form="stratonovich",
     )
-    basis = SpectralBasis(dim=dim, hat_eigenvalues=lam[order], label="coupled-torus")
+    basis = SpectralBasis(dim=dim, hat_eigenvalues=lam[order])
     if u0 is None:
         start = np.zeros(dim)
         start[: min(2 * n, dim)] = 1.0
@@ -494,7 +494,7 @@ def make_nse_2d(
 
     ops = OperatorFamily(A=a_strat, Bs=bs, F=f_hook, n_witness=k_est,
                          noise_form="stratonovich")
-    basis = SpectralBasis(dim=geom.dim, hat_eigenvalues=lam, label="nse-2d")
+    basis = SpectralBasis(dim=geom.dim, hat_eigenvalues=lam)
     if u0 is None:
         start = np.zeros(geom.dim)
         start[: min(4, geom.dim)] = 1.0

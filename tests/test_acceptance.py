@@ -206,7 +206,7 @@ def test_acceptance_5_gronwall_bound():
 def _envelope_rate(dt: float) -> float:
     sys = make_diagonal([1.0, 4.0, 9.0], [[0.3, 0.2, 0.1]])
     k2, k1, record = check_commutator_bound(
-        sys.ops, sys.basis, (0.0,), np.array([0.0])
+        sys.ops.at(np.array([0.0])), sys.basis, (0.0,), np.array([0.0])
     )
     assert record.constants["K1_zero_achievable"]  # precondition of the bound
     grid = uniform_grid(1.0, dt)
@@ -333,8 +333,8 @@ def test_acceptance_9_galerkin_gap_decay():
 def test_acceptance_10_assumption_certificates():
     t_grid = np.array([0.0])
     grad = make_torus_heat_gradient_noise(dim=32, sigma_fields=(0.5,))
-    phi, _ = check_weak_noise_bound(grad.ops, t_grid)
-    k2, k1, rec4 = check_commutator_bound(grad.ops, grad.basis, (0.0, 1.0), t_grid)
+    phi, _ = check_weak_noise_bound(grad.ops.at(t_grid))
+    k2, k1, rec4 = check_commutator_bound(grad.ops.at(t_grid), grad.basis, (0.0, 1.0), t_grid)
     grad_ok = (np.max(phi) < 1e-9 and k2 == 0.0 and np.allclose(k1, 0.0)
                and rec4.constants["K1_zero_achievable"])
 

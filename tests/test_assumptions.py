@@ -1,4 +1,6 @@
 """Certificate checkers for the structural operator conditions."""
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,12 @@ from spdelab.assumptions import (
 )
 from spdelab.basis import SpectralBasis
 from spdelab.operators import MatrixPath, OperatorFamily, assemble_tilde_A, sym
-from spdelab.systems import derivative_matrix, make_torus_heat_gradient_noise
+from spdelab.systems import (
+    derivative_matrix,
+    make_coupled_torus,
+    make_diagonal,
+    make_torus_heat_gradient_noise,
+)
 
 T_GRID = np.array([0.0])
 
@@ -41,7 +48,7 @@ def test_coercivity_drift_equals_hat_operator():
     """2<hat_A u, u> = 2||u||^2, so alpha=2 needs no shift."""
     lam = [1.0, 2.0, 5.0]
     ops = family(np.diag(lam))
-    value, record = check_coercivity(ops, hat_basis(lam), 2.0, T_GRID)
+    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam), 2.0)
     assert value == pytest.approx(0.0, abs=1e-12)
     assert record.status == CERTIFIED
 
@@ -50,7 +57,7 @@ def test_coercivity_scalar_noise_costs_its_square():
     lam = [1.0, 2.0]
     c = 0.7
     ops = family(np.diag(lam), [c * np.eye(2)])
-    value, record = check_coercivity(ops, hat_basis(lam), 2.0, T_GRID)
+    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam), 2.0)
     assert value == pytest.approx(c**2, abs=1e-12)
     assert record.status == CERTIFIED
 
@@ -60,7 +67,7 @@ def test_coercivity_recheck_on_random_symmetric_drift():
     a = sym(rng.standard_normal((5, 5)))
     b = rng.standard_normal((5, 5))
     ops = family(a, [b])
-    _, record = check_coercivity(ops, hat_basis(np.arange(1.0, 6.0)), 1.0, T_GRID)
+    _, record = check_coercivity(ops.at(T_GRID), hat_basis(np.arange(1.0, 6.0)), 1.0)
     assert record.status == CERTIFIED
     assert record.slack >= CERT_EIG_TOL
 
@@ -70,8 +77,8 @@ def test_coercivity_monotone_in_noise():
     lam = [1.0, 2.0]
     base = family(np.diag(lam), [0.3 * np.eye(2)])
     bigger = family(np.diag(lam), [0.3 * np.eye(2), 0.4 * np.eye(2)])
-    v0, _ = check_coercivity(base, hat_basis(lam), 2.0, T_GRID)
-    v1, _ = check_coercivity(bigger, hat_basis(lam), 2.0, T_GRID)
+    v0, _ = check_coercivity(base.at(T_GRID), hat_basis(lam), 2.0)
+    v1, _ = check_coercivity(bigger.at(T_GRID), hat_basis(lam), 2.0)
     assert v1 >= v0 - 1e-12
 
 
@@ -80,20 +87,20 @@ def test_coercivity_monotone_in_noise():
 
 def test_weak_noise_skew_gives_zero():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    phi, record = check_weak_noise_bound(family(np.eye(2), [skew]), T_GRID)
+    phi, record = check_weak_noise_bound(family(np.eye(2), [skew]).at(T_GRID))
     assert np.allclose(phi, 0.0)
     assert record.status == CERTIFIED
 
 
 def test_weak_noise_scalar_gives_absolute_value():
-    phi, _ = check_weak_noise_bound(family(np.eye(2), [-0.8 * np.eye(2)]), T_GRID)
+    phi, _ = check_weak_noise_bound(family(np.eye(2), [-0.8 * np.eye(2)]).at(T_GRID))
     assert phi[0] == pytest.approx(0.8)
 
 
 def test_weak_noise_dominates_sampled_ratios():
     rng = np.random.default_rng(1)
     b = rng.standard_normal((4, 4))
-    phi, _ = check_weak_noise_bound(family(np.eye(4), [b]), T_GRID)
+    phi, _ = check_weak_noise_bound(family(np.eye(4), [b]).at(T_GRID))
     for _ in range(200):
         u = rng.standard_normal(4)
         assert abs(u @ b @ u) <= phi[0] * (u @ u) + 1e-12
@@ -101,8 +108,8 @@ def test_weak_noise_dominates_sampled_ratios():
 
 def test_weak_noise_monotone_in_family():
     b1 = np.diag([0.5, 0.5])
-    phi1, _ = check_weak_noise_bound(family(np.eye(2), [b1]), T_GRID)
-    phi2, _ = check_weak_noise_bound(family(np.eye(2), [b1, b1]), T_GRID)
+    phi1, _ = check_weak_noise_bound(family(np.eye(2), [b1]).at(T_GRID))
+    phi2, _ = check_weak_noise_bound(family(np.eye(2), [b1, b1]).at(T_GRID))
     assert np.all(phi2 >= phi1 - 1e-15)
 
 
@@ -112,7 +119,7 @@ def test_weak_noise_monotone_in_family():
 def test_commutator_zero_for_commuting_family():
     ops = family(np.diag([1.0, 4.0]), [np.diag([0.3, 0.2])])
     k2, k1, record = check_commutator_bound(
-        ops, hat_basis([1.0, 4.0]), (0.0, 1.0), T_GRID
+        ops.at(T_GRID), hat_basis([1.0, 4.0]), (0.0, 1.0), T_GRID
     )
     assert k2 == 0.0
     assert np.allclose(k1, 0.0, atol=1e-12)
@@ -122,7 +129,7 @@ def test_commutator_zero_for_commuting_family():
 def test_commutator_gradient_noise_constant_sigma():
     sys = make_torus_heat_gradient_noise(dim=16, sigma_fields=(0.5,))
     k2, k1, record = check_commutator_bound(
-        sys.ops, sys.basis, (0.0, 0.5, 1.0), T_GRID
+        sys.ops.at(T_GRID), sys.basis, (0.0, 0.5, 1.0), T_GRID
     )
     assert np.allclose(k1, 0.0, atol=1e-9)
     assert k2 == 0.0
@@ -134,7 +141,7 @@ def test_commutator_variable_sigma_bounded_by_gradient():
     sigma = lambda x: amp * np.sin(x)
     sys = make_torus_heat_gradient_noise(dim=24, sigma_fields=(sigma,))
     k2, k1, _ = check_commutator_bound(
-        sys.ops, sys.basis, np.linspace(0.0, 2.0, 21), T_GRID
+        sys.ops.at(T_GRID), sys.basis, np.linspace(0.0, 2.0, 21), T_GRID
     )
     # sup |grad sigma|^2 = amp^2; the noise-weighted commutator form is
     # bounded by that times the V-norm, absorbed here through K2
@@ -146,7 +153,7 @@ def test_commutator_variable_sigma_bounded_by_gradient():
 
 def test_strong_noise_zero_for_no_noise():
     l1, l2, record = check_strong_noise_bound(
-        family(np.diag([1.0, 2.0])), hat_basis([1.0, 2.0]), samples=1000
+        family(np.diag([1.0, 2.0])).at(T_GRID), hat_basis([1.0, 2.0]), samples=1000
     )
     assert l1 == 0.0 and l2 == 0.0
     assert record.status == EMPIRICAL
@@ -156,7 +163,7 @@ def test_strong_noise_scalar_noise_bound_holds():
     lam = [1.0, 2.0, 4.0]
     c = 0.6
     ops = family(np.diag(lam), [c * np.eye(3)])
-    l1, l2, _ = check_strong_noise_bound(ops, hat_basis(lam), samples=1500)
+    l1, l2, _ = check_strong_noise_bound(ops.at(T_GRID), hat_basis(lam), samples=1500)
     rng = np.random.default_rng(0)
     a = ops.A.at(0.0)
     for _ in range(300):
@@ -172,7 +179,7 @@ def test_strong_noise_scalar_noise_bound_holds():
 def test_weak_A_bound_hat_operator():
     lam = [1.0, 2.0, 5.0]
     beta, gamma, record = check_weak_A_bound(
-        family(np.diag(lam)), hat_basis(lam), T_GRID
+        family(np.diag(lam)).at(T_GRID), hat_basis(lam)
     )
     assert beta == pytest.approx(1.0, abs=1e-9)
     assert gamma == pytest.approx(0.0, abs=1e-9)
@@ -182,7 +189,7 @@ def test_weak_A_bound_hat_operator():
 def test_weak_A_bound_shifted_hat_operator():
     lam = np.array([1.0, 2.0, 5.0])
     beta, gamma, _ = check_weak_A_bound(
-        family(np.diag(lam) + np.eye(3)), hat_basis(lam), T_GRID
+        family(np.diag(lam) + np.eye(3)).at(T_GRID), hat_basis(lam)
     )
     assert beta == pytest.approx(1.0, abs=1e-9)
     assert gamma == pytest.approx(1.0, abs=1e-9)
@@ -192,7 +199,7 @@ def test_weak_A_bound_recheck_random():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))
     beta, gamma, record = check_weak_A_bound(
-        family(a), hat_basis(np.arange(1.0, 5.0)), T_GRID
+        family(a).at(T_GRID), hat_basis(np.arange(1.0, 5.0))
     )
     assert record.status == CERTIFIED
     assert record.slack >= CERT_EIG_TOL
@@ -204,7 +211,7 @@ def test_weak_A_bound_recheck_random():
 def test_first_order_scalar_noise():
     ops = family(np.diag([2.0, 3.0]), [0.4 * np.eye(2)])
     tables, record = check_first_order_bound(
-        ops, hat_basis([2.0, 3.0]), T_GRID
+        ops.at(T_GRID), hat_basis([2.0, 3.0])
     )
     assert tables[0, 0] == pytest.approx(0.4, abs=1e-9)
     assert record.status == CERTIFIED
@@ -212,7 +219,7 @@ def test_first_order_scalar_noise():
 
 def test_first_order_diagonal_closed_form():
     ops = family(np.diag([1.0, 2.0, 4.0]), [np.diag([0.1, 0.5, 0.3])])
-    tables, _ = check_first_order_bound(ops, hat_basis([1.0, 2.0, 4.0]), T_GRID)
+    tables, _ = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0, 4.0]))
     assert tables[0, 0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -221,7 +228,7 @@ def test_first_order_sampled_ratios_never_exceed():
     a = sym(rng.standard_normal((4, 4))) + 5.0 * np.eye(4)  # positive definite
     b = rng.standard_normal((4, 4))
     ops = family(a, [0.1 * b])
-    tables, record = check_first_order_bound(ops, hat_basis(np.arange(1.0, 5.0)), T_GRID)
+    tables, record = check_first_order_bound(ops.at(T_GRID), hat_basis(np.arange(1.0, 5.0)))
     assert record.status == CERTIFIED
     s = sym(ops.A.at(0.0) - 0.5 * (0.1 * b).T @ (0.1 * b))
     for _ in range(2000):
@@ -233,7 +240,7 @@ def test_first_order_sampled_ratios_never_exceed():
 
 def test_first_order_indefinite_falls_back_to_empirical():
     ops = family(np.diag([-1.0, 2.0]), [0.3 * np.eye(2)])
-    _, record = check_first_order_bound(ops, hat_basis([1.0, 2.0]), T_GRID)
+    _, record = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0]))
     assert record.status == EMPIRICAL
 
 
@@ -261,7 +268,7 @@ def test_first_order_mixed_times_match_per_time_roots():
             MatrixPath(0.1 * b[1])),
     )
     times = np.linspace(0.0, 1.0, 9)
-    tables, record = check_first_order_bound(ops, hat_basis([1.0, 2.0, 3.0]), times)
+    tables, record = check_first_order_bound(ops.at(times), hat_basis([1.0, 2.0, 3.0]))
     assert record.status == EMPIRICAL and not record.constants["certified"]
     s_all = sym(assemble_tilde_A(ops, times))
     definite = np.linalg.eigvalsh(s_all)[:, 0] > 1e-12
@@ -326,6 +333,34 @@ def test_check_all_produces_every_record():
     assert "ladder" in d and "ac0" in d
 
 
+def _piecewise_coupled_torus():
+    """Two noises whose tables jump at t = 0.5 and t = 1, constant between nodes."""
+    tables = np.zeros((3, 2, 2, 2))
+    for j, t in enumerate((0.0, 0.5, 1.0)):
+        tables[j] = 0.3 * (1.0 + 0.5 * t) * np.eye(2)
+        tables[j, 0, 0, 1] = tables[j, 1, 1, 0] = 0.2 * t
+    return make_coupled_torus(modes=3, h_tables=tables, h_time_grid=[0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("make", [make_diagonal, _piecewise_coupled_torus])
+def test_check_all_evaluates_each_path_once(monkeypatch, make):
+    """Every checker reads one evaluation of the family on the grid, and a
+    family that is constant between nodes has no Ã' to difference."""
+    system = make()
+    calls = Counter()
+    at = MatrixPath.at
+
+    def counted(path, t):
+        calls[id(path)] += 1
+        return at(path, t)
+
+    monkeypatch.setattr(MatrixPath, "at", counted)
+    check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5), samples=200)
+    paths = (system.ops.A,) + system.ops.Bs
+    assert system.ops.interpolation == "constant"
+    assert dict(calls) == {id(p): 1 for p in paths}
+
+
 def test_ladder_stability_torus_gradient():
     """Certified constants move by < 5% when the truncation doubles."""
 
@@ -342,8 +377,8 @@ def test_certificate_tightness_reported():
     lam = [1.0, 2.0]
     c = 0.7
     ops = family(np.diag(lam), [c * np.eye(2)])
-    value, record = check_coercivity(ops, hat_basis(lam), 2.0, T_GRID)
-    shrunk, _ = check_coercivity(ops, hat_basis(lam), 2.0, T_GRID)
+    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam), 2.0)
+    shrunk, _ = check_coercivity(ops.at(T_GRID), hat_basis(lam), 2.0)
     # certificate with 0.99 * lambda must lose semidefiniteness
     d = np.diag(np.asarray(lam, dtype=float))
     cert = (2.0 * np.diag(lam) + 0.99 * value * np.eye(2)

@@ -22,7 +22,7 @@ def test_stratonovich_drift_uses_operator_square():
     a = np.zeros((2, 2))
     b = np.array([[0.0, 1.0], [0.0, 0.0]])  # nilpotent: b @ b = 0
     ops = OperatorFamily(A=MatrixPath(a), Bs=(MatrixPath(b),), noise_form="stratonovich")
-    assert np.allclose(ops.drift_at(0.0), 0.0)  # b^T b would give diag(0, 1)
+    assert np.allclose(ops.at(0.0).drift, 0.0)  # b^T b would give diag(0, 1)
 
 
 def test_stratonovich_drift_diagonal():
@@ -30,9 +30,9 @@ def test_stratonovich_drift_diagonal():
         A=MatrixPath(np.diag([1.0, 2.0])), Bs=(MatrixPath(np.diag([0.4, 0.6])),),
         noise_form="stratonovich",
     )
-    assert np.allclose(np.diag(ops.drift_at(0.0)), [1.0 - 0.08, 2.0 - 0.18])
+    assert np.allclose(np.diag(ops.at(0.0).drift), [1.0 - 0.08, 2.0 - 0.18])
     ito = OperatorFamily(A=ops.A, Bs=ops.Bs)
-    assert np.array_equal(ito.drift_at(0.0), np.diag([1.0, 2.0]))
+    assert np.array_equal(ito.at(0.0).drift, np.diag([1.0, 2.0]))
 
 
 def test_stratonovich_drift_keeps_the_jumps_of_every_noise():
@@ -45,11 +45,11 @@ def test_stratonovich_drift_keeps_the_jumps_of_every_noise():
     assert np.array_equal(ops.nodes, [0.0, 0.25, 0.5])
     assert ops.interpolation == "constant"
     times = np.array([0.0, 0.1, 0.25, 0.3, 0.49, 0.5])
-    for t, stacked in zip(times, ops.drift_at(times)):
+    for t, stacked in zip(times, ops.at(times).drift):
         want = a - 0.5 * (b0.at(t) @ b0.at(t) + b1.at(t) @ b1.at(t))
-        np.testing.assert_allclose(ops.drift_at(t), want, rtol=1e-15)
-        assert np.array_equal(stacked, ops.drift_at(t))
-    np.testing.assert_allclose(np.diag(ops.drift_at(0.3)), [0.675, 1.675], rtol=1e-15)
+        np.testing.assert_allclose(ops.at(t).drift, want, rtol=1e-15)
+        assert np.array_equal(stacked, ops.at(t).drift)
+    np.testing.assert_allclose(np.diag(ops.at(0.3).drift), [0.675, 1.675], rtol=1e-15)
 
 
 def _linear_drift_jumping_noise():
@@ -63,10 +63,10 @@ def test_stratonovich_drift_exact_between_nodes():
     """The Ito drift of a linear A under a jumping B is exact at every time,
     not interpolated between the family's nodes."""
     ops = _linear_drift_jumping_noise()
-    np.testing.assert_allclose(ops.drift_at(0.25), 1.25 * np.eye(2), rtol=1e-15)
+    np.testing.assert_allclose(ops.at(0.25).drift, 1.25 * np.eye(2), rtol=1e-15)
     times = np.array([0.0, 0.1, 0.25, 0.4, 0.5])
     want = [(1.0 + t - 0.5 * (t >= 0.5)) * np.eye(2) for t in times]
-    np.testing.assert_allclose(ops.drift_at(times), want, rtol=1e-15)
+    np.testing.assert_allclose(ops.at(times).drift, want, rtol=1e-15)
 
 
 @pytest.mark.parametrize("scheme", ["euler-maruyama", "drift-implicit"])

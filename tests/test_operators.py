@@ -134,27 +134,31 @@ def _same_bits(stack, per_time):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 4), st.lists(st.sampled_from(_PATH_KINDS), min_size=1, max_size=4),
-       st.integers(0, 2**32 - 1))
-def test_stacked_evaluation_matches_scalar_calls_bit_for_bit(n, kinds, seed):
-    """at, assemble_tilde_A, commutator_C and Ã' on a time array equal the per-time calls."""
+       st.sampled_from(("ito", "stratonovich")), st.integers(0, 2**32 - 1))
+def test_stacked_evaluation_matches_scalar_calls_bit_for_bit(n, kinds, noise_form, seed):
+    """ops.at, Ã, the commutator and Ã' on a time array equal the per-time calls."""
     rng = np.random.default_rng(seed)
     paths = [_random_path(kind, n, rng) for kind in kinds]
-    ops = OperatorFamily(A=paths[0], Bs=tuple(paths[1:]))
+    ops = OperatorFamily(A=paths[0], Bs=tuple(paths[1:]), noise_form=noise_form)
     nodes = ops.nodes
     lo, hi = (0.0, 1.0) if nodes is None else (nodes[0], nodes[-1])
     times = np.concatenate([[lo, hi], rng.uniform(lo, hi, size=6),
                             [] if nodes is None else nodes])
     for path in paths:
         _same_bits(path.at(times), [path.at(float(t)) for t in times])
-    tilde = assemble_tilde_A(ops, times)
-    per_time = [assemble_tilde_A(ops, float(t)) for t in times]
-    _same_bits(tilde, per_time)
-    _same_bits(sym(tilde), [sym(x) for x in per_time])
-    _same_bits(commutator_C(ops, times), [commutator_C(ops, float(t)) for t in times])
+    ev = ops.at(times)
+    per_time = [ops.at(float(t)) for t in times]
+    _same_bits(ev.drift, [e.drift for e in per_time])
+    for k in range(ops.n_noise):
+        _same_bits(ev.Bs[k], [e.Bs[k] for e in per_time])
+    _same_bits(ev.tilde, [e.tilde for e in per_time])
+    _same_bits(assemble_tilde_A(ops, times), [e.tilde for e in per_time])
+    _same_bits(ev.tilde_sym, [sym(e.tilde) for e in per_time])
+    _same_bits(commutator_C(ev), [commutator_C(e) for e in per_time])
     _same_bits(ops.tilde_prime_at(times), [ops.tilde_prime_at(float(t)) for t in times])
     basis = SpectralBasis(dim=n, hat_eigenvalues=np.arange(1.0, n + 1.0))
-    norms = operator_norm_v_vprime(tilde, basis)
-    _same_bits(norms, [operator_norm_v_vprime(m, basis) for m in tilde])
+    norms = operator_norm_v_vprime(ev.tilde, basis)
+    _same_bits(norms, [operator_norm_v_vprime(e.tilde, basis) for e in per_time])
 
 
 @given(st.integers(1, 6), st.integers(1, 6))
@@ -177,7 +181,7 @@ def test_commutator_zero_for_commuting_family():
     ops = OperatorFamily(
         A=MatrixPath(np.diag([1.0, 2.0])), Bs=(MatrixPath(0.5 * np.eye(2)),)
     )
-    assert np.allclose(commutator_C(ops, 0.0), 0.0)
+    assert np.allclose(commutator_C(ops.at(0.0)), 0.0)
 
 
 def test_commutator_hand_computed():
@@ -186,7 +190,7 @@ def test_commutator_hand_computed():
     ops = OperatorFamily(A=MatrixPath(a), Bs=(MatrixPath(b),))
     ta = assemble_tilde_A(ops, 0.0)
     expected = b.T @ (ta @ b - b @ ta)
-    assert np.allclose(commutator_C(ops, 0.0), expected)
+    assert np.allclose(commutator_C(ops.at(0.0)), expected)
 
 
 def test_operator_norm_v_vprime_diagonal():

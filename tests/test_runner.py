@@ -336,6 +336,16 @@ def test_cli_run_rejects_a_config_of_another_kind(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
+def test_cli_run_that_fails_to_integrate_leaves_no_directory(tmp_path, capsys):
+    """The default coupled-torus noise does not commute, so Milstein fails
+    inside the integration, before the run directory is made."""
+    path = minimal_config(tmp_path, system={"name": "coupled-torus", "modes": 3},
+                          scheme="milstein")
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith("error: milstein requires")
+    assert not os.path.exists(tmp_path / "out")
+
+
 def test_cli_run_gives_its_kind_to_a_config_without_one(tmp_path, capsys):
     path = minimal_config(tmp_path, r_list=[1e-6])
     assert main(["backward-probe", "--config", path]) == 0

@@ -52,7 +52,7 @@ def test_diagonal_quotient_limit():
 
 def test_diagonal_pure_heat_modes():
     sys = make_diagonal([1.0, 4.0, 9.0], np.zeros((1, 3)))
-    assert np.allclose(sys.ops.drift_at(0.0), np.diag([1.0, 4.0, 9.0]))
+    assert np.allclose(sys.ops.at(0.0).drift, np.diag([1.0, 4.0, 9.0]))
 
 
 # -- torus machinery --------------------------------------------------
@@ -134,7 +134,7 @@ def test_gradient_noise_ito_drift_amplified():
     """Ito conversion adds sigma^2/2 times the Laplacian to the drift."""
     s = 0.6
     sys = make_torus_heat_gradient_noise(dim=8, sigma_fields=(s,))
-    a = sys.ops.drift_at(0.0)
+    a = sys.ops.at(0.0).drift
     # the highest cos mode loses its sin partner under truncation, so the
     # amplification is exact on interior frequencies only
     interior = slice(0, 7)
@@ -165,7 +165,7 @@ def test_coupled_torus_single_component_reduces_to_scalar_noise():
     b = sys.ops.Bs[0].at(0.0)
     assert np.allclose(b, 0.5 * np.eye(6), atol=1e-12)
     scalar = make_torus_heat_scalar_noise(dim=6, c_coeffs=(0.5,))
-    assert np.allclose(sys.ops.drift_at(0.0), scalar.ops.drift_at(0.0), atol=1e-12)
+    assert np.allclose(sys.ops.at(0.0).drift, scalar.ops.at(0.0).drift, atol=1e-12)
 
 
 def test_coupled_torus_rejects_bad_tables():
@@ -175,6 +175,9 @@ def test_coupled_torus_rejects_bad_tables():
     # two rows of tables need the times they hold at
     with pytest.raises(ValueError, match="h_time_grid"):
         make_coupled_torus(n_components=2, modes=3, h_tables=np.ones((2, 2, 2, 2)))
+    # a grid without tables would silently leave the default noise in place
+    with pytest.raises(ValueError, match="h_time_grid"):
+        make_coupled_torus(n_components=2, modes=3, h_time_grid=[0.0, 0.5, 1.0])
 
 
 # -- 2-D incompressible flow ------------------------------------------
@@ -362,6 +365,6 @@ def test_stratonovich_conversion_matches_hand_converted_ito():
     Ito system with the same increments."""
     c = 0.5
     sys = make_torus_heat_scalar_noise(dim=6, c_coeffs=(c,))
-    a_ito = sys.ops.drift_at(0.0)
+    a_ito = sys.ops.at(0.0).drift
     expect = laplacian_matrix(6) - 0.5 * c**2 * np.eye(6)
     assert np.allclose(a_ito, expect, atol=1e-12)
