@@ -19,7 +19,6 @@ from .integrator import (
     BlowUpError,
     EnsembleResult,
     SchemeError,
-    Trajectory,
     integrate,
     integrate_ensemble,
     strong_convergence,
@@ -50,7 +49,6 @@ __all__ = [
     "SchemeError",
     "SpectralBasis",
     "SystemSpec",
-    "Trajectory",
     "assemble_tilde_A",
     "galerkin_compress",
     "inner_h",

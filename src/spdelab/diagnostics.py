@@ -5,60 +5,99 @@ evaluation of stochastic integrals, consistent with the schemes.  Quadratic
 forms use the symmetric part of the corrected generator; the raw matrix is
 applied where an operator (not a form) acts on a vector.
 
-The series functions take one Trajectory or a batch of paths (an
-EnsembleResult); their outputs carry the same leading path axes.  They take
-the family either as an OperatorFamily or as its OperatorSegments on the
-trajectory grid, so a caller running several series builds Ã(t) and B_k(t)
-once.
+The series built from the quadratic forms read one PathForms record of a
+batch of paths (an EnsembleResult; a single path is a batch of one): the
+record applies sym(Ã) and each B_k once, on first read, and keeps the
+forms the series share.  Outputs carry the batch's leading path axis.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .basis import SpectralBasis
-from .integrator import EnsembleResult, Trajectory
-from .operators import OperatorFamily, OperatorSegments, sym
+from .integrator import EnsembleResult
+from .operators import OperatorFamily, OperatorSegments
 
 #: below this H-norm an eps=0 quotient step is excluded and counted, not patched
 NORM_FLOOR = 1e-150
 
-#: an operator family, or its segments on the trajectory grid
-Family = Union[OperatorFamily, OperatorSegments]
 
-#: one path, states (J+1, N), or a batch of paths, states (P, J+1, N)
-Paths = Union[Trajectory, EnsembleResult]
+class PathForms:
+    """The pathwise forms of a batch of paths, each computed once on first read.
+
+    Holds the paths (P, J+1, N), the family's OperatorSegments on their
+    grid (built here from an OperatorFamily) and the regulariser delta of
+    the exponential martingale M.  The forms are |u|^2, sym(Ã)u,
+    <sym(Ã)u, u>, each B_k u, <B_k u, u>, <sym(Ã)u, B_k u> and M, all on
+    the grid; the last axis of a per-noise form is the noise index.
+    """
+
+    def __init__(self, paths: EnsembleResult,
+                 ops: Union[OperatorFamily, OperatorSegments], delta: float) -> None:
+        if not isinstance(ops, OperatorSegments):
+            ops = OperatorSegments(ops, paths.times)
+        elif not np.array_equal(ops.times, paths.times):
+            raise ValueError("operator segments were built on another time grid")
+        self.paths = paths
+        self.ops = ops
+        self.delta = delta
+
+    @cached_property
+    def sq(self) -> np.ndarray:
+        """|u|^2, (P, J+1)."""
+        return np.sum(self.paths.states**2, axis=-1)
+
+    @cached_property
+    def tu(self) -> np.ndarray:
+        """sym(Ã(t))u, (P, J+1, N)."""
+        return self.ops.tilde_applied(self.paths.states, symmetric=True)
+
+    @cached_property
+    def form(self) -> np.ndarray:
+        """<sym(Ã)u, u>, (P, J+1)."""
+        return np.sum(self.paths.states * self.tu, axis=-1)
+
+    @cached_property
+    def bus(self) -> list:
+        """[B_k(t)u for each k], each (P, J+1, N)."""
+        return self.ops.noise_applied(self.paths.states)
+
+    def _with_noise(self, v: np.ndarray) -> np.ndarray:
+        out = np.empty(self.paths.states.shape[:-1] + (len(self.bus),))
+        for k, bu in enumerate(self.bus):
+            out[..., k] = np.sum(v * bu, axis=-1)
+        return out
+
+    @cached_property
+    def noise_forms(self) -> np.ndarray:
+        """<B_k u, u>, (P, J+1, n)."""
+        return self._with_noise(self.paths.states)
+
+    @cached_property
+    def cross(self) -> np.ndarray:
+        """<sym(Ã)u, B_k u>, (P, J+1, n)."""
+        return self._with_noise(self.tu)
+
+    @cached_property
+    def martingale(self) -> np.ndarray:
+        """M at the record's delta, (P, J+1)."""
+        return _martingale(self, self.delta)
 
 
 # -- pointwise functionals --------------------------------------------
 
 
-def quotient(u: np.ndarray, tilde: np.ndarray, eps: float) -> float:
-    """Rayleigh-type quotient <sym(T)u, u> / (|u|^2 + eps)."""
-    u = np.asarray(u, dtype=float)
-    m = sym(np.asarray(tilde, dtype=float))
-    den = float(u @ u) + eps
-    if eps == 0.0 and den <= NORM_FLOOR**2:
-        raise ZeroDivisionError("quotient with eps=0 requires |u| > 0")
-    return float(u @ m @ u) / den
+def eigen_residual(u: np.ndarray, tu: np.ndarray, lam) -> Union[float, np.ndarray]:
+    """|tu - lam u| / |u| of one state (N,) or a batch (..., N), tu = sym(T)u.
 
-
-def eigen_residual(u: np.ndarray, tilde: Union[np.ndarray, OperatorSegments],
-                   lam) -> Union[float, np.ndarray]:
-    """|(sym(T) - lam) u| / |u| of one state (N,) or a batch (..., N).
-
-    Zero exactly on an eigenpair.  tilde is one matrix for every state, or
-    the family's OperatorSegments when the states lie on its grid
-    (..., J+1, N); lam broadcasts over the leading axes of u.  The residual
-    is undefined, and NaN, where |u| <= NORM_FLOOR.
+    Zero exactly on an eigenpair; lam broadcasts over the leading axes of
+    u.  The residual is undefined, and NaN, where |u| <= NORM_FLOOR.
     """
     u = np.asarray(u, dtype=float)
-    if isinstance(tilde, OperatorSegments):
-        tu = tilde.tilde_applied(u, symmetric=True)
-    else:
-        tu = u @ sym(np.asarray(tilde, dtype=float)).T
     nu = np.sqrt(np.sum(u * u, axis=-1))
     with np.errstate(divide="ignore", invalid="ignore"):
         res = np.linalg.norm(tu - np.asarray(lam)[..., None] * u, axis=-1) / nu
@@ -69,15 +108,6 @@ def eigen_residual(u: np.ndarray, tilde: Union[np.ndarray, OperatorSegments],
 # -- series along a trajectory ----------------------------------------
 
 
-def _on_grid(ops: Family, times: np.ndarray) -> OperatorSegments:
-    """The family's segments on `times`, reusing prebuilt ones."""
-    if isinstance(ops, OperatorSegments):
-        if not np.array_equal(ops.times, times):
-            raise ValueError("operator segments were built on another time grid")
-        return ops
-    return OperatorSegments(ops, times)
-
-
 def _cumulative(steps: np.ndarray) -> np.ndarray:
     """Running sums along the last axis, starting from 0: (..., J) -> (..., J+1)."""
     out = np.zeros(steps.shape[:-1] + (steps.shape[-1] + 1,))
@@ -85,65 +115,56 @@ def _cumulative(steps: np.ndarray) -> np.ndarray:
     return out
 
 
-def rho_series(traj: Paths, ops: Family, delta: float) -> np.ndarray:
-    """Per-noise ratio <u, B_k u>/(|u|^2 + delta), shape (..., J+1, n)."""
-    states = traj.states
-    segs = _on_grid(ops, traj.times)
-    den = np.sum(states**2, axis=-1) + delta
+def rho_series(forms: PathForms, delta: float) -> np.ndarray:
+    """Per-noise ratio <u, B_k u>/(|u|^2 + delta), shape (P, J+1, n)."""
+    den = forms.sq + delta
     if delta == 0.0 and np.any(den <= NORM_FLOOR**2):
         raise ZeroDivisionError("rho with delta=0 on a vanishing path")
-    out = np.empty(states.shape[:-1] + (segs.n_noise,))
-    for k, bu in enumerate(segs.noise_applied(states)):
-        out[..., k] = np.sum(states * bu, axis=-1) / den
-    return out
+    return forms.noise_forms / den[..., None]
 
 
-def exp_martingale(traj: Paths, ops: Family, delta: float) -> np.ndarray:
+def _martingale(forms: PathForms, delta: float) -> np.ndarray:
+    rho = rho_series(forms, delta)[..., :-1, :]  # (P, J, n)
+    dw = forms.paths.increments  # (P, J, n)
+    incr = -2.0 * np.sum(rho * dw, axis=-1) - 2.0 * np.sum(rho**2, axis=-1) * forms.paths.dt
+    return np.exp(_cumulative(incr))
+
+
+def exp_martingale(forms: PathForms, delta: Optional[float] = None) -> np.ndarray:
     """Exponential martingale of the weak-noise ratios, mean one at all times.
 
     Accumulated in log space with left-point increments:
     log M picks up -2 sum_k rho_k dw_k - 2 sum_k rho_k^2 dt per step.
-    Returns shape (..., J+1), one row per path of a batch.
+    At the record's delta unless another is given.  Returns shape (P, J+1).
     """
-    rho = rho_series(traj, ops, delta)[..., :-1, :]  # (..., J, n)
-    dw = traj.increments  # (..., J, n)
-    incr = -2.0 * np.sum(rho * dw, axis=-1) - 2.0 * np.sum(rho**2, axis=-1) * traj.dt
-    return np.exp(_cumulative(incr))
+    if delta is None or delta == forms.delta:
+        return forms.martingale
+    return _martingale(forms, delta)
 
 
-def psi_series(traj: Paths, ops: Family, eps: float,
-               martingale: Optional[np.ndarray] = None) -> np.ndarray:
-    """-(1/2) M_eps(t) log(|u(t)|^2 + eps)."""
+def psi_series(forms: PathForms, eps: float) -> np.ndarray:
+    """-(1/2) M(t) log(|u(t)|^2 + eps), M at the record's delta."""
     if eps <= 0.0:
         raise ValueError("psi series requires eps > 0")
-    m = exp_martingale(traj, ops, eps) if martingale is None else martingale
-    sq = np.sum(traj.states**2, axis=-1)
-    return -0.5 * m * np.log(sq + eps)
+    return -0.5 * forms.martingale * np.log(forms.sq + eps)
 
 
-def quotient_series(traj: Paths, ops: Family, eps: float) -> np.ndarray:
-    """The plain quotient at every grid time."""
-    states = traj.states
-    tu = _on_grid(ops, traj.times).tilde_applied(states, symmetric=True)
-    den = np.sum(states**2, axis=-1) + eps
-    return np.sum(states * tu, axis=-1) / den
+def quotient_series(forms: PathForms, eps: float) -> np.ndarray:
+    """The plain quotient <sym(Ã)u, u>/(|u|^2 + eps) at every grid time."""
+    return forms.form / (forms.sq + eps)
 
 
-def quotient_full(traj: Paths, ops: Family, eps: float) -> np.ndarray:
+def quotient_full(forms: PathForms, eps: float) -> np.ndarray:
     """The quotient plus the squared weak-noise ratios sum_k rho_k(eps)^2 at every grid time."""
-    segs = _on_grid(ops, traj.times)
-    return quotient_series(traj, segs, eps) + np.sum(rho_series(traj, segs, eps) ** 2, axis=-1)
+    return quotient_series(forms, eps) + np.sum(rho_series(forms, eps) ** 2, axis=-1)
 
 
-def hitting_time(traj: Paths, r: float):
-    """First grid time with |u(t)| <= r, or None if the level is never hit.
-
-    A float or None for one path; for a batch, a list with one per path.
-    """
+def hitting_time(paths: EnsembleResult, r: float) -> list:
+    """Per path, the first grid time with |u(t)| <= r, or None if the level is never hit."""
     if r < 0:
         raise ValueError("hitting level must be nonnegative")
-    hit = np.sqrt(np.sum(traj.states**2, axis=-1)) <= r
-    first = np.where(hit.any(axis=-1), traj.times[np.argmax(hit, axis=-1)], None)
+    hit = np.sqrt(np.sum(paths.states**2, axis=-1)) <= r
+    first = np.where(hit.any(axis=-1), paths.times[np.argmax(hit, axis=-1)], None)
     return first.tolist()
 
 
@@ -181,36 +202,24 @@ def _damping(times: np.ndarray, dt: float, K2, K6, n_table) -> np.ndarray:
     return _cumulative(0.5 * (g[1:] + g[:-1]) * dt)
 
 
-def bound_process_X(
-    traj: Paths,
-    ops: Family,
-    eps: float,
-    K1=None,
-    K2=None,
-    K6=None,
-    n_table=None,
-    tol_coeff: float = 1.0,
-    martingale: Optional[np.ndarray] = None,
-):
+def bound_process_X(forms: PathForms, eps: float, K1=None, K2=None, K6=None,
+                    n_table=None, tol_coeff: float = 1.0):
     """Explicit solution of the comparison SDE and the pointwise bound check.
 
-    Returns (X, verdict): X dominates M_eps * quotient up to a discretization
-    tolerance tol_coeff * sqrt(dt).
+    Returns (X, verdict): X dominates M * quotient up to a discretization
+    tolerance tol_coeff * sqrt(dt), M at the record's delta.
     """
-    times, states, dw = traj.times, traj.states, traj.increments
-    dt = traj.dt
-    segs = _on_grid(ops, times)
-    m = exp_martingale(traj, segs, eps) if martingale is None else martingale
-    lam = quotient_series(traj, segs, eps)
+    times, dw, dt = forms.paths.times, forms.paths.increments, forms.paths.dt
+    m = forms.martingale
+    lam = quotient_series(forms, eps)
     big_g = _damping(times, dt, K2, K6, n_table)
     k1 = _as_table(K1, times)
 
     # left-point integrands of the driving terms
-    den = np.sum(states**2, axis=-1) + eps
-    tu = segs.tilde_applied(states, symmetric=True)
+    den = forms.sq + eps
     drive = np.zeros(dw.shape[:-1])
-    for k, bu in enumerate(segs.noise_applied(states)):
-        ratio = 2.0 * np.sum(tu * bu, axis=-1) / den
+    for k in range(dw.shape[-1]):
+        ratio = 2.0 * forms.cross[..., k] / den
         drive += (m * ratio)[..., :-1] * dw[..., k]
     k1_term = _cumulative(np.exp(-big_g[:-1]) * k1[:-1] * m[..., :-1] * dt)
     stoch = _cumulative(np.exp(-big_g[:-1]) * drive)
@@ -225,35 +234,16 @@ def bound_process_X(
     return x, verdict
 
 
-def envelope_series(
-    traj: Paths,
-    ops: Family,
-    eps: float,
-    K2=None,
-    K6=None,
-    n_table=None,
-    martingale: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Damped quotient S_eps(t) = exp(-int g) M_eps(t) * quotient(t)."""
-    segs = _on_grid(ops, traj.times)
-    m = exp_martingale(traj, segs, eps) if martingale is None else martingale
-    lam = quotient_series(traj, segs, eps)
-    big_g = _damping(traj.times, traj.dt, K2, K6, n_table)
-    return np.exp(-big_g) * m * lam
+def envelope_series(forms: PathForms, eps: float, K2=None, K6=None,
+                    n_table=None) -> np.ndarray:
+    """Damped quotient S(t) = exp(-int g) M(t) * quotient(t), M at the record's delta."""
+    lam = quotient_series(forms, eps)
+    big_g = _damping(forms.paths.times, forms.paths.dt, K2, K6, n_table)
+    return np.exp(-big_g) * forms.martingale * lam
 
 
-def comparison_envelope(
-    traj: Paths,
-    ops: Family,
-    tau_index: int,
-    eps: float,
-    K2=None,
-    K6=None,
-    n_table=None,
-    tol_coeff: float = 1.0,
-    form_floor: float = 1e-12,
-    martingale: Optional[np.ndarray] = None,
-):
+def comparison_envelope(forms: PathForms, tau_index: int, eps: float, K2=None, K6=None,
+                        n_table=None, tol_coeff: float = 1.0, form_floor: float = 1e-12):
     """Geometric comparison envelope for the damped quotient from time tau.
 
     Valid when the commutator certificate holds with a vanishing constant
@@ -261,19 +251,14 @@ def comparison_envelope(
     the verdict and counted; they, and the steps before tau, add nothing to
     the envelope's exponent.
     """
-    times, states, dw = traj.times, traj.states, traj.increments
-    dt = traj.dt
-    segs = _on_grid(ops, times)
-    s = envelope_series(traj, segs, eps, K2=K2, K6=K6, n_table=n_table,
-                        martingale=martingale)
-    tu = segs.tilde_applied(states, symmetric=True)
-    form = np.sum(states * tu, axis=-1)  # <tilde_A u, u>
-    excluded = np.abs(form) < form_floor
-    safe_form = np.where(excluded, 1.0, np.abs(form))
+    dw, dt = forms.paths.increments, forms.paths.dt
+    s = envelope_series(forms, eps, K2=K2, K6=K6, n_table=n_table)
+    excluded = np.abs(forms.form) < form_floor
+    safe_form = np.where(excluded, 1.0, np.abs(forms.form))
 
     steps = np.zeros(dw.shape[:-1])
-    for k, bu in enumerate(segs.noise_applied(states)):
-        r = (np.sum(tu * bu, axis=-1) / safe_form)[..., :-1]
+    for k in range(dw.shape[-1]):
+        r = (forms.cross[..., k] / safe_form)[..., :-1]
         steps += -2.0 * r * dw[..., k] - 2.0 * r * r * dt
     steps[..., :tau_index] = 0.0
     steps[excluded[..., :-1]] = 0.0
@@ -296,26 +281,18 @@ def comparison_envelope(
 # -- Galerkin gaps ----------------------------------------------------
 
 
-def galerkin_gaps(
-    traj: Paths,
-    ops: Family,
-    basis: SpectralBasis,
-    eps: float,
-    N_list: Sequence[int],
-    martingale: Optional[np.ndarray] = None,
-):
+def galerkin_gaps(forms: PathForms, basis: SpectralBasis, eps: float,
+                  N_list: Sequence[int]):
     """Damped-path integrals measuring the finite-section error.
 
     Returns (K3, K4, K5): K3 and K4 are dicts over N; K5 is independent of N.
-    Each value is one number per path, with the trajectory's leading axes.
+    Each value is one number per path, (P,); M is at the record's delta.
     """
-    times, states = traj.times, traj.states
-    segs = _on_grid(ops, times)
-    m = exp_martingale(traj, segs, eps) if martingale is None else martingale
-    den = np.sum(states**2, axis=-1) + eps
-    tu = segs.tilde_applied(states)
+    times, states = forms.paths.times, forms.paths.states
+    m = forms.martingale
+    den = forms.sq + eps
+    tu = forms.ops.tilde_applied(states)
     k5 = np.trapezoid(m * np.sum(tu**2, axis=-1) / den, times, axis=-1)
-    bus = segs.noise_applied(states)
 
     lam = basis.hat_eigenvalues
     k3, k4 = {}, {}
@@ -326,12 +303,12 @@ def galerkin_gaps(
         # and -T[:n, n:] u[n:] inside them
         tail_u = states.copy()
         tail_u[..., :n] = 0.0
-        head = segs.tilde_applied(tail_u)[..., :n]
+        head = forms.ops.tilde_applied(tail_u)[..., :n]
         gap_sq = np.sum(head**2, axis=-1) + np.sum(tu[..., n:] ** 2, axis=-1)
         k3[n] = np.trapezoid(m * gap_sq / den, times, axis=-1)
 
         tail = np.zeros(den.shape)
-        for bu in bus:
+        for bu in forms.bus:
             tail += np.sum(lam[n:] * bu[..., n:] ** 2, axis=-1)
         k4[n] = np.trapezoid(m * tail / den, times, axis=-1)
     return k3, k4, k5
@@ -418,7 +395,7 @@ def spectral_limit_report(
     window = quotients[:, w0:]
     ests = np.mean(window, axis=-1)
     nearest = eigenvalues[np.argmin(np.abs(eigenvalues - ests[:, None]), axis=-1)]
-    residuals = eigen_residual(final_states, tilde_sym, nearest)
+    residuals = eigen_residual(final_states, final_states @ tilde_sym.T, nearest)
     paths = []
     for p in range(quotients.shape[0]):
         est = float(ests[p])
@@ -446,8 +423,6 @@ def backward_probe(states: np.ndarray, times: np.ndarray) -> dict:
     zero start must stay identically zero.
     """
     states = np.asarray(states, dtype=float)
-    if states.ndim == 2:
-        states = states[None]
     norms = np.sqrt(np.sum(states**2, axis=-1))  # (P, J+1)
     min_norms = norms.min(axis=1)
     argmins = norms.argmin(axis=1)

@@ -15,7 +15,6 @@ from typing import Optional
 import numpy as np
 
 from .brownian import (
-    BrownianPath,
     coarsen_increments,
     sample_brownian,
     sample_brownian_ensemble,
@@ -125,32 +124,15 @@ _STEPPERS = {
 
 
 @dataclass(frozen=True)
-class Trajectory:
-    """One sample path of Galerkin coefficients and its driver."""
-
-    times: np.ndarray
-    states: np.ndarray  # (J+1, N)
-    path: BrownianPath
-    scheme: str
-    system: str
-    dt: float
-
-    @property
-    def increments(self) -> np.ndarray:
-        """Brownian increments of the driving path, shape (J, n)."""
-        return self.path.increments
-
-
-@dataclass(frozen=True)
 class EnsembleResult:
-    """Batched trajectories sharing a grid; path p used stream_id p."""
+    """A batch of trajectories sharing a grid; path p used stream p of the run.
+
+    A single path is an ensemble of one.
+    """
 
     times: np.ndarray
     states: np.ndarray  # (P, J+1, N)
     increments: np.ndarray  # (P, J, n)
-    seed: int
-    scheme: str
-    system: str
     blowups: dict  # path index -> blow-up time
 
     @property
@@ -166,16 +148,6 @@ class EnsembleResult:
         return replace(
             self, states=self.states[lo:hi], increments=self.increments[lo:hi],
             blowups={p - lo: t for p, t in self.blowups.items() if lo <= p < hi},
-        )
-
-    def trajectory(self, p: int) -> Trajectory:
-        bp = BrownianPath(
-            times=self.times, increments=self.increments[p],
-            seed=self.seed, stream_id=p,
-        )
-        return Trajectory(
-            times=self.times, states=self.states[p], path=bp,
-            scheme=self.scheme, system=self.system, dt=self.dt,
         )
 
 
@@ -235,19 +207,15 @@ def _start(system, u0: Optional[np.ndarray]) -> np.ndarray:
 def integrate(
     system, scheme: str, grid: np.ndarray, seed: int, stream_id: int = 0,
     u0: Optional[np.ndarray] = None,
-) -> Trajectory:
-    """Integrate one sample path, an ensemble of one; raises BlowUpError."""
+) -> EnsembleResult:
+    """Integrate the path of stream (seed, stream_id) as an ensemble of one;
+    raises BlowUpError."""
     _check_scheme(system, scheme)
     grid = np.asarray(grid, dtype=float)
-    path = sample_brownian(system.ops.n_noise, grid, seed, stream_id)
-    states, blowups = _run_steps(
-        system.ops, _start(system, u0)[None], grid, path.increments[None], scheme
-    )
+    inc = sample_brownian(system.ops.n_noise, grid, seed, stream_id).increments[None]
+    states, blowups = _run_steps(system.ops, _start(system, u0)[None], grid, inc, scheme)
     _raise_on_blowup(blowups)
-    return Trajectory(
-        times=grid, states=states[0], path=path, scheme=scheme,
-        system=system.name, dt=float(grid[1] - grid[0]),
-    )
+    return EnsembleResult(times=grid, states=states, increments=inc, blowups=blowups)
 
 
 def integrate_ensemble(
@@ -264,10 +232,7 @@ def integrate_ensemble(
     inc = sample_brownian_ensemble(system.ops.n_noise, grid, seed, n_paths)
     u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
     states, blowups = _run_steps(system.ops, u0b, grid, inc, scheme)
-    return EnsembleResult(
-        times=grid, states=states, increments=inc, seed=seed,
-        scheme=scheme, system=system.name, blowups=blowups,
-    )
+    return EnsembleResult(times=grid, states=states, increments=inc, blowups=blowups)
 
 
 def strong_convergence(

@@ -386,28 +386,33 @@ def _paths_per_block(n_times: int, dim: int, n_noise: int) -> int:
 def _diagnostic_blocks(system: SystemSpec, ens, segs: OperatorSegments,
                        eps: float, delta: float, k1, k2, k6, n_tab,
                        paths_per_block: int):
-    """Yield (first path, table) per block; table is (paths, J+1, DIAG_COLUMNS)."""
+    """Yield (first path, table, final M at delta) per block.
+
+    The table is (paths, J+1, DIAG_COLUMNS).  Every column reads the
+    block's one PathForms record; its M, psi, S and X take M at eps, or at
+    delta when eps is zero.
+    """
     basis = system.basis
     for lo in range(0, ens.n_paths, paths_per_block):
         block = ens.paths(lo, lo + paths_per_block)
         states = block.states
-        m = diag.exp_martingale(block, segs, eps if eps > 0 else delta)
-        lam = diag.quotient_series(block, segs, eps)
+        forms = diag.PathForms(block, segs, eps if eps > 0 else delta)
+        m = diag.exp_martingale(forms)
+        lam = diag.quotient_series(forms, eps)
         table = np.empty(states.shape[:-1] + (len(DIAG_COLUMNS),))
         table[..., 0] = block.times
         table[..., 1] = basis.norm_h(states)
         table[..., 2] = basis.norm_v(states)
         table[..., 3] = basis.norm_d(states)
         table[..., 4] = lam
-        table[..., 5] = diag.quotient_full(block, segs, eps)
+        table[..., 5] = diag.quotient_full(forms, eps)
         table[..., 6] = m
-        table[..., 7] = diag.psi_series(block, segs, max(eps, 1e-300), martingale=m)
-        table[..., 8] = diag.eigen_residual(states, segs, lam)
-        table[..., 9] = diag.envelope_series(block, segs, eps, K2=k2, K6=k6,
-                                             n_table=n_tab, martingale=m)
-        table[..., 10], _ = diag.bound_process_X(block, segs, eps, K1=k1, K2=k2, K6=k6,
-                                                 n_table=n_tab, martingale=m)
-        yield lo, table
+        table[..., 7] = diag.psi_series(forms, max(eps, 1e-300))
+        table[..., 8] = diag.eigen_residual(states, forms.tu, lam)
+        table[..., 9] = diag.envelope_series(forms, eps, K2=k2, K6=k6, n_table=n_tab)
+        table[..., 10], _ = diag.bound_process_X(forms, eps, K1=k1, K2=k2, K6=k6,
+                                                 n_table=n_tab)
+        yield lo, table, diag.exp_martingale(forms, delta)[..., -1]
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
@@ -438,12 +443,14 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     consts = _constants_for(system, grid)
     per_block = _paths_per_block(len(grid), system.basis.dim, system.ops.n_noise)
     quots = np.empty((cfg.paths, len(grid)))
+    m_final = np.empty(cfg.paths)
     path_header = ("t",) + tuple(f"u{i}" for i in range(system.basis.dim))
 
     def jobs():
-        for lo, table in _diagnostic_blocks(system, ens, segs, eps, cfg.delta,
-                                            *consts, per_block):
+        for lo, table, m_t in _diagnostic_blocks(system, ens, segs, eps, cfg.delta,
+                                                 *consts, per_block):
             quots[lo:lo + len(table)] = table[..., 4]
+            m_final[lo:lo + len(table)] = m_t
             for p, rows in enumerate(table, start=lo):
                 rel = os.path.join("diagnostics", f"{p}.csv")
                 outputs.append(rel)
@@ -458,7 +465,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     _write_csv(jobs(), cfg.paths * len(grid) * row_floats,
                cfg.paths * (1 + cfg.write_paths))
 
-    report = _build_report(cfg, system, ens, segs, eps, quots)
+    report = _build_report(cfg, system, ens, segs, eps, quots, m_final)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -480,7 +487,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 
 
 def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
-                  segs: OperatorSegments, eps: float, quots: np.ndarray) -> dict:
+                  segs: OperatorSegments, eps: float, quots: np.ndarray,
+                  m_final: np.ndarray) -> dict:
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,
@@ -515,8 +523,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         rep = check_all(system.ops, system.basis, np.linspace(0.0, cfg.T, 5))
         report["assumptions"] = rep.to_dict()
 
-    # ensemble martingale statistics are cheap and always useful
-    m_final = diag.exp_martingale(ens, segs, cfg.delta)[:, -1]
+    # ensemble martingale statistics at delta, collected block by block
     report["martingale"] = {
         "mean_final": float(np.mean(m_final)),
         "stderr_final": float(np.std(m_final) / np.sqrt(cfg.paths)),
@@ -525,7 +532,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
 
     if cfg.N_list:
         k3, k4, _ = diag.galerkin_gaps(
-            ens.paths(0, 8), segs, system.basis, eps, cfg.N_list
+            diag.PathForms(ens.paths(0, 8), segs, eps), system.basis, eps, cfg.N_list
         )
         report["galerkin_gaps"] = {
             "K3": {str(n): float(np.mean(k3[n])) for n in cfg.N_list},

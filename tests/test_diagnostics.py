@@ -7,7 +7,7 @@ from spdelab import diagnostics as diag
 from spdelab import runner
 from spdelab.basis import SpectralBasis
 from spdelab.brownian import uniform_grid
-from spdelab.integrator import integrate, integrate_ensemble
+from spdelab.integrator import EnsembleResult, integrate, integrate_ensemble
 from spdelab.operators import (
     MatrixPath,
     OperatorFamily,
@@ -25,31 +25,43 @@ def diag_system(eigs=(1.0, 4.0, 9.0), noise=((0.3, 0.2, 0.1),)):
 # -- pointwise functionals --------------------------------------------
 
 
+def _quotient(u, tilde, eps):
+    """The quotient of the state u under the constant, noise-free family Ã = tilde:
+    quotient_series of a one-path ensemble resting at u on a two-point grid."""
+    u = np.asarray(u, dtype=float)
+    ens = EnsembleResult(times=np.array([0.0, 1.0]), states=np.stack([u, u])[None],
+                         increments=np.zeros((1, 1, 0)), blowups={})
+    ops = OperatorFamily(A=MatrixPath(np.asarray(tilde, dtype=float)), Bs=())
+    q = diag.quotient_series(diag.PathForms(ens, ops, eps), eps)
+    assert q.shape == (1, 2) and q[0, 0] == q[0, 1]
+    return q[0, 0]
+
+
 def test_quotient_on_eigenvector():
     m = np.diag([2.0, 5.0])
-    assert diag.quotient(np.array([1.0, 0.0]), m, 0.0) == pytest.approx(2.0)
-    assert diag.quotient(np.array([0.0, 3.0]), m, 0.0) == pytest.approx(5.0)
+    assert _quotient(np.array([1.0, 0.0]), m, 0.0) == pytest.approx(2.0)
+    assert _quotient(np.array([0.0, 3.0]), m, 0.0) == pytest.approx(5.0)
 
 
 def test_quotient_uses_symmetric_part():
     m = np.array([[1.0, 10.0], [-10.0, 1.0]])  # skew part is invisible
     u = np.array([1.0, 1.0])
-    assert diag.quotient(u, m, 0.0) == pytest.approx(1.0)
+    assert _quotient(u, m, 0.0) == pytest.approx(1.0)
 
 
 @given(st.floats(0.1, 10.0))
 def test_quotient_scale_invariant_at_eps_zero(scale):
     m = np.diag([1.0, 3.0])
     u = np.array([1.0, 2.0])
-    assert diag.quotient(scale * u, m, 0.0) == pytest.approx(
-        diag.quotient(u, m, 0.0), rel=1e-12
+    assert _quotient(scale * u, m, 0.0) == pytest.approx(
+        _quotient(u, m, 0.0), rel=1e-12
     )
 
 
 def test_quotient_eps_shrinks_magnitude():
     m = np.diag([2.0, 2.0])
     u = np.array([1.0, 0.0])
-    assert diag.quotient(u, m, 1.0) == pytest.approx(1.0)  # 2 / (1 + 1)
+    assert _quotient(u, m, 1.0) == pytest.approx(1.0)  # 2 / (1 + 1)
 
 
 def test_quotient_full_adds_squared_noise_term():
@@ -57,16 +69,18 @@ def test_quotient_full_adds_squared_noise_term():
     sys = make_diagonal((1.0, 4.0, 9.0), ((0.3, 0.2, 0.1),), u0=(1.0, 0.0, 0.0))
     grid = uniform_grid(0.5, 0.01)
     ens = integrate_ensemble(sys, "drift-implicit", grid, seed=3, n_paths=2)
-    for paths in (ens, ens.trajectory(1)):
-        full = diag.quotient_full(paths, sys.ops, 0.0)
+    for paths in (ens, ens.paths(1, 2)):
+        full = diag.quotient_full(diag.PathForms(paths, sys.ops, 0.0), 0.0)
         assert full.shape == paths.states.shape[:-1]
         np.testing.assert_allclose(full, 1.0 + 0.3**2, rtol=1e-12)
+    with pytest.raises(ValueError, match="another time grid"):
+        diag.PathForms(ens, OperatorSegments(sys.ops, grid[:-1]), 0.0)
 
 
 def test_eigen_residual_zero_on_eigenpair():
     m = np.diag([1.0, 4.0])
-    assert diag.eigen_residual(np.array([0.0, 2.0]), m, 4.0) == pytest.approx(0.0)
-    assert diag.eigen_residual(np.array([1.0, 0.0]), m, 4.0) == pytest.approx(3.0)
+    for u, res in ((np.array([0.0, 2.0]), 0.0), (np.array([1.0, 0.0]), 3.0)):
+        assert diag.eigen_residual(u, sym(m) @ u, 4.0) == pytest.approx(res)
 
 
 # -- martingale and psi -----------------------------------------------
@@ -75,8 +89,8 @@ def test_eigen_residual_zero_on_eigenpair():
 def test_martingale_starts_at_one_and_stays_positive():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-3), seed=0)
-    m = diag.exp_martingale(traj, sys.ops, 1e-6)
-    assert m[0] == 1.0
+    m = diag.exp_martingale(diag.PathForms(traj, sys.ops, 1e-6))
+    assert m[0, 0] == 1.0
     assert np.all(m > 0)
 
 
@@ -84,7 +98,7 @@ def test_martingale_mean_near_one_small_ensemble():
     sys = diag_system(eigs=(1.0,), noise=((0.4,),))
     grid = uniform_grid(1.0, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=3, n_paths=400)
-    m = diag.exp_martingale(ens, sys.ops, 1e-6)
+    m = diag.exp_martingale(diag.PathForms(ens, sys.ops, 1e-6))
     mean = m[:, -1].mean()
     se = m[:, -1].std() / np.sqrt(400)
     assert abs(mean - 1.0) <= 4 * se
@@ -94,25 +108,28 @@ def test_martingale_batch_matches_per_path():
     sys = diag_system()
     grid = uniform_grid(0.5, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=5, n_paths=3)
-    batch = diag.exp_martingale(ens, sys.ops, 1e-6)
+    batch = diag.exp_martingale(diag.PathForms(ens, sys.ops, 1e-6))
+    # a record at another regulariser gives the same martingale at 1e-6
+    assert np.array_equal(diag.exp_martingale(diag.PathForms(ens, sys.ops, 1e-3), 1e-6), batch)
     for p in range(3):
-        single = diag.exp_martingale(ens.trajectory(p), sys.ops, 1e-6)
-        assert np.allclose(batch[p], single, rtol=1e-12)
+        single = diag.exp_martingale(diag.PathForms(ens.paths(p, p + 1), sys.ops, 1e-6))
+        assert np.allclose(batch[p], single[0], rtol=1e-12)
 
 
 def test_martingale_constant_for_noise_free_path():
     sys = diag_system(noise=((0.0, 0.0, 0.0),))
     traj = integrate(sys, "euler-maruyama", uniform_grid(0.5, 1e-2), seed=0)
-    assert np.allclose(diag.exp_martingale(traj, sys.ops, 1e-6), 1.0)
+    assert np.allclose(diag.exp_martingale(diag.PathForms(traj, sys.ops, 1e-6)), 1.0)
 
 
 def test_psi_closed_form():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(0.1, 1e-2), seed=1)
     eps = 1e-4
-    m = diag.exp_martingale(traj, sys.ops, eps)
-    psi = diag.psi_series(traj, sys.ops, eps, martingale=m)
-    expect = -0.5 * m * np.log(np.sum(traj.states**2, axis=1) + eps)
+    forms = diag.PathForms(traj, sys.ops, eps)
+    m = diag.exp_martingale(forms)
+    psi = diag.psi_series(forms, eps)
+    expect = -0.5 * m * np.log(np.sum(traj.states**2, axis=-1) + eps)
     assert np.allclose(psi, expect)
 
 
@@ -124,9 +141,10 @@ def test_bound_process_deterministic_flow():
     and the decreasing quotient stays below it."""
     sys = diag_system(noise=((0.0, 0.0, 0.0),))
     traj = integrate(sys, "drift-implicit", uniform_grid(2.0, 1e-3), seed=0)
-    x, verdict = diag.bound_process_X(traj, sys.ops, 1e-8)
-    lam = diag.quotient_series(traj, sys.ops, 1e-8)
-    assert np.allclose(x, x[0])
+    forms = diag.PathForms(traj, sys.ops, 1e-8)
+    x, verdict = diag.bound_process_X(forms, 1e-8)
+    lam = diag.quotient_series(forms, 1e-8)
+    assert np.allclose(x, x[0, 0])
     assert verdict.n_violations == 0
     assert np.all(np.diff(lam) <= 1e-12)
 
@@ -134,14 +152,14 @@ def test_bound_process_deterministic_flow():
 def test_bound_process_with_noise_mostly_holds():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-4), seed=7)
-    _, verdict = diag.bound_process_X(traj, sys.ops, 1e-8)
+    _, verdict = diag.bound_process_X(diag.PathForms(traj, sys.ops, 1e-8), 1e-8)
     assert verdict.violation_fraction <= 0.01
 
 
 def test_envelope_on_diagonal_oracle():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-4), seed=11)
-    env, verdict = diag.comparison_envelope(traj, sys.ops, 0, 1e-8)
+    env, verdict = diag.comparison_envelope(diag.PathForms(traj, sys.ops, 1e-8), 0, 1e-8)
     assert verdict.n_excluded == 0
     assert verdict.violation_fraction < 0.01
     assert np.all(np.isfinite(env))
@@ -150,12 +168,12 @@ def test_envelope_on_diagonal_oracle():
 def test_hitting_time():
     sys = diag_system(noise=((0.0, 0.0, 0.0),))
     traj = integrate(sys, "drift-implicit", uniform_grid(3.0, 1e-3), seed=0)
-    norms = np.linalg.norm(traj.states, axis=1)
+    norms = np.linalg.norm(traj.states[0], axis=1)
     r = norms[len(norms) // 2]
-    tau = diag.hitting_time(traj, r)
+    [tau] = diag.hitting_time(traj, r)
     assert tau is not None
     assert tau == pytest.approx(traj.times[len(norms) // 2], abs=2e-3)
-    assert diag.hitting_time(traj, 0.0) is None  # never reaches zero
+    assert diag.hitting_time(traj, 0.0) == [None]  # never reaches zero
 
 
 def test_hitting_time_of_a_batch_matches_per_path_calls():
@@ -164,9 +182,9 @@ def test_hitting_time_of_a_batch_matches_per_path_calls():
     norms = np.linalg.norm(ens.states, axis=-1)
     # levels hit by every path, by some paths only, and by none
     for r in (float(np.max(norms[:, -1])), float(np.median(norms[:, -1])), 0.0):
-        per_path = [diag.hitting_time(ens.trajectory(p), r) for p in range(6)]
+        per_path = [diag.hitting_time(ens.paths(p, p + 1), r)[0] for p in range(6)]
         assert diag.hitting_time(ens, r) == per_path
-    assert None in [diag.hitting_time(ens.trajectory(p), float(np.median(norms[:, -1])))
+    assert None in [diag.hitting_time(ens.paths(p, p + 1), float(np.median(norms[:, -1])))[0]
                     for p in range(6)]
 
 
@@ -177,7 +195,8 @@ def test_galerkin_gaps_vanish_at_full_section():
     sys = make_system("torus-heat-scalar", dim=16,
                       u0=[1.0 / (1 + i) for i in range(16)])
     traj = integrate(sys, "drift-implicit", uniform_grid(0.5, 1e-3), seed=0)
-    k3, k4, k5 = diag.galerkin_gaps(traj, sys.ops, sys.basis, 1e-8, (4, 8, 16))
+    k3, k4, k5 = diag.galerkin_gaps(diag.PathForms(traj, sys.ops, 1e-8), sys.basis, 1e-8,
+                                    (4, 8, 16))
     assert k3[16] == pytest.approx(0.0, abs=1e-20)
     assert k4[16] == pytest.approx(0.0, abs=1e-20)
     assert k3[4] >= k3[8] >= k3[16]
@@ -276,7 +295,7 @@ def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
     grid time, and every running integral accumulated step by step.
     """
     ops, basis = system.ops, system.basis
-    times, states, dw, dt = traj.times, traj.states, traj.increments, traj.dt
+    times, states, dw, dt = traj.times, traj.states[0], traj.increments[0], traj.dt
     reg = eps if eps > 0 else delta
     n_t = len(times)
     lam, qfull, res = np.empty(n_t), np.empty(n_t), np.empty(n_t)
@@ -286,12 +305,12 @@ def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
         u = states[j]
         tilde = assemble_tilde_A(ops, float(t))
         bus = [bp.at(float(t)) @ u for bp in ops.Bs]
-        lam[j] = diag.quotient(u, tilde, eps)
+        tu = sym(tilde) @ u
+        lam[j] = float(u @ tu) / (float(u @ u) + eps)
         qfull[j] = lam[j] + sum((float(u @ bu) / (float(u @ u) + eps)) ** 2 for bu in bus)
         rho[j] = [float(u @ bu) / (float(u @ u) + reg) for bu in bus]
-        tu = sym(tilde) @ u
         ratio[j] = [2.0 * float(tu @ bu) / (float(u @ u) + eps) for bu in bus]
-        res[j] = (diag.eigen_residual(u, tilde, lam[j])
+        res[j] = (diag.eigen_residual(u, tu, lam[j])
                   if basis.norm_h(u) > diag.NORM_FLOOR else np.nan)
 
     g = n_tab**2 + k2 + k6
@@ -314,7 +333,7 @@ def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
 
 def _loop_envelope(traj, ops, tau_index, s, form_floor=1e-12, tol_coeff=1.0):
     """Reference comparison envelope of one path, given its damped quotient s."""
-    times, states, dw, dt = traj.times, traj.states, traj.increments, traj.dt
+    times, states, dw, dt = traj.times, traj.states[0], traj.increments[0], traj.dt
     log_env = np.zeros(len(times))
     excluded = np.zeros(len(times), dtype=bool)
     acc = 0.0
@@ -405,20 +424,20 @@ def _check_batched_against_loop(family, per_block, n_paths, seed, eps, zero_star
     elif family == "coupled-piecewise":
         assert len(segs.segments) == 6  # one per node; the last holds t=T alone
 
-    starts, tables = zip(*runner._diagnostic_blocks(
+    starts, tables, _ = zip(*runner._diagnostic_blocks(
         system, ens, segs, eps, 1e-6, *consts, per_block
     ))
     assert list(starts) == list(range(0, n_paths, per_block))
     batched = np.concatenate(tables)
     tau = len(grid) // 3
     env, verdict = diag.comparison_envelope(
-        ens, segs, tau, eps, K2=consts[1], K6=consts[2], n_table=consts[3],
-        form_floor=form_floor,
+        diag.PathForms(ens, segs, eps if eps > 0 else 1e-6), tau, eps,
+        K2=consts[1], K6=consts[2], n_table=consts[3], form_floor=form_floor,
     )
 
     counts = np.zeros(3, dtype=int)
     for p in range(n_paths):
-        traj = ens.trajectory(p)
+        traj = ens.paths(p, p + 1)
         ref = _loop_table(system, traj, eps, 1e-6, *consts)
         _assert_columns_match(batched[p], ref)
         ref_env, ref_counts = _loop_envelope(traj, system.ops, tau, ref[:, 9], form_floor)
@@ -441,14 +460,18 @@ def _check_batched_against_loop(family, per_block, n_paths, seed, eps, zero_star
     full_blocks=st.integers(1, 2),
     data=st.data(),
     seed=st.integers(0, 2**16),
-    eps=st.sampled_from([1e-8, 1e-3]),
-    zero_start=st.booleans(),
+    eps=st.sampled_from([0.0, 1e-8, 1e-3]),
     form_floor=st.sampled_from([1e-12, 0.5]),
 )
 def test_batched_diagnostics_match_per_step_loop(family, per_block, full_blocks, data,
-                                                 seed, eps, zero_start, form_floor):
-    """Runner's batched table and comparison_envelope agree with the loop."""
+                                                 seed, eps, form_floor):
+    """Runner's batched table and comparison_envelope agree with the loop.
+
+    At eps = 0 the runner reads M at delta; a zero start is drawn only for
+    eps > 0, since a run rejects a zero start with a zero eps.
+    """
     n_paths = full_blocks * per_block + data.draw(st.integers(1, per_block - 1))
+    zero_start = data.draw(st.booleans()) if eps > 0 else False
     assert n_paths % per_block != 0
     _check_batched_against_loop(family, per_block, n_paths, seed, eps, zero_start,
                                 form_floor)

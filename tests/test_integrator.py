@@ -1,9 +1,14 @@
 """Time-stepping schemes, conversion, and ensemble mechanics."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from spdelab.brownian import coarsen_increments, sample_brownian_ensemble, uniform_grid
+from spdelab.brownian import (
+    coarsen_increments,
+    sample_brownian,
+    sample_brownian_ensemble,
+    uniform_grid,
+)
 from spdelab.integrator import (
     _STEPPERS,
     BlowUpError,
@@ -112,7 +117,7 @@ def test_deterministic_decay_matches_exponential():
     for scheme in ("euler-maruyama", "milstein", "drift-implicit"):
         traj = integrate(sys, scheme, grid, seed=0)
         expected = np.exp(-np.array([1.0, 2.0]))
-        assert np.allclose(traj.states[-1], expected, rtol=1e-3)
+        assert np.allclose(traj.states[0, -1], expected, rtol=1e-3)
 
 
 def test_drift_implicit_stable_for_stiff_drift():
@@ -195,22 +200,18 @@ def test_unknown_scheme_rejected():
 
 
 def test_ensemble_matches_single_paths():
-    """Ensemble path p equals the single integration with stream p."""
+    """Ensemble path p equals the single integration with stream p, an ensemble
+    of one, and is driven by stream p."""
     sys = make_diagonal([1.0, 4.0, 9.0], [[0.3, 0.2, 0.1]])
     grid = uniform_grid(0.5, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=11, n_paths=3)
     for p in range(3):
         single = integrate(sys, "euler-maruyama", grid, seed=11, stream_id=p)
-        assert np.array_equal(ens.states[p], single.states)
-
-
-def test_trajectory_reconstruction():
-    sys = make_diagonal([1.0], [[0.2]])
-    grid = uniform_grid(0.2, 0.01)
-    ens = integrate_ensemble(sys, "milstein", grid, seed=5, n_paths=2)
-    traj = ens.trajectory(1)
-    assert traj.path.stream_id == 1
-    assert np.array_equal(traj.states, ens.states[1])
+        assert single.n_paths == 1
+        assert np.array_equal(ens.states[p], single.states[0])
+        assert np.array_equal(ens.increments[p], single.increments[0])
+        stream = sample_brownian(sys.ops.n_noise, grid, seed=11, stream_id=p)
+        assert np.array_equal(ens.increments[p], stream.increments)
 
 
 def test_blowup_isolation():
@@ -247,13 +248,13 @@ def test_milstein_exact_for_pure_noise_single_step():
     sys = make_diagonal([0.0], [[b]])
     grid = uniform_grid(0.01, 0.01)
     traj = integrate(sys, "milstein", grid, seed=2)
-    dw = traj.path.increments[0, 0]
+    dw = traj.increments[0, 0, 0]
     dt = 0.01
     # Ito drift for the registered family is a = b^2/2 (so the corrected
     # generator is zero); expansion of u0 exp(-(a + b^2/2)dt - b dw)
     u0 = 1.0
     expect = u0 * (1 - b**2 / 2 * dt - b * dw + 0.5 * b**2 * (dw**2 - dt))
-    assert traj.states[-1, 0] == pytest.approx(expect, rel=1e-12)
+    assert traj.states[0, -1, 0] == pytest.approx(expect, rel=1e-12)
 
 
 # -- the batched stepping core against per-path loops ------------------
@@ -307,8 +308,14 @@ _STEP_CASES += [(f, s) for f in ("coupled-piecewise", "linear-jump")
 @settings(max_examples=20, deadline=None)
 @given(case=st.sampled_from(_STEP_CASES), n_paths=st.integers(1, 7),
        seed=st.integers(0, 2**16), random_start=st.booleans())
+@example(case=("linear-jump", "drift-implicit"), n_paths=2, seed=117, random_start=True)
 def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
-    """_run_steps on a (P, N) batch equals P single-path loops."""
+    """_run_steps on a (P, N) batch equals P single-path loops.
+
+    The batched and the 1-D solve may round the last bit apart, so a
+    component passing near zero is compared down to a few ulps of the
+    path's largest |state|.
+    """
     family, scheme = case
     system = _STEP_SYSTEMS[family]()
     grid = uniform_grid(0.2, 5e-3)
@@ -321,7 +328,8 @@ def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
     assert blowups == {}
     for p in range(n_paths):
         ref = _loop_steps(system.ops, u0[p], grid, inc[p], scheme)
-        np.testing.assert_allclose(states[p], ref, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(states[p], ref, rtol=1e-12,
+                                   atol=16 * np.finfo(float).eps * np.abs(ref).max())
 
 
 def _loop_convergence(system, scheme, T, dt, seed, n_paths, levels):
@@ -332,12 +340,13 @@ def _loop_convergence(system, scheme, T, dt, seed, n_paths, levels):
     for p in range(n_paths):
         ref = integrate(system, scheme, fine, seed, p)
         for lev in range(levels):
-            coarse = ref.path.coarsen(2 ** (levels - lev))
-            states = _loop_steps(system.ops, system.u0, coarse.times,
-                                 coarse.increments, scheme)
-            errors[lev].append(np.linalg.norm(states[-1] - ref.states[-1]))
+            factor = 2 ** (levels - lev)
+            times = fine[::factor]
+            states = _loop_steps(system.ops, system.u0, times,
+                                 coarsen_increments(ref.increments[0], factor), scheme)
+            errors[lev].append(np.linalg.norm(states[-1] - ref.states[0, -1]))
             if p == 0:
-                dts.append(coarse.dt)
+                dts.append(float(times[1] - times[0]))
     mean_errors = [float(np.mean(e)) for e in errors]
     slope = float(np.polyfit(np.log(dts), np.log(mean_errors), 1)[0])
     return {"scheme": scheme, "dts": dts, "mean_errors": mean_errors, "slope": slope}

@@ -13,6 +13,7 @@ import pytest
 
 from spdelab import runner
 from spdelab.cli import main
+from spdelab.operators import OperatorSegments
 from spdelab.runner import (
     ConfigError,
     ExperimentConfig,
@@ -137,6 +138,32 @@ def test_run_writes_expected_layout(tmp_path):
     assert "martingale" in report
     header = open(os.path.join(root, "diagnostics/0.csv")).readline().strip()
     assert header == "t,norm_h,norm_v,norm_d2,quotient,quotient_full,M,psi,residual,S,X"
+
+
+def test_each_diagnostics_block_applies_each_operator_once(tmp_path, monkeypatch):
+    """All 11 columns and the report's final martingale read one record per
+    block: one sym(Ã) application and one of the B_k per block."""
+    calls = {"tilde": [], "noise": 0}
+    tilde_applied = OperatorSegments.tilde_applied
+    noise_applied = OperatorSegments.noise_applied
+
+    def count_tilde(self, states, symmetric=False):
+        calls["tilde"].append(symmetric)
+        return tilde_applied(self, states, symmetric)
+
+    def count_noise(self, states):
+        calls["noise"] += 1
+        return noise_applied(self, states)
+
+    monkeypatch.setattr(OperatorSegments, "tilde_applied", count_tilde)
+    monkeypatch.setattr(OperatorSegments, "noise_applied", count_noise)
+    cfg = load_config(minimal_config(tmp_path, system={"name": "diagonal"}, T=1.0,
+                                     dt=1e-3, paths=12))
+    run(cfg)
+    per_block = runner._paths_per_block(1001, 3, 1)
+    blocks = -(-12 // per_block)
+    assert blocks > 1
+    assert calls == {"tilde": [True] * blocks, "noise": blocks}
 
 
 def use_writer(monkeypatch, writer):
