@@ -7,12 +7,14 @@ applied where an operator (not a form) acts on a vector.
 
 The series built from the quadratic forms read one PathForms record of a
 batch of paths (an EnsembleResult; a single path is a batch of one): the
-record applies sym(Ã) and each B_k once, on first read, and keeps the
-forms the series share.  Outputs carry the batch's leading path axis.
+record applies sym(Ã) and each B_k once, from the segments the steps
+read, and keeps the forms the series share.  Outputs carry the batch's
+leading path axis.  The backward probe and hitting times read a table of
+H-norms (P, J+1), such as the one the runner's blocks collect.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -20,7 +22,6 @@ import numpy as np
 
 from .basis import SpectralBasis
 from .integrator import EnsembleResult
-from .operators import OperatorFamily, OperatorSegments
 
 #: below this H-norm an eps=0 quotient step is excluded and counted, not patched
 NORM_FLOOR = 1e-150
@@ -29,21 +30,15 @@ NORM_FLOOR = 1e-150
 class PathForms:
     """The pathwise forms of a batch of paths, each computed once on first read.
 
-    Holds the paths (P, J+1, N), the family's OperatorSegments on their
-    grid (built here from an OperatorFamily) and the regulariser delta of
-    the exponential martingale M.  The forms are |u|^2, sym(Ã)u,
-    <sym(Ã)u, u>, each B_k u, <B_k u, u>, <sym(Ã)u, B_k u> and M, all on
-    the grid; the last axis of a per-noise form is the noise index.
+    Holds the paths (P, J+1, N), whose segments apply the operators, and
+    the regulariser delta of the exponential martingale M.  The forms are
+    |u|^2, sym(Ã)u, <sym(Ã)u, u>, each B_k u, <B_k u, u>, <sym(Ã)u, B_k u>
+    and M, all on the grid; the last axis of a per-noise form is the noise
+    index.
     """
 
-    def __init__(self, paths: EnsembleResult,
-                 ops: Union[OperatorFamily, OperatorSegments], delta: float) -> None:
-        if not isinstance(ops, OperatorSegments):
-            ops = OperatorSegments(ops, paths.times)
-        elif not np.array_equal(ops.times, paths.times):
-            raise ValueError("operator segments were built on another time grid")
+    def __init__(self, paths: EnsembleResult, delta: float) -> None:
         self.paths = paths
-        self.ops = ops
         self.delta = delta
 
     @cached_property
@@ -54,7 +49,7 @@ class PathForms:
     @cached_property
     def tu(self) -> np.ndarray:
         """sym(Ã(t))u, (P, J+1, N)."""
-        return self.ops.tilde_applied(self.paths.states, symmetric=True)
+        return self.paths.segments.tilde_applied(self.paths.states, symmetric=True)
 
     @cached_property
     def form(self) -> np.ndarray:
@@ -64,7 +59,7 @@ class PathForms:
     @cached_property
     def bus(self) -> list:
         """[B_k(t)u for each k], each (P, J+1, N)."""
-        return self.ops.noise_applied(self.paths.states)
+        return self.paths.segments.noise_applied(self.paths.states)
 
     def _with_noise(self, v: np.ndarray) -> np.ndarray:
         out = np.empty(self.paths.states.shape[:-1] + (len(self.bus),))
@@ -159,12 +154,13 @@ def quotient_full(forms: PathForms, eps: float) -> np.ndarray:
     return quotient_series(forms, eps) + np.sum(rho_series(forms, eps) ** 2, axis=-1)
 
 
-def hitting_time(paths: EnsembleResult, r: float) -> list:
-    """Per path, the first grid time with |u(t)| <= r, or None if the level is never hit."""
+def hitting_time(norms: np.ndarray, times: np.ndarray, r: float) -> list:
+    """Per path of the H-norms (P, J+1) on `times`, the first grid time with
+    |u(t)| <= r, or None if the level is never hit."""
     if r < 0:
         raise ValueError("hitting level must be nonnegative")
-    hit = np.sqrt(np.sum(paths.states**2, axis=-1)) <= r
-    first = np.where(hit.any(axis=-1), paths.times[np.argmax(hit, axis=-1)], None)
+    hit = np.asarray(norms) <= r
+    first = np.where(hit.any(axis=-1), times[np.argmax(hit, axis=-1)], None)
     return first.tolist()
 
 
@@ -291,7 +287,8 @@ def galerkin_gaps(forms: PathForms, basis: SpectralBasis, eps: float,
     times, states = forms.paths.times, forms.paths.states
     m = forms.martingale
     den = forms.sq + eps
-    tu = forms.ops.tilde_applied(states)
+    segs = forms.paths.segments
+    tu = segs.tilde_applied(states)
     k5 = np.trapezoid(m * np.sum(tu**2, axis=-1) / den, times, axis=-1)
 
     lam = basis.hat_eigenvalues
@@ -303,7 +300,7 @@ def galerkin_gaps(forms: PathForms, basis: SpectralBasis, eps: float,
         # and -T[:n, n:] u[n:] inside them
         tail_u = states.copy()
         tail_u[..., :n] = 0.0
-        head = forms.ops.tilde_applied(tail_u)[..., :n]
+        head = segs.tilde_applied(tail_u)[..., :n]
         gap_sq = np.sum(head**2, axis=-1) + np.sum(tu[..., n:] ** 2, axis=-1)
         k3[n] = np.trapezoid(m * gap_sq / den, times, axis=-1)
 
@@ -354,17 +351,7 @@ class SpectralLimitReport:
             "n_paths": len(self.paths),
             "n_settled": self.n_settled,
             "histogram": {str(k): v for k, v in self.histogram().items()},
-            "paths": [
-                {
-                    "settled": p.settled,
-                    "lambda_estimate": p.lambda_estimate,
-                    "matched_eigenvalue": p.matched_eigenvalue,
-                    "gap": p.gap,
-                    "residual_final": p.residual_final,
-                    "window_std": p.window_std,
-                }
-                for p in self.paths
-            ],
+            "paths": [asdict(p) for p in self.paths],
         }
 
 
@@ -380,15 +367,17 @@ def spectral_limit_report(
 
     quotients has shape (P, J+1); a path settles when the standard deviation
     over the final window is below settle_tol (default: 10% of the smallest
-    spectral gap).
+    gap between distinct eigenvalues, or 0.1 for a single one).  Eigenvalues
+    closer than 1e-9 max(1, max|lambda|) count as one: the solver splits a
+    repeated eigenvalue by rounding.
     """
     quotients = np.atleast_2d(np.asarray(quotients, dtype=float))
     final_states = np.atleast_2d(np.asarray(final_states, dtype=float))
     eigenvalues = np.sort(np.asarray(eigenvalues, dtype=float))
     if settle_tol is None:
         gaps = np.diff(eigenvalues)
-        min_gap = float(np.min(gaps)) if gaps.size else 1.0
-        settle_tol = 0.1 * (min_gap if min_gap > 0 else 1.0)
+        gaps = gaps[gaps > 1e-9 * max(1.0, np.max(np.abs(eigenvalues), initial=0.0))]
+        settle_tol = 0.1 * (float(np.min(gaps)) if gaps.size else 1.0)
 
     j1 = quotients.shape[1]
     w0 = max(0, int(np.floor((1.0 - window_frac) * j1)))
@@ -407,27 +396,22 @@ def spectral_limit_report(
             res = None if np.isnan(residuals[p]) else float(residuals[p])
         else:
             matched, gap, res = None, None, None
-        paths.append(
-            PathVerdict(
-                settled=settled, lambda_estimate=est, matched_eigenvalue=matched,
-                gap=gap, residual_final=res, window_std=std,
-            )
-        )
+        paths.append(PathVerdict(settled, est, matched, gap, res, std))
     return SpectralLimitReport(eigenvalues=eigenvalues, paths=paths, settle_tol=settle_tol)
 
 
-def backward_probe(states: np.ndarray, times: np.ndarray) -> dict:
-    """Minimum H-norm per path: the backward-uniqueness dichotomy report.
+def backward_probe(norms: np.ndarray, times: np.ndarray) -> dict:
+    """Minimum H-norm per path of the H-norms (P, J+1) on `times`: the
+    backward-uniqueness dichotomy report.
 
     For a nonzero start every path should stay strictly away from zero; a
     zero start must stay identically zero.
     """
-    states = np.asarray(states, dtype=float)
-    norms = np.sqrt(np.sum(states**2, axis=-1))  # (P, J+1)
+    norms = np.asarray(norms, dtype=float)
     min_norms = norms.min(axis=1)
     argmins = norms.argmin(axis=1)
     return {
-        "n_paths": int(states.shape[0]),
+        "n_paths": int(norms.shape[0]),
         "min_norm_per_path": min_norms,
         "min_time_per_path": times[argmins],
         "margin": float(min_norms.min()),

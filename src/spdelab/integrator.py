@@ -127,13 +127,15 @@ _STEPPERS = {
 class EnsembleResult:
     """A batch of trajectories sharing a grid; path p used stream p of the run.
 
-    A single path is an ensemble of one.
+    A single path is an ensemble of one.  `segments` are the family's
+    matrices on the grid that the steps read; the diagnostics read them too.
     """
 
     times: np.ndarray
     states: np.ndarray  # (P, J+1, N)
     increments: np.ndarray  # (P, J, n)
     blowups: dict  # path index -> blow-up time
+    segments: OperatorSegments
 
     @property
     def n_paths(self) -> int:
@@ -158,19 +160,19 @@ def _check_scheme(system, scheme: str) -> None:
         raise SchemeError("milstein requires a pairwise commuting noise family")
 
 
-def _run_steps(ops, u0, times, increments, scheme, final_only=False):
+def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=False):
     """The one loop over time steps, for a batch of paths.
 
-    u0 has shape (P, N) and increments (P, J, n).  A path whose state turns
-    non-finite is frozen at its last finite state and its blow-up time is
-    recorded; the other paths continue.  Every step reads its matrices from
-    the family's segments on `times`, built once: step j the noise at grid
-    index j and the drift at index j + lag.  Returns the states (P, J+1, N),
-    or with final_only just the final states (P, N), and the blow-ups
-    {path index: time}.
+    u0 has shape (P, N) and increments (P, J, n); F is the family's
+    nonlinearity or None.  A path whose state turns non-finite is frozen at
+    its last finite state and its blow-up time is recorded; the other paths
+    continue.  Every step reads its matrices from the segments, on whose
+    grid the paths run: step j the noise at grid index j and the drift at
+    index j + lag.  Returns the states (P, J+1, N), or with final_only just
+    the final states (P, N), and the blow-ups {path index: time}.
     """
     kernel, lag = _KERNELS[scheme]
-    segs = OperatorSegments(ops, times)
+    times = segs.times
     dt = float(times[1] - times[0])
     u = np.array(u0, dtype=float)
     states = None
@@ -181,7 +183,7 @@ def _run_steps(ops, u0, times, increments, scheme, final_only=False):
     blowups: dict = {}
     with np.errstate(over="ignore", invalid="ignore"):
         for j in range(len(times) - 1):
-            new = kernel(ops.F, u, float(times[j]), dt, increments[:, j, :],
+            new = kernel(F, u, float(times[j]), dt, increments[:, j, :],
                          segs.at(j + lag).drift, segs.at(j).Bs)
             frozen = ~alive | ~np.all(np.isfinite(new), axis=-1)
             if np.any(frozen):
@@ -213,9 +215,10 @@ def integrate(
     _check_scheme(system, scheme)
     grid = np.asarray(grid, dtype=float)
     inc = sample_brownian(system.ops.n_noise, grid, seed, stream_id).increments[None]
-    states, blowups = _run_steps(system.ops, _start(system, u0)[None], grid, inc, scheme)
+    segs = OperatorSegments(system.ops, grid)
+    states, blowups = _run_steps(system.ops.F, segs, _start(system, u0)[None], inc, scheme)
     _raise_on_blowup(blowups)
-    return EnsembleResult(times=grid, states=states, increments=inc, blowups=blowups)
+    return EnsembleResult(grid, states, inc, blowups, segs)
 
 
 def integrate_ensemble(
@@ -231,8 +234,9 @@ def integrate_ensemble(
     grid = np.asarray(grid, dtype=float)
     inc = sample_brownian_ensemble(system.ops.n_noise, grid, seed, n_paths)
     u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
-    states, blowups = _run_steps(system.ops, u0b, grid, inc, scheme)
-    return EnsembleResult(times=grid, states=states, increments=inc, blowups=blowups)
+    segs = OperatorSegments(system.ops, grid)
+    states, blowups = _run_steps(system.ops.F, segs, u0b, inc, scheme)
+    return EnsembleResult(grid, states, inc, blowups, segs)
 
 
 def strong_convergence(
@@ -254,15 +258,16 @@ def strong_convergence(
     fine = uniform_grid(T, dt / 2**levels)
     inc = sample_brownian_ensemble(system.ops.n_noise, fine, seed, n_paths)
     u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
-    ref, blowups = _run_steps(system.ops, u0b, fine, inc, scheme, final_only=True)
+    ref, blowups = _run_steps(system.ops.F, OperatorSegments(system.ops, fine), u0b,
+                              inc, scheme, final_only=True)
     _raise_on_blowup(blowups)
     dts, mean_errors = [], []
     for lev in range(levels):
         factor = 2 ** (levels - lev)
         times = fine[::factor]
         final, blowups = _run_steps(
-            system.ops, u0b, times, coarsen_increments(inc, factor), scheme,
-            final_only=True,
+            system.ops.F, OperatorSegments(system.ops, times), u0b,
+            coarsen_increments(inc, factor), scheme, final_only=True,
         )
         _raise_on_blowup(blowups)
         err = np.linalg.norm(final - ref, axis=-1)

@@ -23,7 +23,7 @@ from . import diagnostics as diag
 from .assumptions import check_all, check_commutator_bound, k6_table
 from .brownian import uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
-from .operators import OperatorSegments, spectrum
+from .operators import spectrum
 from .systems import REGISTRY, SystemSpec, make_system
 
 SCHEMA_VERSION = "1"
@@ -383,25 +383,24 @@ def _paths_per_block(n_times: int, dim: int, n_noise: int) -> int:
     return max(1, DIAG_BLOCK_BYTES // (8 * floats))
 
 
-def _diagnostic_blocks(system: SystemSpec, ens, segs: OperatorSegments,
-                       eps: float, delta: float, k1, k2, k6, n_tab,
-                       paths_per_block: int):
-    """Yield (first path, table, final M at delta) per block.
+def _diagnostic_blocks(system: SystemSpec, ens, eps: float, delta: float,
+                       k1, k2, k6, n_tab, paths_per_block: int):
+    """Yield (first path, table, record) per block of paths.
 
-    The table is (paths, J+1, DIAG_COLUMNS).  Every column reads the
-    block's one PathForms record; its M, psi, S and X take M at eps, or at
-    delta when eps is zero.
+    The table is (paths, J+1, DIAG_COLUMNS), and the record is the block's
+    one PathForms, which every column reads.  The record's M, and so the M,
+    psi, S and X columns, is at eps, or at delta when eps is zero.
     """
     basis = system.basis
     for lo in range(0, ens.n_paths, paths_per_block):
         block = ens.paths(lo, lo + paths_per_block)
         states = block.states
-        forms = diag.PathForms(block, segs, eps if eps > 0 else delta)
+        forms = diag.PathForms(block, eps if eps > 0 else delta)
         m = diag.exp_martingale(forms)
         lam = diag.quotient_series(forms, eps)
         table = np.empty(states.shape[:-1] + (len(DIAG_COLUMNS),))
         table[..., 0] = block.times
-        table[..., 1] = basis.norm_h(states)
+        table[..., 1] = np.sqrt(forms.sq)
         table[..., 2] = basis.norm_v(states)
         table[..., 3] = basis.norm_d(states)
         table[..., 4] = lam
@@ -412,7 +411,7 @@ def _diagnostic_blocks(system: SystemSpec, ens, segs: OperatorSegments,
         table[..., 9] = diag.envelope_series(forms, eps, K2=k2, K6=k6, n_table=n_tab)
         table[..., 10], _ = diag.bound_process_X(forms, eps, K1=k1, K2=k2, K6=k6,
                                                  n_table=n_tab)
-        yield lo, table, diag.exp_martingale(forms, delta)[..., -1]
+        yield lo, table, forms
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
@@ -439,18 +438,28 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     outputs = []
 
     eps = cfg.eps_list[0] if cfg.eps_list else 1e-8
-    segs = OperatorSegments(system.ops, grid)
     consts = _constants_for(system, grid)
     per_block = _paths_per_block(len(grid), system.basis.dim, system.ops.n_noise)
-    quots = np.empty((cfg.paths, len(grid)))
-    m_final = np.empty(cfg.paths)
+    # what the report reads, collected per path as the blocks pass
+    quots, norms = np.empty((cfg.paths, len(grid))), np.empty((cfg.paths, len(grid)))
+    finals, m_final = np.empty((cfg.paths, system.basis.dim)), np.empty(cfg.paths)
+    n_gap = min(8, cfg.paths) if cfg.N_list else 0  # the gaps are means over 8 paths
+    gaps = {key: {n: np.empty(n_gap) for n in cfg.N_list} for key in ("K3", "K4")}
     path_header = ("t",) + tuple(f"u{i}" for i in range(system.basis.dim))
 
     def jobs():
-        for lo, table, m_t in _diagnostic_blocks(system, ens, segs, eps, cfg.delta,
-                                                 *consts, per_block):
-            quots[lo:lo + len(table)] = table[..., 4]
-            m_final[lo:lo + len(table)] = m_t
+        for lo, table, forms in _diagnostic_blocks(system, ens, eps, cfg.delta,
+                                                   *consts, per_block):
+            states, hi = forms.paths.states, lo + len(table)
+            quots[lo:hi], norms[lo:hi] = table[..., 4], table[..., 1]
+            finals[lo:hi] = states[:, -1]
+            m_final[lo:hi] = diag.exp_martingale(forms, cfg.delta)[..., -1]
+            if lo < n_gap:
+                top = min(hi, n_gap)
+                k3, k4, _ = diag.galerkin_gaps(forms, system.basis, eps, cfg.N_list)
+                for key, per_n in (("K3", k3), ("K4", k4)):
+                    for n, v in per_n.items():
+                        gaps[key][n][lo:top] = v[:top - lo]
             for p, rows in enumerate(table, start=lo):
                 rel = os.path.join("diagnostics", f"{p}.csv")
                 outputs.append(rel)
@@ -459,13 +468,14 @@ def run(cfg: ExperimentConfig) -> RunManifest:
                     rel = os.path.join("paths", f"{p}.csv")
                     outputs.append(rel)
                     yield (os.path.join(run_dir, rel), path_header,
-                           np.column_stack([grid, ens.states[p]]))
+                           np.column_stack([grid, states[p - lo]]))
 
     row_floats = len(DIAG_COLUMNS) + cfg.write_paths * len(path_header)
     _write_csv(jobs(), cfg.paths * len(grid) * row_floats,
                cfg.paths * (1 + cfg.write_paths))
 
-    report = _build_report(cfg, system, ens, segs, eps, quots, m_final)
+    report = _build_report(cfg, system, ens.blowups, grid, quots, norms, finals,
+                           m_final, gaps)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -486,28 +496,29 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
-                  segs: OperatorSegments, eps: float, quots: np.ndarray,
-                  m_final: np.ndarray) -> dict:
+def _build_report(cfg: ExperimentConfig, system: SystemSpec, blowups: dict,
+                  times: np.ndarray, quots: np.ndarray, norms: np.ndarray,
+                  finals: np.ndarray, m_final: np.ndarray, gaps: dict) -> dict:
+    """The report of a run from what its diagnostic blocks collected per path:
+    the quotients and H-norms (P, J+1), the final states and final M at
+    delta, and the K3/K4 gaps of the first paths, per section size."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,
         "system": system.name,
         "scheme": cfg.scheme,
         "paths": cfg.paths,
-        "blowups": {str(k): v for k, v in ens.blowups.items()},
+        "blowups": {str(k): v for k, v in blowups.items()},
     }
     tilde_sym = system.ops.at(0.0).tilde_sym
     eigs, _ = spectrum(tilde_sym, symmetric=True)
 
     if cfg.kind in ("simulate", "spectral-limit"):
-        slr = diag.spectral_limit_report(
-            quots, ens.states[:, -1, :], tilde_sym, eigs.real
-        )
+        slr = diag.spectral_limit_report(quots, finals, tilde_sym, eigs.real)
         report["spectral_limit"] = slr.to_dict()
 
     if cfg.kind in ("simulate", "backward-probe"):
-        probe = diag.backward_probe(ens.states, ens.times)
+        probe = diag.backward_probe(norms, times)
         report["backward_probe"] = {
             "margin": probe["margin"],
             "all_positive": probe["all_positive"],
@@ -516,7 +527,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         }
         if cfg.r_list:
             report["hitting_times"] = {
-                str(r): diag.hitting_time(ens, r) for r in cfg.r_list
+                str(r): diag.hitting_time(norms, times, r) for r in cfg.r_list
             }
 
     if cfg.kind == "check":
@@ -531,12 +542,9 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
     }
 
     if cfg.N_list:
-        k3, k4, _ = diag.galerkin_gaps(
-            diag.PathForms(ens.paths(0, 8), segs, eps), system.basis, eps, cfg.N_list
-        )
         report["galerkin_gaps"] = {
-            "K3": {str(n): float(np.mean(k3[n])) for n in cfg.N_list},
-            "K4": {str(n): float(np.mean(k4[n])) for n in cfg.N_list},
+            key: {str(n): float(np.mean(v)) for n, v in per_n.items()}
+            for key, per_n in gaps.items()
         }
     return report
 

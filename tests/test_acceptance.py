@@ -128,7 +128,7 @@ def test_acceptance_3_backward_dichotomy():
     for chunk in range(4):
         ens = integrate_ensemble(sys, "drift-implicit", grid, seed=303 + chunk,
                                  n_paths=250)
-        probe = diag.backward_probe(ens.states, ens.times)
+        probe = diag.backward_probe(np.linalg.norm(ens.states, axis=-1), ens.times)
         margin = min(margin, probe["margin"])
         underflow += probe["n_underflow"]
     zero = integrate(sys, "drift-implicit", grid, seed=303,
@@ -182,7 +182,7 @@ def _gronwall_rate(dt: float) -> float:
     checked = violations = 0
     for p in range(5):
         traj = integrate(sys, "euler-maruyama", grid, seed=505, stream_id=p)
-        _, verdict = diag.bound_process_X(diag.PathForms(traj, sys.ops, 1e-8), 1e-8)
+        _, verdict = diag.bound_process_X(diag.PathForms(traj, 1e-8), 1e-8)
         checked += verdict.n_checked
         violations += verdict.n_violations
     return violations / checked
@@ -213,7 +213,7 @@ def _envelope_rate(dt: float) -> float:
     checked = violations = 0
     for p in range(5):
         traj = integrate(sys, "euler-maruyama", grid, seed=606, stream_id=p)
-        _, verdict = diag.comparison_envelope(diag.PathForms(traj, sys.ops, 1e-8), 0, 1e-8)
+        _, verdict = diag.comparison_envelope(diag.PathForms(traj, 1e-8), 0, 1e-8)
         checked += verdict.n_checked
         violations += verdict.n_violations
     return violations / checked
@@ -315,7 +315,7 @@ def test_acceptance_9_galerkin_gap_decay():
                 make_torus_heat_gradient_noise(dim=64, sigma_fields=(0.5,),
                                                u0=u0)):
         traj = integrate(sys, "drift-implicit", grid, seed=909)
-        k3, k4, _ = diag.galerkin_gaps(diag.PathForms(traj, sys.ops, 1e-8), sys.basis,
+        k3, k4, _ = diag.galerkin_gaps(diag.PathForms(traj, 1e-8), sys.basis,
                                        1e-8, sections)
         k3 = {n: k[0] for n, k in k3.items()}
         k4 = {n: k[0] for n, k in k4.items()}
@@ -370,7 +370,7 @@ def test_acceptance_11_deterministic_heat_quotient():
     sys = make_torus_heat_scalar_noise(dim=64, c_coeffs=())
     grid = uniform_grid(10.0, 1e-3)
     traj = integrate(sys, "drift-implicit", grid, seed=0)
-    q = diag.quotient_series(diag.PathForms(traj, sys.ops, 0.0), 0.0)[0]
+    q = diag.quotient_series(diag.PathForms(traj, 0.0), 0.0)[0]
     tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
     eigs, _ = spectrum(tilde_sym, symmetric=True)
     target = float(eigs.real.min())

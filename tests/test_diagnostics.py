@@ -29,10 +29,12 @@ def _quotient(u, tilde, eps):
     """The quotient of the state u under the constant, noise-free family Ã = tilde:
     quotient_series of a one-path ensemble resting at u on a two-point grid."""
     u = np.asarray(u, dtype=float)
-    ens = EnsembleResult(times=np.array([0.0, 1.0]), states=np.stack([u, u])[None],
-                         increments=np.zeros((1, 1, 0)), blowups={})
+    times = np.array([0.0, 1.0])
     ops = OperatorFamily(A=MatrixPath(np.asarray(tilde, dtype=float)), Bs=())
-    q = diag.quotient_series(diag.PathForms(ens, ops, eps), eps)
+    ens = EnsembleResult(times=times, states=np.stack([u, u])[None],
+                         increments=np.zeros((1, 1, 0)), blowups={},
+                         segments=OperatorSegments(ops, times))
+    q = diag.quotient_series(diag.PathForms(ens, eps), eps)
     assert q.shape == (1, 2) and q[0, 0] == q[0, 1]
     return q[0, 0]
 
@@ -70,11 +72,9 @@ def test_quotient_full_adds_squared_noise_term():
     grid = uniform_grid(0.5, 0.01)
     ens = integrate_ensemble(sys, "drift-implicit", grid, seed=3, n_paths=2)
     for paths in (ens, ens.paths(1, 2)):
-        full = diag.quotient_full(diag.PathForms(paths, sys.ops, 0.0), 0.0)
+        full = diag.quotient_full(diag.PathForms(paths, 0.0), 0.0)
         assert full.shape == paths.states.shape[:-1]
         np.testing.assert_allclose(full, 1.0 + 0.3**2, rtol=1e-12)
-    with pytest.raises(ValueError, match="another time grid"):
-        diag.PathForms(ens, OperatorSegments(sys.ops, grid[:-1]), 0.0)
 
 
 def test_eigen_residual_zero_on_eigenpair():
@@ -89,7 +89,7 @@ def test_eigen_residual_zero_on_eigenpair():
 def test_martingale_starts_at_one_and_stays_positive():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-3), seed=0)
-    m = diag.exp_martingale(diag.PathForms(traj, sys.ops, 1e-6))
+    m = diag.exp_martingale(diag.PathForms(traj, 1e-6))
     assert m[0, 0] == 1.0
     assert np.all(m > 0)
 
@@ -98,7 +98,7 @@ def test_martingale_mean_near_one_small_ensemble():
     sys = diag_system(eigs=(1.0,), noise=((0.4,),))
     grid = uniform_grid(1.0, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=3, n_paths=400)
-    m = diag.exp_martingale(diag.PathForms(ens, sys.ops, 1e-6))
+    m = diag.exp_martingale(diag.PathForms(ens, 1e-6))
     mean = m[:, -1].mean()
     se = m[:, -1].std() / np.sqrt(400)
     assert abs(mean - 1.0) <= 4 * se
@@ -108,25 +108,25 @@ def test_martingale_batch_matches_per_path():
     sys = diag_system()
     grid = uniform_grid(0.5, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=5, n_paths=3)
-    batch = diag.exp_martingale(diag.PathForms(ens, sys.ops, 1e-6))
+    batch = diag.exp_martingale(diag.PathForms(ens, 1e-6))
     # a record at another regulariser gives the same martingale at 1e-6
-    assert np.array_equal(diag.exp_martingale(diag.PathForms(ens, sys.ops, 1e-3), 1e-6), batch)
+    assert np.array_equal(diag.exp_martingale(diag.PathForms(ens, 1e-3), 1e-6), batch)
     for p in range(3):
-        single = diag.exp_martingale(diag.PathForms(ens.paths(p, p + 1), sys.ops, 1e-6))
+        single = diag.exp_martingale(diag.PathForms(ens.paths(p, p + 1), 1e-6))
         assert np.allclose(batch[p], single[0], rtol=1e-12)
 
 
 def test_martingale_constant_for_noise_free_path():
     sys = diag_system(noise=((0.0, 0.0, 0.0),))
     traj = integrate(sys, "euler-maruyama", uniform_grid(0.5, 1e-2), seed=0)
-    assert np.allclose(diag.exp_martingale(diag.PathForms(traj, sys.ops, 1e-6)), 1.0)
+    assert np.allclose(diag.exp_martingale(diag.PathForms(traj, 1e-6)), 1.0)
 
 
 def test_psi_closed_form():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(0.1, 1e-2), seed=1)
     eps = 1e-4
-    forms = diag.PathForms(traj, sys.ops, eps)
+    forms = diag.PathForms(traj, eps)
     m = diag.exp_martingale(forms)
     psi = diag.psi_series(forms, eps)
     expect = -0.5 * m * np.log(np.sum(traj.states**2, axis=-1) + eps)
@@ -141,7 +141,7 @@ def test_bound_process_deterministic_flow():
     and the decreasing quotient stays below it."""
     sys = diag_system(noise=((0.0, 0.0, 0.0),))
     traj = integrate(sys, "drift-implicit", uniform_grid(2.0, 1e-3), seed=0)
-    forms = diag.PathForms(traj, sys.ops, 1e-8)
+    forms = diag.PathForms(traj, 1e-8)
     x, verdict = diag.bound_process_X(forms, 1e-8)
     lam = diag.quotient_series(forms, 1e-8)
     assert np.allclose(x, x[0, 0])
@@ -152,14 +152,14 @@ def test_bound_process_deterministic_flow():
 def test_bound_process_with_noise_mostly_holds():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-4), seed=7)
-    _, verdict = diag.bound_process_X(diag.PathForms(traj, sys.ops, 1e-8), 1e-8)
+    _, verdict = diag.bound_process_X(diag.PathForms(traj, 1e-8), 1e-8)
     assert verdict.violation_fraction <= 0.01
 
 
 def test_envelope_on_diagonal_oracle():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-4), seed=11)
-    env, verdict = diag.comparison_envelope(diag.PathForms(traj, sys.ops, 1e-8), 0, 1e-8)
+    env, verdict = diag.comparison_envelope(diag.PathForms(traj, 1e-8), 0, 1e-8)
     assert verdict.n_excluded == 0
     assert verdict.violation_fraction < 0.01
     assert np.all(np.isfinite(env))
@@ -170,10 +170,10 @@ def test_hitting_time():
     traj = integrate(sys, "drift-implicit", uniform_grid(3.0, 1e-3), seed=0)
     norms = np.linalg.norm(traj.states[0], axis=1)
     r = norms[len(norms) // 2]
-    [tau] = diag.hitting_time(traj, r)
+    [tau] = diag.hitting_time(norms[None], traj.times, r)
     assert tau is not None
     assert tau == pytest.approx(traj.times[len(norms) // 2], abs=2e-3)
-    assert diag.hitting_time(traj, 0.0) == [None]  # never reaches zero
+    assert diag.hitting_time(norms[None], traj.times, 0.0) == [None]  # never reaches zero
 
 
 def test_hitting_time_of_a_batch_matches_per_path_calls():
@@ -182,9 +182,10 @@ def test_hitting_time_of_a_batch_matches_per_path_calls():
     norms = np.linalg.norm(ens.states, axis=-1)
     # levels hit by every path, by some paths only, and by none
     for r in (float(np.max(norms[:, -1])), float(np.median(norms[:, -1])), 0.0):
-        per_path = [diag.hitting_time(ens.paths(p, p + 1), r)[0] for p in range(6)]
-        assert diag.hitting_time(ens, r) == per_path
-    assert None in [diag.hitting_time(ens.paths(p, p + 1), float(np.median(norms[:, -1])))[0]
+        per_path = [diag.hitting_time(norms[p:p + 1], ens.times, r)[0] for p in range(6)]
+        assert diag.hitting_time(norms, ens.times, r) == per_path
+    assert None in [diag.hitting_time(norms[p:p + 1], ens.times,
+                                      float(np.median(norms[:, -1])))[0]
                     for p in range(6)]
 
 
@@ -195,7 +196,7 @@ def test_galerkin_gaps_vanish_at_full_section():
     sys = make_system("torus-heat-scalar", dim=16,
                       u0=[1.0 / (1 + i) for i in range(16)])
     traj = integrate(sys, "drift-implicit", uniform_grid(0.5, 1e-3), seed=0)
-    k3, k4, k5 = diag.galerkin_gaps(diag.PathForms(traj, sys.ops, 1e-8), sys.basis, 1e-8,
+    k3, k4, k5 = diag.galerkin_gaps(diag.PathForms(traj, 1e-8), sys.basis, 1e-8,
                                     (4, 8, 16))
     assert k3[16] == pytest.approx(0.0, abs=1e-20)
     assert k4[16] == pytest.approx(0.0, abs=1e-20)
@@ -222,11 +223,23 @@ def test_spectral_limit_report_settled_paths():
     assert rep.histogram() == {1.0: 1}
 
 
+def test_settle_tolerance_counts_a_split_eigenvalue_once():
+    """eigh splits a repeated eigenvalue by rounding; the default tolerance is
+    a tenth of the gap between distinct eigenvalues, not of that split."""
+    eigs = np.array([0.0, 1.0, 1.0 + 4e-16, 4.0])
+    quots = 1.0 + 1e-6 * np.sin(np.arange(100.0))[None]
+    rep = diag.spectral_limit_report(quots, np.ones((1, 4)), np.eye(4), eigs)
+    assert rep.settle_tol == pytest.approx(0.1, rel=1e-12)
+    assert rep.n_settled == 1
+    assert diag.spectral_limit_report(quots, np.ones((1, 4)), np.eye(4),
+                                      np.full(3, 2.0)).settle_tol == 0.1
+
+
 def test_backward_probe_positive_and_zero_start():
     sys = diag_system()
     grid = uniform_grid(1.0, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=2, n_paths=4)
-    probe = diag.backward_probe(ens.states, ens.times)
+    probe = diag.backward_probe(np.linalg.norm(ens.states, axis=-1), ens.times)
     assert probe["all_positive"]
     assert probe["n_underflow"] == 0
 
@@ -418,20 +431,19 @@ def _check_batched_against_loop(family, per_block, n_paths, seed, eps, zero_star
     u0 = np.zeros(system.basis.dim) if zero_start else None
     ens = integrate_ensemble(system, "euler-maruyama", grid, seed, n_paths, u0=u0)
     consts = runner._constants_for(system, grid)
-    segs = OperatorSegments(system.ops, grid)
     if family == "linear":
-        assert len(segs.segments) == 2
+        assert len(ens.segments.segments) == 2
     elif family == "coupled-piecewise":
-        assert len(segs.segments) == 6  # one per node; the last holds t=T alone
+        assert len(ens.segments.segments) == 6  # one per node; the last holds t=T alone
 
     starts, tables, _ = zip(*runner._diagnostic_blocks(
-        system, ens, segs, eps, 1e-6, *consts, per_block
+        system, ens, eps, 1e-6, *consts, per_block
     ))
     assert list(starts) == list(range(0, n_paths, per_block))
     batched = np.concatenate(tables)
     tau = len(grid) // 3
     env, verdict = diag.comparison_envelope(
-        diag.PathForms(ens, segs, eps if eps > 0 else 1e-6), tau, eps,
+        diag.PathForms(ens, eps if eps > 0 else 1e-6), tau, eps,
         K2=consts[1], K6=consts[2], n_table=consts[3], form_floor=form_floor,
     )
 

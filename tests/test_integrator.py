@@ -18,7 +18,7 @@ from spdelab.integrator import (
     integrate_ensemble,
     strong_convergence,
 )
-from spdelab.operators import MatrixPath, OperatorFamily
+from spdelab.operators import MatrixPath, OperatorFamily, OperatorSegments
 from spdelab.systems import SystemSpec, make_diagonal, make_system, torus_basis
 
 
@@ -80,7 +80,8 @@ def test_run_steps_uses_the_exact_drift(scheme):
     ops = _linear_drift_jumping_noise()
     grid = uniform_grid(0.5, 0.01)
     u0 = np.random.default_rng(1).standard_normal((3, 2))
-    states, _ = _run_steps(ops, u0, grid, np.zeros((3, len(grid) - 1, 1)), scheme)
+    states, _ = _run_steps(ops.F, OperatorSegments(ops, grid), u0,
+                           np.zeros((3, len(grid) - 1, 1)), scheme)
     a, b = ops.A, ops.Bs[0]
     dt = float(grid[1] - grid[0])
     u = u0
@@ -105,7 +106,8 @@ def test_run_steps_evaluates_no_matrix_path_per_step(monkeypatch):
             grid = uniform_grid(T, 5e-3)
             calls.clear()
             inc = np.zeros((2, len(grid) - 1, system.ops.n_noise))
-            _run_steps(system.ops, np.ones((2, system.ops.dim)), grid, inc, scheme)
+            _run_steps(system.ops.F, OperatorSegments(system.ops, grid),
+                       np.ones((2, system.ops.dim)), inc, scheme)
             counts.append(len(calls))
     assert counts[0] == counts[1] == counts[2] == counts[3] > 0
 
@@ -323,7 +325,8 @@ def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
     rng = np.random.default_rng(seed)
     u0 = (rng.standard_normal((n_paths, system.ops.dim)) if random_start
           else np.broadcast_to(system.u0, (n_paths, system.ops.dim)))
-    states, blowups = _run_steps(system.ops, u0, grid, inc, scheme)
+    states, blowups = _run_steps(system.ops.F, OperatorSegments(system.ops, grid), u0,
+                                 inc, scheme)
     assert states.shape == (n_paths, len(grid), system.ops.dim)
     assert blowups == {}
     for p in range(n_paths):
@@ -411,7 +414,8 @@ def test_strong_convergence_raises_when_one_path_blows_up(seed, path, blowup_by_
     fine = uniform_grid(1.0, 0.025)
     inc = sample_brownian_ensemble(1, fine, seed, n_paths=6)
     for factor in (1, 2, 4):
-        _, blowups = _run_steps(_Spiking.ops, np.ones((6, 1)), fine[::factor],
+        segs = OperatorSegments(_Spiking.ops, fine[::factor])
+        _, blowups = _run_steps(_Spiking.ops.F, segs, np.ones((6, 1)),
                                 coarsen_increments(inc, factor), "euler-maruyama")
         t = blowup_by_factor.get(factor)
         assert blowups == ({} if t is None else {path: t}), factor

@@ -166,6 +166,58 @@ def test_each_diagnostics_block_applies_each_operator_once(tmp_path, monkeypatch
     assert calls == {"tilde": [True] * blocks, "noise": blocks}
 
 
+def test_a_run_builds_its_segments_once(tmp_path, monkeypatch):
+    """The steps, the diagnostics blocks and the gaps read the segments built
+    for the ensemble; nothing evaluates the family on the grid again."""
+    built = []
+    init = OperatorSegments.__init__
+
+    def count(self, ops, times):
+        built.append(len(times))
+        init(self, ops, times)
+
+    monkeypatch.setattr(OperatorSegments, "__init__", count)
+    run(load_config(minimal_config(tmp_path, paths=3, r_list=[0.5], N_list=[1, 2])))
+    assert built == [51]
+
+
+def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
+    """One path per block, three (so the first 8 paths the gaps average end
+    inside a block) and all ten in one: every file is byte-identical."""
+    path = minimal_config(tmp_path, output_dir=None, paths=10, write_paths=True,
+                          r_list=[0.5, 0.1], N_list=[1, 2])
+    n_times, dim, n_noise = 51, 2, 1
+    per_path = 8 * n_times * (dim * (n_noise + 4) + 3 * len(runner.DIAG_COLUMNS))
+    dirs = []
+    for per_block in (1, 3, 10):
+        monkeypatch.setattr(runner, "DIAG_BLOCK_BYTES", per_block * per_path)
+        assert runner._paths_per_block(n_times, dim, n_noise) == per_block
+        monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / f"blocks-of-{per_block}"))
+        dirs.append(run(load_config(path)).run_dir)
+    files = [sorted(os.path.relpath(os.path.join(d, f), run_dir)
+                    for d, _, names in os.walk(run_dir) for f in names)
+             for run_dir in dirs]
+    assert files[0] == files[1] == files[2]
+    assert len(files[0]) == 2 * 10 + 2
+    for rel in files[0]:
+        first, *rest = (pathlib.Path(d, rel).read_bytes() for d in dirs)
+        assert all(other == first for other in rest), rel
+
+
+@pytest.mark.parametrize("name, limit", [("torus-heat-gradient", 0.0),
+                                         ("torus-heat-scalar", -0.25)])
+def test_torus_paths_settle_on_their_repeated_eigenvalues(tmp_path, name, limit):
+    """The torus spectra repeat each nonzero eigenvalue (cos and sin modes),
+    which eigh splits by ~1e-15; every path still settles on the bottom one."""
+    cfg = load_config(minimal_config(tmp_path, system={"name": name, "dim": 9}, T=8.0,
+                                     paths=4, master_seed=0, kind="spectral-limit"))
+    with open(os.path.join(run(cfg).run_dir, "report.json")) as fh:
+        report = json.load(fh)["spectral_limit"]
+    assert report["n_settled"] == 4
+    for p in report["paths"]:
+        assert p["matched_eigenvalue"] == pytest.approx(limit, abs=1e-12)
+
+
 def use_writer(monkeypatch, writer):
     """Write a run's CSVs inline, or in worker processes whatever its size."""
     if writer == "inline":
