@@ -5,10 +5,8 @@ eigenbasis, checks that nonzero solutions never reach zero, tracks the
 Rayleigh-type quotient of the corrected generator to its spectral limit,
 and certifies the structural operator conditions numerically.
 """
-# numpy >= 2 imports these on first use.  Runs sample with numpy.random,
-# np.unique imports numpy.ma, and nse-2d transforms with numpy.fft; loading
-# them with the package keeps a run's first call free of library imports.
-import numpy.fft  # noqa: F401
+# numpy >= 2 imports these on first use: runs sample with numpy.random and np.unique
+# imports numpy.ma; loading them here keeps a run's first call free of library imports.
 import numpy.ma  # noqa: F401
 import numpy.random  # noqa: F401
 

@@ -5,7 +5,7 @@ left-hand side, so every scheme applies -A(t)u as drift and -B_k(t)u dw^k
 as diffusion.  The schemes step the Ito form: a Stratonovich family's
 drift carries its Ito correction (OperatorFamily.at).  The stepping
 loop reads every matrix from the family's OperatorSegments on its grid,
-built once; no stepper evaluates a matrix path.
+built once and prepared once per segment; no stepper evaluates a matrix path.
 """
 from __future__ import annotations
 
@@ -46,37 +46,54 @@ def _euler_maruyama(F, u, t, dt, dw, drift, noise):
 
 
 def _milstein(F, u, t, dt, dw, drift, noise):
-    out = _euler_maruyama(F, u, t, dt, dw, drift, noise)
-    for k, bk in enumerate(noise):
-        for l, bl in enumerate(noise):
+    bs, products = noise
+    out = _euler_maruyama(F, u, t, dt, dw, drift, bs)
+    for k, row in enumerate(products):
+        for l, bkl in enumerate(row):
             area = dw[..., k : k + 1] * dw[..., l : l + 1]
             if k == l:
                 area = area - dt
-            out = out + 0.5 * (u @ (bk @ bl).T) * area
+            out = out + 0.5 * (u @ bkl.T) * area
     return out
 
 
-def _drift_implicit(F, u, t, dt, dw, drift, noise):
-    rhs = u.copy()
+def _drift_implicit(F, u, t, dt, dw, inverse, noise):
+    rhs = u
     if F is not None:
         rhs = rhs - dt * F(t, u)
     for k, b in enumerate(noise):
         rhs = rhs - (u @ b.T) * dw[..., k : k + 1]
-    mat = np.eye(len(drift)) + dt * drift
+    return rhs @ inverse.T
+
+
+def _as_is(m, dt, t):
+    return m
+
+
+def _noise_products(bs, dt, t):
+    """The B_k and every product B_k B_l, for the Milstein correction."""
+    return bs, tuple(tuple(bk @ bl for bl in bs) for bk in bs)
+
+
+def _implicit_inverse(drift, dt, t):
+    """inv(I + dt A) of a drift, or of each of a stack, read by the steps from
+    times t; a singular one raises SchemeError at the first step reading it."""
+    mat = np.eye(drift.shape[-1]) + dt * drift
     try:
-        sol = np.linalg.solve(mat, rhs[..., None] if rhs.ndim == 1 else rhs.T)
+        return np.linalg.inv(mat)
     except np.linalg.LinAlgError as exc:
-        raise SchemeError(f"singular implicit solve at t={t}: {exc}") from exc
-    return sol[..., 0] if rhs.ndim == 1 else sol.T
+        # LU met an exact zero pivot, so that determinant is exactly 0
+        t = t[np.argmax(np.linalg.det(mat) == 0.0)]
+        raise SchemeError(f"singular implicit solve at t={float(t)}: {exc}") from exc
 
 
-#: per scheme, the step kernel (F, u, t, dt, dw, drift, noise) and the lag
-#: of its drift: a step from t reads the noise matrices at t and the Ito
-#: drift at t + lag * dt
+#: per scheme: the step kernel (F, u, t, dt, dw, drift, noise); the lag of its
+#: drift, as a step from t reads the noise at t and the Ito drift at t + lag * dt;
+#: and what it prepares (m, dt, t) once per segment from the drift and the noise
 _KERNELS = {
-    "euler-maruyama": (_euler_maruyama, 0),
-    "milstein": (_milstein, 0),
-    "drift-implicit": (_drift_implicit, 1),
+    "euler-maruyama": (_euler_maruyama, 0, _as_is, _as_is),
+    "milstein": (_milstein, 0, _as_is, _noise_products),
+    "drift-implicit": (_drift_implicit, 1, _implicit_inverse, _as_is),
 }
 
 SCHEMES = tuple(_KERNELS)
@@ -84,10 +101,9 @@ SCHEMES = tuple(_KERNELS)
 
 def _one_step(scheme: str, ops: OperatorFamily, u, t: float, dt: float, dw):
     """One step of a scheme on the family evaluated directly at t (and t + dt)."""
-    kernel, lag = _KERNELS[scheme]
-    ev = ops.at(t)
-    drift = ev.drift if lag == 0 else ops.at(t + dt).drift
-    return kernel(ops.F, u, t, dt, dw, drift, ev.Bs)
+    kernel, lag, prep_drift, prep_noise = _KERNELS[scheme]
+    drift, noise = ops.at(t + lag * dt).drift, ops.at(t).Bs
+    return kernel(ops.F, u, t, dt, dw, prep_drift(drift, dt, [t]), prep_noise(noise, dt, [t]))
 
 
 def step_euler_maruyama(
@@ -160,6 +176,25 @@ def _check_scheme(system, scheme: str) -> None:
         raise SchemeError("milstein requires a pairwise commuting noise family")
 
 
+def _index(m, i):
+    """Matrix i of a stack, or of each stack of a (nested) tuple."""
+    return m[i] if isinstance(m, np.ndarray) else tuple(_index(x, i) for x in m)
+
+
+def _per_step(segs: OperatorSegments, field: str, prepare, dt: float, lag: int):
+    """Per step j, `field` of the segment holding grid index j + lag, made by
+    prepare(m, dt, times of the steps reading m) when the steps enter the
+    segment and dropped when they leave it."""
+    for seg, lo, hi in zip(segs.segments, segs.edges, segs.edges[1:]):
+        start = max(lo, lag)
+        t = segs.times[start - lag:hi - lag]
+        if seg.drift.ndim == 3:
+            m = prepare(_index(getattr(seg, field), slice(start - lo, None)), dt, t)
+            yield from (_index(m, i) for i in range(len(t)))
+        elif len(t):
+            yield from [prepare(getattr(seg, field), dt, t)] * len(t)
+
+
 def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=False):
     """The one loop over time steps, for a batch of paths.
 
@@ -167,11 +202,11 @@ def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=Fal
     nonlinearity or None.  A path whose state turns non-finite is frozen at
     its last finite state and its blow-up time is recorded; the other paths
     continue.  Every step reads its matrices from the segments, on whose
-    grid the paths run: step j the noise at grid index j and the drift at
-    index j + lag.  Returns the states (P, J+1, N), or with final_only just
-    the final states (P, N), and the blow-ups {path index: time}.
+    grid the paths run, prepared once per segment: step j the noise at grid
+    index j and the drift at index j + lag.  Returns the states (P, J+1, N),
+    or with final_only just the final states (P, N), and the blow-ups.
     """
-    kernel, lag = _KERNELS[scheme]
+    kernel, lag, prep_drift, prep_noise = _KERNELS[scheme]
     times = segs.times
     dt = float(times[1] - times[0])
     u = np.array(u0, dtype=float)
@@ -181,10 +216,11 @@ def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=Fal
         states[:, 0, :] = u
     alive = np.ones(u.shape[0], dtype=bool)
     blowups: dict = {}
+    drifts = _per_step(segs, "drift", prep_drift, dt, lag)
+    noises = _per_step(segs, "Bs", prep_noise, dt, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j in range(len(times) - 1):
-            new = kernel(F, u, float(times[j]), dt, increments[:, j, :],
-                         segs.at(j + lag).drift, segs.at(j).Bs)
+        for j, drift, noise in zip(range(len(times) - 1), drifts, noises):
+            new = kernel(F, u, float(times[j]), dt, increments[:, j, :], drift, noise)
             frozen = ~alive | ~np.all(np.isfinite(new), axis=-1)
             if np.any(frozen):
                 for p in np.flatnonzero(frozen & alive):

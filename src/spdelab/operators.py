@@ -331,22 +331,8 @@ class OperatorSegments:
             ev = ops.at(self.times[edges[:-1]])
             self.segments = tuple(OperatorSegment(ev.drift[p], tuple(b[p] for b in ev.Bs))
                                   for p in range(len(edges) - 1))
-        # segment p holds the grid indices [edges[p], edges[p + 1])
-        self._edges = edges.tolist()
-        # the number of the segment holding each grid index
-        self._owner = np.repeat(np.arange(len(self.segments)), np.diff(edges)).tolist()
-
-    def at(self, j: int) -> OperatorSegment:
-        """The matrices at grid index j, as a segment holding that index alone.
-
-        A segment whose matrices hold on all its indices is returned as it is.
-        """
-        p = self._owner[j]
-        seg = self.segments[p]
-        if seg.drift.ndim == 2:
-            return seg
-        i = j - self._edges[p]
-        return OperatorSegment(seg.drift[i], tuple(b[i] for b in seg.Bs))
+        #: segment p holds the grid indices [edges[p], edges[p + 1])
+        self.edges = edges.tolist()
 
     def _apply(self, states: np.ndarray, pick) -> np.ndarray:
         states = np.asarray(states, dtype=float)
@@ -355,7 +341,7 @@ class OperatorSegments:
                 f"states {states.shape} do not lie on a grid of {len(self.times)} times"
             )
         out = np.empty_like(states)
-        for seg, lo, hi in zip(self.segments, self._edges, self._edges[1:]):
+        for seg, lo, hi in zip(self.segments, self.edges, self.edges[1:]):
             u = states[..., lo:hi, :]
             m = pick(seg)
             if m.ndim == 2:

@@ -366,16 +366,17 @@ class NSEGeometry:
     half-plane (excluding zero), each carrying the unit vector orthogonal
     to the wavevector; modes are sorted by |m|^2 so the basis eigenvalues
     are nondecreasing.  Every transform takes a batch of states: leading
-    axes are carried through, the last axis is the basis index.
+    axes are carried through, the last axis is the basis index.  A field is
+    2 Re(Ex @ C @ Ey), Ex = e^{i m1 x} (0 <= m1 <= M), Ey = e^{i m2 y} (|m2| <= M).
     """
 
     def __init__(self, modes_per_dim: int):
         if not (1 <= modes_per_dim <= 16):
             raise ValueError("modes_per_dim must lie in [1, 16]")
-        self.mpd = modes_per_dim
+        self.mpd = mm = modes_per_dim
         ms = []
-        for m1 in range(-modes_per_dim, modes_per_dim + 1):
-            for m2 in range(-modes_per_dim, modes_per_dim + 1):
+        for m1 in range(-mm, mm + 1):
+            for m2 in range(-mm, mm + 1):
                 if (m1, m2) == (0, 0):
                     continue
                 if m1 > 0 or (m1 == 0 and m2 > 0):
@@ -385,67 +386,65 @@ class NSEGeometry:
         self.k2 = np.sum(self.wavevectors**2, axis=1).astype(float)
         self.n_wave = len(ms)
         self.dim = 2 * self.n_wave  # cos and sin amplitude per wavevector
-        self.grid = g = max(8, 4 * modes_per_dim)
-        # flat positions of m and -m on the G x G transform grid; they are
-        # all distinct, so scattering into them is plain assignment
+        # a product of two resolved modes aliases on G points onto no resolved mode
+        self.grid = g = max(8, 4 * mm)
         m1, m2 = self.wavevectors.T
-        self._pos = (m1 % g) * g + m2 % g
-        self._neg = (-m1 % g) * g + -m2 % g
-        flat = np.concatenate([self._pos, self._neg])
-        assert len(np.unique(flat)) == len(flat), "wavevectors alias on the grid"
-        self._perp = np.stack([-m2, m1]) / np.sqrt(self.k2)  # (2, K)
-        freqs = np.fft.fftfreq(g, d=1.0 / g)  # integer wavenumbers
-        self._ik1 = 1j * freqs[:, None]
-        self._ik2 = 1j * freqs[None, :]
+        # amplitudes (a, b) of m are the real and minus the imaginary part of
+        # its coefficient, at these places of the (M+1) x 2(2M+1) real grid
+        flat = m1 * (4 * mm + 2) + m2 + mm
+        self._at = np.stack([flat, flat + 2 * mm + 1], axis=-1).ravel()
+        sign = np.tile([1.0, -1.0], self.n_wave)
+        # per velocity component: each amplitude times m_perp, imaginary parts negated
+        self._weights = np.repeat(np.stack([-m2, m1]) / np.sqrt(self.k2), 2, axis=-1) * sign
+        # d/dx_j turns the amplitudes (a, b) of m into m_j (b, -a)
+        self._swap = np.arange(self.dim).reshape(-1, 2)[:, ::-1].ravel()
+        self._d = np.repeat(self.wavevectors.T, 2, axis=-1) * sign
+        x = 2.0 * np.pi * np.arange(g) / g
+        # real forms of C -> C @ Ey and of D -> 2 Re(Ex @ D), with the basis norm
+        ey = np.exp(1j * np.outer(np.arange(-mm, mm + 1), x))
+        self._ey = np.block([[ey.real, ey.imag], [-ey.imag, ey.real]])
+        self._ex = np.exp(-1j * np.outer(x, np.arange(mm + 1))).view(float) / (np.pi * 2**0.5)
 
     def eigenvalues(self) -> np.ndarray:
         return np.repeat(self.k2, 2)
 
-    def to_fourier(self, u: np.ndarray) -> np.ndarray:
-        """Amplitudes (..., N) -> complex velocity coefficients (..., 2, G, G)."""
-        g = self.grid
-        u = np.asarray(u, dtype=float)
-        coef = (u[..., 0::2] - 1j * u[..., 1::2]) * (0.5 / np.sqrt(2.0 * np.pi**2))
-        coef = coef[..., None, :] * self._perp  # (..., 2, K)
-        out = np.zeros(u.shape[:-1] + (2, g * g), dtype=complex)
-        out[..., self._pos] = coef
-        out[..., self._neg] = np.conj(coef)
-        return out.reshape(u.shape[:-1] + (2, g, g))
+    def _fields(self, w: np.ndarray) -> np.ndarray:
+        """Real fields (..., G, G) of weighted amplitudes (..., N)."""
+        lead = w.shape[:-1]
+        c = np.zeros(lead + (self.mpd + 1, self._ey.shape[0]))
+        c.reshape(lead + (-1,))[..., self._at] = w
+        return self._ex @ (c @ self._ey).reshape(lead + (-1, self.grid))
 
-    def from_fourier(self, w_hat: np.ndarray) -> np.ndarray:
-        """Project coefficients (..., 2, G, G) back to divergence-free amplitudes (..., N)."""
-        lead = w_hat.shape[:-3]
-        at_m = w_hat.reshape(lead + (2, -1))[..., self._pos]  # (..., 2, K)
-        s = self._perp[0] * at_m[..., 0, :] + self._perp[1] * at_m[..., 1, :]
-        norm = 2.0 * np.sqrt(2.0 * np.pi**2)
-        out = np.empty(lead + (self.dim,))
-        out[..., 0::2] = s.real * norm
-        out[..., 1::2] = -s.imag * norm
-        return out
+    def synthesis(self, u: np.ndarray) -> np.ndarray:
+        """Amplitudes (..., N) -> velocity fields (..., 2, G, G) on the G x G grid."""
+        return self._fields(np.asarray(u, dtype=float)[..., None, :] * self._weights)
+
+    def analysis(self, f: np.ndarray) -> np.ndarray:
+        """Velocity fields (..., 2, G, G) -> amplitudes (..., N) of their Leray
+        projection: the synthesis transposed times the cell area, as the basis is
+        orthonormal and the grid sum exact on products of resolved modes."""
+        d = (self._ex.T @ f).reshape(f.shape[:-2] + (self.mpd + 1, -1))
+        c = (d @ self._ey.T).reshape(f.shape[:-2] + (-1,))[..., self._at]
+        return np.sum(c * self._weights, axis=-2) * (2.0 * np.pi / self.grid) ** 2
 
     def bilinear(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Projected (x . grad) v, exact Galerkin via padded transforms.
-
-        x and v are batches (..., N) of the same shape; the product of the
-        physical fields is formed on the G x G grid, which is fine enough
-        that no product of two resolved modes aliases onto a resolved mode.
-        """
-        gg = self.grid**2
-        x_hat = self.to_fourier(x)
-        v_hat = x_hat if v is x else self.to_fourier(v)
-        axes = (-2, -1)
-        fields = np.stack([x_hat, v_hat * self._ik1, v_hat * self._ik2])
-        x_phys, dvx, dvy = np.fft.ifft2(fields, axes=axes).real * gg
-        adv = x_phys[..., 0:1, :, :] * dvx + x_phys[..., 1:2, :, :] * dvy
-        return self.from_fourier(np.fft.fft2(adv, axes=axes) / gg)
+        """Projected (x . grad) v of batches (..., N) of one shape, exact Galerkin
+        on the G x G grid."""
+        dv = np.asarray(v, dtype=float)[..., None, self._swap] * self._d
+        amps = np.concatenate([np.asarray(x, dtype=float)[..., None, :], dv], axis=-2)
+        # x, d/dx v and d/dy v, each as its two velocity components
+        x_phys, dvx, dvy = np.moveaxis(self._fields(amps[..., None, :] * self._weights), -4, 0)
+        adv = x_phys[..., 0:1, :, :] * dvx
+        adv += x_phys[..., 1:2, :, :] * dvy
+        return self.analysis(adv)
 
     def advection(self, u: np.ndarray) -> np.ndarray:
         """Leray-projected (u . grad) u of a batch (..., N) of states."""
         return self.bilinear(u, u)
 
 
-#: transform scratch one block of witness samples may take: each sample
-#: holds about a dozen complex arrays of shape (2, 2, G, G) at once
+#: transform scratch one block of witness samples may take: a sample is two rows of
+#: bilinear, each holding up to about 20 float G x G arrays (6 fields and their scratch)
 WITNESS_BLOCK_BYTES = 2 * 2**20
 
 
@@ -460,7 +459,7 @@ def make_nse_2d(
     """2-D incompressible flow with quadratic advection and scalar noise.
 
     The linear drift is the (diagonal) viscous part; the advection term is
-    the projected quadratic form, computed by padded transforms so the
+    the projected quadratic form, computed on a grid fine enough that the
     truncated product is the exact Galerkin one, which makes the energy
     identity <F(u), u> = 0 hold to rounding.  Noise operators are scalar
     multiples of the identity, so the noise family commutes and the
@@ -483,7 +482,7 @@ def make_nse_2d(
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x25E]))
     xv = rng.standard_normal((witness_samples, 2, geom.dim))
     x, v = xv[:, 0], xv[:, 1]
-    per_block = max(1, WITNESS_BLOCK_BYTES // (12 * 4 * 16 * geom.grid**2))
+    per_block = max(1, WITNESS_BLOCK_BYTES // (2 * 20 * 8 * geom.grid**2))
     num = np.empty(witness_samples)
     for lo in range(0, witness_samples, per_block):
         pairs = xv[lo:lo + per_block]

@@ -1,4 +1,6 @@
 """Time-stepping schemes, conversion, and ensemble mechanics."""
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -16,10 +18,17 @@ from spdelab.integrator import (
     _run_steps,
     integrate,
     integrate_ensemble,
+    step_drift_implicit,
     strong_convergence,
 )
-from spdelab.operators import MatrixPath, OperatorFamily, OperatorSegments
-from spdelab.systems import SystemSpec, make_diagonal, make_system, torus_basis
+from spdelab.operators import LINEAR_BLOCK, MatrixPath, OperatorFamily, OperatorSegments
+from spdelab.systems import (
+    SystemSpec,
+    make_diagonal,
+    make_system,
+    make_torus_heat_gradient_noise,
+    torus_basis,
+)
 
 
 def test_stratonovich_drift_uses_operator_square():
@@ -333,6 +342,124 @@ def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
         ref = _loop_steps(system.ops, u0[p], grid, inc[p], scheme)
         np.testing.assert_allclose(states[p], ref, rtol=1e-12,
                                    atol=16 * np.finfo(float).eps * np.abs(ref).max())
+
+
+# -- the drift-implicit step reads inv(I + dt A) prepared once per segment
+
+
+def _variable_gradient_noise():
+    """torus-heat-gradient with sigma(x) = 0.5 + 0.2 cos x: its Ito drift is not diagonal."""
+    return make_torus_heat_gradient_noise(dim=7, sigma_fields=(lambda x: 0.5 + 0.2 * np.cos(x),))
+
+
+_IMPLICIT_SYSTEMS = {
+    "torus-heat-gradient": _variable_gradient_noise,
+    "coupled-piecewise": _coupled_piecewise,
+    "linear-jump": _linear_jump_system,
+}
+
+
+@pytest.mark.parametrize("family", list(_IMPLICIT_SYSTEMS))
+def test_stored_inverse_matches_the_solve_it_replaces(family):
+    """Each drift-implicit step equals solve(I + dt A(t + dt), u - sum_k B_k(t) u dw_k),
+    with A and B_k evaluated directly, on drifts that are not diagonal."""
+    ops = _IMPLICIT_SYSTEMS[family]().ops
+    assert ops.F is None
+    grid = uniform_grid(0.2, 5e-3)
+    dt = float(grid[1] - grid[0])
+    inc = sample_brownian_ensemble(ops.n_noise, grid, 3, 4)
+    u0 = np.random.default_rng(3).standard_normal((4, ops.dim))
+    states, _ = _run_steps(None, OperatorSegments(ops, grid), u0, inc, "drift-implicit")
+    drifts = ops.at(grid).drift
+    assert np.abs(drifts - drifts * np.eye(ops.dim)).max() > 1e-3
+    for j in range(len(grid) - 1):
+        u = states[:, j]
+        rhs = u - sum((u @ b.T) * inc[:, j, k:k + 1] for k, b in enumerate(ops.at(grid[j]).Bs))
+        mat = np.eye(ops.dim) + dt * ops.at(grid[j + 1]).drift
+        want = np.linalg.solve(mat, rhs.T).T
+        np.testing.assert_allclose(states[:, j + 1], want, rtol=1e-12,
+                                   atol=16 * np.finfo(float).eps * np.abs(want).max())
+
+
+@pytest.mark.parametrize("family, T", [
+    ("diagonal", 0.2), ("coupled-piecewise", 0.2), ("linear-jump", 0.5),
+])
+def test_implicit_inverse_is_built_once_per_segment(monkeypatch, family, T):
+    """One batched inv per segment, whatever the number of steps: one for a
+    constant family, one per node of the 6-node family (the last holds t=T
+    alone), one per LINEAR_BLOCK grid times of a linear family."""
+    calls = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    system = _STEP_SYSTEMS[family]()
+    for dt in (5e-3, 1e-3):
+        grid = uniform_grid(T, dt)
+        segs = OperatorSegments(system.ops, grid)
+        calls.clear()
+        _run_steps(None, segs, np.ones((2, system.ops.dim)),
+                   np.zeros((2, len(grid) - 1, system.ops.n_noise)), "drift-implicit")
+        want = {"diagonal": 1, "coupled-piecewise": 6}.get(family, -(-len(grid) // LINEAR_BLOCK))
+        assert len(calls) == len(segs.segments) == want
+
+
+def test_linear_family_holds_one_prepared_block_at_a_time(monkeypatch):
+    """The inverses of a linear block are dropped once the steps leave it."""
+    refs = []
+    inv = np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv",
+                        lambda a: (lambda out: refs.append(weakref.ref(out)) or out)(inv(a)))
+    live = []
+
+    def count_live(t, u):
+        live.append(sum(r() is not None for r in refs))
+        return np.zeros_like(u)
+
+    ops = _linear_jump_system().ops
+    ops = OperatorFamily(A=ops.A, Bs=ops.Bs, F=count_live, noise_form=ops.noise_form)
+    grid = uniform_grid(0.5, 1e-3)
+    _run_steps(ops.F, OperatorSegments(ops, grid), np.ones((2, 2)),
+               np.zeros((2, len(grid) - 1, 2)), "drift-implicit")
+    assert len(refs) == 4 and len(live) == len(grid) - 1
+    assert max(live) == 1
+
+
+def _singular_piecewise():
+    """A = I, then -8 I on [0.5, 0.75), then I: with dt = 0.125, I + dt A is 0 there."""
+    a = MatrixPath(np.stack([np.eye(2), -8.0 * np.eye(2), np.eye(2), np.eye(2)]),
+                   np.array([0.0, 0.5, 0.75, 1.0]))
+    return OperatorFamily(A=a, Bs=(MatrixPath(0.1 * np.eye(2)),))
+
+
+def _singular_linear():
+    """A from 0 to -16 I on [0, 1]: with dt = 0.125, I + dt A(t) is 0 at t = 0.5 alone."""
+    a = MatrixPath(np.stack([np.zeros((2, 2)), -16.0 * np.eye(2)]), np.array([0.0, 1.0]), "linear")
+    return OperatorFamily(A=a, Bs=(MatrixPath(0.1 * np.eye(2)),))
+
+
+@pytest.mark.parametrize("family", [_singular_piecewise, _singular_linear])
+def test_singular_implicit_step_names_the_first_step_that_reads_it(family):
+    """I + dt A(0.5) is singular; the step from t=0.375 is the first to read it."""
+    ops = family()
+    system = SystemSpec(name="singular", basis=torus_basis(2), ops=ops, u0=np.ones(2))
+    grid = uniform_grid(1.0, 0.125)
+    with pytest.raises(SchemeError, match=r"singular implicit solve at t=0\.375:"):
+        integrate_ensemble(system, "drift-implicit", grid, seed=0, n_paths=2)
+    inc = np.zeros((2, len(grid) - 1, 1))
+    with pytest.raises(SchemeError, match=r"at t=0\.375:"):
+        _run_steps(None, OperatorSegments(ops, grid), np.ones((2, 2)), inc, "drift-implicit")
+    step_drift_implicit(ops, np.ones(2), 0.25, 0.125, np.zeros(1))
+    with pytest.raises(SchemeError, match=r"at t=0\.375:"):
+        step_drift_implicit(ops, np.ones(2), 0.375, 0.125, np.zeros(1))
+
+
+def test_singular_drift_at_time_zero_is_never_read():
+    """A from -8 I to 0: I + dt A(0) is singular, but no drift-implicit step reads A(0)."""
+    a = MatrixPath(np.stack([-8.0 * np.eye(2), np.zeros((2, 2))]), np.array([0.0, 1.0]), "linear")
+    ops = OperatorFamily(A=a, Bs=(MatrixPath(0.1 * np.eye(2)),))
+    grid = uniform_grid(1.0, 0.125)
+    states, blowups = _run_steps(None, OperatorSegments(ops, grid), np.ones((2, 2)),
+                                 np.zeros((2, len(grid) - 1, 1)), "drift-implicit")
+    assert blowups == {} and np.all(np.isfinite(states))
 
 
 def _loop_convergence(system, scheme, T, dt, seed, n_paths, levels):

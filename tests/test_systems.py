@@ -1,4 +1,6 @@
 """Registered operator families and their continuum reductions."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from spdelab.brownian import sample_brownian, uniform_grid
 from spdelab.integrator import integrate
 from spdelab.operators import assemble_tilde_A, sym
 from spdelab.systems import (
+    WITNESS_BLOCK_BYTES,
     NSEGeometry,
     derivative_matrix,
     laplacian_matrix,
@@ -265,25 +268,32 @@ def _assert_rows_close(actual, desired):
 
 @pytest.mark.parametrize("mpd", [1, 2, 3, 4, 5])
 def test_nse_transforms_match_per_wavevector_loop(mpd):
+    """synthesis against the loop's coefficients through ifft2, analysis against
+    fft2 read by the loop, field by field."""
     geom = NSEGeometry(mpd)
+    g = geom.grid
     rng = np.random.default_rng(mpd)
     u = rng.standard_normal((3, 2, geom.dim))
-    hat = geom.to_fourier(u)
-    assert hat.shape == (3, 2, 2, geom.grid, geom.grid)
-    for idx in np.ndindex(u.shape[:-1]):
-        np.testing.assert_array_equal(hat[idx], _loop_to_fourier(geom, u[idx]))
-    w_hat = np.fft.fft2(rng.standard_normal(hat.shape), axes=(-2, -1))
-    back = geom.from_fourier(w_hat)
+    idx = list(np.ndindex(u.shape[:-1]))
+    fields = geom.synthesis(u)
+    assert fields.shape == (3, 2, 2, g, g)
+    ref = np.array([np.fft.ifft2(_loop_to_fourier(geom, u[i]), axes=(1, 2)).real * g * g
+                    for i in idx])
+    _assert_rows_close(fields.reshape(3, 2, 2, -1), ref.reshape(3, 2, 2, -1))
+    f = rng.standard_normal(fields.shape)
+    back = geom.analysis(f)
     assert back.shape == u.shape
-    ref = np.array([_loop_from_fourier(geom, w_hat[i]) for i in np.ndindex(u.shape[:-1])])
+    ref = np.array([_loop_from_fourier(geom, np.fft.fft2(f[i], axes=(1, 2)) / (g * g))
+                    for i in idx])
     _assert_rows_close(back, ref.reshape(u.shape))
     # amplitudes survive the round trip
-    np.testing.assert_allclose(geom.from_fourier(hat), u, rtol=1e-12, atol=1e-14)
+    np.testing.assert_allclose(geom.analysis(fields), u, rtol=1e-12, atol=1e-14)
 
 
-@pytest.mark.parametrize("mpd", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("mpd", [1, 2, 3, 4, 5, 16])
 def test_nse_bilinear_matches_per_wavevector_loop(mpd):
-    """bilinear and advection on (P, N) and (P, Q, N) batches, row by row."""
+    """bilinear and advection on (P, N) and (P, Q, N) batches, row by row,
+    up to the largest size the constructor allows."""
     geom = NSEGeometry(mpd)
     rng = np.random.default_rng(10 + mpd)
     for shape in ((4,), (3, 2)):
@@ -330,6 +340,30 @@ def test_nse_witness_constant_matches_loop(mpd, viscosity):
             k_loop = max(k_loop, num / den)
     assert k_loop > 0
     assert sys.ops.n_witness == pytest.approx(k_loop, rel=1e-12)
+
+
+@pytest.mark.parametrize("mpd", [2, 4, 8])
+def test_nse_witness_blocks_stay_within_their_budget(mpd, monkeypatch):
+    """tracemalloc's peak during each witness block of make_nse_2d (one
+    bilinear call on a block of sample pairs) is at most WITNESS_BLOCK_BYTES."""
+    peaks, rows = [], []
+    bilinear = NSEGeometry.bilinear
+
+    def traced(self, x, v):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            out = bilinear(self, x, v)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        rows.append(len(x))
+        return out
+
+    monkeypatch.setattr(NSEGeometry, "bilinear", traced)
+    make_system("nse-2d", modes_per_dim=mpd)
+    assert sum(rows) == 200 and len(rows) > 1 and max(rows) > 1
+    assert max(peaks) <= WITNESS_BLOCK_BYTES
 
 
 def test_nse_corrected_generator_shifts_by_noise_square():
