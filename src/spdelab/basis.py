@@ -12,7 +12,7 @@ with lam_i the (positive, nondecreasing) eigenvalues.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

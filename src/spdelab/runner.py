@@ -8,18 +8,19 @@ stream p of the master seed.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import inspect
 import json
 import math
 import os
-import time
-from dataclasses import asdict, dataclass, field
+import sys
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
 
-from . import diagnostics as diag
+from . import csvtable, diagnostics as diag
 from .assumptions import check_all, check_commutator_bound, k6_table
 from .brownian import uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
@@ -250,123 +251,85 @@ def _resolve_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(_output_root(), f"{cfg.kind}-{cfg.digest()[:12]}")
 
 
-#: table rows formatted per `%` operation, so no table's text is held whole
-CSV_CHUNK_ROWS = 128
-
-
-def _csv_text(rows: np.ndarray) -> str:
-    """The lines np.savetxt(fmt="%.18e", delimiter=",") writes for the rows
-    of a 2-D table, built in one `%` operation instead of one per row."""
-    line = ",".join(("%.18e",) * rows.shape[1]) + "\n"
-    return (line * len(rows)) % tuple(rows.ravel().tolist())
-
-
-def _write_table(path: str, header: tuple, rows: np.ndarray) -> None:
-    """Write one CSV table, CSV_CHUNK_ROWS rows at a time after its header;
-    the unit of work of a persistence worker."""
-    with open(path, "w", encoding="latin1") as fh:
-        fh.write(",".join(header) + "\n")
-        for lo in range(0, len(rows), CSV_CHUNK_ROWS):
-            fh.write(_csv_text(rows[lo:lo + CSV_CHUNK_ROWS]))
-
-
-#: values a run must format per worker process it forks.  Forking and
-#: shutting down a pool costs ~20 ms, and a worker gains only while a second
-#: CPU is free.  On a shared 2-vCPU host, runs of 176k values were 3% slower
-#: with a worker and runs of 528k values 44% faster.
+#: values a run must format per writer process it starts: on a 2-vCPU host,
+#: one writer made writing 176k values 11-20% slower and 528k values ~40% faster
 PARALLEL_MIN_FLOATS = 2**18
 
-
-def _os_threads() -> int:
-    """OS threads of this process, or 0 where they cannot be counted."""
-    try:
-        return len(os.listdir("/proc/self/task"))
-    except OSError:
-        return 0
+#: a CSV writer process: isolated and without site, so it never imports numpy
+_WRITER_ARGS = (sys.executable, "-I", "-S", csvtable.__file__)
 
 
 def _persist_workers(n_floats: int, n_tables: int) -> int:
-    """Worker processes to help the parent format n_floats values in n_tables.
+    """Writer processes to help format n_floats values in n_tables: one per
+    PARALLEL_MIN_FLOATS values, capped by the tables and the other CPUs."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(0, min(n_floats // max(PARALLEL_MIN_FLOATS, 1), n_tables, (cpus or 1) - 1))
 
-    One per PARALLEL_MIN_FLOATS values, capped by the tables and by the
-    usable CPUs beyond the parent's own.  None where processes cannot be
-    forked, or unless this process runs one OS thread, as counted in
-    /proc/self/task: forking a multi-threaded process may deadlock the
-    child.  numpy's OpenBLAS starts a thread per CPU unless
-    OPENBLAS_NUM_THREADS=1, so by default a run writes its CSVs itself.
-    """
-    workers = min(n_floats // max(PARALLEL_MIN_FLOATS, 1), n_tables)
-    if workers < 1:
-        return 0
+
+def _send(proc, path: str, header: tuple, rows: np.ndarray) -> None:
+    raw_path = os.fsencode(path)
+    head = f"{rows.shape[0]} {rows.shape[1]} {len(raw_path)} {','.join(header)}\n"
     try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    workers = min(workers, cpus - 1)
-    if workers < 1 or _os_threads() != 1:
-        return 0
-    import multiprocessing
+        proc.stdin.write(head.encode("latin1") + raw_path + rows.tobytes())
+        proc.stdin.flush()
+    except BrokenPipeError:  # the writer has exited
+        _reap(proc)
+        raise
 
-    if "fork" not in multiprocessing.get_all_start_methods():
-        return 0
-    return workers
+
+def _reap(proc) -> None:
+    """Wait for a writer to exit, and raise the failed write it reported."""
+    report = proc.stderr.read().decode().strip()
+    if proc.wait():
+        raise OSError(report or f"a CSV writer process exited with status {proc.returncode}")
 
 
 def _write_csv(jobs, n_floats: int, n_tables: int) -> None:
-    """Write every (path, header, rows) job; return once all files are written.
-
-    With workers, at most two tables per worker wait in the pool, and the
-    parent writes a table itself whenever the pool is full instead of
-    waiting.  The first failed write is re-raised here, and the pool is shut
-    down, its processes and threads joined, before this returns or raises.
-    Workers are forked, not spawned: a spawned worker would import numpy
-    again, and they are forked only from a single-threaded process.
-    """
-    workers = _persist_workers(n_floats, n_tables)
-    if not workers:
-        for job in jobs:
-            _write_table(*job)
-        return
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, wait
-
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"))
-    pending: set = set()
+    """Write every (path, header, float64 rows) job here or in a writer process,
+    whichever has the fewest values assigned so far.  The first failed write
+    is raised; no writer outlives this call, which kills one if need be."""
+    n_writers = _persist_workers(n_floats, n_tables)
+    if n_writers:
+        from subprocess import PIPE, Popen  # only runs with writers import it
+    procs = []
     try:
-        for job in jobs:
-            if len(pending) < 2 * workers:
-                pending.add(pool.submit(_write_table, *job))
+        for _ in range(n_writers):
+            procs.append(Popen(_WRITER_ARGS, stdin=PIPE, stderr=PIPE))
+        assigned = [0] * (n_writers + 1)  # this process first
+        for path, header, rows in jobs:
+            i = assigned.index(min(assigned))
+            assigned[i] += rows.size
+            if i:
+                _send(procs[i - 1], path, header, rows)
             else:
-                _write_table(*job)
-            done = {f for f in pending if f.done()}
-            pending -= done
-            for f in done:
-                f.result()
-        for f in wait(pending).done:
-            f.result()
+                csvtable.write_table(path, ",".join(header), np.ascontiguousarray(rows),
+                                     rows.shape[1])
+        for proc in procs:
+            with contextlib.suppress(BrokenPipeError):
+                proc.stdin.close()
+            _reap(proc)
     finally:
-        pool.shutdown(wait=True, cancel_futures=True)
-        # a joined thread's OS thread can outlive the join by a moment; until
-        # it is gone this process counts as multi-threaded and cannot fork
-        deadline = time.monotonic() + 0.5
-        while _os_threads() > 1 and time.monotonic() < deadline:
-            time.sleep(1e-3)
+        for proc in procs:
+            proc.kill()  # a no-op once the writer has been waited for
+            proc.wait()
+            with contextlib.suppress(BrokenPipeError):  # unsent bytes of a killed writer
+                proc.stdin.close()
+            proc.stderr.close()
 
 
 def _constants_for(system: SystemSpec, t_grid: np.ndarray):
-    """K1/K2/K6 tables and the nonlinearity witness on the run grid."""
-    coarse = t_grid[:: max(1, len(t_grid) // 8)]
-    if coarse[-1] != t_grid[-1]:
+    """K1/K2/K6 tables and the nonlinearity witness on the run grid; a
+    constant family's certificate is evaluated at t = 0 alone."""
+    constant = system.ops.is_constant
+    coarse = t_grid[:: len(t_grid) if constant else max(1, len(t_grid) // 8)]
+    if coarse[-1] != t_grid[-1] and not constant:
         coarse = np.concatenate([coarse, [t_grid[-1]]])
     k2, k1_coarse, _ = check_commutator_bound(
         system.ops.at(coarse), system.basis, (0.0, 0.5, 1.0), coarse
     )
     k1 = np.interp(t_grid, coarse, k1_coarse)
-    if system.ops.is_constant:
-        k6 = np.zeros(len(t_grid))
-    else:
-        k6_coarse = k6_table(system.ops, system.basis, coarse)
-        k6 = np.interp(t_grid, coarse, k6_coarse)
+    k6 = (np.zeros(len(t_grid)) if constant
+          else np.interp(t_grid, coarse, k6_table(system.ops, system.basis, coarse)))
     n_tab = np.full(len(t_grid), system.ops.n_witness or 0.0)
     return k1, k2, k6, n_tab
 

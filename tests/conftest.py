@@ -1,9 +1,8 @@
 """Run the suite with one BLAS thread, as the benchmark does.
 
-numpy's OpenBLAS starts a thread per CPU at import unless told otherwise,
-and a multi-threaded run writes its CSVs without worker processes; with one
-thread the tests that force the worker-process writer can run.  Set before
-any test module imports numpy; a value already in the environment wins.
+numpy's OpenBLAS starts a thread per CPU at import unless told otherwise.
+Set before any test module imports numpy; a value already in the
+environment wins.
 """
 import os
 

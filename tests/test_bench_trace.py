@@ -41,9 +41,9 @@ TRACED_RUN = textwrap.dedent("""
 
 
 def test_traced_run_keeps_worker_writes_inside_the_persist_span(tmp_path):
-    """With the CSVs written in worker processes, the parent's submitting and
-    waiting are still `runner._write_csv`, traced as runner.persist, and the
-    layers' self times still add up to the whole run."""
+    """With the CSVs written in writer processes too, the parent's sending
+    and waiting are still `runner._write_csv`, traced as runner.persist, and
+    the layers' self times still add up to the whole run."""
     done = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(tmp_path / "out")],
         env=ENV, capture_output=True, text=True, timeout=120,
@@ -51,7 +51,7 @@ def test_traced_run_keeps_worker_writes_inside_the_persist_span(tmp_path):
     assert done.returncode == 0, done.stderr
     layers = json.loads(done.stdout)
     if not layers["workers"]:
-        pytest.skip("worker processes need two usable CPUs and fork")
+        pytest.skip("writer processes need two usable CPUs")
     assert len(os.listdir(tmp_path / "out" / "diagnostics")) == 6
     assert layers["runner.persist_s"] > 0
     assert abs(layers["trace.self_sum_s"] - layers["root_s"]) <= 0.01 * layers["root_s"]

@@ -1,6 +1,5 @@
 """Config handling, run orchestration, persistence, and the CLI."""
 import json
-import multiprocessing
 import os
 import pathlib
 import subprocess
@@ -219,13 +218,37 @@ def test_torus_paths_settle_on_their_repeated_eigenvalues(tmp_path, name, limit)
 
 
 def use_writer(monkeypatch, writer):
-    """Write a run's CSVs inline, or in worker processes whatever its size."""
+    """Write a run's CSVs inline, or with writer processes whatever its size."""
     if writer == "inline":
         monkeypatch.setattr(runner, "PARALLEL_MIN_FLOATS", 2**62)
     else:
         monkeypatch.setattr(runner, "PARALLEL_MIN_FLOATS", 0)
         if not runner._persist_workers(1, 1):
-            pytest.skip("worker processes need two usable CPUs, fork and one thread")
+            pytest.skip("writer processes need two usable CPUs")
+
+
+def spy_on_writers(monkeypatch) -> list:
+    """The paths of the tables that are sent to writer processes, as they are sent."""
+    sent, send = [], runner._send
+
+    def spy(proc, path, header, rows):
+        sent.append(path)
+        send(proc, path, header, rows)
+
+    monkeypatch.setattr(runner, "_send", spy)
+    return sent
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def tree_bytes(run_dir) -> dict:
+    """Every file of a run directory by its relative path."""
+    return {os.path.relpath(os.path.join(d, f), run_dir):
+            pathlib.Path(d, f).read_bytes()
+            for d, _, names in os.walk(run_dir) for f in names}
 
 
 def _savetxt_bytes(path, header, rows):
@@ -246,12 +269,21 @@ _EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e3
     np.random.default_rng(5).standard_normal((1001, 11)) * 1e-200,
     np.random.default_rng(6).standard_normal((300, 3)),
 ], ids=["edge-values", "one-row", "one-column", "tiny-exponents", "300-rows"])
-def test_csv_text_is_savetxt_byte_for_byte(tmp_path, rows):
-    """A written table has np.savetxt's bytes, across the edges of its row chunks."""
+def test_csv_text_is_savetxt_byte_for_byte(tmp_path, monkeypatch, rows):
+    """A written table has np.savetxt's bytes, across the edges of its row
+    chunks, whether the run's process formats it or a writer process does
+    from the raw bytes of its values."""
     header = tuple(f"c{i}" for i in range(rows.shape[1]))
-    runner._write_table(str(tmp_path / "table.csv"), header, rows)
-    with open(tmp_path / "table.csv", "rb") as fh:
-        assert fh.read() == _savetxt_bytes(str(tmp_path / "savetxt.csv"), header, rows)
+    want = _savetxt_bytes(str(tmp_path / "savetxt.csv"), header, rows)
+    sent = spy_on_writers(monkeypatch)
+    for writer in ("inline", "fanned-out"):
+        use_writer(monkeypatch, writer)
+        # the run's process takes the first table, a writer the second
+        jobs = [(str(tmp_path / f"{writer}-{i}.csv"), header, rows) for i in range(2)]
+        runner._write_csv(iter(jobs), 2 * rows.size, 2)
+        for path, _, _ in jobs:
+            assert pathlib.Path(path).read_bytes() == want, path
+    assert sent == [jobs[1][0]]
 
 
 @pytest.mark.parametrize("writer", ["inline", "fanned-out"])
@@ -266,23 +298,9 @@ def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch, w
         monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / root))
         dirs.append(run(load_config(path)).run_dir)
     assert dirs[0] != dirs[1]
-    files = [sorted(os.path.relpath(os.path.join(d, f), run_dir)
-                    for d, _, names in os.walk(run_dir) for f in names)
-             for run_dir in dirs]
-    assert files[0] == files[1]
-    assert len(files[0]) == 2 * 2 + 2  # per path: diagnostics and raw states
-    for rel in files[0]:
-        a, b = (pathlib.Path(d, rel).read_bytes() for d in dirs)
-        assert a == b, rel
-
-
-def test_a_fanned_out_run_returns_single_threaded(tmp_path, monkeypatch):
-    """Once a run's writer pool is shut down, its threads are gone from the
-    process, so the next run may fork its writers again."""
-    use_writer(monkeypatch, "fanned-out")
-    for i in range(3):
-        run(load_config(minimal_config(tmp_path, output_dir=str(tmp_path / f"out{i}"))))
-        assert runner._os_threads() == 1
+    first, second = (tree_bytes(d) for d in dirs)
+    assert len(first) == 2 * 2 + 2  # per path: diagnostics and raw states
+    assert first == second
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -437,13 +455,15 @@ def test_cli_run_gives_its_kind_to_a_config_without_one(tmp_path, capsys):
 @pytest.mark.parametrize("blocker, code, named", [
     ("out", 2, "'output_dir'"),
     (os.path.join("out", "diagnostics", "0.csv"), 1, "0.csv"),
+    (os.path.join("out", "diagnostics", "1.csv"), 1, "1.csv"),
     ("root", 2, "SPDELAB_OUTPUT_ROOT"),
 ])
 def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                                    blocker, code, named):
     """A run directory that is a file is a config error naming where the
-    directory came from; a CSV path that is a directory fails the write in a
-    worker process.  Neither leaves a worker process or a pool thread behind."""
+    directory came from; a CSV path that is a directory fails the write, in
+    the run's process (0.csv) or in its writer process (1.csv).  None leaves
+    a child process or a thread behind."""
     if blocker == "root":
         path = minimal_config(tmp_path, output_dir=None)
         monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / blocker))
@@ -454,34 +474,66 @@ def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch
     else:
         use_writer(monkeypatch, "fanned-out")
         os.makedirs(tmp_path / blocker)
+    sent = spy_on_writers(monkeypatch)
     threads = threading.active_count()
     assert main(["simulate", "--config", path]) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert err.count("\n") == 1 and "Traceback" not in err
-    assert multiprocessing.active_children() == []
+    assert_no_child_process()
     assert threading.active_count() == threads
+    if named == "1.csv":
+        assert sent == [str(tmp_path / blocker)]
 
 
-def test_a_multithreaded_run_writes_its_csvs_itself(tmp_path, monkeypatch):
-    """While another OS thread runs, even a run forced to fan out writes
-    every table in its own process: it never forks."""
+def test_a_writer_that_dies_early_fails_the_run(tmp_path, monkeypatch):
+    """A writer process that exits before it reads a table fails the run
+    with an OSError naming its exit status: the run does not hang, and
+    leaves no process behind.  The writer's 4 tables of 44 kB overflow a
+    pipe, so the run sends to a writer that has exited."""
+    use_writer(monkeypatch, "fanned-out")
+    monkeypatch.setattr(runner, "_WRITER_ARGS", (sys.executable, "-c", "raise SystemExit(3)"))
+    cfg = load_config(minimal_config(tmp_path, dt=1e-3, paths=8))
+    raised = []
+
+    def attempt():
+        try:
+            run(cfg)
+        except OSError as exc:
+            raised.append(exc)
+
+    thread = threading.Thread(target=attempt, daemon=True)
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive(), "the run hangs on a writer that has exited"
+    assert len(raised) == 1 and "status 3" in str(raised[0])
+    assert_no_child_process()
+
+
+def test_a_multithreaded_run_uses_writer_processes(tmp_path, monkeypatch):
+    """While another thread runs, a run still formats its CSVs in writer
+    processes, started without forking this process, and writes the bytes
+    of a run that formats them itself."""
+    path = minimal_config(tmp_path, output_dir=None)
+    sent = spy_on_writers(monkeypatch)
     use_writer(monkeypatch, "fanned-out")
     release = threading.Event()
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        assert runner._persist_workers(2**40, 100) == 0
-
         def no_fork():
             raise AssertionError("a multi-threaded run forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        manifest = run(load_config(minimal_config(tmp_path)))
+        monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / "threaded"))
+        threaded = run(load_config(path)).run_dir
     finally:
         release.set()
-        other.join()
-    assert len(os.listdir(os.path.join(manifest.run_dir, "diagnostics"))) == 2
+        other.join(timeout=60)
+    assert not other.is_alive() and sent
+    use_writer(monkeypatch, "inline")
+    monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / "inline"))
+    assert tree_bytes(threaded) == tree_bytes(run(load_config(path)).run_dir)
 
 
 NUMPY_ONLY = textwrap.dedent("""
