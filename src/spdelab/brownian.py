@@ -47,10 +47,6 @@ class BrownianPath:
     stream_id: int
 
     @property
-    def dt(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
     def n(self) -> int:
         return self.increments.shape[1]
 

@@ -1,36 +1,160 @@
-"""CSV tables with np.savetxt(fmt="%.18e", delimiter=",")'s bytes, from the
-standard library alone.  Run as a script, this is a writer process, which
-never imports numpy: it reads tables from stdin, each a line "rows columns
-path-bytes header" and then the path and the rows' float64 values as raw
-bytes, and writes each to its path.  A failed write ends it with exit
-status 1 and the error's message on stderr.
+"""CSV tables with np.savetxt(fmt="%.18e", delimiter=",")'s exact bytes,
+formatted a block of values at a time.
+
+"%.18e" prints the 19 significant digits N = round(|x| 10^(18-k)), where
+k = floor(log10|x|), with ties to even.  For x = f 2^e (f in [0.5, 1)) the
+product is f 10^(18-k) 2^e, with 10^(18-k) held as a double-double (hi + lo)
+2^t that is exact to 2^-106 and built from exact integers.  Dekker's
+two-product of f and hi plus f lo gives |x| 10^(18-k) with an error below
+1e-12 (Dekker, Numer. Math. 18, 1971).  Python's "%.18e" prints the few
+values whose digits that error could change, those within TIE_MARGIN of a
+rounding tie, and those whose product falls within EDGE of 10^18 or 10^19 or
+outside them: exact powers of ten, and values so close to one that log10
+rounds across it.
 """
-import os
-import sys
+import functools
 
-#: table rows formatted per `%` operation, so no table's text is held whole
-CHUNK_ROWS = 128
+import numpy as np
 
+#: values formatted per block; each block's bytes are written as soon as made
+BLOCK_VALUES = 4096
 
-def write_table(path: str, header: str, data, n_cols: int) -> None:
-    """Write a header line, then the row-major float64 values in `data`, a
-    C-contiguous buffer such as their raw bytes, n_cols a row."""
-    values = memoryview(data).cast("B").cast("d")
-    line = ",".join(("%.18e",) * n_cols) + "\n"
-    chunk = CHUNK_ROWS * n_cols
-    with open(path, "w", encoding="latin1") as fh:
-        fh.write(header + "\n")
-        for lo in range(0, len(values), chunk):
-            part = values[lo:lo + chunk]
-            fh.write(line * (len(part) // n_cols) % tuple(part))
+#: a fractional part of x 10^(18-k) this close to 1/2 is decided exactly
+TIE_MARGIN = 1e-6
+
+#: x 10^(18-k) this close to 10^18 or 10^19, or beyond them because log10
+#: rounded across a power of ten, is decided exactly; N may carry there
+EDGE = 4096.0
 
 
-if __name__ == "__main__":
-    for head in sys.stdin.buffer:
-        n_rows, n_cols, n_path, header = head[:-1].decode("latin1").split(" ", 3)
-        path = os.fsdecode(sys.stdin.buffer.read(int(n_path)))
-        try:
-            write_table(path, header, sys.stdin.buffer.read(8 * int(n_rows) * int(n_cols)),
-                        int(n_cols))
-        except OSError as exc:
-            sys.exit(str(exc))
+def _words(texts) -> np.ndarray:
+    """ASCII texts of at most 4 bytes, padded with 0 bytes, one uint32 each."""
+    return np.frombuffer(b"".join(t.ljust(4, b"\0") for t in texts), np.uint32)
+
+
+@functools.cache
+def _tables() -> tuple:
+    """Pieces of a value's text, one uint32 each, indexed by what they
+    print: the sign and lead digit (d + 10 for a negative value), three
+    digits, the exponent k in [-324, 308] as "e+dd" and its third digit, if
+    any, and nan, inf, -inf.  Built on first use, so a run that writes no
+    CSV never builds them."""
+    exponents = [b"e%+03d" % k for k in range(-324, 309)]
+    return (_words(sign + b"%d." % d for sign in (b"", b"-") for d in range(10)),
+            _words(b"%03d" % i for i in range(1000)),
+            _words(e[:4] for e in exponents),
+            _words(e[4:] for e in exponents),
+            _words((b"nan", b"inf", b"-inf")))
+
+_SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit halves
+
+
+@functools.cache
+def _power(k: int) -> tuple:
+    """10^(18-k) as (hi + lo) 2^t, with hi in (1/2, 2)."""
+    num, den = 10 ** max(18 - k, 0), 10 ** max(k - 18, 0)
+    t = num.bit_length() - den.bit_length()  # num / den / 2^t lies in (1/2, 2)
+    num, den = num << max(-t, 0), den << max(t, 0)
+    hi = num / den  # int / int is correctly rounded
+    a, b = hi.as_integer_ratio()
+    return hi, (num * b - a * den) / (den * b), float(t)
+
+
+def _split(x):
+    t = _SPLIT * x
+    high = t - (t - x)
+    return high, x - high
+
+
+def _product(f, e, k):
+    """f 2^e 10^(18-k) as an unevaluated sum p + l: p exact, l within 1e-12."""
+    k0 = int(k.min())
+    table = np.array([_power(j) for j in range(k0, int(k.max()) + 1)]).T
+    hi, lo, t = (np.take(column, k - k0) for column in table)
+    p = f * hi
+    fh, fl = _split(f)
+    hh, hl = _split(hi)
+    err = ((fh * hh - p) + fh * hl + fl * hh) + fl * hl  # f hi - p, exactly
+    shift = (e + t.astype(np.int64)).astype(np.int32)
+    return np.ldexp(p, shift), np.ldexp(err + f * lo, shift)
+
+
+def _significands(a):
+    """N = round(a 10^(18-k)) and k for finite a > 0, and where N may be wrong."""
+    f, e = np.frexp(a)
+    k = np.floor(np.log10(a)).astype(np.int64)
+    p, l = _product(f, e, k)
+    s = p + l
+    r = np.rint(l)
+    unsure = ((s < 1e18 + EDGE) | (s > 1e19 - EDGE)
+              | (np.abs(np.abs(l - r) - 0.5) < TIE_MARGIN))
+    # N = p + r exactly: p is an integer below 2^64, split at 2^32 so no
+    # float64 -> uint64 cast meets a value of 2^63 or more
+    top = np.floor(p * 2.0**-32)
+    low = (p - top * 2.0**32) + r
+    big = (top.astype(np.uint64) << np.uint64(32)) + low.astype(np.int64).astype(np.uint64)
+    return big, k, unsure
+
+
+def _digit_groups(big):
+    """The lead digit of each N < 10^19, and its other 18 digits in six
+    groups of three."""
+    lead = big // np.uint64(10**18)
+    rest = (big - lead * np.uint64(10**18)).astype(np.int64)
+    high = rest // 10**9
+    nines = np.stack([high, rest - high * 10**9], axis=1)
+    thousands = nines // 1000
+    millions = nines // 10**6
+    groups = np.stack([millions, thousands - millions * 1000, nines - thousands * 1000], axis=2)
+    return lead.astype(np.int64), groups.reshape(len(big), 6)
+
+
+def _format(values, seps):
+    """Each value's "%.18e" text followed by its separator, as uint8 bytes;
+    `seps` holds each separator byte as a uint32."""
+    a = np.abs(values)
+    finite = np.isfinite(a)
+    fast = finite & (a != 0)
+    a[~fast] = 1.0
+    big, k, unsure = _significands(a)
+    slow = fast & unsure
+    fast &= ~unsure
+    big[~fast] = 0  # a zero prints as N = 0 with k = 0
+    k[~fast] = 0
+    lead, groups = _digit_groups(big)
+
+    # a value's slot: sign and lead digit, 6 digit groups, exponent, its
+    # third digit, separator; every 0 byte is dropped
+    heads, digits, exponents, exponents_3rd, (nan, inf, neg_inf) = _tables()
+    words = np.empty((len(values), 10), np.uint32)
+    words[:, 0] = heads[lead + 10 * np.signbit(values)]
+    words[:, 1:7] = digits[groups]
+    words[:, 7] = exponents[k + 324]
+    words[:, 8] = exponents_3rd[k + 324]
+    words[:, 9] = seps
+    special = np.flatnonzero(~finite)
+    if len(special):  # Python prints nan unsigned
+        words[special, :9] = 0
+        words[special, 0] = np.where(np.isnan(values[special]), nan,
+                                     np.where(values[special] < 0, neg_inf, inf))
+    out = words.view(np.uint8)
+    for i in np.flatnonzero(slow).tolist():
+        text = b"%.18e" % values[i]
+        out[i, :36] = 0  # all but the separator
+        out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return out[out != 0]
+
+
+def write_table(path: str, header: str, rows) -> None:
+    """Write a header line, then the rows of a 2-D float64 array as
+    np.savetxt(path, rows, fmt="%.18e", delimiter=",") writes them."""
+    rows = np.asarray(rows, dtype=np.float64)
+    n_rows, n_cols = rows.shape
+    step = max(1, BLOCK_VALUES // n_cols)
+    seps = np.full(n_cols, ord(","), np.uint32)
+    seps[-1] = ord("\n")
+    with open(path, "wb") as fh:
+        fh.write(header.encode("latin1") + b"\n")
+        for lo in range(0, n_rows, step):
+            block = rows[lo:lo + step]
+            fh.write(_format(block.ravel(), np.tile(seps, len(block))))

@@ -405,21 +405,13 @@ class EigenSolverError(RuntimeError):
     """The eigenvalue solver failed to converge."""
 
 
-def spectrum(matrix: np.ndarray, symmetric: bool = False):
-    """Eigenvalues (ascending by real part) and eigenvectors as columns.
-
-    With symmetric=True the symmetric solver is used and the eigenvectors
-    are orthonormal.
-    """
+def spectrum(matrix: np.ndarray):
+    """Eigenvalues of sym(matrix), ascending, and orthonormal eigenvectors
+    as columns."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"square matrix required, got {matrix.shape}")
     try:
-        if symmetric:
-            vals, vecs = np.linalg.eigh(sym(matrix))
-        else:
-            vals, vecs = np.linalg.eig(matrix)
+        return np.linalg.eigh(sym(matrix))
     except np.linalg.LinAlgError as exc:
         raise EigenSolverError(f"eigen solver did not converge: {exc}") from exc
-    order = np.argsort(vals.real, kind="stable")
-    return vals[order], vecs[:, order]

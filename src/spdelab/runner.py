@@ -8,13 +8,11 @@ stream p of the master seed.
 """
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import inspect
 import json
 import math
 import os
-import sys
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -251,70 +249,10 @@ def _resolve_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(_output_root(), f"{cfg.kind}-{cfg.digest()[:12]}")
 
 
-#: values a run must format per writer process it starts: on a 2-vCPU host,
-#: one writer made writing 176k values 11-20% slower and 528k values ~40% faster
-PARALLEL_MIN_FLOATS = 2**18
-
-#: a CSV writer process: isolated and without site, so it never imports numpy
-_WRITER_ARGS = (sys.executable, "-I", "-S", csvtable.__file__)
-
-
-def _persist_workers(n_floats: int, n_tables: int) -> int:
-    """Writer processes to help format n_floats values in n_tables: one per
-    PARALLEL_MIN_FLOATS values, capped by the tables and the other CPUs."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(0, min(n_floats // max(PARALLEL_MIN_FLOATS, 1), n_tables, (cpus or 1) - 1))
-
-
-def _send(proc, path: str, header: tuple, rows: np.ndarray) -> None:
-    raw_path = os.fsencode(path)
-    head = f"{rows.shape[0]} {rows.shape[1]} {len(raw_path)} {','.join(header)}\n"
-    try:
-        proc.stdin.write(head.encode("latin1") + raw_path + rows.tobytes())
-        proc.stdin.flush()
-    except BrokenPipeError:  # the writer has exited
-        _reap(proc)
-        raise
-
-
-def _reap(proc) -> None:
-    """Wait for a writer to exit, and raise the failed write it reported."""
-    report = proc.stderr.read().decode().strip()
-    if proc.wait():
-        raise OSError(report or f"a CSV writer process exited with status {proc.returncode}")
-
-
-def _write_csv(jobs, n_floats: int, n_tables: int) -> None:
-    """Write every (path, header, float64 rows) job here or in a writer process,
-    whichever has the fewest values assigned so far.  The first failed write
-    is raised; no writer outlives this call, which kills one if need be."""
-    n_writers = _persist_workers(n_floats, n_tables)
-    if n_writers:
-        from subprocess import PIPE, Popen  # only runs with writers import it
-    procs = []
-    try:
-        for _ in range(n_writers):
-            procs.append(Popen(_WRITER_ARGS, stdin=PIPE, stderr=PIPE))
-        assigned = [0] * (n_writers + 1)  # this process first
-        for path, header, rows in jobs:
-            i = assigned.index(min(assigned))
-            assigned[i] += rows.size
-            if i:
-                _send(procs[i - 1], path, header, rows)
-            else:
-                csvtable.write_table(path, ",".join(header), np.ascontiguousarray(rows),
-                                     rows.shape[1])
-        for proc in procs:
-            with contextlib.suppress(BrokenPipeError):
-                proc.stdin.close()
-            _reap(proc)
-    finally:
-        for proc in procs:
-            proc.kill()  # a no-op once the writer has been waited for
-            proc.wait()
-            with contextlib.suppress(BrokenPipeError):  # unsent bytes of a killed writer
-                proc.stdin.close()
-            proc.stderr.close()
+def _write_csv(jobs) -> None:
+    """Write every (path, header, float64 rows) job as a CSV table."""
+    for path, header, rows in jobs:
+        csvtable.write_table(path, ",".join(header), rows)
 
 
 def _constants_for(system: SystemSpec, t_grid: np.ndarray):
@@ -433,9 +371,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
                     yield (os.path.join(run_dir, rel), path_header,
                            np.column_stack([grid, states[p - lo]]))
 
-    row_floats = len(DIAG_COLUMNS) + cfg.write_paths * len(path_header)
-    _write_csv(jobs(), cfg.paths * len(grid) * row_floats,
-               cfg.paths * (1 + cfg.write_paths))
+    _write_csv(jobs())
 
     report = _build_report(cfg, system, ens.blowups, grid, quots, norms, finals,
                            m_final, gaps)
@@ -474,10 +410,10 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, blowups: dict,
         "blowups": {str(k): v for k, v in blowups.items()},
     }
     tilde_sym = system.ops.at(0.0).tilde_sym
-    eigs, _ = spectrum(tilde_sym, symmetric=True)
+    eigs, _ = spectrum(tilde_sym)
 
     if cfg.kind in ("simulate", "spectral-limit"):
-        slr = diag.spectral_limit_report(quots, finals, tilde_sym, eigs.real)
+        slr = diag.spectral_limit_report(quots, finals, tilde_sym, eigs)
         report["spectral_limit"] = slr.to_dict()
 
     if cfg.kind in ("simulate", "backward-probe"):

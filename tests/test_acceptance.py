@@ -100,7 +100,7 @@ def test_acceptance_2_eigenvalue_membership():
         sys, "drift-implicit", grid, seed=202, n_paths=100, u0=sys.u0, chunk=25
     )
     tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
-    eigs, _ = spectrum(tilde_sym, symmetric=True)
+    eigs, _ = spectrum(tilde_sym)
     rep = diag.spectral_limit_report(quots, finals, tilde_sym, eigs.real)
     settled = [p for p in rep.paths if p.settled]
     good = [
@@ -372,7 +372,7 @@ def test_acceptance_11_deterministic_heat_quotient():
     traj = integrate(sys, "drift-implicit", grid, seed=0)
     q = diag.quotient_series(diag.PathForms(traj, 0.0), 0.0)[0]
     tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
-    eigs, _ = spectrum(tilde_sym, symmetric=True)
+    eigs, _ = spectrum(tilde_sym)
     target = float(eigs.real.min())
     monotone = bool(np.all(np.diff(q) <= 1e-12))
     final_gap = abs(q[-1] - target)

@@ -5,8 +5,6 @@ import subprocess
 import sys
 import textwrap
 
-import pytest
-
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [os.path.join(ROOT, "bench"), os.path.join(ROOT, "src")]))
@@ -29,29 +27,24 @@ TRACED_RUN = textwrap.dedent("""
 
     tracer = spans.Tracer()
     spans.install(tracer)
-    runner.PARALLEL_MIN_FLOATS = 0
     cfg = runner.ExperimentConfig(system={"name": "diagonal"}, T=0.5, dt=1e-3,
                                   paths=6, write_paths=True, output_dir=sys.argv[1])
     start = time.perf_counter()
     tracer.span("runner.run", runner.run)(cfg)
     root_s = time.perf_counter() - start
-    print(json.dumps({"root_s": root_s, "workers": runner._persist_workers(1, 1),
-                      **spans.layer_metrics(tracer, "runner.run")}))
+    print(json.dumps({"root_s": root_s, **spans.layer_metrics(tracer, "runner.run")}))
 """)
 
 
 def test_traced_run_keeps_worker_writes_inside_the_persist_span(tmp_path):
-    """With the CSVs written in writer processes too, the parent's sending
-    and waiting are still `runner._write_csv`, traced as runner.persist, and
-    the layers' self times still add up to the whole run."""
+    """Formatting and writing the CSVs is `runner._write_csv`, traced as
+    runner.persist, and the layers' self times add up to the whole run."""
     done = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(tmp_path / "out")],
         env=ENV, capture_output=True, text=True, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     layers = json.loads(done.stdout)
-    if not layers["workers"]:
-        pytest.skip("writer processes need two usable CPUs")
     assert len(os.listdir(tmp_path / "out" / "diagnostics")) == 6
     assert layers["runner.persist_s"] > 0
     assert abs(layers["trace.self_sum_s"] - layers["root_s"]) <= 0.01 * layers["root_s"]

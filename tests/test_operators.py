@@ -203,7 +203,7 @@ def test_operator_norm_v_vprime_diagonal():
 def test_spectrum_sorted_and_orthonormal():
     rng = np.random.default_rng(3)
     m = sym(rng.standard_normal((6, 6)))
-    vals, vecs = spectrum(m, symmetric=True)
+    vals, vecs = spectrum(m)
     assert np.all(np.diff(vals) >= -1e-12)
     assert np.allclose(vecs.T @ vecs, np.eye(6), atol=1e-10)
     assert np.allclose(m @ vecs, vecs @ np.diag(vals), atol=1e-10)

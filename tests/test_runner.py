@@ -217,28 +217,6 @@ def test_torus_paths_settle_on_their_repeated_eigenvalues(tmp_path, name, limit)
         assert p["matched_eigenvalue"] == pytest.approx(limit, abs=1e-12)
 
 
-def use_writer(monkeypatch, writer):
-    """Write a run's CSVs inline, or with writer processes whatever its size."""
-    if writer == "inline":
-        monkeypatch.setattr(runner, "PARALLEL_MIN_FLOATS", 2**62)
-    else:
-        monkeypatch.setattr(runner, "PARALLEL_MIN_FLOATS", 0)
-        if not runner._persist_workers(1, 1):
-            pytest.skip("writer processes need two usable CPUs")
-
-
-def spy_on_writers(monkeypatch) -> list:
-    """The paths of the tables that are sent to writer processes, as they are sent."""
-    sent, send = [], runner._send
-
-    def spy(proc, path, header, rows):
-        sent.append(path)
-        send(proc, path, header, rows)
-
-    monkeypatch.setattr(runner, "_send", spy)
-    return sent
-
-
 def assert_no_child_process():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -269,32 +247,23 @@ _EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e3
     np.random.default_rng(5).standard_normal((1001, 11)) * 1e-200,
     np.random.default_rng(6).standard_normal((300, 3)),
 ], ids=["edge-values", "one-row", "one-column", "tiny-exponents", "300-rows"])
-def test_csv_text_is_savetxt_byte_for_byte(tmp_path, monkeypatch, rows):
-    """A written table has np.savetxt's bytes, across the edges of its row
-    chunks, whether the run's process formats it or a writer process does
-    from the raw bytes of its values."""
+def test_csv_text_is_savetxt_byte_for_byte(tmp_path, rows):
+    """A written table has np.savetxt's bytes, across the edges of its
+    blocks of values."""
     header = tuple(f"c{i}" for i in range(rows.shape[1]))
     want = _savetxt_bytes(str(tmp_path / "savetxt.csv"), header, rows)
-    sent = spy_on_writers(monkeypatch)
-    for writer in ("inline", "fanned-out"):
-        use_writer(monkeypatch, writer)
-        # the run's process takes the first table, a writer the second
-        jobs = [(str(tmp_path / f"{writer}-{i}.csv"), header, rows) for i in range(2)]
-        runner._write_csv(iter(jobs), 2 * rows.size, 2)
-        for path, _, _ in jobs:
-            assert pathlib.Path(path).read_bytes() == want, path
-    assert sent == [jobs[1][0]]
+    jobs = [(str(tmp_path / f"{i}.csv"), header, rows) for i in range(2)]
+    runner._write_csv(iter(jobs))
+    for path, _, _ in jobs:
+        assert pathlib.Path(path).read_bytes() == want, path
 
 
-@pytest.mark.parametrize("writer", ["inline", "fanned-out"])
-def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch, writer):
-    """Every file of a run, the manifest included, repeats byte for byte, and
-    a rerun that writes its CSVs in worker processes writes the same bytes."""
+def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch):
+    """Every file of a run, the manifest included, repeats byte for byte."""
     path = minimal_config(tmp_path, output_dir=None, write_paths=True, r_list=[0.5],
                           N_list=[1, 2])
     dirs = []
-    for root, rerun_writer in (("first", "inline"), ("second", writer)):
-        use_writer(monkeypatch, rerun_writer)
+    for root in ("first", "second"):
         monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / root))
         dirs.append(run(load_config(path)).run_dir)
     assert dirs[0] != dirs[1]
@@ -461,9 +430,9 @@ def test_cli_run_gives_its_kind_to_a_config_without_one(tmp_path, capsys):
 def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                                    blocker, code, named):
     """A run directory that is a file is a config error naming where the
-    directory came from; a CSV path that is a directory fails the write, in
-    the run's process (0.csv) or in its writer process (1.csv).  None leaves
-    a child process or a thread behind."""
+    directory came from; a CSV path that is a directory fails the write, of
+    the first table (0.csv) or of a later one (1.csv).  None leaves a child
+    process or a thread behind."""
     if blocker == "root":
         path = minimal_config(tmp_path, output_dir=None)
         monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / blocker))
@@ -472,9 +441,7 @@ def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch
     if code == 2:
         (tmp_path / blocker).write_text("")
     else:
-        use_writer(monkeypatch, "fanned-out")
         os.makedirs(tmp_path / blocker)
-    sent = spy_on_writers(monkeypatch)
     threads = threading.active_count()
     assert main(["simulate", "--config", path]) == code
     err = capsys.readouterr().err
@@ -482,58 +449,6 @@ def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch
     assert err.count("\n") == 1 and "Traceback" not in err
     assert_no_child_process()
     assert threading.active_count() == threads
-    if named == "1.csv":
-        assert sent == [str(tmp_path / blocker)]
-
-
-def test_a_writer_that_dies_early_fails_the_run(tmp_path, monkeypatch):
-    """A writer process that exits before it reads a table fails the run
-    with an OSError naming its exit status: the run does not hang, and
-    leaves no process behind.  The writer's 4 tables of 44 kB overflow a
-    pipe, so the run sends to a writer that has exited."""
-    use_writer(monkeypatch, "fanned-out")
-    monkeypatch.setattr(runner, "_WRITER_ARGS", (sys.executable, "-c", "raise SystemExit(3)"))
-    cfg = load_config(minimal_config(tmp_path, dt=1e-3, paths=8))
-    raised = []
-
-    def attempt():
-        try:
-            run(cfg)
-        except OSError as exc:
-            raised.append(exc)
-
-    thread = threading.Thread(target=attempt, daemon=True)
-    thread.start()
-    thread.join(timeout=60)
-    assert not thread.is_alive(), "the run hangs on a writer that has exited"
-    assert len(raised) == 1 and "status 3" in str(raised[0])
-    assert_no_child_process()
-
-
-def test_a_multithreaded_run_uses_writer_processes(tmp_path, monkeypatch):
-    """While another thread runs, a run still formats its CSVs in writer
-    processes, started without forking this process, and writes the bytes
-    of a run that formats them itself."""
-    path = minimal_config(tmp_path, output_dir=None)
-    sent = spy_on_writers(monkeypatch)
-    use_writer(monkeypatch, "fanned-out")
-    release = threading.Event()
-    other = threading.Thread(target=release.wait)
-    other.start()
-    try:
-        def no_fork():
-            raise AssertionError("a multi-threaded run forked")
-
-        monkeypatch.setattr(os, "fork", no_fork)
-        monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / "threaded"))
-        threaded = run(load_config(path)).run_dir
-    finally:
-        release.set()
-        other.join(timeout=60)
-    assert not other.is_alive() and sent
-    use_writer(monkeypatch, "inline")
-    monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / "inline"))
-    assert tree_bytes(threaded) == tree_bytes(run(load_config(path)).run_dir)
 
 
 NUMPY_ONLY = textwrap.dedent("""
