@@ -3,9 +3,11 @@
 The drift convention is fixed once: the evolution carries +A and +B on the
 left-hand side, so every scheme applies -A(t)u as drift and -B_k(t)u dw^k
 as diffusion.  The schemes step the Ito form: a Stratonovich family's
-drift carries its Ito correction (OperatorFamily.at).  The stepping
-loop reads every matrix from the family's OperatorSegments on its grid,
-built once and prepared once per segment; no stepper evaluates a matrix path.
+drift carries its Ito correction (OperatorFamily.at).  Each scheme's step
+is a random linear map u -> sum_m c_m(dw) G_m u plus the F term (Kloeden &
+Platen, sections 10.2-10.3 and 12.2): the one stepping loop stacks the G_m
+once per segment of the family's OperatorSegments on its grid, and builds
+the c_m for a block of steps at a time.  No step evaluates a matrix path.
 """
 from __future__ import annotations
 
@@ -35,44 +37,11 @@ class SchemeError(ValueError):
     """Scheme is unknown or incompatible with the system's noise."""
 
 
-def _euler_maruyama(F, u, t, dt, dw, drift, noise):
-    out = u @ drift.T
-    if F is not None:
-        out = out + F(t, u)
-    out = u - dt * out
-    for k, b in enumerate(noise):
-        out = out - (u @ b.T) * dw[..., k : k + 1]
-    return out
+SCHEMES = ("euler-maruyama", "milstein", "drift-implicit")
 
-
-def _milstein(F, u, t, dt, dw, drift, noise):
-    bs, products = noise
-    out = _euler_maruyama(F, u, t, dt, dw, drift, bs)
-    for k, row in enumerate(products):
-        for l, bkl in enumerate(row):
-            area = dw[..., k : k + 1] * dw[..., l : l + 1]
-            if k == l:
-                area = area - dt
-            out = out + 0.5 * (u @ bkl.T) * area
-    return out
-
-
-def _drift_implicit(F, u, t, dt, dw, inverse, noise):
-    rhs = u
-    if F is not None:
-        rhs = rhs - dt * F(t, u)
-    for k, b in enumerate(noise):
-        rhs = rhs - (u @ b.T) * dw[..., k : k + 1]
-    return rhs @ inverse.T
-
-
-def _as_is(m, dt, t):
-    return m
-
-
-def _noise_products(bs, dt, t):
-    """The B_k and every product B_k B_l, for the Milstein correction."""
-    return bs, tuple(tuple(bk @ bl for bl in bs) for bk in bs)
+#: steps per block, whose coefficient rows are built and whose states are checked
+#: for blow-ups at once (in a buffer of this many steps if only the last are kept)
+_STEP_BLOCK = 64
 
 
 def _implicit_inverse(drift, dt, t):
@@ -87,56 +56,106 @@ def _implicit_inverse(drift, dt, t):
         raise SchemeError(f"singular implicit solve at t={float(t)}: {exc}") from exc
 
 
-#: per scheme: the step kernel (F, u, t, dt, dw, drift, noise); the lag of its
-#: drift, as a step from t reads the noise at t and the Ito drift at t + lag * dt;
-#: and what it prepares (m, dt, t) once per segment from the drift and the noise
-_KERNELS = {
-    "euler-maruyama": (_euler_maruyama, 0, _as_is, _as_is),
-    "milstein": (_milstein, 0, _as_is, _noise_products),
-    "drift-implicit": (_drift_implicit, 1, _implicit_inverse, _as_is),
-}
-
-SCHEMES = tuple(_KERNELS)
+def _take(m, lo, hi):
+    """Matrices lo..hi-1 of a stack with one per grid time, or a segment's one matrix."""
+    return m[lo:hi] if m.ndim == 3 else m
 
 
-def _one_step(scheme: str, ops: OperatorFamily, u, t: float, dt: float, dw):
-    """One step of a scheme on the family evaluated directly at t (and t + dt)."""
-    kernel, lag, prep_drift, prep_noise = _KERNELS[scheme]
-    drift, noise = ops.at(t + lag * dt).drift, ops.at(t).Bs
-    return kernel(ops.F, u, t, dt, dw, prep_drift(drift, dt, [t]), prep_noise(noise, dt, [t]))
+def _stack(scheme: str, F, drift, bs, dt: float):
+    """A scheme's G_m transposed side by side, so u @ G is [u G_0^T | u G_1^T | ...], and the
+    matrix the step ends with, or None; drift is the Ito drift, or drift-implicit's inverse,
+    which with an F ends the step, after the noise terms, as (u - dt F + them) @ inv^T."""
+    if scheme == "drift-implicit" and F is not None:
+        gs, post = [-b for b in bs], drift.mT
+    elif scheme == "drift-implicit":
+        gs, post = [drift] + [-(drift @ b) for b in bs], None
+    else:
+        gs, post = [np.eye(drift.shape[-1]) - dt * drift] + [-b for b in bs], None
+        if scheme == "milstein":
+            gs += [0.5 * (bk @ bl) for bk in bs for bl in bs]
+    # the zero-width piece keeps a noise-free stack defined
+    return np.concatenate([np.zeros(drift.shape[:-1] + (0,))] + [g.mT for g in gs], -1), post
 
 
-def step_euler_maruyama(
-    ops: OperatorFamily, u: np.ndarray, t: float, dt: float, dw: np.ndarray
-) -> np.ndarray:
-    """u - dt (A(t)u + F(t,u)) - sum_k B_k(t) u dw_k, with A the Ito drift."""
-    return _one_step("euler-maruyama", ops, u, t, dt, dw)
+def _stacks(segs: OperatorSegments, scheme: str, F, dt: float):
+    """(lo, hi, G, post) from _stack, with one matrix per step, per run of steps
+    lo..hi-1 that read one segment's noise and one segment's drift.
+
+    Step j reads the noise at grid index j and the drift at j + lag, lag 1 for
+    drift-implicit, whose inv(I + dt A) is built once per segment and dropped
+    when the steps leave it: the step pairing the next segment's inverse with
+    this one's noise is a run of its own."""
+    lag = int(scheme == "drift-implicit")
+    times, edges = segs.times, segs.edges
+    cuts = sorted({min(max(e - d, 0), len(times) - 1) for e in edges for d in (0, lag)})
+    held = None
+    for lo, hi in zip(cuts, cuts[1:]):
+        p, q = np.searchsorted(edges, [lo, lo + lag], side="right") - 1
+        if q != held:
+            held, first = q, max(edges[q], lag)
+            drift = _take(segs.segments[q].drift, first - edges[q], None)
+            if lag:
+                drift = _implicit_inverse(drift, dt, times[first - lag:edges[q + 1] - lag])
+        bs = [_take(b, lo - edges[p], hi - edges[p]) for b in segs.segments[p].Bs]
+        mats = _stack(scheme, F, _take(drift, lo + lag - first, hi + lag - first), bs, dt)
+        yield (lo, hi) + tuple(m if m is None or m.ndim == 3 else [m] * (hi - lo) for m in mats)
 
 
-def step_milstein_commutative(
-    ops: OperatorFamily, u: np.ndarray, t: float, dt: float, dw: np.ndarray
-) -> np.ndarray:
-    """Euler-Maruyama plus the commutative-noise second-order correction.
-
-    Adds (1/2) sum_{k,l} B_k B_l u (dw_k dw_l - delta_kl dt), which is the
-    exact Milstein term when the noise family commutes.
-    """
-    return _one_step("milstein", ops, u, t, dt, dw)
-
-
-def step_drift_implicit(
-    ops: OperatorFamily, u: np.ndarray, t: float, dt: float, dw: np.ndarray
-) -> np.ndarray:
-    """Solve (I + dt A(t+dt)) u' = u - dt F(t,u) - sum_k B_k(t) u dw_k."""
-    return _one_step("drift-implicit", ops, u, t, dt, dw)
+def _coefficients(dw, dt: float, scheme: str):
+    """Per step of a block of increments (P, S, n), each path's row c_m(dw) in the order
+    of _stack's G_m, (1, dw_k, and for Milstein dw_k dw_l - delta_kl dt): (S, P, 1, M)."""
+    dw = dw.swapaxes(0, 1)[..., None, :]
+    rows = [np.ones(dw.shape[:-1] + (1,)), dw]
+    if scheme == "milstein":
+        n = dw.shape[-1]
+        area = dw[..., :, None] * dw[..., None, :] - dt * np.eye(n)
+        rows.append(area.reshape(dw.shape[:-1] + (n * n,)))
+    return np.concatenate(rows, axis=-1)
 
 
-#: one step of each scheme on a family evaluated at t and t + dt
-_STEPPERS = {
-    "euler-maruyama": step_euler_maruyama,
-    "milstein": step_milstein_commutative,
-    "drift-implicit": step_drift_implicit,
-}
+def _freeze(block, start, alive, blowups: dict, times) -> np.ndarray:
+    """Freeze each path of a block of states (S, P, N) at its last finite state: a path frozen
+    before the block at `start` (P, N), a live one from the step i where it turns
+    non-finite, with blow-up time times[i].  Returns a copy of the block's last states."""
+    if not alive.all():
+        block[:, ~alive] = start[~alive]
+    bad = ~np.isfinite(block).all(axis=-1)
+    for i, p in sorted((bad[:, p].argmax(), p) for p in np.flatnonzero(alive & bad.any(axis=0))):
+        blowups[int(p)] = float(times[i])
+        block[i:, p] = block[i - 1, p] if i else start[p]
+        alive[p] = False
+    return block[-1].copy()
+
+
+def _step(scheme: str, ops: OperatorFamily, u, t: float, dt: float, dw):
+    """One step of the loop on the grid [t, t + dt], for states (P, N) and increments
+    (P, n), or one path's (N,) and (n,); a path whose step is non-finite keeps its state."""
+    u = np.asarray(u, dtype=float)
+    segs = OperatorSegments(ops, np.array([t, t + dt]))
+    new, _ = _run_steps(ops.F, segs, u.reshape(-1, ops.dim),
+                        np.reshape(dw, (-1, 1, ops.n_noise)), scheme, final_only=True)
+    return new.reshape(u.shape)
+
+
+def step_euler_maruyama(ops: OperatorFamily, u, t: float, dt: float, dw) -> np.ndarray:
+    """u - dt (A(t)u + F(t,u)) - sum_k B_k(t) u dw_k, with A the Ito drift (see _step)."""
+    return _step("euler-maruyama", ops, u, t, dt, dw)
+
+
+def step_milstein_commutative(ops: OperatorFamily, u, t: float, dt: float, dw) -> np.ndarray:
+    """Euler-Maruyama plus (1/2) sum_{k,l} B_k B_l u (dw_k dw_l - delta_kl dt), the exact
+    Milstein term when the noise family commutes (see _step)."""
+    return _step("milstein", ops, u, t, dt, dw)
+
+
+def step_drift_implicit(ops: OperatorFamily, u, t: float, dt: float, dw) -> np.ndarray:
+    """Solve (I + dt A(t+dt)) u' = u - dt F(t,u) - sum_k B_k(t) u dw_k (see _step)."""
+    return _step("drift-implicit", ops, u, t, dt, dw)
+
+
+#: one step of each scheme on the grid [t, t + dt]
+_STEPPERS = dict(zip(SCHEMES, (step_euler_maruyama, step_milstein_commutative,
+                               step_drift_implicit)))
 
 
 @dataclass(frozen=True)
@@ -170,66 +189,51 @@ class EnsembleResult:
 
 
 def _check_scheme(system, scheme: str) -> None:
-    if scheme not in _KERNELS:
+    if scheme not in SCHEMES:
         raise SchemeError(f"unknown scheme {scheme!r}; choose from {SCHEMES}")
     if scheme == "milstein" and not system.ops.noise_commutes:
         raise SchemeError("milstein requires a pairwise commuting noise family")
-
-
-def _index(m, i):
-    """Matrix i of a stack, or of each stack of a (nested) tuple."""
-    return m[i] if isinstance(m, np.ndarray) else tuple(_index(x, i) for x in m)
-
-
-def _per_step(segs: OperatorSegments, field: str, prepare, dt: float, lag: int):
-    """Per step j, `field` of the segment holding grid index j + lag, made by
-    prepare(m, dt, times of the steps reading m) when the steps enter the
-    segment and dropped when they leave it."""
-    for seg, lo, hi in zip(segs.segments, segs.edges, segs.edges[1:]):
-        start = max(lo, lag)
-        t = segs.times[start - lag:hi - lag]
-        if seg.drift.ndim == 3:
-            m = prepare(_index(getattr(seg, field), slice(start - lo, None)), dt, t)
-            yield from (_index(m, i) for i in range(len(t)))
-        elif len(t):
-            yield from [prepare(getattr(seg, field), dt, t)] * len(t)
 
 
 def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=False):
     """The one loop over time steps, for a batch of paths.
 
     u0 has shape (P, N) and increments (P, J, n); F is the family's
-    nonlinearity or None.  A path whose state turns non-finite is frozen at
-    its last finite state and its blow-up time is recorded; the other paths
-    continue.  Every step reads its matrices from the segments, on whose
-    grid the paths run, prepared once per segment: step j the noise at grid
-    index j and the drift at index j + lag.  Returns the states (P, J+1, N),
+    nonlinearity or None.  The step from grid time t_j maps each path's u to
+    sum_m c_m u @ G_m - dt F(t_j, u), the G_m from _stacks and the c_m from
+    _coefficients, per block of _STEP_BLOCK steps.  A path whose state turns
+    non-finite is frozen at its last finite state and its blow-up time is
+    recorded; the other paths continue.  Checked once per block, this gives
+    the states of a check after every step, as each path's row of a step
+    depends on that row alone (F's contract).  Returns the states (P, J+1, N),
     or with final_only just the final states (P, N), and the blow-ups.
     """
-    kernel, lag, prep_drift, prep_noise = _KERNELS[scheme]
     times = segs.times
     dt = float(times[1] - times[0])
     u = np.array(u0, dtype=float)
-    states = None
-    if not final_only:
-        states = np.empty((u.shape[0], len(times), u.shape[1]))
+    n_paths, dim = u.shape
+    if final_only:
+        buffer = np.empty((min(_STEP_BLOCK, len(times) - 1), n_paths, dim))
+    else:
+        states = np.empty((n_paths, len(times), dim))
         states[:, 0, :] = u
-    alive = np.ones(u.shape[0], dtype=bool)
+    alive = np.ones(n_paths, dtype=bool)
     blowups: dict = {}
-    drifts = _per_step(segs, "drift", prep_drift, dt, lag)
-    noises = _per_step(segs, "Bs", prep_noise, dt, 0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for j, drift, noise in zip(range(len(times) - 1), drifts, noises):
-            new = kernel(F, u, float(times[j]), dt, increments[:, j, :], drift, noise)
-            frozen = ~alive | ~np.all(np.isfinite(new), axis=-1)
-            if np.any(frozen):
-                for p in np.flatnonzero(frozen & alive):
-                    blowups[int(p)] = float(times[j + 1])
-                alive &= ~frozen
-                new[frozen] = u[frozen]
-            if states is not None:
-                states[:, j + 1, :] = new
-            u = new
+        for lo, hi, stack, post in _stacks(segs, scheme, F, dt):
+            for b in range(lo, hi, _STEP_BLOCK):
+                e = min(b + _STEP_BLOCK, hi)
+                # drift-implicit with an F adds u outside the stack, so drops the 1
+                c = _coefficients(increments[:, b:e], dt, scheme)[..., int(post is not None):]
+                block = buffer[:e - b] if final_only else states[:, b + 1:e + 1].swapaxes(0, 1)
+                start = u
+                for i, j in enumerate(range(b, e)):
+                    new = (c[i] @ (u @ stack[j - lo]).reshape(n_paths, -1, dim))[:, 0]
+                    if F is not None:
+                        f = dt * F(float(times[j]), u)
+                        new = new - f if post is None else (u - f + new) @ post[j - lo]
+                    block[i] = u = new
+                u = _freeze(block, start, alive, blowups, times[b + 1:e + 1])
     return (u if final_only else states), blowups
 
 
@@ -294,21 +298,16 @@ def strong_convergence(
     fine = uniform_grid(T, dt / 2**levels)
     inc = sample_brownian_ensemble(system.ops.n_noise, fine, seed, n_paths)
     u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
-    ref, blowups = _run_steps(system.ops.F, OperatorSegments(system.ops, fine), u0b,
-                              inc, scheme, final_only=True)
-    _raise_on_blowup(blowups)
-    dts, mean_errors = [], []
-    for lev in range(levels):
-        factor = 2 ** (levels - lev)
-        times = fine[::factor]
-        final, blowups = _run_steps(
-            system.ops.F, OperatorSegments(system.ops, times), u0b,
-            coarsen_increments(inc, factor), scheme, final_only=True,
-        )
+    factors = [1] + [2 ** (levels - lev) for lev in range(levels)]
+    finals = []
+    for factor in factors:  # the fine reference first, then each coarse level
+        final, blowups = _run_steps(system.ops.F, OperatorSegments(system.ops, fine[::factor]),
+                                    u0b, coarsen_increments(inc, factor), scheme, final_only=True)
         _raise_on_blowup(blowups)
-        err = np.linalg.norm(final - ref, axis=-1)
-        dts.append(float(times[1] - times[0]))
-        mean_errors.append(float(np.mean(err)))
+        finals.append(final)
+    dts = [float(fine[factor] - fine[0]) for factor in factors[1:]]
+    mean_errors = [float(np.mean(np.linalg.norm(final - finals[0], axis=-1)))
+                   for final in finals[1:]]
     slope = float(np.polyfit(np.log(dts), np.log(mean_errors), 1)[0])
     return {"scheme": scheme, "dts": dts, "mean_errors": mean_errors, "slope": slope}
 

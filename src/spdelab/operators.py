@@ -155,7 +155,8 @@ class OperatorFamily:
         A: drift operator path (entries in the eigenbasis), in the form the
             equation is written in.
         Bs: noise operator paths, one per Wiener component.
-        F: optional nonlinearity hook (t, u) -> vector.
+        F: optional nonlinearity hook (t, u) -> array like u, on a batch of paths:
+            each row of F(t, u) reads only that row of u, non-finite if it blew up.
         n_witness: optional bound on |F(t,u)| / ||u||, the same at all times.
         noise_form: "ito", or "stratonovich" when A is the drift of the
             Stratonovich equation; at() then adds the Ito correction.

@@ -11,8 +11,8 @@ from spdelab.brownian import (
     sample_brownian_ensemble,
     uniform_grid,
 )
+import spdelab.integrator as integrator
 from spdelab.integrator import (
-    _STEPPERS,
     BlowUpError,
     SchemeError,
     _run_steps,
@@ -272,12 +272,30 @@ def test_milstein_exact_for_pure_noise_single_step():
 
 
 def _loop_steps(ops, u0, times, increments, scheme):
-    """One path, one step at a time: states (J+1, N) of a 1-D state."""
-    stepper = _STEPPERS[scheme]
+    """One path, one step at a time, with the family evaluated at t (and t + dt)
+    and each scheme's own formula: states (J+1, N) of a 1-D state."""
     dt = float(times[1] - times[0])
     states = [np.asarray(u0, dtype=float)]
-    for j in range(len(times) - 1):
-        states.append(stepper(ops, states[-1], float(times[j]), dt, increments[j]))
+    for j, dw in enumerate(increments):
+        u, t = states[-1], float(times[j])
+        bs = ops.at(t).Bs
+        if scheme == "drift-implicit":
+            out = u if ops.F is None else u - dt * ops.F(t, u)
+        else:
+            drift = u @ ops.at(t).drift.T
+            out = u - dt * (drift if ops.F is None else drift + ops.F(t, u))
+        for k, b in enumerate(bs):
+            out = out - (u @ b.T) * dw[k]
+        if scheme == "milstein":
+            for k, bk in enumerate(bs):
+                for l, bl in enumerate(bs):
+                    area = dw[k] * dw[l]
+                    if k == l:
+                        area = area - dt
+                    out = out + 0.5 * (u @ (bk @ bl).T) * area
+        if scheme == "drift-implicit":
+            out = out @ np.linalg.inv(np.eye(len(u)) + dt * ops.at(t + dt).drift).T
+        states.append(out)
     return np.array(states)
 
 
@@ -308,18 +326,23 @@ def _linear_jump_system():
 
 _STEP_SYSTEMS = {
     "diagonal": lambda: make_system("diagonal"),
+    # two commuting noises, so Milstein's dw_k dw_l terms with k != l are met
+    "diagonal-two-noises": lambda: make_diagonal([1.0, 4.0, 9.0],
+                                                 [[0.3, 0.2, 0.1], [-0.2, 0.1, 0.25]]),
     "coupled-piecewise": lambda: _coupled_piecewise(),
     "linear-jump": _linear_jump_system,
 }
 _STEP_CASES = [("diagonal", s) for s in ("euler-maruyama", "milstein", "drift-implicit")]
 _STEP_CASES += [(f, s) for f in ("coupled-piecewise", "linear-jump")
                 for s in ("euler-maruyama", "drift-implicit")]
+_STEP_CASES += [("diagonal-two-noises", "milstein")]
 
 
 @settings(max_examples=20, deadline=None)
 @given(case=st.sampled_from(_STEP_CASES), n_paths=st.integers(1, 7),
        seed=st.integers(0, 2**16), random_start=st.booleans())
 @example(case=("linear-jump", "drift-implicit"), n_paths=2, seed=117, random_start=True)
+@example(case=("diagonal-two-noises", "milstein"), n_paths=3, seed=5, random_start=True)
 def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
     """_run_steps on a (P, N) batch equals P single-path loops.
 
@@ -530,6 +553,26 @@ def test_blown_up_path_stays_frozen():
     with pytest.raises(BlowUpError) as err:
         integrate(_Spiking(), "euler-maruyama", grid, seed=3, stream_id=1)
     assert err.value.t == 0.5
+
+
+@pytest.mark.parametrize("final_only", [False, True])
+def test_outputs_do_not_depend_on_the_step_block(monkeypatch, final_only):
+    """Checking for blow-ups once per block of steps freezes the same paths at
+    the same states, bit for bit, as checking after every step (block 1)."""
+    grid = uniform_grid(1.0, 0.025)
+    segs = OperatorSegments(_Spiking.ops, grid)
+    incs = [sample_brownian_ensemble(1, grid, seed, n_paths=6) for seed in (1, 3)]
+    runs = {}
+    for block in (1, 3, integrator._STEP_BLOCK):
+        monkeypatch.setattr(integrator, "_STEP_BLOCK", block)
+        runs[block] = [_run_steps(_Spiking.ops.F, segs, np.ones((6, 1)), inc,
+                                  "euler-maruyama", final_only) for inc in incs]
+    per_step = runs.pop(1)
+    assert [blowups for _, blowups in per_step] == [{5: 0.5}, {1: 0.5}]
+    for block, got in runs.items():
+        for (states, blowups), (want, want_blowups) in zip(got, per_step):
+            assert list(blowups.items()) == list(want_blowups.items()), block
+            assert states.tobytes() == want.tobytes(), block
 
 
 @pytest.mark.parametrize("seed, path, blowup_by_factor", [
