@@ -53,6 +53,12 @@ def _spectral_norms(m: np.ndarray) -> np.ndarray:
     return np.linalg.norm(m, ord=2, axis=(-2, -1))
 
 
+def _sym_norms(m: np.ndarray) -> np.ndarray:
+    """Spectral norm of each symmetric matrix of a stack: its largest |eigenvalue|."""
+    w = np.linalg.eigvalsh(m)
+    return np.maximum(-w[..., 0], w[..., -1])
+
+
 @dataclass
 class CertRecord:
     """One assumption's constants, status, and tightness slack."""
@@ -145,7 +151,7 @@ def check_weak_noise_bound(ev: OperatorSegment):
     """phi(t) = sum_k spectral norm of sym(B_k(t)); bounds sum|<u, B_k u>|/|u|^2."""
     phi = np.zeros(len(ev.drift))
     for b in ev.Bs:
-        phi += _spectral_norms(sym(b))
+        phi += _sym_norms(sym(b))
     record = CertRecord(
         name="ac3", status=CERTIFIED, constants={"phi": phi},
         slack=float(phi.max(initial=0.0)),
@@ -177,7 +183,7 @@ def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, K2_grid, t
 
     # rounding floor: commutator entries carry errors of order eps * |tA| |B|^2
     b_norm = sum(_spectral_norms(b) ** 2 for b in ev.Bs)
-    scale = float(np.max(_spectral_norms(ta) * b_norm, initial=0.0))
+    scale = float(np.max(_sym_norms(ta) * b_norm, initial=0.0))
     tol = max(1e-9, 1e-12 * scale)
 
     best = None
@@ -332,7 +338,7 @@ def check_first_order_bound(
     root = (vd * root_w) @ vd.mT
     root_inv = (vd / root_w) @ vd.mT
     for k, b in enumerate(bs):
-        tables[k, definite] = _spectral_norms(sym(root @ b[definite] @ root_inv))
+        tables[k, definite] = _sym_norms(sym(root @ b[definite] @ root_inv))
     # sampled in time order, so each time keeps its draws from the stream
     for j in np.flatnonzero(~definite):
         s = sym_tilde[j]

@@ -22,7 +22,7 @@ from .brownian import (
     sample_brownian_ensemble,
     uniform_grid,
 )
-from .operators import OperatorFamily, OperatorSegments
+from .operators import OperatorSegments
 
 
 class BlowUpError(RuntimeError):
@@ -125,37 +125,6 @@ def _freeze(block, start, alive, blowups: dict, times) -> np.ndarray:
         block[i:, p] = block[i - 1, p] if i else start[p]
         alive[p] = False
     return block[-1].copy()
-
-
-def _step(scheme: str, ops: OperatorFamily, u, t: float, dt: float, dw):
-    """One step of the loop on the grid [t, t + dt], for states (P, N) and increments
-    (P, n), or one path's (N,) and (n,); a path whose step is non-finite keeps its state."""
-    u = np.asarray(u, dtype=float)
-    segs = OperatorSegments(ops, np.array([t, t + dt]))
-    new, _ = _run_steps(ops.F, segs, u.reshape(-1, ops.dim),
-                        np.reshape(dw, (-1, 1, ops.n_noise)), scheme, final_only=True)
-    return new.reshape(u.shape)
-
-
-def step_euler_maruyama(ops: OperatorFamily, u, t: float, dt: float, dw) -> np.ndarray:
-    """u - dt (A(t)u + F(t,u)) - sum_k B_k(t) u dw_k, with A the Ito drift (see _step)."""
-    return _step("euler-maruyama", ops, u, t, dt, dw)
-
-
-def step_milstein_commutative(ops: OperatorFamily, u, t: float, dt: float, dw) -> np.ndarray:
-    """Euler-Maruyama plus (1/2) sum_{k,l} B_k B_l u (dw_k dw_l - delta_kl dt), the exact
-    Milstein term when the noise family commutes (see _step)."""
-    return _step("milstein", ops, u, t, dt, dw)
-
-
-def step_drift_implicit(ops: OperatorFamily, u, t: float, dt: float, dw) -> np.ndarray:
-    """Solve (I + dt A(t+dt)) u' = u - dt F(t,u) - sum_k B_k(t) u dw_k (see _step)."""
-    return _step("drift-implicit", ops, u, t, dt, dw)
-
-
-#: one step of each scheme on the grid [t, t + dt]
-_STEPPERS = dict(zip(SCHEMES, (step_euler_maruyama, step_milstein_commutative,
-                               step_drift_implicit)))
 
 
 @dataclass(frozen=True)

@@ -15,14 +15,8 @@ from spdelab.assumptions import (
     check_weak_noise_bound,
 )
 from spdelab.brownian import sample_brownian_ensemble, uniform_grid
-from spdelab.integrator import (
-    _STEPPERS,
-    integrate,
-    integrate_ensemble,
-    step_euler_maruyama,
-    step_milstein_commutative,
-)
-from spdelab.operators import assemble_tilde_A, spectrum, sym
+from spdelab.integrator import _run_steps, integrate, integrate_ensemble
+from spdelab.operators import OperatorSegments, assemble_tilde_A, spectrum, sym
 from spdelab.systems import (
     make_diagonal,
     make_torus_heat_gradient_noise,
@@ -38,6 +32,7 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 def _ensemble_quotients(sys, scheme, grid, seed, n_paths, u0, chunk=25):
     """Quotient series (P, J+1) and final states, integrating in chunks."""
     tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
+    segs = OperatorSegments(sys.ops, grid)
     quots = []
     finals = []
     for start in range(0, n_paths, chunk):
@@ -46,18 +41,12 @@ def _ensemble_quotients(sys, scheme, grid, seed, n_paths, u0, chunk=25):
         inc = sample_brownian_ensemble(
             sys.ops.n_noise, grid, seed, k, first_stream=start
         )
-        stepper = _STEPPERS[scheme]
-        dt = float(grid[1] - grid[0])
-        u = np.broadcast_to(u0, (k, sys.basis.dim)).copy()
-        q = np.empty((k, len(grid)))
-        den = np.sum(u**2, axis=-1)
-        q[:, 0] = np.sum((u @ tilde_sym.T) * u, axis=-1) / (den + 1e-300)
-        for j in range(len(grid) - 1):
-            u = stepper(sys.ops, u, float(grid[j]), dt, inc[:, j, :])
-            den = np.sum(u**2, axis=-1)
-            q[:, j + 1] = np.sum((u @ tilde_sym.T) * u, axis=-1) / (den + 1e-300)
-        quots.append(q)
-        finals.append(u.copy())
+        u = np.broadcast_to(u0, (k, sys.basis.dim))
+        states, _ = _run_steps(sys.ops.F, segs, u, inc, scheme)
+        den = np.sum(states**2, axis=-1)
+        quots.append(np.sum((states @ tilde_sym.T) * states, axis=-1) / (den + 1e-300))
+        # a copy, so the chunk's states are freed
+        finals.append(states[:, -1].copy())
     return np.vstack(quots), np.vstack(finals)
 
 
@@ -70,7 +59,7 @@ def test_acceptance_1_spectral_limit_oracle(u0, target):
     sys = make_diagonal([1.0, 4.0, 9.0], [[0.3, 0.2, 0.1]])
     grid = uniform_grid(20.0, 1e-3)
     quots, finals = _ensemble_quotients(
-        sys, "milstein", grid, seed=101, n_paths=200, u0=np.asarray(u0), chunk=200
+        sys, "milstein", grid, seed=101, n_paths=200, u0=np.asarray(u0), chunk=50
     )
     tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
     rep = diag.spectral_limit_report(
@@ -151,16 +140,20 @@ def test_acceptance_4_martingale_mean_one():
     delta = 1e-6
     grid = uniform_grid(1.0, 1e-3)
     n_paths = 10_000
-    inc = sample_brownian_ensemble(1, grid, 404, n_paths)
+    chunk = 250
     dt = float(grid[1] - grid[0])
     b = sys.ops.Bs[0].at(0.0)
-    u = np.broadcast_to(sys.u0, (n_paths, 8)).copy()
-    logm = np.zeros(n_paths)
-    for j in range(len(grid) - 1):
+    segs = OperatorSegments(sys.ops, grid)
+    logm = []
+    for start in range(0, n_paths, chunk):
+        inc = sample_brownian_ensemble(1, grid, 404, chunk, first_stream=start)
+        u0 = np.broadcast_to(sys.u0, (chunk, 8))
+        u = _run_steps(sys.ops.F, segs, u0, inc, "euler-maruyama")[0][:, :-1]
+        # the left-point log M, added in step order as a loop adds it (np.sum pairs terms)
         den = np.sum(u**2, axis=-1) + delta
         rho = np.sum(u * (u @ b.T), axis=-1) / den
-        logm += -2.0 * rho * inc[:, j, 0] - 2.0 * rho**2 * dt
-        u = step_euler_maruyama(sys.ops, u, float(grid[j]), dt, inc[:, j, :])
+        logm.append(np.cumsum(-2.0 * rho * inc[..., 0] - 2.0 * rho**2 * dt, axis=1)[:, -1])
+    logm = np.concatenate(logm)
     m = np.exp(logm)
     mean = m.mean()
     se = m.std() / np.sqrt(n_paths)
@@ -265,7 +258,7 @@ def test_acceptance_7_derivative_kernels():
 # -- 8. strong convergence orders -------------------------------------
 
 
-def _strong_slope(stepper) -> float:
+def _strong_slope(scheme) -> float:
     """Slope of the strong error on geometric Brownian motion."""
     sys = make_diagonal([1.0], [[0.5]])
     t_end = 1.0
@@ -282,17 +275,17 @@ def _strong_slope(stepper) -> float:
         dt = dt_fine * factor
         j = inc.shape[1] // factor
         coarse = inc.reshape(n_paths, j, factor, 1).sum(axis=2)
-        u = np.full((n_paths, 1), sys.u0[0])
-        for step_idx in range(j):
-            u = stepper(sys.ops, u, step_idx * dt, dt, coarse[:, step_idx, :])
+        u0 = np.full((n_paths, 1), sys.u0[0])
+        u, _ = _run_steps(sys.ops.F, OperatorSegments(sys.ops, grid[::factor]), u0, coarse,
+                          scheme, final_only=True)
         errs.append(float(np.mean(np.abs(u[:, 0] - exact))))
         dts.append(dt)
     return float(np.polyfit(np.log(dts), np.log(errs), 1)[0])
 
 
 def test_acceptance_8_strong_orders():
-    em = _strong_slope(step_euler_maruyama)
-    mil = _strong_slope(step_milstein_commutative)
+    em = _strong_slope("euler-maruyama")
+    mil = _strong_slope("milstein")
     ok = 0.4 <= em <= 0.6 and 0.9 <= mil <= 1.1
     _verdict(
         "8-strong-orders",

@@ -18,7 +18,6 @@ from spdelab.integrator import (
     _run_steps,
     integrate,
     integrate_ensemble,
-    step_drift_implicit,
     strong_convergence,
 )
 from spdelab.operators import LINEAR_BLOCK, MatrixPath, OperatorFamily, OperatorSegments
@@ -212,17 +211,44 @@ def test_unknown_scheme_rejected():
 
 def test_ensemble_matches_single_paths():
     """Ensemble path p equals the single integration with stream p, an ensemble
-    of one, and is driven by stream p."""
-    sys = make_diagonal([1.0, 4.0, 9.0], [[0.3, 0.2, 0.1]])
+    of one, and is driven by stream p.  On coupled-torus they agree to rounding
+    alone, a component passing near zero down to a few ulps of the path's largest
+    |state|: BLAS may hand a one-row product to a matrix-vector kernel, which sums
+    in another order."""
     grid = uniform_grid(0.5, 1e-3)
-    ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=11, n_paths=3)
-    for p in range(3):
-        single = integrate(sys, "euler-maruyama", grid, seed=11, stream_id=p)
-        assert single.n_paths == 1
-        assert np.array_equal(ens.states[p], single.states[0])
-        assert np.array_equal(ens.increments[p], single.increments[0])
-        stream = sample_brownian(sys.ops.n_noise, grid, seed=11, stream_id=p)
-        assert np.array_equal(ens.increments[p], stream.increments)
+    for name in ("diagonal", "coupled-torus"):
+        sys = make_system(name)
+        ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=11, n_paths=3)
+        for p in range(3):
+            single = integrate(sys, "euler-maruyama", grid, seed=11, stream_id=p)
+            assert single.n_paths == 1
+            if name == "diagonal":
+                assert np.array_equal(ens.states[p], single.states[0])
+            else:
+                np.testing.assert_allclose(
+                    ens.states[p], single.states[0], rtol=1e-13,
+                    atol=16 * np.finfo(float).eps * np.abs(ens.states[p]).max())
+            assert np.array_equal(ens.increments[p], single.increments[0])
+            stream = sample_brownian(sys.ops.n_noise, grid, seed=11, stream_id=p)
+            assert np.array_equal(ens.increments[p], stream.increments)
+
+
+@pytest.mark.parametrize("scheme", integrator.SCHEMES)
+@pytest.mark.parametrize("name", ["torus-heat-scalar", "nse-2d"])
+def test_chunks_of_paths_match_one_batch(name, scheme):
+    """_run_steps over chunks of >= 2 paths, each driven by the streams of its
+    paths, gives the states of one whole batch bit for bit, on a dense N=64 noise
+    and on a family with an F; the acceptance criteria step in such chunks."""
+    ops = make_system(name).ops
+    grid = uniform_grid(0.1, 1e-3)
+    segs = OperatorSegments(ops, grid)
+    u0 = np.random.default_rng(5).standard_normal((7, ops.dim))
+    whole, _ = _run_steps(ops.F, segs, u0, sample_brownian_ensemble(ops.n_noise, grid, 5, 7),
+                          scheme)
+    for lo, hi in ((0, 2), (2, 5), (5, 7)):
+        inc = sample_brownian_ensemble(ops.n_noise, grid, 5, hi - lo, first_stream=lo)
+        chunk, _ = _run_steps(ops.F, segs, u0[lo:hi], inc, scheme)
+        assert chunk.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
 
 
 def test_blowup_isolation():
@@ -470,9 +496,6 @@ def test_singular_implicit_step_names_the_first_step_that_reads_it(family):
     inc = np.zeros((2, len(grid) - 1, 1))
     with pytest.raises(SchemeError, match=r"at t=0\.375:"):
         _run_steps(None, OperatorSegments(ops, grid), np.ones((2, 2)), inc, "drift-implicit")
-    step_drift_implicit(ops, np.ones(2), 0.25, 0.125, np.zeros(1))
-    with pytest.raises(SchemeError, match=r"at t=0\.375:"):
-        step_drift_implicit(ops, np.ones(2), 0.375, 0.125, np.zeros(1))
 
 
 def test_singular_drift_at_time_zero_is_never_read():
