@@ -282,11 +282,17 @@ def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
     Grid search over beta; for each beta, gamma is the smallest shift making
     both beta*diag(lam) + gamma I - sym(A) and ... + sym(A) positive
     semidefinite over the time grid.  The pair minimizing
-    gamma + lam_1 * beta is returned, smallest beta breaking ties.
+    gamma + lam_1 * beta is returned, smallest beta breaking ties.  A
+    matrix that repeats the one before it on the grid is searched once, so a
+    constant family's stack costs what its one matrix does; every max and
+    min over the stack is unchanged.
     """
     d = np.diag(basis.hat_eigenvalues)
     lam1 = float(basis.hat_eigenvalues[0])
     s = sym(ev.drift)
+    # np.unique(s, axis=0) would sort the matrices as records of N^2 fields,
+    # which at N = 1 088 costs more than the search it saves
+    s = s[np.r_[True, np.any(s[1:] != s[:-1], axis=(1, 2))]]
     scale = float(operator_norm_v_vprime(s, basis).max())
     beta_grid = np.unique(np.concatenate([
         np.linspace(0.0, max(scale, 1.0) * 1.5, 61), [1.0]

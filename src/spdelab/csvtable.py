@@ -11,6 +11,12 @@ values whose digits that error could change, those within TIE_MARGIN of a
 rounding tie, and those whose product falls within EDGE of 10^18 or 10^19 or
 outside them: exact powers of ten, and values so close to one that log10
 rounds across it.
+
+Each value's text, with the separator after it, fills a 36-byte slot of
+nine uint32 words, each word looked up in a table and padded with 0 bytes:
+the sign and lead digit, six groups of three digits, "e+dd", and one word
+for the exponent's third digit, if any, and the separator.  One
+bytes.translate pass deletes a block's pad bytes; CSV text holds no 0 byte.
 """
 import functools
 
@@ -26,6 +32,9 @@ TIE_MARGIN = 1e-6
 #: rounded across a power of ten, is decided exactly; N may carry there
 EDGE = 4096.0
 
+#: the separators that can end a value's slot, by their index in `seps`
+SEPARATORS = b",\n"
+
 
 def _words(texts) -> np.ndarray:
     """ASCII texts of at most 4 bytes, padded with 0 bytes, one uint32 each."""
@@ -36,15 +45,19 @@ def _words(texts) -> np.ndarray:
 def _tables() -> tuple:
     """Pieces of a value's text, one uint32 each, indexed by what they
     print: the sign and lead digit (d + 10 for a negative value), three
-    digits, the exponent k in [-324, 308] as "e+dd" and its third digit, if
-    any, and nan, inf, -inf.  Built on first use, so a run that writes no
-    CSV never builds them."""
+    digits, the exponent k in [-324, 308] as "e+dd", the exponent's third
+    digit, if any, followed by a separator (2 c + s for code c and separator
+    index s), and nan, inf, -inf; and each exponent's code, 0 for none or
+    1 + its third digit, one uint8 per k.  Built on first use, so a run that
+    writes no CSV never builds them."""
     exponents = [b"e%+03d" % k for k in range(-324, 309)]
+    thirds = [b""] + [b"%d" % d for d in range(10)]
     return (_words(sign + b"%d." % d for sign in (b"", b"-") for d in range(10)),
             _words(b"%03d" % i for i in range(1000)),
             _words(e[:4] for e in exponents),
-            _words(e[4:] for e in exponents),
-            _words((b"nan", b"inf", b"-inf")))
+            _words(third + SEPARATORS[s:s + 1] for third in thirds for s in range(2)),
+            _words((b"nan", b"inf", b"-inf")),
+            np.array([thirds.index(e[4:]) for e in exponents], np.uint8))
 
 _SPLIT = 2.0**27 + 1.0  # Veltkamp's constant: splits a double into two 26-bit halves
 
@@ -70,7 +83,7 @@ def _product(f, e, k):
     """f 2^e 10^(18-k) as an unevaluated sum p + l: p exact, l within 1e-12."""
     k0 = int(k.min())
     table = np.array([_power(j) for j in range(k0, int(k.max()) + 1)]).T
-    hi, lo, t = (np.take(column, k - k0) for column in table)
+    hi, lo, t = np.take(table, k - k0, axis=1)
     p = f * hi
     fh, fl = _split(f)
     hh, hl = _split(hi)
@@ -98,20 +111,24 @@ def _significands(a):
 
 def _digit_groups(big):
     """The lead digit of each N < 10^19, and its other 18 digits in six
-    groups of three."""
+    groups of three, one row per group so every pass runs on contiguous
+    memory."""
     lead = big // np.uint64(10**18)
     rest = (big - lead * np.uint64(10**18)).astype(np.int64)
-    high = rest // 10**9
-    nines = np.stack([high, rest - high * 10**9], axis=1)
+    groups = np.empty((6, len(big)), np.int64)
+    nines = groups[2::3]  # digits 1-9 and 10-18, each left to its last three
+    np.floor_divide(rest, 10**9, out=nines[0])
+    np.subtract(rest, nines[0] * 10**9, out=nines[1])
+    np.floor_divide(nines, 10**6, out=groups[0::3])
     thousands = nines // 1000
-    millions = nines // 10**6
-    groups = np.stack([millions, thousands - millions * 1000, nines - thousands * 1000], axis=2)
-    return lead.astype(np.int64), groups.reshape(len(big), 6)
+    np.subtract(thousands, groups[0::3] * 1000, out=groups[1::3])
+    nines -= thousands * 1000
+    return lead.astype(np.int64), groups
 
 
 def _format(values, seps):
-    """Each value's "%.18e" text followed by its separator, as uint8 bytes;
-    `seps` holds each separator byte as a uint32."""
+    """Each value's "%.18e" text followed by its separator, as bytes;
+    `seps` holds each value's separator as its index in SEPARATORS."""
     a = np.abs(values)
     finite = np.isfinite(a)
     fast = finite & (a != 0)
@@ -123,26 +140,26 @@ def _format(values, seps):
     k[~fast] = 0
     lead, groups = _digit_groups(big)
 
-    # a value's slot: sign and lead digit, 6 digit groups, exponent, its
-    # third digit, separator; every 0 byte is dropped
-    heads, digits, exponents, exponents_3rd, (nan, inf, neg_inf) = _tables()
-    words = np.empty((len(values), 10), np.uint32)
+    # a value's 36-byte slot: sign and lead digit, 6 digit groups, exponent,
+    # then its third digit with the separator; every 0 byte is dropped
+    heads, digits, exponents, tails, (nan, inf, neg_inf), codes = _tables()
+    k += 324  # the exponent tables start at k = -324
+    words = np.empty((len(values), 9), np.uint32)
     words[:, 0] = heads[lead + 10 * np.signbit(values)]
-    words[:, 1:7] = digits[groups]
-    words[:, 7] = exponents[k + 324]
-    words[:, 8] = exponents_3rd[k + 324]
-    words[:, 9] = seps
+    words[:, 1:7] = digits[groups].T
+    words[:, 7] = exponents[k]
+    words[:, 8] = tails[2 * codes[k] + seps]
     special = np.flatnonzero(~finite)
     if len(special):  # Python prints nan unsigned
-        words[special, :9] = 0
+        words[special, :8] = 0
         words[special, 0] = np.where(np.isnan(values[special]), nan,
                                      np.where(values[special] < 0, neg_inf, inf))
     out = words.view(np.uint8)
-    for i in np.flatnonzero(slow).tolist():
+    for i in np.flatnonzero(slow).tolist():  # k = 0: the last word is the separator alone
         text = b"%.18e" % values[i]
-        out[i, :36] = 0  # all but the separator
+        out[i, :32] = 0  # all but the separator
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
-    return out[out != 0]
+    return words.tobytes().translate(None, b"\0")  # CSV text holds no 0 byte
 
 
 def write_table(path: str, header: str, rows) -> None:
@@ -151,10 +168,11 @@ def write_table(path: str, header: str, rows) -> None:
     rows = np.asarray(rows, dtype=np.float64)
     n_rows, n_cols = rows.shape
     step = max(1, BLOCK_VALUES // n_cols)
-    seps = np.full(n_cols, ord(","), np.uint32)
-    seps[-1] = ord("\n")
+    row_seps = np.zeros(n_cols, np.intp)
+    row_seps[-1] = SEPARATORS.index(b"\n")
+    seps = np.tile(row_seps, min(step, n_rows))
     with open(path, "wb") as fh:
         fh.write(header.encode("latin1") + b"\n")
         for lo in range(0, n_rows, step):
-            block = rows[lo:lo + step]
-            fh.write(_format(block.ravel(), np.tile(seps, len(block))))
+            block = rows[lo:lo + step].ravel()
+            fh.write(_format(block, seps[:len(block)]))

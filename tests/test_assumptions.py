@@ -20,7 +20,13 @@ from spdelab.assumptions import (
     k6_table,
 )
 from spdelab.basis import SpectralBasis
-from spdelab.operators import MatrixPath, OperatorFamily, assemble_tilde_A, sym
+from spdelab.operators import (
+    MatrixPath,
+    OperatorFamily,
+    assemble_tilde_A,
+    operator_norm_v_vprime,
+    sym,
+)
 from spdelab.systems import (
     derivative_matrix,
     make_coupled_torus,
@@ -203,6 +209,54 @@ def test_weak_A_bound_recheck_random():
     )
     assert record.status == CERTIFIED
     assert record.slack >= CERT_EIG_TOL
+
+
+def _weak_A_bound_over_the_whole_stack(ev, basis):
+    """check_weak_A_bound's beta search over every matrix of the grid,
+    repeated ones included: the reference its search must match."""
+    d = np.diag(basis.hat_eigenvalues)
+    lam1 = float(basis.hat_eigenvalues[0])
+    s = sym(ev.drift)
+    scale = float(operator_norm_v_vprime(s, basis).max())
+    best = None
+    for beta in np.unique(np.concatenate([np.linspace(0.0, max(scale, 1.0) * 1.5, 61), [1.0]])):
+        gamma = max(0.0, float(np.linalg.eigvalsh(sym(s - beta * d))[:, -1].max()),
+                    float(np.linalg.eigvalsh(sym(-s - beta * d))[:, -1].max()))
+        score = gamma + lam1 * beta
+        if best is None or score < best[0] - 1e-12 or (
+            abs(score - best[0]) <= 1e-12 and beta < best[1]
+        ):
+            best = (score, float(beta), gamma)
+    _, beta, gamma = best
+    shifted = beta * d + gamma * np.eye(basis.dim)
+    worst = min(np.linalg.eigvalsh(sym(shifted - s))[:, 0].min(),
+                np.linalg.eigvalsh(sym(shifted + s))[:, 0].min())
+    return beta, gamma, float(worst)
+
+
+def test_weak_A_bound_of_a_repeated_matrix_is_that_of_the_matrix():
+    """A constant family's grid stack repeats one matrix: five copies give
+    exactly the beta, gamma and slack of the one."""
+    system = make_coupled_torus()
+    one = check_weak_A_bound(system.ops.at(np.array([0.0])), system.basis)
+    five = check_weak_A_bound(system.ops.at(np.linspace(0.0, 1.0, 5)), system.basis)
+    assert (five[0], five[1], five[2].slack) == (one[0], one[1], one[2].slack)
+    assert five[2].status == one[2].status == CERTIFIED
+
+
+def test_weak_A_bound_on_a_time_dependent_family_matches_the_whole_stack():
+    """Noise tables that jump at t = 0.5 and t = 1 give three distinct drifts
+    on a five-time grid, each with its own (beta, gamma); the search over
+    them matches the one over all five."""
+    tables = np.zeros((3, 2, 2, 2))
+    for j, (diag, coupling) in enumerate(((0.2, 0.1), (0.6, 0.0), (0.3, 0.4))):
+        tables[j] = diag * np.eye(2)
+        tables[j, 0, 0, 1] = tables[j, 1, 1, 0] = coupling
+    system = make_coupled_torus(modes=3, h_tables=tables, h_time_grid=[0.0, 0.5, 1.0])
+    ev = system.ops.at(np.linspace(0.0, 1.0, 5))
+    assert len(np.unique(sym(ev.drift), axis=0)) == 3
+    beta, gamma, record = check_weak_A_bound(ev, system.basis)
+    assert (beta, gamma, record.slack) == _weak_A_bound_over_the_whole_stack(ev, system.basis)
 
 
 # -- first-order noise bound ------------------------------------------

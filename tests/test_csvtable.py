@@ -6,6 +6,7 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -118,6 +119,24 @@ def test_an_empty_table_is_its_header(tmp_path):
     path = tmp_path / "empty.csv"
     csvtable.write_table(str(path), "a,b", np.empty((0, 2)))
     assert path.read_bytes() == b"a,b\n"
+
+
+def test_a_table_is_formatted_in_memory_set_by_the_block(tmp_path):
+    """write_table's peak allocation is set by BLOCK_VALUES, not by the
+    table's length: ten times the rows peak within 10% of the same, and
+    below 64 float64s per value of a block."""
+    rows = np.random.default_rng(6).standard_normal((100_000, 11))
+    csvtable.write_table(str(tmp_path / "warm.csv"), "h", rows[:2])  # tables built
+    peaks = []
+    for n_rows in (10_000, 100_000):
+        tracemalloc.start()
+        try:
+            csvtable.write_table(str(tmp_path / f"{n_rows}.csv"), "h", rows[:n_rows])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
+    assert max(peaks) < 64 * 8 * csvtable.BLOCK_VALUES, peaks
 
 
 IMPORT_COST = textwrap.dedent("""
