@@ -5,10 +5,10 @@ eigenvalue statement (certified), or into a sampled estimate when the
 inequality is not a quadratic form (empirical).  All quadratic-form
 inequalities use the single symmetrization convention sym(M) = (M + M^T)/2.
 
-The checkers read the family evaluated on their time grid
-(OperatorFamily.at), so check_all evaluates each matrix path once.  Only
-ac1 and the K6 table take the family itself: Ã' is a difference taken at
-times off the grid.
+The checkers read the family evaluated once on their time grid
+(OperatorFamily.at); those that take only a max or min over it read one
+matrix per run (OperatorFamily.runs).  Only ac1 and the K6 table take the
+family itself: Ã' is a difference taken at times off the grid.
 
 In finite dimensions most constants exist trivially; the meaningful verdict
 is their stability across a ladder of truncations, which the report
@@ -282,17 +282,11 @@ def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
     Grid search over beta; for each beta, gamma is the smallest shift making
     both beta*diag(lam) + gamma I - sym(A) and ... + sym(A) positive
     semidefinite over the time grid.  The pair minimizing
-    gamma + lam_1 * beta is returned, smallest beta breaking ties.  A
-    matrix that repeats the one before it on the grid is searched once, so a
-    constant family's stack costs what its one matrix does; every max and
-    min over the stack is unchanged.
+    gamma + lam_1 * beta is returned, smallest beta breaking ties.
     """
     d = np.diag(basis.hat_eigenvalues)
     lam1 = float(basis.hat_eigenvalues[0])
     s = sym(ev.drift)
-    # np.unique(s, axis=0) would sort the matrices as records of N^2 fields,
-    # which at N = 1 088 costs more than the search it saves
-    s = s[np.r_[True, np.any(s[1:] != s[:-1], axis=(1, 2))]]
     scale = float(operator_norm_v_vprime(s, basis).max())
     beta_grid = np.unique(np.concatenate([
         np.linspace(0.0, max(scale, 1.0) * 1.5, 61), [1.0]
@@ -323,14 +317,15 @@ def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
 
 
 def check_first_order_bound(
-    ev: OperatorSegment, basis: SpectralBasis, samples: int = 10_000, seed: int = 0,
+    ev: OperatorSegment, basis: SpectralBasis, t_grid, samples: int = 10_000, seed: int = 0,
 ):
     """Per-noise C1(t) with |<tilde_A x, B_k x>| <= C1_k(t) |<tilde_A x, x>|.
 
     When sym(tilde_A(t)) is positive definite the exact constant is the
     spectral norm of sym(S^{1/2} B_k S^{-1/2}) with S the symmetric part.
     Otherwise the constant is estimated from sampled ratios and the record
-    is flagged empirical.
+    is flagged empirical.  Where no sample has <S x, x> != 0, C1 = 0 if no
+    <S x, B_k x> != 0 either; else the record fails, naming that time of t_grid.
     """
     bs = ev.Bs
     tables = np.zeros((len(bs), len(ev.drift)))
@@ -355,13 +350,16 @@ def check_first_order_bound(
         ok = np.abs(form) > 1e-12
         for k, b in enumerate(bs):
             bx = xs @ b[j].T
-            mixed = np.sum(sx * bx, axis=1)
-            tables[k, j] = float(np.max(np.abs(mixed[ok]) / np.abs(form[ok])))
+            mixed = np.abs(np.sum(sx * bx, axis=1))
+            fallback = 0.0 if ok.any() or not mixed.any() else np.inf
+            tables[k, j] = float(np.max(mixed[ok] / np.abs(form[ok]), initial=fallback))
     certified = bool(definite.all())
+    unbounded = np.asarray(t_grid, dtype=float)[np.isinf(tables).any(axis=0)].tolist()
     record = CertRecord(
         name="ac7",
-        status=CERTIFIED if certified else EMPIRICAL,
+        status=FAILED if unbounded else CERTIFIED if certified else EMPIRICAL,
         constants={"C1k": tables, "certified": certified},
+        notes=f"no C1 bounds the sampled forms at t = {unbounded}" if unbounded else "",
     )
     return tables, record
 
@@ -370,8 +368,10 @@ def check_first_order_bound(
 
 
 def k6_table(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> np.ndarray:
-    """|tilde_A'(t)|_{L(V,V')} per grid time (zero for constant families)."""
+    """|tilde_A'(t)|_{L(V,V')} per grid time (zero for families constant between nodes)."""
     t_grid = np.asarray(t_grid, dtype=float)
+    if ops.interpolation == "constant":
+        return np.zeros(len(t_grid))
     return operator_norm_v_vprime(ops.tilde_prime_at(t_grid), basis)
 
 
@@ -434,20 +434,22 @@ def check_all(
 ) -> AssumptionReport:
     """Run every checker on one family and collect the records.
 
-    The family is evaluated on t_grid once, and every checker but ac1 reads
-    that one evaluation.
+    The family is evaluated on t_grid once; ac0, ac2, ac5 and ac6, which take
+    only a max or min over it, read one matrix per run (OperatorFamily.runs).
     """
     t_grid = np.asarray(t_grid, dtype=float)
     ev = ops.at(t_grid)
+    firsts = ops.runs(t_grid)[:-1]
+    per_run = OperatorSegment(ev.drift[firsts], tuple(b[firsts] for b in ev.Bs))
     records = {}
-    records["ac0"] = check_boundedness(ev, basis)
+    records["ac0"] = check_boundedness(per_run, basis)
     k6, records["ac1"] = check_differentiability(ops, basis, t_grid)
-    _, records["ac2"] = check_coercivity(ev, basis, alpha)
+    _, records["ac2"] = check_coercivity(per_run, basis, alpha)
     _, records["ac3"] = check_weak_noise_bound(ev)
     _, _, records["ac4"] = check_commutator_bound(ev, basis, K2_grid, t_grid)
-    _, _, records["ac5"] = check_strong_noise_bound(ev, basis, samples=samples, seed=seed)
-    _, _, records["ac6"] = check_weak_A_bound(ev, basis)
-    _, records["ac7"] = check_first_order_bound(ev, basis, seed=seed)
+    _, _, records["ac5"] = check_strong_noise_bound(per_run, basis, samples=samples, seed=seed)
+    _, _, records["ac6"] = check_weak_A_bound(per_run, basis)
+    _, records["ac7"] = check_first_order_bound(ev, basis, t_grid, seed=seed)
     records["k6"] = CertRecord(name="k6", status=CERTIFIED, constants={"table": k6})
     return AssumptionReport(records=records, t_grid=t_grid)
 

@@ -122,7 +122,7 @@ class OperatorSegment:
     """Ito drift and noise matrices of a family, at one time or stacked over times.
 
     A matrix is (N, N) when it holds at one time or on a whole run of grid
-    times, or a stack (n_times, N, N) with one matrix per time.  Ã and its
+    times, or a stack (n, N, N) with one matrix per time or per run.  Ã and its
     symmetric part are built from the drift and the noise on first use, so
     stepping, which reads only those two, never builds them.
     """
@@ -184,10 +184,6 @@ class OperatorFamily:
     def n_noise(self) -> int:
         return len(self.Bs)
 
-    @property
-    def is_constant(self) -> bool:
-        return self.A.is_constant and all(b.is_constant for b in self.Bs)
-
     def _moving(self) -> list:
         return [p for p in (self.A,) + self.Bs if not p.is_constant]
 
@@ -214,6 +210,19 @@ class OperatorFamily:
         if any(p.interpolation == "linear" for p in self._moving()):
             return "linear"
         return "constant"
+
+    def runs(self, times) -> np.ndarray:
+        """Edges of the runs of a time grid on which the family is one matrix.
+
+        Run p holds the grid indices [edges[p], edges[p + 1]): a node interval
+        (the whole grid without nodes), or one time if a path is linear.
+        """
+        n = len(times)
+        if self.interpolation == "linear":
+            return np.arange(n + 1)
+        nodes = self.nodes
+        idx = np.zeros(n) if nodes is None else interval_index(nodes, times)
+        return np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [n]])
 
     @property
     def noise_commutes(self) -> bool:
@@ -307,28 +316,23 @@ LINEAR_BLOCK = 128
 class OperatorSegments:
     """A family on one time grid, with the Ito drift, each B_k and Ã built once per segment.
 
-    A segment is a run of grid times on which every matrix of the family is
-    fixed: one for a constant family, and one per interval between the
-    family's nodes when its paths are piecewise constant.  A linear path
-    changes at every time, so its family is cut into blocks of at most
-    LINEAR_BLOCK times holding one matrix per time.  The matrices come from
-    stacked evaluations of the family, one for all segments or one per
-    linear block; the steppers and the diagnostics read them from here.
+    A segment is one run of the grid (OperatorFamily.runs), or, when a linear
+    path makes each time a run, a block of at most LINEAR_BLOCK times with one
+    matrix per time.  The matrices come from stacked evaluations of the
+    family, one for all segments or one per linear block; the steppers and
+    the diagnostics read them from here.
     """
 
     def __init__(self, ops: OperatorFamily, times: np.ndarray) -> None:
         self.times = np.asarray(times, dtype=float)
         self.n_noise = ops.n_noise
-        n = len(self.times)
+        edges = ops.runs(self.times)
         if ops.interpolation == "linear":
-            # block by block, so no temporary outgrows one block
-            edges = np.append(np.arange(0, n, LINEAR_BLOCK), n)
+            # a run per time, evaluated block by block, so no temporary outgrows one block
+            edges = np.append(edges[:-1:LINEAR_BLOCK], edges[-1])
             self.segments = tuple(ops.at(self.times[lo:hi])
                                   for lo, hi in zip(edges[:-1], edges[1:]))
         else:
-            nodes = ops.nodes
-            idx = np.zeros(n) if nodes is None else interval_index(nodes, self.times)
-            edges = np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [n]])
             ev = ops.at(self.times[edges[:-1]])
             self.segments = tuple(OperatorSegment(ev.drift[p], tuple(b[p] for b in ev.Bs))
                                   for p in range(len(edges) - 1))

@@ -257,17 +257,16 @@ def _write_csv(jobs) -> None:
 
 def _constants_for(system: SystemSpec, t_grid: np.ndarray):
     """K1/K2/K6 tables and the nonlinearity witness on the run grid; a
-    constant family's certificate is evaluated at t = 0 alone."""
-    constant = system.ops.is_constant
-    coarse = t_grid[:: len(t_grid) if constant else max(1, len(t_grid) // 8)]
-    if coarse[-1] != t_grid[-1] and not constant:
+    family with one run on it has its certificate evaluated at t = 0 alone."""
+    one_run = len(system.ops.runs(t_grid)) == 2
+    coarse = t_grid[:: len(t_grid) if one_run else max(1, len(t_grid) // 8)]
+    if coarse[-1] != t_grid[-1] and not one_run:
         coarse = np.concatenate([coarse, [t_grid[-1]]])
     k2, k1_coarse, _ = check_commutator_bound(
         system.ops.at(coarse), system.basis, (0.0, 0.5, 1.0), coarse
     )
     k1 = np.interp(t_grid, coarse, k1_coarse)
-    k6 = (np.zeros(len(t_grid)) if constant
-          else np.interp(t_grid, coarse, k6_table(system.ops, system.basis, coarse)))
+    k6 = np.interp(t_grid, coarse, k6_table(system.ops, system.basis, coarse))
     n_tab = np.full(len(t_grid), system.ops.n_witness or 0.0)
     return k1, k2, k6, n_tab
 
@@ -373,8 +372,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
 
     _write_csv(jobs())
 
-    report = _build_report(cfg, system, ens.blowups, grid, quots, norms, finals,
-                           m_final, gaps)
+    report = _build_report(cfg, system, ens, quots, norms, finals, m_final, gaps)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
@@ -395,21 +393,23 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     return manifest
 
 
-def _build_report(cfg: ExperimentConfig, system: SystemSpec, blowups: dict,
-                  times: np.ndarray, quots: np.ndarray, norms: np.ndarray,
+def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
+                  quots: np.ndarray, norms: np.ndarray,
                   finals: np.ndarray, m_final: np.ndarray, gaps: dict) -> dict:
-    """The report of a run from what its diagnostic blocks collected per path:
-    the quotients and H-norms (P, J+1), the final states and final M at
-    delta, and the K3/K4 gaps of the first paths, per section size."""
+    """The report of a run from its ensemble's grid, blow-ups and segments and what
+    its diagnostic blocks collected per path: the quotients and H-norms (P, J+1), the
+    final states and final M at delta, and the first paths' K3/K4 gaps per size."""
     report = {
         "schema_version": SCHEMA_VERSION,
         "kind": cfg.kind,
         "system": system.name,
         "scheme": cfg.scheme,
         "paths": cfg.paths,
-        "blowups": {str(k): v for k, v in blowups.items()},
+        "blowups": {str(k): v for k, v in ens.blowups.items()},
     }
-    tilde_sym = system.ops.at(0.0).tilde_sym
+    # sym(Ã(0)), first of the segment that holds grid index 0, as the diagnostics cached it
+    tilde_sym = ens.segments.segments[0].tilde_sym
+    tilde_sym = tilde_sym[0] if tilde_sym.ndim == 3 else tilde_sym
     eigs, _ = spectrum(tilde_sym)
 
     if cfg.kind in ("simulate", "spectral-limit"):
@@ -417,7 +417,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, blowups: dict,
         report["spectral_limit"] = slr.to_dict()
 
     if cfg.kind in ("simulate", "backward-probe"):
-        probe = diag.backward_probe(norms, times)
+        probe = diag.backward_probe(norms, ens.times)
         report["backward_probe"] = {
             "margin": probe["margin"],
             "all_positive": probe["all_positive"],
@@ -426,7 +426,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, blowups: dict,
         }
         if cfg.r_list:
             report["hitting_times"] = {
-                str(r): diag.hitting_time(norms, times, r) for r in cfg.r_list
+                str(r): diag.hitting_time(norms, ens.times, r) for r in cfg.r_list
             }
 
     if cfg.kind == "check":

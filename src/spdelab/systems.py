@@ -86,8 +86,8 @@ def make_diagonal(
     is diag(tilde_eigs + sum_k b_k^2), which the Ito and the noise
     corrections reduce back to diag(tilde_eigs).
 
-    Certificates on the defaults: ac0-ac4, ac6 certified; ac5, ac7 depend on
-    sign-definiteness of tilde_eigs (empirical fallback when indefinite).
+    Certificates on the defaults: ac0-ac4, ac6, ac7 certified; ac5 empirical
+    (sampled), and ac7 too when tilde_eigs are not all positive.
     """
     eigs = np.asarray(tilde_eigs, dtype=float)
     if np.any(np.diff(eigs) < 0):
@@ -465,7 +465,8 @@ def make_nse_2d(
     multiples of the identity, so the noise family commutes and the
     commutator certificate holds with both constants zero.
 
-    Certificates: ac0-ac4, ac6 certified; ac5, ac7 empirical (sampled).
+    Certificates on the defaults: ac0-ac4, ac6 certified, and ac7, since
+    sym(tilde_A) = viscosity |m|^2 - b^2 >= 0.91 is definite; ac5 empirical.
     """
     if witness_samples < 1:
         raise ValueError(f"witness_samples must be at least 1, got {witness_samples}")

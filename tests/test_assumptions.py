@@ -4,10 +4,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from spdelab import assumptions
 from spdelab.assumptions import (
     CERT_EIG_TOL,
     CERTIFIED,
     EMPIRICAL,
+    FAILED,
     check_all,
     check_coercivity,
     check_commutator_bound,
@@ -28,9 +30,11 @@ from spdelab.operators import (
     sym,
 )
 from spdelab.systems import (
+    REGISTRY,
     derivative_matrix,
     make_coupled_torus,
     make_diagonal,
+    make_system,
     make_torus_heat_gradient_noise,
 )
 
@@ -265,7 +269,7 @@ def test_weak_A_bound_on_a_time_dependent_family_matches_the_whole_stack():
 def test_first_order_scalar_noise():
     ops = family(np.diag([2.0, 3.0]), [0.4 * np.eye(2)])
     tables, record = check_first_order_bound(
-        ops.at(T_GRID), hat_basis([2.0, 3.0])
+        ops.at(T_GRID), hat_basis([2.0, 3.0]), T_GRID
     )
     assert tables[0, 0] == pytest.approx(0.4, abs=1e-9)
     assert record.status == CERTIFIED
@@ -273,7 +277,7 @@ def test_first_order_scalar_noise():
 
 def test_first_order_diagonal_closed_form():
     ops = family(np.diag([1.0, 2.0, 4.0]), [np.diag([0.1, 0.5, 0.3])])
-    tables, _ = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0, 4.0]))
+    tables, _ = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0, 4.0]), T_GRID)
     assert tables[0, 0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -282,7 +286,8 @@ def test_first_order_sampled_ratios_never_exceed():
     a = sym(rng.standard_normal((4, 4))) + 5.0 * np.eye(4)  # positive definite
     b = rng.standard_normal((4, 4))
     ops = family(a, [0.1 * b])
-    tables, record = check_first_order_bound(ops.at(T_GRID), hat_basis(np.arange(1.0, 5.0)))
+    tables, record = check_first_order_bound(ops.at(T_GRID), hat_basis(np.arange(1.0, 5.0)),
+                                             T_GRID)
     assert record.status == CERTIFIED
     s = sym(ops.A.at(0.0) - 0.5 * (0.1 * b).T @ (0.1 * b))
     for _ in range(2000):
@@ -294,8 +299,23 @@ def test_first_order_sampled_ratios_never_exceed():
 
 def test_first_order_indefinite_falls_back_to_empirical():
     ops = family(np.diag([-1.0, 2.0]), [0.3 * np.eye(2)])
-    _, record = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0]))
+    _, record = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0]), T_GRID)
     assert record.status == EMPIRICAL
+
+
+def test_first_order_fails_where_no_sampled_form_bounds_the_mixed_one():
+    """At t = 0.5, sym(Ã) = diag(1e-15, -1e-15) is too small for any sampled
+    <S x, x> to clear 1e-12, while the skew noise keeps <S x, B x> nonzero:
+    no C1 holds there, so the record fails and names that time alone."""
+    c = 1e-3
+    shift = 0.5 * c**2 * np.eye(2)  # cancels the Ito correction B^T B / 2
+    a = MatrixPath(np.stack([np.diag([1.0, 2.0]), np.diag([1e-15, -1e-15])]) + shift,
+                   np.array([0.0, 0.5]))
+    ops = OperatorFamily(A=a, Bs=(MatrixPath(c * np.array([[0.0, 1.0], [-1.0, 0.0]])),))
+    times = np.array([0.0, 0.5])
+    tables, record = check_first_order_bound(ops.at(times), hat_basis([1.0, 2.0]), times)
+    assert record.status == FAILED and record.notes.endswith("t = [0.5]")
+    assert np.isfinite(tables[0, 0]) and tables[0, 1] == np.inf
 
 
 def _sqrt_and_inverse(s, iterations=60):
@@ -322,7 +342,7 @@ def test_first_order_mixed_times_match_per_time_roots():
             MatrixPath(0.1 * b[1])),
     )
     times = np.linspace(0.0, 1.0, 9)
-    tables, record = check_first_order_bound(ops.at(times), hat_basis([1.0, 2.0, 3.0]))
+    tables, record = check_first_order_bound(ops.at(times), hat_basis([1.0, 2.0, 3.0]), times)
     assert record.status == EMPIRICAL and not record.constants["certified"]
     s_all = sym(assemble_tilde_A(ops, times))
     definite = np.linalg.eigvalsh(s_all)[:, 0] > 1e-12
@@ -413,6 +433,56 @@ def test_check_all_evaluates_each_path_once(monkeypatch, make):
     paths = (system.ops.A,) + system.ops.Bs
     assert system.ops.interpolation == "constant"
     assert dict(calls) == {id(p): 1 for p in paths}
+
+
+_EXTREMAL_CHECKERS = ("check_boundedness", "check_coercivity", "check_strong_noise_bound",
+                      "check_weak_A_bound")
+
+
+@pytest.mark.parametrize("make, runs", [(make_diagonal, 1), (_piecewise_coupled_torus, 3)])
+def test_check_all_hands_extremal_checkers_one_matrix_per_run(monkeypatch, make, runs):
+    """ac0, ac2, ac5 and ac6 take only a max or min over the grid, so each
+    reads one matrix per run: one for a constant family, and one per node
+    interval of the piecewise family's five-time grid (t = 1 is a node)."""
+    system = make()
+    seen = {}
+    for name in _EXTREMAL_CHECKERS:
+        def recorded(ev, *args, _name=name, _checker=getattr(assumptions, name), **kwargs):
+            seen[_name] = len(ev.drift)
+            return _checker(ev, *args, **kwargs)
+
+        monkeypatch.setattr(assumptions, name, recorded)
+    check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5), samples=200)
+    assert seen == dict.fromkeys(_EXTREMAL_CHECKERS, runs)
+
+
+def test_k6_of_a_piecewise_constant_family_takes_no_norm(monkeypatch):
+    system = _piecewise_coupled_torus()
+
+    def no_norm(*args):
+        raise AssertionError("k6_table took a V -> V' norm")
+
+    monkeypatch.setattr(assumptions, "operator_norm_v_vprime", no_norm)
+    k6 = k6_table(system.ops, system.basis, np.linspace(0.0, 1.0, 5))
+    assert np.array_equal(k6, np.zeros(5))
+
+
+#: registered systems whose default sym(Ã) is only semidefinite (the torus
+#: constant mode), so ac7 samples its constant there
+_SEMIDEFINITE = {"torus-heat-scalar", "torus-heat-gradient", "coupled-torus"}
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY))
+def test_default_certificate_statuses(name):
+    """Every certificate of a registered system's defaults is certified, but
+    the sampled ac5, and ac7 where sym(Ã) is not definite."""
+    system = make_system(name)
+    report = check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5), samples=200)
+    want = dict.fromkeys(report.records, CERTIFIED)
+    want["ac5"] = EMPIRICAL
+    if name in _SEMIDEFINITE:
+        want["ac7"] = EMPIRICAL
+    assert {key: rec.status for key, rec in report.records.items()} == want
 
 
 def test_ladder_stability_torus_gradient():

@@ -7,6 +7,7 @@ from spdelab.basis import SpectralBasis
 from spdelab.operators import (
     MatrixPath,
     OperatorFamily,
+    OperatorSegments,
     TimeRangeError,
     assemble_tilde_A,
     commutator_C,
@@ -111,6 +112,22 @@ def test_piecewise_constant_family_has_zero_tilde_prime():
     ops = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(b,))
     assert ops.interpolation == "constant"
     assert np.array_equal(ops.tilde_prime_at(np.array([0.25, 0.75])), np.zeros((2, 2, 2)))
+
+
+def test_runs_follow_the_node_intervals():
+    """A constant family is one run, a linear one a run per time, and a
+    piecewise-constant one a run per node interval, as its segments are;
+    the last node holds t = 1 alone."""
+    times = np.linspace(0.0, 1.0, 9)
+    const = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(MatrixPath(np.eye(2)),))
+    assert const.runs(times).tolist() == [0, 9]
+    ramp = MatrixPath(np.stack([np.eye(2), 2.0 * np.eye(2)]), np.array([0.0, 1.0]), "linear")
+    assert OperatorFamily(A=ramp, Bs=()).runs(times).tolist() == list(range(10))
+    b = MatrixPath(np.stack([k * np.eye(2) for k in range(3)]), np.array([0.0, 0.5, 1.0]))
+    piecewise = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(b,))
+    runs = piecewise.runs(times)
+    assert runs.tolist() == [0, 4, 8, 9]
+    assert runs.tolist() == OperatorSegments(piecewise, times).edges
 
 
 _PATH_KINDS = ("constant", "piecewise", "linear")

@@ -356,6 +356,17 @@ def test_cli_check(tmp_path, capsys):
     assert payload["ac2"]["status"] == "certified"
 
 
+def test_cli_check_of_a_generator_with_no_symmetric_part(tmp_path, capsys):
+    """sym(Ã) = 0: ac7 has no sample with a nonzero form, nor with a nonzero
+    mixed form, so its C1 is 0, with no note, and the check exits 0."""
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps({"system": {"name": "diagonal", "tilde_eigs": [0, 0, 0],
+                                           "noise_coeffs": [[0, 0, 0]]}, "T": 1, "dt": 0.1}))
+    assert main(["check", "--config", str(path)]) == 0
+    ac7 = json.loads(capsys.readouterr().out)["ac7"]
+    assert (ac7["status"], ac7["notes"], ac7["C1k"]) == ("empirical", "", [[0.0] * 5])
+
+
 def test_cli_convergence(tmp_path, capsys):
     path = minimal_config(tmp_path, paths=8, dt=0.005, scheme="euler-maruyama")
     assert main(["convergence", "--scheme", "euler-maruyama",
