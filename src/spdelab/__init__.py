@@ -5,9 +5,9 @@ eigenbasis, checks that nonzero solutions never reach zero, tracks the
 Rayleigh-type quotient of the corrected generator to its spectral limit,
 and certifies the structural operator conditions numerically.
 """
-# numpy >= 2 imports these on first use: runs sample with numpy.random and np.unique
-# imports numpy.ma; loading them here keeps a run's first call free of library imports.
-import numpy.ma  # noqa: F401
+# numpy >= 2 imports numpy.random on first use, and every run samples with it;
+# loading it here keeps a run's first call free of library imports.  No code path
+# calls np.unique, which would import numpy.ma.
 import numpy.random  # noqa: F401
 
 from .basis import DimensionMismatchError, SpectralBasis, inner_h, inner_v

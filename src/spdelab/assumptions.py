@@ -27,6 +27,7 @@ from .operators import (
     OperatorSegment,
     commutator_C,
     operator_norm_v_vprime,
+    sorted_distinct,
     sym,
 )
 
@@ -39,13 +40,13 @@ FAILED = "failed"
 
 
 def _min_eig(m: np.ndarray) -> np.ndarray:
-    """Smallest eigenvalue of sym(m), one per matrix of a stack."""
-    return np.linalg.eigvalsh(sym(m))[..., 0]
+    """Smallest eigenvalue of each symmetric matrix of a stack."""
+    return np.linalg.eigvalsh(m)[..., 0]
 
 
 def _top_eig(m: np.ndarray) -> np.ndarray:
-    """Largest eigenvalue of sym(m), one per matrix of a stack."""
-    return np.linalg.eigvalsh(sym(m))[..., -1]
+    """Largest eigenvalue of each symmetric matrix of a stack."""
+    return np.linalg.eigvalsh(m)[..., -1]
 
 
 def _spectral_norms(m: np.ndarray) -> np.ndarray:
@@ -132,8 +133,9 @@ def check_coercivity(ev: OperatorSegment, basis: SpectralBasis, alpha: float):
     btb = np.zeros_like(a)
     for b in ev.Bs:
         btb += b.mT @ b
-    lam = float(_top_eig(alpha * d + btb - 2.0 * sym(a)).max(initial=-np.inf))
-    worst = float(_min_eig(2.0 * sym(a) + lam * np.eye(basis.dim) - alpha * d - btb)
+    # B^T B need not come out of BLAS bitwise symmetric, so both matrices are symmetrized
+    lam = float(_top_eig(sym(alpha * d + btb - 2.0 * sym(a))).max(initial=-np.inf))
+    worst = float(_min_eig(sym(2.0 * sym(a) + lam * np.eye(basis.dim) - alpha * d - btb))
                   .min(initial=np.inf))
     status = CERTIFIED if worst >= CERT_EIG_TOL else FAILED
     record = CertRecord(
@@ -288,7 +290,7 @@ def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
     lam1 = float(basis.hat_eigenvalues[0])
     s = sym(ev.drift)
     scale = float(operator_norm_v_vprime(s, basis).max())
-    beta_grid = np.unique(np.concatenate([
+    beta_grid = sorted_distinct(np.concatenate([
         np.linspace(0.0, max(scale, 1.0) * 1.5, 61), [1.0]
     ]))
 

@@ -23,6 +23,13 @@ def sym(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + m.mT)
 
 
+def sorted_distinct(values: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending, as np.unique gives them
+    for finite floats; np.unique imports numpy.ma on its first call."""
+    out = np.sort(values)
+    return out[np.concatenate(([True], out[1:] != out[:-1]))]
+
+
 #: a noise commutator counts as zero below this times the squared norm of its operators
 COMMUTATOR_TOL = 1e-12
 
@@ -197,7 +204,7 @@ class OperatorFamily:
         grids = [p.time_grid for p in self._moving()]
         if not grids:
             return None
-        nodes = np.unique(np.concatenate(grids))
+        nodes = sorted_distinct(np.concatenate(grids))
         lo, hi = max(g[0] for g in grids), min(g[-1] for g in grids)
         return nodes[(nodes >= lo) & (nodes <= hi)]
 

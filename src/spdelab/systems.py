@@ -368,6 +368,17 @@ class NSEGeometry:
     are nondecreasing.  Every transform takes a batch of states: leading
     axes are carried through, the last axis is the basis index.  A field is
     2 Re(Ex @ C @ Ey), Ex = e^{i m1 x} (0 <= m1 <= M), Ey = e^{i m2 y} (|m2| <= M).
+
+    The advection form is computed in divergence form,
+    P[(x . grad) v] = P[div(x (x) v)], whose component i is sum_j d_j(x_j v_i):
+    the products x_j v_i are analysed as scalar fields, and d_j and the Leray
+    projection P are one coefficient per product and basis index.  This is
+    exact to rounding, not a new approximation, because
+      - every basis field x is divergence-free, so (x . grad) v_i equals
+        d_j(x_j v_i) - v_i div x = d_j(x_j v_i);
+      - a product of two resolved modes aliases on the G x G grid onto no
+        resolved mode, so the grid sums are the exact Galerkin integrals;
+      - d_j commutes with the projection onto resolved Fourier modes.
     """
 
     def __init__(self, modes_per_dim: int):
@@ -394,11 +405,22 @@ class NSEGeometry:
         flat = m1 * (4 * mm + 2) + m2 + mm
         self._at = np.stack([flat, flat + 2 * mm + 1], axis=-1).ravel()
         sign = np.tile([1.0, -1.0], self.n_wave)
+        perp = np.stack([-m2, m1]) / np.sqrt(self.k2)
         # per velocity component: each amplitude times m_perp, imaginary parts negated
-        self._weights = np.repeat(np.stack([-m2, m1]) / np.sqrt(self.k2), 2, axis=-1) * sign
-        # d/dx_j turns the amplitudes (a, b) of m into m_j (b, -a)
-        self._swap = np.arange(self.dim).reshape(-1, 2)[:, ::-1].ravel()
-        self._d = np.repeat(self.wavevectors.T, 2, axis=-1) * sign
+        self._weights = np.repeat(perp, 2, axis=-1) * sign
+        # d/dx_j multiplies the coefficient of m by i m_j, so the analysis of
+        # d_j f at the real place of m is -m_j times f's at the imaginary one,
+        # and at the imaginary place m_j times f's at the real one: it reads
+        # the swapped places, and with the Leray weight of component i and the
+        # cell area the product x_j v_i (index 2j + i) enters amplitude n times
+        # -m_j perp_i |cell|, for the cosine and the sine amplitude alike
+        self._at_swapped = self._at.reshape(-1, 2)[:, ::-1].ravel()
+        area = (2.0 * np.pi / g) ** 2
+        coef = np.repeat(-area * self.wavevectors.T[:, None] * perp[None], 2, axis=-1)
+        # rows: (x . grad) v and (v . grad) x, from the products x_j v_i
+        self._coef_pair = np.stack([coef.reshape(4, -1), coef.swapaxes(0, 1).reshape(4, -1)])
+        # (u . grad) u from the products u_x u_x, u_x u_y, u_y u_y
+        self._coef_self = np.stack([coef[0, 0], coef[0, 1] + coef[1, 0], coef[1, 1]])
         x = 2.0 * np.pi * np.arange(g) / g
         # real forms of C -> C @ Ey and of D -> 2 Re(Ex @ D), with the basis norm
         ey = np.exp(1j * np.outer(np.arange(-mm, mm + 1), x))
@@ -415,6 +437,17 @@ class NSEGeometry:
         c.reshape(lead + (-1,))[..., self._at] = w
         return self._ex @ (c @ self._ey).reshape(lead + (-1, self.grid))
 
+    def _coefficients(self, f: np.ndarray, at: np.ndarray) -> np.ndarray:
+        """Scalar fields (..., G, G) -> their real coefficient grids read at `at`,
+        (..., N): the transpose of _fields."""
+        d = (self._ex.T @ f).reshape(f.shape[:-2] + (self.mpd + 1, -1))
+        return (d @ self._ey.T).reshape(f.shape[:-2] + (-1,))[..., at]
+
+    def _divergence(self, products: np.ndarray, coef: np.ndarray) -> np.ndarray:
+        """Amplitudes (..., N) of the Leray-projected sum over k of d_j(g_k), for
+        scalar products g (..., K, G, G) whose k-th enters with coef[..., k, :]."""
+        return np.sum(self._coefficients(products, self._at_swapped) * coef, axis=-2)
+
     def synthesis(self, u: np.ndarray) -> np.ndarray:
         """Amplitudes (..., N) -> velocity fields (..., 2, G, G) on the G x G grid."""
         return self._fields(np.asarray(u, dtype=float)[..., None, :] * self._weights)
@@ -423,28 +456,39 @@ class NSEGeometry:
         """Velocity fields (..., 2, G, G) -> amplitudes (..., N) of their Leray
         projection: the synthesis transposed times the cell area, as the basis is
         orthonormal and the grid sum exact on products of resolved modes."""
-        d = (self._ex.T @ f).reshape(f.shape[:-2] + (self.mpd + 1, -1))
-        c = (d @ self._ey.T).reshape(f.shape[:-2] + (-1,))[..., self._at]
+        c = self._coefficients(f, self._at)
         return np.sum(c * self._weights, axis=-2) * (2.0 * np.pi / self.grid) ** 2
+
+    def bilinear_pair(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Projected (x . grad) v and (v . grad) x of batches (..., N) of one
+        shape, stacked as (..., 2, N), both from the four products x_j v_i."""
+        f = self.synthesis(np.stack([x, v], axis=-2))  # (..., 2, 2, G, G)
+        prods = f[..., 0, :, None, :, :] * f[..., 1, None, :, :, :]
+        # x_j v_i at index 2j + i, on a unit axis that meets the two rows of coef
+        lead = prods.shape[:-4]
+        return self._divergence(prods.reshape(lead + (1, 4) + prods.shape[-2:]),
+                                self._coef_pair)
 
     def bilinear(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Projected (x . grad) v of batches (..., N) of one shape, exact Galerkin
         on the G x G grid."""
-        dv = np.asarray(v, dtype=float)[..., None, self._swap] * self._d
-        amps = np.concatenate([np.asarray(x, dtype=float)[..., None, :], dv], axis=-2)
-        # x, d/dx v and d/dy v, each as its two velocity components
-        x_phys, dvx, dvy = np.moveaxis(self._fields(amps[..., None, :] * self._weights), -4, 0)
-        adv = x_phys[..., 0:1, :, :] * dvx
-        adv += x_phys[..., 1:2, :, :] * dvy
-        return self.analysis(adv)
+        return self.bilinear_pair(x, v)[..., 0, :]
 
     def advection(self, u: np.ndarray) -> np.ndarray:
-        """Leray-projected (u . grad) u of a batch (..., N) of states."""
-        return self.bilinear(u, u)
+        """Leray-projected (u . grad) u of a batch (..., N) of states, from the
+        three products u_x u_x, u_x u_y and u_y u_y."""
+        f = self.synthesis(u)
+        uu = np.empty(f.shape[:-3] + (3,) + f.shape[-2:])
+        np.multiply(f[..., :1, :, :], f, out=uu[..., :2, :, :])
+        np.multiply(f[..., 1, :, :], f[..., 1, :, :], out=uu[..., 2, :, :])
+        return self._divergence(uu, self._coef_self)
 
 
-#: transform scratch one block of witness samples may take: a sample is two rows of
-#: bilinear, each holding up to about 20 float G x G arrays (6 fields and their scratch)
+#: transform scratch one block of witness samples may take: a sample is one row of
+#: bilinear_pair, which holds x's and v's two velocity components, their four
+#: products and the analysis scratch: up to about 24 float G x G arrays (a block
+#: of one sample on the smallest grid, G = 8), falling to about 12 as the block
+#: and the grid grow
 WITNESS_BLOCK_BYTES = 2 * 2**20
 
 
@@ -479,16 +523,17 @@ def make_nse_2d(
         return _g.advection(u)
 
     # sample the quadratic-growth constant of the advection form; sample s
-    # is the pair (x, v) = xv[s], evaluated both ways round, in blocks
+    # is the pair (x, v) = xv[s], in blocks, and both orders (x . grad) v and
+    # (v . grad) x come from one set of its four products x_j v_i
     rng = np.random.Generator(np.random.Philox(key=[seed, 0x25E]))
     xv = rng.standard_normal((witness_samples, 2, geom.dim))
     x, v = xv[:, 0], xv[:, 1]
-    per_block = max(1, WITNESS_BLOCK_BYTES // (2 * 20 * 8 * geom.grid**2))
+    per_block = max(1, WITNESS_BLOCK_BYTES // (24 * 8 * geom.grid**2))
     num = np.empty(witness_samples)
     for lo in range(0, witness_samples, per_block):
-        pairs = xv[lo:lo + per_block]
-        num[lo:lo + per_block] = np.sum(
-            np.linalg.norm(geom.bilinear(pairs, pairs[:, ::-1]), axis=-1), axis=-1)
+        block = slice(lo, lo + per_block)
+        num[block] = np.sum(
+            np.linalg.norm(geom.bilinear_pair(x[block], v[block]), axis=-1), axis=-1)
     den = np.sqrt(np.sum(lam * x * x, axis=-1)) * np.linalg.norm(viscosity * lam * v, axis=-1)
     k_est = float(np.max(num[den > 0] / den[den > 0], initial=0.0))
 

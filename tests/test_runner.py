@@ -489,6 +489,40 @@ def test_spdelab_runs_without_scipy(tmp_path):
     assert len(os.listdir(tmp_path / "out" / "diagnostics")) == 2
 
 
+NO_MASKED_ARRAYS = textwrap.dedent("""
+    import contextlib, io, json, sys
+    from spdelab.cli import main
+
+    h = [[[[0.3 + 0.1 * t, 0.2 * t], [0.0, 0.3]], [[0.3, 0.0], [0.1 * t, 0.3]]]
+         for t in (0.0, 0.5, 1.0)]
+    cfg = {"system": {"name": "coupled-torus", "modes": 4, "h_tables": h,
+                      "h_time_grid": [0.0, 0.5, 1.0]},
+           "T": 0.1, "dt": 0.01, "paths": 2, "write_paths": True,
+           "N_list": [2, 4], "output_dir": sys.argv[1] + "/out"}
+    path = sys.argv[1] + "/config.json"
+    with open(path, "w") as f:
+        json.dump(cfg, f)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["simulate", "--config", path]) == 0
+        assert main(["check", "--config", path]) == 0
+    print("numpy.ma" in sys.modules)
+""")
+
+
+def test_runs_and_checks_leave_numpy_ma_unloaded(tmp_path):
+    """numpy.ma costs ~10 ms of import: a coupled-torus simulate with
+    time-dependent noise tables (the family's nodes) and a check (ac6's beta
+    grid) never load it."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    done = subprocess.run(
+        [sys.executable, "-c", NO_MASKED_ARRAYS, str(tmp_path)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["False"]
+    assert len(os.listdir(tmp_path / "out" / "paths")) == 2
+
+
 def test_cli_bad_config_returns_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err

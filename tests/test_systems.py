@@ -308,6 +308,42 @@ def test_nse_bilinear_matches_per_wavevector_loop(mpd):
     _assert_rows_close(geom.advection(x[0, 0]), ref_a[0])
 
 
+def _batches(geom, seed):
+    """Independent x and v on a (P, N) and a (P, Q, N) batch."""
+    rng = np.random.default_rng(seed)
+    for shape in ((4,), (3, 2)):
+        yield rng.standard_normal(shape + (geom.dim,)), rng.standard_normal(shape + (geom.dim,))
+
+
+@pytest.mark.parametrize("mpd", [2, 4, 16])
+def test_nse_advection_is_bilinear_on_the_diagonal(mpd):
+    """advection's three products and bilinear's four give one form, row by row."""
+    geom = NSEGeometry(mpd)
+    for x, _ in _batches(geom, 20 + mpd):
+        _assert_rows_close(geom.advection(x), geom.bilinear(x, x))
+
+
+@pytest.mark.parametrize("mpd", [2, 4, 16])
+def test_nse_bilinear_is_skew_in_its_second_argument(mpd):
+    """<B(x, v), v> = 0 for independent x and v: div x = 0 and the product is exact."""
+    geom = NSEGeometry(mpd)
+    for x, v in _batches(geom, 30 + mpd):
+        form = np.sum(geom.bilinear(x, v) * v, axis=-1)
+        scale = np.sqrt(np.sum(x * x, axis=-1)) * np.sum(v * v, axis=-1)
+        assert np.all(np.abs(form) < 1e-12 * scale)
+
+
+@pytest.mark.parametrize("mpd", [2, 4, 16])
+def test_nse_bilinear_pair_is_both_orders(mpd):
+    """The witness's one set of products gives bilinear(x, v) and bilinear(v, x)."""
+    geom = NSEGeometry(mpd)
+    for x, v in _batches(geom, 40 + mpd):
+        pair = geom.bilinear_pair(x, v)
+        assert pair.shape == x.shape[:-1] + (2, geom.dim)
+        _assert_rows_close(pair[..., 0, :], geom.bilinear(x, v))
+        _assert_rows_close(pair[..., 1, :], geom.bilinear(v, x))
+
+
 def test_nse_energy_identity_on_batch():
     geom = NSEGeometry(4)
     u = np.random.default_rng(3).standard_normal((6, 5, geom.dim))
@@ -345,22 +381,22 @@ def test_nse_witness_constant_matches_loop(mpd, viscosity):
 @pytest.mark.parametrize("mpd", [2, 4, 8])
 def test_nse_witness_blocks_stay_within_their_budget(mpd, monkeypatch):
     """tracemalloc's peak during each witness block of make_nse_2d (one
-    bilinear call on a block of sample pairs) is at most WITNESS_BLOCK_BYTES."""
+    bilinear_pair call on a block of sample pairs) is at most WITNESS_BLOCK_BYTES."""
     peaks, rows = [], []
-    bilinear = NSEGeometry.bilinear
+    bilinear_pair = NSEGeometry.bilinear_pair
 
     def traced(self, x, v):
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            out = bilinear(self, x, v)
+            out = bilinear_pair(self, x, v)
             peaks.append(tracemalloc.get_traced_memory()[1] - base)
         finally:
             tracemalloc.stop()
         rows.append(len(x))
         return out
 
-    monkeypatch.setattr(NSEGeometry, "bilinear", traced)
+    monkeypatch.setattr(NSEGeometry, "bilinear_pair", traced)
     make_system("nse-2d", modes_per_dim=mpd)
     assert sum(rows) == 200 and len(rows) > 1 and max(rows) > 1
     assert max(peaks) <= WITNESS_BLOCK_BYTES
