@@ -10,7 +10,7 @@ and certifies the structural operator conditions numerically.
 # calls np.unique, which would import numpy.ma.
 import numpy.random  # noqa: F401
 
-from .basis import DimensionMismatchError, SpectralBasis, inner_h, inner_v
+from .basis import DimensionMismatchError, SpectralBasis
 from .brownian import BrownianPath, GridError, sample_brownian, uniform_grid
 from .integrator import (
     SCHEMES,
@@ -26,7 +26,6 @@ from .operators import (
     OperatorFamily,
     OperatorSegments,
     assemble_tilde_A,
-    galerkin_compress,
     spectrum,
     sym,
 )
@@ -48,9 +47,6 @@ __all__ = [
     "SpectralBasis",
     "SystemSpec",
     "assemble_tilde_A",
-    "galerkin_compress",
-    "inner_h",
-    "inner_v",
     "integrate",
     "integrate_ensemble",
     "list_systems",

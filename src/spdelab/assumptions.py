@@ -9,15 +9,11 @@ The checkers read the family evaluated once on their time grid
 (OperatorFamily.at); those that take only a max or min over it read one
 matrix per run (OperatorFamily.runs).  Only ac1 and the K6 table take the
 family itself: Ã' is a difference taken at times off the grid.
-
-In finite dimensions most constants exist trivially; the meaningful verdict
-is their stability across a ladder of truncations, which the report
-tabulates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -382,47 +378,19 @@ def k6_table(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> np.ndarray:
 
 @dataclass
 class AssumptionReport:
-    """All certificates for one family, plus truncation-ladder stability."""
+    """All certificates for one family on one time grid."""
 
     records: dict  # name -> CertRecord
     t_grid: np.ndarray
-    ladder: dict = field(default_factory=dict)  # N -> {constant name -> value}
 
     def status(self, name: str) -> str:
         return self.records[name].status
 
-    def ladder_stable(self, rel_tol: float = 0.05) -> bool:
-        """Constants vary by < rel_tol between consecutive ladder rungs."""
-        sizes = sorted(self.ladder)
-        for lo, hi in zip(sizes, sizes[1:]):
-            for key, v_lo in self.ladder[lo].items():
-                v_hi = self.ladder[hi].get(key)
-                if v_hi is None:
-                    continue
-                if abs(v_lo) < 1e-9 and abs(v_hi) < 1e-9:
-                    continue  # both numerically zero
-                denom = max(abs(v_lo), abs(v_hi))
-                if abs(v_hi - v_lo) / denom >= rel_tol:
-                    return False
-        return True
-
     def to_dict(self) -> dict:
         out = {name: rec.to_dict() for name, rec in self.records.items()}
         out["k6"] = self.records["k6"].constants["table"].tolist() if "k6" in self.records else []
-        out["ladder"] = {str(n): vals for n, vals in self.ladder.items()}
         out["t_grid"] = self.t_grid.tolist()
         return out
-
-
-def _scalar_constants(records: dict) -> dict:
-    out = {}
-    out["ac2.lambda"] = records["ac2"].constants["lambda"]
-    out["ac3.phi_max"] = float(np.max(records["ac3"].constants["phi"]))
-    out["ac4.K2"] = records["ac4"].constants["K2"]
-    out["ac4.K1_max"] = float(np.max(records["ac4"].constants["K1"]))
-    out["ac6.beta"] = records["ac6"].constants["beta"]
-    out["ac6.gamma"] = records["ac6"].constants["gamma"]
-    return out
 
 
 def check_all(
@@ -455,23 +423,3 @@ def check_all(
     records["k6"] = CertRecord(name="k6", status=CERTIFIED, constants={"table": k6})
     return AssumptionReport(records=records, t_grid=t_grid)
 
-
-def check_ladder(
-    make_family, sizes: Sequence[int], alpha: float = 1.0,
-    t_grid=(0.0,), **kwargs,
-) -> AssumptionReport:
-    """Run check_all on a ladder of truncations built by make_family(N).
-
-    make_family returns (ops, basis) for a given truncation size; the report
-    of the largest size is returned with the ladder table attached.
-    """
-    sizes = sorted(sizes)
-    ladder = {}
-    report = None
-    for n in sizes:
-        ops, basis = make_family(n)
-        report = check_all(ops, basis, t_grid, alpha=alpha, **kwargs)
-        ladder[n] = _scalar_constants(report.records)
-    assert report is not None
-    report.ladder = ladder
-    return report

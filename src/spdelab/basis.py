@@ -76,20 +76,3 @@ class SpectralBasis:
         u = self.check_vector(u)
         return np.sqrt(np.sum(self.hat_eigenvalues**2 * u * u, axis=-1))
 
-
-def inner_h(u: np.ndarray, v: np.ndarray) -> float:
-    """H scalar product sum_i u_i v_i."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape[-1] != v.shape[-1]:
-        raise DimensionMismatchError(
-            f"dimension mismatch: {u.shape[-1]} vs {v.shape[-1]}"
-        )
-    return np.sum(u * v, axis=-1)
-
-
-def inner_v(u: np.ndarray, v: np.ndarray, basis: SpectralBasis) -> float:
-    """V scalar product sum_i lam_i u_i v_i."""
-    u = basis.check_vector(u)
-    v = basis.check_vector(v)
-    return np.sum(basis.hat_eigenvalues * u * v, axis=-1)

@@ -46,16 +46,6 @@ class BrownianPath:
     seed: int
     stream_id: int
 
-    @property
-    def n(self) -> int:
-        return self.increments.shape[1]
-
-    def cumulative(self) -> np.ndarray:
-        """w(t_j) for j = 0..J, shape (J+1, n)."""
-        out = np.zeros((len(self.times), self.n))
-        np.cumsum(self.increments, axis=0, out=out[1:])
-        return out
-
     def coarsen(self, factor: int) -> "BrownianPath":
         """Sum consecutive increments; the same path on a coarser grid."""
         return BrownianPath(
@@ -78,15 +68,6 @@ def _stream(seed: int, stream_id: int) -> np.random.Generator:
                                                      stream_id & 0xFFFFFFFFFFFFFFFF]))
 
 
-def sample_brownian(n: int, grid: np.ndarray, seed: int, stream_id: int = 0) -> BrownianPath:
-    """Independent Gaussian increments with variance dt, deterministic per key."""
-    grid = np.asarray(grid, dtype=float)
-    dt = _check_uniform(grid)
-    rng = _stream(seed, stream_id)
-    inc = rng.standard_normal((len(grid) - 1, n)) * np.sqrt(dt)
-    return BrownianPath(times=grid, increments=inc, seed=seed, stream_id=stream_id)
-
-
 def sample_brownian_ensemble(
     n: int, grid: np.ndarray, seed: int, n_paths: int, first_stream: int = 0
 ) -> np.ndarray:
@@ -100,3 +81,10 @@ def sample_brownian_ensemble(
         rng = _stream(seed, first_stream + p)
         out[p] = rng.standard_normal((j, n)) * root
     return out
+
+
+def sample_brownian(n: int, grid: np.ndarray, seed: int, stream_id: int = 0) -> BrownianPath:
+    """The path of stream (seed, stream_id): an ensemble of one."""
+    grid = np.asarray(grid, dtype=float)
+    inc = sample_brownian_ensemble(n, grid, seed, 1, first_stream=stream_id)[0]
+    return BrownianPath(times=grid, increments=inc, seed=seed, stream_id=stream_id)

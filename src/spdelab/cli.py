@@ -7,10 +7,9 @@ import sys
 
 import numpy as np
 
-from .assumptions import check_all
 from .diagnostics import quotient_fn, quotient_fn_d1, quotient_fn_d2
 from .integrator import BlowUpError, strong_convergence
-from .runner import build_system, load_config, report_summary, run
+from .runner import build_system, certify, load_config, report_summary, run
 from .systems import list_systems
 
 #: the convergence study uses at most this many of the config's paths
@@ -26,8 +25,7 @@ def _cmd_list_systems(args) -> int:
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     system = build_system(cfg)
-    report = check_all(system.ops, system.basis, np.linspace(0.0, cfg.T, 5))
-    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
+    print(json.dumps(certify(system, cfg.T).to_dict(), indent=2, sort_keys=True))
     return 0
 
 

@@ -296,8 +296,8 @@ def galerkin_gaps(forms: PathForms, basis: SpectralBasis, eps: float,
     for n in N_list:
         if not (0 < n <= basis.dim):
             raise ValueError(f"section size {n} outside (0, {basis.dim}]")
-        # (galerkin_compress(T, n) - T) u is -T u outside the leading n rows
-        # and -T[:n, n:] u[n:] inside them
+        # with T_n the leading n x n block of T embedded back, (T_n - T) u is
+        # -T u outside the leading n rows and -T[:n, n:] u[n:] inside them
         tail_u = states.copy()
         tail_u[..., :n] = 0.0
         head = segs.tilde_applied(tail_u)[..., :n]

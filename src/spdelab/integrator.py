@@ -16,12 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .brownian import (
-    coarsen_increments,
-    sample_brownian,
-    sample_brownian_ensemble,
-    uniform_grid,
-)
+from .brownian import coarsen_increments, sample_brownian_ensemble, uniform_grid
 from .operators import OperatorSegments
 
 
@@ -129,7 +124,7 @@ def _freeze(block, start, alive, blowups: dict, times) -> np.ndarray:
 
 @dataclass(frozen=True)
 class EnsembleResult:
-    """A batch of trajectories sharing a grid; path p used stream p of the run.
+    """A batch of trajectories sharing a grid; path p used stream first_stream + p.
 
     A single path is an ensemble of one.  `segments` are the family's
     matrices on the grid that the steps read; the diagnostics read them too.
@@ -215,37 +210,33 @@ def _start(system, u0: Optional[np.ndarray]) -> np.ndarray:
     return system.u0 if u0 is None else np.asarray(u0, dtype=float)
 
 
-def integrate(
-    system, scheme: str, grid: np.ndarray, seed: int, stream_id: int = 0,
-    u0: Optional[np.ndarray] = None,
-) -> EnsembleResult:
-    """Integrate the path of stream (seed, stream_id) as an ensemble of one;
-    raises BlowUpError."""
-    _check_scheme(system, scheme)
-    grid = np.asarray(grid, dtype=float)
-    inc = sample_brownian(system.ops.n_noise, grid, seed, stream_id).increments[None]
-    segs = OperatorSegments(system.ops, grid)
-    states, blowups = _run_steps(system.ops.F, segs, _start(system, u0)[None], inc, scheme)
-    _raise_on_blowup(blowups)
-    return EnsembleResult(grid, states, inc, blowups, segs)
-
-
 def integrate_ensemble(
     system, scheme: str, grid: np.ndarray, seed: int, n_paths: int,
-    u0: Optional[np.ndarray] = None,
+    u0: Optional[np.ndarray] = None, first_stream: int = 0,
 ) -> EnsembleResult:
-    """Integrate n_paths paths, path p driven by stream (seed, p).
+    """Integrate n_paths paths, path p driven by stream (seed, first_stream + p).
 
     A blown-up path is recorded with its blow-up time and frozen at its last
     finite state; the rest of the ensemble continues.
     """
     _check_scheme(system, scheme)
     grid = np.asarray(grid, dtype=float)
-    inc = sample_brownian_ensemble(system.ops.n_noise, grid, seed, n_paths)
+    inc = sample_brownian_ensemble(system.ops.n_noise, grid, seed, n_paths, first_stream)
     u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
     segs = OperatorSegments(system.ops, grid)
     states, blowups = _run_steps(system.ops.F, segs, u0b, inc, scheme)
     return EnsembleResult(grid, states, inc, blowups, segs)
+
+
+def integrate(
+    system, scheme: str, grid: np.ndarray, seed: int, stream_id: int = 0,
+    u0: Optional[np.ndarray] = None,
+) -> EnsembleResult:
+    """Integrate the path of stream (seed, stream_id) as an ensemble of one;
+    raises BlowUpError."""
+    ens = integrate_ensemble(system, scheme, grid, seed, 1, u0, first_stream=stream_id)
+    _raise_on_blowup(ens.blowups)
+    return ens
 
 
 def strong_convergence(

@@ -374,23 +374,6 @@ class OperatorSegments:
                 for k in range(self.n_noise)]
 
 
-def galerkin_compress(matrix: np.ndarray, m: int) -> np.ndarray:
-    """Finite-section compression: keep the leading m x m block, zero the rest.
-
-    The result is embedded back as an N x N matrix so it acts on the same
-    space; applying it twice equals applying it once.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    n = matrix.shape[0]
-    if m > n:
-        raise ValueError(f"compression size {m} exceeds dimension {n}")
-    if m <= 0:
-        raise ValueError("compression size must be positive")
-    out = np.zeros_like(matrix)
-    out[:m, :m] = matrix[:m, :m]
-    return out
-
-
 def commutator_C(ev: OperatorSegment) -> np.ndarray:
     """sum_k B_k^T (tilde_A B_k - B_k tilde_A) of an evaluation, one matrix or a stack."""
     ta = ev.tilde

@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import csvtable, diagnostics as diag
-from .assumptions import check_all, check_commutator_bound, k6_table
+from .assumptions import AssumptionReport, check_all, check_commutator_bound, k6_table
 from .brownian import uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
 from .operators import spectrum
@@ -111,6 +111,8 @@ def build_system(cfg: "ExperimentConfig") -> SystemSpec:
 
 
 _KINDS = ("simulate", "spectral-limit", "backward-probe", "check")
+#: the kinds whose report holds the backward probe and the hitting times
+_PROBE_KINDS = ("simulate", "backward-probe")
 
 
 @dataclass
@@ -159,6 +161,11 @@ class ExperimentConfig:
             raise ConfigError("config key 'master_seed' must be >= 0")
         if any(r < 0 for r in self.r_list):
             raise ConfigError("config key 'r_list' must be nonnegative")
+        if self.r_list and self.kind not in _PROBE_KINDS:
+            raise ConfigError(
+                f"config key 'r_list': kind {self.kind!r} reports no hitting times; "
+                f"only {' and '.join(_PROBE_KINDS)} do"
+            )
         if any(e < 0 for e in self.eps_list):
             raise ConfigError("config key 'eps_list' must be nonnegative")
         if self.delta < 0:
@@ -210,12 +217,6 @@ def load_config(path: str, kind: Optional[str] = None) -> ExperimentConfig:
     return cfg
 
 
-def save_config(cfg: ExperimentConfig, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(asdict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 @dataclass
 class RunManifest:
     """Provenance record of one run; re-running reproduces the outputs."""
@@ -237,6 +238,11 @@ class RunManifest:
             "blowups": {str(k): v for k, v in self.blowups.items()},
             "outputs": sorted(self.outputs),
         }
+
+
+def certify(system: SystemSpec, T: float) -> AssumptionReport:
+    """The assumption certificates of a system on five equally spaced times of [0, T]."""
+    return check_all(system.ops, system.basis, np.linspace(0.0, T, 5))
 
 
 def _output_root() -> str:
@@ -416,7 +422,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         slr = diag.spectral_limit_report(quots, finals, tilde_sym, eigs)
         report["spectral_limit"] = slr.to_dict()
 
-    if cfg.kind in ("simulate", "backward-probe"):
+    if cfg.kind in _PROBE_KINDS:
         probe = diag.backward_probe(norms, ens.times)
         report["backward_probe"] = {
             "margin": probe["margin"],
@@ -430,8 +436,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
             }
 
     if cfg.kind == "check":
-        rep = check_all(system.ops, system.basis, np.linspace(0.0, cfg.T, 5))
-        report["assumptions"] = rep.to_dict()
+        report["assumptions"] = certify(system, cfg.T).to_dict()
 
     # ensemble martingale statistics at delta, collected block by block
     report["martingale"] = {

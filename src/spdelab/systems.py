@@ -39,6 +39,15 @@ class SystemSpec:
             raise ValueError("initial state does not match basis dimension")
 
 
+def _start(u0: Optional[Sequence[float]], dim: int, active: int) -> np.ndarray:
+    """u0 as floats, or by default 1 on the first `active` basis indices and 0 after."""
+    if u0 is not None:
+        return np.asarray(u0, dtype=float)
+    start = np.zeros(dim)
+    start[:min(active, dim)] = 1.0
+    return start
+
+
 # -- diagonal oracle system -------------------------------------------
 
 
@@ -102,9 +111,8 @@ def make_diagonal(
         dim=len(eigs),
         hat_eigenvalues=np.maximum.accumulate(np.maximum(np.abs(eigs), 1.0)),
     )
-    start = np.ones(len(eigs)) if u0 is None else np.asarray(u0, dtype=float)
     return SystemSpec(
-        name="diagonal", basis=basis, ops=ops, u0=start,
+        name="diagonal", basis=basis, ops=ops, u0=_start(u0, len(eigs), len(eigs)),
         oracle=DiagonalOracle(tilde_eigs=eigs, noise_coeffs=b),
     )
 
@@ -173,7 +181,10 @@ def laplacian_matrix(dim: int) -> np.ndarray:
     return np.diag(torus_frequencies(dim) ** 2)
 
 
-def _const(value: float) -> Callable[[np.ndarray], np.ndarray]:
+def _field(value) -> Callable[[np.ndarray], np.ndarray]:
+    """A field on the circle: a callable as given, a number as that constant field."""
+    if not np.isscalar(value):
+        return value
     return lambda x: np.full_like(x, float(value))
 
 
@@ -197,20 +208,15 @@ def make_torus_heat_scalar_noise(
     """
     basis = torus_basis(dim)  # first, so a non-positive dim raises here
     a_strat = MatrixPath(laplacian_matrix(dim))
-    bs = []
-    for c in c_coeffs:
-        fn = _const(c) if np.isscalar(c) else c
-        bs.append(MatrixPath(multiplication_matrix(fn, dim)))
+    bs = [MatrixPath(multiplication_matrix(_field(c), dim)) for c in c_coeffs]
     f_hook = None
     n_witness = None
     if b_field is not None or c_field is not None:
         lower = np.zeros((dim, dim))
         if b_field is not None:
-            fn = _const(b_field) if np.isscalar(b_field) else b_field
-            lower += multiplication_matrix(fn, dim) @ derivative_matrix(dim)
+            lower += multiplication_matrix(_field(b_field), dim) @ derivative_matrix(dim)
         if c_field is not None:
-            fn = _const(c_field) if np.isscalar(c_field) else c_field
-            lower += multiplication_matrix(fn, dim)
+            lower += multiplication_matrix(_field(c_field), dim)
         w = 1.0 / np.sqrt(basis.hat_eigenvalues)
         n_witness = float(np.linalg.norm(lower * w[None, :], ord=2))
 
@@ -219,12 +225,7 @@ def make_torus_heat_scalar_noise(
 
     ops = OperatorFamily(A=a_strat, Bs=tuple(bs), F=f_hook, n_witness=n_witness,
                          noise_form="stratonovich")
-    if u0 is None:
-        start = np.zeros(dim)
-        start[: min(3, dim)] = 1.0
-    else:
-        start = np.asarray(u0, dtype=float)
-    return SystemSpec(name="torus-heat-scalar", basis=basis, ops=ops, u0=start)
+    return SystemSpec(name="torus-heat-scalar", basis=basis, ops=ops, u0=_start(u0, dim, 3))
 
 
 def make_torus_heat_gradient_noise(
@@ -245,17 +246,9 @@ def make_torus_heat_gradient_noise(
     basis = torus_basis(dim)  # first, so a non-positive dim raises here
     a_strat = MatrixPath(laplacian_matrix(dim))
     d = derivative_matrix(dim)
-    bs = []
-    for s in sigma_fields:
-        fn = _const(s) if np.isscalar(s) else s
-        bs.append(MatrixPath(multiplication_matrix(fn, dim) @ d))
+    bs = [MatrixPath(multiplication_matrix(_field(s), dim) @ d) for s in sigma_fields]
     ops = OperatorFamily(A=a_strat, Bs=tuple(bs), noise_form="stratonovich")
-    if u0 is None:
-        start = np.zeros(dim)
-        start[: min(3, dim)] = 1.0
-    else:
-        start = np.asarray(u0, dtype=float)
-    return SystemSpec(name="torus-heat-gradient", basis=basis, ops=ops, u0=start)
+    return SystemSpec(name="torus-heat-gradient", basis=basis, ops=ops, u0=_start(u0, dim, 3))
 
 
 # -- vector-valued torus system with matrix noise ---------------------
@@ -341,12 +334,7 @@ def make_coupled_torus(
         F=f_hook, n_witness=n_witness, noise_form="stratonovich",
     )
     basis = SpectralBasis(dim=dim, hat_eigenvalues=lam[order])
-    if u0 is None:
-        start = np.zeros(dim)
-        start[: min(2 * n, dim)] = 1.0
-    else:
-        start = np.asarray(u0, dtype=float)
-    return SystemSpec(name="coupled-torus", basis=basis, ops=ops, u0=start)
+    return SystemSpec(name="coupled-torus", basis=basis, ops=ops, u0=_start(u0, dim, 2 * n))
 
 
 def _permute_path(mp: MatrixPath, perm: np.ndarray) -> MatrixPath:
@@ -540,12 +528,7 @@ def make_nse_2d(
     ops = OperatorFamily(A=a_strat, Bs=bs, F=f_hook, n_witness=k_est,
                          noise_form="stratonovich")
     basis = SpectralBasis(dim=geom.dim, hat_eigenvalues=lam)
-    if u0 is None:
-        start = np.zeros(geom.dim)
-        start[: min(4, geom.dim)] = 1.0
-    else:
-        start = np.asarray(u0, dtype=float)
-    return SystemSpec(name="nse-2d", basis=basis, ops=ops, u0=start)
+    return SystemSpec(name="nse-2d", basis=basis, ops=ops, u0=_start(u0, geom.dim, 4))
 
 
 # -- registry ---------------------------------------------------------

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from spdelab.basis import DimensionMismatchError, SpectralBasis, inner_h, inner_v
+from spdelab.basis import DimensionMismatchError, SpectralBasis
 
 
 def make_basis(n=4):
@@ -25,14 +25,6 @@ def test_norms_broadcast_over_leading_axes():
     assert np.allclose(b.norm_h(u), 2.0)
 
 
-def test_inner_products():
-    b = make_basis(3)
-    u = np.array([1.0, 0.0, 2.0])
-    v = np.array([3.0, 1.0, -1.0])
-    assert inner_h(u, v) == pytest.approx(1.0)
-    assert inner_v(u, v, b) == pytest.approx(1 * 3 - 3 * 2)
-
-
 def test_validation_rejects_bad_eigenvalues():
     with pytest.raises(ValueError):
         SpectralBasis(dim=2, hat_eigenvalues=np.array([1.0, -1.0]))
@@ -46,8 +38,6 @@ def test_dimension_mismatch_on_vectors():
     b = make_basis(3)
     with pytest.raises(DimensionMismatchError):
         b.norm_h(np.ones(4))
-    with pytest.raises(DimensionMismatchError):
-        inner_h(np.ones(2), np.ones(3))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))

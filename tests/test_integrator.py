@@ -211,7 +211,8 @@ def test_unknown_scheme_rejected():
 
 def test_ensemble_matches_single_paths():
     """Ensemble path p equals the single integration with stream p, an ensemble
-    of one, and is driven by stream p.  On coupled-torus they agree to rounding
+    of one that is integrate_ensemble's first_stream=p bit for bit, and is
+    driven by stream p.  On coupled-torus they agree to rounding
     alone, a component passing near zero down to a few ulps of the path's largest
     |state|: BLAS may hand a one-row product to a matrix-vector kernel, which sums
     in another order."""
@@ -222,6 +223,10 @@ def test_ensemble_matches_single_paths():
         for p in range(3):
             single = integrate(sys, "euler-maruyama", grid, seed=11, stream_id=p)
             assert single.n_paths == 1
+            alone = integrate_ensemble(sys, "euler-maruyama", grid, seed=11, n_paths=1,
+                                       first_stream=p)
+            assert single.states.tobytes() == alone.states.tobytes()
+            assert single.increments.tobytes() == alone.increments.tobytes()
             if name == "diagonal":
                 assert np.array_equal(ens.states[p], single.states[0])
             else:
@@ -238,17 +243,23 @@ def test_ensemble_matches_single_paths():
 def test_chunks_of_paths_match_one_batch(name, scheme):
     """_run_steps over chunks of >= 2 paths, each driven by the streams of its
     paths, gives the states of one whole batch bit for bit, on a dense N=64 noise
-    and on a family with an F; the acceptance criteria step in such chunks."""
-    ops = make_system(name).ops
+    and on a family with an F; the acceptance criteria step in such chunks.  So
+    does integrate_ensemble over a chunk's paths, from first_stream=lo on."""
+    system = make_system(name)
+    ops = system.ops
     grid = uniform_grid(0.1, 1e-3)
     segs = OperatorSegments(ops, grid)
     u0 = np.random.default_rng(5).standard_normal((7, ops.dim))
     whole, _ = _run_steps(ops.F, segs, u0, sample_brownian_ensemble(ops.n_noise, grid, 5, 7),
                           scheme)
+    ens = integrate_ensemble(system, scheme, grid, 5, 7)
     for lo, hi in ((0, 2), (2, 5), (5, 7)):
         inc = sample_brownian_ensemble(ops.n_noise, grid, 5, hi - lo, first_stream=lo)
         chunk, _ = _run_steps(ops.F, segs, u0[lo:hi], inc, scheme)
         assert chunk.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+        part = integrate_ensemble(system, scheme, grid, 5, hi - lo, first_stream=lo)
+        assert part.states.tobytes() == ens.states[lo:hi].tobytes(), (lo, hi)
+        assert part.increments.tobytes() == ens.increments[lo:hi].tobytes(), (lo, hi)
 
 
 def test_blowup_isolation():

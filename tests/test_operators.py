@@ -11,7 +11,6 @@ from spdelab.operators import (
     TimeRangeError,
     assemble_tilde_A,
     commutator_C,
-    galerkin_compress,
     operator_norm_v_vprime,
     spectrum,
     sym,
@@ -176,22 +175,6 @@ def test_stacked_evaluation_matches_scalar_calls_bit_for_bit(n, kinds, noise_for
     basis = SpectralBasis(dim=n, hat_eigenvalues=np.arange(1.0, n + 1.0))
     norms = operator_norm_v_vprime(ev.tilde, basis)
     _same_bits(norms, [operator_norm_v_vprime(e.tilde, basis) for e in per_time])
-
-
-@given(st.integers(1, 6), st.integers(1, 6))
-def test_galerkin_compress_idempotent(n_extra, m):
-    n = m + n_extra
-    rng = np.random.default_rng(n * 7 + m)
-    mat = rng.standard_normal((n, n))
-    once = galerkin_compress(mat, m)
-    assert np.allclose(galerkin_compress(once, m), once)
-
-
-def test_galerkin_compress_rejects_bad_sizes():
-    with pytest.raises(ValueError):
-        galerkin_compress(np.eye(2), 3)
-    with pytest.raises(ValueError):
-        galerkin_compress(np.eye(2), 0)
 
 
 def test_commutator_zero_for_commuting_family():

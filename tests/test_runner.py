@@ -19,7 +19,6 @@ from spdelab.runner import (
     load_config,
     report_summary,
     run,
-    save_config,
 )
 
 
@@ -115,9 +114,10 @@ def test_run_rejects_values_that_do_not_fit_the_system(tmp_path):
 
 
 def test_config_roundtrip(tmp_path):
+    """The canonical form, which the manifest stores, loads back to the config."""
     cfg = load_config(minimal_config(tmp_path))
     out = tmp_path / "again.json"
-    save_config(cfg, str(out))
+    out.write_text(cfg.canonical())
     again = load_config(str(out))
     assert again == cfg
     assert again.digest() == cfg.digest()
@@ -420,6 +420,17 @@ def test_cli_run_that_fails_to_integrate_leaves_no_directory(tmp_path, capsys):
                           scheme="milstein")
     assert main(["simulate", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: milstein requires")
+    assert not os.path.exists(tmp_path / "out")
+
+
+@pytest.mark.parametrize("kind", ["spectral-limit", "check"])
+def test_cli_rejects_r_list_for_a_kind_without_hitting_times(tmp_path, capsys, kind):
+    """Only simulate and backward-probe report hitting times, so any other kind
+    with r_list levels exits 2 naming the key and the kind."""
+    path = minimal_config(tmp_path, kind=kind, r_list=[0.5])
+    assert main([kind, "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'r_list'") and repr(kind) in err
     assert not os.path.exists(tmp_path / "out")
 
 
