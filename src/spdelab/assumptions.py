@@ -197,6 +197,8 @@ def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, K2_grid, t
         # prefer smaller K2 on near-ties so rounding never inflates it
         if best is None or cost < best[0] - tol:
             best = (cost, float(k2), k1, k1_half)
+        if best[0] <= tol:
+            break  # every cost is >= 0, so no later candidate beats it by more than tol
     cost, k2, k1, k1_half = best
 
     k1_zero_ok = bool(np.all(k1 <= tol))

@@ -8,6 +8,13 @@ is a random linear map u -> sum_m c_m(dw) G_m u plus the F term (Kloeden &
 Platen, sections 10.2-10.3 and 12.2): the one stepping loop stacks the G_m
 once per segment of the family's OperatorSegments on its grid, and builds
 the c_m for a block of steps at a time.  No step evaluates a matrix path.
+
+A block of steps is taken in one of two ways.  A diagonal family
+(OperatorFamily.diagonal) holds each G_m as its diagonal g_m; without an F
+each step multiplies the state by sum_m c_m g_m, so the whole block is one
+elementwise scan, O(N) per path and step.  Any other family steps one step
+at a time: by elementwise products if it is diagonal (with an F), by dense
+ones otherwise.
 """
 from __future__ import annotations
 
@@ -39,9 +46,17 @@ SCHEMES = ("euler-maruyama", "milstein", "drift-implicit")
 _STEP_BLOCK = 64
 
 
-def _implicit_inverse(drift, dt, t):
+def _implicit_inverse(drift, dt, t, diagonal: bool):
     """inv(I + dt A) of a drift, or of each of a stack, read by the steps from
-    times t; a singular one raises SchemeError at the first step reading it."""
+    times t; a singular one raises SchemeError at the first step reading it.
+    A diagonal drift is held as its diagonal d, whose inverse is 1 / (1 + dt d)."""
+    if diagonal:
+        mat = 1.0 + dt * drift
+        singular = (mat == 0.0).any(axis=-1)
+        if singular.any():
+            t = t[np.argmax(singular)]
+            raise SchemeError(f"singular implicit solve at t={float(t)}: zero diagonal entry")
+        return 1.0 / mat
     mat = np.eye(drift.shape[-1]) + dt * drift
     try:
         return np.linalg.inv(mat)
@@ -51,29 +66,37 @@ def _implicit_inverse(drift, dt, t):
         raise SchemeError(f"singular implicit solve at t={float(t)}: {exc}") from exc
 
 
-def _take(m, lo, hi):
-    """Matrices lo..hi-1 of a stack with one per grid time, or a segment's one matrix."""
-    return m[lo:hi] if m.ndim == 3 else m
+def _take(m, lo, hi, rank: int = 2):
+    """Entries lo..hi-1 of a stack with one per grid time, or a segment's one entry,
+    a matrix (rank 2) or a diagonal (rank 1)."""
+    return m[lo:hi] if m.ndim > rank else m
 
 
-def _stack(scheme: str, F, drift, bs, dt: float):
+def _stack(scheme: str, F, drift, bs, dt: float, diagonal: bool):
     """A scheme's G_m transposed side by side, so u @ G is [u G_0^T | u G_1^T | ...], and the
     matrix the step ends with, or None; drift is the Ito drift, or drift-implicit's inverse,
-    which with an F ends the step, after the noise terms, as (u - dt F + them) @ inv^T."""
+    which with an F ends the step, after the noise terms, as (u - dt F + them) @ inv^T.
+
+    Of a diagonal family each matrix is its diagonal: G holds the G_m's as rows (M, N), so
+    u[:, None] * G is [u G_0^T, u G_1^T, ...], and the matrix the step ends with is a diagonal."""
+    mul, eye = (np.multiply, 1.0) if diagonal else (np.matmul, np.eye(drift.shape[-1]))
     if scheme == "drift-implicit" and F is not None:
-        gs, post = [-b for b in bs], drift.mT
+        gs, post = [-b for b in bs], drift if diagonal else drift.mT
     elif scheme == "drift-implicit":
-        gs, post = [drift] + [-(drift @ b) for b in bs], None
+        gs, post = [drift] + [-mul(drift, b) for b in bs], None
     else:
-        gs, post = [np.eye(drift.shape[-1]) - dt * drift] + [-b for b in bs], None
+        gs, post = [eye - dt * drift] + [-b for b in bs], None
         if scheme == "milstein":
-            gs += [0.5 * (bk @ bl) for bk in bs for bl in bs]
+            gs += [0.5 * mul(bk, bl) for bk in bs for bl in bs]
     # the zero-width piece keeps a noise-free stack defined
+    if diagonal:
+        return np.concatenate([np.zeros(drift.shape[:-1] + (0, drift.shape[-1]))]
+                              + [g[..., None, :] for g in gs], -2), post
     return np.concatenate([np.zeros(drift.shape[:-1] + (0,))] + [g.mT for g in gs], -1), post
 
 
 def _stacks(segs: OperatorSegments, scheme: str, F, dt: float):
-    """(lo, hi, G, post) from _stack, with one matrix per step, per run of steps
+    """(lo, hi, G, post) from _stack, with one entry per step, per run of steps
     lo..hi-1 that read one segment's noise and one segment's drift.
 
     Step j reads the noise at grid index j and the drift at j + lag, lag 1 for
@@ -81,6 +104,13 @@ def _stacks(segs: OperatorSegments, scheme: str, F, dt: float):
     when the steps leave it: the step pairing the next segment's inverse with
     this one's noise is a run of its own."""
     lag = int(scheme == "drift-implicit")
+    diagonal = segs.diagonal
+    rank = 2 - diagonal
+
+    def read(m, lo, hi):
+        m = _take(m, lo, hi)
+        return np.diagonal(m, axis1=-2, axis2=-1) if diagonal else m
+
     times, edges = segs.times, segs.edges
     cuts = sorted({min(max(e - d, 0), len(times) - 1) for e in edges for d in (0, lag)})
     held = None
@@ -88,12 +118,33 @@ def _stacks(segs: OperatorSegments, scheme: str, F, dt: float):
         p, q = np.searchsorted(edges, [lo, lo + lag], side="right") - 1
         if q != held:
             held, first = q, max(edges[q], lag)
-            drift = _take(segs.segments[q].drift, first - edges[q], None)
+            drift = read(segs.segments[q].drift, first - edges[q], None)
             if lag:
-                drift = _implicit_inverse(drift, dt, times[first - lag:edges[q + 1] - lag])
-        bs = [_take(b, lo - edges[p], hi - edges[p]) for b in segs.segments[p].Bs]
-        mats = _stack(scheme, F, _take(drift, lo + lag - first, hi + lag - first), bs, dt)
-        yield (lo, hi) + tuple(m if m is None or m.ndim == 3 else [m] * (hi - lo) for m in mats)
+                drift = _implicit_inverse(drift, dt, times[first - lag:edges[q + 1] - lag],
+                                          diagonal)
+        bs = [read(b, lo - edges[p], hi - edges[p]) for b in segs.segments[p].Bs]
+        d = _take(drift, lo + lag - first, hi + lag - first, rank)
+        mats = _stack(scheme, F, d, bs, dt, diagonal)
+        # a segment's one entry serves each of its steps
+        yield (lo, hi) + tuple(m if m is None or d.ndim > rank
+                               else np.broadcast_to(m, (hi - lo,) + m.shape) for m in mats)
+
+
+def _scan(c, g, u, out) -> None:
+    """The states of a block of S steps of a diagonal family without F into out (S, P, N),
+    from the coefficient rows c (S, P, 1, M) and the G_m's diagonals g (S, M, N).
+
+    Step i multiplies the state by sum_m c_m g_m, summed elementwise in the order of m, and
+    one accumulate takes the products in the loop's order ((u m_0) m_1) ..."""
+    c = c[:, :, 0, :, None]
+    g = g[:, None]
+    np.multiply(c[:, :, 0], g[:, :, 0], out=out)
+    for m in range(1, c.shape[2]):
+        out += c[:, :, m] * g[:, :, m]
+    out[0] *= u
+    np.multiply.accumulate(out, axis=0, out=out)
+    # a zero state times a negative multiplier is -0.0, where a dense product sums to +0.0
+    out += 0.0
 
 
 def _coefficients(dw, dt: float, scheme: str):
@@ -112,6 +163,8 @@ def _freeze(block, start, alive, blowups: dict, times) -> np.ndarray:
     """Freeze each path of a block of states (S, P, N) at its last finite state: a path frozen
     before the block at `start` (P, N), a live one from the step i where it turns
     non-finite, with blow-up time times[i].  Returns a copy of the block's last states."""
+    if alive.all() and np.isfinite(block).all():
+        return block[-1].copy()
     if not alive.all():
         block[:, ~alive] = start[~alive]
     bad = ~np.isfinite(block).all(axis=-1)
@@ -165,7 +218,8 @@ def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=Fal
     u0 has shape (P, N) and increments (P, J, n); F is the family's
     nonlinearity or None.  The step from grid time t_j maps each path's u to
     sum_m c_m u @ G_m - dt F(t_j, u), the G_m from _stacks and the c_m from
-    _coefficients, per block of _STEP_BLOCK steps.  A path whose state turns
+    _coefficients, per block of _STEP_BLOCK steps, which a diagonal family
+    without F takes as one scan (_scan).  A path whose state turns
     non-finite is frozen at its last finite state and its blow-up time is
     recorded; the other paths continue.  Checked once per block, this gives
     the states of a check after every step, as each path's row of a step
@@ -183,6 +237,8 @@ def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=Fal
         states[:, 0, :] = u
     alive = np.ones(n_paths, dtype=bool)
     blowups: dict = {}
+    diagonal = segs.diagonal
+    mul = np.multiply if diagonal else np.matmul
     with np.errstate(over="ignore", invalid="ignore"):
         for lo, hi, stack, post in _stacks(segs, scheme, F, dt):
             for b in range(lo, hi, _STEP_BLOCK):
@@ -191,12 +247,17 @@ def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=Fal
                 c = _coefficients(increments[:, b:e], dt, scheme)[..., int(post is not None):]
                 block = buffer[:e - b] if final_only else states[:, b + 1:e + 1].swapaxes(0, 1)
                 start = u
-                for i, j in enumerate(range(b, e)):
-                    new = (c[i] @ (u @ stack[j - lo]).reshape(n_paths, -1, dim))[:, 0]
-                    if F is not None:
-                        f = dt * F(float(times[j]), u)
-                        new = new - f if post is None else (u - f + new) @ post[j - lo]
-                    block[i] = u = new
+                if diagonal and F is None:
+                    _scan(c, stack[b - lo:e - lo], u, block)
+                else:
+                    for i, j in enumerate(range(b, e)):
+                        g = stack[j - lo]
+                        terms = u[:, None, :] * g if diagonal else (u @ g).reshape(n_paths, -1, dim)
+                        new = (c[i] @ terms)[:, 0]
+                        if F is not None:
+                            f = dt * F(float(times[j]), u)
+                            new = new - f if post is None else mul(u - f + new, post[j - lo])
+                        block[i] = u = new
                 u = _freeze(block, start, alive, blowups, times[b + 1:e + 1])
     return (u if final_only else states), blowups
 

@@ -30,6 +30,11 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
 
+def _diagonals(m: np.ndarray) -> np.ndarray:
+    """The diagonal of a matrix, or of each matrix of a stack, as a view."""
+    return np.diagonal(m, axis1=-2, axis2=-1)
+
+
 #: a noise commutator counts as zero below this times the squared norm of its operators
 COMMUTATOR_TOL = 1e-12
 
@@ -232,6 +237,17 @@ class OperatorFamily:
         return np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [n]])
 
     @property
+    def diagonal(self) -> bool:
+        """Whether A and every B_k have no off-diagonal nonzero at any node.
+
+        Then every matrix the family yields is diagonal: interpolation, the
+        Stratonovich correction, Ã and Milstein's B_k B_l keep it so.  The
+        steps and OperatorSegments read this rule and hold diagonals alone.
+        """
+        return all(np.count_nonzero(p.values) == np.count_nonzero(_diagonals(p.values))
+                   for p in (self.A,) + self.Bs)
+
+    @property
     def noise_commutes(self) -> bool:
         """Whether the noise operators commute pairwise over the whole horizon.
 
@@ -327,12 +343,15 @@ class OperatorSegments:
     path makes each time a run, a block of at most LINEAR_BLOCK times with one
     matrix per time.  The matrices come from stacked evaluations of the
     family, one for all segments or one per linear block; the steppers and
-    the diagnostics read them from here.
+    the diagnostics read them from here.  Of a diagonal family
+    (OperatorFamily.diagonal) both read the diagonals alone and apply them
+    elementwise.
     """
 
     def __init__(self, ops: OperatorFamily, times: np.ndarray) -> None:
         self.times = np.asarray(times, dtype=float)
         self.n_noise = ops.n_noise
+        self.diagonal = ops.diagonal
         edges = ops.runs(self.times)
         if ops.interpolation == "linear":
             # a run per time, evaluated block by block, so no temporary outgrows one block
@@ -356,7 +375,10 @@ class OperatorSegments:
         for seg, lo, hi in zip(self.segments, self.edges, self.edges[1:]):
             u = states[..., lo:hi, :]
             m = pick(seg)
-            if m.ndim == 2:
+            if self.diagonal:
+                # + 0.0: a dense product sums to +0.0 where u_i d_i is -0.0
+                out[..., lo:hi, :] = u * _diagonals(m) + 0.0
+            elif m.ndim == 2:
                 out[..., lo:hi, :] = u @ m.T
             else:
                 out[..., lo:hi, :] = np.einsum("tij,...tj->...ti", m, u)

@@ -25,6 +25,7 @@ from spdelab.operators import (
     MatrixPath,
     OperatorFamily,
     assemble_tilde_A,
+    commutator_C,
     operator_norm_v_vprime,
     sym,
 )
@@ -155,6 +156,62 @@ def test_commutator_variable_sigma_bounded_by_gradient():
     # sup |grad sigma|^2 = amp^2; the noise-weighted commutator form is
     # bounded by that times the V-norm, absorbed here through K2
     assert np.all(k1 <= amp**2 + 1e-6) or k2 > 0
+
+
+def _commutator_bound_exhaustive(ev, basis, K2_grid, t_grid):
+    """check_commutator_bound's K2 search over every candidate: the reference
+    its early exit must match."""
+    half = max(1, basis.dim // 2)
+    ta, c = ev.tilde_sym, sym(commutator_C(ev))
+    b_norm = sum(assumptions._spectral_norms(b) ** 2 for b in ev.Bs)
+    tol = max(1e-9, 1e-12 * float(np.max(assumptions._sym_norms(ta) * b_norm, initial=0.0)))
+    best = None
+    for k2 in K2_grid:
+        k1 = np.linalg.eigvalsh(c - k2 * ta)[..., -1]
+        k1_half = np.linalg.eigvalsh((c - k2 * ta)[..., :half, :half])[..., -1]
+        cost = float(np.trapezoid(np.maximum(k1, 0.0), t_grid))
+        if best is None or cost < best[0] - tol:
+            best = (cost, float(k2), k1, k1_half)
+    return best[1:], tol
+
+
+def _time_dependent_coupled_torus():
+    """coupled-torus whose two noises change at every node of [0, 1]."""
+    nodes = np.linspace(0.0, 1.0, 11)
+    tables = np.zeros((len(nodes), 2, 2, 2))
+    for j, t in enumerate(nodes):
+        for m in range(2):
+            tables[j, m] = 0.3 * (1.0 + 0.5 * t) * np.eye(2)
+            tables[j, m, m, (m + 1) % 2] += 0.2 * t
+    return make_coupled_torus(modes=8, h_tables=tables, h_time_grid=nodes)
+
+
+@pytest.mark.parametrize("name", sorted(REGISTRY) + ["coupled-torus-tdep"])
+def test_commutator_early_exit_matches_the_exhaustive_search(monkeypatch, name):
+    """Once the best cost is within tol of 0 no later K2 can beat it, so the
+    search stops there with the exhaustive search's K2, K1 and slack; a family
+    whose C is 0 (diagonal, nse-2d) reads its first candidate alone."""
+    system = _time_dependent_coupled_torus() if name == "coupled-torus-tdep" else make_system(name)
+    t_grid = np.linspace(0.0, 1.0, 5)
+    K2_grid = (0.0, 0.5, 1.0, 2.0)
+    ev = system.ops.at(t_grid)
+    (k2_want, k1_want, k1_half_want), tol = _commutator_bound_exhaustive(
+        ev, system.basis, K2_grid, t_grid)
+    calls = []
+    top = assumptions._top_eig
+    monkeypatch.setattr(assumptions, "_top_eig", lambda m: calls.append(m.shape) or top(m))
+    k2, k1, record = check_commutator_bound(ev, system.basis, K2_grid, t_grid)
+    assert k2 == k2_want
+    assert np.array_equal(k1, np.maximum(k1_want, 0.0))
+    assert np.array_equal(record.constants["K1"],
+                          np.where(k1_want <= tol, 0.0, np.maximum(k1_want, 0.0)))
+    assert np.array_equal(record.constants["K1_restricted"], np.maximum(k1_half_want, 0.0))
+    assert record.slack == float(np.max(np.abs(k1_want)))
+    if name in ("diagonal", "nse-2d"):
+        assert not np.any(commutator_C(ev))
+        assert len(calls) == 2
+    else:
+        assert len(calls) <= 2 * len(K2_grid)
 
 
 # -- strong noise bound -----------------------------------------------

@@ -361,15 +361,43 @@ def _linear_jump_system():
     return SystemSpec(name="linear-jump", basis=torus_basis(2), ops=ops, u0=np.ones(2))
 
 
+def _diagonal_piecewise():
+    """Diagonal A and two diagonal noises on [0, 1] whose values jump at 0.0525 and 0.1325,
+    off the test grid."""
+    nodes = np.array([0.0, 0.0525, 0.1325, 1.0])
+    a = MatrixPath(np.stack([np.diag(v) for v in ([1.0, 4.0], [2.0, 3.0], [0.5, 5.0],
+                                                   [0.5, 5.0])]), nodes)
+    b0 = MatrixPath(np.stack([np.diag(v) for v in ([0.3, 0.2], [0.5, -0.1], [0.2, 0.4],
+                                                    [0.2, 0.4])]), nodes)
+    b1 = MatrixPath(np.diag([-0.2, 0.3]))
+    ops = OperatorFamily(A=a, Bs=(b0, b1), noise_form="stratonovich")
+    return SystemSpec(name="diagonal-piecewise", basis=torus_basis(2), ops=ops, u0=np.ones(2))
+
+
+def _diagonal_linear():
+    """Diagonal A and B, linear on [0, 1]; B's first entry crosses zero."""
+    nodes = np.array([0.0, 1.0])
+    a = MatrixPath(np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 0.5, 6.0])]), nodes,
+                   "linear")
+    b = MatrixPath(np.stack([np.diag([0.4, 0.2, 0.1]), np.diag([-0.4, 0.3, 0.2])]), nodes,
+                   "linear")
+    ops = OperatorFamily(A=a, Bs=(b,), noise_form="stratonovich")
+    return SystemSpec(name="diagonal-linear", basis=torus_basis(3), ops=ops, u0=np.ones(3))
+
+
 _STEP_SYSTEMS = {
     "diagonal": lambda: make_system("diagonal"),
     # two commuting noises, so Milstein's dw_k dw_l terms with k != l are met
     "diagonal-two-noises": lambda: make_diagonal([1.0, 4.0, 9.0],
                                                  [[0.3, 0.2, 0.1], [-0.2, 0.1, 0.25]]),
+    "diagonal-piecewise": _diagonal_piecewise,
+    "diagonal-linear": _diagonal_linear,
     "coupled-piecewise": lambda: _coupled_piecewise(),
     "linear-jump": _linear_jump_system,
 }
-_STEP_CASES = [("diagonal", s) for s in ("euler-maruyama", "milstein", "drift-implicit")]
+_DIAGONAL_FAMILIES = ("diagonal", "diagonal-two-noises", "diagonal-piecewise", "diagonal-linear")
+_STEP_CASES = [(f, s) for f in _DIAGONAL_FAMILIES if f != "diagonal-two-noises"
+               for s in integrator.SCHEMES]
 _STEP_CASES += [(f, s) for f in ("coupled-piecewise", "linear-jump")
                 for s in ("euler-maruyama", "drift-implicit")]
 _STEP_CASES += [("diagonal-two-noises", "milstein")]
@@ -380,6 +408,8 @@ _STEP_CASES += [("diagonal-two-noises", "milstein")]
        seed=st.integers(0, 2**16), random_start=st.booleans())
 @example(case=("linear-jump", "drift-implicit"), n_paths=2, seed=117, random_start=True)
 @example(case=("diagonal-two-noises", "milstein"), n_paths=3, seed=5, random_start=True)
+@example(case=("diagonal-piecewise", "milstein"), n_paths=2, seed=8, random_start=True)
+@example(case=("diagonal-linear", "drift-implicit"), n_paths=3, seed=9, random_start=False)
 def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
     """_run_steps on a (P, N) batch equals P single-path loops.
 
@@ -402,6 +432,100 @@ def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
         ref = _loop_steps(system.ops, u0[p], grid, inc[p], scheme)
         np.testing.assert_allclose(states[p], ref, rtol=1e-12,
                                    atol=16 * np.finfo(float).eps * np.abs(ref).max())
+
+
+# -- a diagonal family steps by its diagonals: a scan without F, elementwise with F
+
+
+def _exploding_diagonal():
+    """Ito du = 5000 u dt - 100 u dw in mode 0, a decaying mode 1: an explicit step
+    multiplies mode 0 by 21 to 81, so a path overflows after ~180 steps, at a time
+    that depends on its noise, unless it starts at 0 or near enough to it."""
+    ops = OperatorFamily(A=MatrixPath(np.diag([-5000.0, 1.0])),
+                         Bs=(MatrixPath(np.diag([100.0, 0.5])),))
+    return SystemSpec(name="exploding", basis=torus_basis(2), ops=ops, u0=np.ones(2))
+
+
+def _frozen_loop(ops, u0, times, increments, scheme):
+    """_loop_steps frozen at the last finite state, with the blow-up time or None."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        states = _loop_steps(ops, u0, times, increments, scheme)
+    bad = ~np.isfinite(states).all(axis=-1)
+    if not bad.any():
+        return states, None
+    i = int(bad.argmax())
+    states[i:] = states[i - 1]
+    return states, float(times[i])
+
+
+@pytest.mark.parametrize("scheme", ["euler-maruyama", "milstein"])
+def test_diagonal_scan_freezes_blown_up_paths_as_the_loop(scheme):
+    """The scan blows up the paths the per-step loop does, at the same times,
+    and freezes them at the same last finite states; the others run through.
+
+    A step of 1 multiplies mode 0 by 1 + 1e30 - dw, more than any term the loop
+    forms on the way (1e30 u), so both overflow at the same step: a path
+    starting at u blows up once 1e30^k u passes the largest double."""
+    ops = OperatorFamily(A=MatrixPath(np.diag([-1e30, 0.5])),
+                         Bs=(MatrixPath(np.diag([1.0, 0.2])),))
+    grid = uniform_grid(30.0, 1.0)
+    u0 = np.array([[1.0, 1.0], [1e-100, 1.0], [0.0, 2.0], [-1e-250, -1.0], [1.0, 1.0]])
+    inc = sample_brownian_ensemble(1, grid, 4, len(u0))
+    segs = OperatorSegments(ops, grid)
+    assert segs.diagonal
+    states, blowups = _run_steps(None, segs, u0, inc, scheme)
+    want = {}
+    for p in range(len(u0)):
+        ref, t = _frozen_loop(ops, u0[p], grid, inc[p], scheme)
+        if t is not None:
+            want[p] = t
+        np.testing.assert_allclose(states[p], ref, rtol=1e-12)
+    assert blowups == want == {0: 11.0, 1: 14.0, 3: 19.0, 4: 11.0}
+    assert not np.signbit(states[2, :, 0]).any()
+
+
+@pytest.mark.parametrize("scheme", integrator.SCHEMES)
+@pytest.mark.parametrize("family", _DIAGONAL_FAMILIES + ("exploding",))
+def test_diagonal_scan_is_the_same_for_any_chunk_and_step_block(monkeypatch, family, scheme):
+    """The scan takes each path's row alone, so chunks of paths, one path
+    included, give one batch's states and blow-ups bit for bit; and it
+    multiplies in the order of the steps, so every _STEP_BLOCK does too."""
+    system = _exploding_diagonal() if family == "exploding" else _STEP_SYSTEMS[family]()
+    ops = system.ops
+    grid = uniform_grid(2.0 if family == "exploding" else 0.2, 5e-3)
+    segs = OperatorSegments(ops, grid)
+    u0 = np.random.default_rng(6).standard_normal((7, ops.dim))
+    inc = sample_brownian_ensemble(ops.n_noise, grid, 6, 7)
+    whole, blowups = _run_steps(None, segs, u0, inc, scheme)
+    assert bool(blowups) == (family == "exploding" and scheme != "drift-implicit")
+    for lo, hi in ((0, 1), (1, 4), (4, 7)):
+        chunk, chunk_blowups = _run_steps(None, segs, u0[lo:hi], inc[lo:hi], scheme)
+        assert chunk.tobytes() == whole[lo:hi].tobytes(), (lo, hi)
+        assert chunk_blowups == {p - lo: t for p, t in blowups.items() if lo <= p < hi}
+    for block in (1, 3, 50):
+        monkeypatch.setattr(integrator, "_STEP_BLOCK", block)
+        states, got = _run_steps(None, segs, u0, inc, scheme)
+        final, got_final = _run_steps(None, segs, u0, inc, scheme, final_only=True)
+        assert states.tobytes() == whole.tobytes(), block
+        assert final.tobytes() == whole[:, -1].tobytes(), block
+        assert list(got.items()) == list(got_final.items()) == list(blowups.items()), block
+
+
+@pytest.mark.parametrize("scheme", integrator.SCHEMES)
+@pytest.mark.parametrize("modes_per_dim", [2, 4])
+def test_diagonal_steps_with_F_match_the_dense_steps(scheme, modes_per_dim):
+    """With an F, a diagonal family steps one step at a time by elementwise
+    products; on nse-2d they give the dense products' states bit for bit."""
+    ops = make_system("nse-2d", modes_per_dim=modes_per_dim).ops
+    grid = uniform_grid(0.05, 1e-3)
+    u0 = np.random.default_rng(7).standard_normal((3, ops.dim))
+    inc = sample_brownian_ensemble(ops.n_noise, grid, 7, 3)
+    segs = OperatorSegments(ops, grid)
+    assert segs.diagonal and ops.F is not None
+    got, _ = _run_steps(ops.F, segs, u0, inc, scheme)
+    segs.diagonal = False
+    want, _ = _run_steps(ops.F, segs, u0, inc, scheme)
+    assert got.tobytes() == want.tobytes()
 
 
 # -- the drift-implicit step reads inv(I + dt A) prepared once per segment
@@ -443,23 +567,29 @@ def test_stored_inverse_matches_the_solve_it_replaces(family):
 
 @pytest.mark.parametrize("family, T", [
     ("diagonal", 0.2), ("coupled-piecewise", 0.2), ("linear-jump", 0.5),
+    ("diagonal-linear", 0.5),
 ])
 def test_implicit_inverse_is_built_once_per_segment(monkeypatch, family, T):
-    """One batched inv per segment, whatever the number of steps: one for a
-    constant family, one per node of the 6-node family (the last holds t=T
-    alone), one per LINEAR_BLOCK grid times of a linear family."""
-    calls = []
-    inv = np.linalg.inv
-    monkeypatch.setattr(np.linalg, "inv", lambda a: calls.append(a.shape) or inv(a))
+    """One batched preparation of inv(I + dt A) per segment, whatever the number
+    of steps: one for a constant family, one per node of the 6-node family (the
+    last holds t=T alone), one per LINEAR_BLOCK grid times of a linear family.
+    A dense drift's preparation is one np.linalg.inv; a diagonal one takes none."""
+    prepared, inverted = [], []
+    prepare, inv = integrator._implicit_inverse, np.linalg.inv
+    monkeypatch.setattr(integrator, "_implicit_inverse",
+                        lambda drift, *args: prepared.append(drift.shape) or prepare(drift, *args))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: inverted.append(a.shape) or inv(a))
     system = _STEP_SYSTEMS[family]()
     for dt in (5e-3, 1e-3):
         grid = uniform_grid(T, dt)
         segs = OperatorSegments(system.ops, grid)
-        calls.clear()
+        prepared.clear()
+        inverted.clear()
         _run_steps(None, segs, np.ones((2, system.ops.dim)),
                    np.zeros((2, len(grid) - 1, system.ops.n_noise)), "drift-implicit")
         want = {"diagonal": 1, "coupled-piecewise": 6}.get(family, -(-len(grid) // LINEAR_BLOCK))
-        assert len(calls) == len(segs.segments) == want
+        assert len(prepared) == len(segs.segments) == want
+        assert len(inverted) == (0 if segs.diagonal else want)
 
 
 def test_linear_family_holds_one_prepared_block_at_a_time(monkeypatch):
@@ -496,15 +626,27 @@ def _singular_linear():
     return OperatorFamily(A=a, Bs=(MatrixPath(0.1 * np.eye(2)),))
 
 
-@pytest.mark.parametrize("family", [_singular_piecewise, _singular_linear])
+def _dense(family):
+    """The family with an off-diagonal 1e-300 in a second noise, so it steps densely."""
+    ops = family()
+    tiny = MatrixPath(np.array([[0.0, 1e-300], [0.0, 0.0]]))
+    return OperatorFamily(A=ops.A, Bs=ops.Bs + (tiny,), noise_form=ops.noise_form)
+
+
+@pytest.mark.parametrize("family", [
+    _singular_piecewise, _singular_linear,
+    pytest.param(lambda: _dense(_singular_piecewise), id="dense-piecewise"),
+    pytest.param(lambda: _dense(_singular_linear), id="dense-linear"),
+])
 def test_singular_implicit_step_names_the_first_step_that_reads_it(family):
-    """I + dt A(0.5) is singular; the step from t=0.375 is the first to read it."""
+    """I + dt A(0.5) is singular; the step from t=0.375 is the first to read it,
+    whether the family steps by its diagonals or densely."""
     ops = family()
     system = SystemSpec(name="singular", basis=torus_basis(2), ops=ops, u0=np.ones(2))
     grid = uniform_grid(1.0, 0.125)
     with pytest.raises(SchemeError, match=r"singular implicit solve at t=0\.375:"):
         integrate_ensemble(system, "drift-implicit", grid, seed=0, n_paths=2)
-    inc = np.zeros((2, len(grid) - 1, 1))
+    inc = np.zeros((2, len(grid) - 1, ops.n_noise))
     with pytest.raises(SchemeError, match=r"at t=0\.375:"):
         _run_steps(None, OperatorSegments(ops, grid), np.ones((2, 2)), inc, "drift-implicit")
 

@@ -219,3 +219,63 @@ def test_tilde_quadratic_in_noise_scale(scale):
     t0 = assemble_tilde_A(base, 0.0)
     t1 = assemble_tilde_A(scaled, 0.0)
     assert np.allclose(t1 - a, scale**2 * (t0 - a), rtol=1e-10, atol=1e-12)
+
+
+def _linear_diagonal_family():
+    """A and B diagonal and linear on [0, 1], B's second entry crossing zero."""
+    nodes = np.array([0.0, 1.0])
+    a = MatrixPath(np.stack([np.diag([1.0, 0.0, 2.0]), np.diag([3.0, 0.0, -1.0])]), nodes,
+                   "linear")
+    b = MatrixPath(np.stack([np.diag([0.5, -0.2, 0.0]), np.diag([0.1, 0.4, 0.0])]), nodes,
+                   "linear")
+    return OperatorFamily(A=a, Bs=(b,), noise_form="stratonovich")
+
+
+def test_diagonal_rule():
+    """A family is diagonal when no node of A or of a B_k has an off-diagonal nonzero."""
+    from spdelab.systems import make_system
+
+    assert make_system("diagonal").ops.diagonal
+    assert make_system("nse-2d").ops.diagonal
+    assert _linear_diagonal_family().diagonal
+    for name in ("torus-heat-scalar", "torus-heat-gradient", "coupled-torus"):
+        assert not make_system(name).ops.diagonal, name
+    # one off-diagonal entry at one node of one noise is enough
+    values = np.stack([np.eye(2), np.eye(2)])
+    values[1, 0, 1] = 1e-300
+    moving = MatrixPath(values, np.array([0.0, 1.0]))
+    assert not OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(moving,)).diagonal
+    assert OperatorFamily(A=MatrixPath(np.eye(2)), Bs=()).diagonal
+
+
+@pytest.mark.parametrize("family", ["diagonal-zero", "nse-2d", "linear"])
+def test_diagonal_segments_apply_as_the_dense_products(family):
+    """Ã(t)u, sym(Ã(t))u and B_k(t)u of a diagonal family, applied elementwise,
+    equal the dense products bit for bit, signed zeros included: on a
+    generator that is 0 (tilde_eigs [0, 0, 0]), on nse-2d and on a linear
+    family, from states with zeros and negative entries."""
+    from spdelab.systems import make_system
+
+    if family == "diagonal-zero":
+        ops = make_system("diagonal", tilde_eigs=[0, 0, 0],
+                          noise_coeffs=[[0.3, -0.2, 0.0], [0.0, 0.1, -0.4]]).ops
+    elif family == "nse-2d":
+        ops = make_system("nse-2d").ops
+    else:
+        ops = _linear_diagonal_family()
+    times = np.linspace(0.0, 1.0, 11)
+    structured = OperatorSegments(ops, times)
+    dense = OperatorSegments(ops, times)
+    dense.diagonal = False
+    assert structured.diagonal
+    rng = np.random.default_rng(2)
+    states = rng.standard_normal((3, len(times), ops.dim))
+    states[0, :, 1] = 0.0
+    states[1, 2:5] = 0.0
+    for symmetric in (False, True):
+        got = structured.tilde_applied(states, symmetric)
+        assert got.tobytes() == dense.tilde_applied(states, symmetric).tobytes()
+    for got, want in zip(structured.noise_applied(states), dense.noise_applied(states)):
+        assert got.tobytes() == want.tobytes()
+    if family == "diagonal-zero":
+        assert not np.signbit(structured.tilde_applied(states)).any()
