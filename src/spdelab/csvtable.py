@@ -17,6 +17,15 @@ nine uint32 words, each word looked up in a table and padded with 0 bytes:
 the sign and lead digit, six groups of three digits, "e+dd", and one word
 for the exponent's third digit, if any, and the separator.  One
 bytes.translate pass deletes a block's pad bytes; CSV text holds no 0 byte.
+
+A column whose 64-bit pattern is the same in every row is formatted once:
+its slot in the table's first row is copied into each block, and the kernel
+formats the other columns alone, up to BLOCK_VALUES of their values a call.
+Such columns are common in raw-path tables: when a family's Fourier blocks
+decouple (coupled-torus), a start confined to a few of them leaves every
+other coordinate +0.0 for the whole run.  The patterns are compared, not
+the values, so +0.0 and -0.0, or nans with different payloads, are never
+one column's value.
 """
 import functools
 
@@ -126,9 +135,10 @@ def _digit_groups(big):
     return lead.astype(np.int64), groups
 
 
-def _format(values, seps):
-    """Each value's "%.18e" text followed by its separator, as bytes;
-    `seps` holds each value's separator as its index in SEPARATORS."""
+def _slots(values, seps):
+    """Each value's 36-byte slot, as (n, 9) uint32 words: its "%.18e" text
+    followed by its separator, padded with 0 bytes; `seps` holds each
+    value's separator as its index in SEPARATORS."""
     a = np.abs(values)
     finite = np.isfinite(a)
     fast = finite & (a != 0)
@@ -141,7 +151,7 @@ def _format(values, seps):
     lead, groups = _digit_groups(big)
 
     # a value's 36-byte slot: sign and lead digit, 6 digit groups, exponent,
-    # then its third digit with the separator; every 0 byte is dropped
+    # then its third digit with the separator
     heads, digits, exponents, tails, (nan, inf, neg_inf), codes = _tables()
     k += 324  # the exponent tables start at k = -324
     words = np.empty((len(values), 9), np.uint32)
@@ -159,7 +169,70 @@ def _format(values, seps):
         text = b"%.18e" % values[i]
         out[i, :32] = 0  # all but the separator
         out[i, :len(text)] = np.frombuffer(text, np.uint8)
+    return words
+
+
+def _format(words) -> bytes:
+    """The text of a block's slots: one bytes.translate pass deletes their
+    pad bytes."""
     return words.tobytes().translate(None, b"\0")  # CSV text holds no 0 byte
+
+
+def _fixed_columns(rows, step: int) -> np.ndarray:
+    """The columns whose 64-bit pattern is the first row's in every row, so
+    +0.0 and -0.0, or nans with different payloads, are never one value.
+    The first and last rows are compared as bytes, so a table whose every
+    column changes costs no array work; the columns left are checked a
+    block of `step` rows at a time, so no temporary outgrows a block.  Two
+    patterns are equal where their int64 difference, which wraps, is zero:
+    the kernel runs numpy's int64 subtraction anyway, where an integer ==
+    would page in library code of its own, which counts in resident memory."""
+    first, last = rows[0].tobytes(), rows[-1].tobytes()
+    cols = np.array([j for j in range(rows.shape[1])
+                     if first[8 * j:8 * j + 8] == last[8 * j:8 * j + 8]], np.intp)
+    bits = rows.view(np.int64)
+    for lo in range(0, len(rows), step):
+        if not len(cols):
+            break
+        cols = cols[~(bits[lo:lo + step, cols] - bits[0, cols]).any(0)]
+    return cols
+
+
+def _blocks(rows, step: int, row_seps):
+    """The slots of each block of `step` rows, as (values, 9) words."""
+    seps = np.tile(row_seps, min(step, len(rows)))
+    for lo in range(0, len(rows), step):
+        block = rows[lo:lo + step].ravel()
+        yield _slots(block, seps[:len(block)])
+
+
+def _fill(first, varying, formatted, step: int):
+    """Blocks of `step` rows of slots, as (rows, columns, 9) words: every
+    row is `first`, one row's slots, with its `varying` columns' slots
+    taken from the next row of `formatted`."""
+    formatted = formatted.reshape(-1, len(varying), 9)
+    for lo in range(0, len(formatted), step):
+        words = np.empty((min(step, len(formatted) - lo),) + first.shape, np.uint32)
+        words[:] = first
+        words[:, varying] = formatted[lo:lo + step]
+        yield words
+
+
+def _blocks_with_fixed(rows, step: int, row_seps, fixed):
+    """The slots of each block of `step` rows, where the `fixed` columns
+    hold the first row's pattern in every row: their slots are that row's,
+    made once.  The kernel formats the other columns of whole blocks, up to
+    BLOCK_VALUES values a call, as many as a block of a table without fixed
+    columns: the calls are fewer, and none is larger."""
+    varying = np.delete(np.arange(rows.shape[1]), fixed)
+    if not len(varying):  # no kernel call is empty: the first column is formatted
+        varying = np.arange(1)
+    first = _slots(rows[0], row_seps)
+    batch = step * max(1, BLOCK_VALUES // (step * len(varying)))  # rows per kernel call
+    seps = np.tile(row_seps[varying], (min(batch, len(rows)), 1))
+    for lo in range(0, len(rows), batch):
+        part = rows[lo:lo + batch, varying]
+        yield from _fill(first, varying, _slots(part.ravel(), seps[:len(part)].ravel()), step)
 
 
 def write_table(path: str, header: str, rows) -> None:
@@ -170,9 +243,9 @@ def write_table(path: str, header: str, rows) -> None:
     step = max(1, BLOCK_VALUES // n_cols)
     row_seps = np.zeros(n_cols, np.intp)
     row_seps[-1] = SEPARATORS.index(b"\n")
-    seps = np.tile(row_seps, min(step, n_rows))
+    fixed = _fixed_columns(rows, step) if n_rows else ()
+    blocks = (_blocks_with_fixed(rows, step, row_seps, fixed) if len(fixed)
+              else _blocks(rows, step, row_seps))
     with open(path, "wb") as fh:
         fh.write(header.encode("latin1") + b"\n")
-        for lo in range(0, n_rows, step):
-            block = rows[lo:lo + step].ravel()
-            fh.write(_format(block, seps[:len(block)]))
+        fh.writelines(map(_format, blocks))  # no block's words outlive its text

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import textwrap
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -115,6 +116,101 @@ def test_kernel_matches_the_loop_on_any_float64(values, n_cols):
     assert_kernel_matches(values, n_cols)
 
 
+# -- a column that holds one 64-bit pattern is formatted once --------------
+
+def _bits(b: int) -> float:
+    return np.array([b], np.uint64).view(np.float64)[0]
+
+
+#: constants whose bits a value-level comparison could merge or lose: signed
+#: zeros, nans of either sign and with a payload, infinities, subnormals
+_SPECIAL_CONSTANTS = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), _bits(0x7FF0_0000_0000_0001),
+                      _bits(0xFFF8_0000_DEAD_BEEF), np.inf, -np.inf, 5e-324, -2.5e-310]
+
+
+def _column(n_rows: int, value: float) -> np.ndarray:
+    """n_rows copies of value's 64-bit pattern."""
+    return np.full(n_rows, np.float64(value).view(np.uint64)).view(np.float64)
+
+
+def _coupled_path_rows(n_rows: int) -> np.ndarray:
+    """The shape of a coupled-torus path table: t and 6 varying states, 26 zeros."""
+    rows = np.zeros((n_rows, 33))
+    rows[:, :7] = np.random.default_rng(6).standard_normal((n_rows, 7))
+    return rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(1, 6), st.integers(1, 64))
+def test_constant_columns_match_the_loop(data, n_rows, n_cols, block):
+    """Each column is drawn free or constant, in blocks small enough that a
+    table spans several, so constant columns sit beside free ones in every
+    block and a free column may equal its first row in some blocks."""
+    columns = []
+    for _ in range(n_cols):
+        if data.draw(st.booleans(), label="constant"):
+            columns.append(_column(n_rows, data.draw(st.one_of(
+                st.sampled_from(_SPECIAL_CONSTANTS), _bit_pattern, _any_float), label="value")))
+        else:
+            columns.append(np.array(data.draw(st.lists(
+                st.one_of(_any_float, _bit_pattern), min_size=n_rows, max_size=n_rows),
+                label="values"), np.float64))
+    with mock.patch.object(csvtable, "BLOCK_VALUES", block):
+        assert_kernel_matches(np.column_stack(columns).ravel(), n_cols)
+
+
+def _tables_with_constant_columns() -> dict:
+    free = np.random.default_rng(7).standard_normal((3000, 3))
+    last_differs, middle_differs = np.zeros(3000), np.zeros(3000)
+    last_differs[-1] = 1.0
+    middle_differs[2500] = -0.0  # in a later block, and by its sign alone
+    return {
+        "all-constant": np.column_stack([_column(3000, v) for v in _SPECIAL_CONSTANTS]),
+        "one-row": np.array([_SPECIAL_CONSTANTS]),
+        "one-column": _column(3000, 0.0).reshape(-1, 1),
+        "signed-zeros": np.column_stack([free[:, 0], _column(3000, 0.0),
+                                         _column(3000, -0.0), free[:, 1]]),
+        "nan-payloads": np.column_stack([_column(3000, np.nan),
+                                         _column(3000, _bits(0x7FF8_0000_0000_0001)), free[:, 2]]),
+        "two-patterns-per-column": np.column_stack([
+            free[:, 0], np.where(free[:, 1] > 0, 0.0, -0.0),
+            np.where(free[:, 2] > 0, np.nan, _bits(0x7FF8_0000_0000_0001))]),
+        "constant-but-one-row": np.column_stack([free[:, :2], np.zeros((3000, 3)),
+                                                 last_differs, middle_differs]),
+        "coupled-path": _coupled_path_rows(3000),
+    }
+
+
+@pytest.mark.parametrize("name, rows", _tables_with_constant_columns().items())
+def test_tables_with_constant_columns_match_the_loop(name, rows):
+    assert_kernel_matches(rows.ravel(), rows.shape[1])
+
+
+def test_a_constant_column_is_formatted_once(tmp_path):
+    """The kernel formats the first row and the varying columns, nothing of
+    the constant ones after the first row; an all-constant table its first
+    row and first column, so no call is empty; a table without a constant
+    column every value, as before."""
+    tables = _tables_with_constant_columns()
+    formatted = []
+
+    def counting(values, seps):
+        assert len(values), "the kernel is never called on no values"
+        formatted.append(len(values))
+        return slots(values, seps)
+
+    slots = csvtable._slots
+    for name, rows, want in [
+            ("coupled-path", tables["coupled-path"], 33 + 3000 * 7),
+            ("all-constant", tables["all-constant"], len(_SPECIAL_CONSTANTS) + 3000),
+            ("constant-but-one-row", tables["constant-but-one-row"], 7 + 3000 * 4),
+            ("free", tables["coupled-path"][:, :7], 3000 * 7)]:
+        formatted.clear()
+        with mock.patch.object(csvtable, "_slots", counting):
+            csvtable.write_table(str(tmp_path / f"{name}.csv"), "h", rows)
+        assert sum(formatted) == want, (name, formatted)
+
+
 def test_an_empty_table_is_its_header(tmp_path):
     path = tmp_path / "empty.csv"
     csvtable.write_table(str(path), "a,b", np.empty((0, 2)))
@@ -124,19 +220,21 @@ def test_an_empty_table_is_its_header(tmp_path):
 def test_a_table_is_formatted_in_memory_set_by_the_block(tmp_path):
     """write_table's peak allocation is set by BLOCK_VALUES, not by the
     table's length: ten times the rows peak within 10% of the same, and
-    below 64 float64s per value of a block."""
-    rows = np.random.default_rng(6).standard_normal((100_000, 11))
-    csvtable.write_table(str(tmp_path / "warm.csv"), "h", rows[:2])  # tables built
-    peaks = []
-    for n_rows in (10_000, 100_000):
-        tracemalloc.start()
-        try:
-            csvtable.write_table(str(tmp_path / f"{n_rows}.csv"), "h", rows[:n_rows])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], peaks
-    assert max(peaks) < 64 * 8 * csvtable.BLOCK_VALUES, peaks
+    below 64 float64s per value of a block, with or without constant
+    columns."""
+    for rows in (np.random.default_rng(6).standard_normal((100_000, 11)),
+                 _coupled_path_rows(100_000)):
+        csvtable.write_table(str(tmp_path / "warm.csv"), "h", rows[:2])  # tables built
+        peaks = []
+        for n_rows in (10_000, 100_000):
+            tracemalloc.start()
+            try:
+                csvtable.write_table(str(tmp_path / f"{n_rows}.csv"), "h", rows[:n_rows])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.1 * peaks[0], (rows.shape, peaks)
+        assert max(peaks) < 64 * 8 * csvtable.BLOCK_VALUES, (rows.shape, peaks)
 
 
 IMPORT_COST = textwrap.dedent("""

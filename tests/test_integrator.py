@@ -309,8 +309,9 @@ def test_milstein_exact_for_pure_noise_single_step():
 
 
 def _loop_steps(ops, u0, times, increments, scheme):
-    """One path, one step at a time, with the family evaluated at t (and t + dt)
-    and each scheme's own formula: states (J+1, N) of a 1-D state."""
+    """One path, one step at a time, with the family evaluated at t (and, for
+    drift-implicit, at the next grid time) and each scheme's own formula:
+    states (J+1, N) of a 1-D state."""
     dt = float(times[1] - times[0])
     states = [np.asarray(u0, dtype=float)]
     for j, dw in enumerate(increments):
@@ -331,7 +332,7 @@ def _loop_steps(ops, u0, times, increments, scheme):
                         area = area - dt
                     out = out + 0.5 * (u @ (bk @ bl).T) * area
         if scheme == "drift-implicit":
-            out = out @ np.linalg.inv(np.eye(len(u)) + dt * ops.at(t + dt).drift).T
+            out = out @ np.linalg.inv(np.eye(len(u)) + dt * ops.at(times[j + 1]).drift).T
         states.append(out)
     return np.array(states)
 
@@ -361,10 +362,10 @@ def _linear_jump_system():
     return SystemSpec(name="linear-jump", basis=torus_basis(2), ops=ops, u0=np.ones(2))
 
 
-def _diagonal_piecewise():
-    """Diagonal A and two diagonal noises on [0, 1] whose values jump at 0.0525 and 0.1325,
-    off the test grid."""
-    nodes = np.array([0.0, 0.0525, 0.1325, 1.0])
+def _diagonal_piecewise(jumps=(0.0525, 0.1325)):
+    """Diagonal A and two diagonal noises on [0, 1] whose values jump at `jumps`,
+    by default off the test grid."""
+    nodes = np.array([0.0, *jumps, 1.0])
     a = MatrixPath(np.stack([np.diag(v) for v in ([1.0, 4.0], [2.0, 3.0], [0.5, 5.0],
                                                    [0.5, 5.0])]), nodes)
     b0 = MatrixPath(np.stack([np.diag(v) for v in ([0.3, 0.2], [0.5, -0.1], [0.2, 0.4],
@@ -391,11 +392,14 @@ _STEP_SYSTEMS = {
     "diagonal-two-noises": lambda: make_diagonal([1.0, 4.0, 9.0],
                                                  [[0.3, 0.2, 0.1], [-0.2, 0.1, 0.25]]),
     "diagonal-piecewise": _diagonal_piecewise,
+    # jumps on the test grid: a step that ends on a node reads the new segment
+    "diagonal-on-grid": lambda: _diagonal_piecewise((0.05, 0.13)),
     "diagonal-linear": _diagonal_linear,
     "coupled-piecewise": lambda: _coupled_piecewise(),
     "linear-jump": _linear_jump_system,
 }
-_DIAGONAL_FAMILIES = ("diagonal", "diagonal-two-noises", "diagonal-piecewise", "diagonal-linear")
+_DIAGONAL_FAMILIES = ("diagonal", "diagonal-two-noises", "diagonal-piecewise",
+                      "diagonal-on-grid", "diagonal-linear")
 _STEP_CASES = [(f, s) for f in _DIAGONAL_FAMILIES if f != "diagonal-two-noises"
                for s in integrator.SCHEMES]
 _STEP_CASES += [(f, s) for f in ("coupled-piecewise", "linear-jump")
@@ -410,6 +414,9 @@ _STEP_CASES += [("diagonal-two-noises", "milstein")]
 @example(case=("diagonal-two-noises", "milstein"), n_paths=3, seed=5, random_start=True)
 @example(case=("diagonal-piecewise", "milstein"), n_paths=2, seed=8, random_start=True)
 @example(case=("diagonal-linear", "drift-implicit"), n_paths=3, seed=9, random_start=False)
+@example(case=("diagonal-on-grid", "drift-implicit"), n_paths=2, seed=10, random_start=False)
+@example(case=("diagonal-on-grid", "milstein"), n_paths=2, seed=11, random_start=True)
+@example(case=("diagonal-on-grid", "euler-maruyama"), n_paths=2, seed=12, random_start=True)
 def test_batched_steps_match_per_path_loop(case, n_paths, seed, random_start):
     """_run_steps on a (P, N) batch equals P single-path loops.
 
