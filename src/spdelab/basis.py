@@ -61,11 +61,6 @@ class SpectralBasis:
 
     # -- norms ---------------------------------------------------------
 
-    def norm_h(self, u: np.ndarray) -> np.ndarray:
-        """H-norm |u| (plain Euclidean norm of the coefficients)."""
-        u = self.check_vector(u)
-        return np.sqrt(np.sum(u * u, axis=-1))
-
     def norm_v(self, u: np.ndarray) -> np.ndarray:
         """V-norm ||u||, weighted by the eigenvalues."""
         u = self.check_vector(u)

@@ -16,12 +16,13 @@ class GridError(ValueError):
 
 
 def uniform_grid(T: float, dt: float) -> np.ndarray:
-    """Grid 0 = t_0 < ... < t_J = T with step dt; dt must divide T."""
+    """Grid 0 = t_0 < ... < t_J = T with step dt; dt must divide T: T/dt lies
+    within 1e-12 max(1, T/dt) of a whole number J >= 1."""
     if dt <= 0 or T <= 0:
         raise GridError(f"need T, dt > 0, got T={T}, dt={dt}")
     steps = T / dt
     j = int(round(steps))
-    if j < 1 or abs(steps - j) > 1e-9 * max(1.0, steps):
+    if j < 1 or abs(steps - j) > 1e-12 * max(1.0, steps):
         raise GridError(f"dt={dt} does not divide T={T}")
     return np.linspace(0.0, T, j + 1)
 

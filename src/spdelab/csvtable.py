@@ -18,9 +18,11 @@ the sign and lead digit, six groups of three digits, "e+dd", and one word
 for the exponent's third digit, if any, and the separator.  One
 bytes.translate pass deletes a block's pad bytes; CSV text holds no 0 byte.
 
-A column whose 64-bit pattern is the same in every row is formatted once:
-its slot in the table's first row is copied into each block, and the kernel
-formats the other columns alone, up to BLOCK_VALUES of their values a call.
+A table is written a block of rows at a time, and the kernel formats the
+columns that vary, up to BLOCK_VALUES of their values a call.  A column whose
+64-bit pattern is the same in every row is formatted once: its slot from the
+table's first row is placed once in a buffer that every block is written
+from, and a table without such columns writes the kernel's words as made.
 Such columns are common in raw-path tables: when a family's Fourier blocks
 decouple (coupled-torus), a start confined to a few of them leaves every
 other coordinate +0.0 for the whole run.  The patterns are compared, not
@@ -198,43 +200,6 @@ def _fixed_columns(rows, step: int) -> np.ndarray:
     return cols
 
 
-def _blocks(rows, step: int, row_seps):
-    """The slots of each block of `step` rows, as (values, 9) words."""
-    seps = np.tile(row_seps, min(step, len(rows)))
-    for lo in range(0, len(rows), step):
-        block = rows[lo:lo + step].ravel()
-        yield _slots(block, seps[:len(block)])
-
-
-def _fill(first, varying, formatted, step: int):
-    """Blocks of `step` rows of slots, as (rows, columns, 9) words: every
-    row is `first`, one row's slots, with its `varying` columns' slots
-    taken from the next row of `formatted`."""
-    formatted = formatted.reshape(-1, len(varying), 9)
-    for lo in range(0, len(formatted), step):
-        words = np.empty((min(step, len(formatted) - lo),) + first.shape, np.uint32)
-        words[:] = first
-        words[:, varying] = formatted[lo:lo + step]
-        yield words
-
-
-def _blocks_with_fixed(rows, step: int, row_seps, fixed):
-    """The slots of each block of `step` rows, where the `fixed` columns
-    hold the first row's pattern in every row: their slots are that row's,
-    made once.  The kernel formats the other columns of whole blocks, up to
-    BLOCK_VALUES values a call, as many as a block of a table without fixed
-    columns: the calls are fewer, and none is larger."""
-    varying = np.delete(np.arange(rows.shape[1]), fixed)
-    if not len(varying):  # no kernel call is empty: the first column is formatted
-        varying = np.arange(1)
-    first = _slots(rows[0], row_seps)
-    batch = step * max(1, BLOCK_VALUES // (step * len(varying)))  # rows per kernel call
-    seps = np.tile(row_seps[varying], (min(batch, len(rows)), 1))
-    for lo in range(0, len(rows), batch):
-        part = rows[lo:lo + batch, varying]
-        yield from _fill(first, varying, _slots(part.ravel(), seps[:len(part)].ravel()), step)
-
-
 def write_table(path: str, header: str, rows) -> None:
     """Write a header line, then the rows of a 2-D float64 array as
     np.savetxt(path, rows, fmt="%.18e", delimiter=",") writes them."""
@@ -244,8 +209,27 @@ def write_table(path: str, header: str, rows) -> None:
     row_seps = np.zeros(n_cols, np.intp)
     row_seps[-1] = SEPARATORS.index(b"\n")
     fixed = _fixed_columns(rows, step) if n_rows else ()
-    blocks = (_blocks_with_fixed(rows, step, row_seps, fixed) if len(fixed)
-              else _blocks(rows, step, row_seps))
+    varying = slice(None)  # a view: a table without fixed columns gathers none
+    if len(fixed):
+        # no kernel call is empty: an all-fixed table formats its first column
+        varying = np.delete(np.arange(n_cols), fixed) if len(fixed) < n_cols else np.arange(1)
+        buffer = np.empty((min(step, n_rows), n_cols, 9), np.uint32)
+        buffer[:] = _slots(rows[0], row_seps)
+    width = len(row_seps[varying])
+    batch = step * max(1, BLOCK_VALUES // (step * width))  # rows per kernel call
+    seps = np.tile(row_seps[varying], min(batch, n_rows))
+
+    def blocks():
+        for lo in range(0, n_rows, batch):
+            part = rows[lo:lo + batch, varying]
+            words = _slots(part.ravel(), seps[:part.size]).reshape(-1, width, 9)
+            for at in range(0, len(words), step):
+                block = words[at:at + step]
+                if len(fixed):
+                    buffer[:len(block), varying] = block
+                    block = buffer[:len(block)]
+                yield block
+
     with open(path, "wb") as fh:
         fh.write(header.encode("latin1") + b"\n")
-        fh.writelines(map(_format, blocks))  # no block's words outlive its text
+        fh.writelines(map(_format, blocks()))  # no block's words outlive its text

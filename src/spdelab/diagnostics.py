@@ -26,6 +26,9 @@ from .integrator import EnsembleResult
 #: below this H-norm an eps=0 quotient step is excluded and counted, not patched
 NORM_FLOOR = 1e-150
 
+#: the final share of the grid over which a path's quotient is judged settled
+SETTLE_WINDOW = 0.2
+
 
 class PathForms:
     """The pathwise forms of a batch of paths, each computed once on first read.
@@ -360,27 +363,24 @@ def spectral_limit_report(
     final_states: np.ndarray,
     tilde_sym: np.ndarray,
     eigenvalues: np.ndarray,
-    window_frac: float = 0.2,
-    settle_tol: Optional[float] = None,
 ) -> SpectralLimitReport:
     """Match the final-window quotient of each path to the spectrum.
 
     quotients has shape (P, J+1); a path settles when the standard deviation
-    over the final window is below settle_tol (default: 10% of the smallest
-    gap between distinct eigenvalues, or 0.1 for a single one).  Eigenvalues
+    over its final SETTLE_WINDOW is below settle_tol, 10% of the smallest
+    gap between distinct eigenvalues, or 0.1 for a single one.  Eigenvalues
     closer than 1e-9 max(1, max|lambda|) count as one: the solver splits a
     repeated eigenvalue by rounding.
     """
     quotients = np.atleast_2d(np.asarray(quotients, dtype=float))
     final_states = np.atleast_2d(np.asarray(final_states, dtype=float))
     eigenvalues = np.sort(np.asarray(eigenvalues, dtype=float))
-    if settle_tol is None:
-        gaps = np.diff(eigenvalues)
-        gaps = gaps[gaps > 1e-9 * max(1.0, np.max(np.abs(eigenvalues), initial=0.0))]
-        settle_tol = 0.1 * (float(np.min(gaps)) if gaps.size else 1.0)
+    gaps = np.diff(eigenvalues)
+    gaps = gaps[gaps > 1e-9 * max(1.0, np.max(np.abs(eigenvalues), initial=0.0))]
+    settle_tol = 0.1 * (float(np.min(gaps)) if gaps.size else 1.0)
 
     j1 = quotients.shape[1]
-    w0 = max(0, int(np.floor((1.0 - window_frac) * j1)))
+    w0 = max(0, int(np.floor((1.0 - SETTLE_WINDOW) * j1)))
     window = quotients[:, w0:]
     ests = np.mean(window, axis=-1)
     nearest = eigenvalues[np.argmin(np.abs(eigenvalues - ests[:, None]), axis=-1)]

@@ -38,6 +38,9 @@ def _diagonals(m: np.ndarray) -> np.ndarray:
 #: a noise commutator counts as zero below this times the squared norm of its operators
 COMMUTATOR_TOL = 1e-12
 
+#: half-width of the centred difference that tilde_prime_at takes
+DERIVATIVE_STEP = 1e-6
+
 
 class TimeRangeError(ValueError):
     """Requested time lies outside the declared grid."""
@@ -305,19 +308,19 @@ class OperatorFamily:
             drift = drift - 0.5 * corr
         return OperatorSegment(drift, noise)
 
-    def tilde_prime_at(self, t, dt: float = 1e-6) -> np.ndarray:
+    def tilde_prime_at(self, t) -> np.ndarray:
         """Derivative of the corrected generator at t, or stacked over an array of times.
 
         Zero by convention (jumps excluded) when every time-dependent path is
-        piecewise constant; otherwise a centred difference clamped to the
-        span of the nodes.
+        piecewise constant; otherwise a centred difference of half-width
+        DERIVATIVE_STEP clamped to the span of the nodes.
         """
         zero = np.zeros(np.shape(t) + (self.dim, self.dim))
         if self.interpolation == "constant":
             return zero
         nodes = self.nodes
-        t0 = np.clip(t - dt, nodes[0], nodes[-1])
-        t1 = np.clip(t + dt, nodes[0], nodes[-1])
+        t0 = np.clip(t - DERIVATIVE_STEP, nodes[0], nodes[-1])
+        t1 = np.clip(t + DERIVATIVE_STEP, nodes[0], nodes[-1])
         step = (t1 - t0)[..., None, None]
         diff = assemble_tilde_A(self, t1) - assemble_tilde_A(self, t0)
         return np.divide(diff, step, out=zero, where=step > 0)

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import csvtable, diagnostics as diag
 from .assumptions import AssumptionReport, check_all, check_commutator_bound, k6_table
-from .brownian import uniform_grid
+from .brownian import GridError, uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
 from .operators import spectrum
 from .systems import REGISTRY, SystemSpec, make_system
@@ -150,11 +150,12 @@ class ExperimentConfig:
             raise ConfigError(f"config key 'scheme': unknown scheme {self.scheme!r}")
         if self.T <= 0 or self.dt <= 0:
             raise ConfigError("config keys 'T' and 'dt' must be positive")
-        steps = self.T / self.dt
-        if abs(steps - round(steps)) > 1e-12 * max(1.0, steps):
+        try:
+            uniform_grid(self.T, self.dt)
+        except GridError:
             raise ConfigError(
                 f"config key 'dt': dt={self.dt} does not divide T={self.T}"
-            )
+            ) from None
         if self.paths < 1:
             raise ConfigError("config key 'paths' must be >= 1")
         if self.master_seed < 0:
@@ -353,7 +354,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     gaps = {key: {n: np.empty(n_gap) for n in cfg.N_list} for key in ("K3", "K4")}
     path_header = ("t",) + tuple(f"u{i}" for i in range(system.basis.dim))
 
-    def jobs():
+    def write_blocks():
+        """Each block's diagnostics, then its tables: the writing holds no
+        diagnostics work.  A function, so the last block is freed before
+        the report is built."""
         for lo, table, forms in _diagnostic_blocks(system, ens, eps, cfg.delta,
                                                    *consts, per_block):
             states, hi = forms.paths.states, lo + len(table)
@@ -366,17 +370,19 @@ def run(cfg: ExperimentConfig) -> RunManifest:
                 for key, per_n in (("K3", k3), ("K4", k4)):
                     for n, v in per_n.items():
                         gaps[key][n][lo:top] = v[:top - lo]
+            jobs = []
             for p, rows in enumerate(table, start=lo):
                 rel = os.path.join("diagnostics", f"{p}.csv")
                 outputs.append(rel)
-                yield os.path.join(run_dir, rel), DIAG_COLUMNS, rows
+                jobs.append((os.path.join(run_dir, rel), DIAG_COLUMNS, rows))
                 if cfg.write_paths:
                     rel = os.path.join("paths", f"{p}.csv")
                     outputs.append(rel)
-                    yield (os.path.join(run_dir, rel), path_header,
-                           np.column_stack([grid, states[p - lo]]))
+                    jobs.append((os.path.join(run_dir, rel), path_header,
+                                 np.column_stack([grid, states[p - lo]])))
+            _write_csv(jobs)
 
-    _write_csv(jobs())
+    write_blocks()
 
     report = _build_report(cfg, system, ens, quots, norms, finals, m_final, gaps)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:

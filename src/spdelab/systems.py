@@ -23,6 +23,9 @@ import numpy as np
 from .basis import SpectralBasis
 from .operators import MatrixPath, OperatorFamily
 
+#: the largest wavenumber of a field whose multiplication matrix is exact
+FIELD_BANDWIDTH = 8
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -150,15 +153,14 @@ def _torus_eval(dim: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def multiplication_matrix(f: Callable[[np.ndarray], np.ndarray], dim: int,
-                          bandwidth: int = 8) -> np.ndarray:
+def multiplication_matrix(f: Callable[[np.ndarray], np.ndarray], dim: int) -> np.ndarray:
     """Galerkin matrix of pointwise multiplication by a trig polynomial f.
 
-    Exact (to rounding) when f has bandwidth at most `bandwidth`, since the
-    trapezoidal rule on the circle integrates trig polynomials exactly.
+    Exact (to rounding) when f has bandwidth at most FIELD_BANDWIDTH, since
+    the trapezoidal rule on the circle integrates trig polynomials exactly.
     """
     max_m = (dim + 1) // 2
-    npts = 2 * (2 * max_m + bandwidth) + 1
+    npts = 2 * (2 * max_m + FIELD_BANDWIDTH) + 1
     x = np.linspace(0.0, 2.0 * np.pi, npts, endpoint=False)
     e = _torus_eval(dim, x)
     w = 2.0 * np.pi / npts
@@ -456,11 +458,6 @@ class NSEGeometry:
         lead = prods.shape[:-4]
         return self._divergence(prods.reshape(lead + (1, 4) + prods.shape[-2:]),
                                 self._coef_pair)
-
-    def bilinear(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Projected (x . grad) v of batches (..., N) of one shape, exact Galerkin
-        on the G x G grid."""
-        return self.bilinear_pair(x, v)[..., 0, :]
 
     def advection(self, u: np.ndarray) -> np.ndarray:
         """Leray-projected (u . grad) u of a batch (..., N) of states, from the

@@ -18,7 +18,9 @@ from spdelab.brownian import sample_brownian_ensemble, uniform_grid
 from spdelab.integrator import _run_steps, integrate, integrate_ensemble
 from spdelab.operators import OperatorSegments, assemble_tilde_A, spectrum, sym
 from spdelab.systems import (
+    NSEGeometry,
     make_diagonal,
+    make_nse_2d,
     make_torus_heat_gradient_noise,
     make_torus_heat_scalar_noise,
 )
@@ -376,3 +378,56 @@ def test_acceptance_11_deterministic_heat_quotient():
         f"quotient nonincreasing: {monotone}, final gap to min spectrum "
         f"{final_gap:.2e} (tol 1e-6)",
     )
+
+
+# -- 12. spectral limit of the stochastic Navier-Stokes equations ------
+
+
+def _nse_start(geom, shells):
+    """1 on both amplitudes of every wavevector with |m|^2 in `shells`."""
+    return np.repeat(np.isin(geom.k2, shells), 2).astype(float)
+
+
+@pytest.mark.parametrize("shells", [(1,), (1, 2), (2, 4)],
+                         ids=["exact", "shells-1-2", "even-parity"])
+def test_acceptance_12_nse_spectral_limit(shells):
+    """nse-2d with its defaults (nu = 1, b = 0.3, so sym(Ã) = |m|^2 - 0.09).
+
+    A start on the |m|^2 = 1 shell alone is a steady Euler mode, F(u0) = 0 to
+    rounding, so every quotient is nu - b^2 = 0.91 at every time.  A start on
+    shells 1 and 2 is moved by the advection and settles on 0.91.  A start on
+    shells 2 and 4 has m1 + m2 even in every mode, and the advection never
+    reaches an odd one: it settles on 2 nu - b^2 = 1.91, the limit the
+    nonlinearity selects.  The quotient is taken at eps = 0, because the
+    paths' |u|^2 falls below any eps that would be small next to it."""
+    geom = NSEGeometry(4)
+    sys = make_nse_2d()
+    u0 = _nse_start(geom, shells)
+    ens = integrate_ensemble(sys, "drift-implicit", uniform_grid(8.0, 2e-3), seed=1212,
+                             n_paths=8, u0=u0)
+    forms = diag.PathForms(ens, 0.0)
+    quots = diag.quotient_series(forms, 0.0)
+    tilde_sym = ens.segments.segments[0].tilde_sym
+    eigs, _ = spectrum(tilde_sym)
+    rep = diag.spectral_limit_report(quots, ens.states[:, -1], tilde_sym, eigs)
+    margin = diag.backward_probe(np.sqrt(forms.sq), ens.times)["margin"]
+    target = min(shells) - 0.3**2
+    force = float(np.linalg.norm(sys.ops.F(0.0, u0)))
+    settled = [p for p in rep.paths if p.settled]
+    matched = [p for p in settled
+               if abs(p.matched_eigenvalue - target) < 1e-12 and p.residual_final < 1e-2]
+    frac = len(matched) / max(len(settled), 1)
+    moved = force < 1e-12 if shells == (1,) else force > 0.1
+    ok = len(settled) > 0 and frac >= 0.95 and margin > 0.0 and moved
+    detail = (f"|F(u0)| {force:.1e}, {len(settled)}/8 settled, {100 * frac:.0f}% on {target:.2f} with "
+              f"residual < 1e-2, backward margin {margin:.2e}")
+    if shells == (1,):
+        deviation = float(np.max(np.abs(quots - target)))
+        ok = ok and deviation < 1e-12
+        detail += f", max |quotient - {target:.2f}| {deviation:.1e} (tol 1e-12)"
+    if shells == (2, 4):
+        odd = np.repeat(np.sum(geom.wavevectors, axis=1) % 2 == 1, 2)
+        leak = float(np.max(np.abs(ens.states[..., odd])))
+        ok = ok and leak < 1e-15
+        detail += f", odd-parity coordinates <= {leak:.1e} (tol 1e-15)"
+    _verdict(f"12-nse-spectral-limit-{'-'.join(map(str, shells))}", ok, detail)

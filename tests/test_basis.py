@@ -13,7 +13,6 @@ def make_basis(n=4):
 def test_norms_closed_form():
     b = make_basis(3)
     u = np.array([1.0, 2.0, 2.0])
-    assert b.norm_h(u) == pytest.approx(3.0)
     assert b.norm_v(u) == pytest.approx(np.sqrt(1 + 8 + 12))
     assert b.norm_d(u) == pytest.approx(np.sqrt(1 + 16 + 36))
 
@@ -21,8 +20,8 @@ def test_norms_closed_form():
 def test_norms_broadcast_over_leading_axes():
     b = make_basis(4)
     u = np.ones((5, 7, 4))
-    assert b.norm_h(u).shape == (5, 7)
-    assert np.allclose(b.norm_h(u), 2.0)
+    assert b.norm_v(u).shape == (5, 7)
+    assert np.allclose(b.norm_v(u), np.sqrt(10.0))
 
 
 def test_validation_rejects_bad_eigenvalues():
@@ -37,7 +36,7 @@ def test_validation_rejects_bad_eigenvalues():
 def test_dimension_mismatch_on_vectors():
     b = make_basis(3)
     with pytest.raises(DimensionMismatchError):
-        b.norm_h(np.ones(4))
+        b.norm_v(np.ones(4))
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=8))
@@ -46,7 +45,7 @@ def test_norm_ordering(coeffs):
     u = np.array(coeffs)
     lam = np.arange(1.0, len(u) + 1.0)
     b = SpectralBasis(dim=len(u), hat_eigenvalues=lam)
-    assert b.norm_h(u) <= b.norm_v(u) + 1e-9
+    assert np.linalg.norm(u) <= b.norm_v(u) + 1e-9
     assert b.norm_v(u) <= b.norm_d(u) + 1e-9
 
 
@@ -55,4 +54,4 @@ def test_norm_ordering(coeffs):
 def test_norm_homogeneity(coeffs, scale):
     u = np.array(coeffs)
     b = SpectralBasis(dim=len(u), hat_eigenvalues=np.ones(len(u)))
-    assert b.norm_h(scale * u) == pytest.approx(scale * b.norm_h(u), rel=1e-12)
+    assert b.norm_v(scale * u) == pytest.approx(scale * b.norm_v(u), rel=1e-12)

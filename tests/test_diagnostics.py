@@ -324,7 +324,7 @@ def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
         rho[j] = [float(u @ bu) / (float(u @ u) + reg) for bu in bus]
         ratio[j] = [2.0 * float(tu @ bu) / (float(u @ u) + eps) for bu in bus]
         res[j] = (diag.eigen_residual(u, tu, lam[j])
-                  if basis.norm_h(u) > diag.NORM_FLOOR else np.nan)
+                  if np.linalg.norm(u) > diag.NORM_FLOOR else np.nan)
 
     g = n_tab**2 + k2 + k6
     logm, big_g, k1_term, stoch = (np.zeros(n_t) for _ in range(4))
@@ -339,7 +339,7 @@ def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
     s = np.exp(-big_g) * m * lam
     psi = -0.5 * m * np.log(np.sum(states**2, axis=1) + max(eps, 1e-300))
     return np.column_stack([
-        times, basis.norm_h(states), basis.norm_v(states), basis.norm_d(states),
+        times, np.linalg.norm(states, axis=-1), basis.norm_v(states), basis.norm_d(states),
         lam, qfull, m, psi, res, s, x,
     ])
 

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from spdelab import runner
+from spdelab.brownian import GridError, uniform_grid
 from spdelab.cli import main
 from spdelab.operators import OperatorSegments
 from spdelab.runner import (
@@ -49,6 +50,19 @@ def test_load_rejects_nondividing_dt(tmp_path):
     with pytest.raises(ConfigError) as err:
         load_config(minimal_config(tmp_path, dt=0.3))
     assert "0.3" in str(err.value) and "0.5" in str(err.value)
+
+
+def test_one_rule_decides_that_dt_divides_T(tmp_path, capsys):
+    """dt = 1e-3 (1 + 1e-10) misses T = 1 by 1e-7 of 1000 steps: the grid and
+    the config both reject it, with the config's message."""
+    dt = 1e-3 * (1 + 1e-10)
+    with pytest.raises(GridError):
+        uniform_grid(1.0, dt)
+    path = minimal_config(tmp_path, T=1.0, dt=dt)
+    assert main(["simulate", "--config", path]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config key 'dt': dt={dt} does not divide T=1.0")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_load_rejects_unknown_keys_and_missing_file(tmp_path):
@@ -163,6 +177,30 @@ def test_each_diagnostics_block_applies_each_operator_once(tmp_path, monkeypatch
     blocks = -(-12 // per_block)
     assert blocks > 1
     assert calls == {"tilde": [True] * blocks, "noise": blocks}
+
+
+def test_tables_are_written_after_their_block_diagnostics(tmp_path, monkeypatch):
+    """runner._write_csv, the persistence span, writes each block's tables
+    once they are made: no PathForms is built while it runs."""
+    writing = []
+    write_csv, path_forms = runner._write_csv, runner.diag.PathForms
+
+    def traced_write(jobs):
+        writing.append(True)
+        try:
+            write_csv(jobs)
+        finally:
+            writing.pop()
+
+    def checked_forms(*args, **kwargs):
+        assert not writing, "a PathForms was built while the tables were written"
+        return path_forms(*args, **kwargs)
+
+    monkeypatch.setattr(runner, "_write_csv", traced_write)
+    monkeypatch.setattr(runner.diag, "PathForms", checked_forms)
+    monkeypatch.setattr(runner, "DIAG_BLOCK_BYTES", 1)  # a block per path
+    run(load_config(minimal_config(tmp_path, paths=3, write_paths=True)))
+    assert len(os.listdir(tmp_path / "out" / "diagnostics")) == 3
 
 
 def test_a_run_builds_its_segments_once(tmp_path, monkeypatch):

@@ -302,7 +302,7 @@ def test_nse_bilinear_matches_per_wavevector_loop(mpd):
         idx = list(np.ndindex(shape))
         ref_b = np.array([_loop_bilinear(geom, x[i], v[i]) for i in idx])
         ref_a = np.array([_loop_bilinear(geom, x[i], x[i]) for i in idx])
-        _assert_rows_close(geom.bilinear(x, v), ref_b.reshape(x.shape))
+        _assert_rows_close(geom.bilinear_pair(x, v)[..., 0, :], ref_b.reshape(x.shape))
         _assert_rows_close(geom.advection(x), ref_a.reshape(x.shape))
     # a single state is a batch with no leading axes
     _assert_rows_close(geom.advection(x[0, 0]), ref_a[0])
@@ -320,7 +320,7 @@ def test_nse_advection_is_bilinear_on_the_diagonal(mpd):
     """advection's three products and bilinear's four give one form, row by row."""
     geom = NSEGeometry(mpd)
     for x, _ in _batches(geom, 20 + mpd):
-        _assert_rows_close(geom.advection(x), geom.bilinear(x, x))
+        _assert_rows_close(geom.advection(x), geom.bilinear_pair(x, x)[..., 0, :])
 
 
 @pytest.mark.parametrize("mpd", [2, 4, 16])
@@ -328,20 +328,21 @@ def test_nse_bilinear_is_skew_in_its_second_argument(mpd):
     """<B(x, v), v> = 0 for independent x and v: div x = 0 and the product is exact."""
     geom = NSEGeometry(mpd)
     for x, v in _batches(geom, 30 + mpd):
-        form = np.sum(geom.bilinear(x, v) * v, axis=-1)
+        form = np.sum(geom.bilinear_pair(x, v)[..., 0, :] * v, axis=-1)
         scale = np.sqrt(np.sum(x * x, axis=-1)) * np.sum(v * v, axis=-1)
         assert np.all(np.abs(form) < 1e-12 * scale)
 
 
 @pytest.mark.parametrize("mpd", [2, 4, 16])
 def test_nse_bilinear_pair_is_both_orders(mpd):
-    """The witness's one set of products gives bilinear(x, v) and bilinear(v, x)."""
+    """The witness's one set of products gives B(x, v) and B(v, x): swapping
+    the arguments swaps the two orders."""
     geom = NSEGeometry(mpd)
     for x, v in _batches(geom, 40 + mpd):
-        pair = geom.bilinear_pair(x, v)
+        pair, swapped = geom.bilinear_pair(x, v), geom.bilinear_pair(v, x)
         assert pair.shape == x.shape[:-1] + (2, geom.dim)
-        _assert_rows_close(pair[..., 0, :], geom.bilinear(x, v))
-        _assert_rows_close(pair[..., 1, :], geom.bilinear(v, x))
+        _assert_rows_close(pair[..., 0, :], swapped[..., 1, :])
+        _assert_rows_close(pair[..., 1, :], swapped[..., 0, :])
 
 
 def test_nse_energy_identity_on_batch():
