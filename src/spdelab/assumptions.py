@@ -5,10 +5,10 @@ eigenvalue statement (certified), or into a sampled estimate when the
 inequality is not a quadratic form (empirical).  All quadratic-form
 inequalities use the single symmetrization convention sym(M) = (M + M^T)/2.
 
-The checkers read the family evaluated once on their time grid
-(OperatorFamily.at); those that take only a max or min over it read one
-matrix per run (OperatorFamily.runs).  Only ac1 and the K6 table take the
-family itself: Ã' is a difference taken at times off the grid.
+The checkers read the family evaluated once per run of their time grid
+(OperatorFamily.runs), at the run's first time, so each table holds one
+entry per run.  Only ac1 and the K6 table take the family itself: Ã' is a
+difference taken at times off the grid.
 """
 from __future__ import annotations
 
@@ -29,6 +29,17 @@ from .operators import (
 
 #: a certificate matrix passes when its smallest eigenvalue clears this
 CERT_EIG_TOL = -1e-9
+
+#: weight of ||u||^2 that ac2's coercivity bound must leave over
+ALPHA = 1.0
+#: the nonnegative K2 values ac4 searches, smallest first
+K2_CANDIDATES = (0.0, 0.5, 1.0, 2.0)
+#: random vectors ac5 samples for the whole stack
+AC5_SAMPLES = 2000
+#: random vectors ac7 samples at each time where sym(Ã) is not definite
+AC7_SAMPLES = 10_000
+#: first word of the Philox keys of ac5's and ac7's samples
+SAMPLE_SEED = 0
 
 CERTIFIED = "certified"
 EMPIRICAL = "empirical"
@@ -80,7 +91,7 @@ class CertRecord:
 
 
 def check_boundedness(ev: OperatorSegment, basis: SpectralBasis) -> CertRecord:
-    """Sup over the grid of |A(t)|_{L(V,V')} and of each |B_k(t)|_{L(V,H)}."""
+    """Sup over the stack of |A(t)|_{L(V,V')} and of each |B_k(t)|_{L(V,H)}."""
     w = 1.0 / np.sqrt(basis.hat_eigenvalues)
     bound_a = float(operator_norm_v_vprime(ev.drift, basis).max(initial=0.0))
     # L(V, H) norm: largest singular value of B D^{-1/2}
@@ -114,29 +125,27 @@ def check_differentiability(ops: OperatorFamily, basis: SpectralBasis, t_grid):
 # -- AC2: coercivity --------------------------------------------------
 
 
-def check_coercivity(ev: OperatorSegment, basis: SpectralBasis, alpha: float):
-    """Smallest lambda with 2<A u,u> + lambda|u|^2 >= alpha||u||^2 + sum|B_k u|^2.
+def check_coercivity(ev: OperatorSegment, basis: SpectralBasis):
+    """Smallest lambda with 2<A u,u> + lambda|u|^2 >= ALPHA||u||^2 + sum|B_k u|^2.
 
-    lambda is the max over grid times of the top eigenvalue of
-    alpha*diag(lam) + sum B_k^T B_k - sym(2A(t)); the certificate matrix
-    sym(2A) + lambda I - alpha*diag(lam) - sum B_k^T B_k is re-checked to be
-    positive semidefinite at every grid time.
+    lambda is the max over the stack of the top eigenvalue of
+    ALPHA*diag(lam) + sum B_k^T B_k - sym(2A(t)); the certificate matrix
+    sym(2A) + lambda I - ALPHA*diag(lam) - sum B_k^T B_k is re-checked to be
+    positive semidefinite at every time of the stack.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
     d = np.diag(basis.hat_eigenvalues)
     a = ev.drift
     btb = np.zeros_like(a)
     for b in ev.Bs:
         btb += b.mT @ b
     # B^T B need not come out of BLAS bitwise symmetric, so both matrices are symmetrized
-    lam = float(_top_eig(sym(alpha * d + btb - 2.0 * sym(a))).max(initial=-np.inf))
-    worst = float(_min_eig(sym(2.0 * sym(a) + lam * np.eye(basis.dim) - alpha * d - btb))
+    lam = float(_top_eig(sym(ALPHA * d + btb - 2.0 * sym(a))).max(initial=-np.inf))
+    worst = float(_min_eig(sym(2.0 * sym(a) + lam * np.eye(basis.dim) - ALPHA * d - btb))
                   .min(initial=np.inf))
     status = CERTIFIED if worst >= CERT_EIG_TOL else FAILED
     record = CertRecord(
         name="ac2", status=status,
-        constants={"alpha": alpha, "lambda": lam},
+        constants={"alpha": ALPHA, "lambda": lam},
         slack=float(worst),
     )
     return lam, record
@@ -160,10 +169,10 @@ def check_weak_noise_bound(ev: OperatorSegment):
 # -- AC4: commutator bound --------------------------------------------
 
 
-def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, K2_grid, t_grid):
+def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid):
     """Commutator form bounded by K1(t) id + K2 sym(tilde_A(t)).
 
-    For each nonnegative candidate K2 the pointwise-optimal K1(t) is the top
+    For each K2 of K2_CANDIDATES the pointwise-optimal K1(t) is the top
     eigenvalue of sym(C(t)) - K2 sym(tilde_A(t)), with C the noise-weighted
     commutator.  Returns the candidate minimizing the integral of max(K1, 0)
     and reports whether K1 = 0 is achievable.  Both the full-space and the
@@ -172,9 +181,6 @@ def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, K2_grid, t
     holds the times ev was evaluated at, for the trapezoidal cost.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    K2_grid = np.asarray(K2_grid, dtype=float)
-    if np.any(K2_grid < 0):
-        raise ValueError("K2 candidates must be nonnegative")
     half = max(1, basis.dim // 2)
     ta = ev.tilde_sym
     c = sym(commutator_C(ev))
@@ -185,7 +191,7 @@ def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, K2_grid, t
     tol = max(1e-9, 1e-12 * scale)
 
     best = None
-    for k2 in K2_grid:
+    for k2 in K2_CANDIDATES:
         m = c - k2 * ta
         k1 = _top_eig(m)
         k1_half = _top_eig(m[..., :half, :half])
@@ -218,21 +224,17 @@ def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, K2_grid, t
 # -- AC5: strong noise bound ------------------------------------------
 
 
-def check_strong_noise_bound(
-    ev: OperatorSegment, basis: SpectralBasis, samples: int = 2000, seed: int = 0,
-):
+def check_strong_noise_bound(ev: OperatorSegment, basis: SpectralBasis):
     """Empirical minimal (L1, L2) with sum_k |B_k x| <= L1 |A x| + L2 |x|.
 
-    Not a quadratic form, so the certificate is sampled: random
-    domain-normalized vectors plus every basis vector, over the time grid.
+    Not a quadratic form, so the certificate is sampled: AC5_SAMPLES random
+    domain-normalized vectors plus every basis vector, over the stack.
     For each candidate L2 on a grid the minimal L1 is read off the sampled
     ratios; the pair minimizing L1 + L2 is returned, flagged empirical.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0x5CE]))
+    rng = np.random.Generator(np.random.Philox(key=[SAMPLE_SEED, 0x5CE]))
     n = basis.dim
-    xs = rng.standard_normal((samples, n)) / basis.hat_eigenvalues[None, :]
+    xs = rng.standard_normal((AC5_SAMPLES, n)) / basis.hat_eigenvalues[None, :]
     xs = np.vstack([xs, np.eye(n)])
     xs /= np.linalg.norm(xs, axis=1, keepdims=True)
 
@@ -281,7 +283,7 @@ def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
 
     Grid search over beta; for each beta, gamma is the smallest shift making
     both beta*diag(lam) + gamma I - sym(A) and ... + sym(A) positive
-    semidefinite over the time grid.  The pair minimizing
+    semidefinite over the stack.  The pair minimizing
     gamma + lam_1 * beta is returned, smallest beta breaking ties.
     """
     d = np.diag(basis.hat_eigenvalues)
@@ -316,20 +318,19 @@ def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
 # -- AC7: first-order noise bound -------------------------------------
 
 
-def check_first_order_bound(
-    ev: OperatorSegment, basis: SpectralBasis, t_grid, samples: int = 10_000, seed: int = 0,
-):
+def check_first_order_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid):
     """Per-noise C1(t) with |<tilde_A x, B_k x>| <= C1_k(t) |<tilde_A x, x>|.
 
     When sym(tilde_A(t)) is positive definite the exact constant is the
     spectral norm of sym(S^{1/2} B_k S^{-1/2}) with S the symmetric part.
-    Otherwise the constant is estimated from sampled ratios and the record
-    is flagged empirical.  Where no sample has <S x, x> != 0, C1 = 0 if no
-    <S x, B_k x> != 0 either; else the record fails, naming that time of t_grid.
+    Otherwise the constant is estimated from AC7_SAMPLES sampled ratios and
+    the record is flagged empirical.  Where no sample has <S x, x> != 0,
+    C1 = 0 if no <S x, B_k x> != 0 either; else the record fails, naming
+    that time of t_grid.
     """
     bs = ev.Bs
     tables = np.zeros((len(bs), len(ev.drift)))
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0xAC7]))
+    rng = np.random.Generator(np.random.Philox(key=[SAMPLE_SEED, 0xAC7]))
     sym_tilde = ev.tilde_sym
     w, v = np.linalg.eigh(sym_tilde)
     definite = w[:, 0] > 1e-12
@@ -343,7 +344,7 @@ def check_first_order_bound(
     # sampled in time order, so each time keeps its draws from the stream
     for j in np.flatnonzero(~definite):
         s = sym_tilde[j]
-        xs = rng.standard_normal((samples, basis.dim))
+        xs = rng.standard_normal((AC7_SAMPLES, basis.dim))
         # s is exactly symmetric, so <s x, x> is the row sum of (x s^T) * x
         sx = xs @ s.T
         form = np.sum(sx * xs, axis=1)
@@ -380,7 +381,7 @@ def k6_table(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> np.ndarray:
 
 @dataclass
 class AssumptionReport:
-    """All certificates for one family on one time grid."""
+    """All certificates for one family, with the first time of each run they read."""
 
     records: dict  # name -> CertRecord
     t_grid: np.ndarray
@@ -395,33 +396,25 @@ class AssumptionReport:
         return out
 
 
-def check_all(
-    ops: OperatorFamily,
-    basis: SpectralBasis,
-    t_grid,
-    alpha: float = 1.0,
-    K2_grid=(0.0, 0.5, 1.0, 2.0),
-    samples: int = 2000,
-    seed: int = 0,
-) -> AssumptionReport:
+def check_all(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> AssumptionReport:
     """Run every checker on one family and collect the records.
 
-    The family is evaluated on t_grid once; ac0, ac2, ac5 and ac6, which take
-    only a max or min over it, read one matrix per run (OperatorFamily.runs).
+    The family is evaluated once, at the first time of each run of t_grid
+    (OperatorFamily.runs), and every checker reads that one stack; the
+    report's t_grid is those first times, one table entry per run.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    ev = ops.at(t_grid)
-    firsts = ops.runs(t_grid)[:-1]
-    per_run = OperatorSegment(ev.drift[firsts], tuple(b[firsts] for b in ev.Bs))
+    firsts = t_grid[ops.runs(t_grid)[:-1]]
+    ev = ops.at(firsts)
     records = {}
-    records["ac0"] = check_boundedness(per_run, basis)
-    k6, records["ac1"] = check_differentiability(ops, basis, t_grid)
-    _, records["ac2"] = check_coercivity(per_run, basis, alpha)
+    records["ac0"] = check_boundedness(ev, basis)
+    k6, records["ac1"] = check_differentiability(ops, basis, firsts)
+    _, records["ac2"] = check_coercivity(ev, basis)
     _, records["ac3"] = check_weak_noise_bound(ev)
-    _, _, records["ac4"] = check_commutator_bound(ev, basis, K2_grid, t_grid)
-    _, _, records["ac5"] = check_strong_noise_bound(per_run, basis, samples=samples, seed=seed)
-    _, _, records["ac6"] = check_weak_A_bound(per_run, basis)
-    _, records["ac7"] = check_first_order_bound(ev, basis, t_grid, seed=seed)
+    _, _, records["ac4"] = check_commutator_bound(ev, basis, firsts)
+    _, _, records["ac5"] = check_strong_noise_bound(ev, basis)
+    _, _, records["ac6"] = check_weak_A_bound(ev, basis)
+    _, records["ac7"] = check_first_order_bound(ev, basis, firsts)
     records["k6"] = CertRecord(name="k6", status=CERTIFIED, constants={"table": k6})
-    return AssumptionReport(records=records, t_grid=t_grid)
+    return AssumptionReport(records=records, t_grid=firsts)
 

@@ -7,9 +7,11 @@ import sys
 
 import numpy as np
 
+from .assumptions import check_all
+from .brownian import uniform_grid
 from .diagnostics import quotient_fn, quotient_fn_d1, quotient_fn_d2
 from .integrator import BlowUpError, strong_convergence
-from .runner import build_system, certify, load_config, report_summary, run
+from .runner import build_system, load_config, report_summary, run
 from .systems import list_systems
 
 #: the convergence study uses at most this many of the config's paths
@@ -25,7 +27,8 @@ def _cmd_list_systems(args) -> int:
 def _cmd_check(args) -> int:
     cfg = load_config(args.config)
     system = build_system(cfg)
-    print(json.dumps(certify(system, cfg.T).to_dict(), indent=2, sort_keys=True))
+    report = check_all(system.ops, system.basis, uniform_grid(cfg.T, cfg.dt))
+    print(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     return 0
 
 

@@ -6,10 +6,12 @@ import pytest
 
 from spdelab import assumptions
 from spdelab.assumptions import (
+    ALPHA,
     CERT_EIG_TOL,
     CERTIFIED,
     EMPIRICAL,
     FAILED,
+    K2_CANDIDATES,
     check_all,
     check_coercivity,
     check_commutator_bound,
@@ -55,10 +57,10 @@ def family(a, bs=()):
 
 
 def test_coercivity_drift_equals_hat_operator():
-    """2<hat_A u, u> = 2||u||^2, so alpha=2 needs no shift."""
+    """2<A u, u> = ALPHA||u||^2 for A = (ALPHA/2) hat_A, so it needs no shift."""
     lam = [1.0, 2.0, 5.0]
-    ops = family(np.diag(lam))
-    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam), 2.0)
+    ops = family(0.5 * ALPHA * np.diag(lam))
+    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
     assert value == pytest.approx(0.0, abs=1e-12)
     assert record.status == CERTIFIED
 
@@ -66,8 +68,8 @@ def test_coercivity_drift_equals_hat_operator():
 def test_coercivity_scalar_noise_costs_its_square():
     lam = [1.0, 2.0]
     c = 0.7
-    ops = family(np.diag(lam), [c * np.eye(2)])
-    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam), 2.0)
+    ops = family(0.5 * ALPHA * np.diag(lam), [c * np.eye(2)])
+    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
     assert value == pytest.approx(c**2, abs=1e-12)
     assert record.status == CERTIFIED
 
@@ -77,7 +79,7 @@ def test_coercivity_recheck_on_random_symmetric_drift():
     a = sym(rng.standard_normal((5, 5)))
     b = rng.standard_normal((5, 5))
     ops = family(a, [b])
-    _, record = check_coercivity(ops.at(T_GRID), hat_basis(np.arange(1.0, 6.0)), 1.0)
+    _, record = check_coercivity(ops.at(T_GRID), hat_basis(np.arange(1.0, 6.0)))
     assert record.status == CERTIFIED
     assert record.slack >= CERT_EIG_TOL
 
@@ -87,8 +89,8 @@ def test_coercivity_monotone_in_noise():
     lam = [1.0, 2.0]
     base = family(np.diag(lam), [0.3 * np.eye(2)])
     bigger = family(np.diag(lam), [0.3 * np.eye(2), 0.4 * np.eye(2)])
-    v0, _ = check_coercivity(base.at(T_GRID), hat_basis(lam), 2.0)
-    v1, _ = check_coercivity(bigger.at(T_GRID), hat_basis(lam), 2.0)
+    v0, _ = check_coercivity(base.at(T_GRID), hat_basis(lam))
+    v1, _ = check_coercivity(bigger.at(T_GRID), hat_basis(lam))
     assert v1 >= v0 - 1e-12
 
 
@@ -128,9 +130,7 @@ def test_weak_noise_monotone_in_family():
 
 def test_commutator_zero_for_commuting_family():
     ops = family(np.diag([1.0, 4.0]), [np.diag([0.3, 0.2])])
-    k2, k1, record = check_commutator_bound(
-        ops.at(T_GRID), hat_basis([1.0, 4.0]), (0.0, 1.0), T_GRID
-    )
+    k2, k1, record = check_commutator_bound(ops.at(T_GRID), hat_basis([1.0, 4.0]), T_GRID)
     assert k2 == 0.0
     assert np.allclose(k1, 0.0, atol=1e-12)
     assert record.constants["K1_zero_achievable"]
@@ -138,9 +138,7 @@ def test_commutator_zero_for_commuting_family():
 
 def test_commutator_gradient_noise_constant_sigma():
     sys = make_torus_heat_gradient_noise(dim=16, sigma_fields=(0.5,))
-    k2, k1, record = check_commutator_bound(
-        sys.ops.at(T_GRID), sys.basis, (0.0, 0.5, 1.0), T_GRID
-    )
+    k2, k1, record = check_commutator_bound(sys.ops.at(T_GRID), sys.basis, T_GRID)
     assert np.allclose(k1, 0.0, atol=1e-9)
     assert k2 == 0.0
 
@@ -150,15 +148,13 @@ def test_commutator_variable_sigma_bounded_by_gradient():
     amp = 0.3
     sigma = lambda x: amp * np.sin(x)
     sys = make_torus_heat_gradient_noise(dim=24, sigma_fields=(sigma,))
-    k2, k1, _ = check_commutator_bound(
-        sys.ops.at(T_GRID), sys.basis, np.linspace(0.0, 2.0, 21), T_GRID
-    )
+    k2, k1, _ = check_commutator_bound(sys.ops.at(T_GRID), sys.basis, T_GRID)
     # sup |grad sigma|^2 = amp^2; the noise-weighted commutator form is
     # bounded by that times the V-norm, absorbed here through K2
     assert np.all(k1 <= amp**2 + 1e-6) or k2 > 0
 
 
-def _commutator_bound_exhaustive(ev, basis, K2_grid, t_grid):
+def _commutator_bound_exhaustive(ev, basis, t_grid):
     """check_commutator_bound's K2 search over every candidate: the reference
     its early exit must match."""
     half = max(1, basis.dim // 2)
@@ -166,7 +162,7 @@ def _commutator_bound_exhaustive(ev, basis, K2_grid, t_grid):
     b_norm = sum(assumptions._spectral_norms(b) ** 2 for b in ev.Bs)
     tol = max(1e-9, 1e-12 * float(np.max(assumptions._sym_norms(ta) * b_norm, initial=0.0)))
     best = None
-    for k2 in K2_grid:
+    for k2 in K2_CANDIDATES:
         k1 = np.linalg.eigvalsh(c - k2 * ta)[..., -1]
         k1_half = np.linalg.eigvalsh((c - k2 * ta)[..., :half, :half])[..., -1]
         cost = float(np.trapezoid(np.maximum(k1, 0.0), t_grid))
@@ -193,14 +189,13 @@ def test_commutator_early_exit_matches_the_exhaustive_search(monkeypatch, name):
     whose C is 0 (diagonal, nse-2d) reads its first candidate alone."""
     system = _time_dependent_coupled_torus() if name == "coupled-torus-tdep" else make_system(name)
     t_grid = np.linspace(0.0, 1.0, 5)
-    K2_grid = (0.0, 0.5, 1.0, 2.0)
     ev = system.ops.at(t_grid)
     (k2_want, k1_want, k1_half_want), tol = _commutator_bound_exhaustive(
-        ev, system.basis, K2_grid, t_grid)
+        ev, system.basis, t_grid)
     calls = []
     top = assumptions._top_eig
     monkeypatch.setattr(assumptions, "_top_eig", lambda m: calls.append(m.shape) or top(m))
-    k2, k1, record = check_commutator_bound(ev, system.basis, K2_grid, t_grid)
+    k2, k1, record = check_commutator_bound(ev, system.basis, t_grid)
     assert k2 == k2_want
     assert np.array_equal(k1, np.maximum(k1_want, 0.0))
     assert np.array_equal(record.constants["K1"],
@@ -211,7 +206,7 @@ def test_commutator_early_exit_matches_the_exhaustive_search(monkeypatch, name):
         assert not np.any(commutator_C(ev))
         assert len(calls) == 2
     else:
-        assert len(calls) <= 2 * len(K2_grid)
+        assert len(calls) <= 2 * len(K2_CANDIDATES)
 
 
 # -- strong noise bound -----------------------------------------------
@@ -219,7 +214,7 @@ def test_commutator_early_exit_matches_the_exhaustive_search(monkeypatch, name):
 
 def test_strong_noise_zero_for_no_noise():
     l1, l2, record = check_strong_noise_bound(
-        family(np.diag([1.0, 2.0])).at(T_GRID), hat_basis([1.0, 2.0]), samples=1000
+        family(np.diag([1.0, 2.0])).at(T_GRID), hat_basis([1.0, 2.0])
     )
     assert l1 == 0.0 and l2 == 0.0
     assert record.status == EMPIRICAL
@@ -229,7 +224,7 @@ def test_strong_noise_scalar_noise_bound_holds():
     lam = [1.0, 2.0, 4.0]
     c = 0.6
     ops = family(np.diag(lam), [c * np.eye(3)])
-    l1, l2, _ = check_strong_noise_bound(ops.at(T_GRID), hat_basis(lam), samples=1500)
+    l1, l2, _ = check_strong_noise_bound(ops.at(T_GRID), hat_basis(lam))
     rng = np.random.default_rng(0)
     a = ops.A.at(0.0)
     for _ in range(300):
@@ -455,7 +450,7 @@ def test_k6_and_ac1_see_a_linear_noise_under_a_constant_drift():
 
 def test_check_all_produces_every_record():
     sys = make_torus_heat_gradient_noise(dim=12)
-    report = check_all(sys.ops, sys.basis, np.array([0.0]), samples=500)
+    report = check_all(sys.ops, sys.basis, np.array([0.0]))
     for key in ("ac0", "ac1", "ac2", "ac3", "ac4", "ac5", "ac6", "ac7", "k6"):
         assert key in report.records
     assert report.status("ac3") == CERTIFIED
@@ -485,7 +480,7 @@ def test_check_all_evaluates_each_path_once(monkeypatch, make):
         return at(path, t)
 
     monkeypatch.setattr(MatrixPath, "at", counted)
-    check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5), samples=200)
+    check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5))
     paths = (system.ops.A,) + system.ops.Bs
     assert system.ops.interpolation == "constant"
     assert dict(calls) == {id(p): 1 for p in paths}
@@ -508,7 +503,7 @@ def test_check_all_hands_extremal_checkers_one_matrix_per_run(monkeypatch, make,
             return _checker(ev, *args, **kwargs)
 
         monkeypatch.setattr(assumptions, name, recorded)
-    check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5), samples=200)
+    check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5))
     assert seen == dict.fromkeys(_EXTREMAL_CHECKERS, runs)
 
 
@@ -533,7 +528,7 @@ def test_default_certificate_statuses(name):
     """Every certificate of a registered system's defaults is certified, but
     the sampled ac5, and ac7 where sym(Ã) is not definite."""
     system = make_system(name)
-    report = check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5), samples=200)
+    report = check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5))
     want = dict.fromkeys(report.records, CERTIFIED)
     want["ac5"] = EMPIRICAL
     if name in _SEMIDEFINITE:
@@ -546,7 +541,7 @@ def test_ladder_stability_torus_gradient():
     constants = []
     for dim in (64, 128):
         system = make_torus_heat_gradient_noise(dim=dim)
-        records = check_all(system.ops, system.basis, (0.0,), samples=200).records
+        records = check_all(system.ops, system.basis, (0.0,)).records
         constants.append([records["ac2"].constants["lambda"], records["ac4"].constants["K2"],
                           records["ac6"].constants["beta"], records["ac6"].constants["gamma"]])
     np.testing.assert_allclose(constants[1], constants[0], rtol=0.05, atol=1e-9)
@@ -556,11 +551,11 @@ def test_certificate_tightness_reported():
     """Shrinking a certified constant by 1% breaks its certificate."""
     lam = [1.0, 2.0]
     c = 0.7
-    ops = family(np.diag(lam), [c * np.eye(2)])
-    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam), 2.0)
-    shrunk, _ = check_coercivity(ops.at(T_GRID), hat_basis(lam), 2.0)
+    ops = family(0.5 * ALPHA * np.diag(lam), [c * np.eye(2)])
+    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
+    shrunk, _ = check_coercivity(ops.at(T_GRID), hat_basis(lam))
     # certificate with 0.99 * lambda must lose semidefiniteness
     d = np.diag(np.asarray(lam, dtype=float))
-    cert = (2.0 * np.diag(lam) + 0.99 * value * np.eye(2)
-            - 2.0 * d - (c * np.eye(2)).T @ (c * np.eye(2)))
+    cert = (ALPHA * np.diag(lam) + 0.99 * value * np.eye(2)
+            - ALPHA * d - (c * np.eye(2)).T @ (c * np.eye(2)))
     assert np.linalg.eigvalsh(cert).min() < 0 or record.slack is not None

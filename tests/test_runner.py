@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from spdelab import runner
+from spdelab.assumptions import check_commutator_bound
 from spdelab.brownian import GridError, uniform_grid
 from spdelab.cli import main
 from spdelab.operators import OperatorSegments
@@ -21,6 +22,18 @@ from spdelab.runner import (
     report_summary,
     run,
 )
+
+
+def coupled_tables(nodes=11):
+    """Two noises on two components, h[j,m] = 0.3(1 + 0.5 t_j) I + 0.2 t_j e_m e_{m+1}^T
+    on the nodes t_j = j / (nodes - 1) of [0, 1]: constant between the nodes."""
+    times = np.arange(nodes) / (nodes - 1)
+    tables = np.zeros((nodes, 2, 2, 2))
+    for j, t in enumerate(times):
+        for m in range(2):
+            tables[j, m] = 0.3 * (1.0 + 0.5 * t) * np.eye(2)
+            tables[j, m, m, (m + 1) % 2] += 0.2 * t
+    return tables, times
 
 
 def minimal_config(tmp_path, **overrides):
@@ -80,8 +93,9 @@ def test_load_rejects_bad_values(tmp_path):
         load_config(minimal_config(tmp_path, paths=0))
     with pytest.raises(ConfigError):
         load_config(minimal_config(tmp_path, eps_list=[-1.0]))
-    with pytest.raises(ConfigError, match="eps_list"):
-        load_config(minimal_config(tmp_path, eps_list=[1e-8, 1e-4]))
+    for eps_list in ([1e-8, 1e-4], []):
+        with pytest.raises(ConfigError, match="'eps_list' takes exactly one entry"):
+            load_config(minimal_config(tmp_path, eps_list=eps_list))
     with pytest.raises(ConfigError):
         load_config(minimal_config(tmp_path, scheme="runge-kutta"))
     with pytest.raises(ConfigError, match="'paths' must be an integer"):
@@ -135,6 +149,21 @@ def test_config_roundtrip(tmp_path):
     again = load_config(str(out))
     assert again == cfg
     assert again.digest() == cfg.digest()
+
+
+def test_run_holds_the_commutator_bound_of_each_run():
+    """On a family constant between its 11 nodes, the run's K1 at each grid
+    time is ac4's K1 at that time: the bound is taken once per run and held
+    over it, never interpolated across a jump."""
+    tables, times = coupled_tables()
+    system = runner.make_system("coupled-torus", modes=8, h_tables=tables,
+                                h_time_grid=times)
+    grid = uniform_grid(1.0, 1e-3)
+    k1, k2, k6, _ = runner._constants_for(system, grid)
+    k2_want, k1_want, _ = check_commutator_bound(system.ops.at(grid), system.basis, grid)
+    assert k2 == k2_want
+    np.testing.assert_array_equal(k1, k1_want)
+    assert k1.max() > 0 and not np.any(k6)
 
 
 def test_run_writes_expected_layout(tmp_path):
@@ -402,7 +431,24 @@ def test_cli_check_of_a_generator_with_no_symmetric_part(tmp_path, capsys):
                                            "noise_coeffs": [[0, 0, 0]]}, "T": 1, "dt": 0.1}))
     assert main(["check", "--config", str(path)]) == 0
     ac7 = json.loads(capsys.readouterr().out)["ac7"]
-    assert (ac7["status"], ac7["notes"], ac7["C1k"]) == ("empirical", "", [[0.0] * 5])
+    assert (ac7["status"], ac7["notes"], ac7["C1k"]) == ("empirical", "", [[0.0]])
+
+
+def test_cli_check_reads_each_run_of_the_family(tmp_path, capsys):
+    """A check on the config's grid evaluates the 11-node coupled family once
+    per node interval, at its first time: every table has one entry per run."""
+    tables, times = coupled_tables()
+    path = tmp_path / "coupled.json"
+    path.write_text(json.dumps({
+        "system": {"name": "coupled-torus", "modes": 8, "h_tables": tables.tolist(),
+                   "h_time_grid": times.tolist()},
+        "T": 1, "dt": 0.01}))
+    assert main(["check", "--config", str(path)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    np.testing.assert_allclose(report["t_grid"], times, rtol=0, atol=1e-12)
+    assert len(report["ac4"]["K1"]) == len(report["k6"]) == len(times)
+    assert np.shape(report["ac7"]["C1k"]) == (2, len(times))
+    assert all(report[f"ac{i}"]["status"] != "failed" for i in range(8))
 
 
 def test_cli_convergence(tmp_path, capsys):
@@ -519,7 +565,7 @@ NUMPY_ONLY = textwrap.dedent("""
     from spdelab.assumptions import check_all
 
     system = runner.make_system("diagonal")
-    report = check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5), samples=200)
+    report = check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5))
     assert report.status("ac7") == "certified"
     cfg = runner.ExperimentConfig(system={"name": "diagonal"}, T=0.05, dt=1e-2,
                                   paths=2, output_dir=sys.argv[1])
@@ -597,6 +643,8 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
                                  "T": 0.5, "dt": 0.01}),
     ("zero witness samples", {"system": {"name": "nse-2d", "witness_samples": 0},
                               "T": 0.5, "dt": 0.01}),
+    ("empty eps_list", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01,
+                        "eps_list": []}),
 ])
 @pytest.mark.parametrize("command", ["simulate", "check", "convergence"])
 def test_cli_malformed_config_exits_2(tmp_path, capsys, name, body, command):
