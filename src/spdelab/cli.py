@@ -51,7 +51,7 @@ def _cmd_convergence(args) -> int:
     system = build_system(cfg)
     result = strong_convergence(
         system, args.scheme, cfg.T, cfg.dt, cfg.master_seed,
-        min(cfg.paths, CONVERGENCE_MAX_PATHS), args.levels, u0=cfg.u0,
+        min(cfg.paths, CONVERGENCE_MAX_PATHS), args.levels,
     )
     print(json.dumps(result, indent=2))
     return 0

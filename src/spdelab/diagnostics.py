@@ -29,6 +29,12 @@ NORM_FLOOR = 1e-150
 #: the final share of the grid over which a path's quotient is judged settled
 SETTLE_WINDOW = 0.2
 
+#: the bound and envelope checks allow a discretization slack of TOL_COEFF * sqrt(dt)
+TOL_COEFF = 1.0
+
+#: below this |<sym(Ã)u, u>| an envelope step is excluded and counted
+FORM_FLOOR = 1e-12
+
 
 class PathForms:
     """The pathwise forms of a batch of paths, each computed once on first read.
@@ -184,35 +190,23 @@ class InequalityVerdict:
         return self.n_violations / max(self.n_checked, 1)
 
 
-def _as_table(value, times: np.ndarray) -> np.ndarray:
-    if value is None:
-        return np.zeros(len(times))
-    if np.isscalar(value):
-        return np.full(len(times), float(value))
-    value = np.asarray(value, dtype=float)
-    if value.shape != times.shape:
-        raise ValueError("constant table length does not match trajectory grid")
-    return value
-
-
-def _damping(times: np.ndarray, dt: float, K2, K6, n_table) -> np.ndarray:
-    """Trapezoidal integral of g = n^2 + K2 + K6 from 0 to each grid time."""
-    g = _as_table(n_table, times) ** 2 + _as_table(K2, times) + _as_table(K6, times)
+def damping(times: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """G, the trapezoidal integral of the rate g = n^2 + K2 + K6 on a uniform
+    grid, one value per grid time, from 0 to each grid time."""
+    dt = float(times[1] - times[0])
     return _cumulative(0.5 * (g[1:] + g[:-1]) * dt)
 
 
-def bound_process_X(forms: PathForms, eps: float, K1=None, K2=None, K6=None,
-                    n_table=None, tol_coeff: float = 1.0):
+def bound_process_X(forms: PathForms, eps: float, k1: np.ndarray, big_g: np.ndarray):
     """Explicit solution of the comparison SDE and the pointwise bound check.
 
+    k1 holds K1 and big_g the damping G (see damping) at every grid time.
     Returns (X, verdict): X dominates M * quotient up to a discretization
-    tolerance tol_coeff * sqrt(dt), M at the record's delta.
+    tolerance TOL_COEFF * sqrt(dt), M at the record's delta.
     """
-    times, dw, dt = forms.paths.times, forms.paths.increments, forms.paths.dt
+    dw, dt = forms.paths.increments, forms.paths.dt
     m = forms.martingale
     lam = quotient_series(forms, eps)
-    big_g = _damping(times, dt, K2, K6, n_table)
-    k1 = _as_table(K1, times)
 
     # left-point integrands of the driving terms
     den = forms.sq + eps
@@ -224,7 +218,7 @@ def bound_process_X(forms: PathForms, eps: float, K1=None, K2=None, K6=None,
     stoch = _cumulative(np.exp(-big_g[:-1]) * drive)
     x = np.exp(big_g) * (m[..., :1] * lam[..., :1] + k1_term - stoch)
 
-    tol = tol_coeff * np.sqrt(dt)
+    tol = TOL_COEFF * np.sqrt(dt)
     lhs = m * lam
     viol = int(np.sum(lhs > x + tol))
     verdict = InequalityVerdict(
@@ -233,26 +227,22 @@ def bound_process_X(forms: PathForms, eps: float, K1=None, K2=None, K6=None,
     return x, verdict
 
 
-def envelope_series(forms: PathForms, eps: float, K2=None, K6=None,
-                    n_table=None) -> np.ndarray:
-    """Damped quotient S(t) = exp(-int g) M(t) * quotient(t), M at the record's delta."""
-    lam = quotient_series(forms, eps)
-    big_g = _damping(forms.paths.times, forms.paths.dt, K2, K6, n_table)
-    return np.exp(-big_g) * forms.martingale * lam
+def envelope_series(forms: PathForms, eps: float, big_g: np.ndarray) -> np.ndarray:
+    """Damped quotient S(t) = exp(-G(t)) M(t) * quotient(t), M at the record's delta."""
+    return np.exp(-big_g) * forms.martingale * quotient_series(forms, eps)
 
 
-def comparison_envelope(forms: PathForms, tau_index: int, eps: float, K2=None, K6=None,
-                        n_table=None, tol_coeff: float = 1.0, form_floor: float = 1e-12):
+def comparison_envelope(forms: PathForms, tau_index: int, eps: float, big_g: np.ndarray):
     """Geometric comparison envelope for the damped quotient from time tau.
 
     Valid when the commutator certificate holds with a vanishing constant
-    term.  Steps with |<tilde_A u, u>| below form_floor are excluded from
+    term.  Steps with |<tilde_A u, u>| below FORM_FLOOR are excluded from
     the verdict and counted; they, and the steps before tau, add nothing to
     the envelope's exponent.
     """
     dw, dt = forms.paths.increments, forms.paths.dt
-    s = envelope_series(forms, eps, K2=K2, K6=K6, n_table=n_table)
-    excluded = np.abs(forms.form) < form_floor
+    s = envelope_series(forms, eps, big_g)
+    excluded = np.abs(forms.form) < FORM_FLOOR
     safe_form = np.where(excluded, 1.0, np.abs(forms.form))
 
     steps = np.zeros(dw.shape[:-1])
@@ -266,7 +256,7 @@ def comparison_envelope(forms: PathForms, tau_index: int, eps: float, K2=None, K
     env = np.full(s.shape, np.nan)
     env[..., tau_index:] = s[..., tau_index:tau_index + 1] * np.exp(log_env[..., tau_index:])
 
-    tol = tol_coeff * np.sqrt(dt)
+    tol = TOL_COEFF * np.sqrt(dt)
     window = excluded[..., tau_index:]
     usable = ~window
     viol = int(np.sum(s[..., tau_index:][usable] > env[..., tau_index:][usable] + tol))

@@ -19,7 +19,6 @@ ones otherwise.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -267,15 +266,11 @@ def _raise_on_blowup(blowups: dict) -> None:
         raise BlowUpError(min(blowups.values()))
 
 
-def _start(system, u0: Optional[np.ndarray]) -> np.ndarray:
-    return system.u0 if u0 is None else np.asarray(u0, dtype=float)
-
-
 def integrate_ensemble(
-    system, scheme: str, grid: np.ndarray, seed: int, n_paths: int,
-    u0: Optional[np.ndarray] = None, first_stream: int = 0,
+    system, scheme: str, grid: np.ndarray, seed: int, n_paths: int, first_stream: int = 0,
 ) -> EnsembleResult:
-    """Integrate n_paths paths, path p driven by stream (seed, first_stream + p).
+    """Integrate n_paths paths from system.u0, path p driven by stream
+    (seed, first_stream + p).
 
     A blown-up path is recorded with its blow-up time and frozen at its last
     finite state; the rest of the ensemble continues.
@@ -283,7 +278,7 @@ def integrate_ensemble(
     _check_scheme(system, scheme)
     grid = np.asarray(grid, dtype=float)
     inc = sample_brownian_ensemble(system.ops.n_noise, grid, seed, n_paths, first_stream)
-    u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
+    u0b = np.broadcast_to(system.u0, (n_paths, system.ops.dim))
     segs = OperatorSegments(system.ops, grid)
     states, blowups = _run_steps(system.ops.F, segs, u0b, inc, scheme)
     return EnsembleResult(grid, states, inc, blowups, segs)
@@ -291,34 +286,33 @@ def integrate_ensemble(
 
 def integrate(
     system, scheme: str, grid: np.ndarray, seed: int, stream_id: int = 0,
-    u0: Optional[np.ndarray] = None,
 ) -> EnsembleResult:
-    """Integrate the path of stream (seed, stream_id) as an ensemble of one;
-    raises BlowUpError."""
-    ens = integrate_ensemble(system, scheme, grid, seed, 1, u0, first_stream=stream_id)
+    """Integrate the path of stream (seed, stream_id) from system.u0 as an
+    ensemble of one; raises BlowUpError."""
+    ens = integrate_ensemble(system, scheme, grid, seed, 1, first_stream=stream_id)
     _raise_on_blowup(ens.blowups)
     return ens
 
 
 def strong_convergence(
-    system, scheme: str, T: float, dt: float, seed: int, n_paths: int,
-    levels: int, u0: Optional[np.ndarray] = None,
+    system, scheme: str, T: float, dt: float, seed: int, n_paths: int, levels: int,
 ) -> dict:
     """Strong-error slope of a scheme against a shared-noise fine reference.
 
-    Paths p = 0..n_paths-1 (stream (seed, p)) are integrated on the grid of
-    step dt / 2**levels and, with the same Brownian increments summed, on
-    the grids of step dt * 2**-lev for lev = 0..levels-1.  Returns the
-    scheme, those coarse steps, the mean over paths of |u_coarse(T) -
-    u_fine(T)| per step, and the least-squares slope of log error against
-    log step.  Raises BlowUpError if any path blows up.
+    Paths p = 0..n_paths-1 (stream (seed, p)), each from system.u0, are
+    integrated on the grid of step dt / 2**levels and, with the same
+    Brownian increments summed, on the grids of step dt * 2**-lev for
+    lev = 0..levels-1.  Returns the scheme, those coarse steps, the mean
+    over paths of |u_coarse(T) - u_fine(T)| per step, and the least-squares
+    slope of log error against log step.  Raises BlowUpError if any path
+    blows up.
     """
     if levels < 2:
         raise ValueError(f"levels must be at least 2 to fit a slope, got {levels}")
     _check_scheme(system, scheme)
     fine = uniform_grid(T, dt / 2**levels)
     inc = sample_brownian_ensemble(system.ops.n_noise, fine, seed, n_paths)
-    u0b = np.broadcast_to(_start(system, u0), (n_paths, system.ops.dim))
+    u0b = np.broadcast_to(system.u0, (n_paths, system.ops.dim))
     factors = [1] + [2 ** (levels - lev) for lev in range(levels)]
     finals = []
     for factor in factors:  # the fine reference first, then each coarse level

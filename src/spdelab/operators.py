@@ -49,6 +49,8 @@ class TimeRangeError(ValueError):
 def interval_index(grid: np.ndarray, t) -> np.ndarray:
     """Index of the grid node at or left of each time in t (scalar or array).
 
+    A time within 1e-12 below a node counts as at that node, so a grid time
+    that rounding puts just below a node reads the interval the node opens.
     Times within 1e-12 of the grid ends are clamped onto it; times farther
     out raise TimeRangeError.
     """
@@ -59,8 +61,8 @@ def interval_index(grid: np.ndarray, t) -> np.ndarray:
         raise TimeRangeError(
             f"t={bad} outside declared grid [{grid[0]}, {grid[-1]}]"
         )
-    idx = grid.searchsorted(t.clip(grid[0], grid[-1]), side="right") - 1
-    return np.minimum(idx, len(grid) - 1)
+    idx = grid.searchsorted(t + 1e-12, side="right") - 1
+    return np.clip(idx, 0, len(grid) - 1)
 
 
 class MatrixPath:
@@ -124,11 +126,12 @@ class MatrixPath:
         idx = interval_index(grid, t)
         if self.interpolation == "constant":
             return self.values[idx]
-        # the last node has no right neighbour: weight 0 keeps its value exactly
+        # the last node has no right neighbour: weight 0 keeps its value exactly,
+        # as it does at a time that counts as at a node it lies just below
         nxt = np.minimum(idx + 1, len(grid) - 1)
         span = grid[nxt] - grid[idx]
         w = np.divide(t.clip(grid[0], grid[-1]) - grid[idx], span,
-                      out=np.zeros_like(span), where=span > 0)[..., None, None]
+                      out=np.zeros_like(span), where=span > 0).clip(0.0)[..., None, None]
         return (1.0 - w) * self.values[idx] + w * self.values[nxt]
 
 

@@ -13,7 +13,7 @@ import inspect
 import json
 import math
 import os
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -83,7 +83,8 @@ def _check_system_params(system: dict) -> None:
 
 
 def build_system(cfg: "ExperimentConfig") -> SystemSpec:
-    """The config's system, with its parameters and u0 checked against it."""
+    """The config's system with the config's u0 in place, if it gives one;
+    its parameters and start are checked against it."""
     params = {k: v for k, v in cfg.system.items() if k != "name"}
     try:
         system = make_system(cfg.system["name"], **params)
@@ -95,9 +96,10 @@ def build_system(cfg: "ExperimentConfig") -> SystemSpec:
             f"config key 'u0' has {len(cfg.u0)} entries; system "
             f"{system.name!r} has dimension {dim}"
         )
-    start = system.u0 if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
+    if cfg.u0 is not None:
+        system = replace(system, u0=np.asarray(cfg.u0, dtype=float))
     for key, values in (("delta", (cfg.delta,)), ("eps_list", cfg.eps_list)):
-        if 0 in values and not np.any(start):
+        if 0 in values and not np.any(system.u0):
             raise ConfigError(
                 f"config key {key!r} is zero and so is the start u0: every path "
                 f"stays at zero, where |u|^2 + {key} vanishes"
@@ -258,14 +260,16 @@ def _write_csv(jobs) -> None:
 
 
 def _constants_for(system: SystemSpec, t_grid: np.ndarray):
-    """K1/K2/K6 tables and the nonlinearity witness on the run grid; K1 is
-    ac4's at the first time of each run of the family, held over the run."""
+    """K1 and the damping G on the run grid, which X and S read.  K1 is ac4's
+    at the first time of each run of the family, held over the run; G
+    integrates n^2 + K2 + K6, with ac4's K2, the K6 table and the
+    nonlinearity witness n."""
     edges = system.ops.runs(t_grid)
     firsts = t_grid[edges[:-1]]
     k2, k1, _ = check_commutator_bound(system.ops.at(firsts), system.basis, firsts)
     k6 = k6_table(system.ops, system.basis, t_grid)
-    n_tab = np.full(len(t_grid), system.ops.n_witness or 0.0)
-    return np.repeat(k1, np.diff(edges)), k2, k6, n_tab
+    n = system.ops.n_witness or 0.0
+    return np.repeat(k1, np.diff(edges)), diag.damping(t_grid, n * n + k2 + k6)
 
 
 #: float64 scratch one diagnostics block may hold; a block takes as many
@@ -281,7 +285,7 @@ def _paths_per_block(n_times: int, dim: int, n_noise: int) -> int:
 
 
 def _diagnostic_blocks(system: SystemSpec, ens, eps: float, delta: float,
-                       k1, k2, k6, n_tab, paths_per_block: int):
+                       k1, big_g, paths_per_block: int):
     """Yield (first path, table, record) per block of paths.
 
     The table is (paths, J+1, DIAG_COLUMNS), and the record is the block's
@@ -305,9 +309,8 @@ def _diagnostic_blocks(system: SystemSpec, ens, eps: float, delta: float,
         table[..., 6] = m
         table[..., 7] = diag.psi_series(forms, max(eps, 1e-300))
         table[..., 8] = diag.eigen_residual(states, forms.tu, lam)
-        table[..., 9] = diag.envelope_series(forms, eps, K2=k2, K6=k6, n_table=n_tab)
-        table[..., 10], _ = diag.bound_process_X(forms, eps, K1=k1, K2=k2, K6=k6,
-                                                 n_table=n_tab)
+        table[..., 9] = diag.envelope_series(forms, eps, big_g)
+        table[..., 10], _ = diag.bound_process_X(forms, eps, k1, big_g)
         yield lo, table, forms
 
 
@@ -317,10 +320,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     system = build_system(cfg)
     run_dir = _resolve_dir(cfg)
     grid = uniform_grid(cfg.T, cfg.dt)
-    u0 = None if cfg.u0 is None else np.asarray(cfg.u0, dtype=float)
-    ens = integrate_ensemble(
-        system, cfg.scheme, grid, cfg.master_seed, cfg.paths, u0=u0
-    )
+    ens = integrate_ensemble(system, cfg.scheme, grid, cfg.master_seed, cfg.paths)
 
     # only now, so a run that fails to integrate leaves no directory behind
     try:
@@ -409,12 +409,11 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         "paths": cfg.paths,
         "blowups": {str(k): v for k, v in ens.blowups.items()},
     }
-    # sym(Ã(0)), first of the segment that holds grid index 0, as the diagnostics cached it
-    tilde_sym = ens.segments.segments[0].tilde_sym
-    tilde_sym = tilde_sym[0] if tilde_sym.ndim == 3 else tilde_sym
-    eigs, _ = spectrum(tilde_sym)
-
     if cfg.kind in ("simulate", "spectral-limit"):
+        # sym(Ã(0)), first of the segment that holds grid index 0, as the diagnostics cached it
+        tilde_sym = ens.segments.segments[0].tilde_sym
+        tilde_sym = tilde_sym[0] if tilde_sym.ndim == 3 else tilde_sym
+        eigs, _ = spectrum(tilde_sym)
         slr = diag.spectral_limit_report(quots, finals, tilde_sym, eigs)
         report["spectral_limit"] = slr.to_dict()
 

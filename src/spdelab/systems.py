@@ -29,7 +29,12 @@ FIELD_BANDWIDTH = 8
 
 @dataclass(frozen=True)
 class SystemSpec:
-    """One named system: basis, operators, and metadata."""
+    """One named system: basis, operators, start and metadata.
+
+    u0 is the one start every integration of the system reads; a factory
+    sets its default, and a run with another start integrates
+    dataclasses.replace(system, u0=...).
+    """
 
     name: str
     basis: SpectralBasis
@@ -42,10 +47,8 @@ class SystemSpec:
             raise ValueError("initial state does not match basis dimension")
 
 
-def _start(u0: Optional[Sequence[float]], dim: int, active: int) -> np.ndarray:
-    """u0 as floats, or by default 1 on the first `active` basis indices and 0 after."""
-    if u0 is not None:
-        return np.asarray(u0, dtype=float)
+def _start(dim: int, active: int) -> np.ndarray:
+    """The default start: 1 on the first `active` basis indices and 0 after."""
     start = np.zeros(dim)
     start[:min(active, dim)] = 1.0
     return start
@@ -89,7 +92,6 @@ class DiagonalOracle:
 def make_diagonal(
     tilde_eigs: Sequence[float] = (1.0, 4.0, 9.0),
     noise_coeffs: Sequence[Sequence[float]] = ((0.3, 0.2, 0.1),),
-    u0: Optional[Sequence[float]] = None,
 ) -> SystemSpec:
     """Decoupled modes with prescribed corrected spectrum and diagonal noise.
 
@@ -115,7 +117,7 @@ def make_diagonal(
         hat_eigenvalues=np.maximum.accumulate(np.maximum(np.abs(eigs), 1.0)),
     )
     return SystemSpec(
-        name="diagonal", basis=basis, ops=ops, u0=_start(u0, len(eigs), len(eigs)),
+        name="diagonal", basis=basis, ops=ops, u0=_start(len(eigs), len(eigs)),
         oracle=DiagonalOracle(tilde_eigs=eigs, noise_coeffs=b),
     )
 
@@ -195,7 +197,6 @@ def make_torus_heat_scalar_noise(
     c_coeffs: Sequence = (0.5,),
     b_field: Optional[Callable] = None,
     c_field: Optional[Callable] = None,
-    u0: Optional[Sequence[float]] = None,
 ) -> SystemSpec:
     """Periodic heat flow with multiplication (scalar) Stratonovich noise.
 
@@ -227,13 +228,12 @@ def make_torus_heat_scalar_noise(
 
     ops = OperatorFamily(A=a_strat, Bs=tuple(bs), F=f_hook, n_witness=n_witness,
                          noise_form="stratonovich")
-    return SystemSpec(name="torus-heat-scalar", basis=basis, ops=ops, u0=_start(u0, dim, 3))
+    return SystemSpec(name="torus-heat-scalar", basis=basis, ops=ops, u0=_start(dim, 3))
 
 
 def make_torus_heat_gradient_noise(
     dim: int = 64,
     sigma_fields: Sequence = (0.5,),
-    u0: Optional[Sequence[float]] = None,
 ) -> SystemSpec:
     """Periodic heat flow with gradient (transport) Stratonovich noise.
 
@@ -250,7 +250,7 @@ def make_torus_heat_gradient_noise(
     d = derivative_matrix(dim)
     bs = [MatrixPath(multiplication_matrix(_field(s), dim) @ d) for s in sigma_fields]
     ops = OperatorFamily(A=a_strat, Bs=tuple(bs), noise_form="stratonovich")
-    return SystemSpec(name="torus-heat-gradient", basis=basis, ops=ops, u0=_start(u0, dim, 3))
+    return SystemSpec(name="torus-heat-gradient", basis=basis, ops=ops, u0=_start(dim, 3))
 
 
 # -- vector-valued torus system with matrix noise ---------------------
@@ -262,7 +262,6 @@ def make_coupled_torus(
     h_tables: Optional[np.ndarray] = None,
     h_time_grid: Optional[np.ndarray] = None,
     c_matrix: Optional[np.ndarray] = None,
-    u0: Optional[Sequence[float]] = None,
 ) -> SystemSpec:
     """Vector of periodic diffusions coupled through matrix-valued noise.
 
@@ -336,7 +335,7 @@ def make_coupled_torus(
         F=f_hook, n_witness=n_witness, noise_form="stratonovich",
     )
     basis = SpectralBasis(dim=dim, hat_eigenvalues=lam[order])
-    return SystemSpec(name="coupled-torus", basis=basis, ops=ops, u0=_start(u0, dim, 2 * n))
+    return SystemSpec(name="coupled-torus", basis=basis, ops=ops, u0=_start(dim, 2 * n))
 
 
 def _permute_path(mp: MatrixPath, perm: np.ndarray) -> MatrixPath:
@@ -476,14 +475,15 @@ class NSEGeometry:
 #: and the grid grow
 WITNESS_BLOCK_BYTES = 2 * 2**20
 
+#: the sampled pairs (x, v) behind nse-2d's witness, and the seed they are drawn from
+WITNESS_SAMPLES = 200
+WITNESS_SEED = 0
+
 
 def make_nse_2d(
     modes_per_dim: int = 4,
     viscosity: float = 1.0,
     b_coeffs: Sequence[float] = (0.3,),
-    u0: Optional[Sequence[float]] = None,
-    witness_samples: int = 200,
-    seed: int = 0,
 ) -> SystemSpec:
     """2-D incompressible flow with quadratic advection and scalar noise.
 
@@ -497,8 +497,6 @@ def make_nse_2d(
     Certificates on the defaults: ac0-ac4, ac6 certified, and ac7, since
     sym(tilde_A) = viscosity |m|^2 - b^2 >= 0.91 is definite; ac5 empirical.
     """
-    if witness_samples < 1:
-        raise ValueError(f"witness_samples must be at least 1, got {witness_samples}")
     geom = NSEGeometry(modes_per_dim)
     lam = geom.eigenvalues()
     a_strat = MatrixPath(np.diag(float(viscosity) * lam))
@@ -510,12 +508,12 @@ def make_nse_2d(
     # sample the quadratic-growth constant of the advection form; sample s
     # is the pair (x, v) = xv[s], in blocks, and both orders (x . grad) v and
     # (v . grad) x come from one set of its four products x_j v_i
-    rng = np.random.Generator(np.random.Philox(key=[seed, 0x25E]))
-    xv = rng.standard_normal((witness_samples, 2, geom.dim))
+    rng = np.random.Generator(np.random.Philox(key=[WITNESS_SEED, 0x25E]))
+    xv = rng.standard_normal((WITNESS_SAMPLES, 2, geom.dim))
     x, v = xv[:, 0], xv[:, 1]
     per_block = max(1, WITNESS_BLOCK_BYTES // (24 * 8 * geom.grid**2))
-    num = np.empty(witness_samples)
-    for lo in range(0, witness_samples, per_block):
+    num = np.empty(WITNESS_SAMPLES)
+    for lo in range(0, WITNESS_SAMPLES, per_block):
         block = slice(lo, lo + per_block)
         num[block] = np.sum(
             np.linalg.norm(geom.bilinear_pair(x[block], v[block]), axis=-1), axis=-1)
@@ -525,7 +523,7 @@ def make_nse_2d(
     ops = OperatorFamily(A=a_strat, Bs=bs, F=f_hook, n_witness=k_est,
                          noise_form="stratonovich")
     basis = SpectralBasis(dim=geom.dim, hat_eigenvalues=lam)
-    return SystemSpec(name="nse-2d", basis=basis, ops=ops, u0=_start(u0, geom.dim, 4))
+    return SystemSpec(name="nse-2d", basis=basis, ops=ops, u0=_start(geom.dim, 4))
 
 
 # -- registry ---------------------------------------------------------

@@ -3,6 +3,8 @@
 Each test prints one PASS/FAIL line with the measured quantity so the whole
 gate can be read off a single run of this module.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -122,8 +124,8 @@ def test_acceptance_3_backward_dichotomy():
         probe = diag.backward_probe(np.linalg.norm(ens.states, axis=-1), ens.times)
         margin = min(margin, probe["margin"])
         underflow += probe["n_underflow"]
-    zero = integrate(sys, "drift-implicit", grid, seed=303,
-                     u0=np.zeros(sys.basis.dim))
+    zero = integrate(replace(sys, u0=np.zeros(sys.basis.dim)), "drift-implicit", grid,
+                     seed=303)
     zero_stays = bool(np.all(zero.states == 0.0))
     ok = margin > 0.0 and underflow == 0 and zero_stays
     _verdict(
@@ -177,7 +179,8 @@ def _gronwall_rate(dt: float) -> float:
     checked = violations = 0
     for p in range(5):
         traj = integrate(sys, "euler-maruyama", grid, seed=505, stream_id=p)
-        _, verdict = diag.bound_process_X(diag.PathForms(traj, 1e-8), 1e-8)
+        _, verdict = diag.bound_process_X(diag.PathForms(traj, 1e-8), 1e-8,
+                                          np.zeros(len(grid)), np.zeros(len(grid)))
         checked += verdict.n_checked
         violations += verdict.n_violations
     return violations / checked
@@ -208,7 +211,8 @@ def _envelope_rate(dt: float) -> float:
     checked = violations = 0
     for p in range(5):
         traj = integrate(sys, "euler-maruyama", grid, seed=606, stream_id=p)
-        _, verdict = diag.comparison_envelope(diag.PathForms(traj, 1e-8), 0, 1e-8)
+        _, verdict = diag.comparison_envelope(diag.PathForms(traj, 1e-8), 0, 1e-8,
+                                              np.zeros(len(grid)))
         checked += verdict.n_checked
         violations += verdict.n_violations
     return violations / checked
@@ -306,9 +310,9 @@ def test_acceptance_9_galerkin_gap_decay():
     sections = (8, 16, 32, 64)
     ok_all = True
     details = []
-    for sys in (make_torus_heat_scalar_noise(dim=64, c_coeffs=(0.5,), u0=u0),
-                make_torus_heat_gradient_noise(dim=64, sigma_fields=(0.5,),
-                                               u0=u0)):
+    for sys in (replace(make_torus_heat_scalar_noise(dim=64, c_coeffs=(0.5,)), u0=u0),
+                replace(make_torus_heat_gradient_noise(dim=64, sigma_fields=(0.5,)),
+                        u0=u0)):
         traj = integrate(sys, "drift-implicit", grid, seed=909)
         k3, k4, _ = diag.galerkin_gaps(diag.PathForms(traj, 1e-8), sys.basis,
                                        1e-8, sections)
@@ -401,10 +405,10 @@ def test_acceptance_12_nse_spectral_limit(shells):
     nonlinearity selects.  The quotient is taken at eps = 0, because the
     paths' |u|^2 falls below any eps that would be small next to it."""
     geom = NSEGeometry(4)
-    sys = make_nse_2d()
     u0 = _nse_start(geom, shells)
+    sys = replace(make_nse_2d(), u0=u0)
     ens = integrate_ensemble(sys, "drift-implicit", uniform_grid(8.0, 2e-3), seed=1212,
-                             n_paths=8, u0=u0)
+                             n_paths=8)
     forms = diag.PathForms(ens, 0.0)
     quots = diag.quotient_series(forms, 0.0)
     tilde_sym = ens.segments.segments[0].tilde_sym

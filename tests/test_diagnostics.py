@@ -1,10 +1,14 @@
 """Pathwise functionals: quotients, martingale, bounds, gaps, kernels."""
+from dataclasses import replace
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdelab import diagnostics as diag
 from spdelab import runner
+from spdelab.assumptions import check_commutator_bound, k6_table
 from spdelab.basis import SpectralBasis
 from spdelab.brownian import uniform_grid
 from spdelab.integrator import EnsembleResult, integrate, integrate_ensemble
@@ -68,7 +72,8 @@ def test_quotient_eps_shrinks_magnitude():
 
 def test_quotient_full_adds_squared_noise_term():
     """Along the first mode the quotient is 1 and the noise ratio 0.3 at every time."""
-    sys = make_diagonal((1.0, 4.0, 9.0), ((0.3, 0.2, 0.1),), u0=(1.0, 0.0, 0.0))
+    sys = replace(make_diagonal((1.0, 4.0, 9.0), ((0.3, 0.2, 0.1),)),
+                  u0=np.array([1.0, 0.0, 0.0]))
     grid = uniform_grid(0.5, 0.01)
     ens = integrate_ensemble(sys, "drift-implicit", grid, seed=3, n_paths=2)
     for paths in (ens, ens.paths(1, 2)):
@@ -142,7 +147,8 @@ def test_bound_process_deterministic_flow():
     sys = diag_system(noise=((0.0, 0.0, 0.0),))
     traj = integrate(sys, "drift-implicit", uniform_grid(2.0, 1e-3), seed=0)
     forms = diag.PathForms(traj, 1e-8)
-    x, verdict = diag.bound_process_X(forms, 1e-8)
+    zero = np.zeros(len(traj.times))
+    x, verdict = diag.bound_process_X(forms, 1e-8, zero, zero)
     lam = diag.quotient_series(forms, 1e-8)
     assert np.allclose(x, x[0, 0])
     assert verdict.n_violations == 0
@@ -152,14 +158,16 @@ def test_bound_process_deterministic_flow():
 def test_bound_process_with_noise_mostly_holds():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-4), seed=7)
-    _, verdict = diag.bound_process_X(diag.PathForms(traj, 1e-8), 1e-8)
+    zero = np.zeros(len(traj.times))
+    _, verdict = diag.bound_process_X(diag.PathForms(traj, 1e-8), 1e-8, zero, zero)
     assert verdict.violation_fraction <= 0.01
 
 
 def test_envelope_on_diagonal_oracle():
     sys = diag_system()
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-4), seed=11)
-    env, verdict = diag.comparison_envelope(diag.PathForms(traj, 1e-8), 0, 1e-8)
+    env, verdict = diag.comparison_envelope(diag.PathForms(traj, 1e-8), 0, 1e-8,
+                                            np.zeros(len(traj.times)))
     assert verdict.n_excluded == 0
     assert verdict.violation_fraction < 0.01
     assert np.all(np.isfinite(env))
@@ -193,8 +201,8 @@ def test_hitting_time_of_a_batch_matches_per_path_calls():
 
 
 def test_galerkin_gaps_vanish_at_full_section():
-    sys = make_system("torus-heat-scalar", dim=16,
-                      u0=[1.0 / (1 + i) for i in range(16)])
+    sys = replace(make_system("torus-heat-scalar", dim=16),
+                  u0=np.array([1.0 / (1 + i) for i in range(16)]))
     traj = integrate(sys, "drift-implicit", uniform_grid(0.5, 1e-3), seed=0)
     k3, k4, k5 = diag.galerkin_gaps(diag.PathForms(traj, 1e-8), sys.basis, 1e-8,
                                     (4, 8, 16))
@@ -243,8 +251,7 @@ def test_backward_probe_positive_and_zero_start():
     assert probe["all_positive"]
     assert probe["n_underflow"] == 0
 
-    zero = integrate(sys, "euler-maruyama", grid, seed=2,
-                     u0=np.zeros(3))
+    zero = integrate(replace(sys, u0=np.zeros(3)), "euler-maruyama", grid, seed=2)
     assert np.all(zero.states == 0.0)
 
 
@@ -428,24 +435,30 @@ def _check_batched_against_loop(family, per_block, n_paths, seed, eps, zero_star
     T = 0.3
     system = _FAMILIES[family](T)
     grid = uniform_grid(T, 2e-3)
-    u0 = np.zeros(system.basis.dim) if zero_start else None
-    ens = integrate_ensemble(system, "euler-maruyama", grid, seed, n_paths, u0=u0)
-    consts = runner._constants_for(system, grid)
+    if zero_start:
+        system = replace(system, u0=np.zeros(system.basis.dim))
+    ens = integrate_ensemble(system, "euler-maruyama", grid, seed, n_paths)
+    k1, big_g = runner._constants_for(system, grid)
+    # the reference accumulates G itself from n^2 + K2 + K6, with ac4's K2 of the runs
+    edges = system.ops.runs(grid)
+    firsts = grid[edges[:-1]]
+    k2, _, _ = check_commutator_bound(system.ops.at(firsts), system.basis, firsts)
+    consts = (k1, k2, k6_table(system.ops, system.basis, grid),
+              np.full(len(grid), system.ops.n_witness or 0.0))
     if family == "linear":
         assert len(ens.segments.segments) == 2
     elif family == "coupled-piecewise":
         assert len(ens.segments.segments) == 6  # one per node; the last holds t=T alone
 
     starts, tables, _ = zip(*runner._diagnostic_blocks(
-        system, ens, eps, 1e-6, *consts, per_block
+        system, ens, eps, 1e-6, k1, big_g, per_block
     ))
     assert list(starts) == list(range(0, n_paths, per_block))
     batched = np.concatenate(tables)
     tau = len(grid) // 3
-    env, verdict = diag.comparison_envelope(
-        diag.PathForms(ens, eps if eps > 0 else 1e-6), tau, eps,
-        K2=consts[1], K6=consts[2], n_table=consts[3], form_floor=form_floor,
-    )
+    with mock.patch.object(diag, "FORM_FLOOR", form_floor):
+        env, verdict = diag.comparison_envelope(
+            diag.PathForms(ens, eps if eps > 0 else 1e-6), tau, eps, big_g)
 
     counts = np.zeros(3, dtype=int)
     for p in range(n_paths):

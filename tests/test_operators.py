@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spdelab.basis import SpectralBasis
+from spdelab.brownian import uniform_grid
 from spdelab.operators import (
     MatrixPath,
     OperatorFamily,
@@ -127,6 +128,28 @@ def test_runs_follow_the_node_intervals():
     runs = piecewise.runs(times)
     assert runs.tolist() == [0, 4, 8, 9]
     assert runs.tolist() == OperatorSegments(piecewise, times).edges
+
+
+def test_a_grid_time_rounded_just_below_a_node_reads_that_node():
+    """0.3 and 0.6 of a uniform grid of [0, 1] lie an ulp or two below the
+    nodes 0.3 and 0.6 of linspace(0, 1, 11).  They read the interval their
+    node opens: a family whose tables jump at the 11 nodes has its runs
+    start at every 10th grid index, at dt = 1e-2 and 1e-3 alike, and a
+    linear path takes its node value there exactly."""
+    nodes = np.linspace(0.0, 1.0, 11)
+    stack = np.stack([k * np.eye(2) for k in range(11)])
+    family = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(MatrixPath(stack, nodes),))
+    for dt, every in ((1e-2, 10), (1e-3, 100)):
+        times = uniform_grid(1.0, dt)
+        assert times[3 * every] < nodes[3] and times[6 * every] < nodes[6]
+        runs = family.runs(times)
+        assert runs.tolist() == list(range(0, len(times), every)) + [len(times)]
+        assert runs.tolist() == OperatorSegments(family, times).edges
+    ramp = MatrixPath(stack, nodes, "linear")
+    times = uniform_grid(1.0, 1e-2)
+    for j in (30, 60):
+        assert np.array_equal(ramp.at(times[j]), stack[j // 10])
+        assert np.array_equal(ramp.at(times[j:j + 1])[0], stack[j // 10])
 
 
 _PATH_KINDS = ("constant", "piecewise", "linear")

@@ -10,14 +10,16 @@ import threading
 import numpy as np
 import pytest
 
+from spdelab import diagnostics as diag
 from spdelab import runner
-from spdelab.assumptions import check_commutator_bound
+from spdelab.assumptions import check_commutator_bound, k6_table
 from spdelab.brownian import GridError, uniform_grid
 from spdelab.cli import main
 from spdelab.operators import OperatorSegments
 from spdelab.runner import (
     ConfigError,
     ExperimentConfig,
+    build_system,
     load_config,
     report_summary,
     run,
@@ -141,6 +143,32 @@ def test_run_rejects_values_that_do_not_fit_the_system(tmp_path):
         load_config(minimal_config(tmp_path, r_list=[-0.5]))
 
 
+def test_build_system_puts_the_config_start_in_place(tmp_path):
+    """The config's u0 is the system's start, which every integration reads;
+    without one the factory's default stands."""
+    system = build_system(load_config(minimal_config(tmp_path, u0=[0.0, 2.0])))
+    assert system.u0.dtype == float and system.u0.tolist() == [0.0, 2.0]
+    assert build_system(load_config(minimal_config(tmp_path))).u0.tolist() == [1.0, 1.0]
+
+
+def test_only_the_spectral_kinds_take_the_spectrum(tmp_path, monkeypatch):
+    """The report's eigendecomposition of sym(Ã(0)) serves the spectral-limit
+    report alone, so a backward-probe or check run never takes it."""
+    calls = []
+    spectrum = runner.spectrum
+
+    def counted(matrix):
+        calls.append(matrix.shape)
+        return spectrum(matrix)
+
+    monkeypatch.setattr(runner, "spectrum", counted)
+    for kind, want in (("backward-probe", 0), ("check", 0),
+                       ("simulate", 1), ("spectral-limit", 1)):
+        calls.clear()
+        run(load_config(minimal_config(tmp_path, kind=kind)))
+        assert len(calls) == want, kind
+
+
 def test_config_roundtrip(tmp_path):
     """The canonical form, which the manifest stores, loads back to the config."""
     cfg = load_config(minimal_config(tmp_path))
@@ -159,9 +187,10 @@ def test_run_holds_the_commutator_bound_of_each_run():
     system = runner.make_system("coupled-torus", modes=8, h_tables=tables,
                                 h_time_grid=times)
     grid = uniform_grid(1.0, 1e-3)
-    k1, k2, k6, _ = runner._constants_for(system, grid)
+    k1, big_g = runner._constants_for(system, grid)
     k2_want, k1_want, _ = check_commutator_bound(system.ops.at(grid), system.basis, grid)
-    assert k2 == k2_want
+    k6 = k6_table(system.ops, system.basis, grid)
+    np.testing.assert_array_equal(big_g, diag.damping(grid, 0.0 + k2_want + k6))
     np.testing.assert_array_equal(k1, k1_want)
     assert k1.max() > 0 and not np.any(k6)
 
@@ -633,15 +662,15 @@ def test_cli_bad_config_returns_error(tmp_path, capsys):
     ("u0 of wrong length",
      {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01, "u0": [1.0, 2.0]}),
     ("negative delta", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01, "delta": -0.5}),
-    ("zero delta, zero start", {"system": {"name": "diagonal", "u0": [0.0, 0.0, 0.0]},
-                                "T": 0.5, "dt": 0.01, "delta": 0.0}),
+    ("zero delta, zero start", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01,
+                                "delta": 0.0, "u0": [0.0, 0.0, 0.0]}),
     ("zero eps, zero start", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01,
                               "eps_list": [0.0], "u0": [0.0, 0.0, 0.0]}),
     ("zero scalar-noise dim", {"system": {"name": "torus-heat-scalar", "dim": 0},
                                "T": 0.5, "dt": 0.01}),
     ("zero gradient-noise dim", {"system": {"name": "torus-heat-gradient", "dim": 0},
                                  "T": 0.5, "dt": 0.01}),
-    ("zero witness samples", {"system": {"name": "nse-2d", "witness_samples": 0},
+    ("system table with u0", {"system": {"name": "diagonal", "u0": [1.0, 1.0, 1.0]},
                               "T": 0.5, "dt": 0.01}),
     ("empty eps_list", {"system": {"name": "diagonal"}, "T": 0.5, "dt": 0.01,
                         "eps_list": []}),
@@ -657,3 +686,8 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, name, body, command):
     err = capsys.readouterr().err
     assert err.startswith("error: config") and "Traceback" not in err
     assert err.count("\n") == 1
+    # the key each start case names: the start has one home, the top-level u0
+    key = {"zero delta, zero start": "'delta'", "zero eps, zero start": "'eps_list'",
+           "system table with u0": "'system'"}.get(name)
+    if key is not None:
+        assert err.startswith(f"error: config key {key}") and "u0" in err
