@@ -2,13 +2,15 @@
 
 Each checker turns one continuum hypothesis into a finite-dimensional
 eigenvalue statement (certified), or into a sampled estimate when the
-inequality is not a quadratic form (empirical).  All quadratic-form
+inequality is not a quadratic form (empirical), and returns one CertRecord:
+its status and, in `constants`, every value it found.  All quadratic-form
 inequalities use the single symmetrization convention sym(M) = (M + M^T)/2.
 
 The checkers read the family evaluated once per run of their time grid
 (OperatorFamily.runs), at the run's first time, so each table holds one
-entry per run.  Only ac1 and the K6 table take the family itself: Ã' is a
-difference taken at times off the grid.
+entry per run.  Only the K6 table takes the family itself: Ã' is a
+difference taken at times off the grid.  check_all computes it once, hands
+it to ac1 and keeps it in the AssumptionReport beside the records.
 """
 from __future__ import annotations
 
@@ -71,7 +73,6 @@ def _sym_norms(m: np.ndarray) -> np.ndarray:
 class CertRecord:
     """One assumption's constants, status, and tightness slack."""
 
-    name: str
     status: str
     constants: dict
     slack: Optional[float] = None
@@ -98,34 +99,30 @@ def check_boundedness(ev: OperatorSegment, basis: SpectralBasis) -> CertRecord:
     bound_b = [float(_spectral_norms(b * w[None, :]).max(initial=0.0)) for b in ev.Bs]
     finite = np.isfinite(bound_a) and all(np.isfinite(b) for b in bound_b)
     return CertRecord(
-        name="ac0",
         status=CERTIFIED if finite else FAILED,
         constants={"bound_A": bound_a, "bound_B": bound_b},
     )
 
 
-def check_differentiability(ops: OperatorFamily, basis: SpectralBasis, t_grid):
+def check_differentiability(k6: np.ndarray, t_grid) -> CertRecord:
     """Integrability of the corrected generator's time derivative.
 
-    The certificate is the trapezoidal integral of K6 over the grid being
-    finite; time-independent families pass with integral zero.  Returns the
-    K6 table and the record.
+    The certificate is the trapezoidal integral of the K6 table (k6_table)
+    over the grid being finite; time-independent families pass with
+    integral zero.
     """
     t_grid = np.asarray(t_grid, dtype=float)
-    k6 = k6_table(ops, basis, t_grid)
     integral = float(np.trapezoid(k6, t_grid)) if len(t_grid) > 1 else 0.0
-    record = CertRecord(
-        name="ac1",
+    return CertRecord(
         status=CERTIFIED if np.isfinite(integral) else FAILED,
         constants={"k6_integral": integral},
     )
-    return k6, record
 
 
 # -- AC2: coercivity --------------------------------------------------
 
 
-def check_coercivity(ev: OperatorSegment, basis: SpectralBasis):
+def check_coercivity(ev: OperatorSegment, basis: SpectralBasis) -> CertRecord:
     """Smallest lambda with 2<A u,u> + lambda|u|^2 >= ALPHA||u||^2 + sum|B_k u|^2.
 
     lambda is the max over the stack of the top eigenvalue of
@@ -143,39 +140,36 @@ def check_coercivity(ev: OperatorSegment, basis: SpectralBasis):
     worst = float(_min_eig(sym(2.0 * sym(a) + lam * np.eye(basis.dim) - ALPHA * d - btb))
                   .min(initial=np.inf))
     status = CERTIFIED if worst >= CERT_EIG_TOL else FAILED
-    record = CertRecord(
-        name="ac2", status=status,
-        constants={"alpha": ALPHA, "lambda": lam},
-        slack=float(worst),
+    return CertRecord(
+        status=status, constants={"alpha": ALPHA, "lambda": lam}, slack=float(worst),
     )
-    return lam, record
 
 
 # -- AC3: weak noise bound --------------------------------------------
 
 
-def check_weak_noise_bound(ev: OperatorSegment):
+def check_weak_noise_bound(ev: OperatorSegment) -> CertRecord:
     """phi(t) = sum_k spectral norm of sym(B_k(t)); bounds sum|<u, B_k u>|/|u|^2."""
     phi = np.zeros(len(ev.drift))
     for b in ev.Bs:
         phi += _sym_norms(sym(b))
-    record = CertRecord(
-        name="ac3", status=CERTIFIED, constants={"phi": phi},
-        slack=float(phi.max(initial=0.0)),
+    return CertRecord(
+        status=CERTIFIED, constants={"phi": phi}, slack=float(phi.max(initial=0.0)),
     )
-    return phi, record
 
 
 # -- AC4: commutator bound --------------------------------------------
 
 
-def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid):
+def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid) -> CertRecord:
     """Commutator form bounded by K1(t) id + K2 sym(tilde_A(t)).
 
     For each K2 of K2_CANDIDATES the pointwise-optimal K1(t) is the top
     eigenvalue of sym(C(t)) - K2 sym(tilde_A(t)), with C the noise-weighted
     commutator.  Returns the candidate minimizing the integral of max(K1, 0)
-    and reports whether K1 = 0 is achievable.  Both the full-space and the
+    and reports whether K1 = 0 is achievable.  The record's K1 is the one
+    table of it: entries within the rounding floor read 0, and the run's
+    comparison process takes it as it is.  Both the full-space and the
     leading-half-section restriction of K1 are tabulated, since the two
     finite-dimensional readings of the continuum inequality differ.  t_grid
     holds the times ev was evaluated at, for the trapezoidal cost.
@@ -208,8 +202,8 @@ def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid):
     cost, k2, k1, k1_half = best
 
     k1_zero_ok = bool(np.all(k1 <= tol))
-    record = CertRecord(
-        name="ac4", status=CERTIFIED,
+    return CertRecord(
+        status=CERTIFIED,
         constants={
             "K1": np.where(k1 <= tol, 0.0, np.maximum(k1, 0.0)), "K2": k2,
             "K1_restricted": np.maximum(k1_half, 0.0),
@@ -218,13 +212,12 @@ def check_commutator_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid):
         slack=float(np.max(np.abs(k1))),
         notes="K1 tabulated on the full space and on the leading half-section",
     )
-    return k2, np.maximum(k1, 0.0), record
 
 
 # -- AC5: strong noise bound ------------------------------------------
 
 
-def check_strong_noise_bound(ev: OperatorSegment, basis: SpectralBasis):
+def check_strong_noise_bound(ev: OperatorSegment, basis: SpectralBasis) -> CertRecord:
     """Empirical minimal (L1, L2) with sum_k |B_k x| <= L1 |A x| + L2 |x|.
 
     Not a quadratic form, so the certificate is sampled: AC5_SAMPLES random
@@ -264,21 +257,16 @@ def check_strong_noise_bound(ev: OperatorSegment, basis: SpectralBasis):
         if best is None or score < best[0] - 1e-15:
             best = (score, l1, float(l2))
     if best is None:
-        record = CertRecord(name="ac5", status=FAILED,
-                            constants={"L1": None, "L2": None, "empirical": True})
-        return np.inf, np.inf, record
+        return CertRecord(status=FAILED,
+                          constants={"L1": None, "L2": None, "empirical": True})
     _, l1, l2 = best
-    record = CertRecord(
-        name="ac5", status=EMPIRICAL,
-        constants={"L1": l1, "L2": l2, "empirical": True},
-    )
-    return l1, l2, record
+    return CertRecord(status=EMPIRICAL, constants={"L1": l1, "L2": l2, "empirical": True})
 
 
 # -- AC6: weak drift bound --------------------------------------------
 
 
-def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
+def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis) -> CertRecord:
     """Minimal (beta, gamma) with |<A x, x>| <= beta ||x||^2 + gamma |x|^2.
 
     Grid search over beta; for each beta, gamma is the smallest shift making
@@ -308,17 +296,15 @@ def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis):
     shifted = beta * d + gamma * np.eye(basis.dim)
     worst = float(min(_min_eig(shifted - s).min(), _min_eig(shifted + s).min()))
     status = CERTIFIED if worst >= CERT_EIG_TOL else FAILED
-    record = CertRecord(
-        name="ac6", status=status,
-        constants={"beta": beta, "gamma": gamma}, slack=float(worst),
+    return CertRecord(
+        status=status, constants={"beta": beta, "gamma": gamma}, slack=float(worst),
     )
-    return beta, gamma, record
 
 
 # -- AC7: first-order noise bound -------------------------------------
 
 
-def check_first_order_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid):
+def check_first_order_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid) -> CertRecord:
     """Per-noise C1(t) with |<tilde_A x, B_k x>| <= C1_k(t) |<tilde_A x, x>|.
 
     When sym(tilde_A(t)) is positive definite the exact constant is the
@@ -356,13 +342,11 @@ def check_first_order_bound(ev: OperatorSegment, basis: SpectralBasis, t_grid):
             tables[k, j] = float(np.max(mixed[ok] / np.abs(form[ok]), initial=fallback))
     certified = bool(definite.all())
     unbounded = np.asarray(t_grid, dtype=float)[np.isinf(tables).any(axis=0)].tolist()
-    record = CertRecord(
-        name="ac7",
+    return CertRecord(
         status=FAILED if unbounded else CERTIFIED if certified else EMPIRICAL,
         constants={"C1k": tables, "certified": certified},
         notes=f"no C1 bounds the sampled forms at t = {unbounded}" if unbounded else "",
     )
-    return tables, record
 
 
 # -- K6 table ---------------------------------------------------------
@@ -381,17 +365,16 @@ def k6_table(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> np.ndarray:
 
 @dataclass
 class AssumptionReport:
-    """All certificates for one family, with the first time of each run they read."""
+    """All certificates for one family, with the first time of each run they
+    read and the K6 table there."""
 
-    records: dict  # name -> CertRecord
+    records: dict  # "ac0".."ac7" -> CertRecord
     t_grid: np.ndarray
-
-    def status(self, name: str) -> str:
-        return self.records[name].status
+    k6: np.ndarray
 
     def to_dict(self) -> dict:
         out = {name: rec.to_dict() for name, rec in self.records.items()}
-        out["k6"] = self.records["k6"].constants["table"].tolist() if "k6" in self.records else []
+        out["k6"] = self.k6.tolist()
         out["t_grid"] = self.t_grid.tolist()
         return out
 
@@ -406,15 +389,16 @@ def check_all(ops: OperatorFamily, basis: SpectralBasis, t_grid) -> AssumptionRe
     t_grid = np.asarray(t_grid, dtype=float)
     firsts = t_grid[ops.runs(t_grid)[:-1]]
     ev = ops.at(firsts)
-    records = {}
-    records["ac0"] = check_boundedness(ev, basis)
-    k6, records["ac1"] = check_differentiability(ops, basis, firsts)
-    _, records["ac2"] = check_coercivity(ev, basis)
-    _, records["ac3"] = check_weak_noise_bound(ev)
-    _, _, records["ac4"] = check_commutator_bound(ev, basis, firsts)
-    _, _, records["ac5"] = check_strong_noise_bound(ev, basis)
-    _, _, records["ac6"] = check_weak_A_bound(ev, basis)
-    _, records["ac7"] = check_first_order_bound(ev, basis, firsts)
-    records["k6"] = CertRecord(name="k6", status=CERTIFIED, constants={"table": k6})
-    return AssumptionReport(records=records, t_grid=firsts)
+    k6 = k6_table(ops, basis, firsts)
+    records = {
+        "ac0": check_boundedness(ev, basis),
+        "ac1": check_differentiability(k6, firsts),
+        "ac2": check_coercivity(ev, basis),
+        "ac3": check_weak_noise_bound(ev),
+        "ac4": check_commutator_bound(ev, basis, firsts),
+        "ac5": check_strong_noise_bound(ev, basis),
+        "ac6": check_weak_A_bound(ev, basis),
+        "ac7": check_first_order_bound(ev, basis, firsts),
+    }
+    return AssumptionReport(records=records, t_grid=firsts, k6=k6)
 

@@ -274,15 +274,14 @@ def galerkin_gaps(forms: PathForms, basis: SpectralBasis, eps: float,
                   N_list: Sequence[int]):
     """Damped-path integrals measuring the finite-section error.
 
-    Returns (K3, K4, K5): K3 and K4 are dicts over N; K5 is independent of N.
-    Each value is one number per path, (P,); M is at the record's delta.
+    Returns (K3, K4), dicts over N of one number per path, (P,); M is at
+    the record's delta.
     """
     times, states = forms.paths.times, forms.paths.states
     m = forms.martingale
     den = forms.sq + eps
     segs = forms.paths.segments
     tu = segs.tilde_applied(states)
-    k5 = np.trapezoid(m * np.sum(tu**2, axis=-1) / den, times, axis=-1)
 
     lam = basis.hat_eigenvalues
     k3, k4 = {}, {}
@@ -301,7 +300,7 @@ def galerkin_gaps(forms: PathForms, basis: SpectralBasis, eps: float,
         for bu in forms.bus:
             tail += np.sum(lam[n:] * bu[..., n:] ** 2, axis=-1)
         k4[n] = np.trapezoid(m * tail / den, times, axis=-1)
-    return k3, k4, k5
+    return k3, k4
 
 
 # -- spectral-limit reporting -----------------------------------------

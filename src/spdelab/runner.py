@@ -260,16 +260,17 @@ def _write_csv(jobs) -> None:
 
 
 def _constants_for(system: SystemSpec, t_grid: np.ndarray):
-    """K1 and the damping G on the run grid, which X and S read.  K1 is ac4's
-    at the first time of each run of the family, held over the run; G
-    integrates n^2 + K2 + K6, with ac4's K2, the K6 table and the
-    nonlinearity witness n."""
+    """K1 and the damping G on the run grid, which X and S read.  K1 and K2
+    are the constants of ac4's record at the first time of each run of the
+    family, as `spdelab check` prints them; K1 is held over the run, and G
+    integrates n^2 + K2 + K6, with the K6 table and the nonlinearity witness n."""
     edges = system.ops.runs(t_grid)
     firsts = t_grid[edges[:-1]]
-    k2, k1, _ = check_commutator_bound(system.ops.at(firsts), system.basis, firsts)
+    ac4 = check_commutator_bound(system.ops.at(firsts), system.basis, firsts).constants
     k6 = k6_table(system.ops, system.basis, t_grid)
     n = system.ops.n_witness or 0.0
-    return np.repeat(k1, np.diff(edges)), diag.damping(t_grid, n * n + k2 + k6)
+    return (np.repeat(ac4["K1"], np.diff(edges)),
+            diag.damping(t_grid, n * n + ac4["K2"] + k6))
 
 
 #: float64 scratch one diagnostics block may hold; a block takes as many
@@ -356,7 +357,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
             m_final[lo:hi] = diag.exp_martingale(forms, cfg.delta)[..., -1]
             if lo < n_gap:
                 top = min(hi, n_gap)
-                k3, k4, _ = diag.galerkin_gaps(forms, system.basis, eps, cfg.N_list)
+                k3, k4 = diag.galerkin_gaps(forms, system.basis, eps, cfg.N_list)
                 for key, per_n in (("K3", k3), ("K4", k4)):
                     for n, v in per_n.items():
                         gaps[key][n][lo:top] = v[:top - lo]
@@ -474,6 +475,9 @@ def report_summary(run_dir: str) -> dict:
         summary["n_settled"] = sl["n_settled"]
     if "backward_probe" in report:
         summary["backward_margin"] = report["backward_probe"]["margin"]
+    if "assumptions" in report:  # beside the records: the k6 and t_grid lists
+        summary["certificates"] = {name: rec["status"] for name, rec
+                                   in report["assumptions"].items() if isinstance(rec, dict)}
     if "martingale" in report:
         m = report["martingale"]
         summary["martingale_mean"] = m["mean_final"]

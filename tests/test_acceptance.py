@@ -203,9 +203,7 @@ def test_acceptance_5_gronwall_bound():
 
 def _envelope_rate(dt: float) -> float:
     sys = make_diagonal([1.0, 4.0, 9.0], [[0.3, 0.2, 0.1]])
-    k2, k1, record = check_commutator_bound(
-        sys.ops.at(np.array([0.0])), sys.basis, np.array([0.0])
-    )
+    record = check_commutator_bound(sys.ops.at(np.array([0.0])), sys.basis, np.array([0.0]))
     assert record.constants["K1_zero_achievable"]  # precondition of the bound
     grid = uniform_grid(1.0, dt)
     checked = violations = 0
@@ -314,8 +312,8 @@ def test_acceptance_9_galerkin_gap_decay():
                 replace(make_torus_heat_gradient_noise(dim=64, sigma_fields=(0.5,)),
                         u0=u0)):
         traj = integrate(sys, "drift-implicit", grid, seed=909)
-        k3, k4, _ = diag.galerkin_gaps(diag.PathForms(traj, 1e-8), sys.basis,
-                                       1e-8, sections)
+        k3, k4 = diag.galerkin_gaps(diag.PathForms(traj, 1e-8), sys.basis,
+                                    1e-8, sections)
         k3 = {n: k[0] for n, k in k3.items()}
         k4 = {n: k[0] for n, k in k4.items()}
         mono = all(k3[a] >= k3[b] - 1e-15 and k4[a] >= k4[b] - 1e-15
@@ -335,8 +333,9 @@ def test_acceptance_9_galerkin_gap_decay():
 def test_acceptance_10_assumption_certificates():
     t_grid = np.array([0.0])
     grad = make_torus_heat_gradient_noise(dim=32, sigma_fields=(0.5,))
-    phi, _ = check_weak_noise_bound(grad.ops.at(t_grid))
-    k2, k1, rec4 = check_commutator_bound(grad.ops.at(t_grid), grad.basis, t_grid)
+    phi = check_weak_noise_bound(grad.ops.at(t_grid)).constants["phi"]
+    rec4 = check_commutator_bound(grad.ops.at(t_grid), grad.basis, t_grid)
+    k2, k1 = rec4.constants["K2"], rec4.constants["K1"]
     grad_ok = (np.max(phi) < 1e-9 and k2 == 0.0 and np.allclose(k1, 0.0)
                and rec4.constants["K1_zero_achievable"])
 

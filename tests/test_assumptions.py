@@ -60,7 +60,8 @@ def test_coercivity_drift_equals_hat_operator():
     """2<A u, u> = ALPHA||u||^2 for A = (ALPHA/2) hat_A, so it needs no shift."""
     lam = [1.0, 2.0, 5.0]
     ops = family(0.5 * ALPHA * np.diag(lam))
-    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
+    record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
+    value = record.constants["lambda"]
     assert value == pytest.approx(0.0, abs=1e-12)
     assert record.status == CERTIFIED
 
@@ -69,7 +70,8 @@ def test_coercivity_scalar_noise_costs_its_square():
     lam = [1.0, 2.0]
     c = 0.7
     ops = family(0.5 * ALPHA * np.diag(lam), [c * np.eye(2)])
-    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
+    record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
+    value = record.constants["lambda"]
     assert value == pytest.approx(c**2, abs=1e-12)
     assert record.status == CERTIFIED
 
@@ -79,7 +81,7 @@ def test_coercivity_recheck_on_random_symmetric_drift():
     a = sym(rng.standard_normal((5, 5)))
     b = rng.standard_normal((5, 5))
     ops = family(a, [b])
-    _, record = check_coercivity(ops.at(T_GRID), hat_basis(np.arange(1.0, 6.0)))
+    record = check_coercivity(ops.at(T_GRID), hat_basis(np.arange(1.0, 6.0)))
     assert record.status == CERTIFIED
     assert record.slack >= CERT_EIG_TOL
 
@@ -89,8 +91,8 @@ def test_coercivity_monotone_in_noise():
     lam = [1.0, 2.0]
     base = family(np.diag(lam), [0.3 * np.eye(2)])
     bigger = family(np.diag(lam), [0.3 * np.eye(2), 0.4 * np.eye(2)])
-    v0, _ = check_coercivity(base.at(T_GRID), hat_basis(lam))
-    v1, _ = check_coercivity(bigger.at(T_GRID), hat_basis(lam))
+    v0 = check_coercivity(base.at(T_GRID), hat_basis(lam)).constants["lambda"]
+    v1 = check_coercivity(bigger.at(T_GRID), hat_basis(lam)).constants["lambda"]
     assert v1 >= v0 - 1e-12
 
 
@@ -99,20 +101,22 @@ def test_coercivity_monotone_in_noise():
 
 def test_weak_noise_skew_gives_zero():
     skew = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    phi, record = check_weak_noise_bound(family(np.eye(2), [skew]).at(T_GRID))
+    record = check_weak_noise_bound(family(np.eye(2), [skew]).at(T_GRID))
+    phi = record.constants["phi"]
     assert np.allclose(phi, 0.0)
     assert record.status == CERTIFIED
 
 
 def test_weak_noise_scalar_gives_absolute_value():
-    phi, _ = check_weak_noise_bound(family(np.eye(2), [-0.8 * np.eye(2)]).at(T_GRID))
+    record = check_weak_noise_bound(family(np.eye(2), [-0.8 * np.eye(2)]).at(T_GRID))
+    phi = record.constants["phi"]
     assert phi[0] == pytest.approx(0.8)
 
 
 def test_weak_noise_dominates_sampled_ratios():
     rng = np.random.default_rng(1)
     b = rng.standard_normal((4, 4))
-    phi, _ = check_weak_noise_bound(family(np.eye(4), [b]).at(T_GRID))
+    phi = check_weak_noise_bound(family(np.eye(4), [b]).at(T_GRID)).constants["phi"]
     for _ in range(200):
         u = rng.standard_normal(4)
         assert abs(u @ b @ u) <= phi[0] * (u @ u) + 1e-12
@@ -120,8 +124,8 @@ def test_weak_noise_dominates_sampled_ratios():
 
 def test_weak_noise_monotone_in_family():
     b1 = np.diag([0.5, 0.5])
-    phi1, _ = check_weak_noise_bound(family(np.eye(2), [b1]).at(T_GRID))
-    phi2, _ = check_weak_noise_bound(family(np.eye(2), [b1, b1]).at(T_GRID))
+    phi1 = check_weak_noise_bound(family(np.eye(2), [b1]).at(T_GRID)).constants["phi"]
+    phi2 = check_weak_noise_bound(family(np.eye(2), [b1, b1]).at(T_GRID)).constants["phi"]
     assert np.all(phi2 >= phi1 - 1e-15)
 
 
@@ -130,7 +134,8 @@ def test_weak_noise_monotone_in_family():
 
 def test_commutator_zero_for_commuting_family():
     ops = family(np.diag([1.0, 4.0]), [np.diag([0.3, 0.2])])
-    k2, k1, record = check_commutator_bound(ops.at(T_GRID), hat_basis([1.0, 4.0]), T_GRID)
+    record = check_commutator_bound(ops.at(T_GRID), hat_basis([1.0, 4.0]), T_GRID)
+    k2, k1 = record.constants["K2"], record.constants["K1"]
     assert k2 == 0.0
     assert np.allclose(k1, 0.0, atol=1e-12)
     assert record.constants["K1_zero_achievable"]
@@ -138,7 +143,8 @@ def test_commutator_zero_for_commuting_family():
 
 def test_commutator_gradient_noise_constant_sigma():
     sys = make_torus_heat_gradient_noise(dim=16, sigma_fields=(0.5,))
-    k2, k1, record = check_commutator_bound(sys.ops.at(T_GRID), sys.basis, T_GRID)
+    record = check_commutator_bound(sys.ops.at(T_GRID), sys.basis, T_GRID)
+    k2, k1 = record.constants["K2"], record.constants["K1"]
     assert np.allclose(k1, 0.0, atol=1e-9)
     assert k2 == 0.0
 
@@ -148,7 +154,8 @@ def test_commutator_variable_sigma_bounded_by_gradient():
     amp = 0.3
     sigma = lambda x: amp * np.sin(x)
     sys = make_torus_heat_gradient_noise(dim=24, sigma_fields=(sigma,))
-    k2, k1, _ = check_commutator_bound(sys.ops.at(T_GRID), sys.basis, T_GRID)
+    record = check_commutator_bound(sys.ops.at(T_GRID), sys.basis, T_GRID)
+    k2, k1 = record.constants["K2"], record.constants["K1"]
     # sup |grad sigma|^2 = amp^2; the noise-weighted commutator form is
     # bounded by that times the V-norm, absorbed here through K2
     assert np.all(k1 <= amp**2 + 1e-6) or k2 > 0
@@ -195,9 +202,8 @@ def test_commutator_early_exit_matches_the_exhaustive_search(monkeypatch, name):
     calls = []
     top = assumptions._top_eig
     monkeypatch.setattr(assumptions, "_top_eig", lambda m: calls.append(m.shape) or top(m))
-    k2, k1, record = check_commutator_bound(ev, system.basis, t_grid)
-    assert k2 == k2_want
-    assert np.array_equal(k1, np.maximum(k1_want, 0.0))
+    record = check_commutator_bound(ev, system.basis, t_grid)
+    assert record.constants["K2"] == k2_want
     assert np.array_equal(record.constants["K1"],
                           np.where(k1_want <= tol, 0.0, np.maximum(k1_want, 0.0)))
     assert np.array_equal(record.constants["K1_restricted"], np.maximum(k1_half_want, 0.0))
@@ -213,9 +219,10 @@ def test_commutator_early_exit_matches_the_exhaustive_search(monkeypatch, name):
 
 
 def test_strong_noise_zero_for_no_noise():
-    l1, l2, record = check_strong_noise_bound(
+    record = check_strong_noise_bound(
         family(np.diag([1.0, 2.0])).at(T_GRID), hat_basis([1.0, 2.0])
     )
+    l1, l2 = record.constants["L1"], record.constants["L2"]
     assert l1 == 0.0 and l2 == 0.0
     assert record.status == EMPIRICAL
 
@@ -224,7 +231,8 @@ def test_strong_noise_scalar_noise_bound_holds():
     lam = [1.0, 2.0, 4.0]
     c = 0.6
     ops = family(np.diag(lam), [c * np.eye(3)])
-    l1, l2, _ = check_strong_noise_bound(ops.at(T_GRID), hat_basis(lam))
+    record = check_strong_noise_bound(ops.at(T_GRID), hat_basis(lam))
+    l1, l2 = record.constants["L1"], record.constants["L2"]
     rng = np.random.default_rng(0)
     a = ops.A.at(0.0)
     for _ in range(300):
@@ -239,9 +247,8 @@ def test_strong_noise_scalar_noise_bound_holds():
 
 def test_weak_A_bound_hat_operator():
     lam = [1.0, 2.0, 5.0]
-    beta, gamma, record = check_weak_A_bound(
-        family(np.diag(lam)).at(T_GRID), hat_basis(lam)
-    )
+    record = check_weak_A_bound(family(np.diag(lam)).at(T_GRID), hat_basis(lam))
+    beta, gamma = record.constants["beta"], record.constants["gamma"]
     assert beta == pytest.approx(1.0, abs=1e-9)
     assert gamma == pytest.approx(0.0, abs=1e-9)
     assert record.status == CERTIFIED
@@ -249,9 +256,8 @@ def test_weak_A_bound_hat_operator():
 
 def test_weak_A_bound_shifted_hat_operator():
     lam = np.array([1.0, 2.0, 5.0])
-    beta, gamma, _ = check_weak_A_bound(
-        family(np.diag(lam) + np.eye(3)).at(T_GRID), hat_basis(lam)
-    )
+    record = check_weak_A_bound(family(np.diag(lam) + np.eye(3)).at(T_GRID), hat_basis(lam))
+    beta, gamma = record.constants["beta"], record.constants["gamma"]
     assert beta == pytest.approx(1.0, abs=1e-9)
     assert gamma == pytest.approx(1.0, abs=1e-9)
 
@@ -259,9 +265,7 @@ def test_weak_A_bound_shifted_hat_operator():
 def test_weak_A_bound_recheck_random():
     rng = np.random.default_rng(2)
     a = rng.standard_normal((4, 4))
-    beta, gamma, record = check_weak_A_bound(
-        family(a).at(T_GRID), hat_basis(np.arange(1.0, 5.0))
-    )
+    record = check_weak_A_bound(family(a).at(T_GRID), hat_basis(np.arange(1.0, 5.0)))
     assert record.status == CERTIFIED
     assert record.slack >= CERT_EIG_TOL
 
@@ -295,8 +299,8 @@ def test_weak_A_bound_of_a_repeated_matrix_is_that_of_the_matrix():
     system = make_coupled_torus()
     one = check_weak_A_bound(system.ops.at(np.array([0.0])), system.basis)
     five = check_weak_A_bound(system.ops.at(np.linspace(0.0, 1.0, 5)), system.basis)
-    assert (five[0], five[1], five[2].slack) == (one[0], one[1], one[2].slack)
-    assert five[2].status == one[2].status == CERTIFIED
+    assert (five.constants, five.slack) == (one.constants, one.slack)
+    assert five.status == one.status == CERTIFIED
 
 
 def test_weak_A_bound_on_a_time_dependent_family_matches_the_whole_stack():
@@ -310,7 +314,8 @@ def test_weak_A_bound_on_a_time_dependent_family_matches_the_whole_stack():
     system = make_coupled_torus(modes=3, h_tables=tables, h_time_grid=[0.0, 0.5, 1.0])
     ev = system.ops.at(np.linspace(0.0, 1.0, 5))
     assert len(np.unique(sym(ev.drift), axis=0)) == 3
-    beta, gamma, record = check_weak_A_bound(ev, system.basis)
+    record = check_weak_A_bound(ev, system.basis)
+    beta, gamma = record.constants["beta"], record.constants["gamma"]
     assert (beta, gamma, record.slack) == _weak_A_bound_over_the_whole_stack(ev, system.basis)
 
 
@@ -319,16 +324,16 @@ def test_weak_A_bound_on_a_time_dependent_family_matches_the_whole_stack():
 
 def test_first_order_scalar_noise():
     ops = family(np.diag([2.0, 3.0]), [0.4 * np.eye(2)])
-    tables, record = check_first_order_bound(
-        ops.at(T_GRID), hat_basis([2.0, 3.0]), T_GRID
-    )
+    record = check_first_order_bound(ops.at(T_GRID), hat_basis([2.0, 3.0]), T_GRID)
+    tables = record.constants["C1k"]
     assert tables[0, 0] == pytest.approx(0.4, abs=1e-9)
     assert record.status == CERTIFIED
 
 
 def test_first_order_diagonal_closed_form():
     ops = family(np.diag([1.0, 2.0, 4.0]), [np.diag([0.1, 0.5, 0.3])])
-    tables, _ = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0, 4.0]), T_GRID)
+    tables = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0, 4.0]),
+                                     T_GRID).constants["C1k"]
     assert tables[0, 0] == pytest.approx(0.5, abs=1e-9)
 
 
@@ -337,8 +342,8 @@ def test_first_order_sampled_ratios_never_exceed():
     a = sym(rng.standard_normal((4, 4))) + 5.0 * np.eye(4)  # positive definite
     b = rng.standard_normal((4, 4))
     ops = family(a, [0.1 * b])
-    tables, record = check_first_order_bound(ops.at(T_GRID), hat_basis(np.arange(1.0, 5.0)),
-                                             T_GRID)
+    record = check_first_order_bound(ops.at(T_GRID), hat_basis(np.arange(1.0, 5.0)), T_GRID)
+    tables = record.constants["C1k"]
     assert record.status == CERTIFIED
     s = sym(ops.A.at(0.0) - 0.5 * (0.1 * b).T @ (0.1 * b))
     for _ in range(2000):
@@ -350,7 +355,7 @@ def test_first_order_sampled_ratios_never_exceed():
 
 def test_first_order_indefinite_falls_back_to_empirical():
     ops = family(np.diag([-1.0, 2.0]), [0.3 * np.eye(2)])
-    _, record = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0]), T_GRID)
+    record = check_first_order_bound(ops.at(T_GRID), hat_basis([1.0, 2.0]), T_GRID)
     assert record.status == EMPIRICAL
 
 
@@ -364,7 +369,8 @@ def test_first_order_fails_where_no_sampled_form_bounds_the_mixed_one():
                    np.array([0.0, 0.5]))
     ops = OperatorFamily(A=a, Bs=(MatrixPath(c * np.array([[0.0, 1.0], [-1.0, 0.0]])),))
     times = np.array([0.0, 0.5])
-    tables, record = check_first_order_bound(ops.at(times), hat_basis([1.0, 2.0]), times)
+    record = check_first_order_bound(ops.at(times), hat_basis([1.0, 2.0]), times)
+    tables = record.constants["C1k"]
     assert record.status == FAILED and record.notes.endswith("t = [0.5]")
     assert np.isfinite(tables[0, 0]) and tables[0, 1] == np.inf
 
@@ -393,7 +399,8 @@ def test_first_order_mixed_times_match_per_time_roots():
             MatrixPath(0.1 * b[1])),
     )
     times = np.linspace(0.0, 1.0, 9)
-    tables, record = check_first_order_bound(ops.at(times), hat_basis([1.0, 2.0, 3.0]), times)
+    record = check_first_order_bound(ops.at(times), hat_basis([1.0, 2.0, 3.0]), times)
+    tables = record.constants["C1k"]
     assert record.status == EMPIRICAL and not record.constants["certified"]
     s_all = sym(assemble_tilde_A(ops, times))
     definite = np.linalg.eigvalsh(s_all)[:, 0] > 1e-12
@@ -441,7 +448,8 @@ def test_k6_and_ac1_see_a_linear_noise_under_a_constant_drift():
     basis = hat_basis([1.0, 1.0])
     times = np.array([0.25, 0.5, 0.75])
     assert np.allclose(k6_table(ops, basis, times), 0.8 * (0.1 + 0.8 * times), atol=1e-8)
-    _, record = check_differentiability(ops, basis, np.linspace(0.0, 1.0, 5))
+    grid = np.linspace(0.0, 1.0, 5)
+    record = check_differentiability(k6_table(ops, basis, grid), grid)
     assert record.constants["k6_integral"] == pytest.approx(0.4, abs=1e-5)
 
 
@@ -451,11 +459,11 @@ def test_k6_and_ac1_see_a_linear_noise_under_a_constant_drift():
 def test_check_all_produces_every_record():
     sys = make_torus_heat_gradient_noise(dim=12)
     report = check_all(sys.ops, sys.basis, np.array([0.0]))
-    for key in ("ac0", "ac1", "ac2", "ac3", "ac4", "ac5", "ac6", "ac7", "k6"):
-        assert key in report.records
-    assert report.status("ac3") == CERTIFIED
+    assert list(report.records) == ["ac0", "ac1", "ac2", "ac3", "ac4", "ac5", "ac6", "ac7"]
+    assert report.records["ac3"].status == CERTIFIED
     d = report.to_dict()
     assert "ac0" in d and "t_grid" in d
+    assert d["k6"] == report.k6.tolist() == [0.0]
 
 
 def _piecewise_coupled_torus():
@@ -552,8 +560,9 @@ def test_certificate_tightness_reported():
     lam = [1.0, 2.0]
     c = 0.7
     ops = family(0.5 * ALPHA * np.diag(lam), [c * np.eye(2)])
-    value, record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
-    shrunk, _ = check_coercivity(ops.at(T_GRID), hat_basis(lam))
+    record = check_coercivity(ops.at(T_GRID), hat_basis(lam))
+    value = record.constants["lambda"]
+    shrunk = check_coercivity(ops.at(T_GRID), hat_basis(lam)).constants["lambda"]
     # certificate with 0.99 * lambda must lose semidefiniteness
     d = np.diag(np.asarray(lam, dtype=float))
     cert = (ALPHA * np.diag(lam) + 0.99 * value * np.eye(2)

@@ -12,7 +12,7 @@ import pytest
 
 from spdelab import diagnostics as diag
 from spdelab import runner
-from spdelab.assumptions import check_commutator_bound, k6_table
+from spdelab.assumptions import check_all, check_commutator_bound, k6_table
 from spdelab.brownian import GridError, uniform_grid
 from spdelab.cli import main
 from spdelab.operators import OperatorSegments
@@ -179,20 +179,33 @@ def test_config_roundtrip(tmp_path):
     assert again.digest() == cfg.digest()
 
 
-def test_run_holds_the_commutator_bound_of_each_run():
-    """On a family constant between its 11 nodes, the run's K1 at each grid
-    time is ac4's K1 at that time: the bound is taken once per run and held
-    over it, never interpolated across a jump."""
-    tables, times = coupled_tables()
-    system = runner.make_system("coupled-torus", modes=8, h_tables=tables,
-                                h_time_grid=times)
+@pytest.mark.parametrize("name", sorted(runner.REGISTRY) + ["coupled-torus-11"])
+def test_run_holds_the_commutator_bound_of_each_run(name):
+    """The run's K1 and K2 are the constants of ac4's record, as `spdelab
+    check` prints them: K1 of each run held over it, and G integrating
+    n^2 + K2 + K6.  On a family constant between its 11 nodes, the run's K1
+    at each grid time is also ac4's K1 at that time: the bound is never
+    interpolated across a jump."""
+    if name == "coupled-torus-11":
+        tables, times = coupled_tables()
+        system = runner.make_system("coupled-torus", modes=8, h_tables=tables,
+                                    h_time_grid=times)
+    else:
+        system = runner.make_system(name)
     grid = uniform_grid(1.0, 1e-3)
     k1, big_g = runner._constants_for(system, grid)
-    k2_want, k1_want, _ = check_commutator_bound(system.ops.at(grid), system.basis, grid)
+    report = check_all(system.ops, system.basis, grid)
+    ac4 = report.records["ac4"].constants
     k6 = k6_table(system.ops, system.basis, grid)
-    np.testing.assert_array_equal(big_g, diag.damping(grid, 0.0 + k2_want + k6))
-    np.testing.assert_array_equal(k1, k1_want)
-    assert k1.max() > 0 and not np.any(k6)
+    n = system.ops.n_witness or 0.0
+    np.testing.assert_array_equal(big_g, diag.damping(grid, n * n + ac4["K2"] + k6))
+    run_of = np.searchsorted(report.t_grid, grid, side="right") - 1
+    np.testing.assert_array_equal(k1, ac4["K1"][run_of])
+    if name == "coupled-torus-11":
+        record = check_commutator_bound(system.ops.at(grid), system.basis, grid)
+        np.testing.assert_array_equal(k1, record.constants["K1"])
+        assert record.constants["K2"] == ac4["K2"]
+        assert k1.max() > 0 and not np.any(k6)
 
 
 def test_run_writes_expected_layout(tmp_path):
@@ -423,6 +436,20 @@ def test_check_kind_emits_assumption_report(tmp_path):
         assert key in report["assumptions"]
 
 
+def test_cli_report_of_a_check_run_lists_each_certificate(tmp_path, capsys):
+    """`spdelab report` on a check run maps each certificate to its status in
+    report.json; a simulate run's summary has no such entry."""
+    manifest = run(load_config(minimal_config(tmp_path, kind="check", paths=1)))
+    with open(os.path.join(manifest.run_dir, "report.json")) as fh:
+        assumptions = json.load(fh)["assumptions"]
+    assert main(["report", manifest.run_dir]) == 0
+    certificates = json.loads(capsys.readouterr().out)["certificates"]
+    assert certificates == {f"ac{i}": assumptions[f"ac{i}"]["status"] for i in range(8)}
+    assert "failed" not in certificates.values()
+    simulated = run(load_config(minimal_config(tmp_path, output_dir=str(tmp_path / "sim"))))
+    assert "certificates" not in report_summary(simulated.run_dir)
+
+
 # -- CLI --------------------------------------------------------------
 
 
@@ -595,7 +622,7 @@ NUMPY_ONLY = textwrap.dedent("""
 
     system = runner.make_system("diagonal")
     report = check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5))
-    assert report.status("ac7") == "certified"
+    assert report.records["ac7"].status == "certified"
     cfg = runner.ExperimentConfig(system={"name": "diagonal"}, T=0.05, dt=1e-2,
                                   paths=2, output_dir=sys.argv[1])
     runner.run(cfg)
