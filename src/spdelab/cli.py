@@ -11,7 +11,7 @@ from .assumptions import check_all
 from .brownian import uniform_grid
 from .diagnostics import quotient_fn, quotient_fn_d1, quotient_fn_d2
 from .integrator import BlowUpError, strong_convergence
-from .runner import build_system, load_config, report_summary, run
+from .runner import KINDS, build_system, load_config, report_summary, run
 from .systems import list_systems
 
 #: the convergence study uses at most this many of the config's paths
@@ -106,7 +106,7 @@ def main(argv=None) -> int:
     p.add_argument("--config", required=True)
     p.set_defaults(func=_cmd_check)
 
-    for kind in ("simulate", "spectral-limit", "backward-probe"):
+    for kind in KINDS:
         p = sub.add_parser(kind, help=f"run a {kind} experiment")
         p.add_argument("--config", required=True)
         p.set_defaults(func=_cmd_run, kind=kind)

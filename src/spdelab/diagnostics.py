@@ -389,23 +389,19 @@ def spectral_limit_report(
     return SpectralLimitReport(eigenvalues=eigenvalues, paths=paths, settle_tol=settle_tol)
 
 
-def backward_probe(norms: np.ndarray, times: np.ndarray) -> dict:
-    """Minimum H-norm per path of the H-norms (P, J+1) on `times`: the
+def backward_probe(norms: np.ndarray) -> dict:
+    """Minimum H-norm per path of the H-norms (P, J+1): the
     backward-uniqueness dichotomy report.
 
     For a nonzero start every path should stay strictly away from zero; a
     zero start must stay identically zero.
     """
-    norms = np.asarray(norms, dtype=float)
-    min_norms = norms.min(axis=1)
-    argmins = norms.argmin(axis=1)
+    min_norms = np.asarray(norms, dtype=float).min(axis=1)
     return {
-        "n_paths": int(norms.shape[0]),
-        "min_norm_per_path": min_norms,
-        "min_time_per_path": times[argmins],
         "margin": float(min_norms.min()),
         "all_positive": bool(np.all(min_norms > 0.0)),
         "n_underflow": int(np.sum(min_norms <= NORM_FLOOR)),
+        "min_norm_per_path": min_norms.tolist(),
     }
 
 

@@ -424,17 +424,10 @@ def operator_norm_v_vprime(matrix: np.ndarray, basis: SpectralBasis):
     return float(norms) if norms.ndim == 0 else norms
 
 
-class EigenSolverError(RuntimeError):
-    """The eigenvalue solver failed to converge."""
-
-
 def spectrum(matrix: np.ndarray):
     """Eigenvalues of sym(matrix), ascending, and orthonormal eigenvectors
     as columns."""
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"square matrix required, got {matrix.shape}")
-    try:
-        return np.linalg.eigh(sym(matrix))
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigen solver did not converge: {exc}") from exc
+    return np.linalg.eigh(sym(matrix))

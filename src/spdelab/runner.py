@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from . import csvtable, diagnostics as diag
-from .assumptions import check_all, check_commutator_bound, k6_table
+from .assumptions import check_commutator_bound, k6_table
 from .brownian import GridError, uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
 from .operators import spectrum
@@ -112,7 +112,8 @@ def build_system(cfg: "ExperimentConfig") -> SystemSpec:
     return system
 
 
-_KINDS = ("simulate", "spectral-limit", "backward-probe", "check")
+#: the run kinds, one CLI command each
+KINDS = ("simulate", "spectral-limit", "backward-probe")
 #: the kinds whose report holds the backward probe and the hitting times
 _PROBE_KINDS = ("simulate", "backward-probe")
 
@@ -144,9 +145,9 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not ok(value):
                 raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
-        if self.kind not in _KINDS:
+        if self.kind not in KINDS:
             raise ConfigError(
-                f"config key 'kind': unknown kind {self.kind!r}; choose from {_KINDS}"
+                f"config key 'kind': unknown kind {self.kind!r}; choose from {KINDS}"
             )
         if self.scheme not in SCHEMES:
             raise ConfigError(f"config key 'scheme': unknown scheme {self.scheme!r}")
@@ -419,20 +420,11 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         report["spectral_limit"] = slr.to_dict()
 
     if cfg.kind in _PROBE_KINDS:
-        probe = diag.backward_probe(norms, ens.times)
-        report["backward_probe"] = {
-            "margin": probe["margin"],
-            "all_positive": probe["all_positive"],
-            "n_underflow": probe["n_underflow"],
-            "min_norm_per_path": probe["min_norm_per_path"].tolist(),
-        }
+        report["backward_probe"] = diag.backward_probe(norms)
         if cfg.r_list:
             report["hitting_times"] = {
                 str(r): diag.hitting_time(norms, ens.times, r) for r in cfg.r_list
             }
-
-    if cfg.kind == "check":
-        report["assumptions"] = check_all(system.ops, system.basis, ens.times).to_dict()
 
     # ensemble martingale statistics at delta, collected block by block
     report["martingale"] = {
@@ -475,9 +467,6 @@ def report_summary(run_dir: str) -> dict:
         summary["n_settled"] = sl["n_settled"]
     if "backward_probe" in report:
         summary["backward_margin"] = report["backward_probe"]["margin"]
-    if "assumptions" in report:  # beside the records: the k6 and t_grid lists
-        summary["certificates"] = {name: rec["status"] for name, rec
-                                   in report["assumptions"].items() if isinstance(rec, dict)}
     if "martingale" in report:
         m = report["martingale"]
         summary["martingale_mean"] = m["mean_final"]

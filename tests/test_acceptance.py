@@ -121,7 +121,7 @@ def test_acceptance_3_backward_dichotomy():
     for chunk in range(4):
         ens = integrate_ensemble(sys, "drift-implicit", grid, seed=303 + chunk,
                                  n_paths=250)
-        probe = diag.backward_probe(np.linalg.norm(ens.states, axis=-1), ens.times)
+        probe = diag.backward_probe(np.linalg.norm(ens.states, axis=-1))
         margin = min(margin, probe["margin"])
         underflow += probe["n_underflow"]
     zero = integrate(replace(sys, u0=np.zeros(sys.basis.dim)), "drift-implicit", grid,
@@ -413,7 +413,7 @@ def test_acceptance_12_nse_spectral_limit(shells):
     tilde_sym = ens.segments.segments[0].tilde_sym
     eigs, _ = spectrum(tilde_sym)
     rep = diag.spectral_limit_report(quots, ens.states[:, -1], tilde_sym, eigs)
-    margin = diag.backward_probe(np.sqrt(forms.sq), ens.times)["margin"]
+    margin = diag.backward_probe(np.sqrt(forms.sq))["margin"]
     target = min(shells) - 0.3**2
     force = float(np.linalg.norm(sys.ops.F(0.0, u0)))
     settled = [p for p in rep.paths if p.settled]

@@ -245,7 +245,7 @@ def test_backward_probe_positive_and_zero_start():
     sys = diag_system()
     grid = uniform_grid(1.0, 1e-3)
     ens = integrate_ensemble(sys, "euler-maruyama", grid, seed=2, n_paths=4)
-    probe = diag.backward_probe(np.linalg.norm(ens.states, axis=-1), ens.times)
+    probe = diag.backward_probe(np.linalg.norm(ens.states, axis=-1))
     assert probe["all_positive"]
     assert probe["n_underflow"] == 0
 

@@ -153,7 +153,7 @@ def test_build_system_puts_the_config_start_in_place(tmp_path):
 
 def test_only_the_spectral_kinds_take_the_spectrum(tmp_path, monkeypatch):
     """The report's eigendecomposition of sym(Ã(0)) serves the spectral-limit
-    report alone, so a backward-probe or check run never takes it."""
+    report alone, so a backward-probe run never takes it."""
     calls = []
     spectrum = runner.spectrum
 
@@ -162,8 +162,7 @@ def test_only_the_spectral_kinds_take_the_spectrum(tmp_path, monkeypatch):
         return spectrum(matrix)
 
     monkeypatch.setattr(runner, "spectrum", counted)
-    for kind, want in (("backward-probe", 0), ("check", 0),
-                       ("simulate", 1), ("spectral-limit", 1)):
+    for kind, want in (("backward-probe", 0), ("simulate", 1), ("spectral-limit", 1)):
         calls.clear()
         run(load_config(minimal_config(tmp_path, kind=kind)))
         assert len(calls) == want, kind
@@ -418,6 +417,8 @@ def test_report_summary(tmp_path):
 
 
 def test_backward_probe_kind(tmp_path):
+    """The report holds the probe's four entries as it computed them from the
+    run's norm_h column, and the hitting times."""
     cfg = load_config(minimal_config(tmp_path, kind="backward-probe",
                                      r_list=[1e-6]))
     manifest = run(cfg)
@@ -425,29 +426,11 @@ def test_backward_probe_kind(tmp_path):
         report = json.load(fh)
     assert report["backward_probe"]["all_positive"]
     assert "hitting_times" in report
-
-
-def test_check_kind_emits_assumption_report(tmp_path):
-    cfg = load_config(minimal_config(tmp_path, kind="check", paths=1))
-    manifest = run(cfg)
-    with open(os.path.join(manifest.run_dir, "report.json")) as fh:
-        report = json.load(fh)
-    for key in ("ac0", "ac2", "ac4", "ac7"):
-        assert key in report["assumptions"]
-
-
-def test_cli_report_of_a_check_run_lists_each_certificate(tmp_path, capsys):
-    """`spdelab report` on a check run maps each certificate to its status in
-    report.json; a simulate run's summary has no such entry."""
-    manifest = run(load_config(minimal_config(tmp_path, kind="check", paths=1)))
-    with open(os.path.join(manifest.run_dir, "report.json")) as fh:
-        assumptions = json.load(fh)["assumptions"]
-    assert main(["report", manifest.run_dir]) == 0
-    certificates = json.loads(capsys.readouterr().out)["certificates"]
-    assert certificates == {f"ac{i}": assumptions[f"ac{i}"]["status"] for i in range(8)}
-    assert "failed" not in certificates.values()
-    simulated = run(load_config(minimal_config(tmp_path, output_dir=str(tmp_path / "sim"))))
-    assert "certificates" not in report_summary(simulated.run_dir)
+    norms = np.stack([np.loadtxt(os.path.join(manifest.run_dir, "diagnostics", f"{p}.csv"),
+                                 delimiter=",", skiprows=1)[:, 1] for p in range(cfg.paths)])
+    probe = diag.backward_probe(norms)
+    assert set(probe) == {"margin", "all_positive", "n_underflow", "min_norm_per_path"}
+    assert probe == report["backward_probe"]
 
 
 # -- CLI --------------------------------------------------------------
@@ -547,7 +530,7 @@ def test_cli_convergence_blow_up_exits_1(tmp_path, capsys):
 
 
 def test_cli_run_rejects_a_config_of_another_kind(tmp_path, capsys):
-    path = minimal_config(tmp_path, kind="check")
+    path = minimal_config(tmp_path, kind="backward-probe")
     assert main(["simulate", "--config", path]) == 2
     assert capsys.readouterr().err.startswith("error: config key 'kind'")
     assert not os.path.exists(tmp_path / "out")
@@ -563,7 +546,7 @@ def test_cli_run_that_fails_to_integrate_leaves_no_directory(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "out")
 
 
-@pytest.mark.parametrize("kind", ["spectral-limit", "check"])
+@pytest.mark.parametrize("kind", ["spectral-limit"])
 def test_cli_rejects_r_list_for_a_kind_without_hitting_times(tmp_path, capsys, kind):
     """Only simulate and backward-probe report hitting times, so any other kind
     with r_list levels exits 2 naming the key and the kind."""
@@ -572,6 +555,31 @@ def test_cli_rejects_r_list_for_a_kind_without_hitting_times(tmp_path, capsys, k
     err = capsys.readouterr().err
     assert err.startswith("error: config key 'r_list'") and repr(kind) in err
     assert not os.path.exists(tmp_path / "out")
+
+
+def test_every_run_kind_is_a_command_and_check_is_none(tmp_path, capsys):
+    """Each of runner.KINDS is a CLI command that runs its kind; `check` is
+    the certificates' command, so a config of kind "check" exits 2."""
+    for kind in runner.KINDS:
+        path = minimal_config(tmp_path, output_dir=str(tmp_path / kind))
+        assert main([kind, "--config", path]) == 0
+        assert json.loads(capsys.readouterr().out)["kind"] == kind
+    with pytest.raises(ConfigError, match="config key 'kind'"):
+        load_config(minimal_config(tmp_path, kind="check"))
+    assert main(["check", "--config", minimal_config(tmp_path, kind="check")]) == 2
+    assert capsys.readouterr().err.startswith("error: config key 'kind'")
+
+
+def test_cli_reports_a_failed_eigen_solver_in_one_line(tmp_path, capsys, monkeypatch):
+    """numpy's LinAlgError is a ValueError, so a spectrum that does not
+    converge exits 2 with one error line, not a traceback."""
+    def fail(matrix):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    assert main(["simulate", "--config", minimal_config(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_cli_run_gives_its_kind_to_a_config_without_one(tmp_path, capsys):
