@@ -64,22 +64,31 @@ def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
     return increments.reshape(*lead, j // factor, factor, n).sum(axis=-2)
 
 
-def _stream(seed: int, stream_id: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed & 0xFFFFFFFFFFFFFFFF,
-                                                     stream_id & 0xFFFFFFFFFFFFFFFF]))
+_MASK = 0xFFFFFFFFFFFFFFFF
 
 
 def sample_brownian_ensemble(
     n: int, grid: np.ndarray, seed: int, n_paths: int, first_stream: int = 0
 ) -> np.ndarray:
-    """Stacked increments (n_paths, J, n); path p uses stream first_stream + p."""
+    """Stacked increments (n_paths, J, n); path p uses stream first_stream + p.
+
+    Stream (seed, s) is the draw of a Philox keyed by the two words seed and s, each
+    masked to 64 bits.  One generator serves the ensemble: before each path it is re-keyed
+    with its counter at 0 and its buffer empty, the state such a Philox starts from (a
+    Generator keeps no draw of its own between calls, so that state is the whole stream's)."""
     grid = np.asarray(grid, dtype=float)
     dt = _check_uniform(grid)
     j = len(grid) - 1
     out = np.empty((n_paths, j, n))
     root = np.sqrt(dt)
+    bits = np.random.Philox(key=0)
+    rng = np.random.Generator(bits)
+    state = bits.state
+    key = state["state"]["key"]
+    key[0] = seed & _MASK
     for p in range(n_paths):
-        rng = _stream(seed, first_stream + p)
+        key[1] = (first_stream + p) & _MASK
+        bits.state = state
         out[p] = rng.standard_normal((j, n)) * root
     return out
 

@@ -12,9 +12,11 @@ the c_m for a block of steps at a time.  No step evaluates a matrix path.
 A block of steps is taken in one of two ways.  A diagonal family
 (OperatorFamily.diagonal) holds each G_m as its diagonal g_m; without an F
 each step multiplies the state by sum_m c_m g_m, so the whole block is one
-elementwise scan, O(N) per path and step.  Any other family steps one step
-at a time: by elementwise products if it is diagonal (with an F), by dense
-ones otherwise.
+elementwise scan, O(N) per path and step, on contiguous step x path planes,
+one per coordinate: the c_m are held as planes (M, S, P) and the multipliers
+as (N, S, P), so numpy's inner loops run over the paths, not over the N
+coordinates.  Any other family steps one step at a time: by elementwise
+products if it is diagonal (with an F), by dense ones otherwise.
 """
 from __future__ import annotations
 
@@ -131,31 +133,37 @@ def _stacks(segs: OperatorSegments, scheme: str, F, dt: float):
 
 def _scan(c, g, u, out) -> None:
     """The states of a block of S steps of a diagonal family without F into out (S, P, N),
-    from the coefficient rows c (S, P, 1, M) and the G_m's diagonals g (S, M, N).
+    from the coefficient rows c (M, S, P) and the G_m's diagonals g (S, M, N).
 
-    Step i multiplies the state by sum_m c_m g_m, summed elementwise in the order of m, and
-    one accumulate takes the products in the loop's order ((u m_0) m_1) ..."""
-    c = c[:, :, 0, :, None]
-    g = g[:, None]
-    np.multiply(c[:, :, 0], g[:, :, 0], out=out)
-    for m in range(1, c.shape[2]):
-        out += c[:, :, m] * g[:, :, m]
-    out[0] *= u
-    np.multiply.accumulate(out, axis=0, out=out)
+    Each coordinate's multipliers sum_m c_m g_m are formed as planes (N, S, P), summed
+    elementwise in the order of m, so a path's entry depends on that path's row alone;
+    one accumulate along the steps takes the products in the loop's order
+    ((u m_0) m_1) ..., and one transposed copy stores them."""
+    gt = g.transpose(1, 2, 0)[..., None]
+    w = c[0] * gt[0]
+    for m in range(1, len(c)):
+        w += c[m] * gt[m]
+    w[:, 0] *= u.T
+    np.multiply.accumulate(w, axis=1, out=w)
     # a zero state times a negative multiplier is -0.0, where a dense product sums to +0.0
-    out += 0.0
+    w += 0.0
+    out[...] = w.transpose(1, 2, 0)
 
 
 def _coefficients(dw, dt: float, scheme: str):
     """Per step of a block of increments (P, S, n), each path's row c_m(dw) in the order
-    of _stack's G_m, (1, dw_k, and for Milstein dw_k dw_l - delta_kl dt): (S, P, 1, M)."""
-    dw = dw.swapaxes(0, 1)[..., None, :]
-    rows = [np.ones(dw.shape[:-1] + (1,)), dw]
+    of _stack's G_m, (1, dw_k, and for Milstein dw_k dw_l - delta_kl dt), as planes
+    (M, S, P)."""
+    n_paths, steps, n = dw.shape
+    c = np.empty((1 + n + n * n * (scheme == "milstein"), steps, n_paths))
+    c[0] = 1.0
+    c[1:n + 1] = dw.transpose(2, 1, 0)
     if scheme == "milstein":
-        n = dw.shape[-1]
-        area = dw[..., :, None] * dw[..., None, :] - dt * np.eye(n)
-        rows.append(area.reshape(dw.shape[:-1] + (n * n,)))
-    return np.concatenate(rows, axis=-1)
+        area = c[n + 1:].reshape(n, n, steps, n_paths)
+        np.multiply(c[1:n + 1, None], c[None, 1:n + 1], out=area)
+        for k in range(n):
+            area[k, k] -= dt
+    return c
 
 
 def _freeze(block, start, alive, blowups: dict, times) -> np.ndarray:
@@ -242,13 +250,14 @@ def _run_steps(F, segs: OperatorSegments, u0, increments, scheme, final_only=Fal
         for lo, hi, stack, post in _stacks(segs, scheme, F, dt):
             for b in range(lo, hi, _STEP_BLOCK):
                 e = min(b + _STEP_BLOCK, hi)
-                # drift-implicit with an F adds u outside the stack, so drops the 1
-                c = _coefficients(increments[:, b:e], dt, scheme)[..., int(post is not None):]
+                c = _coefficients(increments[:, b:e], dt, scheme)
                 block = buffer[:e - b] if final_only else states[:, b + 1:e + 1].swapaxes(0, 1)
                 start = u
                 if diagonal and F is None:
                     _scan(c, stack[b - lo:e - lo], u, block)
                 else:
+                    # drift-implicit with an F adds u outside the stack, so drops the 1
+                    c = c.transpose(1, 2, 0)[:, :, None].copy()[..., int(post is not None):]
                     for i, j in enumerate(range(b, e)):
                         g = stack[j - lo]
                         terms = u[:, None, :] * g if diagonal else (u @ g).reshape(n_paths, -1, dim)
@@ -316,8 +325,9 @@ def strong_convergence(
     factors = [1] + [2 ** (levels - lev) for lev in range(levels)]
     finals = []
     for factor in factors:  # the fine reference first, then each coarse level
+        coarse = inc if factor == 1 else coarsen_increments(inc, factor)
         final, blowups = _run_steps(system.ops.F, OperatorSegments(system.ops, fine[::factor]),
-                                    u0b, coarsen_increments(inc, factor), scheme, final_only=True)
+                                    u0b, coarse, scheme, final_only=True)
         _raise_on_blowup(blowups)
         finals.append(final)
     dts = [float(fine[factor] - fine[0]) for factor in factors[1:]]

@@ -81,3 +81,21 @@ def test_coarsened_ensemble_matches_coarsened_paths():
 def test_nonuniform_grid_rejected():
     with pytest.raises(GridError):
         sample_brownian(1, np.array([0.0, 0.1, 0.3]), seed=0)
+
+
+_MASK = 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [-3, 2**64 + 5])
+@pytest.mark.parametrize("first_stream", [0, 2**64 - 2])
+def test_ensemble_paths_are_their_philox_streams(seed, first_stream):
+    """Path p is the draw of a fresh Philox keyed (seed, first_stream + p), each masked to
+    64 bits, byte for byte; the streams from 2**64 - 2 wrap to 0.  The reference key is a
+    uint64 array: a list of Python ints, one above 2**63 - 1, reaches Philox through
+    float64 and loses its low bits."""
+    g = uniform_grid(0.5, 0.01)
+    ens = sample_brownian_ensemble(2, g, seed, 5, first_stream=first_stream)
+    for p in range(5):
+        key = np.array([seed & _MASK, (first_stream + p) & _MASK], dtype=np.uint64)
+        want = np.random.Generator(np.random.Philox(key=key)).standard_normal((50, 2))
+        assert ens[p].tobytes() == (want * np.sqrt(g[1] - g[0])).tobytes(), p

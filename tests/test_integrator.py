@@ -518,6 +518,76 @@ def test_diagonal_scan_is_the_same_for_any_chunk_and_step_block(monkeypatch, fam
         assert list(got.items()) == list(got_final.items()) == list(blowups.items()), block
 
 
+def _reference_scan(c, g, u, out) -> None:
+    """The (S, P, N) layout's scan that the (N, S, P) planes of _scan replace, kept as it
+    was."""
+    c = c[:, :, 0, :, None]
+    g = g[:, None]
+    np.multiply(c[:, :, 0], g[:, :, 0], out=out)
+    for m in range(1, c.shape[2]):
+        out += c[:, :, m] * g[:, :, m]
+    out[0] *= u
+    np.multiply.accumulate(out, axis=0, out=out)
+    out += 0.0
+
+
+def _reference_coefficients(dw, dt: float, scheme: str):
+    """The (S, P, 1, M) rows that the (M, S, P) planes of _coefficients replace, kept as
+    they were."""
+    dw = dw.swapaxes(0, 1)[..., None, :]
+    rows = [np.ones(dw.shape[:-1] + (1,)), dw]
+    if scheme == "milstein":
+        n = dw.shape[-1]
+        area = dw[..., :, None] * dw[..., None, :] - dt * np.eye(n)
+        rows.append(area.reshape(dw.shape[:-1] + (n * n,)))
+    return np.concatenate(rows, axis=-1)
+
+
+def _reference_scan_steps(segs, u0, increments, scheme):
+    """_run_steps of a diagonal family without F, block by block through the reference
+    kernels: the states (P, J+1, N) and the blow-ups."""
+    times = segs.times
+    dt = float(times[1] - times[0])
+    u = np.array(u0, dtype=float)
+    states = np.empty((len(u), len(times), u.shape[1]))
+    states[:, 0] = u
+    alive = np.ones(len(u), dtype=bool)
+    blowups = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for lo, hi, stack, _ in integrator._stacks(segs, scheme, None, dt):
+            for b in range(lo, hi, integrator._STEP_BLOCK):
+                e = min(b + integrator._STEP_BLOCK, hi)
+                block = states[:, b + 1:e + 1].swapaxes(0, 1)
+                start = u
+                _reference_scan(_reference_coefficients(increments[:, b:e], dt, scheme),
+                                stack[b - lo:e - lo], u, block)
+                u = integrator._freeze(block, start, alive, blowups, times[b + 1:e + 1])
+    return states, blowups
+
+
+@pytest.mark.parametrize("n_paths", [1, 7])
+@pytest.mark.parametrize("scheme", integrator.SCHEMES)
+@pytest.mark.parametrize("family", _DIAGONAL_FAMILIES + ("exploding",))
+def test_diagonal_scan_matches_the_reference_kernels(family, scheme, n_paths):
+    """The scan on (S, P) planes gives the states, final states and blow-ups of the
+    reference kernels bit for bit; the last of 7 paths starts at 0, whose states stay +0.0."""
+    system = _exploding_diagonal() if family == "exploding" else _STEP_SYSTEMS[family]()
+    ops = system.ops
+    grid = uniform_grid(2.0 if family == "exploding" else 0.2, 5e-3)
+    segs = OperatorSegments(ops, grid)
+    u0 = np.random.default_rng(8).standard_normal((n_paths, ops.dim))
+    u0[6:] = 0.0  # the seventh path, if any
+    inc = sample_brownian_ensemble(ops.n_noise, grid, 8, n_paths)
+    want, want_blowups = _reference_scan_steps(segs, u0, inc, scheme)
+    states, blowups = _run_steps(None, segs, u0, inc, scheme)
+    final, final_blowups = _run_steps(None, segs, u0, inc, scheme, final_only=True)
+    assert states.tobytes() == want.tobytes()
+    assert final.tobytes() == want[:, -1].tobytes()
+    assert list(blowups.items()) == list(final_blowups.items()) == list(want_blowups.items())
+    assert bool(want_blowups) == (family == "exploding" and scheme != "drift-implicit")
+    assert not np.signbit(states[6:]).any()
+
+
 @pytest.mark.parametrize("scheme", integrator.SCHEMES)
 @pytest.mark.parametrize("modes_per_dim", [2, 4])
 def test_diagonal_steps_with_F_match_the_dense_steps(scheme, modes_per_dim):

@@ -406,6 +406,21 @@ def test_diagnostics_never_consume_randomness(tmp_path):
     assert a == b
 
 
+def test_a_master_seed_of_2_63_or_more_keys_its_own_streams(tmp_path):
+    """A master_seed at or above 2**63 is a valid config; each path draws its own stream,
+    and the neighbouring seed draws other ones (both seeds once keyed Philox as 2**63)."""
+    runs = []
+    for seed in (2**63, 2**63 + 1):
+        out = tmp_path / str(seed)
+        manifest = run(load_config(minimal_config(tmp_path, master_seed=seed, paths=3,
+                                                  write_paths=True, output_dir=str(out))))
+        assert manifest.streams == [[seed, p] for p in range(3)]
+        runs.append([(out / "paths" / f"{p}.csv").read_bytes() for p in range(3)])
+    for paths in runs:
+        assert len(set(paths)) == 3
+    assert not set(runs[0]) & set(runs[1])
+
+
 def test_report_summary(tmp_path):
     cfg = load_config(minimal_config(tmp_path))
     manifest = run(cfg)
