@@ -11,7 +11,7 @@ from .assumptions import check_all
 from .brownian import uniform_grid
 from .diagnostics import quotient_fn, quotient_fn_d1, quotient_fn_d2
 from .integrator import BlowUpError, strong_convergence
-from .runner import KINDS, build_system, load_config, report_summary, run
+from .runner import KINDS, build_system, export_csv, load_config, report_summary, run
 from .systems import list_systems
 
 #: the convergence study uses at most this many of the config's paths
@@ -92,6 +92,18 @@ def _cmd_report(args) -> int:
     return 0
 
 
+def _cmd_export(args) -> int:
+    try:
+        written = export_csv(args.run_dir)
+    except FileNotFoundError:
+        raise  # a missing manifest or table exits 2, naming it
+    except OSError as exc:  # a failed write of a CSV
+        print(f"error: cannot write the CSVs: {exc}", file=sys.stderr)
+        return 1
+    print(json.dumps(written, indent=2))
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="spdelab",
@@ -125,6 +137,10 @@ def main(argv=None) -> int:
     p = sub.add_parser("report", help="summarize a finished run directory")
     p.add_argument("run_dir")
     p.set_defaults(func=_cmd_report)
+
+    p = sub.add_parser("export", help="write a run directory's tables as CSVs")
+    p.add_argument("run_dir")
+    p.set_defaults(func=_cmd_export)
 
     args = parser.parse_args(argv)
     try:

@@ -1,10 +1,11 @@
 """Experiment orchestration: config, ensemble runs, persistence, reporting.
 
 A run turns one declarative config into a directory containing
-manifest.json, report.json, optional paths/<idx>.csv, and per-path
-diagnostics/<idx>.csv.  Every output byte is a function of (config,
-master_seed): diagnostics never consume randomness, and path p always uses
-stream p of the master seed.
+manifest.json, report.json, optional paths/<idx>.npy, and per-path
+diagnostics/<idx>.npy; the manifest names each table's columns, and
+`export_csv` writes each table as a CSV beside it.  Every output byte is a
+function of (config, master_seed): diagnostics never consume randomness,
+and path p always uses stream p of the master seed.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import csvtable, diagnostics as diag
+from . import diagnostics as diag
 from .assumptions import check_commutator_bound, k6_table
 from .brownian import GridError, uniform_grid
 from .integrator import SCHEMES, integrate_ensemble
@@ -231,6 +232,7 @@ class RunManifest:
     streams: list  # per-path (seed, stream_id)
     blowups: dict
     outputs: list
+    columns: dict  # per table kind (its directory), the names of its columns
     run_dir: str
 
     def to_dict(self) -> dict:
@@ -241,6 +243,7 @@ class RunManifest:
             "streams": self.streams,
             "blowups": {str(k): v for k, v in self.blowups.items()},
             "outputs": sorted(self.outputs),
+            "columns": self.columns,
         }
 
 
@@ -254,10 +257,43 @@ def _resolve_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(_output_root(), f"{cfg.kind}-{cfg.digest()[:12]}")
 
 
+# the name is older than the .npy tables: bench/spans.py traces this
+# function by it, as runner.persist
 def _write_csv(jobs) -> None:
-    """Write every (path, header, float64 rows) job as a CSV table."""
-    for path, header, rows in jobs:
-        csvtable.write_table(path, ",".join(header), rows)
+    """Write every (path, float64 table) job as a .npy file."""
+    for path, rows in jobs:
+        np.save(path, rows)
+
+
+def export_csv(run_dir: str) -> list:
+    """Write each table the manifest of `run_dir` lists as a CSV beside it,
+    headed by its kind's columns, in np.savetxt's "%.18e" text; return the
+    CSV paths.  A run directory can come from anywhere, so each table must
+    lie in one of its table directories, none is unpickled, and each must
+    be a float64 table of its columns.  The manifest is not rewritten."""
+    with open(os.path.join(run_dir, "manifest.json")) as fh:
+        manifest = json.load(fh)
+    written = []
+    for rel in manifest["outputs"]:
+        if not rel.endswith(".npy"):
+            continue
+        kind = os.path.dirname(rel)
+        if kind not in ("diagnostics", "paths"):
+            raise ValueError(f"manifest output {rel!r} lies outside the table directories")
+        columns = manifest["columns"][kind]
+        path = os.path.join(run_dir, rel)
+        try:
+            rows = np.load(path, allow_pickle=False)
+        except (ValueError, EOFError) as exc:  # not a whole .npy, or a pickled one
+            raise ValueError(f"{path}: {exc}") from None
+        if rows.dtype != np.float64 or rows.shape[1:] != (len(columns),):
+            raise ValueError(f"{path}: expected a float64 table of {len(columns)} "
+                             f"columns, got {rows.dtype} of shape {rows.shape}")
+        csv = path[:-len(".npy")] + ".csv"
+        np.savetxt(csv, rows, fmt="%.18e", delimiter=",", header=",".join(columns),
+                   comments="")
+        written.append(csv)
+    return written
 
 
 def _constants_for(system: SystemSpec, t_grid: np.ndarray):
@@ -344,7 +380,9 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     finals, m_final = np.empty((cfg.paths, system.basis.dim)), np.empty(cfg.paths)
     n_gap = min(8, cfg.paths) if cfg.N_list else 0  # the gaps are means over 8 paths
     gaps = {key: {n: np.empty(n_gap) for n in cfg.N_list} for key in ("K3", "K4")}
-    path_header = ("t",) + tuple(f"u{i}" for i in range(system.basis.dim))
+    columns = {"diagnostics": list(DIAG_COLUMNS)}
+    if cfg.write_paths:
+        columns["paths"] = ["t"] + [f"u{i}" for i in range(system.basis.dim)]
 
     def write_blocks():
         """Each block's diagnostics, then its tables: the writing holds no
@@ -364,13 +402,13 @@ def run(cfg: ExperimentConfig) -> RunManifest:
                         gaps[key][n][lo:top] = v[:top - lo]
             jobs = []
             for p, rows in enumerate(table, start=lo):
-                rel = os.path.join("diagnostics", f"{p}.csv")
+                rel = os.path.join("diagnostics", f"{p}.npy")
                 outputs.append(rel)
-                jobs.append((os.path.join(run_dir, rel), DIAG_COLUMNS, rows))
+                jobs.append((os.path.join(run_dir, rel), rows))
                 if cfg.write_paths:
-                    rel = os.path.join("paths", f"{p}.csv")
+                    rel = os.path.join("paths", f"{p}.npy")
                     outputs.append(rel)
-                    jobs.append((os.path.join(run_dir, rel), path_header,
+                    jobs.append((os.path.join(run_dir, rel),
                                  np.column_stack([grid, states[p - lo]])))
             _write_csv(jobs)
 
@@ -389,6 +427,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         streams=[[cfg.master_seed, p] for p in range(cfg.paths)],
         blowups=ens.blowups,
         outputs=outputs + ["manifest.json"],
+        columns=columns,
         run_dir=run_dir,
     )
     with open(os.path.join(run_dir, "manifest.json"), "w") as fh:

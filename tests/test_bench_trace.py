@@ -37,7 +37,7 @@ TRACED_RUN = textwrap.dedent("""
 
 
 def test_traced_run_keeps_worker_writes_inside_the_persist_span(tmp_path):
-    """Formatting and writing the CSVs is `runner._write_csv`, traced as
+    """Writing the .npy tables is `runner._write_csv`, traced as
     runner.persist, and the layers' self times add up to the whole run."""
     done = subprocess.run(
         [sys.executable, "-c", TRACED_RUN, str(tmp_path / "out")],

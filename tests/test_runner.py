@@ -5,10 +5,12 @@ import pathlib
 import subprocess
 import sys
 import textwrap
+import tempfile
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from spdelab import diagnostics as diag
 from spdelab import runner
@@ -211,16 +213,23 @@ def test_run_writes_expected_layout(tmp_path):
     cfg = load_config(minimal_config(tmp_path, write_paths=True))
     manifest = run(cfg)
     root = manifest.run_dir
-    for rel in ("manifest.json", "report.json", "diagnostics/0.csv",
-                "diagnostics/1.csv", "paths/0.csv"):
+    for rel in ("manifest.json", "report.json", "diagnostics/0.npy",
+                "diagnostics/1.npy", "paths/0.npy"):
         assert os.path.exists(os.path.join(root, rel)), rel
     with open(os.path.join(root, "report.json")) as fh:
         report = json.load(fh)
     assert report["schema_version"] == "1"
     assert "spectral_limit" in report
     assert "martingale" in report
-    header = open(os.path.join(root, "diagnostics/0.csv")).readline().strip()
-    assert header == "t,norm_h,norm_v,norm_d2,quotient,quotient_full,M,psi,residual,S,X"
+    with open(os.path.join(root, "manifest.json")) as fh:
+        columns = json.load(fh)["columns"]
+    assert columns == {
+        "diagnostics": ["t", "norm_h", "norm_v", "norm_d2", "quotient", "quotient_full",
+                        "M", "psi", "residual", "S", "X"],
+        "paths": ["t", "u0", "u1"],
+    }
+    assert np.load(os.path.join(root, "diagnostics/0.npy")).shape == (51, 11)
+    assert np.load(os.path.join(root, "paths/0.npy")).shape == (51, 3)
 
 
 def test_each_diagnostics_block_applies_each_operator_once(tmp_path, monkeypatch):
@@ -337,11 +346,86 @@ def tree_bytes(run_dir) -> dict:
             for d, _, names in os.walk(run_dir) for f in names}
 
 
-def _savetxt_bytes(path, header, rows):
-    np.savetxt(path, rows, fmt="%.18e", delimiter=",", header=",".join(header),
-               comments="")
-    with open(path, "rb") as fh:
-        return fh.read()
+def assert_same_bits(got, want) -> None:
+    """Equal as 64-bit patterns, so -0.0 and +0.0, or nans with other payloads, differ."""
+    assert got.dtype == want.dtype == np.float64 and got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def format_loop_bytes(columns, rows) -> bytes:
+    """The CSV text by its definition: a header line, then one "%" of "%.18e"
+    fields per row."""
+    line = ",".join(["%.18e"] * len(columns)) + "\n"
+    return (",".join(columns) + "\n"
+            + "".join(line % tuple(row) for row in rows.tolist())).encode()
+
+
+def export_table(run_dir, rows) -> bytes:
+    """A table written as a run writes it, by `runner._write_csv`, into a run
+    directory whose manifest lists it, then exported: the CSV's bytes.  The
+    .npy holds the table's bits."""
+    rel = os.path.join("diagnostics", "0.npy")
+    os.makedirs(run_dir / "diagnostics")
+    runner._write_csv([(str(run_dir / rel), rows)])
+    (run_dir / "manifest.json").write_text(json.dumps({
+        "outputs": [rel, "manifest.json"],
+        "columns": {"diagnostics": [f"c{i}" for i in range(rows.shape[1])]},
+    }))
+    assert runner.export_csv(str(run_dir)) == [str(run_dir / "diagnostics" / "0.csv")]
+    assert_same_bits(np.load(run_dir / rel), rows)
+    return (run_dir / "diagnostics" / "0.csv").read_bytes()
+
+
+def _ties() -> list:
+    """Binary fractions m 2^-s whose exact decimal expansion has 20
+    significant digits, the last a 5: "%.18e" must round them half to even,
+    and the list holds ties it rounds down and ties it rounds up."""
+    out, kept = [], set()
+    for s in range(5, 29):  # m < 2^53 and m 5^s < 10^20
+        lo, hi = -(-10**19 // 5**s), min(10**20 // 5**s, 2**53)
+        for m in range(lo | 1, hi, max(2, (hi - lo) // 9) & ~1):  # odd m
+            assert len(str(m * 5**s)) == 20 and m * 5**s % 10 == 5
+            x = np.ldexp(float(m), -s)
+            kept.add(("%.18e" % x)[:20] == ("%.19e" % x)[:20])
+            out += [x, -x]
+    assert kept == {True, False}
+    return out
+
+
+def _near_ties() -> list:
+    """Values whose exact x 10^(18-k) lies 2^-d from a rounding tie, above
+    and below, for d up to 79: m 2^-(q+d) with m 5^q = 2^(d-1) +- 1 mod 2^d."""
+    out = []
+    for q in range(60):  # q = 18 - k
+        for d in range(30, 80):
+            for side in (1, -1):
+                m = (((1 << d - 1) + side) * pow(5**q, -1, 1 << d)) % (1 << d)
+                lo = -(-(10**18 << d) // 5**q)  # 10^18 <= m 5^q 2^-d < 10^19
+                m += -(-(lo - m) >> d) << d
+                if m < min((10**19 << d) // 5**q, 2**53):
+                    out.append(np.ldexp(float(m), -(q + d)))
+    return out
+
+
+def _edges() -> list:
+    """Signed zeros, signed nan and inf, the extremes of float64, subnormals,
+    and d 10^k for d = 1..10 and k in [-300, 300] with both neighbours:
+    powers of ten, values just below the next leading digit and 3-digit
+    exponents."""
+    out = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), np.inf, -np.inf, 5e-324, -5e-324,
+           np.finfo(np.float64).max, -np.finfo(np.float64).max,
+           np.finfo(np.float64).tiny, np.nextafter(np.finfo(np.float64).tiny, 0)]
+    for k in range(-300, 301):
+        for d in range(1, 11):
+            x = float(f"{d}e{k}")
+            out += [x, np.nextafter(x, 0), np.nextafter(x, np.inf), -x]
+    return out
+
+
+def _table(values, n_cols: int) -> np.ndarray:
+    """The values as rows of n_cols, the last incomplete row dropped."""
+    values = np.asarray(values, dtype=np.float64)
+    return values[:len(values) - len(values) % n_cols].reshape(-1, n_cols)
 
 
 _EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308,
@@ -354,16 +438,196 @@ _EDGE_VALUES = [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e3
     np.array(_EDGE_VALUES)[:, None],
     np.random.default_rng(5).standard_normal((1001, 11)) * 1e-200,
     np.random.default_rng(6).standard_normal((300, 3)),
-], ids=["edge-values", "one-row", "one-column", "tiny-exponents", "300-rows"])
+    _table(_edges(), 1),
+    _table(_edges(), 11),
+    _table(_ties(), 1),
+    _table(np.random.default_rng(3).integers(0, 2**64, 22_000, dtype=np.uint64)
+           .view(np.float64), 11),
+    np.empty((0, 2)),
+    _table(_near_ties(), 11),
+    _table(np.random.default_rng(4).integers(0, 2**52, 20_000, dtype=np.uint64)
+           .view(np.float64), 11),
+    _table(np.random.default_rng(5).integers(-10**6, 10**6, 20_000).astype(float), 11),
+    _table(np.arange(10_001) * 1e-3, 1),
+], ids=["edge-values", "one-row", "one-column", "tiny-exponents", "300-rows",
+        "edges", "edges-11-columns", "ties", "bit-patterns", "empty",
+        "near-ties", "subnormals", "integers", "time-grid"])
 def test_csv_text_is_savetxt_byte_for_byte(tmp_path, rows):
-    """A written table has np.savetxt's bytes, across the edges of its
-    blocks of values."""
-    header = tuple(f"c{i}" for i in range(rows.shape[1]))
-    want = _savetxt_bytes(str(tmp_path / "savetxt.csv"), header, rows)
-    jobs = [(str(tmp_path / f"{i}.csv"), header, rows) for i in range(2)]
-    runner._write_csv(iter(jobs))
-    for path, _, _ in jobs:
-        assert pathlib.Path(path).read_bytes() == want, path
+    """A table written as a .npy and exported has the text of the "%.18e"
+    loop, which np.savetxt is defined by, across signed zeros and nans,
+    infinities, subnormals, the extremes, powers of ten with their
+    neighbours, exact rounding ties and values next to them, arbitrary bit
+    patterns, integers and a time grid; a table of no rows is its header."""
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    assert export_table(tmp_path / "run", rows) == format_loop_bytes(columns, rows)
+
+
+def assert_exports_as_the_loop(rows) -> None:
+    """export_table in a directory of its own, for tests that draw many tables."""
+    with tempfile.TemporaryDirectory() as tmp:
+        columns = [f"c{i}" for i in range(rows.shape[1])]
+        assert export_table(pathlib.Path(tmp), rows) == format_loop_bytes(columns, rows)
+
+
+_any_float = st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True)
+_bit_pattern = st.integers(0, 2**64 - 1).map(
+    lambda b: np.array([b], np.uint64).view(np.float64)[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_any_float, _bit_pattern), min_size=1, max_size=60),
+       st.integers(1, 5))
+def test_export_matches_the_loop_on_any_float64(values, n_cols):
+    assert_exports_as_the_loop(_table(values, n_cols))
+
+
+def _bits(b: int) -> float:
+    return np.array([b], np.uint64).view(np.float64)[0]
+
+
+#: constants whose bits a value-level comparison could merge or lose: signed
+#: zeros, nans of either sign and with a payload, infinities, subnormals
+_SPECIAL_CONSTANTS = [0.0, -0.0, np.nan, np.copysign(np.nan, -1.0), _bits(0x7FF0_0000_0000_0001),
+                      _bits(0xFFF8_0000_DEAD_BEEF), np.inf, -np.inf, 5e-324, -2.5e-310]
+
+
+def _column(n_rows: int, value: float) -> np.ndarray:
+    """n_rows copies of value's 64-bit pattern."""
+    return np.full(n_rows, np.float64(value).view(np.uint64)).view(np.float64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.integers(1, 40), st.integers(1, 6))
+def test_constant_columns_export_as_the_loop(data, n_rows, n_cols):
+    """Each column is drawn free or constant, so columns of one 64-bit
+    pattern, signed zeros and nan payloads among them, sit beside free ones;
+    the .npy keeps their bits and the CSV is the loop's text."""
+    columns = []
+    for _ in range(n_cols):
+        if data.draw(st.booleans(), label="constant"):
+            columns.append(_column(n_rows, data.draw(st.one_of(
+                st.sampled_from(_SPECIAL_CONSTANTS), _bit_pattern, _any_float), label="value")))
+        else:
+            columns.append(np.array(data.draw(st.lists(
+                st.one_of(_any_float, _bit_pattern), min_size=n_rows, max_size=n_rows),
+                label="values"), np.float64))
+    assert_exports_as_the_loop(np.column_stack(columns))
+
+
+def _tables_with_constant_columns() -> dict:
+    free = np.random.default_rng(7).standard_normal((3000, 3))
+    last_differs, middle_differs = np.zeros(3000), np.zeros(3000)
+    last_differs[-1] = 1.0
+    middle_differs[2500] = -0.0  # by its sign alone
+    coupled_path = np.zeros((3000, 33))  # t and 6 varying states, 26 zeros
+    coupled_path[:, :7] = np.random.default_rng(6).standard_normal((3000, 7))
+    return {
+        "all-constant": np.column_stack([_column(3000, v) for v in _SPECIAL_CONSTANTS]),
+        "one-row": np.array([_SPECIAL_CONSTANTS]),
+        "one-column": _column(3000, 0.0).reshape(-1, 1),
+        "signed-zeros": np.column_stack([free[:, 0], _column(3000, 0.0),
+                                         _column(3000, -0.0), free[:, 1]]),
+        "nan-payloads": np.column_stack([_column(3000, np.nan),
+                                         _column(3000, _bits(0x7FF8_0000_0000_0001)), free[:, 2]]),
+        "two-patterns-per-column": np.column_stack([
+            free[:, 0], np.where(free[:, 1] > 0, 0.0, -0.0),
+            np.where(free[:, 2] > 0, np.nan, _bits(0x7FF8_0000_0000_0001))]),
+        "constant-but-one-row": np.column_stack([free[:, :2], np.zeros((3000, 3)),
+                                                 last_differs, middle_differs]),
+        "coupled-path": coupled_path,
+    }
+
+
+@pytest.mark.parametrize("name, rows", _tables_with_constant_columns().items())
+def test_tables_with_constant_columns_export_as_the_loop(tmp_path, name, rows):
+    """Tables whose columns hold one bit pattern, or two that compare equal
+    (+0.0 and -0.0, nans with other payloads), keep every bit in the .npy
+    and export as the loop's text."""
+    columns = [f"c{i}" for i in range(rows.shape[1])]
+    assert export_table(tmp_path / "run", rows) == format_loop_bytes(columns, rows)
+
+
+def test_each_table_is_its_blocks_array_bit_for_bit(tmp_path, monkeypatch):
+    """Each diagnostics .npy holds the bits of its row of its block's table,
+    and each path .npy the grid beside the block's states; each exports as
+    the "%.18e" loop's text under its manifest columns."""
+    made = {}
+    blocks = runner._diagnostic_blocks
+
+    def recording(*args):
+        for lo, table, forms in blocks(*args):
+            states = forms.paths.states
+            for p, rows in enumerate(table, start=lo):
+                made[os.path.join("diagnostics", f"{p}.npy")] = rows.copy()
+                made[os.path.join("paths", f"{p}.npy")] = np.column_stack(
+                    [forms.paths.times, states[p - lo]])
+            yield lo, table, forms
+
+    monkeypatch.setattr(runner, "_diagnostic_blocks", recording)
+    monkeypatch.setattr(runner, "DIAG_BLOCK_BYTES", 1)  # a block per path
+    manifest = run(load_config(minimal_config(tmp_path, paths=3, write_paths=True)))
+    tables = sorted(rel for rel in manifest.outputs if rel.endswith(".npy"))
+    assert tables == sorted(made)
+    for rel in tables:
+        assert_same_bits(np.load(os.path.join(manifest.run_dir, rel)), made[rel])
+    runner.export_csv(manifest.run_dir)
+    for rel in tables:
+        columns = manifest.columns[os.path.dirname(rel)]
+        csv = pathlib.Path(manifest.run_dir, rel).with_suffix(".csv")
+        assert csv.read_bytes() == format_loop_bytes(columns, made[rel]), rel
+
+
+def test_export_adds_the_csvs_and_changes_no_file_of_the_run(tmp_path, capsys):
+    """`spdelab export` prints the CSVs it writes as a JSON list; every file
+    the run wrote, the manifest included, keeps its bytes."""
+    run_dir = run(load_config(minimal_config(tmp_path, write_paths=True))).run_dir
+    before = tree_bytes(run_dir)
+    assert main(["export", run_dir]) == 0
+    printed = json.loads(capsys.readouterr().out)
+    after = tree_bytes(run_dir)
+    csvs = sorted(rel for rel in after if rel.endswith(".csv"))
+    assert csvs == sorted(rel[:-len(".npy")] + ".csv" for rel in before if rel.endswith(".npy"))
+    assert sorted(printed) == sorted(os.path.join(run_dir, rel) for rel in csvs)
+    assert {rel: after[rel] for rel in before} == before
+
+
+def test_cli_export_of_a_bad_run_directory_exits_2_naming_it(tmp_path, capsys):
+    """A directory without a manifest, a table the manifest lists but the
+    directory lacks, a pickled table, a file that is no .npy, an empty one,
+    a table of other columns and a table outside the run's table directories
+    each exit 2 with one line naming the path; no table is unpickled, and no
+    CSV is written outside the run directory."""
+    def fails(run_dir, named):
+        assert main(["export", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err and err.count("\n") == 1, err
+
+    fails(tmp_path / "nowhere", "manifest.json")
+    run_dir = pathlib.Path(run(load_config(minimal_config(tmp_path))).run_dir)
+    table = run_dir / "diagnostics" / "1.npy"
+    table.unlink()
+    fails(run_dir, "1.npy")
+
+    class MakesADirectoryWhenUnpickled:
+        def __reduce__(self):
+            return os.mkdir, (str(tmp_path / "unpickled"),)
+
+    np.save(table, np.array([[MakesADirectoryWhenUnpickled()]]), allow_pickle=True)
+    fails(run_dir, "1.npy")
+    assert not os.path.exists(tmp_path / "unpickled")
+    for data in (b"t,norm_h\n", b""):
+        table.write_bytes(data)
+        fails(run_dir, "1.npy")
+    np.save(table, np.zeros((51, 3)))
+    fails(run_dir, "1.npy")
+    np.save(tmp_path / "outside.npy", np.zeros((51, 11)))
+    manifest = json.loads((run_dir / "manifest.json").read_text())
+    outside = os.path.join("diagnostics", "..", "..")
+    manifest["outputs"] = [os.path.join(outside, "outside.npy")]
+    manifest["columns"][outside] = manifest["columns"]["diagnostics"]
+    (run_dir / "manifest.json").write_text(json.dumps(manifest))
+    fails(run_dir, "outside.npy")
+    assert not os.path.exists(tmp_path / "outside.csv")
 
 
 def test_rerun_into_another_directory_is_byte_identical(tmp_path, monkeypatch):
@@ -385,7 +649,7 @@ def test_rerun_is_byte_identical(tmp_path):
     cfg2 = load_config(minimal_config(tmp_path, output_dir=str(tmp_path / "b")))
     run(cfg1)
     run(cfg2)
-    for rel in ("diagnostics/0.csv", "diagnostics/1.csv", "report.json"):
+    for rel in ("diagnostics/0.npy", "diagnostics/1.npy", "report.json"):
         a = open(os.path.join(str(tmp_path / "a"), rel), "rb").read()
         b = open(os.path.join(str(tmp_path / "b"), rel), "rb").read()
         assert a == b, rel
@@ -401,8 +665,8 @@ def test_diagnostics_never_consume_randomness(tmp_path):
                                       N_list=[1, 2]))
     run(cfg1)
     run(cfg2)
-    a = open(os.path.join(str(tmp_path / "a"), "paths/0.csv"), "rb").read()
-    b = open(os.path.join(str(tmp_path / "b"), "paths/0.csv"), "rb").read()
+    a = open(os.path.join(str(tmp_path / "a"), "paths/0.npy"), "rb").read()
+    b = open(os.path.join(str(tmp_path / "b"), "paths/0.npy"), "rb").read()
     assert a == b
 
 
@@ -415,7 +679,7 @@ def test_a_master_seed_of_2_63_or_more_keys_its_own_streams(tmp_path):
         manifest = run(load_config(minimal_config(tmp_path, master_seed=seed, paths=3,
                                                   write_paths=True, output_dir=str(out))))
         assert manifest.streams == [[seed, p] for p in range(3)]
-        runs.append([(out / "paths" / f"{p}.csv").read_bytes() for p in range(3)])
+        runs.append([(out / "paths" / f"{p}.npy").read_bytes() for p in range(3)])
     for paths in runs:
         assert len(set(paths)) == 3
     assert not set(runs[0]) & set(runs[1])
@@ -441,8 +705,8 @@ def test_backward_probe_kind(tmp_path):
         report = json.load(fh)
     assert report["backward_probe"]["all_positive"]
     assert "hitting_times" in report
-    norms = np.stack([np.loadtxt(os.path.join(manifest.run_dir, "diagnostics", f"{p}.csv"),
-                                 delimiter=",", skiprows=1)[:, 1] for p in range(cfg.paths)])
+    norms = np.stack([np.load(os.path.join(manifest.run_dir, "diagnostics", f"{p}.npy"))[:, 1]
+                      for p in range(cfg.paths)])
     probe = diag.backward_probe(norms)
     assert set(probe) == {"margin", "all_positive", "n_underflow", "min_norm_per_path"}
     assert probe == report["backward_probe"]
@@ -608,27 +872,34 @@ def test_cli_run_gives_its_kind_to_a_config_without_one(tmp_path, capsys):
 
 @pytest.mark.parametrize("blocker, code, named", [
     ("out", 2, "'output_dir'"),
-    (os.path.join("out", "diagnostics", "0.csv"), 1, "0.csv"),
-    (os.path.join("out", "diagnostics", "1.csv"), 1, "1.csv"),
+    (os.path.join("out", "diagnostics", "0.npy"), 1, "0.npy"),
+    (os.path.join("out", "diagnostics", "1.npy"), 1, "1.npy"),
     ("root", 2, "SPDELAB_OUTPUT_ROOT"),
+    (os.path.join("out", "diagnostics", "0.csv"), 1, "0.csv"),
 ])
 def test_cli_unwritable_output_exits_with_one_line(tmp_path, capsys, monkeypatch,
                                                    blocker, code, named):
     """A run directory that is a file is a config error naming where the
-    directory came from; a CSV path that is a directory fails the write, of
-    the first table (0.csv) or of a later one (1.csv).  None leaves a child
-    process or a thread behind."""
+    directory came from; a table path that is a directory fails the write, of
+    the first table (0.npy) or of a later one (1.npy), and so does a CSV path
+    that is a directory fail the export of a finished run (0.csv).  None
+    leaves a child process or a thread behind."""
     if blocker == "root":
         path = minimal_config(tmp_path, output_dir=None)
         monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / blocker))
     else:
         path = minimal_config(tmp_path)
+    argv = ["simulate", "--config", path]
+    if blocker.endswith(".csv"):
+        assert main(argv) == 0
+        capsys.readouterr()
+        argv = ["export", str(tmp_path / "out")]
     if code == 2:
         (tmp_path / blocker).write_text("")
     else:
         os.makedirs(tmp_path / blocker)
     threads = threading.active_count()
-    assert main(["simulate", "--config", path]) == code
+    assert main(argv) == code
     err = capsys.readouterr().err
     assert err.startswith("error: ") and named in err
     assert err.count("\n") == 1 and "Traceback" not in err
@@ -741,3 +1012,33 @@ def test_cli_malformed_config_exits_2(tmp_path, capsys, name, body, command):
            "system table with u0": "'system'"}.get(name)
     if key is not None:
         assert err.startswith(f"error: config key {key}") and "u0" in err
+
+
+IMPORT_COST = textwrap.dedent("""
+    import json, sys
+    import numpy as np
+    import spdelab.runner
+
+    print(json.dumps({
+        "modules": [m for m in ("fractions", "decimal", "subprocess", "numpy.ma")
+                    if m in sys.modules],
+        "arrays": {f"{name}.{attr}": value.nbytes
+                   for name, module in sorted(sys.modules.items())
+                   if name.startswith("spdelab")
+                   for attr, value in vars(module).items()
+                   if isinstance(value, np.ndarray)},
+    }))
+""")
+
+
+def test_importing_the_runner_stays_cheap():
+    """A fresh import of the runner loads no fractions, decimal, subprocess or
+    numpy.ma module, and no spdelab module holds a module-level array over 4 KB."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(runner.__file__)))
+    done = subprocess.run([sys.executable, "-c", IMPORT_COST],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    found = json.loads(done.stdout)
+    assert found["modules"] == []
+    assert all(n <= 4096 for n in found["arrays"].values()), found
