@@ -4,6 +4,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -16,6 +17,9 @@ from .systems import list_systems
 
 #: the convergence study uses at most this many of the config's paths
 CONVERGENCE_MAX_PATHS = 50
+
+#: errors of bad input, which exit 2; a blow-up or another OSError exits 1
+BAD_INPUT = (ValueError, KeyError, FileNotFoundError)
 
 
 def _cmd_list_systems(args) -> int:
@@ -32,13 +36,8 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _cmd_run(args) -> int:
-    cfg = load_config(args.config, kind=args.kind)
-    try:
-        manifest = run(cfg)
-    except OSError as exc:  # a failed write of the run's outputs
-        print(f"error: cannot write the run's outputs: {exc}", file=sys.stderr)
-        return 1
+def _cmd_run(kind, args) -> int:
+    manifest = run(load_config(args.config, kind=kind))
     print(json.dumps(report_summary(manifest.run_dir), indent=2, sort_keys=True))
     return 0
 
@@ -93,64 +92,52 @@ def _cmd_report(args) -> int:
 
 
 def _cmd_export(args) -> int:
-    try:
-        written = export_csv(args.run_dir)
-    except FileNotFoundError:
-        raise  # a missing manifest or table exits 2, naming it
-    except OSError as exc:  # a failed write of a CSV
-        print(f"error: cannot write the CSVs: {exc}", file=sys.stderr)
-        return 1
-    print(json.dumps(written, indent=2))
+    print(json.dumps(export_csv(args.run_dir), indent=2))
     return 0
 
 
+_CONFIG = ("--config", {"required": True})
+
+#: name -> (handler, help line, arguments as (name or flag, add_argument options))
+COMMANDS = {
+    "list-systems": (_cmd_list_systems, "print the system registry", ()),
+    "check": (_cmd_check, "assumption certificates for a system", (_CONFIG,)),
+    **{kind: (partial(_cmd_run, kind), f"run a {kind} experiment", (_CONFIG,))
+       for kind in KINDS},
+    "convergence": (_cmd_convergence, "strong-order study of a scheme", (
+        ("--scheme", {"required": True}), _CONFIG,
+        ("--levels", {"type": int, "default": 4}))),
+    "gradcheck": (_cmd_gradcheck, "finite-difference derivative check", (
+        ("--trials", {"type": int, "default": 100}),
+        ("--seed", {"type": int, "default": 0}))),
+    "report": (_cmd_report, "summarize a finished run directory", (("run_dir", {}),)),
+    "export": (_cmd_export, "write a run directory's tables as CSVs", (("run_dir", {}),)),
+}
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="spdelab",
-        description="Spectral-Galerkin laboratory for stochastic parabolic equations",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("list-systems", help="print the system registry")
-    p.set_defaults(func=_cmd_list_systems)
-
-    p = sub.add_parser("check", help="assumption certificates for a system")
-    p.add_argument("--config", required=True)
-    p.set_defaults(func=_cmd_check)
-
-    for kind in KINDS:
-        p = sub.add_parser(kind, help=f"run a {kind} experiment")
-        p.add_argument("--config", required=True)
-        p.set_defaults(func=_cmd_run, kind=kind)
-
-    p = sub.add_parser("convergence", help="strong-order study of a scheme")
-    p.add_argument("--scheme", required=True)
-    p.add_argument("--config", required=True)
-    p.add_argument("--levels", type=int, default=4)
-    p.set_defaults(func=_cmd_convergence)
-
-    p = sub.add_parser("gradcheck", help="finite-difference derivative check")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=_cmd_gradcheck)
-
-    p = sub.add_parser("report", help="summarize a finished run directory")
-    p.add_argument("run_dir")
-    p.set_defaults(func=_cmd_report)
-
-    p = sub.add_parser("export", help="write a run directory's tables as CSVs")
-    p.add_argument("run_dir")
-    p.set_defaults(func=_cmd_export)
-
-    args = parser.parse_args(argv)
+    """Run one command; the only place where an error becomes an exit code."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if not argv or argv[0] not in COMMANDS:  # -h or a usage error, which exit here
+        listing = argparse.ArgumentParser(
+            prog="spdelab", usage="%(prog)s [-h] COMMAND ...",
+            description="Spectral-Galerkin laboratory for stochastic parabolic equations",
+            epilog="commands:\n" + "\n".join(f"  {n:20s}{c[1]}" for n, c in COMMANDS.items()),
+            formatter_class=argparse.RawDescriptionHelpFormatter)
+        listing.add_argument("command", choices=COMMANDS, metavar="COMMAND",
+                             help="`spdelab COMMAND -h` lists its arguments")
+        found, rest = listing.parse_known_args(argv)
+        argv = [found.command, *rest]
+    handler, _, arguments = COMMANDS[argv[0]]
+    parser = argparse.ArgumentParser(prog=f"spdelab {argv[0]}")
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    args = parser.parse_args(argv[1:])
     try:
-        return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError) as exc:
+        return handler(args)
+    except (*BAD_INPUT, BlowUpError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except BlowUpError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BAD_INPUT) else 1
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ import numpy as np
 from .basis import SpectralBasis
 from .integrator import EnsembleResult
 
-#: below this H-norm an eps=0 quotient step is excluded and counted, not patched
+#: at or below this H-norm a path has vanished: its residual is NaN, the backward probe
+#: counts it, and a run with a zero eps or delta, whose ratios it would zero-divide, stops
 NORM_FLOOR = 1e-150
 
 #: the final share of the grid over which a path's quotient is judged settled

@@ -194,13 +194,13 @@ def load_config(path: str, kind: Optional[str] = None) -> ExperimentConfig:
     With `kind`, the experiment a command runs: a config that names no kind
     takes it, and one that names another kind is rejected.
     """
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
+    try:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} line {exc.lineno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # missing, a directory, not UTF-8
+        raise ConfigError(f"config {path}: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     known = set(ExperimentConfig.__dataclass_fields__)
@@ -359,6 +359,16 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     run_dir = _resolve_dir(cfg)
     grid = uniform_grid(cfg.T, cfg.dt)
     ens = integrate_ensemble(system, cfg.scheme, grid, cfg.master_seed, cfg.paths)
+    eps = cfg.eps_list[0]
+    # a zero eps or delta leaves |u|^2 alone under the weak-noise ratios
+    # <B_k u, u>/(|u|^2 + eps) of the diagnostics, so no path may vanish
+    for key in [k for k, v in (("eps_list", eps), ("delta", cfg.delta)) if v == 0]:
+        low = np.sum(ens.states**2, axis=-1) <= diag.NORM_FLOOR**2
+        if low.any():
+            p, j = np.argwhere(low)[0]
+            raise ConfigError(f"config key {key!r} is zero, and path {p} vanishes at "
+                              f"t={ens.times[j]:g} (|u|^2 <= {diag.NORM_FLOOR**2:g}); "
+                              f"give {key} a positive value")
 
     # only now, so a run that fails to integrate leaves no directory behind
     try:
@@ -372,7 +382,6 @@ def run(cfg: ExperimentConfig) -> RunManifest:
         os.makedirs(os.path.join(run_dir, "paths"), exist_ok=True)
     outputs = []
 
-    eps = cfg.eps_list[0]
     consts = _constants_for(system, grid)
     per_block = _paths_per_block(len(grid), system.basis.dim, system.ops.n_noise)
     # what the report reads, collected per path as the blocks pass

@@ -278,11 +278,10 @@ def make_coupled_torus(
     n = int(n_components)
     dim = n * modes
     lap = laplacian_matrix(modes)
-    a_strat = MatrixPath(np.kron(np.eye(n), lap))
     lam = np.kron(np.ones(n), torus_frequencies(modes) ** 2 + 1.0)
-    order = np.argsort(lam, kind="stable")
     # the whole family is permuted so the basis eigenvalues are nondecreasing
-    perm = np.eye(dim)[order]
+    order = np.argsort(lam, kind="stable")
+    a_strat = MatrixPath(_permuted(np.kron(np.eye(n), lap), order))
 
     if h_tables is None:
         if h_time_grid is not None:
@@ -310,8 +309,8 @@ def make_coupled_torus(
 
     bs = []
     for m in range(h_tables.shape[1]):
-        stacks = np.stack([np.kron(h_tables[j, m], np.eye(modes))
-                           for j in range(h_tables.shape[0])])
+        stacks = _permuted(np.stack([np.kron(h_tables[j, m], np.eye(modes))
+                                     for j in range(h_tables.shape[0])]), order)
         if h_time_grid is None:
             bs.append(MatrixPath(stacks[0]))
         else:
@@ -326,23 +325,22 @@ def make_coupled_torus(
         coupling = np.kron(c_matrix, np.eye(modes))
         n_witness = float(np.linalg.norm(coupling, ord=2))
 
-        def f_hook(t, u, _m=perm @ coupling @ perm.T):
+        def f_hook(t, u, _m=_permuted(coupling, order)):
             return -(u @ _m.T)
 
     ops = OperatorFamily(
-        A=_permute_path(a_strat, perm),
-        Bs=tuple(_permute_path(b, perm) for b in bs),
+        A=a_strat, Bs=tuple(bs),
         F=f_hook, n_witness=n_witness, noise_form="stratonovich",
     )
     basis = SpectralBasis(dim=dim, hat_eigenvalues=lam[order])
     return SystemSpec(name="coupled-torus", basis=basis, ops=ops, u0=_start(dim, 2 * n))
 
 
-def _permute_path(mp: MatrixPath, perm: np.ndarray) -> MatrixPath:
-    if mp.is_constant:
-        return MatrixPath(perm @ mp.values @ perm.T)
-    stack = np.stack([perm @ m @ perm.T for m in mp.values])
-    return MatrixPath(stack, mp.time_grid, mp.interpolation)
+def _permuted(m: np.ndarray, order: np.ndarray) -> np.ndarray:
+    """Rows and columns of m (..., n, n) in `order`: P m P^T for P = I[order].
+    take, unlike fancy indexing, keeps the result C-contiguous, as the product
+    was, so BLAS reads it in the same order."""
+    return m.take(order, axis=-2).take(order, axis=-1)
 
 
 # -- 2-D incompressible flow ------------------------------------------

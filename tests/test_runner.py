@@ -1,7 +1,9 @@
 """Config handling, run orchestration, persistence, and the CLI."""
+import argparse
 import json
 import os
 import pathlib
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -971,6 +973,119 @@ def test_runs_and_checks_leave_numpy_ma_unloaded(tmp_path):
 def test_cli_bad_config_returns_error(tmp_path, capsys):
     assert main(["simulate", "--config", str(tmp_path / "nope.json")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+#: every command, its help line and the arguments `spdelab COMMAND -h` shows
+COMMAND_HELP = {
+    "list-systems": ("print the system registry", []),
+    "check": ("assumption certificates for a system", ["--config"]),
+    "simulate": ("run a simulate experiment", ["--config"]),
+    "spectral-limit": ("run a spectral-limit experiment", ["--config"]),
+    "backward-probe": ("run a backward-probe experiment", ["--config"]),
+    "convergence": ("strong-order study of a scheme", ["--scheme", "--config", "--levels"]),
+    "gradcheck": ("finite-difference derivative check", ["--trials", "--seed"]),
+    "report": ("summarize a finished run directory", ["run_dir"]),
+    "export": ("write a run directory's tables as CSVs", ["run_dir"]),
+}
+
+
+def count_parsers(monkeypatch) -> list:
+    """The prog of every ArgumentParser built from now on, in order."""
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.prog)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    return built
+
+
+def test_cli_builds_only_the_parser_of_the_command_it_runs(tmp_path, capsys, monkeypatch):
+    """A valid command line builds one argparse parser, its command's own,
+    however many commands there are."""
+    path = minimal_config(tmp_path, write_paths=True)
+    run_dir = str(tmp_path / "out")
+    built = count_parsers(monkeypatch)
+    for argv in (["list-systems"], ["gradcheck", "--trials", "5"],
+                 ["simulate", "--config", path], ["report", run_dir], ["export", run_dir],
+                 ["check", "--config", path],
+                 ["convergence", "--scheme", "euler-maruyama", "--config", path,
+                  "--levels", "2"]):
+        built.clear()
+        assert main(argv) == 0, argv
+        assert built == [f"spdelab {argv[0]}"], argv
+    capsys.readouterr()
+
+
+def test_cli_help_lists_every_command_and_a_bad_one_exits_2(capsys, monkeypatch):
+    """`spdelab -h` names each command with its help line, building one
+    parser; `spdelab COMMAND -h` shows the command's arguments; no command
+    and an unknown one are usage errors, exit 2."""
+    built = count_parsers(monkeypatch)
+    with pytest.raises(SystemExit) as done:
+        main(["-h"])
+    assert done.value.code == 0 and len(built) == 1
+    lines = capsys.readouterr().out.splitlines()
+    for name, (help_line, _) in COMMAND_HELP.items():
+        assert any(line.split() == [name, *help_line.split()] for line in lines), name
+    for name, (_, arguments) in COMMAND_HELP.items():
+        with pytest.raises(SystemExit) as done:
+            main([name, "-h"])
+        out = capsys.readouterr().out
+        assert done.value.code == 0 and out.startswith(f"usage: spdelab {name} [-h]"), name
+        assert all(a in out for a in arguments), name
+    for argv, named in (([], "COMMAND"), (["bogus"], "'bogus'"), (["-x"], "COMMAND")):
+        with pytest.raises(SystemExit) as done:
+            main(argv)
+        err = capsys.readouterr().err
+        assert done.value.code == 2 and "error:" in err and named in err, argv
+
+
+@pytest.mark.parametrize("command", ["simulate", "check", "convergence"])
+@pytest.mark.parametrize("what", ["a directory", "not UTF-8"])
+def test_cli_unreadable_config_exits_2_naming_it(tmp_path, capsys, command, what):
+    """A config path that cannot be read as text is bad input: one line
+    that starts `error: config` and names the path, on every command."""
+    path = tmp_path / "config.json"
+    if what == "a directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"system": {"name": "diagonal"}, "T": 1, "dt": 0.1, "x": "\xff"}')
+    argv = [command, "--config", str(path)]
+    if command == "convergence":
+        argv += ["--scheme", "euler-maruyama"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config") and str(path) in err, err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("eps_list", [0.0]), ("delta", 0.0)])
+def test_zero_regulariser_on_a_vanishing_path_exits_2_before_the_run_directory(
+        tmp_path, capsys, key, value):
+    """The default diagonal paths fall below NORM_FLOOR in T = 400, where a
+    zero eps or delta leaves the weak-noise ratios nothing to divide by: exit
+    2 naming the key, the first such path and its first time there, as the
+    same run with the default regularisers records them, and make no
+    directory.  A zero value on paths that stay away from zero runs."""
+    out = tmp_path / "out"
+    vanishing = dict(system={"name": "diagonal"}, T=400, dt=0.1, paths=3)
+    run(load_config(minimal_config(tmp_path, **vanishing)))
+    tables = [np.load(out / "diagnostics" / f"{p}.npy") for p in range(3)]
+    shutil.rmtree(out)
+    low = [p for p, t in enumerate(tables) if (t[:, 1] <= diag.NORM_FLOOR).any()]
+    first = tables[low[0]]
+    t = first[np.argmax(first[:, 1] <= diag.NORM_FLOOR), 0]
+    assert main(["simulate", "--config", minimal_config(tmp_path, **vanishing,
+                                                        **{key: value})]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config key {key!r} is zero"), err
+    assert f"path {low[0]} vanishes at t={t:g} " in err and err.count("\n") == 1, err
+    assert not out.exists()
+    assert main(["simulate", "--config", minimal_config(tmp_path, **{key: value})]) == 0
+    assert (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("name, body", [

@@ -186,6 +186,52 @@ def test_coupled_torus_rejects_bad_tables():
         make_coupled_torus(n_components=2, modes=3, h_time_grid=[0.0, 0.5, 1.0])
 
 
+def _eleven_node_tables():
+    """h[j,m] = 0.3(1 + 0.5 t_j) I + 0.2 t_j e_m e_{m+1}^T on t_j = j/10."""
+    times = np.arange(11) / 10
+    tables = np.zeros((11, 2, 2, 2))
+    for j, t in enumerate(times):
+        for m in range(2):
+            tables[j, m] = 0.3 * (1.0 + 0.5 * t) * np.eye(2)
+            tables[j, m, m, (m + 1) % 2] += 0.2 * t
+    return tables, times
+
+
+@pytest.mark.parametrize("params", [
+    {},
+    {"modes": 16, "h_tables": _eleven_node_tables()[0], "h_time_grid": _eleven_node_tables()[1]},
+    {"modes": 7, "c_matrix": [[0.5, 0.2], [0.1, 0.4]]},
+], ids=["default", "eleven-nodes", "coupling"])
+def test_coupled_torus_permutes_as_the_permutation_matrix_did(params):
+    """A, each B_k and the coupling hook's matrix are P m P^T for P = I[order],
+    bit for bit (int64 views), and C-contiguous like the product, as BLAS
+    rounds the later sums by layout."""
+    n, modes = 2, params.get("modes", 9)
+    order = np.argsort(np.kron(np.ones(n), torus_frequencies(modes) ** 2 + 1.0), kind="stable")
+    perm = np.eye(n * modes)[order]
+    tables = params.get("h_tables")
+    if tables is None:
+        tables = np.zeros((1, n, n, n))
+        for m in range(n):
+            tables[0, m] = 0.3 * np.eye(n)
+            tables[0, m, m, (m + 1) % n] = 0.2
+    spec = make_coupled_torus(**params)
+
+    def same(got, raw):
+        assert got.flags.c_contiguous
+        assert np.array_equal((perm @ raw @ perm.T).view(np.int64), got.view(np.int64))
+
+    same(spec.ops.A.values, np.kron(np.eye(n), laplacian_matrix(modes)))
+    for m, b in enumerate(spec.ops.Bs):
+        for j, got in enumerate(b.values if b.values.ndim == 3 else [b.values]):
+            same(got, np.kron(tables[j, m], np.eye(modes)))
+    if "c_matrix" in params:
+        u = np.random.default_rng(0).standard_normal((3, n * modes))
+        coupling = perm @ np.kron(params["c_matrix"], np.eye(modes)) @ perm.T
+        assert np.array_equal(spec.ops.F(0.0, u).view(np.int64),
+                              (-(u @ coupling.T)).view(np.int64))
+
+
 # -- 2-D incompressible flow ------------------------------------------
 
 
