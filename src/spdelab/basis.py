@@ -9,16 +9,60 @@ basis the three norms of the Gelfand triple become weighted sequence norms:
     |u|_{D}^2    = sum_i lam_i^2 u_i^2
 
 with lam_i the (positive, nondecreasing) eigenvalues.
+
+A batch of states may hold its coordinates along its last axis (..., N), or
+as N contiguous component planes (N, ...), which the diagnostics keep:
+sum_planes adds the planes in the order numpy adds a contiguous last axis,
+so both layouts give the same bits.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
 
 class DimensionMismatchError(ValueError):
     """Vector or matrix dimensions do not match the basis."""
+
+
+def _pairwise(x: np.ndarray) -> np.ndarray:
+    n = len(x)
+    if n < 8:
+        out = x[0] + 0.0
+        for plane in x[1:]:
+            out += plane
+        return out
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        out = _pairwise(x[:half])
+        out += _pairwise(x[half:])
+        return out
+    # each of the 8 running sums adds its terms in turn, as a reduction
+    # over a leading axis does, from +0.0 as numpy's sum does
+    acc = np.add.reduce(x[:n - n % 8].reshape((-1, 8) + x.shape[1:]), axis=0)
+    pairs = acc[0::2] + acc[1::2]
+    out = pairs[0] + pairs[1]
+    out += pairs[2] + pairs[3]
+    for plane in x[n - n % 8:]:
+        out += plane
+    return out
+
+
+def sum_planes(x: np.ndarray) -> np.ndarray:
+    """The sum over the leading axis of x (n, ...).
+
+    The planes are added as numpy's pairwise sum adds a contiguous last axis
+    of length n: in turn from +0.0 below 8 terms, else in 8 running sums
+    combined as a tree, split in halves above 128.  So the sum of a
+    component-plane array equals np.sum over the last axis of its
+    transpose bit for bit, a sum of -0.0 terms +0.0, with numpy's inner
+    loops over the planes.
+    """
+    if len(x) == 0:
+        return np.zeros(x.shape[1:])
+    return _pairwise(x)
 
 
 @dataclass(frozen=True)
@@ -51,23 +95,35 @@ class SpectralBasis:
 
     # -- vector checks -------------------------------------------------
 
-    def check_vector(self, u: np.ndarray) -> np.ndarray:
+    def check_vector(self, u: np.ndarray, axis: int = -1) -> np.ndarray:
         u = np.asarray(u, dtype=float)
-        if u.shape[-1] != self.dim:
+        if u.shape[axis] != self.dim:
             raise DimensionMismatchError(
-                f"vector of dimension {u.shape[-1]} does not match basis dim {self.dim}"
+                f"vector of dimension {u.shape[axis]} does not match basis dim {self.dim}"
             )
         return u
 
     # -- norms ---------------------------------------------------------
 
-    def norm_v(self, u: np.ndarray) -> np.ndarray:
-        """V-norm ||u||, weighted by the eigenvalues."""
-        u = self.check_vector(u)
-        return np.sqrt(np.sum(self.hat_eigenvalues * u * u, axis=-1))
+    def _weighted_norm(self, weights: np.ndarray, u: np.ndarray, axis: int,
+                       out: Optional[np.ndarray]) -> np.ndarray:
+        """sqrt(sum_i w_i u_i^2), the coordinates of u along `axis`; the terms
+        are written into `out`, shaped as u's planes, when it is given."""
+        planes = np.moveaxis(self.check_vector(u, axis), axis, 0)
+        terms = np.multiply(weights.reshape((-1,) + (1,) * (planes.ndim - 1)), planes, out=out)
+        terms *= planes
+        return np.sqrt(sum_planes(terms))
 
-    def norm_d(self, u: np.ndarray) -> np.ndarray:
-        """Norm of the operator domain, weighted by squared eigenvalues."""
-        u = self.check_vector(u)
-        return np.sqrt(np.sum(self.hat_eigenvalues**2 * u * u, axis=-1))
+    def norm_v(self, u: np.ndarray, axis: int = -1,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """V-norm ||u||, weighted by the eigenvalues; the coordinates lie along
+        `axis`, 0 for component planes, and `out` may hold the terms."""
+        return self._weighted_norm(self.hat_eigenvalues, u, axis, out)
+
+    def norm_d(self, u: np.ndarray, axis: int = -1,
+               out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Norm of the operator domain, weighted by squared eigenvalues; the
+        coordinates lie along `axis`, 0 for component planes, and `out` may
+        hold the terms."""
+        return self._weighted_norm(self.hat_eigenvalues**2, u, axis, out)
 

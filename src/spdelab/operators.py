@@ -83,7 +83,6 @@ class MatrixPath:
         if time_grid is None:
             if values.ndim != 2 or values.shape[0] != values.shape[1]:
                 raise ValueError(f"constant matrix must be square, got {values.shape}")
-            self.values = values
             self.time_grid = None
         else:
             time_grid = np.asarray(time_grid, dtype=float)
@@ -95,8 +94,9 @@ class MatrixPath:
                 raise ValueError("time grid length does not match value stack")
             if np.any(np.diff(time_grid) <= 0):
                 raise ValueError("time grid must be strictly increasing")
-            self.values = values
             self.time_grid = time_grid
+        # C order: products with a Fortran-ordered copy round differently
+        self.values = np.ascontiguousarray(values)
         if interpolation not in ("constant", "linear"):
             raise ValueError(f"unknown interpolation rule {interpolation!r}")
         self.interpolation = interpolation
@@ -371,35 +371,59 @@ class OperatorSegments:
         #: segment p holds the grid indices [edges[p], edges[p + 1])
         self.edges = edges.tolist()
 
-    def _apply(self, states: np.ndarray, pick) -> np.ndarray:
+    def _apply(self, states: np.ndarray, pick, out: Optional[np.ndarray]) -> np.ndarray:
+        """Written into `out` if given, else into an array laid out in memory
+        as `states` is (np.empty_like): states viewed from component planes
+        give planes back."""
         states = np.asarray(states, dtype=float)
         if states.ndim < 2 or states.shape[-2] != len(self.times):
             raise ValueError(
                 f"states {states.shape} do not lie on a grid of {len(self.times)} times"
             )
-        out = np.empty_like(states)
+        if out is None:
+            out = np.empty_like(states)
         for seg, lo, hi in zip(self.segments, self.edges, self.edges[1:]):
             u = states[..., lo:hi, :]
             m = pick(seg)
             if self.diagonal:
-                # + 0.0: a dense product sums to +0.0 where u_i d_i is -0.0
-                out[..., lo:hi, :] = u * _diagonals(m) + 0.0
+                part = out[..., lo:hi, :]
+                np.multiply(u, _diagonals(m), out=part)
+                part += 0.0  # a dense product sums to +0.0 where u_i d_i is -0.0
             elif m.ndim == 2:
                 out[..., lo:hi, :] = u @ m.T
             else:
                 out[..., lo:hi, :] = np.einsum("tij,...tj->...ti", m, u)
         return out
 
-    def tilde_applied(self, states: np.ndarray, symmetric: bool = False) -> np.ndarray:
-        """Ã(t)u, or sym(Ã(t))u, at every grid time; states are (..., J+1, N)."""
+    def tilde_applied(self, states: np.ndarray, symmetric: bool = False,
+                      out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Ã(t)u, or sym(Ã(t))u, at every grid time; states are (..., J+1, N),
+        and so is `out`, which takes the result if given."""
         if symmetric:
-            return self._apply(states, lambda seg: seg.tilde_sym)
-        return self._apply(states, lambda seg: seg.tilde)
+            return self._apply(states, lambda seg: seg.tilde_sym, out)
+        return self._apply(states, lambda seg: seg.tilde, out)
 
-    def noise_applied(self, states: np.ndarray) -> list:
-        """[B_k(t)u for each k] at every grid time; states are (..., J+1, N)."""
-        return [self._apply(states, lambda seg, k=k: seg.Bs[k])
+    def noise_applied(self, states: np.ndarray, out: Optional[list] = None) -> list:
+        """[B_k(t)u for each k] at every grid time; states are (..., J+1, N),
+        and so is each array of `out`, which take the results if given."""
+        return [self._apply(states, lambda seg, k=k: seg.Bs[k], None if out is None else out[k])
                 for k in range(self.n_noise)]
+
+    def tilde_head(self, planes: np.ndarray, n: int) -> np.ndarray:
+        """Ã(t)[:n, n:] u[n:] at every grid time, of states held as component
+        planes (N, ..., J+1): the (n, ..., J+1) planes.  Only that block of
+        each matrix is read; of a diagonal family, or at n = N, it is zero."""
+        out = np.zeros((n,) + planes.shape[1:])
+        if self.diagonal or n == len(planes):
+            return out
+        for seg, lo, hi in zip(self.segments, self.edges, self.edges[1:]):
+            m = seg.tilde[..., :n, n:]
+            u = planes[n:, ..., lo:hi]
+            if m.ndim == 2:
+                out[..., lo:hi] = (m @ u.reshape(len(u), -1)).reshape((n,) + u.shape[1:])
+            else:
+                out[..., lo:hi] = np.einsum("tij,j...t->i...t", m, u)
+        return out
 
 
 def commutator_C(ev: OperatorSegment) -> np.ndarray:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import inspect
+import io
 import json
 import math
 import os
@@ -257,12 +258,36 @@ def _resolve_dir(cfg: ExperimentConfig) -> str:
     return os.path.join(_output_root(), f"{cfg.kind}-{cfg.digest()[:12]}")
 
 
+#: the .npy header of a C-ordered table, per (shape, dtype), as np.save writes it
+_NPY_HEADERS: dict = {}
+
+
+def _npy_header(rows: np.ndarray) -> bytes:
+    key = (rows.shape, rows.dtype.str)
+    if key not in _NPY_HEADERS:
+        buf = io.BytesIO()
+        np.lib.format.write_array_header_1_0(buf, np.lib.format.header_data_from_array_1_0(rows))
+        _NPY_HEADERS[key] = buf.getvalue()
+    return _NPY_HEADERS[key]
+
+
 # the name is older than the .npy tables: bench/spans.py traces this
 # function by it, as runner.persist
 def _write_csv(jobs) -> None:
-    """Write every (path, float64 table) job as a .npy file."""
+    """Write every (path, table) job as a .npy file, the bytes np.save writes
+    of a C-ordered table: its cached header and its data in one writev."""
     for path, rows in jobs:
-        np.save(path, rows)
+        rows = np.ascontiguousarray(rows)
+        header = _npy_header(rows)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+        try:
+            done = os.writev(fd, [header, rows])
+            if done < len(header) + rows.nbytes:  # a short write: the rest, in order
+                rest = memoryview(header + rows.tobytes())[done:]
+                while rest:
+                    rest = rest[os.write(fd, rest):]
+        finally:
+            os.close(fd)
 
 
 def export_csv(run_dir: str) -> list:
@@ -316,10 +341,33 @@ DIAG_BLOCK_BYTES = 2 * 2**20
 
 
 def _paths_per_block(n_times: int, dim: int, n_noise: int) -> int:
-    # per path and grid time: the state, Ã u, each B_k u and a few more
-    # state-sized temporaries, plus the table row and its column temporaries
+    # per path and grid time: the record's planes of u, sym(Ã)u, each B_k u
+    # and its scratch, and a dense family's operator result before it is
+    # transposed into planes; then three table rows' worth: this block's row,
+    # the row of the table the runner still holds, and the record's shared
+    # terms with the columns' temporaries
     floats = n_times * (dim * (n_noise + 4) + 3 * len(DIAG_COLUMNS))
     return max(1, DIAG_BLOCK_BYTES // (8 * floats))
+
+
+def _block_table(basis, block, eps: float, delta: float, k1, big_g, planes):
+    """The table of a block of paths and the PathForms record its columns
+    read, whose state-sized arrays `planes` holds."""
+    forms = diag.PathForms(block, eps if eps > 0 else delta, planes)
+    lam = diag.quotient_series(forms, eps)
+    table = np.empty(block.states.shape[:-1] + (len(DIAG_COLUMNS),))
+    table[..., 0] = block.times
+    np.sqrt(forms.sq, out=table[..., 1])
+    table[..., 2] = basis.norm_v(forms.u, axis=0, out=forms.scratch)
+    table[..., 3] = basis.norm_d(forms.u, axis=0, out=forms.scratch)
+    table[..., 4] = lam
+    table[..., 5] = diag.quotient_full(forms, eps)
+    table[..., 6] = diag.exp_martingale(forms)
+    table[..., 7] = diag.psi_series(forms, max(eps, 1e-300))
+    table[..., 8] = diag.eigen_residual(forms.u, forms.tu, lam, forms.sq, forms.scratch)
+    table[..., 9] = diag.envelope_series(forms, eps, big_g)
+    table[..., 10], _ = diag.bound_process_X(forms, eps, k1, big_g)
+    return table, forms
 
 
 def _diagnostic_blocks(system: SystemSpec, ens, eps: float, delta: float,
@@ -328,28 +376,15 @@ def _diagnostic_blocks(system: SystemSpec, ens, eps: float, delta: float,
 
     The table is (paths, J+1, DIAG_COLUMNS), and the record is the block's
     one PathForms, which every column reads.  The record's M, and so the M,
-    psi, S and X columns, is at eps, or at delta when eps is zero.
+    psi, S and X columns, is at eps, or at delta when eps is zero.  The
+    records share one array of planes, allocated once, so a record holds its
+    vectors until the next block is made; nothing else of a block is kept
+    here once it is yielded.
     """
-    basis = system.basis
+    planes = diag.plane_store(ens, min(paths_per_block, ens.n_paths))
     for lo in range(0, ens.n_paths, paths_per_block):
         block = ens.paths(lo, lo + paths_per_block)
-        states = block.states
-        forms = diag.PathForms(block, eps if eps > 0 else delta)
-        m = diag.exp_martingale(forms)
-        lam = diag.quotient_series(forms, eps)
-        table = np.empty(states.shape[:-1] + (len(DIAG_COLUMNS),))
-        table[..., 0] = block.times
-        table[..., 1] = np.sqrt(forms.sq)
-        table[..., 2] = basis.norm_v(states)
-        table[..., 3] = basis.norm_d(states)
-        table[..., 4] = lam
-        table[..., 5] = diag.quotient_full(forms, eps)
-        table[..., 6] = m
-        table[..., 7] = diag.psi_series(forms, max(eps, 1e-300))
-        table[..., 8] = diag.eigen_residual(states, forms.tu, lam)
-        table[..., 9] = diag.envelope_series(forms, eps, big_g)
-        table[..., 10], _ = diag.bound_process_X(forms, eps, k1, big_g)
-        yield lo, table, forms
+        yield (lo,) + _block_table(system.basis, block, eps, delta, k1, big_g, planes)
 
 
 def run(cfg: ExperimentConfig) -> RunManifest:
@@ -393,35 +428,34 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     if cfg.write_paths:
         columns["paths"] = ["t"] + [f"u{i}" for i in range(system.basis.dim)]
 
-    def write_blocks():
-        """Each block's diagnostics, then its tables: the writing holds no
-        diagnostics work.  A function, so the last block is freed before
-        the report is built."""
-        for lo, table, forms in _diagnostic_blocks(system, ens, eps, cfg.delta,
-                                                   *consts, per_block):
-            states, hi = forms.paths.states, lo + len(table)
-            quots[lo:hi], norms[lo:hi] = table[..., 4], table[..., 1]
-            finals[lo:hi] = states[:, -1]
-            m_final[lo:hi] = diag.exp_martingale(forms, cfg.delta)[..., -1]
-            if lo < n_gap:
-                top = min(hi, n_gap)
-                k3, k4 = diag.galerkin_gaps(forms, system.basis, eps, cfg.N_list)
-                for key, per_n in (("K3", k3), ("K4", k4)):
-                    for n, v in per_n.items():
-                        gaps[key][n][lo:top] = v[:top - lo]
-            jobs = []
-            for p, rows in enumerate(table, start=lo):
-                rel = os.path.join("diagnostics", f"{p}.npy")
+    def write_block(lo, table, forms):
+        """A block's report entries, then its tables: the writing holds no
+        diagnostics work."""
+        states, hi = forms.paths.states, lo + len(table)
+        quots[lo:hi], norms[lo:hi] = table[..., 4], table[..., 1]
+        finals[lo:hi] = states[:, -1]
+        m_final[lo:hi] = diag.exp_martingale(forms, cfg.delta, final=True)
+        if lo < n_gap:
+            top = min(hi, n_gap)
+            k3, k4 = diag.galerkin_gaps(forms, system.basis, eps, cfg.N_list)
+            for key, per_n in (("K3", k3), ("K4", k4)):
+                for n, v in per_n.items():
+                    gaps[key][n][lo:top] = v[:top - lo]
+        jobs = []
+        for p, rows in enumerate(table, start=lo):
+            rel = os.path.join("diagnostics", f"{p}.npy")
+            outputs.append(rel)
+            jobs.append((os.path.join(run_dir, rel), rows))
+            if cfg.write_paths:
+                rel = os.path.join("paths", f"{p}.npy")
                 outputs.append(rel)
-                jobs.append((os.path.join(run_dir, rel), rows))
-                if cfg.write_paths:
-                    rel = os.path.join("paths", f"{p}.npy")
-                    outputs.append(rel)
-                    jobs.append((os.path.join(run_dir, rel),
-                                 np.column_stack([grid, states[p - lo]])))
-            _write_csv(jobs)
+                jobs.append((os.path.join(run_dir, rel),
+                             np.column_stack([grid, states[p - lo]])))
+        _write_csv(jobs)
 
-    write_blocks()
+    for lo, table, forms in _diagnostic_blocks(system, ens, eps, cfg.delta, *consts, per_block):
+        write_block(lo, table, forms)
+        del forms  # the next block is made without this block's record
 
     report = _build_report(cfg, system, ens, quots, norms, finals, m_final, gaps)
     with open(os.path.join(run_dir, "report.json"), "w") as fh:

@@ -211,7 +211,128 @@ def test_galerkin_gaps_vanish_at_full_section():
     assert k4[4] >= k4[8] >= k4[16]
 
 
+def _gaps_by_full_application(forms, basis, eps, N_list):
+    """K3 and K4 as they were first computed, on the (P, J+1, N) states: the
+    head term applies all of Ã to a copy of the states whose leading n
+    coordinates are zeroed, and keeps its leading n rows."""
+    times, states, segs = forms.paths.times, forms.paths.states, forms.paths.segments
+    m, den = forms.martingale, forms.sq + eps
+    tu = segs.tilde_applied(states)
+    bus = segs.noise_applied(states)
+    lam = basis.hat_eigenvalues
+    k3, k4 = {}, {}
+    for n in N_list:
+        tail_u = states.copy()
+        tail_u[..., :n] = 0.0
+        head = segs.tilde_applied(tail_u)[..., :n]
+        gap_sq = np.sum(head**2, axis=-1) + np.sum(tu[..., n:] ** 2, axis=-1)
+        k3[n] = np.trapezoid(m * gap_sq / den, times, axis=-1)
+        tail = sum(np.sum(lam[n:] * bu[..., n:] ** 2, axis=-1) for bu in bus)
+        k4[n] = np.trapezoid(m * tail / den, times, axis=-1)
+    return k3, k4
+
+
+def _coupled_on_11_nodes():
+    """coupled-torus (N = 18) with noise tables that change at 11 nodes of [0, 1]."""
+    nodes = np.arange(11) / 10
+    tables = np.zeros((11, 2, 2, 2))
+    for j, t in enumerate(nodes):
+        for m in range(2):
+            tables[j, m] = 0.3 * (1.0 + 0.5 * t) * np.eye(2)
+            tables[j, m, m, (m + 1) % 2] += 0.2 * t
+    return make_system("coupled-torus", modes=9, h_tables=tables, h_time_grid=nodes)
+
+
+_GAP_SYSTEMS = {
+    "coupled-11-nodes": _coupled_on_11_nodes,
+    # a noise field that varies on the circle couples the modes
+    "torus-heat-scalar": lambda: make_system(
+        "torus-heat-scalar", dim=13, c_coeffs=(lambda x: 0.5 + 0.2 * np.cos(x),)),
+    # a matrix per time, and an Ã that is not symmetric
+    "linear": lambda: _linear_family(1.0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GAP_SYSTEMS))
+def test_galerkin_gaps_read_only_the_head_block(name):
+    """The head term reads only Ã[:n, n:] of each matrix; K3 and K4 agree
+    with the full application of Ã at rtol 1e-12, on a family whose head
+    blocks are not zero."""
+    system = _GAP_SYSTEMS[name]()
+    dim = system.basis.dim
+    system = replace(system, u0=np.linspace(1.0, 0.2, dim))
+    ens = integrate_ensemble(system, "euler-maruyama", uniform_grid(1.0, 1e-2), 4, 3)
+    forms = diag.PathForms(ens, 1e-8)
+    sizes = sorted({1, 2, dim // 2, dim - 1, dim})
+    k3, k4 = diag.galerkin_gaps(forms, system.basis, 1e-8, sizes)
+    ref3, ref4 = _gaps_by_full_application(forms, system.basis, 1e-8, sizes)
+    for n in sizes:
+        np.testing.assert_allclose(k3[n], ref3[n], rtol=1e-12, atol=0, err_msg=f"K3 {n}")
+        np.testing.assert_allclose(k4[n], ref4[n], rtol=1e-12, atol=0, err_msg=f"K4 {n}")
+    assert any(np.any(ens.segments.tilde_head(forms.u, n)) for n in sizes)
+
+
+def test_a_diagonal_familys_head_term_is_exactly_zero():
+    sys = diag_system()
+    ens = integrate_ensemble(sys, "euler-maruyama", uniform_grid(0.5, 1e-2), 2, 3)
+    forms = diag.PathForms(ens, 1e-8)
+    for n in (1, 2, 3):
+        head = ens.segments.tilde_head(forms.u, n)
+        assert head.shape == (n, 3, len(ens.times))
+        assert not np.any(head) and not np.signbit(head).any()
+
+
+# -- the record's component planes ------------------------------------
+
+
+def test_the_record_holds_contiguous_component_planes():
+    """u, sym(Ã)u and each B_k u are (N, P, J+1), the increments (n, P, J),
+    each C-contiguous and equal to the transposed (P, J+1, N) arrays; the
+    shared terms are read-only."""
+    sys = diag_system(noise=((0.3, 0.2, 0.1), (0.1, 0.2, 0.3)))
+    ens = integrate_ensemble(sys, "euler-maruyama", uniform_grid(0.2, 1e-2), 1, 4)
+    forms = diag.PathForms(ens, 1e-6)
+    segs = ens.segments
+    pairs = [(forms.u, ens.states), (forms.tu, segs.tilde_applied(ens.states, True)),
+             (forms.dw, ens.increments)]
+    pairs += list(zip(forms.bus, segs.noise_applied(ens.states)))
+    for planes, layout in pairs:
+        assert planes.flags.c_contiguous
+        assert np.array_equal(planes, np.moveaxis(layout, -1, 0))
+    q = diag.quotient_series(forms, 1e-8)
+    assert q is diag.quotient_series(forms, 1e-8) and not q.flags.writeable
+    with pytest.raises(ValueError):
+        q[0, 0] = 1.0
+
+
+def test_the_final_martingale_is_the_last_of_the_series():
+    """exp_martingale with final gives M at the last grid time, bit for bit
+    the last column of the whole series, at the record's delta and another."""
+    sys = diag_system(noise=((0.3, 0.2, 0.1), (0.1, 0.2, 0.3)))
+    ens = integrate_ensemble(sys, "euler-maruyama", uniform_grid(0.5, 1e-3), 6, 5)
+    for delta in (1e-6, 1e-3):
+        forms = diag.PathForms(ens, 1e-6)
+        final = diag.exp_martingale(forms, delta, final=True)
+        whole = diag.exp_martingale(diag.PathForms(ens, 1e-6), delta)
+        assert final.shape == (5,)
+        assert np.array_equal(final.view(np.int64), whole[:, -1].view(np.int64))
+
+
 # -- spectral-limit report and backward probe -------------------------
+
+
+def test_the_settling_window_std_is_each_paths_own():
+    """One np.std over the window of every path gives each path's
+    window_std bit for bit as np.std of that path's window alone."""
+    rng = np.random.default_rng(12)
+    quots = (rng.standard_normal((9, 251)) * np.logspace(-12, 2, 9)[:, None]
+             + rng.uniform(-5, 5, (9, 1)))
+    finals = rng.standard_normal((9, 3))
+    tilde = np.diag([1.0, 4.0, 9.0])
+    rep = diag.spectral_limit_report(quots, finals, tilde, np.array([1.0, 4.0, 9.0]))
+    w0 = int(np.floor((1.0 - diag.SETTLE_WINDOW) * quots.shape[1]))
+    for p, path in enumerate(rep.paths):
+        assert path.window_std == float(np.std(quots[p, w0:]))
 
 
 def test_spectral_limit_report_settled_paths():

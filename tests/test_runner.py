@@ -1,14 +1,18 @@
 """Config handling, run orchestration, persistence, and the CLI."""
 import argparse
+import io
 import json
 import os
 import pathlib
+import runpy
 import shutil
 import subprocess
 import sys
 import textwrap
 import tempfile
 import threading
+import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from spdelab import runner
 from spdelab.assumptions import check_all, check_commutator_bound, k6_table
 from spdelab.brownian import GridError, uniform_grid
 from spdelab.cli import main
-from spdelab.operators import OperatorSegments
+from spdelab.operators import MatrixPath, OperatorSegments
 from spdelab.runner import (
     ConfigError,
     ExperimentConfig,
@@ -241,13 +245,13 @@ def test_each_diagnostics_block_applies_each_operator_once(tmp_path, monkeypatch
     tilde_applied = OperatorSegments.tilde_applied
     noise_applied = OperatorSegments.noise_applied
 
-    def count_tilde(self, states, symmetric=False):
+    def count_tilde(self, states, symmetric=False, out=None):
         calls["tilde"].append(symmetric)
-        return tilde_applied(self, states, symmetric)
+        return tilde_applied(self, states, symmetric, out)
 
-    def count_noise(self, states):
+    def count_noise(self, states, out=None):
         calls["noise"] += 1
-        return noise_applied(self, states)
+        return noise_applied(self, states, out)
 
     monkeypatch.setattr(OperatorSegments, "tilde_applied", count_tilde)
     monkeypatch.setattr(OperatorSegments, "noise_applied", count_noise)
@@ -320,6 +324,66 @@ def test_outputs_do_not_depend_on_the_block_size(tmp_path, monkeypatch):
     for rel in files[0]:
         first, *rest = (pathlib.Path(d, rel).read_bytes() for d in dirs)
         assert all(other == first for other in rest), rel
+
+
+def benchmark_config(tmp_path, name: str, **overrides) -> str:
+    """A config file of what a benchmark workload (bench/workloads.py) runs
+    at the reference seed 0, with overrides."""
+    where = pathlib.Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    cfg = runpy.run_path(str(where))["WORKLOADS"][name].make_config(0, False)
+    cfg.update(overrides)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
+
+
+@pytest.mark.parametrize("workload", ["diag-ensemble", "nse-advect", "coupled-tdep"])
+def test_diagnostics_blocks_stay_within_the_block_budget(tmp_path, monkeypatch, workload):
+    """Traced from its first block to its last as a run consumes them, with
+    each block's report entries, gaps and table writes, the diagnostics
+    phase of a benchmark config holds at most 1.15 DIAG_BLOCK_BYTES at once
+    beyond what the run held before it."""
+    blocks, peaks = runner._diagnostic_blocks, []
+
+    def traced(*args):
+        tracemalloc.start()
+        try:
+            yield from blocks(*args)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+
+    monkeypatch.setattr(runner, "_diagnostic_blocks", traced)
+    run(load_config(benchmark_config(tmp_path, workload, output_dir=str(tmp_path / "run"))))
+    assert len(peaks) == 1
+    assert peaks[0] <= 1.15 * runner.DIAG_BLOCK_BYTES, peaks[0]
+
+
+def test_the_layout_of_a_familys_matrices_changes_no_output_byte(tmp_path, monkeypatch):
+    """coupled-tdep's family with Fortran-ordered copies of its matrices,
+    equal in value, writes the run directory of the C-ordered family byte for
+    byte: MatrixPath keeps its values C-ordered."""
+    path = benchmark_config(tmp_path, "coupled-tdep", output_dir=None)
+    make_system = runner.make_system
+
+    def fortran(p):
+        values = np.ascontiguousarray(p.values.swapaxes(-1, -2)).swapaxes(-1, -2)
+        assert values.strides[-2] == values.itemsize  # each matrix column-major
+        return MatrixPath(values, p.time_grid, p.interpolation)
+
+    def fortran_family(name, **params):
+        spec = make_system(name, **params)
+        ops = replace(spec.ops, A=fortran(spec.ops.A), Bs=tuple(map(fortran, spec.ops.Bs)))
+        return replace(spec, ops=ops)
+
+    dirs = []
+    for label, factory in (("c", make_system), ("fortran", fortran_family)):
+        monkeypatch.setattr(runner, "make_system", factory)
+        monkeypatch.setenv("SPDELAB_OUTPUT_ROOT", str(tmp_path / label))
+        dirs.append(run(load_config(path)).run_dir)
+    first, second = (tree_bytes(d) for d in dirs)
+    assert len(first) == 2 * 4 + 2
+    assert first == second
 
 
 @pytest.mark.parametrize("name, limit", [("torus-heat-gradient", 0.0),
@@ -462,6 +526,44 @@ def test_csv_text_is_savetxt_byte_for_byte(tmp_path, rows):
     patterns, integers and a time grid; a table of no rows is its header."""
     columns = [f"c{i}" for i in range(rows.shape[1])]
     assert export_table(tmp_path / "run", rows) == format_loop_bytes(columns, rows)
+
+
+def _npy_edge_table(n_rows: int, n_cols: int) -> np.ndarray:
+    """Random rows with -0.0, +-0.0, nans, +-inf and subnormals among them."""
+    rows = np.random.default_rng(n_rows * n_cols).standard_normal((n_rows, n_cols))
+    edges = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -2.5e-310,
+             np.finfo(float).max, np.finfo(float).tiny]
+    flat = rows.reshape(-1)
+    flat[:len(edges)] = edges[:flat.size]
+    return rows
+
+
+@pytest.mark.parametrize("n_rows, n_cols", [(1001, 11), (1, 11), (51, 1 + 3),
+                                            (1001, 1 + 32), (0, 11)])
+def test_tables_are_written_as_np_save_writes_them(tmp_path, n_rows, n_cols):
+    """runner._write_csv writes each table as the bytes np.save writes, its
+    header included, for the diagnostics tables (11 columns) and the path
+    tables (1 + N); a table written over a larger one is truncated."""
+    rows = _npy_edge_table(n_rows, n_cols)
+    bigger = np.ones((n_rows + 7, n_cols))
+    target = tmp_path / "table.npy"
+    runner._write_csv([(str(target), bigger), (str(target), rows),
+                       (str(tmp_path / "again.npy"), rows)])
+    saved = io.BytesIO()
+    np.save(saved, rows)
+    assert target.read_bytes() == saved.getvalue()
+    assert (tmp_path / "again.npy").read_bytes() == saved.getvalue()
+
+
+def test_a_short_write_of_a_table_is_finished(tmp_path, monkeypatch):
+    """A writev that takes only the first 50 bytes leaves _write_csv to
+    write the rest in order: the file is still np.save's bytes."""
+    rows = _npy_edge_table(1001, 11)
+    monkeypatch.setattr(os, "writev", lambda fd, parts: os.write(fd, bytes(parts[0])[:50]))
+    runner._write_csv([(str(tmp_path / "table.npy"), rows)])
+    saved = io.BytesIO()
+    np.save(saved, rows)
+    assert (tmp_path / "table.npy").read_bytes() == saved.getvalue()
 
 
 def assert_exports_as_the_loop(rows) -> None:
