@@ -18,7 +18,6 @@ runner's blocks collect.
 """
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from functools import cached_property
 from typing import Optional, Sequence, Union
 
@@ -288,20 +287,6 @@ def hitting_time(norms: np.ndarray, times: np.ndarray, r: float) -> list:
 # -- Gronwall bound process and comparison envelope -------------------
 
 
-@dataclass(frozen=True)
-class InequalityVerdict:
-    """Outcome of a pathwise inequality check with a dt-dependent tolerance."""
-
-    n_checked: int
-    n_violations: int
-    n_excluded: int
-    tol: float
-
-    @property
-    def violation_fraction(self) -> float:
-        return self.n_violations / max(self.n_checked, 1)
-
-
 def damping(times: np.ndarray, g: np.ndarray) -> np.ndarray:
     """G, the trapezoidal integral of the rate g = n^2 + K2 + K6 on a uniform
     grid, one value per grid time, from 0 to each grid time."""
@@ -314,7 +299,9 @@ def bound_process_X(forms: PathForms, eps: float, k1: np.ndarray, big_g: np.ndar
 
     k1 holds K1 and big_g the damping G (see damping) at every grid time.
     Returns (X, verdict): X dominates M * quotient up to a discretization
-    tolerance TOL_COEFF * sqrt(dt), M at the record's delta.
+    tolerance TOL_COEFF * sqrt(dt), M at the record's delta; the verdict is
+    the dict of n_checked, n_violations, n_excluded and tol, as a report
+    would hold it.
     """
     dw, dt = forms.dw, forms.paths.dt
     m = forms.martingale
@@ -332,10 +319,8 @@ def bound_process_X(forms: PathForms, eps: float, k1: np.ndarray, big_g: np.ndar
 
     tol = TOL_COEFF * np.sqrt(dt)
     lhs = m * lam
-    viol = int(np.sum(lhs > x + tol))
-    verdict = InequalityVerdict(
-        n_checked=lhs.size, n_violations=viol, n_excluded=0, tol=tol
-    )
+    verdict = {"n_checked": lhs.size, "n_violations": int(np.sum(lhs > x + tol)),
+               "n_excluded": 0, "tol": float(tol)}
     return x, verdict
 
 
@@ -350,7 +335,8 @@ def comparison_envelope(forms: PathForms, tau_index: int, eps: float, big_g: np.
     Valid when the commutator certificate holds with a vanishing constant
     term.  Steps with |<tilde_A u, u>| below FORM_FLOOR are excluded from
     the verdict and counted; they, and the steps before tau, add nothing to
-    the envelope's exponent.
+    the envelope's exponent.  Returns (envelope, verdict), the verdict a
+    dict as bound_process_X's.
     """
     dw, dt = forms.dw, forms.paths.dt
     s = envelope_series(forms, eps, big_g)
@@ -372,10 +358,8 @@ def comparison_envelope(forms: PathForms, tau_index: int, eps: float, big_g: np.
     window = excluded[..., tau_index:]
     usable = ~window
     viol = int(np.sum(s[..., tau_index:][usable] > env[..., tau_index:][usable] + tol))
-    verdict = InequalityVerdict(
-        n_checked=int(np.sum(usable)), n_violations=viol,
-        n_excluded=int(np.sum(window)), tol=tol,
-    )
+    verdict = {"n_checked": int(np.sum(usable)), "n_violations": viol,
+               "n_excluded": int(np.sum(window)), "tol": float(tol)}
     return env, verdict
 
 
@@ -424,60 +408,23 @@ def galerkin_gaps(forms: PathForms, basis: SpectralBasis, eps: float,
 # -- spectral-limit reporting -----------------------------------------
 
 
-@dataclass
-class PathVerdict:
-    settled: bool
-    lambda_estimate: float
-    matched_eigenvalue: Optional[float]
-    gap: Optional[float]
-    residual_final: Optional[float]
-    window_std: float
-
-
-@dataclass
-class SpectralLimitReport:
-    """Per-path eigenvalue matching of the long-time quotient."""
-
-    eigenvalues: np.ndarray
-    paths: list
-    settle_tol: float
-
-    @property
-    def n_settled(self) -> int:
-        return sum(p.settled for p in self.paths)
-
-    def histogram(self) -> dict:
-        counts: dict = {}
-        for p in self.paths:
-            if p.settled and p.matched_eigenvalue is not None:
-                key = float(p.matched_eigenvalue)
-                counts[key] = counts.get(key, 0) + 1
-        return counts
-
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "settle_tol": self.settle_tol,
-            "n_paths": len(self.paths),
-            "n_settled": self.n_settled,
-            "histogram": {str(k): v for k, v in self.histogram().items()},
-            "paths": [asdict(p) for p in self.paths],
-        }
-
-
 def spectral_limit_report(
     quotients: np.ndarray,
     final_states: np.ndarray,
     tilde_sym: np.ndarray,
     eigenvalues: np.ndarray,
-) -> SpectralLimitReport:
-    """Match the final-window quotient of each path to the spectrum.
+) -> dict:
+    """Match the final-window quotient of each path to the spectrum: the
+    spectral-limit section of a report.
 
     quotients has shape (P, J+1); a path settles when the standard deviation
     over its final SETTLE_WINDOW is below settle_tol, 10% of the smallest
     gap between distinct eigenvalues, or 0.1 for a single one.  Eigenvalues
     closer than 1e-9 max(1, max|lambda|) count as one: the solver splits a
-    repeated eigenvalue by rounding.
+    repeated eigenvalue by rounding.  Each path's entry holds its estimate,
+    the window's standard deviation and, once settled, the nearest
+    eigenvalue, the gap to it and the final state's eigen-residual; the
+    histogram counts the settled paths per matched eigenvalue.
     """
     quotients = np.atleast_2d(np.asarray(quotients, dtype=float))
     final_states = np.atleast_2d(np.asarray(final_states, dtype=float))
@@ -493,19 +440,29 @@ def spectral_limit_report(
     nearest = eigenvalues[np.argmin(np.abs(eigenvalues - ests[:, None]), axis=-1)]
     residuals = eigen_residual(final_states.T, (final_states @ tilde_sym.T).T, nearest)
     stds = np.std(window, axis=-1)
-    paths = []
-    for p in range(quotients.shape[0]):
-        est = float(ests[p])
-        std = float(stds[p])
+    paths, histogram = [], {}
+    for est, std, matched, res in zip(ests.tolist(), stds.tolist(), nearest.tolist(),
+                                      residuals.tolist()):
         settled = std < settle_tol
         if settled:
-            matched = float(nearest[p])
-            gap = abs(est - matched)
-            res = None if np.isnan(residuals[p]) else float(residuals[p])
-        else:
-            matched, gap, res = None, None, None
-        paths.append(PathVerdict(settled, est, matched, gap, res, std))
-    return SpectralLimitReport(eigenvalues=eigenvalues, paths=paths, settle_tol=settle_tol)
+            key = str(matched)
+            histogram[key] = histogram.get(key, 0) + 1
+        paths.append({
+            "settled": settled,
+            "lambda_estimate": est,
+            "matched_eigenvalue": matched if settled else None,
+            "gap": abs(est - matched) if settled else None,
+            "residual_final": res if settled and not np.isnan(res) else None,
+            "window_std": std,
+        })
+    return {
+        "eigenvalues": eigenvalues.tolist(),
+        "settle_tol": settle_tol,
+        "n_paths": len(paths),
+        "n_settled": sum(p["settled"] for p in paths),
+        "histogram": histogram,
+        "paths": paths,
+    }
 
 
 def backward_probe(norms: np.ndarray) -> dict:

@@ -314,7 +314,8 @@ def strong_convergence(
     lev = 0..levels-1.  Returns the scheme, those coarse steps, the mean
     over paths of |u_coarse(T) - u_fine(T)| per step, and the least-squares
     slope of log error against log step.  Raises BlowUpError if any path
-    blows up.
+    blows up, and ValueError if a mean error is not positive and finite, as
+    on a zero start.
     """
     if levels < 2:
         raise ValueError(f"levels must be at least 2 to fit a slope, got {levels}")
@@ -333,6 +334,10 @@ def strong_convergence(
     dts = [float(fine[factor] - fine[0]) for factor in factors[1:]]
     mean_errors = [float(np.mean(np.linalg.norm(final - finals[0], axis=-1)))
                    for final in finals[1:]]
+    for step, err in zip(dts, mean_errors):
+        if not 0.0 < err < np.inf:  # log err would be -inf or NaN
+            raise ValueError(f"the mean strong error at step {step:g} is {err}; "
+                             "a slope needs positive, finite errors")
     slope = float(np.polyfit(np.log(dts), np.log(mean_errors), 1)[0])
     return {"scheme": scheme, "dts": dts, "mean_errors": mean_errors, "slope": slope}
 

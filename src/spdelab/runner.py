@@ -163,8 +163,10 @@ class ExperimentConfig:
             ) from None
         if self.paths < 1:
             raise ConfigError("config key 'paths' must be >= 1")
-        if self.master_seed < 0:
-            raise ConfigError("config key 'master_seed' must be >= 0")
+        if not 0 <= self.master_seed < 2**64:  # the Philox key word is 64 bits
+            raise ConfigError(
+                f"config key 'master_seed' must lie in [0, 2**64), got {self.master_seed}"
+            )
         if any(r < 0 for r in self.r_list):
             raise ConfigError("config key 'r_list' must be nonnegative")
         if self.r_list and self.kind not in _PROBE_KINDS:
@@ -498,8 +500,7 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         tilde_sym = ens.segments.segments[0].tilde_sym
         tilde_sym = tilde_sym[0] if tilde_sym.ndim == 3 else tilde_sym
         eigs, _ = spectrum(tilde_sym)
-        slr = diag.spectral_limit_report(quots, finals, tilde_sym, eigs)
-        report["spectral_limit"] = slr.to_dict()
+        report["spectral_limit"] = diag.spectral_limit_report(quots, finals, tilde_sym, eigs)
 
     if cfg.kind in _PROBE_KINDS:
         report["backward_probe"] = diag.backward_probe(norms)

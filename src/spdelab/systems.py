@@ -424,27 +424,19 @@ class NSEGeometry:
         c.reshape(lead + (-1,))[..., self._at] = w
         return self._ex @ (c @ self._ey).reshape(lead + (-1, self.grid))
 
-    def _coefficients(self, f: np.ndarray, at: np.ndarray) -> np.ndarray:
-        """Scalar fields (..., G, G) -> their real coefficient grids read at `at`,
-        (..., N): the transpose of _fields."""
-        d = (self._ex.T @ f).reshape(f.shape[:-2] + (self.mpd + 1, -1))
-        return (d @ self._ey.T).reshape(f.shape[:-2] + (-1,))[..., at]
-
     def _divergence(self, products: np.ndarray, coef: np.ndarray) -> np.ndarray:
         """Amplitudes (..., N) of the Leray-projected sum over k of d_j(g_k), for
-        scalar products g (..., K, G, G) whose k-th enters with coef[..., k, :]."""
-        return np.sum(self._coefficients(products, self._at_swapped) * coef, axis=-2)
+        scalar products g (..., K, G, G) whose k-th enters with coef[..., k, :]:
+        their real coefficient grids, the transpose of _fields, are read at the
+        swapped places."""
+        lead = products.shape[:-2]
+        d = (self._ex.T @ products).reshape(lead + (self.mpd + 1, -1))
+        c = (d @ self._ey.T).reshape(lead + (-1,))[..., self._at_swapped]
+        return np.sum(c * coef, axis=-2)
 
     def synthesis(self, u: np.ndarray) -> np.ndarray:
         """Amplitudes (..., N) -> velocity fields (..., 2, G, G) on the G x G grid."""
         return self._fields(np.asarray(u, dtype=float)[..., None, :] * self._weights)
-
-    def analysis(self, f: np.ndarray) -> np.ndarray:
-        """Velocity fields (..., 2, G, G) -> amplitudes (..., N) of their Leray
-        projection: the synthesis transposed times the cell area, as the basis is
-        orthonormal and the grid sum exact on products of resolved modes."""
-        c = self._coefficients(f, self._at)
-        return np.sum(c * self._weights, axis=-2) * (2.0 * np.pi / self.grid) ** 2
 
     def bilinear_pair(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Projected (x . grad) v and (v . grad) x of batches (..., N) of one
@@ -468,9 +460,9 @@ class NSEGeometry:
 
 #: transform scratch one block of witness samples may take: a sample is one row of
 #: bilinear_pair, which holds x's and v's two velocity components, their four
-#: products and the analysis scratch: up to about 24 float G x G arrays (a block
-#: of one sample on the smallest grid, G = 8), falling to about 12 as the block
-#: and the grid grow
+#: products and the coefficient grids _divergence reads them into: up to about
+#: 24 float G x G arrays (a block of one sample on the smallest grid, G = 8),
+#: falling to about 12 as the block and the grid grow
 WITNESS_BLOCK_BYTES = 2 * 2**20
 
 #: the sampled pairs (x, v) behind nse-2d's witness, and the seed they are drawn from

@@ -69,16 +69,16 @@ def test_acceptance_1_spectral_limit_oracle(u0, target):
     rep = diag.spectral_limit_report(
         quots, finals, tilde_sym, np.array([1.0, 4.0, 9.0])
     )
-    gaps = [p.gap for p in rep.paths if p.settled]
+    gaps = [p["gap"] for p in rep["paths"] if p["settled"]]
     matched = all(
-        p.matched_eigenvalue == target and p.gap < 1e-2
-        for p in rep.paths if p.settled
+        p["matched_eigenvalue"] == target and p["gap"] < 1e-2
+        for p in rep["paths"] if p["settled"]
     )
-    ok = rep.n_settled == 200 and matched
+    ok = rep["n_settled"] == 200 and matched
     _verdict(
         "1-spectral-limit-oracle",
         ok,
-        f"u0={u0}: {rep.n_settled}/200 settled, target {target}, "
+        f"u0={u0}: {rep['n_settled']}/200 settled, target {target}, "
         f"max gap {max(gaps, default=float('nan')):.2e}",
     )
 
@@ -95,10 +95,10 @@ def test_acceptance_2_eigenvalue_membership():
     tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
     eigs, _ = spectrum(tilde_sym)
     rep = diag.spectral_limit_report(quots, finals, tilde_sym, eigs.real)
-    settled = [p for p in rep.paths if p.settled]
+    settled = [p for p in rep["paths"] if p["settled"]]
     good = [
         p for p in settled
-        if p.gap is not None and p.gap < 5e-2 and p.residual_final < 0.1
+        if p["gap"] is not None and p["gap"] < 5e-2 and p["residual_final"] < 0.1
     ]
     frac = len(good) / max(len(settled), 1)
     ok = len(settled) > 0 and frac >= 0.95
@@ -181,8 +181,8 @@ def _gronwall_rate(dt: float) -> float:
         traj = integrate(sys, "euler-maruyama", grid, seed=505, stream_id=p)
         _, verdict = diag.bound_process_X(diag.PathForms(traj, 1e-8), 1e-8,
                                           np.zeros(len(grid)), np.zeros(len(grid)))
-        checked += verdict.n_checked
-        violations += verdict.n_violations
+        checked += verdict["n_checked"]
+        violations += verdict["n_violations"]
     return violations / checked
 
 
@@ -211,8 +211,8 @@ def _envelope_rate(dt: float) -> float:
         traj = integrate(sys, "euler-maruyama", grid, seed=606, stream_id=p)
         _, verdict = diag.comparison_envelope(diag.PathForms(traj, 1e-8), 0, 1e-8,
                                               np.zeros(len(grid)))
-        checked += verdict.n_checked
-        violations += verdict.n_violations
+        checked += verdict["n_checked"]
+        violations += verdict["n_violations"]
     return violations / checked
 
 
@@ -416,9 +416,9 @@ def test_acceptance_12_nse_spectral_limit(shells):
     margin = diag.backward_probe(np.sqrt(forms.sq))["margin"]
     target = min(shells) - 0.3**2
     force = float(np.linalg.norm(sys.ops.F(0.0, u0)))
-    settled = [p for p in rep.paths if p.settled]
+    settled = [p for p in rep["paths"] if p["settled"]]
     matched = [p for p in settled
-               if abs(p.matched_eigenvalue - target) < 1e-12 and p.residual_final < 1e-2]
+               if abs(p["matched_eigenvalue"] - target) < 1e-12 and p["residual_final"] < 1e-2]
     frac = len(matched) / max(len(settled), 1)
     moved = force < 1e-12 if shells == (1,) else force > 0.1
     ok = len(settled) > 0 and frac >= 0.95 and margin > 0.0 and moved

@@ -1,4 +1,5 @@
 """Pathwise functionals: quotients, martingale, bounds, gaps, kernels."""
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -151,7 +152,7 @@ def test_bound_process_deterministic_flow():
     x, verdict = diag.bound_process_X(forms, 1e-8, zero, zero)
     lam = diag.quotient_series(forms, 1e-8)
     assert np.allclose(x, x[0, 0])
-    assert verdict.n_violations == 0
+    assert verdict["n_violations"] == 0
     assert np.all(np.diff(lam) <= 1e-12)
 
 
@@ -160,7 +161,7 @@ def test_bound_process_with_noise_mostly_holds():
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-4), seed=7)
     zero = np.zeros(len(traj.times))
     _, verdict = diag.bound_process_X(diag.PathForms(traj, 1e-8), 1e-8, zero, zero)
-    assert verdict.violation_fraction <= 0.01
+    assert verdict["n_violations"] / verdict["n_checked"] <= 0.01
 
 
 def test_envelope_on_diagonal_oracle():
@@ -168,9 +169,23 @@ def test_envelope_on_diagonal_oracle():
     traj = integrate(sys, "euler-maruyama", uniform_grid(1.0, 1e-4), seed=11)
     env, verdict = diag.comparison_envelope(diag.PathForms(traj, 1e-8), 0, 1e-8,
                                             np.zeros(len(traj.times)))
-    assert verdict.n_excluded == 0
-    assert verdict.violation_fraction < 0.01
+    assert verdict["n_excluded"] == 0
+    assert verdict["n_violations"] / verdict["n_checked"] < 0.01
     assert np.all(np.isfinite(env))
+
+
+def test_bound_verdicts_are_the_plain_data_a_report_holds():
+    """Each bound check returns its verdict as four counts and a tolerance
+    that json writes as they are."""
+    traj = integrate(diag_system(), "euler-maruyama", uniform_grid(0.5, 1e-3), seed=3)
+    forms = diag.PathForms(traj, 1e-8)
+    zero = np.zeros(len(traj.times))
+    for _, verdict in (diag.bound_process_X(forms, 1e-8, zero, zero),
+                       diag.comparison_envelope(forms, 0, 1e-8, zero)):
+        assert [type(verdict[k]) for k in sorted(verdict)] == [int, int, int, float]
+        assert sorted(verdict) == ["n_checked", "n_excluded", "n_violations", "tol"]
+        assert json.loads(json.dumps(verdict)) == verdict
+        assert verdict["tol"] == diag.TOL_COEFF * np.sqrt(1e-3)
 
 
 def test_hitting_time():
@@ -331,8 +346,8 @@ def test_the_settling_window_std_is_each_paths_own():
     tilde = np.diag([1.0, 4.0, 9.0])
     rep = diag.spectral_limit_report(quots, finals, tilde, np.array([1.0, 4.0, 9.0]))
     w0 = int(np.floor((1.0 - diag.SETTLE_WINDOW) * quots.shape[1]))
-    for p, path in enumerate(rep.paths):
-        assert path.window_std == float(np.std(quots[p, w0:]))
+    for p, path in enumerate(rep["paths"]):
+        assert path["window_std"] == float(np.std(quots[p, w0:]))
 
 
 def test_spectral_limit_report_settled_paths():
@@ -343,11 +358,11 @@ def test_spectral_limit_report_settled_paths():
     finals = np.array([[1.0, 0.0], [1.0, 1.0]])
     tilde = np.diag([1.0, 4.0])
     rep = diag.spectral_limit_report(quots, finals, tilde, np.array([1.0, 4.0]))
-    assert rep.paths[0].settled
-    assert rep.paths[0].matched_eigenvalue == 1.0
-    assert rep.paths[0].gap < 1e-2
-    assert not rep.paths[1].settled
-    assert rep.histogram() == {1.0: 1}
+    assert rep["paths"][0]["settled"]
+    assert rep["paths"][0]["matched_eigenvalue"] == 1.0
+    assert rep["paths"][0]["gap"] < 1e-2
+    assert not rep["paths"][1]["settled"]
+    assert rep["histogram"] == {"1.0": 1}
 
 
 def test_settle_tolerance_counts_a_split_eigenvalue_once():
@@ -356,10 +371,10 @@ def test_settle_tolerance_counts_a_split_eigenvalue_once():
     eigs = np.array([0.0, 1.0, 1.0 + 4e-16, 4.0])
     quots = 1.0 + 1e-6 * np.sin(np.arange(100.0))[None]
     rep = diag.spectral_limit_report(quots, np.ones((1, 4)), np.eye(4), eigs)
-    assert rep.settle_tol == pytest.approx(0.1, rel=1e-12)
-    assert rep.n_settled == 1
+    assert rep["settle_tol"] == pytest.approx(0.1, rel=1e-12)
+    assert rep["n_settled"] == 1
     assert diag.spectral_limit_report(quots, np.ones((1, 4)), np.eye(4),
-                                      np.full(3, 2.0)).settle_tol == 0.1
+                                      np.full(3, 2.0))["settle_tol"] == 0.1
 
 
 def test_backward_probe_positive_and_zero_start():
@@ -594,7 +609,7 @@ def _check_batched_against_loop(family, per_block, n_paths, seed, eps, zero_star
                                        np.log(ref_env / ref_env[tau]), rtol=1e-10,
                                        atol=_LOG_RATIO_ATOL)
         counts += ref_counts
-    assert (verdict.n_checked, verdict.n_violations, verdict.n_excluded) == tuple(counts)
+    assert (verdict["n_checked"], verdict["n_violations"], verdict["n_excluded"]) == tuple(counts)
 
 
 @settings(max_examples=15, deadline=None)

@@ -12,6 +12,7 @@ import textwrap
 import tempfile
 import threading
 import tracemalloc
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +24,13 @@ from spdelab import runner
 from spdelab.assumptions import check_all, check_commutator_bound, k6_table
 from spdelab.brownian import GridError, uniform_grid
 from spdelab.cli import main
-from spdelab.operators import MatrixPath, OperatorSegments
+from spdelab.operators import (
+    MatrixPath,
+    OperatorSegments,
+    assemble_tilde_A,
+    spectrum,
+    sym,
+)
 from spdelab.runner import (
     ConfigError,
     ExperimentConfig,
@@ -236,6 +243,23 @@ def test_run_writes_expected_layout(tmp_path):
     }
     assert np.load(os.path.join(root, "diagnostics/0.npy")).shape == (51, 11)
     assert np.load(os.path.join(root, "paths/0.npy")).shape == (51, 3)
+
+
+def test_the_spectral_section_is_the_report_of_the_runs_quotients(tmp_path):
+    """report.json's spectral_limit section is spectral_limit_report of the
+    run's quotient columns and final states, as it is returned."""
+    cfg = load_config(minimal_config(tmp_path, paths=3, write_paths=True))
+    root = run(cfg).run_dir
+    tables = [np.load(os.path.join(root, f"diagnostics/{p}.npy")) for p in range(3)]
+    quots = np.stack([t[:, runner.DIAG_COLUMNS.index("quotient")] for t in tables])
+    finals = np.stack([np.load(os.path.join(root, f"paths/{p}.npy"))[-1, 1:]
+                       for p in range(3)])
+    tilde_sym = sym(assemble_tilde_A(build_system(cfg).ops, 0.0))
+    with open(os.path.join(root, "report.json")) as fh:
+        section = json.load(fh)["spectral_limit"]
+    assert diag.spectral_limit_report(quots, finals, tilde_sym,
+                                      spectrum(tilde_sym)[0]) == section
+    assert sum(section["histogram"].values()) == section["n_settled"] > 0
 
 
 def test_each_diagnostics_block_applies_each_operator_once(tmp_path, monkeypatch):
@@ -789,6 +813,16 @@ def test_a_master_seed_of_2_63_or_more_keys_its_own_streams(tmp_path):
     assert not set(runs[0]) & set(runs[1])
 
 
+def test_a_master_seed_of_2_64_or_more_exits_2(tmp_path, capsys):
+    """The Philox key word is 64 bits, so 2**64 would alias seed 0: it is
+    rejected, and the largest seed below it runs."""
+    assert main(["simulate", "--config", minimal_config(tmp_path, master_seed=2**64)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: config key 'master_seed'") and err.count("\n") == 1
+    assert not os.path.exists(tmp_path / "out")
+    assert main(["simulate", "--config", minimal_config(tmp_path, master_seed=2**64 - 1)]) == 0
+
+
 def test_report_summary(tmp_path):
     cfg = load_config(minimal_config(tmp_path))
     manifest = run(cfg)
@@ -910,6 +944,19 @@ def test_cli_convergence_blow_up_exits_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: trajectory blew up at t=")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_cli_convergence_on_a_zero_start_exits_2(tmp_path, capsys):
+    """A zero start has zero error at every step, which has no log: exit 2
+    naming the step, with nothing on stdout and no warning."""
+    path = minimal_config(tmp_path, system={"name": "diagonal"}, u0=[0, 0, 0], paths=4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["convergence", "--scheme", "milstein", "--config", path]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("error: the mean strong error at step 0.01 is 0.0; "
+                   "a slope needs positive, finite errors\n")
 
 
 def test_cli_run_rejects_a_config_of_another_kind(tmp_path, capsys):

@@ -316,8 +316,7 @@ def _assert_rows_close(actual, desired):
 
 @pytest.mark.parametrize("mpd", [1, 2, 3, 4, 5])
 def test_nse_transforms_match_per_wavevector_loop(mpd):
-    """synthesis against the loop's coefficients through ifft2, analysis against
-    fft2 read by the loop, field by field."""
+    """synthesis against the loop's coefficients through ifft2, field by field."""
     geom = NSEGeometry(mpd)
     g = geom.grid
     rng = np.random.default_rng(mpd)
@@ -328,14 +327,6 @@ def test_nse_transforms_match_per_wavevector_loop(mpd):
     ref = np.array([np.fft.ifft2(_loop_to_fourier(geom, u[i]), axes=(1, 2)).real * g * g
                     for i in idx])
     _assert_rows_close(fields.reshape(3, 2, 2, -1), ref.reshape(3, 2, 2, -1))
-    f = rng.standard_normal(fields.shape)
-    back = geom.analysis(f)
-    assert back.shape == u.shape
-    ref = np.array([_loop_from_fourier(geom, np.fft.fft2(f[i], axes=(1, 2)) / (g * g))
-                    for i in idx])
-    _assert_rows_close(back, ref.reshape(u.shape))
-    # amplitudes survive the round trip
-    np.testing.assert_allclose(geom.analysis(fields), u, rtol=1e-12, atol=1e-14)
 
 
 @pytest.mark.parametrize("mpd", [1, 2, 3, 4, 5, 16])
