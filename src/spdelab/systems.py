@@ -355,6 +355,8 @@ class NSEGeometry:
     are nondecreasing.  Every transform takes a batch of states: leading
     axes are carried through, the last axis is the basis index.  A field is
     2 Re(Ex @ C @ Ey), Ex = e^{i m1 x} (0 <= m1 <= M), Ey = e^{i m2 y} (|m2| <= M).
+    A velocity u is synthesized as one complex field z = u_x + i u_y, its two
+    components interleaved, so each stage is one real matrix product.
 
     The advection form is computed in divergence form,
     P[(x . grad) v] = P[div(x (x) v)], whose component i is sum_j d_j(x_j v_i):
@@ -366,6 +368,12 @@ class NSEGeometry:
       - a product of two resolved modes aliases on the G x G grid onto no
         resolved mode, so the grid sums are the exact Galerkin integrals;
       - d_j commutes with the projection onto resolved Fourier modes.
+    The coefficient of x_j v_i is -m_j perp_i, and m_y perp_y = -m_x perp_x,
+    so the products enter only as Re a = x_x v_x - x_y v_y, Im a and Im b, for
+    a = z_x z_v and b = conj(z_x) z_v: with x = v = u, b is real, and
+    P[(u . grad) u] reads the two real fields of the one complex square z^2.
+    So `advection` takes one synthesis of z and two analyses, and
+    `bilinear_pair` two syntheses and three analyses.
     """
 
     def __init__(self, modes_per_dim: int):
@@ -387,83 +395,111 @@ class NSEGeometry:
         # a product of two resolved modes aliases on G points onto no resolved mode
         self.grid = g = max(8, 4 * mm)
         m1, m2 = self.wavevectors.T
+        norm = np.sqrt(self.k2)
         # amplitudes (a, b) of m are the real and minus the imaginary part of
         # its coefficient, at these places of the (M+1) x 2(2M+1) real grid
         flat = m1 * (4 * mm + 2) + m2 + mm
-        self._at = np.stack([flat, flat + 2 * mm + 1], axis=-1).ravel()
-        sign = np.tile([1.0, -1.0], self.n_wave)
-        perp = np.stack([-m2, m1]) / np.sqrt(self.k2)
-        # per velocity component: each amplitude times m_perp, imaginary parts negated
-        self._weights = np.repeat(perp, 2, axis=-1) * sign
+        at = np.stack([flat, flat + 2 * mm + 1], axis=-1).ravel()
+        # each place of the grid gathers its amplitude times m_perp as the complex
+        # u_x + i u_y, imaginary parts negated; a place no mode holds reads 0 x u[0]
+        self._gather = np.zeros((mm + 1) * (4 * mm + 2), dtype=np.intp)
+        self._gather[at] = np.arange(self.dim)
+        self._perp = np.zeros(self._gather.shape, dtype=complex)
+        self._perp[at] = np.repeat((m1 * 1j - m2) / norm, 2) * np.tile([1.0, -1.0], self.n_wave)
         # d/dx_j multiplies the coefficient of m by i m_j, so the analysis of
         # d_j f at the real place of m is -m_j times f's at the imaginary one,
         # and at the imaginary place m_j times f's at the real one: it reads
         # the swapped places, and with the Leray weight of component i and the
-        # cell area the product x_j v_i (index 2j + i) enters amplitude n times
-        # -m_j perp_i |cell|, for the cosine and the sine amplitude alike
-        self._at_swapped = self._at.reshape(-1, 2)[:, ::-1].ravel()
+        # cell area the product x_j v_i enters amplitude n times
+        # -m_j perp_i |cell|, for the cosine and the sine amplitude alike.  In
+        # Re a, Im a and Im b that is alpha, gamma and +-delta below: alpha is
+        # the weight of x_x v_x, and of x_y v_y negated; gamma and delta are the
+        # half sum and half difference of those of x_x v_y and x_y v_x
+        self._at_swapped = at.reshape(-1, 2)[:, ::-1].ravel()
         area = (2.0 * np.pi / g) ** 2
-        coef = np.repeat(-area * self.wavevectors.T[:, None] * perp[None], 2, axis=-1)
-        # rows: (x . grad) v and (v . grad) x, from the products x_j v_i
-        self._coef_pair = np.stack([coef.reshape(4, -1), coef.swapaxes(0, 1).reshape(4, -1)])
-        # (u . grad) u from the products u_x u_x, u_x u_y, u_y u_y
-        self._coef_self = np.stack([coef[0, 0], coef[0, 1] + coef[1, 0], coef[1, 1]])
+        leray = area * np.stack([m1 * m2 / norm, (m2 * m2 - m1 * m1) / (2 * norm), -norm / 2])
+        self._leray = np.repeat(leray, 2, axis=-1)  # (3, N): alpha, gamma, delta
+        # alpha Re c + gamma Im c, as the real part of c (alpha - i gamma)
+        self._leray_z = self._leray[0] - 1j * self._leray[1]
         x = 2.0 * np.pi * np.arange(g) / g
         # real forms of C -> C @ Ey and of D -> 2 Re(Ex @ D), with the basis norm
         ey = np.exp(1j * np.outer(np.arange(-mm, mm + 1), x))
-        self._ey = np.block([[ey.real, ey.imag], [-ey.imag, ey.real]])
+        ey = np.block([[ey.real, ey.imag], [-ey.imag, ey.real]])
         self._ex = np.exp(-1j * np.outer(x, np.arange(mm + 1))).view(float) / (np.pi * 2**0.5)
+        # C -> C @ Ey on complex entries, their real and imaginary parts
+        # interleaved, and its transpose on real and on complex fields
+        self._synthesize = np.kron(ey, np.eye(2))
+        self._analyse = (ey.T, np.kron(ey.T, np.eye(2)))
 
     def eigenvalues(self) -> np.ndarray:
         return np.repeat(self.k2, 2)
 
-    def _fields(self, w: np.ndarray) -> np.ndarray:
-        """Real fields (..., G, G) of weighted amplitudes (..., N)."""
-        lead = w.shape[:-1]
-        c = np.zeros(lead + (self.mpd + 1, self._ey.shape[0]))
-        c.reshape(lead + (-1,))[..., self._at] = w
-        return self._ex @ (c @ self._ey).reshape(lead + (-1, self.grid))
+    def _velocity(self, u) -> np.ndarray:
+        """Complex velocity fields z = u_x + i u_y (..., G, G) of amplitudes (..., N)."""
+        u = np.asarray(u, dtype=float)
+        c = u.take(self._gather, axis=-1) * self._perp
+        d = c.view(float).reshape(-1, self._synthesize.shape[0]) @ self._synthesize
+        return (self._ex @ d.reshape(u.shape[:-1] + (self._ex.shape[1], -1))).view(complex)
 
-    def _divergence(self, products: np.ndarray, coef: np.ndarray) -> np.ndarray:
-        """Amplitudes (..., N) of the Leray-projected sum over k of d_j(g_k), for
-        scalar products g (..., K, G, G) whose k-th enters with coef[..., k, :]:
-        their real coefficient grids, the transpose of _fields, are read at the
-        swapped places."""
-        lead = products.shape[:-2]
-        d = (self._ex.T @ products).reshape(lead + (self.mpd + 1, -1))
-        c = (d @ self._ey.T).reshape(lead + (-1,))[..., self._at_swapped]
-        return np.sum(c * coef, axis=-2)
+    def _analysis(self, f: np.ndarray) -> np.ndarray:
+        """Coefficients (..., N) of d_j f at each amplitude before its Leray
+        weight, for real or complex fields f (..., G, G): their coefficient
+        grids, the transpose of the synthesis, read at the swapped places.  A
+        complex field's real and imaginary parts are analysed apart, as the
+        real and imaginary parts of its coefficients."""
+        k = f.itemsize // 8  # fields per grid point: float64 1, complex128 2
+        d = (self._ex.T @ f.view(float)).reshape(-1, 2 * k * self.grid) @ self._analyse[k - 1]
+        return d.view(f.dtype).reshape(f.shape[:-2] + (-1,)).take(self._at_swapped, axis=-1)
 
     def synthesis(self, u: np.ndarray) -> np.ndarray:
-        """Amplitudes (..., N) -> velocity fields (..., 2, G, G) on the G x G grid."""
-        return self._fields(np.asarray(u, dtype=float)[..., None, :] * self._weights)
+        """Amplitudes (..., N) -> velocity fields (..., 2, G, G) on the G x G grid:
+        a view of the real and imaginary parts of z."""
+        z = self._velocity(u)
+        return np.moveaxis(z.view(float).reshape(z.shape + (2,)), -1, -3)
 
     def bilinear_pair(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Projected (x . grad) v and (v . grad) x of batches (..., N) of one
-        shape, stacked as (..., 2, N), both from the four products x_j v_i."""
-        f = self.synthesis(np.stack([x, v], axis=-2))  # (..., 2, 2, G, G)
-        prods = f[..., 0, :, None, :, :] * f[..., 1, None, :, :, :]
-        # x_j v_i at index 2j + i, on a unit axis that meets the two rows of coef
-        lead = prods.shape[:-4]
-        return self._divergence(prods.reshape(lead + (1, 4) + prods.shape[-2:]),
-                                self._coef_pair)
+        shape, stacked as (..., 2, N): alpha Re a + gamma Im a +- delta Im b,
+        from the three analyses of a = z_x z_v and of Im b, b = conj(z_x) z_v."""
+        alpha, gamma, delta = self._leray
+        re_a, im_a, im_b = self._analysis(self._pair_fields(x, v))
+        common = re_a * alpha + im_a * gamma
+        im_b *= delta
+        return np.stack([common + im_b, common - im_b], axis=-2)
+
+    def _pair_fields(self, x: np.ndarray, v: np.ndarray) -> np.ndarray:
+        """Re a, Im a and Im b (3, ..., G, G) of batches x and v, in a call of
+        their own so that z and a are freed before the analyses.  z_x and z_v
+        are whole planes of one synthesis, so the complex products read
+        contiguous operands: a ufunc would copy strided ones through its
+        buffer, which counts against the witness's block budget."""
+        zx, zv = self._velocity(np.stack([x, v]))
+        f = np.empty((3,) + zx.shape)
+        a = zx * zv
+        f[0], f[1] = a.real, a.imag
+        np.multiply(np.conj(zx, out=a), zv, out=a)
+        f[2] = a.imag
+        return f
 
     def advection(self, u: np.ndarray) -> np.ndarray:
-        """Leray-projected (u . grad) u of a batch (..., N) of states, from the
-        three products u_x u_x, u_x u_y and u_y u_y."""
-        f = self.synthesis(u)
-        uu = np.empty(f.shape[:-3] + (3,) + f.shape[-2:])
-        np.multiply(f[..., :1, :, :], f, out=uu[..., :2, :, :])
-        np.multiply(f[..., 1, :, :], f[..., 1, :, :], out=uu[..., 2, :, :])
-        return self._divergence(uu, self._coef_self)
+        """Leray-projected (u . grad) u of a batch (..., N) of states: alpha Re z^2
+        + gamma Im z^2, from the two analyses of the complex square of z."""
+        z = self._velocity(u)
+        z *= z
+        c = self._analysis(z)
+        c *= self._leray_z
+        return c.real
 
 
-#: transform scratch one block of witness samples may take: a sample is one row of
-#: bilinear_pair, which holds x's and v's two velocity components, their four
-#: products and the coefficient grids _divergence reads them into: up to about
-#: 24 float G x G arrays (a block of one sample on the smallest grid, G = 8),
-#: falling to about 12 as the block and the grid grow
-WITNESS_BLOCK_BYTES = 2 * 2**20
+#: transform scratch one block of witness samples may take.  A sample is one row of
+#: bilinear_pair, which holds z_x and z_v (four float G x G arrays), a = z_x z_v (two),
+#: Re a, Im a and Im b (three) and the smaller coefficient grids of its two syntheses
+#: and three analyses: about 12 float G x G arrays for one sample on the smallest
+#: grid (G = 8), falling to 9 as the block and the grid grow.  Blocks this small
+#: reuse memory the allocator already holds: the temporaries of 2 MiB blocks are
+#: returned to the system and faulted in afresh block after block (about 770
+#: minor page faults in make_nse_2d(4), against about 65)
+WITNESS_BLOCK_BYTES = 512 * 2**10
 
 #: the sampled pairs (x, v) behind nse-2d's witness, and the seed they are drawn from
 WITNESS_SAMPLES = 200
@@ -497,11 +533,11 @@ def make_nse_2d(
 
     # sample the quadratic-growth constant of the advection form; sample s
     # is the pair (x, v) = xv[s], in blocks, and both orders (x . grad) v and
-    # (v . grad) x come from one set of its four products x_j v_i
+    # (v . grad) x come from one set of its three fields Re a, Im a and Im b
     rng = np.random.Generator(np.random.Philox(key=[WITNESS_SEED, 0x25E]))
     xv = rng.standard_normal((WITNESS_SAMPLES, 2, geom.dim))
     x, v = xv[:, 0], xv[:, 1]
-    per_block = max(1, WITNESS_BLOCK_BYTES // (24 * 8 * geom.grid**2))
+    per_block = max(1, WITNESS_BLOCK_BYTES // (12 * 8 * geom.grid**2))
     num = np.empty(WITNESS_SAMPLES)
     for lo in range(0, WITNESS_SAMPLES, per_block):
         block = slice(lo, lo + per_block)

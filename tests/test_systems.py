@@ -356,10 +356,21 @@ def _batches(geom, seed):
 
 @pytest.mark.parametrize("mpd", [2, 4, 16])
 def test_nse_advection_is_bilinear_on_the_diagonal(mpd):
-    """advection's three products and bilinear's four give one form, row by row."""
+    """advection's complex square and bilinear's three fields give one form, row by row."""
     geom = NSEGeometry(mpd)
     for x, _ in _batches(geom, 20 + mpd):
         _assert_rows_close(geom.advection(x), geom.bilinear_pair(x, x)[..., 0, :])
+
+
+@pytest.mark.parametrize("mpd", [2, 4, 16])
+def test_nse_bilinear_pair_polarizes_advection(mpd):
+    """B(x, v) + B(v, x) = A(x + v) - A(x) - A(v), row by row: bilinear_pair's
+    products z_x z_v and conj(z_x) z_v against advection's one square z^2."""
+    geom = NSEGeometry(mpd)
+    for x, v in _batches(geom, 50 + mpd):
+        pair = geom.bilinear_pair(x, v)
+        _assert_rows_close(pair[..., 0, :] + pair[..., 1, :],
+                           geom.advection(x + v) - geom.advection(x) - geom.advection(v))
 
 
 @pytest.mark.parametrize("mpd", [2, 4, 16])
@@ -398,9 +409,10 @@ def test_nse_f_hook_is_batched_advection():
     np.testing.assert_array_equal(sys.ops.F(0.0, u), NSEGeometry(2).advection(u))
 
 
-@pytest.mark.parametrize("mpd, viscosity", [(2, 1.0), (4, 0.5)])
+@pytest.mark.parametrize("mpd, viscosity", [(2, 1.0), (4, 0.5), (8, 1.0)])
 def test_nse_witness_constant_matches_loop(mpd, viscosity):
-    """k_est from one batched draw equals the per-sample loop's value."""
+    """k_est from one batched draw equals the per-sample loop's value, also at
+    modes_per_dim 8, which the block budget splits into the most blocks of the three."""
     sys = make_system("nse-2d", modes_per_dim=mpd, viscosity=viscosity)
     geom = NSEGeometry(mpd)
     lam = geom.eigenvalues()
