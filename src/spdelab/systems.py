@@ -401,7 +401,8 @@ class NSEGeometry:
         flat = m1 * (4 * mm + 2) + m2 + mm
         at = np.stack([flat, flat + 2 * mm + 1], axis=-1).ravel()
         # each place of the grid gathers its amplitude times m_perp as the complex
-        # u_x + i u_y, imaginary parts negated; a place no mode holds reads 0 x u[0]
+        # m_perp_x + i m_perp_y, the sine amplitudes negated, so the grid is C for
+        # u_x + i u_y at once; a place no mode holds reads 0 x u[0]
         self._gather = np.zeros((mm + 1) * (4 * mm + 2), dtype=np.intp)
         self._gather[at] = np.arange(self.dim)
         self._perp = np.zeros(self._gather.shape, dtype=complex)
