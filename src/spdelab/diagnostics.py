@@ -417,7 +417,8 @@ def spectral_limit_report(
     """Match the final-window quotient of each path to the spectrum: the
     spectral-limit section of a report.
 
-    quotients has shape (P, J+1); a path settles when the standard deviation
+    tilde_sym is sym(Ã) as a matrix, or as a diagonal (N,), which is applied
+    elementwise.  quotients has shape (P, J+1); a path settles when the standard deviation
     over its final SETTLE_WINDOW is below settle_tol, 10% of the smallest
     gap between distinct eigenvalues, or 0.1 for a single one.  Eigenvalues
     closer than 1e-9 max(1, max|lambda|) count as one: the solver splits a
@@ -438,7 +439,8 @@ def spectral_limit_report(
     window = quotients[:, w0:]
     ests = np.mean(window, axis=-1)
     nearest = eigenvalues[np.argmin(np.abs(eigenvalues - ests[:, None]), axis=-1)]
-    residuals = eigen_residual(final_states.T, (final_states @ tilde_sym.T).T, nearest)
+    applied = final_states * tilde_sym if tilde_sym.ndim == 1 else final_states @ tilde_sym.T
+    residuals = eigen_residual(final_states.T, applied.T, nearest)
     stds = np.std(window, axis=-1)
     paths, histogram = [], {}
     for est, std, matched, res in zip(ests.tolist(), stds.tolist(), nearest.tolist(),

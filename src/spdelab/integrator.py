@@ -10,7 +10,8 @@ once per segment of the family's OperatorSegments on its grid, and builds
 the c_m for a block of steps at a time.  No step evaluates a matrix path.
 
 A block of steps is taken in one of two ways.  A diagonal family
-(OperatorFamily.diagonal) holds each G_m as its diagonal g_m; without an F
+(OperatorFamily.diagonal) holds each G_m as its diagonal g_m, as its segments
+hold their operators; without an F
 each step multiplies the state by sum_m c_m g_m, so the whole block is one
 elementwise scan, O(N) per path and step, on contiguous step x path planes,
 one per coordinate: the c_m are held as planes (M, S, P) and the multipliers
@@ -107,11 +108,6 @@ def _stacks(segs: OperatorSegments, scheme: str, F, dt: float):
     lag = int(scheme == "drift-implicit")
     diagonal = segs.diagonal
     rank = 2 - diagonal
-
-    def read(m, lo, hi):
-        m = _take(m, lo, hi)
-        return np.diagonal(m, axis1=-2, axis2=-1) if diagonal else m
-
     times, edges = segs.times, segs.edges
     cuts = sorted({min(max(e - d, 0), len(times) - 1) for e in edges for d in (0, lag)})
     held = None
@@ -119,11 +115,11 @@ def _stacks(segs: OperatorSegments, scheme: str, F, dt: float):
         p, q = np.searchsorted(edges, [lo, lo + lag], side="right") - 1
         if q != held:
             held, first = q, max(edges[q], lag)
-            drift = read(segs.segments[q].drift, first - edges[q], None)
+            drift = _take(segs.segments[q].drift, first - edges[q], None, rank)
             if lag:
                 drift = _implicit_inverse(drift, dt, times[first - lag:edges[q + 1] - lag],
                                           diagonal)
-        bs = [read(b, lo - edges[p], hi - edges[p]) for b in segs.segments[p].Bs]
+        bs = [_take(b, lo - edges[p], hi - edges[p], rank) for b in segs.segments[p].Bs]
         d = _take(drift, lo + lag - first, hi + lag - first, rank)
         mats = _stack(scheme, F, d, bs, dt, diagonal)
         # a segment's one entry serves each of its steps

@@ -6,7 +6,7 @@ statements reduce to eigenvalue statements about symmetrized matrices.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -30,9 +30,12 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
     return out[np.concatenate(([True], out[1:] != out[:-1]))]
 
 
-def _diagonals(m: np.ndarray) -> np.ndarray:
-    """The diagonal of a matrix, or of each matrix of a stack, as a view."""
-    return np.diagonal(m, axis1=-2, axis2=-1)
+def _diagonal_matrices(d: np.ndarray) -> np.ndarray:
+    """The matrix of a diagonal (N,), or of each diagonal of a stack (..., N),
+    with +0.0 off the diagonal, as np.diag builds it."""
+    out = np.zeros(d.shape + d.shape[-1:])
+    np.einsum("...ii->...i", out)[...] = d
+    return out
 
 
 #: a noise commutator counts as zero below this times the squared norm of its operators
@@ -71,6 +74,10 @@ class MatrixPath:
     Either a constant matrix, or a stack of matrices over a uniform time
     grid with a declared interpolation rule ("constant" holds the value of
     the left grid point; "linear" interpolates entrywise).
+
+    A diagonal path is given by its diagonals alone, (N,) or (n_times, N),
+    and holds them: `diagonal` says so, `values` and `at` give diagonals,
+    and dense() is the one view that gives its matrices.
     """
 
     def __init__(
@@ -80,28 +87,30 @@ class MatrixPath:
         interpolation: str = "constant",
     ) -> None:
         values = np.asarray(values, dtype=float)
+        # the rank of one value: 1 for a diagonal, 2 for a matrix
+        rank = values.ndim - (time_grid is not None)
+        if rank not in (1, 2) or rank == 2 and values.shape[-1] != values.shape[-2]:
+            raise ValueError(
+                "values must be one square matrix or diagonal, or a stack of them "
+                f"over the time grid, got {values.shape}"
+            )
         if time_grid is None:
-            if values.ndim != 2 or values.shape[0] != values.shape[1]:
-                raise ValueError(f"constant matrix must be square, got {values.shape}")
             self.time_grid = None
         else:
             time_grid = np.asarray(time_grid, dtype=float)
-            if values.ndim != 3 or values.shape[1] != values.shape[2]:
-                raise ValueError(
-                    f"time-dependent values must be (n_times, N, N), got {values.shape}"
-                )
             if time_grid.shape != (values.shape[0],):
                 raise ValueError("time grid length does not match value stack")
             if np.any(np.diff(time_grid) <= 0):
                 raise ValueError("time grid must be strictly increasing")
             self.time_grid = time_grid
-        # C order: products with a Fortran-ordered copy round differently
-        self.values = np.ascontiguousarray(values)
         if interpolation not in ("constant", "linear"):
             raise ValueError(f"unknown interpolation rule {interpolation!r}")
         self.interpolation = interpolation
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("operator entries must be finite")
+        self.diagonal = rank == 1
+        # C order: products with a Fortran-ordered copy round differently
+        self.values = np.ascontiguousarray(values)
 
     @property
     def dim(self) -> int:
@@ -111,15 +120,24 @@ class MatrixPath:
     def is_constant(self) -> bool:
         return self.time_grid is None
 
-    def at(self, t) -> np.ndarray:
-        """Matrix value at time t, or the stack (len(t), N, N) at an array of times.
+    def dense(self) -> "MatrixPath":
+        """This path with its values held as N x N matrices: itself unless it is
+        diagonal, else a copy whose matrices have +0.0 off the diagonal."""
+        if not self.diagonal:
+            return self
+        return MatrixPath(_diagonal_matrices(self.values), self.time_grid, self.interpolation)
 
-        A scalar and an array time take one code path, so each matrix of a
+    def at(self, t) -> np.ndarray:
+        """Value at time t, or the stack (len(t), ...) at an array of times: a
+        matrix, or of a diagonal path its diagonal.
+
+        A scalar and an array time take one code path, so each value of a
         stack equals the scalar call bit for bit.
         """
         t = np.asarray(t, dtype=float)
+        one = self.values.shape[-2 + self.diagonal:]  # the shape of one value
         if self.time_grid is None:
-            out = np.empty(t.shape + self.values.shape)
+            out = np.empty(t.shape + one)
             out[...] = self.values
             return out
         grid = self.time_grid
@@ -131,7 +149,8 @@ class MatrixPath:
         nxt = np.minimum(idx + 1, len(grid) - 1)
         span = grid[nxt] - grid[idx]
         w = np.divide(t.clip(grid[0], grid[-1]) - grid[idx], span,
-                      out=np.zeros_like(span), where=span > 0).clip(0.0)[..., None, None]
+                      out=np.zeros_like(span), where=span > 0).clip(0.0)
+        w = w.reshape(w.shape + (1,) * len(one))
         return (1.0 - w) * self.values[idx] + w * self.values[nxt]
 
 
@@ -140,25 +159,34 @@ class OperatorSegment:
     """Ito drift and noise matrices of a family, at one time or stacked over times.
 
     A matrix is (N, N) when it holds at one time or on a whole run of grid
-    times, or a stack (n, N, N) with one matrix per time or per run.  Ã and its
+    times, or a stack (n, N, N) with one matrix per time or per run; of a
+    diagonal family each is its diagonal, (N,) or (n, N).  Ã and its
     symmetric part are built from the drift and the noise on first use, so
     stepping, which reads only those two, never builds them.
     """
 
     drift: np.ndarray
     Bs: tuple
+    diagonal: bool = False
+
+    @property
+    def stacked(self) -> bool:
+        """Whether the matrices are stacks, one per time or per run."""
+        return self.drift.ndim == 3 - self.diagonal
 
     @cached_property
     def tilde(self) -> np.ndarray:
-        """Ito drift minus (1/2) sum_k B_k^T B_k (H-adjoint realized as transpose)."""
+        """Ito drift minus (1/2) sum_k B_k^T B_k (H-adjoint realized as transpose);
+        of diagonals, the drift minus (1/2) sum_k b_k^2, elementwise."""
         corr = np.zeros(self.drift.shape)
         for b in self.Bs:
-            corr += b.mT @ b
+            corr += b * b if self.diagonal else b.mT @ b
         return self.drift - 0.5 * corr
 
     @cached_property
     def tilde_sym(self) -> np.ndarray:
-        return sym(self.tilde)
+        """sym(Ã); a diagonal is its own symmetric part."""
+        return self.tilde if self.diagonal else sym(self.tilde)
 
 
 @dataclass(frozen=True)
@@ -178,6 +206,9 @@ class OperatorFamily:
         n_witness: optional bound on |F(t,u)| / ||u||, the same at all times.
         noise_form: "ito", or "stratonovich" when A is the drift of the
             Stratonovich equation; at() then adds the Ito correction.
+
+    A family is diagonal when A and every B_k are diagonal paths; a family
+    with one path that is not holds every path as matrices (MatrixPath.dense).
     """
 
     A: MatrixPath
@@ -193,6 +224,9 @@ class OperatorFamily:
                 raise DimensionMismatchError("noise operator dimension differs from drift")
         if self.noise_form not in ("ito", "stratonovich"):
             raise ValueError(f"unknown noise form {self.noise_form!r}")
+        if not self.diagonal:
+            object.__setattr__(self, "A", self.A.dense())
+            object.__setattr__(self, "Bs", tuple(b.dense() for b in self.Bs))
 
     @property
     def dim(self) -> int:
@@ -201,6 +235,22 @@ class OperatorFamily:
     @property
     def n_noise(self) -> int:
         return len(self.Bs)
+
+    @property
+    def diagonal(self) -> bool:
+        """Whether A and every B_k are diagonal paths (MatrixPath.diagonal).
+
+        Then every matrix the family yields is diagonal: interpolation, the
+        Stratonovich correction, Ã and Milstein's B_k B_l keep it so.  The
+        family yields diagonals alone, and the steps, OperatorSegments, the
+        certificates and the report apply them elementwise.
+        """
+        return all(p.diagonal for p in (self.A,) + self.Bs)
+
+    def dense(self) -> "OperatorFamily":
+        """The family with every path held as N x N matrices (MatrixPath.dense):
+        the one view of a diagonal family that dense code takes."""
+        return replace(self, A=self.A.dense(), Bs=tuple(b.dense() for b in self.Bs))
 
     def _moving(self) -> list:
         return [p for p in (self.A,) + self.Bs if not p.is_constant]
@@ -243,17 +293,6 @@ class OperatorFamily:
         return np.concatenate([[0], np.flatnonzero(np.diff(idx)) + 1, [n]])
 
     @property
-    def diagonal(self) -> bool:
-        """Whether A and every B_k have no off-diagonal nonzero at any node.
-
-        Then every matrix the family yields is diagonal: interpolation, the
-        Stratonovich correction, Ã and Milstein's B_k B_l keep it so.  The
-        steps and OperatorSegments read this rule and hold diagonals alone.
-        """
-        return all(np.count_nonzero(p.values) == np.count_nonzero(_diagonals(p.values))
-                   for p in (self.A,) + self.Bs)
-
-    @property
     def noise_commutes(self) -> bool:
         """Whether the noise operators commute pairwise over the whole horizon.
 
@@ -264,7 +303,10 @@ class OperatorFamily:
                          + s(1-s) ([L_i, R_l] + [R_i, L_l]),
         which vanishes on the interval iff its three coefficients do.  Milstein
         needs this commutativity at every time (Kloeden & Platen, section 10.3).
+        Diagonals commute: each entry of x y - y x is x_i y_i - y_i x_i, exactly 0.
         """
+        if self.diagonal:
+            return True
         bs = self.Bs
         nodes = self.nodes
         if nodes is None:
@@ -300,31 +342,33 @@ class OperatorFamily:
         square B_k @ B_k here, as opposed to B_k^T @ B_k in the corrected
         generator; the two coincide only for symmetric noise operators.
         Every path is evaluated once, at t itself, so the drift is exact at
-        every time.
+        every time.  Of a diagonal family every value is a diagonal.
         """
         noise = tuple(bp.at(t) for bp in self.Bs)
         drift = self.A.at(t)
         if self.noise_form == "stratonovich":
             corr = np.zeros(drift.shape)
             for b in noise:
-                corr += b @ b
+                corr += b * b if self.diagonal else b @ b
             drift = drift - 0.5 * corr
-        return OperatorSegment(drift, noise)
+        return OperatorSegment(drift, noise, self.diagonal)
 
     def tilde_prime_at(self, t) -> np.ndarray:
         """Derivative of the corrected generator at t, or stacked over an array of times.
 
         Zero by convention (jumps excluded) when every time-dependent path is
         piecewise constant; otherwise a centred difference of half-width
-        DERIVATIVE_STEP clamped to the span of the nodes.
+        DERIVATIVE_STEP clamped to the span of the nodes.  Of a diagonal
+        family, a diagonal.
         """
-        zero = np.zeros(np.shape(t) + (self.dim, self.dim))
+        one = (self.dim,) * (2 - self.diagonal)
+        zero = np.zeros(np.shape(t) + one)
         if self.interpolation == "constant":
             return zero
         nodes = self.nodes
         t0 = np.clip(t - DERIVATIVE_STEP, nodes[0], nodes[-1])
         t1 = np.clip(t + DERIVATIVE_STEP, nodes[0], nodes[-1])
-        step = (t1 - t0)[..., None, None]
+        step = np.reshape(t1 - t0, np.shape(t) + (1,) * len(one))
         diff = assemble_tilde_A(self, t1) - assemble_tilde_A(self, t0)
         return np.divide(diff, step, out=zero, where=step > 0)
 
@@ -333,7 +377,8 @@ def assemble_tilde_A(ops: OperatorFamily, t) -> np.ndarray:
     """Corrected generator A(t) - (1/2) sum_k B_k(t)^T B_k(t) (H-adjoint realized as transpose).
 
     A(t) is the family's Ito drift (OperatorFamily.at).  One matrix at a
-    time t, or a stack with one matrix per time at an array of times.
+    time t, or a stack with one matrix per time at an array of times; of a
+    diagonal family, diagonals.
     """
     return ops.at(t).tilde
 
@@ -350,8 +395,8 @@ class OperatorSegments:
     matrix per time.  The matrices come from stacked evaluations of the
     family, one for all segments or one per linear block; the steppers and
     the diagnostics read them from here.  Of a diagonal family
-    (OperatorFamily.diagonal) both read the diagonals alone and apply them
-    elementwise.
+    (OperatorFamily.diagonal) every segment holds diagonals, and both apply
+    them elementwise.
     """
 
     def __init__(self, ops: OperatorFamily, times: np.ndarray) -> None:
@@ -366,10 +411,17 @@ class OperatorSegments:
                                   for lo, hi in zip(edges[:-1], edges[1:]))
         else:
             ev = ops.at(self.times[edges[:-1]])
-            self.segments = tuple(OperatorSegment(ev.drift[p], tuple(b[p] for b in ev.Bs))
-                                  for p in range(len(edges) - 1))
+            self.segments = tuple(
+                OperatorSegment(ev.drift[p], tuple(b[p] for b in ev.Bs), self.diagonal)
+                for p in range(len(edges) - 1))
         #: segment p holds the grid indices [edges[p], edges[p + 1])
         self.edges = edges.tolist()
+
+    @property
+    def start_tilde_sym(self) -> np.ndarray:
+        """sym(Ã) at grid index 0, as the segment holding it caches it."""
+        seg = self.segments[0]
+        return seg.tilde_sym[0] if seg.stacked else seg.tilde_sym
 
     def _apply(self, states: np.ndarray, pick, out: Optional[np.ndarray]) -> np.ndarray:
         """Written into `out` if given, else into an array laid out in memory
@@ -387,7 +439,7 @@ class OperatorSegments:
             m = pick(seg)
             if self.diagonal:
                 part = out[..., lo:hi, :]
-                np.multiply(u, _diagonals(m), out=part)
+                np.multiply(u, m, out=part)
                 part += 0.0  # a dense product sums to +0.0 where u_i d_i is -0.0
             elif m.ndim == 2:
                 out[..., lo:hi, :] = u @ m.T
@@ -427,31 +479,41 @@ class OperatorSegments:
 
 
 def commutator_C(ev: OperatorSegment) -> np.ndarray:
-    """sum_k B_k^T (tilde_A B_k - B_k tilde_A) of an evaluation, one matrix or a stack."""
+    """sum_k B_k^T (tilde_A B_k - B_k tilde_A) of an evaluation, one matrix or a stack;
+    of diagonals, which commute, exactly 0."""
     ta = ev.tilde
     out = np.zeros_like(ta)
+    if ev.diagonal:
+        return out
     for b in ev.Bs:
         out += b.mT @ (ta @ b - b @ ta)
     return out
 
 
-def operator_norm_v_vprime(matrix: np.ndarray, basis: SpectralBasis):
+def operator_norm_v_vprime(matrix: np.ndarray, basis: SpectralBasis, diagonal: bool = False):
     """Operator norm from V to V', via the eigenvalue weights.
 
     Equals the largest singular value of D^{-1/2} M D^{-1/2} with
-    D = diag(lam_i).  A float for one matrix, one norm per matrix of a stack.
+    D = diag(lam_i), and of a diagonal the largest |m_i| / lam_i.  A float
+    for one matrix or diagonal, one norm per matrix or diagonal of a stack.
     """
     matrix = np.asarray(matrix, dtype=float)
     w = 1.0 / np.sqrt(basis.hat_eigenvalues)
-    scaled = w[:, None] * matrix * w[None, :]
-    norms = np.linalg.norm(scaled, ord=2, axis=(-2, -1))
+    if diagonal:
+        norms = np.abs(w * matrix * w).max(axis=-1)
+    else:
+        scaled = w[:, None] * matrix * w[None, :]
+        norms = np.linalg.norm(scaled, ord=2, axis=(-2, -1))
     return float(norms) if norms.ndim == 0 else norms
 
 
-def spectrum(matrix: np.ndarray):
-    """Eigenvalues of sym(matrix), ascending, and orthonormal eigenvectors
-    as columns."""
+def spectrum(matrix: np.ndarray) -> np.ndarray:
+    """Eigenvalues of sym(matrix), ascending; of a diagonal (N,), its
+    entries sorted."""
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim == 1:
+        return np.sort(matrix)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"square matrix required, got {matrix.shape}")
-    return np.linalg.eigh(sym(matrix))
+        raise ValueError(f"square matrix or diagonal required, got {matrix.shape}")
+    # eigh, whose eigenvalues can differ from eigvalsh's in the last bits
+    return np.linalg.eigh(sym(matrix))[0]

@@ -187,8 +187,9 @@ class ExperimentConfig:
     def canonical(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    def digest(self) -> str:
-        return hashlib.sha256(self.canonical().encode()).hexdigest()
+    def digest(self, canonical: Optional[str] = None) -> str:
+        """sha256 of the canonical form, which a caller holding it passes."""
+        return hashlib.sha256((canonical or self.canonical()).encode()).hexdigest()
 
 
 def load_config(path: str, kind: Optional[str] = None) -> ExperimentConfig:
@@ -252,12 +253,6 @@ class RunManifest:
 
 def _output_root() -> str:
     return os.environ.get("SPDELAB_OUTPUT_ROOT", "runs")
-
-
-def _resolve_dir(cfg: ExperimentConfig) -> str:
-    if cfg.output_dir:
-        return cfg.output_dir
-    return os.path.join(_output_root(), f"{cfg.kind}-{cfg.digest()[:12]}")
 
 
 #: the .npy header of a C-ordered table, per (shape, dtype), as np.save writes it
@@ -393,7 +388,10 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     """Execute one experiment and persist all requested outputs."""
     cfg.validate()
     system = build_system(cfg)
-    run_dir = _resolve_dir(cfg)
+    # one canonical form, which the run directory's name and the manifest read
+    canonical = cfg.canonical()
+    config_hash = cfg.digest(canonical)
+    run_dir = cfg.output_dir or os.path.join(_output_root(), f"{cfg.kind}-{config_hash[:12]}")
     grid = uniform_grid(cfg.T, cfg.dt)
     ens = integrate_ensemble(system, cfg.scheme, grid, cfg.master_seed, cfg.paths)
     eps = cfg.eps_list[0]
@@ -466,8 +464,8 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     outputs.append("report.json")
 
     manifest = RunManifest(
-        config=json.loads(cfg.canonical()),
-        config_hash=cfg.digest(),
+        config=json.loads(canonical),
+        config_hash=config_hash,
         schema_version=SCHEMA_VERSION,
         streams=[[cfg.master_seed, p] for p in range(cfg.paths)],
         blowups=ens.blowups,
@@ -496,11 +494,10 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         "blowups": {str(k): v for k, v in ens.blowups.items()},
     }
     if cfg.kind in ("simulate", "spectral-limit"):
-        # sym(Ã(0)), first of the segment that holds grid index 0, as the diagnostics cached it
-        tilde_sym = ens.segments.segments[0].tilde_sym
-        tilde_sym = tilde_sym[0] if tilde_sym.ndim == 3 else tilde_sym
-        eigs, _ = spectrum(tilde_sym)
-        report["spectral_limit"] = diag.spectral_limit_report(quots, finals, tilde_sym, eigs)
+        # sym(Ã(0)) as the diagnostics cached it, a matrix or a diagonal
+        tilde_sym = ens.segments.start_tilde_sym
+        report["spectral_limit"] = diag.spectral_limit_report(quots, finals, tilde_sym,
+                                                              spectrum(tilde_sym))
 
     if cfg.kind in _PROBE_KINDS:
         report["backward_probe"] = diag.backward_probe(norms)

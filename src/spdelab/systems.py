@@ -109,9 +109,10 @@ def make_diagonal(
     b = np.atleast_2d(np.asarray(noise_coeffs, dtype=float))
     if b.shape[1] != len(eigs):
         raise ValueError("noise coefficient rows must match the mode count")
-    a_strat = np.diag(eigs + np.sum(b**2, axis=0))
-    bs = tuple(MatrixPath(np.diag(row)) for row in b)
-    ops = OperatorFamily(A=MatrixPath(a_strat), Bs=bs, noise_form="stratonovich")
+    # every operator is held as its diagonal
+    bs = tuple(MatrixPath(row) for row in b)
+    ops = OperatorFamily(A=MatrixPath(eigs + np.sum(b**2, axis=0)), Bs=bs,
+                         noise_form="stratonovich")
     basis = SpectralBasis(
         dim=len(eigs),
         hat_eigenvalues=np.maximum.accumulate(np.maximum(np.abs(eigs), 1.0)),
@@ -377,8 +378,8 @@ class NSEGeometry:
     """
 
     def __init__(self, modes_per_dim: int):
-        if not (1 <= modes_per_dim <= 16):
-            raise ValueError("modes_per_dim must lie in [1, 16]")
+        if not (1 <= modes_per_dim <= 32):
+            raise ValueError("modes_per_dim must lie in [1, 32]")
         self.mpd = mm = modes_per_dim
         ms = []
         for m1 in range(-mm, mm + 1):
@@ -526,8 +527,9 @@ def make_nse_2d(
     """
     geom = NSEGeometry(modes_per_dim)
     lam = geom.eigenvalues()
-    a_strat = MatrixPath(np.diag(float(viscosity) * lam))
-    bs = tuple(MatrixPath(float(b) * np.eye(geom.dim)) for b in b_coeffs)
+    # the drift and the noise are held as their diagonals
+    a_strat = MatrixPath(float(viscosity) * lam)
+    bs = tuple(MatrixPath(np.full(geom.dim, float(b))) for b in b_coeffs)
 
     def f_hook(t, u, _g=geom):
         return _g.advection(u)

@@ -35,7 +35,7 @@ def _verdict(name: str, ok: bool, detail: str) -> None:
 
 def _ensemble_quotients(sys, scheme, grid, seed, n_paths, u0, chunk=25):
     """Quotient series (P, J+1) and final states, integrating in chunks."""
-    tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
+    tilde_sym = sym(assemble_tilde_A(sys.ops.dense(), 0.0))
     segs = OperatorSegments(sys.ops, grid)
     quots = []
     finals = []
@@ -65,7 +65,7 @@ def test_acceptance_1_spectral_limit_oracle(u0, target):
     quots, finals = _ensemble_quotients(
         sys, "milstein", grid, seed=101, n_paths=200, u0=np.asarray(u0), chunk=50
     )
-    tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
+    tilde_sym = sym(assemble_tilde_A(sys.ops.dense(), 0.0))
     rep = diag.spectral_limit_report(
         quots, finals, tilde_sym, np.array([1.0, 4.0, 9.0])
     )
@@ -93,8 +93,8 @@ def test_acceptance_2_eigenvalue_membership():
         sys, "drift-implicit", grid, seed=202, n_paths=100, u0=sys.u0, chunk=25
     )
     tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
-    eigs, _ = spectrum(tilde_sym)
-    rep = diag.spectral_limit_report(quots, finals, tilde_sym, eigs.real)
+    eigs = spectrum(tilde_sym)
+    rep = diag.spectral_limit_report(quots, finals, tilde_sym, eigs)
     settled = [p for p in rep["paths"] if p["settled"]]
     good = [
         p for p in settled
@@ -370,8 +370,8 @@ def test_acceptance_11_deterministic_heat_quotient():
     traj = integrate(sys, "drift-implicit", grid, seed=0)
     q = diag.quotient_series(diag.PathForms(traj, 0.0), 0.0)[0]
     tilde_sym = sym(assemble_tilde_A(sys.ops, 0.0))
-    eigs, _ = spectrum(tilde_sym)
-    target = float(eigs.real.min())
+    eigs = spectrum(tilde_sym)
+    target = float(eigs.min())
     monotone = bool(np.all(np.diff(q) <= 1e-12))
     final_gap = abs(q[-1] - target)
     ok = monotone and final_gap < 1e-6
@@ -391,10 +391,11 @@ def _nse_start(geom, shells):
     return np.repeat(np.isin(geom.k2, shells), 2).astype(float)
 
 
-@pytest.mark.parametrize("shells", [(1,), (1, 2), (2, 4)],
-                         ids=["exact", "shells-1-2", "even-parity"])
-def test_acceptance_12_nse_spectral_limit(shells):
-    """nse-2d with its defaults (nu = 1, b = 0.3, so sym(Ã) = |m|^2 - 0.09).
+@pytest.mark.parametrize("shells, modes", [((1,), 4), ((1, 2), 4), ((2, 4), 4), ((1, 2), 8)],
+                         ids=["exact", "shells-1-2", "even-parity", "shells-1-2-modes-8"])
+def test_acceptance_12_nse_spectral_limit(shells, modes):
+    """nse-2d with its defaults (nu = 1, b = 0.3, so sym(Ã) = |m|^2 - 0.09),
+    at 4 modes per dimension (N = 80) and, on shells 1 and 2, at 8 (N = 288).
 
     A start on the |m|^2 = 1 shell alone is a steady Euler mode, F(u0) = 0 to
     rounding, so every quotient is nu - b^2 = 0.91 at every time.  A start on
@@ -403,16 +404,16 @@ def test_acceptance_12_nse_spectral_limit(shells):
     reaches an odd one: it settles on 2 nu - b^2 = 1.91, the limit the
     nonlinearity selects.  The quotient is taken at eps = 0, because the
     paths' |u|^2 falls below any eps that would be small next to it."""
-    geom = NSEGeometry(4)
+    geom = NSEGeometry(modes)
     u0 = _nse_start(geom, shells)
-    sys = replace(make_nse_2d(), u0=u0)
+    sys = replace(make_nse_2d(modes), u0=u0)
     ens = integrate_ensemble(sys, "drift-implicit", uniform_grid(8.0, 2e-3), seed=1212,
                              n_paths=8)
     forms = diag.PathForms(ens, 0.0)
     quots = diag.quotient_series(forms, 0.0)
-    tilde_sym = ens.segments.segments[0].tilde_sym
-    eigs, _ = spectrum(tilde_sym)
-    rep = diag.spectral_limit_report(quots, ens.states[:, -1], tilde_sym, eigs)
+    tilde_sym = ens.segments.start_tilde_sym  # the diagonal, applied elementwise
+    rep = diag.spectral_limit_report(quots, ens.states[:, -1], tilde_sym,
+                                     spectrum(tilde_sym))
     margin = diag.backward_probe(np.sqrt(forms.sq))["margin"]
     target = min(shells) - 0.3**2
     force = float(np.linalg.norm(sys.ops.F(0.0, u0)))
@@ -433,4 +434,4 @@ def test_acceptance_12_nse_spectral_limit(shells):
         leak = float(np.max(np.abs(ens.states[..., odd])))
         ok = ok and leak < 1e-15
         detail += f", odd-parity coordinates <= {leak:.1e} (tol 1e-15)"
-    _verdict(f"12-nse-spectral-limit-{'-'.join(map(str, shells))}", ok, detail)
+    _verdict(f"12-nse-spectral-limit-{'-'.join(map(str, shells))}-modes-{modes}", ok, detail)

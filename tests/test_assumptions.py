@@ -198,10 +198,11 @@ def test_commutator_early_exit_matches_the_exhaustive_search(monkeypatch, name):
     t_grid = np.linspace(0.0, 1.0, 5)
     ev = system.ops.at(t_grid)
     (k2_want, k1_want, k1_half_want), tol = _commutator_bound_exhaustive(
-        ev, system.basis, t_grid)
+        system.ops.dense().at(t_grid), system.basis, t_grid)
     calls = []
     top = assumptions._top_eig
-    monkeypatch.setattr(assumptions, "_top_eig", lambda m: calls.append(m.shape) or top(m))
+    monkeypatch.setattr(assumptions, "_top_eig",
+                        lambda m, *diagonal: calls.append(m.shape) or top(m, *diagonal))
     record = check_commutator_bound(ev, system.basis, t_grid)
     assert record.constants["K2"] == k2_want
     assert np.array_equal(record.constants["K1"],
@@ -413,6 +414,48 @@ def test_first_order_mixed_times_match_per_time_roots():
             want = np.linalg.norm(sym(root @ bp.at(times[j]) @ root_inv), ord=2)
             assert tables[k, j] == pytest.approx(want, rel=1e-12)
     assert np.all(tables[:, ~definite] > 0.0)
+
+
+# -- a diagonal family as diagonals and through its dense view --------
+
+
+def _linear_diagonal_system():
+    """The linear diagonal family of the operator tests (B's second entry
+    crosses zero, so sym(Ã) is never definite), on eigenvalues 1, 2, 3."""
+    from test_operators import _linear_diagonal_family
+
+    return _linear_diagonal_family(), hat_basis([1.0, 2.0, 3.0])
+
+
+_BOTH_WAYS = {
+    "diagonal": lambda: make_system("diagonal"),
+    "nse-2d-2": lambda: make_system("nse-2d", modes_per_dim=2),
+    "nse-2d-4": lambda: make_system("nse-2d", modes_per_dim=4),
+}
+
+
+@pytest.mark.parametrize("name", list(_BOTH_WAYS) + ["linear"])
+def test_every_checker_reads_the_diagonals_as_the_dense_view(name):
+    """Every checker gives a diagonal family, read as diagonals, the statuses
+    and constants it gives the family's dense view, bit for bit, on 5 grid
+    times; but ac7's C1, which the dense reading takes from S^{1/2} B S^{-1/2}
+    where sym(Ã) is definite, within 1 ulp."""
+    if name == "linear":
+        ops, basis = _linear_diagonal_system()
+    else:
+        system = _BOTH_WAYS[name]()
+        ops, basis = system.ops, system.basis
+    times = np.linspace(0.0, 1.0, 5)
+    got, want = check_all(ops, basis, times), check_all(ops.dense(), basis, times)
+    assert ops.diagonal and got.records.keys() == want.records.keys()
+    for key, record in got.records.items():
+        g, w = record.to_dict(), want.records[key].to_dict()
+        if key == "ac7":
+            c1, c1_dense = np.array(g.pop("C1k")), np.array(w.pop("C1k"))
+            np.testing.assert_array_max_ulp(c1, c1_dense, maxulp=1)
+        assert g == w, key
+    assert got.k6.tobytes() == want.k6.tobytes()
+    assert got.t_grid.tobytes() == want.t_grid.tobytes()
 
 
 # -- K6 ---------------------------------------------------------------

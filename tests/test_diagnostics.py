@@ -448,7 +448,7 @@ def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
     One state at a time, with Ã(t) and every B_k(t) assembled at its own
     grid time, and every running integral accumulated step by step.
     """
-    ops, basis = system.ops, system.basis
+    ops, basis = system.ops.dense(), system.basis
     times, states, dw, dt = traj.times, traj.states[0], traj.increments[0], traj.dt
     reg = eps if eps > 0 else delta
     n_t = len(times)
@@ -487,6 +487,7 @@ def _loop_table(system, traj, eps, delta, k1, k2, k6, n_tab):
 
 def _loop_envelope(traj, ops, tau_index, s, form_floor=1e-12, tol_coeff=1.0):
     """Reference comparison envelope of one path, given its damped quotient s."""
+    ops = ops.dense()
     times, states, dw, dt = traj.times, traj.states[0], traj.increments[0], traj.dt
     log_env = np.zeros(len(times))
     excluded = np.zeros(len(times), dtype=bool)

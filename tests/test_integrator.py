@@ -312,6 +312,7 @@ def _loop_steps(ops, u0, times, increments, scheme):
     """One path, one step at a time, with the family evaluated at t (and, for
     drift-implicit, at the next grid time) and each scheme's own formula:
     states (J+1, N) of a 1-D state."""
+    ops = ops.dense()
     dt = float(times[1] - times[0])
     states = [np.asarray(u0, dtype=float)]
     for j, dw in enumerate(increments):
@@ -366,11 +367,9 @@ def _diagonal_piecewise(jumps=(0.0525, 0.1325)):
     """Diagonal A and two diagonal noises on [0, 1] whose values jump at `jumps`,
     by default off the test grid."""
     nodes = np.array([0.0, *jumps, 1.0])
-    a = MatrixPath(np.stack([np.diag(v) for v in ([1.0, 4.0], [2.0, 3.0], [0.5, 5.0],
-                                                   [0.5, 5.0])]), nodes)
-    b0 = MatrixPath(np.stack([np.diag(v) for v in ([0.3, 0.2], [0.5, -0.1], [0.2, 0.4],
-                                                    [0.2, 0.4])]), nodes)
-    b1 = MatrixPath(np.diag([-0.2, 0.3]))
+    a = MatrixPath(np.array([[1.0, 4.0], [2.0, 3.0], [0.5, 5.0], [0.5, 5.0]]), nodes)
+    b0 = MatrixPath(np.array([[0.3, 0.2], [0.5, -0.1], [0.2, 0.4], [0.2, 0.4]]), nodes)
+    b1 = MatrixPath(np.array([-0.2, 0.3]))
     ops = OperatorFamily(A=a, Bs=(b0, b1), noise_form="stratonovich")
     return SystemSpec(name="diagonal-piecewise", basis=torus_basis(2), ops=ops, u0=np.ones(2))
 
@@ -378,10 +377,8 @@ def _diagonal_piecewise(jumps=(0.0525, 0.1325)):
 def _diagonal_linear():
     """Diagonal A and B, linear on [0, 1]; B's first entry crosses zero."""
     nodes = np.array([0.0, 1.0])
-    a = MatrixPath(np.stack([np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 0.5, 6.0])]), nodes,
-                   "linear")
-    b = MatrixPath(np.stack([np.diag([0.4, 0.2, 0.1]), np.diag([-0.4, 0.3, 0.2])]), nodes,
-                   "linear")
+    a = MatrixPath(np.array([[1.0, 2.0, 3.0], [2.0, 0.5, 6.0]]), nodes, "linear")
+    b = MatrixPath(np.array([[0.4, 0.2, 0.1], [-0.4, 0.3, 0.2]]), nodes, "linear")
     ops = OperatorFamily(A=a, Bs=(b,), noise_form="stratonovich")
     return SystemSpec(name="diagonal-linear", basis=torus_basis(3), ops=ops, u0=np.ones(3))
 
@@ -448,8 +445,8 @@ def _exploding_diagonal():
     """Ito du = 5000 u dt - 100 u dw in mode 0, a decaying mode 1: an explicit step
     multiplies mode 0 by 21 to 81, so a path overflows after ~180 steps, at a time
     that depends on its noise, unless it starts at 0 or near enough to it."""
-    ops = OperatorFamily(A=MatrixPath(np.diag([-5000.0, 1.0])),
-                         Bs=(MatrixPath(np.diag([100.0, 0.5])),))
+    ops = OperatorFamily(A=MatrixPath(np.array([-5000.0, 1.0])),
+                         Bs=(MatrixPath(np.array([100.0, 0.5])),))
     return SystemSpec(name="exploding", basis=torus_basis(2), ops=ops, u0=np.ones(2))
 
 
@@ -473,8 +470,8 @@ def test_diagonal_scan_freezes_blown_up_paths_as_the_loop(scheme):
     A step of 1 multiplies mode 0 by 1 + 1e30 - dw, more than any term the loop
     forms on the way (1e30 u), so both overflow at the same step: a path
     starting at u blows up once 1e30^k u passes the largest double."""
-    ops = OperatorFamily(A=MatrixPath(np.diag([-1e30, 0.5])),
-                         Bs=(MatrixPath(np.diag([1.0, 0.2])),))
+    ops = OperatorFamily(A=MatrixPath(np.array([-1e30, 0.5])),
+                         Bs=(MatrixPath(np.array([1.0, 0.2])),))
     grid = uniform_grid(30.0, 1.0)
     u0 = np.array([[1.0, 1.0], [1e-100, 1.0], [0.0, 2.0], [-1e-250, -1.0], [1.0, 1.0]])
     inc = sample_brownian_ensemble(1, grid, 4, len(u0))
@@ -600,8 +597,7 @@ def test_diagonal_steps_with_F_match_the_dense_steps(scheme, modes_per_dim):
     segs = OperatorSegments(ops, grid)
     assert segs.diagonal and ops.F is not None
     got, _ = _run_steps(ops.F, segs, u0, inc, scheme)
-    segs.diagonal = False
-    want, _ = _run_steps(ops.F, segs, u0, inc, scheme)
+    want, _ = _run_steps(ops.F, OperatorSegments(ops.dense(), grid), u0, inc, scheme)
     assert got.tobytes() == want.tobytes()
 
 
@@ -692,28 +688,21 @@ def test_linear_family_holds_one_prepared_block_at_a_time(monkeypatch):
 
 def _singular_piecewise():
     """A = I, then -8 I on [0.5, 0.75), then I: with dt = 0.125, I + dt A is 0 there."""
-    a = MatrixPath(np.stack([np.eye(2), -8.0 * np.eye(2), np.eye(2), np.eye(2)]),
+    a = MatrixPath(np.array([[1.0, 1.0], [-8.0, -8.0], [1.0, 1.0], [1.0, 1.0]]),
                    np.array([0.0, 0.5, 0.75, 1.0]))
-    return OperatorFamily(A=a, Bs=(MatrixPath(0.1 * np.eye(2)),))
+    return OperatorFamily(A=a, Bs=(MatrixPath(np.full(2, 0.1)),))
 
 
 def _singular_linear():
     """A from 0 to -16 I on [0, 1]: with dt = 0.125, I + dt A(t) is 0 at t = 0.5 alone."""
-    a = MatrixPath(np.stack([np.zeros((2, 2)), -16.0 * np.eye(2)]), np.array([0.0, 1.0]), "linear")
-    return OperatorFamily(A=a, Bs=(MatrixPath(0.1 * np.eye(2)),))
-
-
-def _dense(family):
-    """The family with an off-diagonal 1e-300 in a second noise, so it steps densely."""
-    ops = family()
-    tiny = MatrixPath(np.array([[0.0, 1e-300], [0.0, 0.0]]))
-    return OperatorFamily(A=ops.A, Bs=ops.Bs + (tiny,), noise_form=ops.noise_form)
+    a = MatrixPath(np.array([[0.0, 0.0], [-16.0, -16.0]]), np.array([0.0, 1.0]), "linear")
+    return OperatorFamily(A=a, Bs=(MatrixPath(np.full(2, 0.1)),))
 
 
 @pytest.mark.parametrize("family", [
     _singular_piecewise, _singular_linear,
-    pytest.param(lambda: _dense(_singular_piecewise), id="dense-piecewise"),
-    pytest.param(lambda: _dense(_singular_linear), id="dense-linear"),
+    pytest.param(lambda: _singular_piecewise().dense(), id="dense-piecewise"),
+    pytest.param(lambda: _singular_linear().dense(), id="dense-linear"),
 ])
 def test_singular_implicit_step_names_the_first_step_that_reads_it(family):
     """I + dt A(0.5) is singular; the step from t=0.375 is the first to read it,

@@ -223,13 +223,17 @@ def test_operator_norm_v_vprime_diagonal():
     assert operator_norm_v_vprime(m, basis) == pytest.approx(2.0)
 
 
-def test_spectrum_sorted_and_orthonormal():
+def test_spectrum_sorted_eigenvalues():
+    """The eigenvalues of sym(m), ascending, as eigh gives them; of a diagonal,
+    its entries sorted."""
     rng = np.random.default_rng(3)
-    m = sym(rng.standard_normal((6, 6)))
-    vals, vecs = spectrum(m)
+    m = rng.standard_normal((6, 6))
+    vals = spectrum(m)
     assert np.all(np.diff(vals) >= -1e-12)
-    assert np.allclose(vecs.T @ vecs, np.eye(6), atol=1e-10)
-    assert np.allclose(m @ vecs, vecs @ np.diag(vals), atol=1e-10)
+    assert vals.tobytes() == np.linalg.eigh(sym(m))[0].tobytes()
+    assert np.allclose(np.linalg.det(sym(m)[None] - vals[:, None, None] * np.eye(6)), 0.0,
+                       atol=1e-10)
+    assert spectrum(np.array([3.0, -1.0, 2.0])).tolist() == [-1.0, 2.0, 3.0]
 
 
 @given(st.floats(0.1, 3.0))
@@ -247,15 +251,14 @@ def test_tilde_quadratic_in_noise_scale(scale):
 def _linear_diagonal_family():
     """A and B diagonal and linear on [0, 1], B's second entry crossing zero."""
     nodes = np.array([0.0, 1.0])
-    a = MatrixPath(np.stack([np.diag([1.0, 0.0, 2.0]), np.diag([3.0, 0.0, -1.0])]), nodes,
-                   "linear")
-    b = MatrixPath(np.stack([np.diag([0.5, -0.2, 0.0]), np.diag([0.1, 0.4, 0.0])]), nodes,
-                   "linear")
+    a = MatrixPath(np.array([[1.0, 0.0, 2.0], [3.0, 0.0, -1.0]]), nodes, "linear")
+    b = MatrixPath(np.array([[0.5, -0.2, 0.0], [0.1, 0.4, 0.0]]), nodes, "linear")
     return OperatorFamily(A=a, Bs=(b,), noise_form="stratonovich")
 
 
 def test_diagonal_rule():
-    """A family is diagonal when no node of A or of a B_k has an off-diagonal nonzero."""
+    """A family is diagonal when A and every B_k are given as diagonals; one
+    path given as matrices makes the family hold every path as matrices."""
     from spdelab.systems import make_system
 
     assert make_system("diagonal").ops.diagonal
@@ -263,12 +266,30 @@ def test_diagonal_rule():
     assert _linear_diagonal_family().diagonal
     for name in ("torus-heat-scalar", "torus-heat-gradient", "coupled-torus"):
         assert not make_system(name).ops.diagonal, name
-    # one off-diagonal entry at one node of one noise is enough
-    values = np.stack([np.eye(2), np.eye(2)])
-    values[1, 0, 1] = 1e-300
-    moving = MatrixPath(values, np.array([0.0, 1.0]))
-    assert not OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(moving,)).diagonal
-    assert OperatorFamily(A=MatrixPath(np.eye(2)), Bs=()).diagonal
+    # a matrix is held as one, even with no off-diagonal nonzero
+    assert not OperatorFamily(A=MatrixPath(np.eye(2)), Bs=()).diagonal
+    assert OperatorFamily(A=MatrixPath(np.ones(2)), Bs=()).diagonal
+    moving = MatrixPath(np.stack([np.eye(2), np.eye(2)]), np.array([0.0, 1.0]))
+    mixed = OperatorFamily(A=MatrixPath(np.array([1.0, 2.0])), Bs=(moving,))
+    assert not mixed.diagonal and not mixed.A.diagonal
+    assert mixed.at(0.5).drift.tobytes() == np.diag([1.0, 2.0]).tobytes()
+
+
+def test_the_dense_view_holds_the_diagonals_as_matrices():
+    """dense() gives each diagonal path's matrices, +0.0 off the diagonal, with its
+    grid and rule; a family's evaluations through it are the diagonals' matrices."""
+    ops = _linear_diagonal_family()
+    dense = ops.dense()
+    assert not dense.diagonal and ops.diagonal
+    assert dense.A.time_grid is ops.A.time_grid and dense.A.interpolation == "linear"
+    assert dense.dense() == dense and MatrixPath(np.eye(2)).dense().diagonal is False
+    off = ~np.eye(3, dtype=bool)
+    assert not np.any(dense.A.values[:, off]) and not np.signbit(dense.A.values[:, off]).any()
+    times = np.linspace(0.0, 1.0, 7)
+    for got, want in ((dense.at(times).drift, ops.at(times).drift),
+                      (dense.at(times).tilde_sym, ops.at(times).tilde_sym),
+                      (dense.tilde_prime_at(times), ops.tilde_prime_at(times))):
+        np.testing.assert_array_equal(got, want[..., None] * np.eye(3))
 
 
 @pytest.mark.parametrize("family", ["diagonal-zero", "nse-2d", "linear"])
@@ -288,9 +309,8 @@ def test_diagonal_segments_apply_as_the_dense_products(family):
         ops = _linear_diagonal_family()
     times = np.linspace(0.0, 1.0, 11)
     structured = OperatorSegments(ops, times)
-    dense = OperatorSegments(ops, times)
-    dense.diagonal = False
-    assert structured.diagonal
+    dense = OperatorSegments(ops.dense(), times)
+    assert structured.diagonal and not dense.diagonal
     rng = np.random.default_rng(2)
     states = rng.standard_normal((3, len(times), ops.dim))
     states[0, :, 1] = 0.0

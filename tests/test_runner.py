@@ -26,6 +26,7 @@ from spdelab.brownian import GridError, uniform_grid
 from spdelab.cli import main
 from spdelab.operators import (
     MatrixPath,
+    OperatorFamily,
     OperatorSegments,
     assemble_tilde_A,
     spectrum,
@@ -166,6 +167,27 @@ def test_build_system_puts_the_config_start_in_place(tmp_path):
     assert build_system(load_config(minimal_config(tmp_path))).u0.tolist() == [1.0, 1.0]
 
 
+def test_a_diagonal_run_takes_no_dense_linear_algebra(tmp_path, monkeypatch):
+    """A run of a diagonal family, and the certificates of the diagonal and
+    nse-2d families, read the diagonals alone: no eigensolver, SVD, inverse or
+    least-squares solve, and no dense view of the family."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("dense linear algebra on a diagonal family")
+
+    # norm(., 2) calls _linalg's svd, not the one np.linalg exports
+    for module in (np.linalg, np.linalg._linalg):
+        for name in ("eigh", "eigvalsh", "svd", "inv", "lstsq"):
+            monkeypatch.setattr(module, name, refuse)
+    monkeypatch.setattr(MatrixPath, "dense", refuse)
+    monkeypatch.setattr(OperatorFamily, "dense", refuse)
+    for scheme in ("drift-implicit", "milstein"):
+        run(load_config(minimal_config(tmp_path, paths=3, scheme=scheme, N_list=[1, 2],
+                                       r_list=[0.5])))
+    for system in (runner.make_system("diagonal"), runner.make_system("nse-2d")):
+        report = check_all(system.ops, system.basis, np.linspace(0.0, 1.0, 5))
+        assert report.records["ac6"].status == "certified"
+
+
 def test_only_the_spectral_kinds_take_the_spectrum(tmp_path, monkeypatch):
     """The report's eigendecomposition of sym(Ã(0)) serves the spectral-limit
     report alone, so a backward-probe run never takes it."""
@@ -254,11 +276,11 @@ def test_the_spectral_section_is_the_report_of_the_runs_quotients(tmp_path):
     quots = np.stack([t[:, runner.DIAG_COLUMNS.index("quotient")] for t in tables])
     finals = np.stack([np.load(os.path.join(root, f"paths/{p}.npy"))[-1, 1:]
                        for p in range(3)])
-    tilde_sym = sym(assemble_tilde_A(build_system(cfg).ops, 0.0))
+    tilde_sym = sym(assemble_tilde_A(build_system(cfg).ops.dense(), 0.0))
     with open(os.path.join(root, "report.json")) as fh:
         section = json.load(fh)["spectral_limit"]
     assert diag.spectral_limit_report(quots, finals, tilde_sym,
-                                      spectrum(tilde_sym)[0]) == section
+                                      spectrum(tilde_sym)) == section
     assert sum(section["histogram"].values()) == section["n_settled"] > 0
 
 
@@ -1007,7 +1029,8 @@ def test_cli_reports_a_failed_eigen_solver_in_one_line(tmp_path, capsys, monkeyp
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
 
     monkeypatch.setattr(np.linalg, "eigh", fail)
-    assert main(["simulate", "--config", minimal_config(tmp_path)]) == 2
+    config = minimal_config(tmp_path, system={"name": "torus-heat-scalar", "dim": 4})
+    assert main(["simulate", "--config", config]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
 
