@@ -68,7 +68,7 @@ def _implicit_inverse(drift, dt, t, diagonal: bool):
         raise SchemeError(f"singular implicit solve at t={float(t)}: {exc}") from exc
 
 
-def _take(m, lo, hi, rank: int = 2):
+def _take(m, lo, hi, rank: int):
     """Entries lo..hi-1 of a stack with one per grid time, or a segment's one entry,
     a matrix (rank 2) or a diagonal (rank 1)."""
     return m[lo:hi] if m.ndim > rank else m

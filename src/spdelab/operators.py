@@ -169,11 +169,6 @@ class OperatorSegment:
     Bs: tuple
     diagonal: bool = False
 
-    @property
-    def stacked(self) -> bool:
-        """Whether the matrices are stacks, one per time or per run."""
-        return self.drift.ndim == 3 - self.diagonal
-
     @cached_property
     def tilde(self) -> np.ndarray:
         """Ito drift minus (1/2) sum_k B_k^T B_k (H-adjoint realized as transpose);
@@ -416,12 +411,6 @@ class OperatorSegments:
                 for p in range(len(edges) - 1))
         #: segment p holds the grid indices [edges[p], edges[p + 1])
         self.edges = edges.tolist()
-
-    @property
-    def start_tilde_sym(self) -> np.ndarray:
-        """sym(Ã) at grid index 0, as the segment holding it caches it."""
-        seg = self.segments[0]
-        return seg.tilde_sym[0] if seg.stacked else seg.tilde_sym
 
     def _apply(self, states: np.ndarray, pick, out: Optional[np.ndarray]) -> np.ndarray:
         """Written into `out` if given, else into an array laid out in memory

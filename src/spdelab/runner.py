@@ -494,8 +494,9 @@ def _build_report(cfg: ExperimentConfig, system: SystemSpec, ens,
         "blowups": {str(k): v for k, v in ens.blowups.items()},
     }
     if cfg.kind in ("simulate", "spectral-limit"):
-        # sym(Ã(0)) as the diagnostics cached it, a matrix or a diagonal
-        tilde_sym = ens.segments.start_tilde_sym
+        # sym(Ã(0)) as the diagnostics cached it: a matrix, or a diagonal family's diagonal
+        tilde_sym = ens.segments.segments[0].tilde_sym
+        tilde_sym = tilde_sym[0] if tilde_sym.ndim == 3 - ens.segments.diagonal else tilde_sym
         report["spectral_limit"] = diag.spectral_limit_report(quots, finals, tilde_sym,
                                                               spectrum(tilde_sym))
 

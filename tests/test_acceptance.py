@@ -411,7 +411,7 @@ def test_acceptance_12_nse_spectral_limit(shells, modes):
                              n_paths=8)
     forms = diag.PathForms(ens, 0.0)
     quots = diag.quotient_series(forms, 0.0)
-    tilde_sym = ens.segments.start_tilde_sym  # the diagonal, applied elementwise
+    tilde_sym = ens.segments.segments[0].tilde_sym  # the diagonal, applied elementwise
     rep = diag.spectral_limit_report(quots, ens.states[:, -1], tilde_sym,
                                      spectrum(tilde_sym))
     margin = diag.backward_probe(np.sqrt(forms.sq))["margin"]
