@@ -417,10 +417,11 @@ def spectral_limit_report(
     """Match the final-window quotient of each path to the spectrum: the
     spectral-limit section of a report.
 
-    tilde_sym is sym(Ã) as a matrix, or as a diagonal (N,), which is applied
-    elementwise.  quotients has shape (P, J+1); a path settles when the standard deviation
-    over its final SETTLE_WINDOW is below settle_tol, 10% of the smallest
-    gap between distinct eigenvalues, or 0.1 for a single one.  Eigenvalues
+    tilde_sym is sym(Ã) as a matrix, or as a diagonal (N,), which is
+    applied elementwise.  quotients has shape (P, J+1); a path settles when
+    the standard deviation over its final SETTLE_WINDOW is below settle_tol,
+    10% of the smallest gap between distinct eigenvalues, or 0.1 for a
+    single one.  Eigenvalues
     closer than 1e-9 max(1, max|lambda|) count as one: the solver splits a
     repeated eigenvalue by rounding.  Each path's entry holds its estimate,
     the window's standard deviation and, once settled, the nearest

@@ -235,10 +235,10 @@ class OperatorFamily:
     def diagonal(self) -> bool:
         """Whether A and every B_k are diagonal paths (MatrixPath.diagonal).
 
-        Then every matrix the family yields is diagonal: interpolation, the
-        Stratonovich correction, Ã and Milstein's B_k B_l keep it so.  The
-        family yields diagonals alone, and the steps, OperatorSegments, the
-        certificates and the report apply them elementwise.
+        Then the family yields diagonals alone (interpolation, the
+        Stratonovich correction, Ã and Milstein's B_k B_l keep a diagonal
+        so), which the steps, OperatorSegments, the certificates and the
+        report apply elementwise.
         """
         return all(p.diagonal for p in (self.A,) + self.Bs)
 
