@@ -334,18 +334,10 @@ def check_weak_A_bound(ev: OperatorSegment, basis: SpectralBasis) -> CertRecord:
         np.linspace(0.0, max(scale, 1.0) * 1.5, 61), [1.0]
     ]))
 
-    if ev.diagonal:
-        # the top entry over the stack of s - beta D is that of the entrywise
-        # maxima of s over it less beta D, as rounding keeps order: every beta at once
-        shifts = beta_grid[:, None] * d
-        tops = zip((s.max(axis=0) - shifts).max(axis=1).tolist(),
-                   ((-s).max(axis=0) - shifts).max(axis=1).tolist())
-    else:
-        tops = ((float(_top_eig(s - beta * d).max()), float(_top_eig(-s - beta * d).max()))
-                for beta in beta_grid)
     best = None
-    for beta, (top, bottom) in zip(beta_grid, tops):
-        gamma = max(0.0, top, bottom)
+    for beta in beta_grid:
+        gamma = max(0.0, float(_top_eig(s - beta * d, ev.diagonal).max()),
+                    float(_top_eig(-s - beta * d, ev.diagonal).max()))
         score = gamma + lam1 * beta
         if best is None or score < best[0] - 1e-12 or (
             abs(score - best[0]) <= 1e-12 and beta < best[1]

@@ -6,6 +6,7 @@ statements reduce to eigenvalue statements about symmetrized matrices.
 """
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -125,7 +126,21 @@ class MatrixPath:
         diagonal, else a copy whose matrices have +0.0 off the diagonal."""
         if not self.diagonal:
             return self
-        return MatrixPath(_diagonal_matrices(self.values), self.time_grid, self.interpolation)
+        out = copy(self)
+        out.values, out.diagonal = _diagonal_matrices(self.values), False
+        return out
+
+    def as_diagonal(self) -> Optional["MatrixPath"]:
+        """This path held as its diagonals: itself if it is diagonal, a copy
+        holding the diagonals if no matrix has an off-diagonal nonzero, else None."""
+        if self.diagonal:
+            return self
+        d = np.diagonal(self.values, axis1=-2, axis2=-1)
+        if np.count_nonzero(self.values) != np.count_nonzero(d):
+            return None
+        out = copy(self)
+        out.values, out.diagonal = np.ascontiguousarray(d), True
+        return out
 
     def at(self, t) -> np.ndarray:
         """Value at time t, or the stack (len(t), ...) at an array of times: a
@@ -202,8 +217,9 @@ class OperatorFamily:
         noise_form: "ito", or "stratonovich" when A is the drift of the
             Stratonovich equation; at() then adds the Ito correction.
 
-    A family is diagonal when A and every B_k are diagonal paths; a family
-    with one path that is not holds every path as matrices (MatrixPath.dense).
+    A family is diagonal when no matrix of A or of a B_k has an off-diagonal
+    nonzero: it then holds every path as its diagonals (MatrixPath.as_diagonal),
+    and otherwise every path as matrices (MatrixPath.dense).
     """
 
     A: MatrixPath
@@ -219,9 +235,14 @@ class OperatorFamily:
                 raise DimensionMismatchError("noise operator dimension differs from drift")
         if self.noise_form not in ("ito", "stratonovich"):
             raise ValueError(f"unknown noise form {self.noise_form!r}")
-        if not self.diagonal:
-            object.__setattr__(self, "A", self.A.dense())
-            object.__setattr__(self, "Bs", tuple(b.dense() for b in self.Bs))
+        held = [p.as_diagonal() for p in (self.A,) + self.Bs]
+        if None in held:
+            held = [p.dense() for p in (self.A,) + self.Bs]
+        self._hold(held)
+
+    def _hold(self, paths: list) -> None:
+        object.__setattr__(self, "A", paths[0])
+        object.__setattr__(self, "Bs", tuple(paths[1:]))
 
     @property
     def dim(self) -> int:
@@ -233,7 +254,7 @@ class OperatorFamily:
 
     @property
     def diagonal(self) -> bool:
-        """Whether A and every B_k are diagonal paths (MatrixPath.diagonal).
+        """Whether A and every B_k are held as diagonals (MatrixPath.diagonal).
 
         Then the family yields diagonals alone (interpolation, the
         Stratonovich correction, Ã and Milstein's B_k B_l keep a diagonal
@@ -245,7 +266,9 @@ class OperatorFamily:
     def dense(self) -> "OperatorFamily":
         """The family with every path held as N x N matrices (MatrixPath.dense):
         the one view of a diagonal family that dense code takes."""
-        return replace(self, A=self.A.dense(), Bs=tuple(b.dense() for b in self.Bs))
+        out = replace(self)
+        out._hold([p.dense() for p in (self.A,) + self.Bs])
+        return out
 
     def _moving(self) -> list:
         return [p for p in (self.A,) + self.Bs if not p.is_constant]

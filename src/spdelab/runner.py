@@ -187,9 +187,8 @@ class ExperimentConfig:
     def canonical(self) -> str:
         return json.dumps(asdict(self), sort_keys=True)
 
-    def digest(self, canonical: Optional[str] = None) -> str:
-        """sha256 of the canonical form, which a caller holding it passes."""
-        return hashlib.sha256((canonical or self.canonical()).encode()).hexdigest()
+    def digest(self) -> str:
+        return hashlib.sha256(self.canonical().encode()).hexdigest()
 
 
 def load_config(path: str, kind: Optional[str] = None) -> ExperimentConfig:
@@ -390,7 +389,7 @@ def run(cfg: ExperimentConfig) -> RunManifest:
     system = build_system(cfg)
     # one canonical form, which the run directory's name and the manifest read
     canonical = cfg.canonical()
-    config_hash = cfg.digest(canonical)
+    config_hash = hashlib.sha256(canonical.encode()).hexdigest()
     run_dir = cfg.output_dir or os.path.join(_output_root(), f"{cfg.kind}-{config_hash[:12]}")
     grid = uniform_grid(cfg.T, cfg.dt)
     ens = integrate_ensemble(system, cfg.scheme, grid, cfg.master_seed, cfg.paths)

@@ -235,7 +235,7 @@ def test_strong_noise_scalar_noise_bound_holds():
     record = check_strong_noise_bound(ops.at(T_GRID), hat_basis(lam))
     l1, l2 = record.constants["L1"], record.constants["L2"]
     rng = np.random.default_rng(0)
-    a = ops.A.at(0.0)
+    a = ops.dense().A.at(0.0)  # the family is diagonal
     for _ in range(300):
         x = rng.standard_normal(3)
         lhs = np.linalg.norm(c * x)

@@ -68,11 +68,11 @@ def test_tilde_prime_constant_family_is_zero():
 
 
 def test_tilde_prime_linear_family():
-    """A(t) = (1+t) I has derivative I."""
+    """A(t) = (1+t) I has derivative I, held as its diagonal."""
     grid = np.linspace(0.0, 1.0, 11)
     stack = np.stack([(1.0 + t) * np.eye(2) for t in grid])
     ops = OperatorFamily(A=MatrixPath(stack, grid, "linear"), Bs=())
-    assert np.allclose(ops.tilde_prime_at(0.5), np.eye(2), atol=1e-6)
+    assert np.allclose(ops.tilde_prime_at(0.5), np.ones(2), atol=1e-6)
 
 
 @pytest.mark.parametrize("constant_first", [False, True])
@@ -80,30 +80,31 @@ def test_tilde_prime_of_a_linear_noise_under_a_constant_drift(constant_first):
     """B(t) = b(t) I with b from 0.1 to 0.9 on [0, 1]: Ã' = -b b' I = -0.8 b(t) I.
 
     Neither the constant drift nor a constant noise listed first may hide it.
+    The family is diagonal, so Ã' is held as its diagonal.
     """
     linear = MatrixPath(np.stack([0.1 * np.eye(2), 0.9 * np.eye(2)]),
                         np.array([0.0, 1.0]), "linear")
     bs = (MatrixPath(0.2 * np.eye(2)), linear) if constant_first else (linear,)
     ops = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=bs)
     assert ops.interpolation == "linear"
-    assert np.allclose(ops.tilde_prime_at(0.5), -0.4 * np.eye(2), atol=1e-8)
+    assert np.allclose(ops.tilde_prime_at(0.5), -0.4 * np.ones(2), atol=1e-8)
     # at the ends the difference is one-sided, inside the span of the nodes
     times = np.array([0.0, 0.25, 1.0])
     stack = ops.tilde_prime_at(times)
-    assert stack.shape == (3, 2, 2)
+    assert stack.shape == (3, 2)
     expected = -0.8 * (0.1 + 0.8 * times)
-    assert np.allclose(stack, expected[:, None, None] * np.eye(2), atol=1e-5)
+    assert np.allclose(stack, expected[:, None] * np.ones(2), atol=1e-5)
 
 
 def test_tilde_prime_clamps_to_the_span_every_path_covers():
-    """A linear drift on [0, 2] beside a linear noise on [0, 1]."""
+    """A linear drift on [0, 2] beside a linear noise on [0, 1], both diagonal."""
     a = MatrixPath(np.stack([np.eye(2), 3.0 * np.eye(2)]), np.array([0.0, 2.0]), "linear")
     b = MatrixPath(np.stack([np.zeros((2, 2)), np.eye(2)]), np.array([0.0, 1.0]), "linear")
     ops = OperatorFamily(A=a, Bs=(b,))
     assert np.array_equal(ops.nodes, [0.0, 1.0])
     # d/dt (1 + t - t^2 / 2) = 1 - t, one-sided at t = 1
     assert np.allclose(ops.tilde_prime_at(1.0), 0.0, atol=1e-5)
-    assert np.allclose(ops.tilde_prime_at(0.5), 0.5 * np.eye(2), atol=1e-8)
+    assert np.allclose(ops.tilde_prime_at(0.5), 0.5 * np.ones(2), atol=1e-8)
 
 
 def test_piecewise_constant_family_has_zero_tilde_prime():
@@ -111,7 +112,7 @@ def test_piecewise_constant_family_has_zero_tilde_prime():
     b = MatrixPath(np.stack([k * np.eye(2) for k in range(3)]), grid)
     ops = OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(b,))
     assert ops.interpolation == "constant"
-    assert np.array_equal(ops.tilde_prime_at(np.array([0.25, 0.75])), np.zeros((2, 2, 2)))
+    assert np.array_equal(ops.tilde_prime_at(np.array([0.25, 0.75])), np.zeros((2, 2)))
 
 
 def test_runs_follow_the_node_intervals():
@@ -192,12 +193,13 @@ def test_stacked_evaluation_matches_scalar_calls_bit_for_bit(n, kinds, noise_for
         _same_bits(ev.Bs[k], [e.Bs[k] for e in per_time])
     _same_bits(ev.tilde, [e.tilde for e in per_time])
     _same_bits(assemble_tilde_A(ops, times), [e.tilde for e in per_time])
-    _same_bits(ev.tilde_sym, [sym(e.tilde) for e in per_time])
+    # at n = 1 every family is diagonal, and a diagonal is its own symmetric part
+    _same_bits(ev.tilde_sym, [e.tilde if ops.diagonal else sym(e.tilde) for e in per_time])
     _same_bits(commutator_C(ev), [commutator_C(e) for e in per_time])
     _same_bits(ops.tilde_prime_at(times), [ops.tilde_prime_at(float(t)) for t in times])
     basis = SpectralBasis(dim=n, hat_eigenvalues=np.arange(1.0, n + 1.0))
-    norms = operator_norm_v_vprime(ev.tilde, basis)
-    _same_bits(norms, [operator_norm_v_vprime(e.tilde, basis) for e in per_time])
+    norms = operator_norm_v_vprime(ev.tilde, basis, ops.diagonal)
+    _same_bits(norms, [operator_norm_v_vprime(e.tilde, basis, ops.diagonal) for e in per_time])
 
 
 def test_commutator_zero_for_commuting_family():
@@ -257,8 +259,9 @@ def _linear_diagonal_family():
 
 
 def test_diagonal_rule():
-    """A family is diagonal when A and every B_k are given as diagonals; one
-    path given as matrices makes the family hold every path as matrices."""
+    """A family is diagonal when no matrix of A or of a B_k has an off-diagonal
+    nonzero, given as diagonals or as matrices: it then holds every path as its
+    diagonals.  One path that is not makes it hold every path as matrices."""
     from spdelab.systems import make_system
 
     assert make_system("diagonal").ops.diagonal
@@ -266,13 +269,39 @@ def test_diagonal_rule():
     assert _linear_diagonal_family().diagonal
     for name in ("torus-heat-scalar", "torus-heat-gradient", "coupled-torus"):
         assert not make_system(name).ops.diagonal, name
-    # a matrix is held as one, even with no off-diagonal nonzero
-    assert not OperatorFamily(A=MatrixPath(np.eye(2)), Bs=()).diagonal
-    assert OperatorFamily(A=MatrixPath(np.ones(2)), Bs=()).diagonal
-    moving = MatrixPath(np.stack([np.eye(2), np.eye(2)]), np.array([0.0, 1.0]))
+    # one off-diagonal entry at one node of one noise is enough
+    values = np.stack([np.eye(2), np.eye(2)])
+    values[1, 0, 1] = 1e-300
+    moving = MatrixPath(values, np.array([0.0, 1.0]))
+    assert not OperatorFamily(A=MatrixPath(np.eye(2)), Bs=(moving,)).diagonal
+    assert OperatorFamily(A=MatrixPath(np.eye(2)), Bs=()).diagonal
+    # matrices are held as their diagonals, -0.0 off the diagonal counting as zero
+    held = OperatorFamily(A=MatrixPath(-np.eye(2)),
+                          Bs=(MatrixPath(np.stack([np.eye(2), 2.0 * np.eye(2)]),
+                                         np.array([0.0, 1.0])),))
+    assert held.diagonal and held.A.values.tobytes() == np.array([-1.0, -1.0]).tobytes()
+    assert held.Bs[0].values.tolist() == [[1.0, 1.0], [2.0, 2.0]]
+    assert not MatrixPath(np.eye(2)).diagonal  # a path alone keeps what it is given
+    # a mixed family holds its diagonal paths as matrices, its others as given
     mixed = OperatorFamily(A=MatrixPath(np.array([1.0, 2.0])), Bs=(moving,))
-    assert not mixed.diagonal and not mixed.A.diagonal
+    assert not mixed.diagonal and not mixed.A.diagonal and mixed.Bs[0] is moving
     assert mixed.at(0.5).drift.tobytes() == np.diag([1.0, 2.0]).tobytes()
+
+
+def test_a_coupled_torus_of_one_component_is_diagonal_and_takes_the_scan(monkeypatch):
+    """With one component coupled-torus has a diagonal Laplacian and noise
+    h (x) I, which its factory builds as N x N matrices: the family is
+    diagonal, and a run of it steps by the elementwise scan."""
+    from spdelab import integrator
+    from spdelab.systems import make_system
+
+    spec = make_system("coupled-torus", n_components=1)
+    assert spec.ops.diagonal and spec.ops.A.values.shape == (spec.ops.dim,)
+    calls = []
+    scan = integrator._scan
+    monkeypatch.setattr(integrator, "_scan", lambda *a: calls.append(1) or scan(*a))
+    ens = integrator.integrate_ensemble(spec, "milstein", np.linspace(0.0, 0.1, 11), 0, 2)
+    assert calls and np.isfinite(ens.states).all()
 
 
 def test_the_dense_view_holds_the_diagonals_as_matrices():

@@ -168,10 +168,11 @@ def test_coupled_torus_single_component_reduces_to_scalar_noise():
     h = np.zeros((1, 1, 1, 1))
     h[0, 0, 0, 0] = 0.5
     sys = make_coupled_torus(n_components=1, modes=6, h_tables=h)
+    assert sys.ops.diagonal  # so every operator is held as its diagonal
     b = sys.ops.Bs[0].at(0.0)
-    assert np.allclose(b, 0.5 * np.eye(6), atol=1e-12)
+    assert np.allclose(b, 0.5 * np.ones(6), atol=1e-12)
     scalar = make_torus_heat_scalar_noise(dim=6, c_coeffs=(0.5,))
-    assert np.allclose(sys.ops.at(0.0).drift, scalar.ops.at(0.0).drift, atol=1e-12)
+    assert np.allclose(sys.ops.dense().at(0.0).drift, scalar.ops.at(0.0).drift, atol=1e-12)
 
 
 def test_coupled_torus_rejects_bad_tables():
